@@ -155,10 +155,11 @@ class Session:
     def close(self) -> None:
         """Release the session's transport.
 
-        Local engines build and shut down executors per batch and the
-        HTTP client is connectionless, so this only drops references —
-        but callers should still treat a closed session as dead; the
-        context-manager form makes that structural.
+        Local engines build and shut down executors per batch, and the
+        HTTP client's per-thread keep-alive connections close with the
+        client object, so this only drops references — but callers
+        should still treat a closed session as dead; the context-manager
+        form makes that structural.
         """
         self._runner = None
         self._client = None

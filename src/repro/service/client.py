@@ -2,21 +2,23 @@
 
 :class:`ServiceClient` is the thin, dependency-free wire layer under
 :meth:`repro.api.Session.connect`: it speaks the coordinator's JSON
-endpoints with ``urllib``, re-checks the payload digest on results
-(the same SHA-256 box the worker wire protocol uses), and maps the
-service's error shapes back onto the exceptions in-process callers
-already know — a failed simulation raises
-:class:`~repro.runner.executors.RemoteJobError`, a schema/version
-disagreement raises :class:`ServiceError` with the server's message.
+endpoints over one persistent ``http.client`` connection per calling
+thread, re-checks the payload digest on results (the same SHA-256 box
+the worker wire protocol uses), and maps the service's error shapes
+back onto the exceptions in-process callers already know — a failed
+simulation raises :class:`~repro.runner.executors.RemoteJobError`; a
+schema/version disagreement, a dropped connection or an unparseable
+answer raises :class:`ServiceError`, never a raw ``http.client`` error.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Iterator, Optional
+from urllib.parse import urlsplit
 
 from repro.runner.executors import RemoteJobError
 from repro.runner.spec import JobSpec
@@ -43,32 +45,49 @@ class ServiceClient:
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
+        self._target = urlsplit(self.url)
+        #: ``.conn``: the calling thread's open connection, if any.
+        self._local = threading.local()
 
     # -- plumbing --------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            https = self._target.scheme == "https"
+            factory = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            conn = self._local.conn = factory(self._target.netloc, timeout=self.timeout)
+        return conn
+
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> tuple[int, Any]:
         data = None if body is None else json.dumps(body).encode("utf-8")
-        req = urllib.request.Request(
-            self.url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
+        conn = self._connection()
+        for reused in (conn.sock is not None, False):
             try:
-                doc = json.loads(exc.read())
-            except (json.JSONDecodeError, OSError):
-                doc = {"error": str(exc)}
-            return exc.code, doc
-        except urllib.error.URLError as exc:
+                conn.request(
+                    method, self._target.path + path, body=data,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                status, raw = resp.status, resp.read()
+                break
+            except (http.client.HTTPException, OSError) as exc:
+                conn.close()
+                # A kept-alive socket the server has since closed fails
+                # only on use: reconnect once, transparently.
+                if reused and isinstance(exc, ConnectionError):
+                    continue
+                raise ServiceError(
+                    0,
+                    f"cannot reach the simulation service at {self.url}: "
+                    f"{exc!r} (is `python -m repro serve` running there?)",
+                ) from None
+        try:
+            return status, json.loads(raw)
+        except ValueError:
             raise ServiceError(
-                0,
-                f"cannot reach the simulation service at {self.url}: "
-                f"{exc.reason} (is `python -m repro serve` running there?)",
+                status, f"the service answered with a non-JSON body: {raw[:80]!r}"
             ) from None
 
     def _get(self, path: str) -> tuple[int, Any]:
@@ -115,13 +134,22 @@ class ServiceClient:
     ) -> Any:
         """Block until the job settles; returns the unpickled payload.
 
+        Long-polls (``?wait=``) in slices no longer than half the socket
+        timeout, so the service answers the moment the job settles;
+        ``poll`` is only the sleep between requests to an older service
+        that ignores ``wait`` and answers 202 at once.
+
         Raises :class:`RemoteJobError` when the *simulation* failed on
         the service (mirroring the remote executor's contract), and
         :class:`TimeoutError` when ``timeout`` elapses first.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            status, doc = self._get(f"/v1/jobs/{job_id}/result")
+            wait = self.timeout / 2
+            if deadline is not None:
+                wait = max(0.0, min(wait, deadline - time.monotonic()))
+            asked = time.monotonic()
+            status, doc = self._get(f"/v1/jobs/{job_id}/result?wait={wait:.3f}")
             if status == 200:
                 return _unpack(doc["payload"])
             if status == 500:
@@ -136,7 +164,8 @@ class ServiceClient:
                     f"job {job_id[:12]} still {doc.get('status')!r} "
                     f"after {timeout}s"
                 )
-            time.sleep(poll)
+            if time.monotonic() - asked < wait / 2:
+                time.sleep(poll)
 
     def timeseries(self, job_id: str, sm: int = 0, since: int = 0) -> dict:
         status, doc = self._get(

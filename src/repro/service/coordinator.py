@@ -17,9 +17,16 @@
   completes instantly, and workers write the same store as they finish,
   so duplicates across coordinator restarts dedup too.
 
-:class:`ServiceHandler` exposes it over HTTP/JSON (stdlib
-``ThreadingHTTPServer``; handler threads only touch the lock-guarded
-job table, never worker pipes):
+A settled job keeps no live result: its payload is encoded **once**
+into the wire protocol's digest-protected box, and only the
+:data:`RESIDENT_RESULTS` most recently used boxes stay in memory — an
+evicted one is re-read through the store on demand (nothing is evicted
+when the coordinator runs without a store).
+
+:class:`ServiceHandler` exposes it over HTTP/1.1 + JSON (stdlib
+``ThreadingHTTPServer``, one thread per *connection*, which stays open
+between requests; handler threads only touch the lock-guarded job
+table, never worker pipes):
 
 ========================================  ================================
 ``POST /v1/jobs``                           submit one schema-versioned
@@ -30,7 +37,11 @@ job table, never worker pipes):
 ``GET  /v1/jobs/{id}/result``               the portable result payload,
                                             pickled + base64 + SHA-256
                                             (the wire protocol's
-                                            digest-protected box)
+                                            digest-protected box);
+                                            ``?wait=S`` parks the request
+                                            until the job settles, 202
+                                            after ``S`` seconds (capped at
+                                            :data:`MAX_WAIT_SECONDS`)
 ``GET  /v1/jobs/{id}/timeseries``           per-window rows of a
                                             ``timeseries=True`` run;
                                             ``?sm=N&since=K`` for
@@ -50,6 +61,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
@@ -58,7 +70,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.runner.cache import MISS, ResultCache, SharedDirectoryBackend
 from repro.runner.executors import JobOutcome
 from repro.runner.spec import JobSpec
-from repro.runner.wire import PROTOCOL_VERSION, _pack
+from repro.runner.wire import PROTOCOL_VERSION, _pack, _unpack
 from repro.service.fleet import WorkerFleet
 from repro.service.schema import JOB_SCHEMA_VERSION, SchemaError, decode_jobspec
 
@@ -68,6 +80,13 @@ DEFAULT_PORT = 8642
 
 JOB_STATES = ("queued", "running", "done", "failed")
 
+#: Encoded results kept in memory (most recently used first to stay).
+RESIDENT_RESULTS = 128
+#: Longest a ``GET .../result?wait=S`` request parks its handler thread.
+MAX_WAIT_SECONDS = 20.0
+#: Largest request body read; job documents are a few KB.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass
 class Job:
@@ -76,7 +95,6 @@ class Job:
     id: str
     spec: JobSpec
     status: str = "queued"
-    payload: Any = None
     error: str = ""
     source: str = ""  # "cache" | "fleet" | "degraded"
     seconds: float = 0.0
@@ -126,8 +144,12 @@ class Coordinator:
             on_outcome=self._on_outcome,
         )
         self._jobs: dict[str, Job] = {}
+        #: Encoded results of settled jobs, least recently used first.
+        self._boxes: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
+        self._waiters = 0
+        self.closed = False
         self.started_at = time.time()
         self.degraded = 0
 
@@ -136,7 +158,48 @@ class Coordinator:
         self.fleet.start()
 
     def shutdown(self) -> None:
+        with self._lock:
+            self.closed = True
+            self._done.notify_all()  # release parked handlers
         self.fleet.shutdown()
+
+    # -- encoded results -------------------------------------------------
+    def _load_box(self, spec: JobSpec) -> Optional[dict]:
+        """Read ``spec``'s result through the store and encode it (disk
+        I/O and pickling: never call with ``_lock`` held)."""
+        if self.cache is None:
+            return None
+        payload = self.cache.get(self.cache.key_for(spec))
+        return None if payload is MISS else _pack(payload)
+
+    def _admit(self, key: str, box: dict) -> None:
+        """Make ``box`` the most recently used (``_lock`` held). Without
+        a store nothing can be re-read, so nothing is evicted."""
+        self._boxes[key] = box
+        self._boxes.move_to_end(key)
+        while self.cache is not None and len(self._boxes) > RESIDENT_RESULTS:
+            self._boxes.popitem(last=False)
+
+    def result_box(self, job: Job) -> Optional[dict]:
+        """The encoded result of ``job``; ``None`` while it is not done —
+        or was evicted and the store lost it too: it is then running again."""
+        with self._lock:
+            if job.status != "done":
+                return None
+            box = self._boxes.get(job.id)
+            if box is not None:
+                self._boxes.move_to_end(job.id)
+                return box
+        box = self._load_box(job.spec)
+        with self._lock:
+            if box is not None:
+                self._admit(job.id, box)
+                return box
+            if job.status != "done" or job.id in self._boxes:
+                return self._boxes.get(job.id)  # a concurrent request got here first
+            job.status = "running"
+        self.fleet.submit(job.id, job.spec)
+        return None
 
     # -- submission ------------------------------------------------------
     def submit(self, spec: JobSpec) -> tuple[Job, bool, bool]:
@@ -147,22 +210,23 @@ class Coordinator:
         """
         key = spec.key
         with self._lock:
+            known = key in self._jobs
+        # The store read-through runs unlocked (handlers and long-poll
+        # wake-ups queue on ``_lock``); the table is re-checked below, so
+        # two racing submits of one key still share one job.
+        box = None if known else self._load_box(spec)
+        with self._lock:
             job = self._jobs.get(key)
             if job is not None:
                 job.submits += 1
                 return job, True, job.source == "cache"
-            if self.cache is not None:
-                payload = self.cache.get(self.cache.key_for(spec))
-                if payload is not MISS:
-                    job = Job(
-                        id=key, spec=spec, status="done", payload=payload,
-                        source="cache", finished=time.time(),
-                    )
-                    self._jobs[key] = job
-                    return job, False, True
-            job = Job(id=key, spec=spec)
+            if box is not None:
+                job = Job(id=key, spec=spec, status="done", source="cache", finished=time.time())
+                self._jobs[key] = job
+                self._admit(key, box)
+                return job, False, True
+            job = Job(id=key, spec=spec, status="running")
             self._jobs[key] = job
-            job.status = "running"
         self.fleet.submit(key, spec)
         return job, False, False
 
@@ -179,13 +243,15 @@ class Coordinator:
                 daemon=True,
             ).start()
             return
+        # Encode once, here and unlocked; the live result is not kept.
+        box = _pack(outcome.payload) if outcome.ok else None
         with self._lock:
             job = self._jobs.get(outcome.key)
             if job is None or job.status == "done":
                 return
-            if outcome.ok:
+            if box is not None:
                 job.status = "done"
-                job.payload = outcome.payload
+                self._admit(job.id, box)
                 job.seconds = outcome.seconds
                 job.source = job.source or "fleet"
             else:
@@ -195,9 +261,14 @@ class Coordinator:
             self._done.notify_all()
         if outcome.ok and self.cache is not None:
             try:
-                self.cache.put(self.cache.key_for(job.spec), outcome.payload)
+                # Workers launched with --cache-dir landed the entry before
+                # answering; only the degrade tier and custom commands
+                # without one still need this (dispatcher-thread) pickle.
+                key = self.cache.key_for(job.spec)
+                if not self.cache.path_for(key).exists():
+                    self.cache.put(key, outcome.payload)
             except Exception:
-                pass  # workers write the store too; a miss re-simulates
+                pass  # a miss re-simulates
 
     def _run_degraded(self, key: str) -> None:
         from repro.runner.engine import execute_job
@@ -228,25 +299,28 @@ class Coordinator:
             return self._jobs.get(job_id)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:
-        """Block until ``job_id`` settles (done/failed) or timeout."""
+        """Block until ``job_id`` settles (done/failed), the timeout
+        elapses or the coordinator shuts down."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while True:
-                job = self._jobs.get(job_id)
-                if job is None or job.status in ("done", "failed"):
-                    return job
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return job
-                self._done.wait(timeout=0.1 if remaining is None
-                                else min(0.1, remaining))
+            self._waiters += 1
+            try:
+                while True:
+                    job = self._jobs.get(job_id)
+                    if job is None or job.status in ("done", "failed"):
+                        return job
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if self.closed or (remaining is not None and remaining <= 0):
+                        return job
+                    self._done.wait(timeout=remaining)
+            finally:
+                self._waiters -= 1
 
     def stats(self) -> dict:
         with self._lock:
             jobs = list(self._jobs.values())
             degraded = self.degraded
+            waiters, resident = self._waiters, len(self._boxes)
         counts = {state: 0 for state in JOB_STATES}
         submits = 0
         for job in jobs:
@@ -259,6 +333,8 @@ class Coordinator:
             "unique_jobs": len(jobs),
             "coalesced": submits - len(jobs),
             "degraded": degraded,
+            "waiters": waiters,
+            "resident_results": resident,
             "cache_dir": str(self.cache.root) if self.cache else None,
             "fleet": self.fleet.stats(),
         }
@@ -269,6 +345,13 @@ class Coordinator:
 # ---------------------------------------------------------------------------
 class ServiceHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP view of the coordinator (``/v1/...``)."""
+
+    #: Keep-alive: every response carries ``Content-Length``.
+    protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY — headers and body leave as two segments, and on a
+    #: connection that stays open Nagle holds the second until the
+    #: client's delayed ACK of the first (a 40 ms stall per response).
+    disable_nagle_algorithm = True
 
     #: Quieten the default per-request stderr logging.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -284,30 +367,53 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _error(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
 
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise SchemaError("empty request body")
-        raw = self.rfile.read(length)
+    def parse_request(self) -> bool:
+        """Hang up, unanswered, once the coordinator has shut down: a
+        connection that outlives its service must not keep answering from
+        the dead job table; the client reconnects to whatever is there."""
+        if self.coordinator.closed:
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after answering 400/413: a body
+        of unknown length cannot be skipped, so the connection closes."""
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"request body is not JSON: {exc}") from None
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        self.close_connection = True
+        if length < 0:
+            self._error(400, "Content-Length must be a non-negative integer")
+        else:
+            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        return None
 
     # -- routes ----------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         parsed = urlparse(self.path)
+        raw = self._read_body()  # before any answer: keeps the framing
+        if raw is None:
+            return
         if parsed.path != "/v1/jobs":
             self._error(404, f"no such endpoint: POST {parsed.path}")
             return
         try:
-            spec = decode_jobspec(self._read_body())
+            spec = decode_jobspec(json.loads(raw))
+        except json.JSONDecodeError as exc:
+            self._error(400, f"request body is not JSON: {exc}")
+            return
         except SchemaError as exc:
             self._error(400, str(exc))
             return
@@ -351,18 +457,28 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(job.summary())
                 return
             if rest == ["result"]:
-                self._job_result(job)
+                self._job_result(job, query)
                 return
             if rest == ["timeseries"]:
                 self._job_timeseries(job, query)
                 return
         self._error(404, f"no such endpoint: GET {parsed.path}")
 
-    def _job_result(self, job: Job) -> None:
+    def _job_result(self, job: Job, query: dict) -> None:
+        try:
+            wait = min(float(query.get("wait", 0)), MAX_WAIT_SECONDS)
+        except ValueError:
+            self._error(400, "wait must be a number of seconds")
+            return
+        if wait > 0:
+            # Parks this thread (one per connection, so nobody else is
+            # held up) until the job settles: no client poll interval.
+            self.coordinator.wait(job.id, wait)
         if job.status == "failed":
             self._error(500, job.error or "job failed")
             return
-        if job.status != "done":
+        box = self.coordinator.result_box(job)
+        if box is None:
             self._send_json({"job_id": job.id, "status": job.status}, status=202)
             return
         self._send_json(
@@ -371,7 +487,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "status": "done",
                 "source": job.source,
                 "seconds": job.seconds,
-                "payload": _pack(job.payload),
+                "payload": box,
             }
         )
 
@@ -379,7 +495,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if job.status == "failed":
             self._error(500, job.error or "job failed")
             return
-        if job.status != "done":
+        box = self.coordinator.result_box(job)
+        if box is None:
             # In-flight: nothing recorded yet on this side of the wire.
             # The contract is incremental (``since``), so clients just
             # keep polling until rows appear.
@@ -395,7 +512,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ValueError:
             self._error(400, "sm and since must be integers")
             return
-        series_list = getattr(job.payload, "timeseries", None)
+        series_list = getattr(_unpack(box), "timeseries", None)
         if not series_list:
             self._error(
                 409,

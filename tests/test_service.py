@@ -10,7 +10,10 @@ infrastructure fault may wedge the service or smuggle in a wrong
 payload, and no worker process may outlive its fleet.
 """
 
+import http.client
 import json
+import socket
+import socketserver
 import sys
 import threading
 import time
@@ -21,7 +24,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from fault_injection import flaky_worker_command  # noqa: E402
+import repro.service.coordinator as coordinator_module  # noqa: E402
+from fault_injection import FlakyBackend, flaky_worker_command  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import Session  # noqa: E402
 from repro.config import scaled_config  # noqa: E402
@@ -33,6 +37,7 @@ from repro.service import (  # noqa: E402
     SchemaError,
     ServiceClient,
     ServiceError,
+    ServiceHandler,
     decode_jobspec,
     encode_jobspec,
     serve,
@@ -48,12 +53,37 @@ def make_spec(app="S2", arch="baseline", config=CFG, scale=TINY, **overrides):
     )
 
 
-def start_service(tmpdir, **coordinator_kwargs):
-    """Boot a coordinator + HTTP server on a free loopback port."""
+def counting_handler():
+    """A fresh :class:`ServiceHandler` subclass that counts the TCP
+    connections it is given and the ``.../result`` requests it serves."""
+
+    class Counting(ServiceHandler):
+        lock = threading.Lock()
+        connections = 0
+        result_requests = 0
+
+        def setup(self):
+            with Counting.lock:
+                Counting.connections += 1
+            super().setup()
+
+        def do_GET(self):  # noqa: N802
+            if self.path.partition("?")[0].endswith("/result"):
+                with Counting.lock:
+                    Counting.result_requests += 1
+            super().do_GET()
+
+    return Counting
+
+
+def start_service(tmpdir, port=0, handler=None, **coordinator_kwargs):
+    """Boot a coordinator + HTTP server on a (free) loopback port."""
     coordinator_kwargs.setdefault("workers", 2)
     coordinator_kwargs.setdefault("cache_dir", str(tmpdir))
     coordinator = Coordinator(**coordinator_kwargs)
-    server = serve(host="127.0.0.1", port=0, coordinator=coordinator)
+    server = serve(host="127.0.0.1", port=port, coordinator=coordinator)
+    if handler is not None:
+        server.RequestHandlerClass = handler
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -64,6 +94,32 @@ def stop_service(server, coordinator):
     server.shutdown()
     server.server_close()
     coordinator.shutdown()
+
+
+def slow_worker_command(tmp_path, delay):
+    """A genuine worker that sits on every job line for ``delay`` seconds
+    first (and, like any custom command, carries no ``--cache-dir``)."""
+    shim = tmp_path / "slow_worker.py"
+    shim.write_text(
+        "import sys, time\n"
+        "from repro.runner.worker import serve\n"
+        "def lines():\n"
+        "    for line in sys.stdin:\n"
+        f"        time.sleep({delay})\n"
+        "        yield line\n"
+        "raise SystemExit(serve(lines(), sys.stdout))\n"
+    )
+    return f"{{python}} -u {shim}"
+
+
+def raw_request(url, method, path, body=None, headers=None, conn=None):
+    """One request outside :class:`ServiceClient`; returns
+    ``(status, document, connection)``."""
+    if conn is None:
+        conn = http.client.HTTPConnection(url.split("//")[1], timeout=30)
+    conn.request(method, path, body=body, headers=headers or {})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read()), conn
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +370,10 @@ class TestFaultTolerance:
             "sys.stdin.readline()\n"
             "raise SystemExit(1)\n"
         )
+        handler = counting_handler()
         server, coordinator, url = start_service(
             tmp_path / "cache",
+            handler=handler,
             workers=1,
             worker_command=f"{{python}} -u {shim}",
             max_attempts=2,
@@ -326,6 +384,8 @@ class TestFaultTolerance:
             doc = ServiceClient(url).submit(spec)
             result = ServiceClient(url).result(doc["job_id"], timeout=120)
             assert result.instructions > 0
+            # The degrade tier's settle woke the one parked request.
+            assert handler.result_requests == 1
             assert coordinator.degraded >= 1
             assert coordinator.job(doc["job_id"]).source == "degraded"
             assert coordinator.fleet.stats()["give_ups"] >= 1
@@ -370,3 +430,390 @@ class TestFaultTolerance:
             time.sleep(0.05)
         alive = [pid for pid in pids if Path(f"/proc/{pid}").exists()]
         assert not alive, f"orphaned workers: {alive}"
+
+
+# ---------------------------------------------------------------------------
+# Event-driven result delivery: long-poll, one wake-up per settle
+# ---------------------------------------------------------------------------
+class TestLongPoll:
+    def test_slow_job_arrives_in_one_result_request(self, tmp_path):
+        handler = counting_handler()
+        server, coordinator, url = start_service(
+            tmp_path / "cache",
+            handler=handler,
+            workers=1,
+            worker_command=slow_worker_command(tmp_path, 0.4),
+        )
+        try:
+            client = ServiceClient(url)
+            spec = make_spec("S2", "baseline")
+            doc = client.submit(spec)
+            result = client.result(doc["job_id"], timeout=120)
+            assert result.instructions > 0
+            assert client.status(doc["job_id"])["source"] == "fleet"
+            assert handler.result_requests == 1
+            # This worker carries no --cache-dir: the coordinator's own
+            # store write (after the waiters are woken) is what makes the
+            # result outlive a restart.
+            entry = coordinator.cache.path_for(coordinator.cache.key_for(spec))
+            deadline = time.monotonic() + 10
+            while not entry.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert entry.exists()
+        finally:
+            stop_service(server, coordinator)
+
+    def test_simulation_error_wakes_the_parked_request(self, tmp_path):
+        handler = counting_handler()
+        server, coordinator, url = start_service(
+            tmp_path / "cache",
+            handler=handler,
+            workers=1,
+            worker_command=slow_worker_command(tmp_path, 0.3),
+        )
+        try:
+            client = ServiceClient(url)
+            doc = client.submit(make_spec("S2", "baseline", max_concurrent_ctas=-3))
+            with pytest.raises(RemoteJobError):
+                client.result(doc["job_id"], timeout=120)
+            assert handler.result_requests == 1
+        finally:
+            stop_service(server, coordinator)
+
+    def test_worker_written_entry_is_not_pickled_again(self, tmp_path):
+        # Default workers land the entry in the shared store before they
+        # answer; the dispatcher thread must not serialise it a second time.
+        server, coordinator, url = start_service(tmp_path, workers=1)
+        try:
+            backend = FlakyBackend(coordinator.cache.backend, fail_on=0)
+            coordinator.cache.backend = backend
+            client = ServiceClient(url)
+            # Outcomes are handled one at a time, store write last: once
+            # the second result is out, the first was handled in full.
+            for spec in (make_spec("LI", "baseline"), make_spec("S2", "baseline")):
+                client.result(client.submit(spec)["job_id"], timeout=120)
+                assert backend.path_for(coordinator.cache.key_for(spec)).exists()
+            assert backend.calls["write"] == 0
+        finally:
+            stop_service(server, coordinator)
+
+    def test_racing_submits_of_one_key_share_one_job(self, tmp_path):
+        server, coordinator, _ = start_service(tmp_path, workers=1)
+        spec = make_spec("LI", "baseline")
+        barrier = threading.Barrier(8)
+        outcomes = []
+
+        def submit():
+            barrier.wait(timeout=30)
+            outcomes.append(coordinator.submit(spec))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len({id(job) for job, _, _ in outcomes}) == 1
+            assert sorted(coalesced for _, coalesced, _ in outcomes) == [False] + [True] * 7
+            assert coordinator.wait(spec.key, timeout=120).status == "done"
+            stats = coordinator.stats()
+            assert stats["unique_jobs"] == 1 and stats["submits"] == 8
+            assert stats["fleet"]["dispatched"] == 1
+        finally:
+            sys.setswitchinterval(interval)
+            stop_service(server, coordinator)
+
+
+def start_hung_service(tmp):
+    """A service whose only worker never answers, and one job on it."""
+    server, coordinator, url = start_service(
+        tmp / "cache",
+        workers=1,
+        worker_command=flaky_worker_command("hang", tmp / "marker"),
+    )
+    job_id = ServiceClient(url).submit(make_spec("S2", "baseline"))["job_id"]
+    return server, coordinator, url, job_id
+
+
+@pytest.fixture(scope="class")
+def hung(tmp_path_factory):
+    server, coordinator, url, job_id = start_hung_service(
+        tmp_path_factory.mktemp("hung")
+    )
+    yield {"coordinator": coordinator, "url": url, "job_id": job_id}
+    stop_service(server, coordinator)
+
+
+class TestWaitParameter:
+    def test_no_wait_and_zero_wait_answer_202_at_once(self, hung):
+        for query in ("", "?wait=0", "?wait=-1"):
+            started = time.monotonic()
+            status, doc, _ = raw_request(
+                hung["url"], "GET", f"/v1/jobs/{hung['job_id']}/result{query}"
+            )
+            assert status == 202 and doc["status"] == "running"
+            assert time.monotonic() - started < 2.0
+
+    def test_malformed_wait_is_400(self, hung):
+        status, doc, _ = raw_request(
+            hung["url"], "GET", f"/v1/jobs/{hung['job_id']}/result?wait=abc"
+        )
+        assert status == 400 and "wait" in doc["error"]
+
+    def test_wait_above_the_cap_is_clamped(self, hung, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "MAX_WAIT_SECONDS", 0.2)
+        started = time.monotonic()
+        status, _, _ = raw_request(
+            hung["url"], "GET", f"/v1/jobs/{hung['job_id']}/result?wait=3600"
+        )
+        assert status == 202
+        assert 0.2 <= time.monotonic() - started < 5.0
+
+    def test_client_timeout_bounds_the_long_poll(self, hung):
+        client = ServiceClient(hung["url"])
+        client.status(hung["job_id"])  # connection open before the clock starts
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            client.result(hung["job_id"], timeout=0.2)
+        assert 0.2 <= time.monotonic() - started < 0.5
+        assert hung["coordinator"].stats()["waiters"] == 0
+
+    def test_old_server_without_wait_is_polled_not_spun(self, hung):
+        # A coordinator that predates ?wait= answers 202 at once; the
+        # client must then pace itself with ``poll`` as it used to.
+        handler = counting_handler()
+
+        class Old(handler):
+            def _job_result(self, job, query):
+                super()._job_result(job, {})
+
+        coordinator = hung["coordinator"]
+        server = serve(host="127.0.0.1", port=0, coordinator=coordinator)
+        server.RequestHandlerClass = Old
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+            with pytest.raises(TimeoutError):
+                client.result(hung["job_id"], timeout=0.5, poll=0.1)
+            assert 2 <= handler.result_requests <= 7
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_shutdown_releases_parked_clients(self, tmp_path):
+        server, coordinator, url, job_id = start_hung_service(tmp_path)
+        client = ServiceClient(url)
+        outcomes = []
+
+        def fetch():
+            try:
+                outcomes.append(client.result(job_id, timeout=60))
+            except Exception as exc:
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=fetch, daemon=True) for _ in range(3)]
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            while coordinator.stats()["waiters"] < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert coordinator.stats()["waiters"] == 3
+            coordinator.shutdown()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert [type(o) for o in outcomes] == [ServiceError] * 3
+            assert coordinator.stats()["waiters"] == 0
+        finally:
+            stop_service(server, coordinator)
+
+
+# ---------------------------------------------------------------------------
+# Encode once, bounded residency
+# ---------------------------------------------------------------------------
+class TestResidency:
+    def test_evicted_result_is_reread_through_the_store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "RESIDENT_RESULTS", 4)
+        server, coordinator, url = start_service(tmp_path, workers=1)
+        try:
+            client = ServiceClient(url)
+            oldest = make_spec("S2", "linebacker", timeseries=True)
+            job_id = client.submit(oldest)["job_id"]
+            served = client.result(job_id, timeout=120)
+            # RESIDENT + 10 more jobs settle, straight from the store.
+            cache = coordinator.cache
+            for i in range(4 + 10):
+                filler = make_spec("S2", "baseline", scale=TINY + 0.001 * (i + 1))
+                cache.put(cache.key_for(filler), served)
+                assert client.submit(filler)["cached"] is True
+            report = client.fleet()
+            assert report["resident_results"] == 4
+            assert report["jobs"]["done"] == 15
+            assert getattr(coordinator.job(job_id), "payload", None) is None
+
+            backend = FlakyBackend(cache.backend, fail_on=0)
+            cache.backend = backend
+            again = client.result(job_id, timeout=30)
+            assert backend.calls["read"] == 1
+            client.result(job_id, timeout=30)  # resident again: no second read
+            assert backend.calls["read"] == 1
+            inline = ExperimentRunner(
+                workers=1, use_cache=False, executor="inline"
+            ).run(oldest)
+            assert fingerprint_value("linebacker", again) == fingerprint_value(
+                "linebacker", inline
+            )
+            # Evict it once more; the timeseries view decodes on demand.
+            for i in range(4):
+                client.result(make_spec(
+                    "S2", "baseline", scale=TINY + 0.001 * (i + 1)).key, timeout=30)
+            assert client.timeseries(job_id)["rows"]
+            assert backend.calls["read"] == 6
+        finally:
+            stop_service(server, coordinator)
+
+    def test_store_that_lost_an_evicted_result_simulates_again(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator_module, "RESIDENT_RESULTS", 1)
+        server, coordinator, url = start_service(tmp_path, workers=1)
+        try:
+            client = ServiceClient(url)
+            specs = [make_spec("LI", "baseline"), make_spec("S2", "baseline")]
+            first = [client.result(client.submit(s)["job_id"], timeout=120) for s in specs]
+            assert coordinator.cache.clear() == 2
+            again = client.result(specs[0].key, timeout=120)
+            assert fingerprint_value("baseline", again) == fingerprint_value(
+                "baseline", first[0]
+            )
+            assert coordinator.fleet.stats()["dispatched"] == 3
+        finally:
+            stop_service(server, coordinator)
+
+    def test_without_a_store_nothing_is_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "RESIDENT_RESULTS", 1)
+        server, coordinator, url = start_service(tmp_path, workers=2, use_cache=False)
+        try:
+            client = ServiceClient(url)
+            specs = [make_spec(app, "baseline") for app in ("S2", "LI", "KM")]
+            ids = [client.submit(spec)["job_id"] for spec in specs]
+            first = [client.result(job_id, timeout=120) for job_id in ids]
+            assert client.fleet()["resident_results"] == 3
+            again = [client.result(job_id, timeout=30) for job_id in ids]
+            assert [r.instructions for r in again] == [r.instructions for r in first]
+        finally:
+            stop_service(server, coordinator)
+
+
+# ---------------------------------------------------------------------------
+# Persistent connections and request framing
+# ---------------------------------------------------------------------------
+class TestConnections:
+    def test_threads_reuse_their_connections(self, tmp_path):
+        handler = counting_handler()
+        server, coordinator, url = start_service(tmp_path, handler=handler, workers=1)
+        client = ServiceClient(url)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(50):
+                    assert client.healthz()["ok"] is True
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert 1 <= handler.connections <= 8
+        finally:
+            sys.setswitchinterval(interval)
+            stop_service(server, coordinator)
+
+    def test_restart_reconnects_once_or_fails_typed(self, tmp_path):
+        server, coordinator, url = start_service(tmp_path / "a", workers=1)
+        port = server.server_address[1]
+        client = ServiceClient(url)
+        client.healthz()
+        stop_service(server, coordinator)
+        # Restarted on the same port between two calls: the kept-alive
+        # socket is stale, and one transparent reconnect finds the new one.
+        handler = counting_handler()
+        server, coordinator, _ = start_service(
+            tmp_path / "b", port=port, handler=handler, workers=1
+        )
+        try:
+            assert client.healthz()["ok"] is True
+            assert handler.connections == 1
+        finally:
+            stop_service(server, coordinator)
+        # Nothing listens there any more: a typed error, not http.client's.
+        with pytest.raises(ServiceError) as err:
+            client.healthz()
+        assert err.value.status == 0
+
+    def test_misframed_requests_get_an_answer_and_keep_the_stream_in_step(
+        self, service
+    ):
+        url = service["url"]
+        # Content-Length that is not a length: 400, and the connection
+        # (whose next request boundary is unknowable) is closed.
+        status, doc, conn = raw_request(
+            url, "POST", "/v1/jobs", headers={"Content-Length": "abc"}
+        )
+        assert status == 400 and "Content-Length" in doc["error"]
+        assert conn.sock is None
+        # A length above the cap is refused before any of it is read.
+        conn = http.client.HTTPConnection(url.split("//")[1], timeout=30)
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Length", str(1 << 30))
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 413
+        resp.read()
+        conn.close()
+        # A wrong path still consumes its body: the same socket then
+        # carries the next request.
+        status, _, conn = raw_request(url, "POST", "/v1/nope", body=b'{"x": 1}')
+        assert status == 404
+        sock = conn.sock
+        assert sock is not None
+        status, doc, conn = raw_request(url, "GET", "/v1/healthz", conn=conn)
+        assert status == 200 and doc["ok"] is True and conn.sock is sock
+        conn.close()
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b"",  # hangs up without a word: RemoteDisconnected
+            b"220 mail.example.com ESMTP\r\n\r\n",  # BadStatusLine
+            b"HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\n<html>",  # not JSON
+        ],
+    )
+    def test_broken_peer_is_a_service_error(self, answer):
+        class Peer(socketserver.BaseRequestHandler):
+            def handle(self):
+                self.request.recv(65536)
+                self.request.sendall(answer)
+                self.request.shutdown(socket.SHUT_RDWR)
+
+        with socketserver.TCPServer(("127.0.0.1", 0), Peer) as peer:
+            threading.Thread(target=peer.serve_forever, daemon=True).start()
+            try:
+                client = ServiceClient(f"http://127.0.0.1:{peer.server_address[1]}")
+                for _ in range(2):  # fresh connection, then after a failure
+                    with pytest.raises(ServiceError):
+                        client.healthz()
+            finally:
+                peer.shutdown()
