@@ -81,7 +81,7 @@ class CERFExtension(LinebackerExtension):
                 return False
             return (rn - base) >= live_prefix
 
-        self.vtt.sync_with_free_registers(usable)
+        self.vtt.sync_with_free_registers(lambda rng: all(map(usable, rng)))
 
     def lookup_victim(self, line_addr: int, hpc: int, cycle: int) -> Optional[int]:
         hit = self.vtt.lookup(line_addr)

@@ -19,7 +19,7 @@ from repro.core.linebacker import (
     linebacker_factory,
 )
 from repro.core.load_monitor import LMEntry, LoadMonitor, MonitorState
-from repro.core.victim_tag_table import VictimTagTable, VTTEntry, VTTPartition
+from repro.core.victim_tag_table import VictimTagTable, VTTPartition
 
 __all__ = [
     "BackupRecord",
@@ -35,7 +35,6 @@ __all__ = [
     "PerCTAInfo",
     "RegisterBackupEngine",
     "ThrottleDecision",
-    "VTTEntry",
     "VTTPartition",
     "VictimTagTable",
     "linebacker_factory",

@@ -311,15 +311,13 @@ class LinebackerExtension(SMExtension):
         Every partition is invalidated first — monitoring-phase tags
         have no data behind them, so carrying them over would alias
         stale register contents."""
-        for vp in self.vtt.partitions:
-            vp.invalidate_all()
+        self.vtt.invalidate_all()
         self._sync_partitions()
 
     def _sync_partitions(self) -> None:
         if not self.config.enable_victim_cache or self.load_monitor.monitoring:
             return
-        rf = self.sm.register_file
-        self.vtt.sync_with_free_registers(lambda rn: rf.owner_of(rn) is None)
+        self.vtt.sync_with_free_registers(self.sm.register_file.is_range_free)
 
     # ------------------------------------------------------------------
     # Memory-path hooks

@@ -89,6 +89,10 @@ class RegisterFile:
     def owner_of(self, reg: int) -> Optional[int]:
         return self._owner[reg]
 
+    def is_range_free(self, regs: range) -> bool:
+        """True when no register of the contiguous ``regs`` is owned."""
+        return self._owner[regs.start:regs.stop].count(None) == len(regs)
+
     def allocated_count(self) -> int:
         return sum(1 for o in self._owner if o is not None)
 

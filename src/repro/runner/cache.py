@@ -1,7 +1,7 @@
 """Persistent result cache: pickled entries over pluggable backends.
 
 :class:`ResultCache` owns the *semantics* — key derivation
-(``stable_hash(salt, spec)``), the entry envelope (schema version +
+(``stable_hash(salt, spec.key)``), the entry envelope (schema version +
 key echo + payload), and the corruption contract (anything unreadable
 degrades to a miss and is discarded, never served). *Storage* is a
 :class:`CacheBackend`:
@@ -49,7 +49,10 @@ from repro.config import stable_hash
 #: payload recorded at window boundaries).
 #: v3: JobSpec grew a ``workload`` field (declarative workload specs
 #: as first-class apps), which changes every content-hash key.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the pickled ``VictimTagTable`` inside Linebacker snapshots is
+#: sparse (tag maps, not a dense entry array), and the cache key
+#: derives from ``JobSpec.key`` instead of re-hashing the whole spec.
+CACHE_SCHEMA_VERSION = 4
 
 #: Sentinel distinguishing "entry absent" from a cached ``None``.
 MISS = object()
@@ -227,7 +230,7 @@ class ResultCache:
         self._salt = cache_salt()
 
     def key_for(self, spec) -> str:
-        return stable_hash(self._salt, spec)
+        return stable_hash(self._salt, spec.key)
 
     def path_for(self, key: str) -> Path:
         return self.backend.path_for(key)

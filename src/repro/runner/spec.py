@@ -19,6 +19,7 @@ two specs built from the same keyword arguments always hash equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Optional
 
 from repro.config import SimulationConfig, stable_hash
@@ -92,9 +93,15 @@ class JobSpec:
         opts, _ = RunOptions.from_overrides(self.overrides)
         return opts
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable content hash identifying this job everywhere."""
+        """Stable content hash identifying this job everywhere.
+
+        Hashed once per spec: the value lands in the instance
+        ``__dict__`` (not a dataclass field, so equality, hashing
+        tokens, ``replace`` and the job document never see it) and
+        travels with a pickled spec to pool workers.
+        """
         return stable_hash(self)
 
     @property

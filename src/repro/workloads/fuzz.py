@@ -20,7 +20,8 @@ holds every one of them to two bars:
    exactly one of L1 hit / victim hit / miss / bypass; cold +
    capacity misses = probe misses), the VTT structural properties
    from ``tests/test_properties.py`` (valid entries hold unique
-   register numbers inside their partition's range), backup/restore
+   register numbers inside their *active* partition's range, and the
+   occupancy masks match the tag maps), backup/restore
    conservation (no restore without a backup), and inline-vs-loopback
    executor **bit-identity** on the full statistics fingerprint.
 
@@ -501,23 +502,32 @@ def _vtt_problems(extensions, label: str) -> list[str]:
         if vtt is None:
             continue
         rns = []
-        for vp in vtt.active_partitions():
+        slots_by_set = [0] * vtt.num_sets
+        for _line, partition, s, w in vtt.valid_lines():
+            vp = vtt.partitions[partition]
             valid_range = vp.register_range
-            for s, ways in enumerate(vp.entries):
-                for w, entry in enumerate(ways):
-                    if not entry.valid:
-                        continue
-                    rn = vp.register_number(s, w)
-                    rns.append(rn)
-                    if rn not in valid_range:
-                        problems.append(
-                            f"{label}: SM{sm_id}: VP{vp.index} register "
-                            f"{rn} outside its partition range "
-                            f"[{valid_range.start}, {valid_range.stop})"
-                        )
+            rn = vp.register_number(s, w)
+            rns.append(rn)
+            slots_by_set[s] |= 1 << (partition * vtt.ways + w)
+            if rn not in valid_range:
+                problems.append(
+                    f"{label}: SM{sm_id}: VP{vp.index} register "
+                    f"{rn} outside its partition range "
+                    f"[{valid_range.start}, {valid_range.stop})"
+                )
+            if not vp.active:
+                problems.append(
+                    f"{label}: SM{sm_id}: valid VTT entry (set {s}, way {w}) "
+                    f"in inactive VP{vp.index}"
+                )
         if len(rns) != len(set(rns)):
             problems.append(
                 f"{label}: SM{sm_id}: two valid VTT entries share a register"
+            )
+        if slots_by_set != vtt.occupancy_masks():
+            problems.append(
+                f"{label}: SM{sm_id}: VTT occupancy masks disagree with the "
+                f"slots held in the tag maps"
             )
     return problems
 

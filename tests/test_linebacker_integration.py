@@ -130,20 +130,13 @@ class TestStoreInvalidation:
         result, ext = run_lb(cfg, kernel_spec)
         before = ext.vtt.stats.store_invalidations
         # Directly exercise the hook against a line known to be cached.
-        victims = [
-            (vp, set_idx, way)
-            for vp in ext.vtt.active_partitions()
-            for set_idx, ways in enumerate(vp.entries)
-            for way, e in enumerate(ways)
-            if e.valid
-        ]
+        victims = list(ext.vtt.valid_lines())
         if not victims:
             pytest.skip("no victim lines at end of run")
-        vp, set_idx, way = victims[0]
-        line_addr = vp.entries[set_idx][way].tag * ext.vtt.num_sets + set_idx
+        line_addr, partition, set_idx, way = victims[0]
         ext.on_store(line_addr, cycle=result.cycles)
         assert ext.vtt.stats.store_invalidations == before + 1
-        rn = vp.register_number(set_idx, way)
+        rn = ext.vtt.partitions[partition].register_number(set_idx, way)
         assert result.sms[0].register_file.peek(rn) is None
 
 

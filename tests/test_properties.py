@@ -148,12 +148,10 @@ class TestVTTProperties:
         for a in addrs:
             vtt.insert(a)
         rns = [
-            vp.register_number(s, w)
-            for vp in vtt.active_partitions()
-            for s, ways in enumerate(vp.entries)
-            for w, e in enumerate(ways)
-            if e.valid
+            vtt.partitions[p].register_number(s, w)
+            for _line, p, s, w in vtt.valid_lines()
         ]
+        assert len(rns) == vtt.valid_entries()
         assert len(rns) == len(set(rns))
 
     @given(st.lists(addresses, max_size=200), addresses)

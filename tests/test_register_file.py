@@ -50,6 +50,19 @@ class TestAllocation:
         rf.free(rng)
         assert rf.peek(rng.start) is None
 
+    def test_is_range_free_matches_per_register_ownership(self):
+        rf = make_rf()
+        rf.allocate(100, owner=0)
+        held = rf.allocate(28, owner=1)
+        for regs in (range(0, 100), range(99, 130), range(127, 129),
+                     range(128, 320), range(1856, 2048), range(2000, 2100)):
+            in_bounds = regs.stop <= rf.num_registers
+            assert rf.is_range_free(regs) == (
+                in_bounds and all(rf.owner_of(r) is None for r in regs)
+            )
+        rf.free(held)
+        assert rf.is_range_free(range(100, 320))
+
     def test_rejects_misaligned_size(self):
         with pytest.raises(ValueError):
             RegisterFile(100)

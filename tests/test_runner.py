@@ -2,22 +2,36 @@
 content hashing, the persistent result cache, process-pool execution,
 the architecture registry, and corrupted-cache recovery."""
 
+import json
 import pickle
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro.config
 from repro.analysis import ExperimentContext
 from repro.config import canonical_tokens, scaled_config, stable_hash
+from repro.core.victim_tag_table import VictimTagTable
 from repro.runner import (
     ARCHITECTURES,
+    CACHE_SCHEMA_VERSION,
+    MISS,
     ExperimentRunner,
     JobSpec,
-    MISS,
     ResultCache,
     execute_job,
     resolve,
+    wire,
 )
+from repro.runner.snapshot import portable
+from repro.service.schema import encode_jobspec
+from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
+from repro.workloads.spec import KernelPhase, TenantSpec, WorkloadSpec
+
+sys.path.insert(0, str(Path(__file__).parent))
+from golden import fingerprint_value  # noqa: E402
 
 CFG = scaled_config(num_sms=1, window_cycles=600)
 
@@ -159,9 +173,10 @@ class TestCacheRoundTrip:
         key = cache.key_for(make_spec())
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps({"schema": -1, "key": key, "payload": 3}))
-        assert cache.get(key) is MISS
-        assert not path.exists()  # discarded, not resurrected
+        for schema in (-1, CACHE_SCHEMA_VERSION - 1):
+            path.write_bytes(pickle.dumps({"schema": schema, "key": key, "payload": 3}))
+            assert cache.get(key) is MISS
+            assert not path.exists()  # discarded, not resurrected
 
     def test_no_cache_runner_never_touches_disk(self):
         runner = ExperimentRunner(use_cache=False)
@@ -290,3 +305,127 @@ class TestExecuteJob:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.key == spec.key
+
+
+def tiny_linebacker_spec(name="wl-tiny-lb"):
+    """A few-millisecond Linebacker job (the benchmark's tiny-job shape)."""
+    phase = KernelPhase(
+        iterations=12,
+        loads=(
+            LoadSpec(0x100, Pattern.REUSE, 8, Scope.CTA),
+            LoadSpec(0x204, Pattern.STREAM, 0),
+        ),
+        stores=(StoreSpec(0x510, every_iterations=4),),
+    )
+    workload = WorkloadSpec(
+        name=name, description="tiny linebacker job", num_ctas=3,
+        warps_per_cta=2, regs_per_thread=16,
+        tenants=(TenantSpec(name="main", phases=(phase,)),),
+    )
+    return JobSpec.build(app=name, arch="linebacker", config=CFG, workload=workload)
+
+
+class TestPayloadBudget:
+    """A Linebacker result must stay small: it is pickled on the worker,
+    unpickled on the client, pickled again by the cache and unpickled
+    on every warm read. The dense VTT made it 46,135 bytes."""
+
+    def test_tiny_linebacker_payload_under_8_kib(self, tmp_path):
+        spec = tiny_linebacker_spec()
+        payload, seconds = execute_job(spec)
+        assert len(pickle.dumps(portable(payload))) < 8 * 1024
+        want = fingerprint_value("linebacker", payload)
+
+        over_wire = wire.decode_result(wire.encode_result(spec.key, payload, seconds))
+        assert fingerprint_value("linebacker", over_wire.payload) == want
+
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(cache.key_for(spec), payload)
+        assert fingerprint_value("linebacker", cache.get(cache.key_for(spec))) == want
+
+    def test_pickled_vtt_grows_with_valid_entries_not_geometry(self):
+        vtt = VictimTagTable(num_sets=48, ways=4, max_partitions=8)
+        assert len(vtt.partitions) == 8
+        empty = len(pickle.dumps(vtt))
+        assert empty < 1536  # 43,729 bytes as a dense entry array
+        for vp in vtt.partitions:
+            vtt.activate(vp.index)
+        sizes = []
+        for line in range(1536):
+            vtt.insert(line)
+            if vtt.valid_entries() in (256, 1536):
+                sizes.append(len(pickle.dumps(vtt)))
+        assert empty < sizes[0] < sizes[1]
+        assert (sizes[1] - empty) / (sizes[0] - empty) == pytest.approx(6, rel=0.2)
+        clone = pickle.loads(pickle.dumps(vtt))
+        assert set(clone.valid_lines()) == set(vtt.valid_lines())
+        assert clone.lookup(7) == vtt.lookup(7)
+
+
+class TestHashOnce:
+    @pytest.fixture
+    def spec_hashes(self, monkeypatch):
+        """Count top-level ``canonical_tokens(JobSpec)`` calls."""
+        counts = []
+        real = repro.config.canonical_tokens
+
+        def counting(obj):
+            if isinstance(obj, JobSpec):
+                counts.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(repro.config, "canonical_tokens", counting)
+        return counts
+
+    def test_cold_plus_warm_run_many_hashes_each_spec_once(self, tmp_path, spec_hashes):
+        specs = [make_spec(app=app, scale=0.05) for app in ("S2", "LI", "KM")]
+        cold = make_runner(tmp_path)
+        cold.run_many(specs)
+        assert cold.stats.simulated == len(specs)
+        warm = make_runner(tmp_path)
+        warm.run_many(specs)
+        assert warm.stats.cache_hits == len(specs)
+        assert len(spec_hashes) == len(specs)
+        assert {id(s) for s in spec_hashes} == {id(s) for s in specs}
+
+    def test_replace_gets_a_fresh_key(self):
+        spec = make_spec()
+        other = replace(spec, scale=0.2)
+        assert other.key != spec.key
+        assert other.key == make_spec(scale=0.2).key
+
+    def test_pickled_spec_carries_its_key(self, spec_hashes):
+        spec = make_spec()
+        key = spec.key
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.key == key
+        assert len(spec_hashes) == 1  # the clone did not re-hash
+
+    def test_key_is_not_part_of_the_spec_content(self):
+        fresh, hashed = make_spec(), make_spec()
+        key = hashed.key
+        assert fresh == hashed
+        assert canonical_tokens(fresh) == canonical_tokens(hashed)
+        assert key not in canonical_tokens(hashed)
+        assert key not in json.dumps(encode_jobspec(hashed))
+        assert stable_hash(hashed) == key
+
+
+class TestCacheSchemaV4:
+    def test_v3_entry_is_resimulated_and_rewritten_as_v4(self, tmp_path):
+        """The sparse-VTT payload bumped the schema 3 -> 4; that a v3
+        entry is a discarded miss is checked by
+        ``test_foreign_schema_entry_is_a_miss``."""
+        assert CACHE_SCHEMA_VERSION == 4
+        spec = make_spec(scale=0.05)
+        runner = make_runner(tmp_path)
+        key = runner.cache.key_for(spec)
+        path = runner.cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps({"schema": 3, "key": key, "payload": "stale"}))
+        result = runner.run(spec)
+        assert runner.stats.simulated == 1
+        entry = pickle.loads(path.read_bytes())
+        assert entry["schema"] == 4
+        assert entry["payload"].instructions == result.instructions

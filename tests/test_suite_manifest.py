@@ -72,7 +72,9 @@ TEST_MODULES = {
 
 #: Importable helper modules that are *not* collected as tests but are
 #: part of the test tree's public surface.
-SUPPORT_MODULES = {"__init__", "fault_injection", "golden", "workload_helpers"}
+SUPPORT_MODULES = {
+    "__init__", "fault_injection", "golden", "reference_vtt", "workload_helpers",
+}
 
 #: name -> (num_ctas, warps_per_cta, regs_per_thread, n_loads, has_stream)
 MANIFEST = {

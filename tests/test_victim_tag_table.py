@@ -1,6 +1,17 @@
 """Unit tests for the Victim Tag Table and its partitions."""
 
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.victim_tag_table import VictimTagTable
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_vtt import VictimTagTable as DenseVictimTagTable  # noqa: E402
 
 
 def make_vtt(num_sets=48, ways=4, partitions=8, offset=512, total=2048):
@@ -140,15 +151,15 @@ class TestPartitionManagement:
     def test_sync_with_free_registers(self):
         vtt = make_vtt()
         free_above = 512 + 2 * 192  # first two partitions' registers busy
-        vtt.sync_with_free_registers(lambda rn: rn >= free_above)
+        vtt.sync_with_free_registers(lambda regs: regs.start >= free_above)
         active = [vp.index for vp in vtt.active_partitions()]
         assert active == [2, 3, 4, 5, 6, 7]
 
     def test_sync_deactivates_on_allocation(self):
         vtt = make_vtt()
-        vtt.sync_with_free_registers(lambda rn: True)
+        vtt.sync_with_free_registers(lambda regs: True)
         assert len(vtt.active_partitions()) == 8
-        vtt.sync_with_free_registers(lambda rn: rn >= 1000)
+        vtt.sync_with_free_registers(lambda regs: regs.start >= 1000)
         assert all(vp.base_rn >= 1000 for vp in vtt.active_partitions())
 
     def test_capacity_tracks_active_partitions(self):
@@ -161,3 +172,93 @@ class TestPartitionManagement:
     def test_set_index_matches_l1(self):
         vtt = make_vtt(num_sets=48)
         assert vtt.set_index(48 * 7 + 13) == 13
+
+
+# ---------------------------------------------------------------------------
+# An oracle that is not the implementation: the dense tag array of
+# tests/reference_vtt.py (one object per entry, nested-loop search,
+# explicit LRU stamps) is driven with the same operations and must
+# agree on every observable after every one of them.
+# ---------------------------------------------------------------------------
+# Mostly line traffic: an ``invalidate_all`` or ``sync`` every few ops
+# would keep the sets too empty to ever reach the LRU victim rule.
+_OP_MIX = (
+    ["lookup"] * 6 + ["insert"] * 8 + ["invalidate"] * 2
+    + ["activate"] * 2 + ["deactivate", "sync", "invalidate_all"]
+)
+_vtt_ops = st.lists(
+    st.tuples(st.sampled_from(_OP_MIX), st.integers(min_value=0, max_value=1 << 16)),
+    min_size=30,  # hypothesis' default list sizes rarely fill a set
+    max_size=150,
+)
+
+
+def _dense_valid_lines(dense):
+    return {
+        (e.tag * dense.num_sets + s, vp.index, s, w)
+        for vp in dense.partitions
+        for s, ways in enumerate(vp.entries)
+        for w, e in enumerate(ways)
+        if e.valid
+    }
+
+
+def _observables(vtt, valid_lines):
+    return (
+        astuple(vtt.stats),
+        [(vp.active, vp.hits) for vp in vtt.partitions],
+        vtt.active_capacity_lines(),
+        vtt.valid_entries(),
+        valid_lines,
+    )
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("num_sets,ways,partitions", [(2, 1, 4), (8, 2, 2), (48, 4, 8)])
+    @given(ops=_vtt_ops, start_active=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_every_observable_agrees_after_every_op(
+        self, num_sets, ways, partitions, ops, start_active
+    ):
+        sparse = make_vtt(num_sets, ways, partitions)
+        dense = DenseVictimTagTable(
+            num_sets=num_sets, ways=ways, max_partitions=partitions,
+            register_offset=512, total_registers=2048,
+        )
+        assert len(sparse.partitions) == len(dense.partitions) == partitions
+        if start_active:
+            activate_all(sparse)
+            activate_all(dense)
+        capacity = num_sets * ways * partitions
+        hot_sets = min(num_sets, 3)
+        tags = ways * partitions + 3  # a few more lines than one set holds
+
+        for step, (op, arg) in enumerate(ops):
+            if op in ("lookup", "insert", "invalidate"):
+                # Few sets, few tags: sets fill up, hit, and evict.
+                line = (arg // hot_sets % tags) * num_sets + arg % hot_sets
+                got, want = getattr(sparse, op)(line), getattr(dense, op)(line)
+            elif op in ("activate", "deactivate"):
+                got = getattr(sparse, op)(arg % partitions)
+                want = getattr(dense, op)(arg % partitions)
+            elif op == "invalidate_all":
+                got = sparse.invalidate_all()
+                want = None
+                for vp in dense.partitions:
+                    vp.invalidate_all()
+            else:
+                # Two busy registers: at most two partitions lose their range.
+                busy = {512 + arg % capacity, 512 + arg // capacity % capacity}
+                got = sparse.sync_with_free_registers(
+                    lambda regs: not any(rn in regs for rn in busy)
+                )
+                want = dense.sync_with_free_registers(lambda rn: rn not in busy)
+            assert got == want, f"step {step}: {op}({arg}) returned {got}, oracle {want}"
+            assert _observables(sparse, set(sparse.valid_lines())) == _observables(
+                dense, _dense_valid_lines(dense)
+            ), f"step {step}: state diverged after {op}({arg})"
+            # The occupancy masks are exactly the slots in the tag maps.
+            masks = [0] * num_sets
+            for _line, p, s, w in sparse.valid_lines():
+                masks[s] |= 1 << (p * ways + w)
+            assert masks == sparse.occupancy_masks()
