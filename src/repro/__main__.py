@@ -171,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("object", "vector"),
         default=None,
-        help="execution engine for every supporting architecture "
-        "(distinct cache keys per backend; archs that cannot run it "
-        "keep the default engine)",
+        help="pin the execution engine for every supporting "
+        "architecture (distinct cache keys per backend; unset, each "
+        "job runs on the engine chosen from its request)",
     )
 
     trace_p = sub.add_parser(
@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("object", "vector"),
         default=None,
-        help="execution engine to benchmark (default: object)",
+        help="execution engine to benchmark (default: chosen from the "
+        "request — vector when numpy is installed, else object)",
     )
     bench_p.add_argument(
         "--native",
@@ -354,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--backend",
                         choices=("object", "vector"),
                         default=None,
-                        help="execution engine for the differential "
-                        "harness; non-default engines add a "
-                        "backend-vs-object bit-identity gate")
+                        help="pin the engine of the extension-free "
+                        "legs; pinned or chosen, the baseline is checked "
+                        "bit-identical against a pinned object run")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("info", "clear"))
@@ -420,7 +421,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     )
     print(
         f"benchmarking {len(apps)} apps at scale {scale}, {sms} SMs, "
-        f"{args.reps} rep(s) per app on the {args.backend or 'object'} "
+        f"{args.reps} rep(s) per app on the {harness.engine} "
         "backend (cold runs, result cache bypassed)...",
         file=sys.stderr,
     )

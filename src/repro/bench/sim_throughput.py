@@ -160,10 +160,27 @@ class SimThroughput:
         self.backend = backend
         self.window_cycles = window_cycles
 
-    def run_app(self, app: str) -> AppThroughput:
-        config = scaled_config(
+    def _config(self):
+        return scaled_config(
             num_sms=self.num_sms, window_cycles=self.window_cycles
         )
+
+    @property
+    def engine(self) -> str:
+        """Name of the engine the runs execute on: the pinned backend,
+        else what the selection rule picks for the harness's requests
+        (every app is the same plain, extension-free request)."""
+        if self.backend is not None:
+            return self.backend
+        from repro.engine import EngineRequest, select_backend
+
+        probe = EngineRequest(
+            config=self._config(), kernel=kernel_for(self.apps[0], self.scale)
+        )
+        return select_backend(probe).name
+
+    def run_app(self, app: str) -> AppThroughput:
+        config = self._config()
         best_cpu = best_wall = float("inf")
         instructions = cycles = 0
         for _ in range(self.reps):
@@ -200,7 +217,7 @@ class SimThroughput:
             reps=self.reps,
             python=platform.python_version(),
             platform=platform.platform(),
-            backend=self.backend or "object",
+            backend=self.engine,
             window_cycles=self.window_cycles,
         )
         for app in self.apps:

@@ -6,7 +6,7 @@ package registers the built-in ``object`` and ``vector`` backends.
 
 from repro.engine.base import (
     BACKENDS,
-    DEFAULT_BACKEND,
+    SELECTION_ORDER,
     BackendError,
     BackendFallbackWarning,
     EngineBackend,
@@ -15,6 +15,7 @@ from repro.engine.base import (
     dispatch,
     register_backend,
     resolve_backend,
+    select_backend,
     _register_builtin_backends,
 )
 
@@ -22,7 +23,7 @@ _register_builtin_backends()
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_BACKEND",
+    "SELECTION_ORDER",
     "BackendError",
     "BackendFallbackWarning",
     "EngineBackend",
@@ -31,4 +32,5 @@ __all__ = [
     "dispatch",
     "register_backend",
     "resolve_backend",
+    "select_backend",
 ]

@@ -24,13 +24,15 @@ backends ship:
     A lean engine over struct-of-arrays state with numpy bulk trace
     compilation (:mod:`repro.engine.vector`). Bit-identical to
     ``object`` on every reported statistic, but only for the feature
-    subset it declares; anything else falls back to ``object`` loudly
-    (a :class:`BackendFallbackWarning`), never silently diverges.
+    subset it declares (extension-free, snapshot-result runs).
 
-Selection is threaded through :class:`~repro.options.RunOptions`
-(``backend=None`` means :data:`DEFAULT_BACKEND`) and participates in
-job cache identity, so results computed by different backends never
-alias in the experiment cache.
+With ``RunOptions.backend=None`` :func:`select_backend` chooses the
+engine from the request — the first of :data:`SELECTION_ORDER` that
+supports it, so extension-free runs take ``vector`` — and, the two
+being bit-identical wherever both run, the choice stays out of job
+cache identity. A named backend is pinned (differential tests, ``repro
+bench``): it joins the cache key and falls back loudly (a
+:class:`BackendFallbackWarning`) when it declines the request.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpu.gpu import SimulationResult
     from repro.gpu.trace import KernelTrace
 
-#: Backend used when ``RunOptions.backend`` is None.
-DEFAULT_BACKEND = "object"
+#: Engines tried in order when ``RunOptions.backend`` is None: the fast
+#: one wherever it is exact, else the reference, which supports everything.
+SELECTION_ORDER = ("vector", "object")
 
 
 class BackendError(ValueError):
@@ -108,36 +111,42 @@ def backend_names() -> tuple[str, ...]:
     return tuple(sorted(BACKENDS))
 
 
-def resolve_backend(name: Optional[str]) -> EngineBackend:
-    """Resolve a backend name (None → :data:`DEFAULT_BACKEND`)."""
-    key = name or DEFAULT_BACKEND
+def resolve_backend(name: str) -> EngineBackend:
+    """Look up a registered backend by name."""
     try:
-        return BACKENDS[key]
+        return BACKENDS[name]
     except KeyError:
         known = ", ".join(backend_names())
-        raise BackendError(f"unknown backend {key!r} (known: {known})") from None
+        raise BackendError(f"unknown backend {name!r} (known: {known})") from None
+
+
+def select_backend(request: EngineRequest) -> EngineBackend:
+    """The engine an unpinned ``request`` runs on: the first registered
+    member of :data:`SELECTION_ORDER` that supports it exactly."""
+    for name in SELECTION_ORDER:
+        backend = BACKENDS.get(name)  # vector is absent without numpy
+        if backend is not None and backend.supports(request) is None:
+            return backend
+    raise BackendError("no registered backend supports this job")
 
 
 def dispatch(name: Optional[str], request: EngineRequest) -> "SimulationResult":
-    """Run ``request`` on the named backend, falling back loudly.
-
-    The fallback target is always the ``object`` backend, which
-    supports everything; requesting it directly never warns.
-    """
+    """Run ``request`` on the selected backend (``None``: silently,
+    choosing is not a fallback) or on the named one, which warns and
+    hands the job to the selection rule when it declines it."""
+    if name is None:
+        return select_backend(request).run(request)
     backend = resolve_backend(name)
     reason = backend.supports(request)
     if reason is not None:
-        fallback = BACKENDS[DEFAULT_BACKEND]
-        if backend is not fallback:
-            warnings.warn(
-                f"backend {backend.name!r} cannot run this job ({reason}); "
-                f"falling back to {fallback.name!r}",
-                BackendFallbackWarning,
-                stacklevel=2,
-            )
-            backend = fallback
-        else:  # pragma: no cover - object supports everything
-            raise BackendError(f"default backend rejected job: {reason}")
+        fallback = select_backend(request)
+        warnings.warn(
+            f"backend {backend.name!r} cannot run this job ({reason}); "
+            f"falling back to {fallback.name!r}",
+            BackendFallbackWarning,
+            stacklevel=2,
+        )
+        backend = fallback
     return backend.run(request)
 
 

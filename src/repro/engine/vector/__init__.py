@@ -2,9 +2,12 @@
 
 Struct-of-arrays state plus numpy bulk trace compilation; bit-identical
 to the ``object`` engine on every reported statistic for the feature
-subset it supports (see :meth:`VectorBackend.supports`). Requests
-outside that subset fall back to ``object`` with a
-:class:`~repro.engine.base.BackendFallbackWarning`.
+subset it supports (see :meth:`VectorBackend.supports`), and the
+engine every unpinned request inside that subset runs on. Requests
+outside it go to ``object`` — silently when the backend was left to
+the selection rule, with a
+:class:`~repro.engine.base.BackendFallbackWarning` when ``vector`` was
+named explicitly.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The ``vector`` backend's execution core.
 
-A lean re-implementation of the inert-extension simulation path —
-the exact semantics of the object engine's fused tick
+A lean re-implementation of the extension-free simulation path —
+the exact semantics of the object engine's tick and next-event scan
 (:meth:`repro.gpu.sm.SM.tick`), event delivery, CTA lifecycle, L1/MSHR
 behaviour and the shared L2/DRAM servers — over struct-of-arrays
 state:

@@ -227,11 +227,9 @@ class GPU:
             if not heap or heap[0][0] > cycle:
                 # Fast path: exactly one SM due, no ordering concerns.
                 sm = sms[first_id]
-                hint = sm.tick(cycle)
+                sm.tick(cycle)
                 if not sm.done:
-                    if hint is None:
-                        hint = sm.next_event_cycle(cycle)
-                    heappush(heap, (hint, first_id))
+                    heappush(heap, (sm.next_event_cycle(cycle), first_id))
                 continue
             due = [first_id]
             while heap and heap[0][0] <= cycle:
@@ -239,11 +237,9 @@ class GPU:
             due.sort()
             for sm_id in due:
                 sm = sms[sm_id]
-                hint = sm.tick(cycle)
+                sm.tick(cycle)
                 if not sm.done:
-                    if hint is None:
-                        hint = sm.next_event_cycle(cycle)
-                    heappush(heap, (hint, sm_id))
+                    heappush(heap, (sm.next_event_cycle(cycle), sm_id))
         self._final_cycle = cycle
 
 
@@ -281,9 +277,10 @@ def run_kernel(
     and may not be combined with ``options`` (ambiguous intent raises
     ``TypeError``).
 
-    ``backend`` (or ``options.backend``) picks the execution engine;
-    ``None`` means the default ``object`` engine. A backend that cannot
-    run the request exactly falls back to ``object`` with a
+    ``backend`` (or ``options.backend``) pins the execution engine;
+    ``None`` chooses it from the request (``vector`` for extension-free
+    snapshot runs, else ``object``). A pinned backend that cannot run
+    the request exactly falls back with a
     :class:`~repro.engine.base.BackendFallbackWarning`.
 
     By default the result carries SM/extension *snapshots* (every

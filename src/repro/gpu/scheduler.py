@@ -21,20 +21,13 @@ _READY = WarpState.READY
 class GTOScheduler:
     """One of the SM's warp schedulers."""
 
-    __slots__ = ("scheduler_id", "warps", "_greedy", "issues", "cached_hint", "hint_valid")
+    __slots__ = ("scheduler_id", "warps", "_greedy", "issues")
 
     def __init__(self, scheduler_id: int) -> None:
         self.scheduler_id = scheduler_id
         self.warps: list[Warp] = []
         self._greedy: Optional[Warp] = None
         self.issues = 0
-        #: Memoized min ready_cycle over this scheduler's READY warps,
-        #: set by the SM's fused tick when a scan finds nothing
-        #: issuable. While valid (no wake/fill/CTA churn touched these
-        #: warps since), the SM skips the scheduler's warp scan
-        #: entirely. Maintained by the SM, not the scheduler.
-        self.cached_hint: float = 0.0
-        self.hint_valid = False
 
     def add_warp(self, warp: Warp) -> None:
         self.warps.append(warp)

@@ -41,9 +41,6 @@ EV_FILL = 0      # payload: line_addr whose off-chip fetch completed
 EV_WAKE = 1      # payload: the Warp to deliver a memory response to
 EV_CALLBACK = 2  # payload: callable(cycle), e.g. backup/restore steps
 
-#: Legacy string spellings, accepted by :meth:`SM.schedule_event`.
-_EVENT_KINDS = {"fill": EV_FILL, "wake": EV_WAKE, "callback": EV_CALLBACK}
-
 # Hot enum members hoisted to module level: `inst.op is _OP_ALU` skips
 # the Op class attribute lookup on every issued instruction.
 _OP_ALU = Op.ALU
@@ -110,7 +107,7 @@ class SM:
         self._launch_counter = itertools.count()
         self._event_seq = itertools.count()
         #: Heap of (ready_cycle, seq, kind, payload).
-        self._events: list[tuple[int, int, str, object]] = []
+        self._events: list[tuple[int, int, int, object]] = []
         self.cycle = 0
         self._drained = False
 
@@ -138,22 +135,7 @@ class SM:
         self._ext_wants_store_events = flag(ext.wants_store_events, "on_store")
         self._ext_controls_fill = flag(ext.controls_fill, "allocate_fill")
         self._ext_wants_evictions = flag(ext.wants_evictions, "on_l1_eviction")
-        # Deliberately NOT part of _ext_inert: timeseries_sample only
-        # reads state at window boundaries, so a baseline run with
-        # recording on keeps the fused fast path.
         self._ext_wants_timeseries = flag(ext.wants_timeseries, "timeseries_sample")
-        # Inert = no hook can observe or mutate per-issue state, which
-        # licenses the fused tick/next-event scan (see tick()).
-        self._ext_inert = not (
-            self._ext_wants_ticks
-            or self._ext_wants_load_outcomes
-            or self._ext_has_victim_cache
-            or self._ext_may_bypass
-            or self._ext_wants_store_events
-            or self._ext_controls_fill
-            or self._ext_wants_evictions
-        )
-        self._cta_dirty = False
         # Stable sub-objects of the L1/MSHR, hoisted once. The cache
         # never rebinds ``_sets`` and the MSHR file never rebinds
         # ``_entries`` (both mutate in place), so the load path can
@@ -189,9 +171,6 @@ class SM:
                 break
 
     def _launch_next_cta(self, cycle: int) -> bool:
-        self._cta_dirty = True
-        for s in self.schedulers:
-            s.hint_valid = False
         grid_id = self.cta_source()
         if grid_id is None:
             return False
@@ -230,9 +209,6 @@ class SM:
         return (slot << 20) ^ (reg * 2654435761 & 0xFFFFF)
 
     def _complete_cta(self, cta: CTA, cycle: int) -> None:
-        self._cta_dirty = True
-        for s in self.schedulers:
-            s.hint_valid = False
         cta.state = CTAState.FINISHED
         self.extension.on_cta_finished(cta.slot, cycle)
         if cta.register_range is not None:
@@ -250,12 +226,9 @@ class SM:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def schedule_event(self, ready_cycle: int, kind: "int | str", payload: object) -> None:
+    def schedule_event(self, ready_cycle: int, kind: int, payload: object) -> None:
         """Queue an event. ``kind`` is one of :data:`EV_FILL`,
-        :data:`EV_WAKE`, :data:`EV_CALLBACK` (legacy string spellings
-        are translated)."""
-        if kind.__class__ is not int:
-            kind = _EVENT_KINDS[kind]
+        :data:`EV_WAKE`, :data:`EV_CALLBACK`."""
         heapq.heappush(self._events, (ready_cycle, next(self._event_seq), kind, payload))
 
     def _process_events(self, cycle: int) -> None:
@@ -267,8 +240,6 @@ class SM:
         ready_state = _READY
         blocked = _BLOCKED
         inactive = _INACTIVE
-        scheds = self.schedulers
-        nsched = len(scheds)
         while events and events[0][0] <= cycle:
             ready, _, kind, payload = heappop(events)
             if kind == EV_WAKE:
@@ -283,17 +254,11 @@ class SM:
                         payload.state = inactive
                     else:
                         payload.state = ready_state
-                        # The warp joined its scheduler's READY set:
-                        # the memoized scheduler hint is stale.
-                        scheds[payload.warp_id % nsched].hint_valid = False
                     if payload.ready_cycle < ready:
                         payload.ready_cycle = ready
             elif kind == EV_FILL:
                 handle_fill(payload, ready)
             elif kind == EV_CALLBACK:
-                # Callbacks may mutate arbitrary warp state.
-                for s in scheds:
-                    s.hint_valid = False
                 payload(ready)
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown event kind {kind!r}")
@@ -309,189 +274,25 @@ class SM:
             evicted = self.l1.fill(line_addr, token=line_addr, hpc=hpc, owner=owner)
             if evicted is not None and self._ext_wants_evictions:
                 self.extension.on_l1_eviction(evicted[0], evicted[1], cycle)
-        scheds = self.schedulers
-        nsched = len(scheds)
         for warp, _hpc in waiters:
             warp.memory_response(cycle)
-            scheds[warp.warp_id % nsched].hint_valid = False
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> "float | None":
+    def tick(self, cycle: int) -> None:
         """Advance the SM to ``cycle``: deliver responses, then issue.
 
         The per-scheduler issue loop inlines both the GTO pick (greedy
         warp first, else oldest ready — identical to
         :meth:`GTOScheduler.pick`) and the ALU retire path, the two
-        most frequent call chains in the simulator.
-
-        Returns the SM's next interesting cycle when it could be
-        computed during the issue scan (always, for inert extensions
-        without a mid-tick CTA transition), else None — the caller
-        falls back to :meth:`next_event_cycle`. The fused hint is
-        bit-identical to what :meth:`next_event_cycle` would return
-        after the tick: every non-picked warp's state is frozen during
-        the scan (wakes only happen in ``_process_events``, and CTA
-        completions — the one issue-path mutation that touches other
-        schedulers' warps — invalidate the fused hint via
-        ``_cta_dirty``), and a picked warp's post-issue ready cycle is
-        always ``> cycle`` or its state leaves READY.
+        most frequent call chains in the simulator. The caller asks
+        :meth:`next_event_cycle` for the SM's next interesting cycle.
         """
         self.cycle = cycle
         events = self._events
         if events and events[0][0] <= cycle:
             self._process_events(cycle)
-        if self._ext_inert:
-            if cycle >= self._ts_next:
-                self._ts_sample(cycle)
-            # Fused issue + next-event-hint scan, inlined (one call per
-            # run-loop iteration). Legal only for inert extensions: no
-            # hook can mutate warp state mid-issue, so each scheduler
-            # is scanned exactly once — the scan both picks the GTO
-            # warp and accumulates the minimum future ready cycle of
-            # the remaining READY warps, replacing the separate
-            # post-tick next_event_cycle rescan.
-            self._cta_dirty = False
-            ready = _READY
-            stats = self.stats
-            rf_account = self.register_file.account_operand_traffic
-            alu_ready = cycle + self._alu_latency
-            issue = self._issue
-            execute_load = self._execute_load
-            mshr_entries = self._mshr_entries
-            mshr_capacity = self._mshr_capacity
-            l1_sets = self._l1_sets
-            num_sets = self._l1_num_sets
-            hint: float = _NO_EVENT
-            for scheduler in self.schedulers:
-                if scheduler.hint_valid:
-                    # No wake/fill/CTA churn has touched this
-                    # scheduler's warps since its last idle scan: its
-                    # min READY ready_cycle is unchanged, so the warp
-                    # scan can be skipped outright.
-                    ch = scheduler.cached_hint
-                    if ch > cycle:
-                        if ch < hint:
-                            hint = ch
-                        continue
-                    # The clock caught up with the memoized hint: a
-                    # warp is now issuable — rescan below.
-                    scheduler.hint_valid = False
-                pick = scheduler._greedy
-                if (
-                    pick is not None
-                    and pick.state is ready
-                    and pick.ready_cycle <= cycle
-                ):
-                    # Greedy hit: the other warps still need a hint
-                    # pass — unless the hint already sits at its floor
-                    # (``cycle``: some warp is issuable next cycle), in
-                    # which case no warp can lower it further.
-                    if hint > cycle:
-                        for w in scheduler.warps:
-                            if w is not pick and w.state is ready:
-                                rc = w.ready_cycle
-                                if rc <= cycle:
-                                    hint = cycle  # floor; stop scanning
-                                    break
-                                if rc < hint:
-                                    hint = rc
-                else:
-                    pick = None
-                    sched_min: float = _NO_EVENT
-                    for w in scheduler.warps:
-                        if w.state is ready:
-                            rc = w.ready_cycle
-                            if rc <= cycle:
-                                if pick is None:
-                                    scheduler._greedy = pick = w
-                                    if hint <= cycle:
-                                        break  # floor already reached
-                                else:
-                                    hint = cycle  # another issuable warp
-                                    break
-                            elif rc < sched_min:
-                                sched_min = rc
-                    if sched_min < hint:
-                        hint = sched_min
-                    if pick is None:
-                        # Nothing issuable and the scan completed:
-                        # memoize this scheduler's exact hint.
-                        scheduler.cached_hint = sched_min
-                        scheduler.hint_valid = True
-                        continue
-                inst = pick._next_inst
-                if inst is None:
-                    # Defensive (READY warp without an instruction):
-                    # the old rescan reported it issuable.
-                    hint = cycle
-                    continue
-                op = inst.op
-                if op is _OP_ALU:
-                    pick.ready_cycle = alu_ready
-                    stats.instructions += 1
-                    if inst.operands:
-                        rf_account(inst.operands, pick.base_register, cycle)
-                    pick.instructions_retired += 1
-                    nxt = next(pick._trace, None)
-                    pick._next_inst = nxt
-                    if nxt is None:
-                        pick.state = _FINISHED
-                    elif alu_ready < hint:
-                        hint = alu_ready
-                    scheduler.issues += 1
-                elif op is _OP_LOAD:
-                    addrs = inst.line_addrs
-                    if len(mshr_entries) + len(addrs) > mshr_capacity:
-                        # Inlined MSHR admissibility check (the
-                        # replay-storm fast path: during an MSHR stall
-                        # the same load re-enters here every 4 cycles,
-                        # so the stall outcome skips the _execute_load
-                        # frame entirely). A line needs a fresh entry
-                        # unless it merges or hits in L1.
-                        free = mshr_capacity - len(mshr_entries)
-                        stalled = False
-                        for a in addrs:
-                            if (
-                                a not in mshr_entries
-                                and l1_sets[a % num_sets].get(a // num_sets)
-                                is None
-                            ):
-                                free -= 1
-                                if free < 0:
-                                    stalled = True
-                                    break
-                        if stalled:
-                            self.mshr.stalls += 1
-                            pick.ready_cycle = rc = cycle + 4
-                            if rc < hint:
-                                hint = rc
-                            continue
-                    if execute_load(pick, inst, cycle):
-                        scheduler.issues += 1
-                    if pick.state is ready and pick.ready_cycle < hint:
-                        hint = pick.ready_cycle
-                else:
-                    if issue(pick, inst, cycle):
-                        scheduler.issues += 1
-                    if pick.state is ready and pick.ready_cycle < hint:
-                        hint = pick.ready_cycle
-            if self._cta_dirty:
-                # A CTA completed/launched mid-tick: warps were added
-                # or removed across schedulers, so the accumulated hint
-                # is stale. Fall back to the full rescan.
-                return None
-            if events:
-                first = events[0][0]
-                if first < hint:
-                    hint = first
-            elif not self.ctas:
-                return _NO_EVENT  # drained (caller checks .done first)
-            if hint == _NO_EVENT:
-                # Deadlock guard, as in next_event_cycle.
-                hint = cycle + 1
-            return hint
         if self._ext_wants_ticks:
             self.extension.on_tick(cycle)
         if cycle >= self._ts_next:
@@ -538,7 +339,6 @@ class SM:
                     scheduler.issues += 1
             elif issue(warp, inst, cycle):
                 scheduler.issues += 1
-        return None
 
     def _issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
         """Execute one instruction; returns False when it must retry."""

@@ -540,9 +540,10 @@ def differential_check(
     check every engine invariant plus inline-vs-loopback bit-identity.
 
     ``backend`` pins the execution engine for the extension-free legs
-    (baseline, Best-SWL); any non-default engine additionally gets a
-    backend-vs-object bit-identity check on the baseline run, so a
-    fuzzed workload that diverges between engines fails the harness.
+    (baseline, Best-SWL); left unset they run on the selected engine.
+    Unless ``object`` itself is pinned, the baseline run is compared
+    bit for bit against a pinned ``object`` run, so a fuzzed workload
+    that diverges between engines fails the harness.
     """
     from repro.core.linebacker import linebacker_factory
     from repro.gpu.gpu import run_kernel
@@ -570,13 +571,14 @@ def differential_check(
     problems += _conservation_problems(base, "baseline")
     if sum(s.victim_hits for s in base.sm_stats):
         problems.append("baseline: non-zero victim hits without a VTT")
-    if backend not in (None, "object"):
-        obj = resolve("baseline").runner(config, kernel)
+    if backend != "object":  # object against itself proves nothing
+        obj = resolve("baseline").runner(config, kernel, backend="object")
         base_fp, obj_fp = _fingerprint(base), _fingerprint(obj)
         if base_fp != obj_fp:
             diff = [k for k in obj_fp if obj_fp[k] != base_fp.get(k)]
             problems.append(
-                f"baseline: {backend} backend diverges from object on {diff}"
+                f"baseline: {backend or 'selected'} backend diverges from "
+                f"object on {diff}"
             )
 
     # Best-SWL oracle: sweep sanity + conservation of the winner.

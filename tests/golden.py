@@ -32,6 +32,9 @@ GOLDEN_APPS = ("S2", "LI")
 #: full scale (their grids are already small by construction).
 GOLDEN_FUZZ_SPECS = ("thrasher", "multikernel", "multitenant")
 GOLDEN_ARCHS = ("baseline", "best_swl", "linebacker")
+#: The extension-free cells: the default engine for these is ``vector``,
+#: so they are pinned a second time with ``backend="object"``.
+GOLDEN_EXTENSION_FREE_ARCHS = ("baseline", "best_swl")
 GOLDEN_SCALE = 0.25
 GOLDEN_SMS = 2
 
@@ -102,8 +105,13 @@ def golden_spec(app: str, arch: str):
     )
 
 
-def fingerprint(app: str, arch: str) -> dict:
-    """Run one (app, arch) simulation and fingerprint its statistics."""
+def fingerprint(app: str, arch: str, backend=None) -> dict:
+    """Run one (app, arch) simulation and fingerprint its statistics.
+
+    ``backend=None`` runs the engine selected from the request (vector
+    for the extension-free archs); ``"object"`` pins the reference
+    engine so its hook-free ``tick`` path is held to the same file.
+    """
     config = scaled_config(num_sms=GOLDEN_SMS)
     if app in GOLDEN_FUZZ_SPECS:
         from repro.workloads.spec import build_workload
@@ -111,7 +119,7 @@ def fingerprint(app: str, arch: str) -> dict:
         kernel = build_workload(corpus_workload(app))
     else:
         kernel = kernel_for(app, GOLDEN_SCALE)
-    value = resolve(arch).runner(config, kernel)
+    value = resolve(arch).runner(config, kernel, backend=backend)
     return fingerprint_value(arch, value)
 
 

@@ -1,10 +1,13 @@
 """The pluggable execution-backend layer (``repro.engine``).
 
-Four contracts, mirroring the ISSUE's acceptance bars:
+Five contracts, mirroring the ISSUE's acceptance bars:
 
-* **Registry/selection**: name resolution, the ``None`` → object
-  default, unknown names, duplicate registration, and the per-arch
-  ``supports_backends`` capability table.
+* **Registry**: name resolution, unknown names, duplicate
+  registration, and the per-arch ``supports_backends`` capability
+  table.
+* **Selection**: with no backend named, the engine is chosen from the
+  request — ``vector`` for extension-free snapshot runs, ``object``
+  otherwise — silently, and without moving any cache key.
 * **Golden differential**: the vector engine is bit-identical to the
   object engine — every reported statistic — across the extension-free
   architectures, a pinned app matrix, the committed fuzz-corpus specs,
@@ -20,6 +23,7 @@ Four contracts, mirroring the ISSUE's acceptance bars:
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +31,6 @@ import pytest
 from repro.config import scaled_config
 from repro.engine import (
     BACKENDS,
-    DEFAULT_BACKEND,
     BackendError,
     BackendFallbackWarning,
     EngineBackend,
@@ -36,9 +39,11 @@ from repro.engine import (
     dispatch,
     register_backend,
     resolve_backend,
+    select_backend,
 )
+from repro.gpu.extension import SMExtension
 from repro.options import RunOptions
-from repro.runner import ExperimentRunner, JobSpec
+from repro.runner import ExperimentRunner, JobSpec, ResultCache
 from repro.runner.registry import ARCHITECTURES, resolve
 from repro.service.schema import (
     JOB_SCHEMA_VERSION,
@@ -97,7 +102,7 @@ def run_arch(arch: str, kernel, backend=None, sms=SMS):
 
 
 # ---------------------------------------------------------------------------
-# Registry and selection
+# Registry
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_are_registered(self):
@@ -105,9 +110,6 @@ class TestRegistry:
         for name in backend_names():
             assert isinstance(BACKENDS[name], EngineBackend)
             assert BACKENDS[name].name == name
-
-    def test_none_resolves_to_default(self):
-        assert resolve_backend(None).name == DEFAULT_BACKEND == "object"
 
     def test_explicit_names_resolve(self):
         assert resolve_backend("object").name == "object"
@@ -151,6 +153,110 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
+# Selection: backend=None picks the engine from the request
+# ---------------------------------------------------------------------------
+class _Counting:
+    """A registered backend that counts the jobs it is handed."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.runs = inner, inner.name, 0
+
+    def supports(self, request):
+        return self.inner.supports(request)
+
+    def run(self, request):
+        self.runs += 1
+        return self.inner.run(request)
+
+
+def _request(gpu=None, **knobs) -> EngineRequest:
+    config = scaled_config(num_sms=1)
+    if gpu:
+        config = replace(config, gpu=replace(config.gpu, **gpu))
+    return EngineRequest(config=config, kernel=kernel_for("S2", SCALE), **knobs)
+
+
+class TestSelection:
+    #: ``_request`` knobs -> the engine an unpinned request runs on.
+    TABLE = {
+        "plain": ({}, "vector"),
+        "cta_limit": ({"max_concurrent_ctas": 2}, "vector"),
+        "extension": ({"extension_factory": SMExtension}, "object"),
+        "track_loads": ({"track_loads": True}, "object"),
+        "keep_objects": ({"keep_objects": True}, "object"),
+        "timeseries": ({"timeseries": True}, "object"),
+        "timing_dram": ({"gpu": {"dram_model": "timing"}}, "object"),
+        "noc": ({"gpu": {"noc_enable": True}}, "object"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TABLE))
+    def test_request_selects_engine(self, case):
+        knobs, expected = self.TABLE[case]
+        assert select_backend(_request(**knobs)).name == expected
+
+    @pytest.mark.parametrize("case", ["plain", "timeseries"])
+    def test_unpinned_dispatch_runs_the_selected_engine_silently(
+        self, case, monkeypatch
+    ):
+        knobs, expected = self.TABLE[case]
+        for name in backend_names():
+            monkeypatch.setitem(BACKENDS, name, _Counting(BACKENDS[name]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any category, not only fallback
+            dispatch(None, _request(**knobs))
+        assert {n: b.runs for n, b in BACKENDS.items()} == {
+            n: int(n == expected) for n in BACKENDS
+        }
+
+    def test_without_vector_everything_runs_on_object(self, monkeypatch):
+        with_vector = fingerprint(dispatch(None, _request()))
+        monkeypatch.delitem(BACKENDS, "vector")  # what a numpy-less host sees
+        assert select_backend(_request()).name == "object"
+        assert fingerprint(dispatch(None, _request())) == with_vector
+
+    def test_bench_labels_entries_with_the_engine_that_runs(self, monkeypatch):
+        from repro.bench import SimThroughput
+
+        def label(backend=None):
+            harness = SimThroughput(apps=("S2",), scale=SCALE, backend=backend)
+            return harness.engine
+
+        assert label() == "vector"
+        assert label("object") == "object"
+        monkeypatch.delitem(BACKENDS, "vector")
+        assert label() == "object"
+
+    def test_unpinned_key_is_the_parent_commits(self):
+        # Computed at 314abe9, before selection existed: choosing the
+        # engine must not move the identity of an unpinned job.
+        spec = JobSpec.build(
+            app="S2", arch="baseline", config=scaled_config(), scale=SCALE
+        )
+        assert spec.key == (
+            "f3ac9671dbd5b935ea35e4db75371ad5f47dc33e8659105ba93e76836bac76a0"
+        )
+
+    def test_object_written_cache_entry_equals_a_fresh_default_run(self, tmp_path):
+        def spec(backend):
+            return JobSpec.build(
+                app="S2", arch="baseline", config=scaled_config(num_sms=SMS),
+                scale=SCALE, options=RunOptions(backend=backend),
+            )
+
+        def runner():
+            return ExperimentRunner(
+                cache=ResultCache(tmp_path), use_cache=True, executor="inline"
+            )
+
+        runner().run(spec("object"))
+        warm = runner()
+        stored = warm.run(spec("object"))
+        assert warm.stats.cache_hits == 1 and warm.stats.simulated == 0
+        fresh = ExperimentRunner(use_cache=False, executor="inline").run(spec(None))
+        assert fingerprint(stored) == fingerprint(fresh)
+
+
+# ---------------------------------------------------------------------------
 # Golden differential: vector == object, bit for bit
 # ---------------------------------------------------------------------------
 class TestGoldenDifferential:
@@ -158,7 +264,7 @@ class TestGoldenDifferential:
     @pytest.mark.parametrize("app", GOLDEN_APPS)
     def test_vector_matches_object(self, arch, app):
         kernel = kernel_for(app, SCALE)
-        obj = arch_fingerprint(arch, run_arch(arch, kernel))
+        obj = arch_fingerprint(arch, run_arch(arch, kernel, backend="object"))
         vec = arch_fingerprint(arch, run_arch(arch, kernel, backend="vector"))
         assert vec == obj
 
@@ -168,7 +274,7 @@ class TestGoldenDifferential:
     def test_vector_matches_object_on_fuzz_corpus(self, corpus_file):
         spec = load_workload_file(CORPUS / corpus_file)
         kernel = build_workload(spec, scale=1.0)
-        obj = fingerprint(run_arch("baseline", kernel, sms=1))
+        obj = fingerprint(run_arch("baseline", kernel, "object", sms=1))
         vec = fingerprint(run_arch("baseline", kernel, "vector", sms=1))
         assert vec == obj
 
@@ -184,7 +290,7 @@ class TestExecutors:
     @pytest.fixture(scope="class")
     def inline_object(self):
         runner = ExperimentRunner(use_cache=False, executor="inline")
-        return runner.run(self._spec(backend=None)).ipc
+        return runner.run(self._spec(backend="object")).ipc
 
     def _spec(self, backend):
         options = RunOptions(backend=backend)

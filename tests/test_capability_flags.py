@@ -139,7 +139,6 @@ def test_sm_gates_mirror_the_resolved_flags(arch):
     sm = result.sms[0]
     gates = {flag: getattr(sm, f"_ext_{flag}") for flag in FLAG_HOOKS}
     assert gates == expected
-    assert sm._ext_inert is (not any(expected.values()))
 
 
 @pytest.mark.parametrize("arch", sorted(CASES))
@@ -158,8 +157,7 @@ def test_unpinned_flags_match_hook_overrides(arch):
 
 def test_cache_ext_runs_an_inert_base_extension():
     """cache_ext has no extension of its own: the SM must carry a
-    plain SMExtension with every capability off and the inert
-    fast-path engaged."""
+    plain SMExtension with every capability off."""
     cfg = scaled_config(num_sms=1)
     kernel = tiny_kernel()
     result = run_kernel(
@@ -168,8 +166,6 @@ def test_cache_ext_runs_an_inert_base_extension():
     ext = result.extensions[0]
     assert type(ext) is SMExtension
     assert flags_of(ext) == {flag: False for flag in FLAG_HOOKS}
-    sm = result.sms[0]
-    assert sm._ext_inert is True
 
 
 def test_plain_base_extension_resolves_all_false():

@@ -102,6 +102,28 @@ class TestDifferentialHarness:
         problems = differential_check(fuzz_workload(SEED, 0))
         assert not problems, problems
 
+    def test_default_engine_is_checked_against_pinned_object(self, monkeypatch):
+        # No flag needed: a selected engine that disagrees with the
+        # reference fails the harness. The stand-in "vector" is the
+        # object engine run under a 1-CTA cap, so only that leg moves.
+        import dataclasses
+
+        from repro.engine import BACKENDS
+
+        class Skewed:
+            name = "vector"
+
+            def supports(self, request):
+                return None if request.extension_factory is None else "hooks"
+
+            def run(self, request):
+                skewed = dataclasses.replace(request, max_concurrent_ctas=1)
+                return BACKENDS["object"].run(skewed)
+
+        monkeypatch.setitem(BACKENDS, "vector", Skewed())
+        problems = differential_check(fuzz_workload(SEED, 0))
+        assert any("diverges from object" in p for p in problems), problems
+
 
 class TestMinimize:
     def test_shrinks_while_preserving_predicate(self):

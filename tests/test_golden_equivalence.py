@@ -1,12 +1,12 @@
 """Golden equivalence: the hot-path engine work must be invisible.
 
-Every optimization in the cycle engine (int event kinds, the fused
-issue/hint scan, inlined L1/MSHR fast paths, the lazy-deletion clock
-heap, dict-ordered LRU) claims to be *semantically neutral*. This test
-holds that claim to a bit-identical standard: the full statistics
-fingerprint of a small (app, architecture) matrix — one cache-
-sensitive app and one insensitive app under the baseline, the Best-SWL
-oracle and Linebacker — must match the values pinned in
+Every optimization in the cycle engines (int event kinds, the vector
+machine's fused issue/hint scan, inlined L1/MSHR fast paths, the
+lazy-deletion clock heap, dict-ordered LRU) claims to be *semantically
+neutral*. This test holds that claim to a bit-identical standard: the
+full statistics fingerprint of a small (app, architecture) matrix — one
+cache-sensitive app and one insensitive app under the baseline, the
+Best-SWL oracle and Linebacker — must match the values pinned in
 ``golden_stats.json``.
 
 If this test fails after an engine change, the change altered
@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from golden import (  # noqa: E402
     GOLDEN_APPS,
     GOLDEN_ARCHS,
+    GOLDEN_EXTENSION_FREE_ARCHS,
     GOLDEN_FUZZ_SPECS,
     GOLDEN_PATH,
     fingerprint,
@@ -46,21 +47,23 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("arch", GOLDEN_ARCHS)
-@pytest.mark.parametrize("app", GOLDEN_APPS)
-def test_statistics_bit_identical(golden, app: str, arch: str) -> None:
-    key = f"{arch}:{app}"
+def _assert_pinned(golden: dict, key: str, current: dict, what: str) -> None:
     assert key in golden, f"{key} not pinned; regenerate the golden file"
-    current = fingerprint(app, arch)
     expected = golden[key]
     mismatches = {
         stat: (expected.get(stat), current.get(stat))
         for stat in set(expected) | set(current)
         if expected.get(stat) != current.get(stat)
     }
-    assert not mismatches, (
-        f"{key}: engine change shifted simulation semantics "
-        f"(golden, current): {mismatches}"
+    assert not mismatches, f"{key}: {what} (golden, current): {mismatches}"
+
+
+@pytest.mark.parametrize("arch", GOLDEN_ARCHS)
+@pytest.mark.parametrize("app", GOLDEN_APPS)
+def test_statistics_bit_identical(golden, app: str, arch: str) -> None:
+    _assert_pinned(
+        golden, f"{arch}:{app}", fingerprint(app, arch),
+        "engine change shifted simulation semantics",
     )
 
 
@@ -70,18 +73,21 @@ def test_fuzz_corpus_statistics_bit_identical(golden, name: str, arch: str) -> N
     """The committed fuzz-corpus specs are pinned exactly like the
     suite apps: the declarative-workload build path (spec document ->
     compiled tenants -> trace) must stay semantically frozen too."""
-    key = f"{arch}:{name}"
-    assert key in golden, f"{key} not pinned; regenerate the golden file"
-    current = fingerprint(name, arch)
-    expected = golden[key]
-    mismatches = {
-        stat: (expected.get(stat), current.get(stat))
-        for stat in set(expected) | set(current)
-        if expected.get(stat) != current.get(stat)
-    }
-    assert not mismatches, (
-        f"{key}: workload-spec path shifted simulation semantics "
-        f"(golden, current): {mismatches}"
+    _assert_pinned(
+        golden, f"{arch}:{name}", fingerprint(name, arch),
+        "workload-spec path shifted simulation semantics",
+    )
+
+
+@pytest.mark.parametrize("arch", GOLDEN_EXTENSION_FREE_ARCHS)
+@pytest.mark.parametrize("app", (*GOLDEN_APPS, *GOLDEN_FUZZ_SPECS))
+def test_object_engine_statistics_bit_identical(golden, app: str, arch: str) -> None:
+    """The extension-free cells above run on the selected engine
+    (``vector``); pinning ``object`` holds the reference engine's
+    hook-free ``tick`` + ``next_event_cycle`` path to the same file."""
+    _assert_pinned(
+        golden, f"{arch}:{app}", fingerprint(app, arch, backend="object"),
+        "object engine diverges from the goldens",
     )
 
 
