@@ -22,9 +22,6 @@ Usage:
     python -m repro cache info
     python -m repro cache clear
 
-``python -m repro fig12`` (the historical positional form) keeps
-working as an alias for ``run fig12``.
-
 Figure runs go through the parallel experiment runner: ``--workers N``
 fans simulations out over N processes, and results are memoized in the
 persistent cache (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) so a
@@ -832,11 +829,6 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    # Historical alias: `python -m repro fig12 ...` == `run fig12 ...`.
-    known = ("run", "list", "overhead", "bench", "lint", "cache", "worker",
-             "trace", "serve", "submit", "fuzz")
-    if argv and argv[0] not in known and not argv[0].startswith("-"):
-        argv = ["run", *argv]
     if argv and argv[0] == "lint":
         # The lint CLI owns its own argument surface (including --help).
         from repro.lint.cli import main as lint_main

@@ -256,16 +256,14 @@ def _current_commit() -> str:
 
 
 def load_history(path: str) -> list[dict]:
-    """The entry list of a history file, oldest first.
-
-    Accepts both the ``{"history": [...]}`` envelope and the legacy
-    v1 single-report document (treated as a one-entry history), so a
-    gate pointed at an old committed reference keeps working.
-    """
+    """The entry list of a ``{"history": [...]}`` file, oldest first."""
     doc = load_report(path)
     if isinstance(doc, dict) and isinstance(doc.get("history"), list):
         return doc["history"]
-    return [doc]
+    raise ValueError(
+        f"{path} is not a bench history (expected a {{\"history\": [...]}} "
+        "document, as `python -m repro bench --record` writes)"
+    )
 
 
 def latest_entry(history: list[dict], backend: Optional[str] = None) -> Optional[dict]:

@@ -36,13 +36,13 @@ from repro.runner.executors import (
     Executor,
     ExecutorUnavailable,
     InlineExecutor,
-    JobOutcome,
     LoopbackExecutor,
     PoolExecutor,
     RemoteExecutor,
     RemoteJobError,
     build_executor,
 )
+from repro.runner.fleet import JobOutcome, WorkerFleet
 from repro.runner.registry import ARCHITECTURES, ArchSpec, register, resolve
 from repro.runner.snapshot import (
     ExtensionSnapshot,
@@ -92,6 +92,7 @@ __all__ = [
     "SharedDirectoryBackend",
     "WireError",
     "WireResult",
+    "WorkerFleet",
     "build_executor",
     "cache_salt",
     "code_salt",

@@ -38,13 +38,13 @@ from typing import Any, Optional, Sequence, Union
 
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.executors import (
-    DEFAULT_MAX_ATTEMPTS,
     EXECUTOR_NAMES,
     Executor,
     ExecutorUnavailable,
     RemoteJobError,
     build_executor,
 )
+from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS
 from repro.runner.registry import resolve
 from repro.runner.snapshot import portable
 from repro.runner.spec import JobSpec
@@ -206,7 +206,7 @@ class ExperimentRunner:
         worker_command: Optional[str] = None,
         job_timeout: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff: float = 0.1,
+        backoff: float = DEFAULT_BACKOFF,
     ) -> None:
         self.workers = workers if workers is not None else default_workers()
         if use_cache is None:

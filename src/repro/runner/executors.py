@@ -25,7 +25,8 @@ Four implementations cover the deployment spectrum:
                      a command template (``{python} -u -m repro worker``
                      by default; set ``ssh {host} python -m repro
                      worker`` for real remote hosts) and fed over
-                     line-delimited stdin/stdout.
+                     line-delimited stdin/stdout by the
+                     :class:`~repro.runner.fleet.WorkerFleet` it drives.
 =================  ========================================================
 
 Failure semantics are uniform and deliberate:
@@ -38,7 +39,7 @@ Failure semantics are uniform and deliberate:
   linear backoff; a job that exhausts its attempts is returned with
   ``give_up=True`` and the engine finishes it in-process;
 * a **dead executor** (nothing can run at all: unlaunchable command,
-  no spawn budget left, broken pool) raises
+  launch budget spent with no worker left, broken pool) raises
   :class:`ExecutorUnavailable` and the engine degrades to in-process
   execution for everything still pending — the same graceful path the
   pool has always had.
@@ -46,21 +47,19 @@ Failure semantics are uniform and deliberate:
 
 from __future__ import annotations
 
-import os
-import queue
-import shlex
-import subprocess
-import sys
-import threading
-import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
+from repro.runner.fleet import (
+    DEFAULT_BACKOFF,
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_WORKER_COMMAND,
+    JobOutcome,
+    WorkerFleet,
+)
 from repro.runner.spec import JobSpec
 from repro.runner.wire import (
     WireError,
-    decode_hello,
     decode_job,
     decode_result,
     encode_error,
@@ -71,9 +70,6 @@ from repro.runner.wire import (
 #: Executor names accepted by the engine and the CLI.
 EXECUTOR_NAMES = ("inline", "pool", "remote", "loopback")
 
-#: Default per-job redispatch budget for wire-level executors.
-DEFAULT_MAX_ATTEMPTS = 3
-
 
 class ExecutorUnavailable(RuntimeError):
     """The executor cannot run anything; degrade to in-process."""
@@ -81,20 +77,6 @@ class ExecutorUnavailable(RuntimeError):
 
 class RemoteJobError(RuntimeError):
     """A job raised inside a worker; carries the remote traceback."""
-
-
-@dataclass
-class JobOutcome:
-    """One finished job as reported by an executor."""
-
-    key: str
-    ok: bool
-    payload: Any = None
-    seconds: float = 0.0
-    error: str = ""
-    #: True when infrastructure retries were exhausted: the engine
-    #: should run this job in-process rather than raise.
-    give_up: bool = False
 
 
 @runtime_checkable
@@ -108,14 +90,6 @@ class Executor(Protocol):
     def poll(self) -> "list[JobOutcome]": ...
 
     def shutdown(self) -> None: ...
-
-
-class _NullCounters:
-    """Stats sink used when an executor runs without a RunnerStats."""
-
-    retried = 0
-    requeued = 0
-    worker_deaths = 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +211,7 @@ class LoopbackExecutor:
         mutate_job: Optional[Callable[[str], str]] = None,
         mutate_result: Optional[Callable[[str], str]] = None,
     ) -> None:
-        self.stats = stats if stats is not None else _NullCounters()
+        self.stats = stats
         self.max_attempts = max(1, max_attempts)
         self.mutate_job = mutate_job
         self.mutate_result = mutate_result
@@ -275,12 +249,12 @@ class LoopbackExecutor:
             return []
         key, spec = self._queue.popleft()
         for attempt in range(1, self.max_attempts + 1):
-            if attempt > 1:
-                self.stats.retried += 1
             try:
                 return [self._round_trip(key, spec)]
             except WireError:
-                self.stats.requeued += 1
+                if self.stats is not None:
+                    self.stats.requeued += 1
+                    self.stats.retried += attempt < self.max_attempts
         return [JobOutcome(key=key, ok=False, give_up=True,
                            error="wire corruption persisted across retries")]
 
@@ -291,71 +265,24 @@ class LoopbackExecutor:
 # ---------------------------------------------------------------------------
 # Remote (subprocess-per-host)
 # ---------------------------------------------------------------------------
-#: Default worker launch template; ``{python}`` and ``{host}`` are
-#: substituted. Swap for e.g. ``ssh {host} python -m repro worker`` to
-#: cross real machines — the engine-side machinery is identical.
-DEFAULT_WORKER_COMMAND = "{python} -u -m repro worker"
-
-
-def _worker_env() -> dict:
-    """Subprocess environment with the installed ``repro`` importable."""
-    import repro
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
-        )
-    return env
-
-
-@dataclass
-class _Worker:
-    """Book-keeping for one live worker subprocess."""
-
-    wid: int
-    host: str
-    proc: subprocess.Popen
-    #: (key, spec, attempt) currently dispatched, or None when idle.
-    job: Optional[tuple] = None
-    deadline: Optional[float] = None
-    greeted: bool = False
-    recycled: bool = False
-
-    @property
-    def alive(self) -> bool:
-        return not self.recycled and self.proc.poll() is None
-
-
-@dataclass
-class _QueuedJob:
-    key: str
-    spec: JobSpec
-    attempt: int = 1
-    not_before: float = 0.0
+#: Fleet health counters a :class:`RemoteExecutor` mirrors into its stats.
+_FLEET_COUNTERS = ("retried", "requeued", "worker_deaths")
 
 
 class RemoteExecutor:
-    """Ship jobs to worker subprocesses over the wire protocol.
+    """Ship jobs to worker subprocesses: the synchronous driver of a
+    :class:`~repro.runner.fleet.WorkerFleet`, one ``step()`` per ``poll()``.
 
     Parameters
     ----------
     hosts:
-        One worker per entry. Entries are only *names* interpolated
-        into ``command``; with the default local template the names are
-        cosmetic, with an SSH template they select machines. ``None``
-        spawns ``workers`` local workers.
-    command:
-        Launch template; ``{python}`` → ``sys.executable``, ``{host}``
-        → the host entry. Split with :func:`shlex.split`.
-    job_timeout:
-        Seconds a dispatched job may run before its worker is declared
-        wedged, killed, and the job requeued. ``None`` disables.
-    max_attempts / backoff:
-        Per-job redispatch budget for infrastructure faults, with
-        ``backoff * attempt`` seconds of delay before each redispatch.
+        One worker per entry (names interpolated into ``command``);
+        ``None`` runs ``workers`` local workers.
+    command / job_timeout / max_attempts / backoff:
+        See :class:`~repro.runner.fleet.WorkerFleet`.
+    stats:
+        A :class:`~repro.runner.engine.RunnerStats` that receives the
+        fleet's ``retried`` / ``requeued`` / ``worker_deaths``.
     """
 
     name = "remote"
@@ -367,268 +294,39 @@ class RemoteExecutor:
         command: Optional[str] = None,
         job_timeout: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff: float = 0.1,
+        backoff: float = DEFAULT_BACKOFF,
         stats=None,
     ) -> None:
-        self.hosts = list(hosts) if hosts else ["local"] * max(1, workers)
-        self.command = command or DEFAULT_WORKER_COMMAND
-        self.job_timeout = job_timeout
-        self.max_attempts = max(1, max_attempts)
-        self.backoff = backoff
-        self.stats = stats if stats is not None else _NullCounters()
-        self._workers: dict[int, _Worker] = {}
-        self._events: "queue.Queue[tuple[int, str, str]]" = queue.Queue()
-        self._backlog: deque[_QueuedJob] = deque()
-        self._next_wid = 0
-        #: Spawn budget: a hard cap on subprocess launches so a command
-        #: that dies instantly cannot fork-bomb the machine.
-        self._spawn_budget = len(self.hosts) * (self.max_attempts + 1)
-        self._shutdown = False
-        self._pending_outcome: Optional[JobOutcome] = None
-
-    # -- worker lifecycle ------------------------------------------------
-    def _argv(self, host: str) -> list:
-        return shlex.split(self.command.format(python=sys.executable, host=host))
-
-    def _spawn(self, host: str) -> Optional[_Worker]:
-        if self._spawn_budget <= 0:
-            return None
-        self._spawn_budget -= 1
-        try:
-            proc = subprocess.Popen(
-                self._argv(host),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
-                env=_worker_env(),
-            )
-        except (OSError, ValueError) as exc:
-            self._events.put((-1, "spawn-error", f"{host}: {exc}"))
-            return None
-        wid = self._next_wid
-        self._next_wid += 1
-        worker = _Worker(wid=wid, host=host, proc=proc)
-        self._workers[wid] = worker
-        threading.Thread(
-            target=self._read_loop, args=(wid, proc), daemon=True
-        ).start()
-        return worker
-
-    def _read_loop(self, wid: int, proc: subprocess.Popen) -> None:
-        try:
-            for line in proc.stdout:
-                self._events.put((wid, "line", line))
-        except (OSError, ValueError):
-            pass
-        self._events.put((wid, "eof", ""))
-
-    def _ensure_workers(self) -> None:
-        alive = sum(1 for w in self._workers.values() if w.alive)
-        for host in self.hosts[alive:]:
-            if self._spawn_budget <= 0:
-                break
-            self._spawn(host)
-
-    def _recycle(self, worker: _Worker, reason: str) -> Optional[JobOutcome]:
-        """Kill a faulted worker and requeue its in-flight job."""
-        worker.recycled = True
-        try:
-            worker.proc.kill()
-        except OSError:
-            pass
-        self.stats.worker_deaths += 1
-        outcome = None
-        if worker.job is not None:
-            key, spec, attempt = worker.job
-            worker.job = None
-            outcome = self._requeue(key, spec, attempt, reason)
-        return outcome
-
-    def _requeue(
-        self, key: str, spec: JobSpec, attempt: int, reason: str
-    ) -> Optional[JobOutcome]:
-        if attempt >= self.max_attempts:
-            return JobOutcome(
-                key=key, ok=False, give_up=True,
-                error=f"{reason}; gave up after {attempt} attempts",
-            )
-        self.stats.requeued += 1
-        self._backlog.append(
-            _QueuedJob(
-                key=key, spec=spec, attempt=attempt + 1,
-                not_before=time.monotonic() + self.backoff * attempt,
-            )
+        self.fleet = WorkerFleet(
+            hosts=hosts or ["local"] * max(1, workers),
+            command=command or DEFAULT_WORKER_COMMAND,
+            job_timeout=job_timeout,
+            max_attempts=max_attempts,
+            backoff=backoff,
         )
-        return None
+        self.stats = stats
+        #: ``stats``' counters before this fleet added anything to them.
+        self._before = {name: getattr(stats, name, 0) for name in _FLEET_COUNTERS}
 
-    # -- dispatch --------------------------------------------------------
-    def _dispatch_ready(self) -> Optional[JobOutcome]:
-        """Hand backlog jobs to idle workers; respects backoff delays."""
-        now = time.monotonic()
-        idle = deque(
-            w for w in self._workers.values() if w.alive and w.job is None
-        )
-        pending = len(self._backlog)
-        for _ in range(pending):
-            if not idle:
-                break
-            job = self._backlog.popleft()
-            if job.not_before > now:
-                self._backlog.append(job)
-                continue
-            worker = idle.popleft()
-            if job.attempt > 1:
-                self.stats.retried += 1
-            worker.job = (job.key, job.spec, job.attempt)
-            worker.deadline = (
-                now + self.job_timeout if self.job_timeout else None
-            )
-            try:
-                worker.proc.stdin.write(encode_job(job.key, job.spec) + "\n")
-                worker.proc.stdin.flush()
-            except (OSError, ValueError):
-                outcome = self._recycle(worker, "worker pipe broke on dispatch")
-                if outcome is not None:
-                    return outcome
-        return None
-
-    # -- protocol --------------------------------------------------------
     def submit(self, key: str, spec: JobSpec) -> None:
-        if self._shutdown:
+        if self.fleet.closed:
             raise ExecutorUnavailable("executor already shut down")
-        self._backlog.append(_QueuedJob(key=key, spec=spec))
-        self._ensure_workers()
-        if not any(w.alive for w in self._workers.values()):
-            raise ExecutorUnavailable(
-                f"no worker could be launched from template {self.command!r}"
-            )
-        outcome = self._dispatch_ready()
-        if outcome is not None:
-            # A dispatch pipe broke and retries were exhausted already;
-            # park the outcome for the next poll().
-            self._pending_outcome = outcome
-
-    def _handle_line(self, worker: _Worker, line: str) -> Optional[JobOutcome]:
-        line = line.strip()
-        if not line:
-            return None
-        if not worker.greeted:
-            try:
-                decode_hello(line)
-            except WireError:
-                return self._recycle(
-                    worker, f"worker spoke garbage instead of hello: {line[:80]!r}"
-                )
-            worker.greeted = True
-            return None
-        try:
-            result = decode_result(line)
-        except WireError as exc:
-            return self._recycle(worker, f"corrupted result line ({exc})")
-        if worker.job is None or result.key != worker.job[0]:
-            return self._recycle(
-                worker, f"result for unexpected key {result.key[:12]!r}"
-            )
-        key, spec, attempt = worker.job
-        worker.job = None
-        worker.deadline = None
-        if result.ok:
-            return JobOutcome(
-                key=key, ok=True, payload=result.payload, seconds=result.seconds
-            )
-        # Remote simulation error: final, no retry.
-        return JobOutcome(key=key, ok=False, error=result.error)
-
-    def _next_deadline(self) -> Optional[float]:
-        deadlines = [
-            w.deadline
-            for w in self._workers.values()
-            if w.alive and w.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
+        self.fleet.submit(key, spec)
 
     def poll(self) -> list[JobOutcome]:
-        outcomes: list[JobOutcome] = []
-        pending = getattr(self, "_pending_outcome", None)
-        if pending is not None:
-            self._pending_outcome = None
-            outcomes.append(pending)
-            return outcomes
-
-        outcome = self._dispatch_ready()
-        if outcome is not None:
-            return [outcome]
-
-        in_flight = any(
-            w.job is not None for w in self._workers.values() if w.alive
-        )
-        if not in_flight and not self._backlog:
-            # The engine believes jobs are outstanding but this executor
-            # holds none: state was lost. Failing loudly (and letting the
-            # engine degrade to in-process execution) beats spinning.
-            raise ExecutorUnavailable("executor lost track of pending jobs")
-        if not in_flight and self._backlog:
-            self._ensure_workers()
-            if not any(w.alive for w in self._workers.values()):
-                raise ExecutorUnavailable(
-                    "all workers dead and spawn budget exhausted"
-                )
-
-        deadline = self._next_deadline()
-        timeout = 0.25
-        if deadline is not None:
-            timeout = max(0.0, min(timeout, deadline - time.monotonic()))
-        try:
-            wid, kind, line = self._events.get(timeout=timeout)
-        except queue.Empty:
-            now = time.monotonic()
-            for worker in list(self._workers.values()):
-                if worker.alive and worker.deadline and worker.deadline <= now:
-                    outcome = self._recycle(
-                        worker,
-                        f"job exceeded timeout of {self.job_timeout}s",
-                    )
-                    if outcome is not None:
-                        outcomes.append(outcome)
-            self._ensure_workers()
-            return outcomes
-
-        if kind == "line":
-            worker = self._workers.get(wid)
-            if worker is not None and not worker.recycled:
-                outcome = self._handle_line(worker, line)
-                if outcome is not None:
-                    outcomes.append(outcome)
-        elif kind == "eof":
-            worker = self._workers.get(wid)
-            if worker is not None and not worker.recycled:
-                outcome = self._recycle(worker, "worker died")
-                if outcome is not None:
-                    outcomes.append(outcome)
-            self._ensure_workers()
-        # "spawn-error" events carry no job state; _ensure_workers and
-        # the ExecutorUnavailable check above handle systemic failure.
+        outcomes = self.fleet.step()
+        if self.stats is not None:
+            for name, before in self._before.items():
+                setattr(self.stats, name, before + getattr(self.fleet, name))
+        if self.fleet.exhausted:
+            raise ExecutorUnavailable(
+                f"no worker could be started from template "
+                f"{self.fleet.command!r}: {self.fleet.last_error}"
+            )
         return outcomes
 
     def shutdown(self) -> None:
-        self._shutdown = True
-        for worker in self._workers.values():
-            try:
-                if worker.proc.stdin:
-                    worker.proc.stdin.close()
-            except OSError:
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in self._workers.values():
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                worker.proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                worker.proc.kill()
-            except OSError:
-                pass
+        self.fleet.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +340,7 @@ def build_executor(
     command: Optional[str] = None,
     job_timeout: Optional[float] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff: float = 0.1,
+    backoff: float = DEFAULT_BACKOFF,
     stats=None,
 ) -> Executor:
     """Construct a named executor with the engine's tuning knobs."""

@@ -1,10 +1,11 @@
 """repro.service — simulation-as-a-service over HTTP/JSON.
 
-A long-lived :class:`Coordinator` owns a registered fleet of
-persistent ``python -m repro worker`` processes (the PR 4 wire
-protocol and fault tiers, kept warm) and a shared read-through result
-store, and serves versioned JSON ``JobSpec`` documents over a stdlib
-``ThreadingHTTPServer``. Start one with ``python -m repro serve``;
+A long-lived :class:`Coordinator` drives a
+:class:`~repro.runner.fleet.WorkerFleet` of persistent ``python -m
+repro worker`` processes (the batch engine's fleet, kept warm) and a
+shared read-through result store, and serves versioned JSON
+``JobSpec`` documents over a stdlib ``ThreadingHTTPServer``. Start one
+with ``python -m repro serve``;
 talk to it with ``repro.api.Session.connect(url)``, ``python -m repro
 submit``, or plain ``curl``.
 """
@@ -18,7 +19,6 @@ from repro.service.coordinator import (
     ServiceServer,
     serve,
 )
-from repro.service.fleet import FleetWorker, WorkerFleet
 from repro.service.schema import (
     JOB_SCHEMA_VERSION,
     SchemaError,
@@ -31,7 +31,6 @@ from repro.service.schema import (
 __all__ = [
     "Coordinator",
     "DEFAULT_PORT",
-    "FleetWorker",
     "JOB_SCHEMA_VERSION",
     "Job",
     "SchemaError",
@@ -39,7 +38,6 @@ __all__ = [
     "ServiceError",
     "ServiceHandler",
     "ServiceServer",
-    "WorkerFleet",
     "decode_config",
     "decode_jobspec",
     "encode_config",

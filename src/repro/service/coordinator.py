@@ -6,11 +6,11 @@
   engine's memo and the persistent cache use, so *identity is content*:
   two clients submitting the same (app, arch, config, scale, options)
   get the same job id, and at most one simulation runs;
-* a :class:`~repro.service.fleet.WorkerFleet` of persistent
-  ``python -m repro worker`` processes (the execute tier), plus the
-  **degrade tier**: a job whose fleet attempts are exhausted is run
-  in-process on a fallback thread, mirroring the batch engine's
-  ``ExecutorUnavailable`` path;
+* a :class:`~repro.runner.fleet.WorkerFleet` of persistent
+  ``python -m repro worker`` processes (the execute tier) and the one
+  ``fleet-dispatch`` thread that drives it, plus the **degrade tier**:
+  a job the fleet gives up on is run in-process on a fallback thread,
+  mirroring the batch engine's ``ExecutorUnavailable`` path;
 * a :class:`~repro.runner.cache.ResultCache` over
   :class:`~repro.runner.cache.SharedDirectoryBackend` as the
   **read-through result store** — a submit whose key is already cached
@@ -59,6 +59,7 @@ a private interface, never the open internet.
 from __future__ import annotations
 
 import json
+import shlex
 import threading
 import time
 from collections import OrderedDict
@@ -68,10 +69,15 @@ from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.runner.cache import MISS, ResultCache, SharedDirectoryBackend
-from repro.runner.executors import JobOutcome
+from repro.runner.fleet import (
+    DEFAULT_BACKOFF,
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_WORKER_COMMAND,
+    JobOutcome,
+    WorkerFleet,
+)
 from repro.runner.spec import JobSpec
 from repro.runner.wire import PROTOCOL_VERSION, _pack, _unpack
-from repro.service.fleet import WorkerFleet
 from repro.service.schema import JOB_SCHEMA_VERSION, SchemaError, decode_jobspec
 
 #: Default TCP port; "VC" on a phone keypad would be a stretch — it is
@@ -129,19 +135,28 @@ class Coordinator:
         use_cache: bool = True,
         worker_command: Optional[str] = None,
         job_timeout: Optional[float] = None,
-        max_attempts: int = 3,
-        backoff: float = 0.05,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        backoff: float = DEFAULT_BACKOFF,
     ) -> None:
         backend = SharedDirectoryBackend(cache_dir)
         self.cache = ResultCache(backend=backend) if use_cache else None
+        if worker_command is None:
+            worker_command = DEFAULT_WORKER_COMMAND
+            if use_cache:
+                # Results land in the shared store as they are produced,
+                # and a requeued duplicate is a worker-side cache hit.
+                worker_command += (
+                    f" --cache-dir {shlex.quote(str(backend.root))} --shared-cache"
+                )
         self.fleet = WorkerFleet(
-            size=workers,
+            hosts=["local"] * max(1, workers),
             command=worker_command,
-            cache_dir=(str(backend.root) if use_cache else None),
             job_timeout=job_timeout,
             max_attempts=max_attempts,
             backoff=backoff,
-            on_outcome=self._on_outcome,
+        )
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="fleet-dispatch", daemon=True
         )
         self._jobs: dict[str, Job] = {}
         #: Encoded results of settled jobs, least recently used first.
@@ -155,13 +170,27 @@ class Coordinator:
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
-        self.fleet.start()
+        """Launch the workers and the thread that drives them (once)."""
+        if self._dispatcher.ident is None:
+            self._deliver(self.fleet.step(0.0))  # the workers are launched when this returns
+            self._dispatcher.start()
 
     def shutdown(self) -> None:
         with self._lock:
             self.closed = True
             self._done.notify_all()  # release parked handlers
-        self.fleet.shutdown()
+        self.fleet.shutdown()  # leaves no worker process behind
+        if self._dispatcher.is_alive():
+            self._dispatcher.join(timeout=2.0)
+
+    def _dispatch_loop(self) -> None:
+        """The fleet's driver: all worker pipe I/O happens on this thread."""
+        while not self.fleet.closed:
+            self._deliver(self.fleet.step())
+
+    def _deliver(self, outcomes: "list[JobOutcome]") -> None:
+        for outcome in outcomes:
+            self._on_outcome(outcome)  # takes ``_lock`` itself: none held here
 
     # -- encoded results -------------------------------------------------
     def _load_box(self, spec: JobSpec) -> Optional[dict]:
@@ -232,7 +261,7 @@ class Coordinator:
 
     # -- completion ------------------------------------------------------
     def _on_outcome(self, outcome: JobOutcome) -> None:
-        """Fleet callback (dispatcher thread)."""
+        """Settle one job (dispatcher thread, or a degrade thread)."""
         if outcome.give_up:
             # Degrade tier: the fleet is out of attempts for this job;
             # run it in-process so the client still gets an answer.

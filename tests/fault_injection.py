@@ -31,6 +31,10 @@ kills the faulty worker) delegates to the genuine
                  (corrupted response → engine recycles the worker).
 ``banner``       print an SSH-banner-like line *instead of* hello
                  (handshake garbage → engine recycles before dispatch).
+``exit``         quit before saying anything
+                 (launch failure → fleet relaunches within its budget).
+``proto``        greet with a foreign ``proto`` (version skew → recycled
+                 with the actionable message, no job ever sent to it).
 =============  ==========================================================
 
 Use :func:`flaky_worker_command` to build the ``worker_command``
@@ -47,7 +51,7 @@ from pathlib import Path
 
 from repro.runner.cache import CacheBackend
 
-FAULT_MODES = ("die", "hang", "garbage", "banner")
+FAULT_MODES = ("die", "hang", "garbage", "banner", "exit", "proto")
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +205,14 @@ def _shim_main(argv=None) -> int:
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
 
-    if args.mode == "banner":
-        emit("Warning: Permanently added 'host' (ED25519) to known hosts.")
+    if args.mode == "exit":
+        return 1
+    instead_of_hello = {
+        "banner": "Warning: Permanently added 'host' (ED25519) to known hosts.",
+        "proto": json.dumps({"v": 999, "type": "hello", "proto": 999, "pid": 1}),
+    }
+    if args.mode in instead_of_hello:
+        emit(instead_of_hello[args.mode])
         sys.stdin.readline()  # linger so the engine, not the OS, decides
         return 1
 

@@ -19,20 +19,38 @@ class TestCLI:
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
-            main(["figNaN"])
+            main(["run", "figNaN"])
 
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
-            main(["fig1", "--apps", "NOPE"])
+            main(["run", "fig1", "--apps", "NOPE"])
 
     def test_fig1_tiny_run(self, capsys):
-        assert main(["fig1", "--apps", "LI", "--scale", "0.1", "--sms", "1"]) == 0
+        assert main(["run", "fig1", "--apps", "LI", "--scale", "0.1", "--sms", "1"]) == 0
         out = capsys.readouterr().out
         assert "LI" in out
 
     def test_every_figure_registered(self):
         expected = {f"fig{i}" for i in list(range(1, 6)) + list(range(9, 19))}
         assert set(FIGURES) == expected | {"dynamics"}
+
+
+class TestBenchHistory:
+    def test_committed_history_loads(self):
+        from pathlib import Path
+
+        from repro.bench import latest_entry, load_history
+
+        history = load_history(str(Path(__file__).parent.parent / "BENCH_sim.json"))
+        assert latest_entry(history, backend="object") is not None
+
+    def test_single_report_is_not_a_history(self, tmp_path):
+        from repro.bench import load_history
+
+        report = tmp_path / "bench-ci.json"
+        report.write_text('{"backend": "object", "apps": []}')
+        with pytest.raises(ValueError, match="not a bench history"):
+            load_history(str(report))
 
 
 class TestTraceCLI:

@@ -42,7 +42,7 @@ from repro.runner import (  # noqa: E402
     SharedDirectoryBackend,
     WireError,
 )
-from repro.runner.executors import _worker_env  # noqa: E402
+from repro.runner.fleet import worker_env  # noqa: E402
 from repro.runner.wire import (  # noqa: E402
     PROTOCOL_VERSION,
     decode_hello,
@@ -547,7 +547,7 @@ class TestKeyStability:
             [sys.executable, "-c", child],
             capture_output=True,
             text=True,
-            env=_worker_env(),
+            env=worker_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == self.canonical_spec().key

@@ -41,6 +41,7 @@ TEST_MODULES = {
     "test_dram_timing",
     "test_extension",
     "test_failure_paths",
+    "test_fleet",
     "test_fuzz",
     "test_generator_extra",
     "test_golden_equivalence",
@@ -73,7 +74,8 @@ TEST_MODULES = {
 #: Importable helper modules that are *not* collected as tests but are
 #: part of the test tree's public surface.
 SUPPORT_MODULES = {
-    "__init__", "fault_injection", "golden", "reference_vtt", "workload_helpers",
+    "__init__", "fault_injection", "golden", "reference_vtt", "stub_worker",
+    "workload_helpers",
 }
 
 #: name -> (num_ctas, warps_per_cta, regs_per_thread, n_loads, has_stream)
