@@ -13,17 +13,16 @@ reproduction of it) depends on. These go beyond the paper's figures:
 * **Victim-hit verification** — end-to-end token check across every
   app in the subset (no victim read may ever return stale data).
 
-A small cache-sensitive subset keeps the runtime bounded.
+A small cache-sensitive subset keeps the runtime bounded. Every run
+goes through ``ctx.run(app, arch, ...)``, so the ablations share the
+session's memo, persistent cache and workers with the figures.
 """
 
 from dataclasses import replace
 
 from conftest import run_once
 
-from repro.analysis import format_series, geomean
-from repro.baselines.ccws import run_ccws
-from repro.core.linebacker import linebacker_factory
-from repro.gpu.gpu import run_kernel
+from repro.analysis import ExperimentContext, format_series, geomean
 
 APPS = ("S2", "KM", "BC")
 
@@ -36,8 +35,8 @@ def test_ablation_ccws_vs_best_swl(benchmark, ctx):
     def run():
         rows = {}
         for app in _subset(ctx):
-            oracle = ctx.best_swl(app)
-            ccws = run_ccws(ctx.config, ctx.kernel(app))
+            oracle = ctx.run(app, "best_swl")
+            ccws = ctx.run(app, "ccws")
             rows[app] = ccws.ipc / oracle.ipc
         return rows
 
@@ -59,11 +58,8 @@ def test_ablation_window_length(benchmark, ctx):
             )
             speeds = []
             for app in _subset(ctx):
-                result = run_kernel(
-                    ctx.config, ctx.kernel(app),
-                    extension_factory=linebacker_factory(lb),
-                )
-                speeds.append(result.ipc / ctx.best_swl(app).ipc)
+                result = ctx.run(app, "linebacker", lb_config=lb)
+                speeds.append(result.ipc / ctx.run(app, "best_swl").ipc)
             rows[f"{factor}x window"] = geomean(speeds)
         return rows
 
@@ -85,11 +81,8 @@ def test_ablation_ipc_bounds(benchmark, ctx):
             )
             speeds = []
             for app in _subset(ctx):
-                result = run_kernel(
-                    ctx.config, ctx.kernel(app),
-                    extension_factory=linebacker_factory(lb),
-                )
-                speeds.append(result.ipc / ctx.best_swl(app).ipc)
+                result = ctx.run(app, "linebacker", lb_config=lb)
+                speeds.append(result.ipc / ctx.run(app, "best_swl").ipc)
             rows[f"±{bound:.0%}"] = geomean(speeds)
         return rows
 
@@ -104,13 +97,13 @@ def test_ablation_dram_model(benchmark, ctx):
         rows = {}
         for model in ("simple", "timing"):
             cfg = replace(ctx.config, gpu=replace(ctx.config.gpu, dram_model=model))
+            model_ctx = ExperimentContext(
+                config=cfg, scale=ctx.scale, apps=ctx.apps, runner=ctx.runner
+            )
             speeds = []
             for app in _subset(ctx):
-                base = run_kernel(cfg, ctx.kernel(app))
-                lb = run_kernel(
-                    cfg, ctx.kernel(app),
-                    extension_factory=linebacker_factory(cfg.linebacker),
-                )
+                base = model_ctx.run(app, "baseline")
+                lb = model_ctx.run(app, "linebacker")
                 speeds.append(lb.ipc / base.ipc)
             rows[model] = geomean(speeds)
         return rows
@@ -128,7 +121,7 @@ def test_ablation_victim_correctness(benchmark, ctx):
         corrupt = 0
         hits = 0
         for app in _subset(ctx):
-            result = ctx.linebacker(app)
+            result = ctx.run(app, "linebacker")
             for ext in result.extensions:
                 corrupt += ext.stats.victim_reads_corrupt
                 hits += ext.stats.victim_hits

@@ -15,6 +15,7 @@ from repro.config import scaled_config
 from repro.core import linebacker_factory
 from repro.gpu import run_kernel
 from repro.gpu.isa import hashed_pc
+from repro.options import RunOptions
 from repro.workloads import AppSpec, LoadSpec, Pattern, Scope, StoreSpec, build_kernel
 
 LOOKUP_PC = 0x100   # hot shared table: high locality, should be selected
@@ -50,7 +51,7 @@ def main() -> None:
         config,
         kernel,
         extension_factory=linebacker_factory(config.linebacker),
-        keep_objects=True,
+        options=RunOptions(keep_objects=True),
     )
     ext = result.extensions[0]
 

@@ -9,6 +9,7 @@ Run:
 from repro.config import scaled_config
 from repro.core import linebacker_factory
 from repro.gpu import run_kernel
+from repro.options import RunOptions
 from repro.workloads import kernel_for
 
 
@@ -35,7 +36,7 @@ def main() -> None:
         config,
         kernel,
         extension_factory=linebacker_factory(config.linebacker),
-        keep_objects=True,
+        options=RunOptions(keep_objects=True),
     )
     ext = linebacker.extensions[0]
     print("\n-- Linebacker --")

@@ -2,7 +2,7 @@
 """Visualize the CTA throttling ladder and victim space over time.
 
 Runs one app under Linebacker with per-window timeseries recording on
-(``run_kernel(..., timeseries=True)``) and prints SM0's window rows:
+(``RunOptions(timeseries=True)``) and prints SM0's window rows:
 IPC, active/inactive CTA counts, active victim partitions, and the
 controller's search phase — the dynamics of the paper's Figure 6
 workflow, on a real run.
@@ -19,6 +19,7 @@ import sys
 from repro.config import scaled_config
 from repro.core.linebacker import linebacker_factory
 from repro.gpu import run_kernel
+from repro.options import RunOptions
 from repro.workloads import ALL_APPS, kernel_for
 
 
@@ -33,8 +34,7 @@ def main() -> None:
         config,
         kernel,
         extension_factory=linebacker_factory(config.linebacker),
-        keep_objects=True,
-        timeseries=True,
+        options=RunOptions(keep_objects=True, timeseries=True),
     )
     series = result.timeseries[0]
 

@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         "arch",
         nargs="?",
         default="linebacker",
-        help="a registered architecture that supports timeseries "
-        "(default: linebacker)",
+        help="a registered architecture other than the oracle sweeps "
+        "(default: linebacker; see list --archs)",
     )
     trace_p.add_argument("--scale", type=float, default=0.5, help="workload scale")
     trace_p.add_argument("--sms", type=int, default=4, help="number of SMs")
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--backend",
                           choices=("object", "vector"),
                           default=None,
-                          help="execution engine (validated against the "
-                          "architecture's supports_backends capability)")
+                          help="pin the execution engine (refused when the "
+                          "architecture cannot run on it; see list --archs)")
     submit_p.add_argument("--no-wait", action="store_true",
                           help="print job ids and exit without polling")
     submit_p.add_argument("--timeout", type=float, default=600.0,
@@ -263,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_p = sub.add_parser("list", help="list figures (and architectures)")
     list_p.add_argument(
-        "--archs", action="store_true", help="also list registered architectures"
+        "--archs",
+        action="store_true",
+        help="also list registered architectures: what each returns, the "
+        "engine an unpinned job runs on, and its extra parameters",
     )
 
     sub.add_parser("overhead", help="Section 4.2 storage overhead inventory")
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("object", "vector"),
         default=None,
         help="execution engine to benchmark (default: chosen from the "
-        "request — vector when numpy is installed, else object)",
+        "request, which for these extension-free runs is vector)",
     )
     bench_p.add_argument(
         "--native",
@@ -370,9 +373,21 @@ def _cmd_list(args) -> int:
     for name, (_, description) in FIGURES.items():
         print(f"{name:7s} {description}")
     if args.archs:
-        print()
+        from repro.engine import EngineRequest, select_backend
+
+        # Every column is derived from the registry row; the engine is
+        # what the selection rule answers for the row's plain request
+        # (for a sweep: each of its legs).
+        config = scaled_config()
+        kernel = kernel_for(ALL_APPS[0], scale=0.05)
+        print(f"\n{'architecture':24s} {'returns':7s} {'engine':6s} "
+              f"{'params':10s} description")
         for name, arch in sorted(ARCHITECTURES.items()):
-            print(f"{name:24s} {arch.description}")
+            factory = arch.extension(config) if arch.extension else None
+            engine = select_backend(EngineRequest(config, kernel, factory)).name
+            returns = "sweep" if arch.sweep else "result"
+            print(f"{name:24s} {returns:7s} {engine:6s} "
+                  f"{','.join(arch.params) or '-':10s} {arch.description}")
     return 0
 
 
@@ -494,10 +509,9 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
         arch = resolve(args.arch)
     except KeyError as exc:
         parser.error(str(exc))
-    if not arch.supports_timeseries:
-        parser.error(
-            f"architecture {args.arch!r} does not support timeseries recording"
-        )
+    refusal = arch.refuses("timeseries", True, job=False)
+    if refusal:
+        parser.error(refusal)
     if args.sm < 0 or args.sm >= args.sms:
         parser.error(f"--sm must be in [0, {args.sms})")
 
@@ -618,47 +632,31 @@ def _cmd_submit(args, parser: argparse.ArgumentParser) -> int:
     import json
 
     from repro.api import Session
-    from repro.runner.registry import ARCHITECTURES
+    from repro.options import RunOptions
+    from repro.runner import JobSpec
+    from repro.service import ServiceError
 
     apps = tuple(a for a in args.apps.split(",") if a)
     unknown = set(apps) - set(ALL_APPS)
     if unknown:
         parser.error(f"unknown apps: {sorted(unknown)}")
-    if args.arch not in ARCHITECTURES:
-        parser.error(
-            f"unknown architecture {args.arch!r}; known: "
-            f"{', '.join(sorted(ARCHITECTURES))}"
-        )
-
-    from repro.options import RunOptions
-    from repro.service import ServiceError
-
-    if args.timeseries and not ARCHITECTURES[args.arch].supports_timeseries:
-        parser.error(
-            f"architecture {args.arch!r} does not support timeseries recording"
-        )
-    if (
-        args.backend is not None
-        and args.backend not in ARCHITECTURES[args.arch].supports_backends
-    ):
-        parser.error(
-            f"architecture {args.arch!r} does not support the "
-            f"{args.backend!r} backend (supported: "
-            f"{', '.join(ARCHITECTURES[args.arch].supports_backends)})"
-        )
+    config = scaled_config(num_sms=args.sms)
+    options = RunOptions(timeseries=args.timeseries, backend=args.backend)
     try:
-        session = Session.connect(
-            args.url,
-            config=scaled_config(num_sms=args.sms),
-            scale=args.scale,
-        )
+        # Unknown architecture, or a flag it refuses: a usage error
+        # before anything is sent.
+        specs = [
+            JobSpec.build(app, args.arch, config, args.scale, options=options)
+            for app in apps
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        session = Session.connect(args.url)
     except ServiceError as exc:
         print(f"submit: {exc}", file=sys.stderr)
         return 1
-    options = RunOptions(timeseries=args.timeseries, backend=args.backend)
-    handles = session.run_many(
-        [session.spec(app, args.arch, options=options) for app in apps]
-    )
+    handles = session.run_many(specs)
     report = {"url": args.url, "arch": args.arch, "scale": args.scale,
               "jobs": []}
     for app, handle in zip(apps, handles):

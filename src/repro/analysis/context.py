@@ -36,9 +36,9 @@ class ExperimentContext:
     apps: tuple[str, ...] = ALL_APPS
     runner: ExperimentRunner = field(default_factory=ExperimentRunner)
     #: Overrides folded into every spec (``run --timeseries`` sets
-    #: ``{"timeseries": True}`` here). Keys an architecture does not
-    #: support are dropped per-spec, so e.g. ``best_swl`` jobs keep
-    #: their plain cache keys.
+    #: ``{"timeseries": True}`` here). Pairs an architecture refuses
+    #: are dropped per-spec, so e.g. ``best_swl`` jobs keep their plain
+    #: cache keys instead of failing a whole figure sweep.
     default_overrides: dict = field(default_factory=dict)
     _kernels: dict = field(default_factory=dict)
 
@@ -51,20 +51,13 @@ class ExperimentContext:
     def spec(self, app: str, arch: str, **overrides: Any) -> JobSpec:
         """The content-hashed job naming one (app, arch) simulation."""
         if self.default_overrides:
-            merged = dict(self.default_overrides)
-            spec = resolve(arch)
-            if "timeseries" in merged and not spec.supports_timeseries:
-                del merged["timeseries"]
-            if (
-                "backend" in merged
-                and merged["backend"] not in spec.supports_backends
-            ):
-                # An arch that can't run the requested engine keeps its
-                # plain cache key instead of warning-and-falling-back
-                # on every job of a figure sweep.
-                del merged["backend"]
-            merged.update(overrides)
-            overrides = merged
+            row = resolve(arch)
+            kept = {
+                name: value
+                for name, value in self.default_overrides.items()
+                if row.refuses(name, value) is None
+            }
+            overrides = {**kept, **overrides}
         return JobSpec.build(
             app=app,
             arch=arch,

@@ -1,11 +1,8 @@
 """The public programmatic surface: one ``Session``, two transports.
 
-Historically the repo exposed three overlapping entry points —
-``run_kernel(...)`` kwargs for one-off simulations,
-:class:`~repro.runner.engine.ExperimentRunner` for batched sweeps, and
-:class:`~repro.analysis.context.ExperimentContext` for figure
-workflows. :class:`Session` folds them into a single facade that is
-*transport-agnostic*:
+:class:`Session` is a single facade over one-off simulations, batched
+sweeps (:class:`~repro.runner.engine.ExperimentRunner`) and served
+capacity, and it is *transport-agnostic*:
 
 * ``Session.local(...)`` executes through an in-process
   :class:`ExperimentRunner` (memo → persistent cache → executor);
@@ -40,7 +37,6 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 from repro.config import SimulationConfig, scaled_config
 from repro.options import RunOptions
 from repro.runner.engine import ExperimentRunner
-from repro.runner.registry import resolve
 from repro.runner.spec import JobSpec
 
 __all__ = ["JobHandle", "RunOptions", "Session"]
@@ -178,25 +174,15 @@ class Session:
         config: Optional[SimulationConfig] = None,
         scale: Optional[float] = None,
         options: Optional[RunOptions] = None,
-        backend: Optional[str] = None,
         **overrides: Any,
     ) -> JobSpec:
         """The content-hashed spec this session would submit.
 
-        ``backend`` folds into the options (and therefore the content
-        hash): the same job on different engines never aliases in any
-        cache. Architectures that cannot run the requested engine are
-        rejected here, mirroring the ``supports_timeseries`` check in
-        :meth:`trace`.
+        ``overrides`` are :class:`RunOptions` fields by keyword (e.g.
+        ``backend="vector"``) and the architecture's own parameters
+        (``lb_config=...``); a combination the architecture cannot run
+        raises ``ValueError`` here, not in a worker.
         """
-        if backend is not None:
-            supported = resolve(arch).supports_backends
-            if backend not in supported:
-                raise ValueError(
-                    f"architecture {arch!r} does not support the "
-                    f"{backend!r} backend (supported: {', '.join(supported)})"
-                )
-            options = (options or RunOptions()).replace(backend=backend)
         return JobSpec.build(
             app=app,
             arch=arch,
@@ -215,12 +201,11 @@ class Session:
         config: Optional[SimulationConfig] = None,
         scale: Optional[float] = None,
         options: Optional[RunOptions] = None,
-        backend: Optional[str] = None,
         **overrides: Any,
     ) -> JobHandle:
         """Submit one (app, arch) simulation; returns its handle."""
         return self.submit(self.spec(app, arch, config, scale, options,
-                                     backend, **overrides))
+                                     **overrides))
 
     def run_many(self, jobs: Iterable[JobLike]) -> list[JobHandle]:
         """Submit a batch; the fan-out / dedup point for sweeps.
@@ -249,17 +234,12 @@ class Session:
         config: Optional[SimulationConfig] = None,
         scale: Optional[float] = None,
         options: Optional[RunOptions] = None,
-        backend: Optional[str] = None,
         **overrides: Any,
     ) -> JobHandle:
         """A ``run`` with per-window timeseries recording forced on."""
-        if not resolve(arch).supports_timeseries:
-            raise ValueError(
-                f"architecture {arch!r} does not support timeseries recording"
-            )
         options = (options or RunOptions()).replace(timeseries=True)
         return self.run(app, arch, config=config, scale=scale,
-                        options=options, backend=backend, **overrides)
+                        options=options, **overrides)
 
     def submit(self, spec: JobSpec) -> JobHandle:
         """Submit one pre-built spec."""

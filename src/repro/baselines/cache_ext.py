@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+from repro.baselines.swl import best_swl, run_swl
 from repro.config import SimulationConfig
 from repro.gpu.gpu import (
     SimulationResult,
     dynamically_unused_register_bytes,
-    run_kernel,
     statically_unused_register_bytes,
 )
 from repro.gpu.trace import KernelTrace
@@ -54,27 +54,15 @@ def config_with_cache_ext(
     return replace(config, gpu=config.gpu.with_l1_size(new_size))
 
 
-def run_cache_ext(
+def best_swl_cache_ext(
     config: SimulationConfig,
     kernel: KernelTrace,
-    backend: Optional[str] = None,
+    options: RunOptions = RunOptions(),
+    cta_limit: Optional[int] = None,
 ) -> SimulationResult:
-    """Baseline scheduling with an SUR-enlarged L1."""
-    return run_kernel(
-        config_with_cache_ext(config, kernel), kernel,
-        options=RunOptions(backend=backend),
-    )
-
-
-def run_swl_cache_ext(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    cta_limit: int,
-    backend: Optional[str] = None,
-) -> SimulationResult:
-    """Static CTA limit with an (SUR+DUR)-enlarged L1."""
+    """Static CTA limit with an (SUR+DUR)-enlarged L1; the limit is the
+    Best-SWL oracle's unless ``cta_limit`` names one."""
+    if cta_limit is None:
+        cta_limit = best_swl(config, kernel, options).best_limit
     ext_config = config_with_cache_ext(config, kernel, include_dur_for_limit=cta_limit)
-    return run_kernel(
-        ext_config, kernel,
-        options=RunOptions(max_concurrent_ctas=cta_limit, backend=backend),
-    )
+    return run_swl(ext_config, kernel, cta_limit, options)

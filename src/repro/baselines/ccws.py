@@ -27,10 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import LinebackerConfig, SimulationConfig
+from repro.config import LinebackerConfig
 from repro.gpu.extension import SMExtension
-from repro.gpu.gpu import SimulationResult, run_kernel
-from repro.gpu.trace import KernelTrace
 from repro.memory.cache import SetAssociativeCache
 
 #: Score added when a warp re-references a line it lost (the paper's
@@ -136,15 +134,3 @@ class CCWSFactory:
 
 def ccws_factory(config: Optional[LinebackerConfig] = None) -> CCWSFactory:
     return CCWSFactory(config)
-
-
-def run_ccws(
-    config: SimulationConfig, kernel: KernelTrace, keep_objects: bool = False
-) -> SimulationResult:
-    """Run a kernel under CCWS warp throttling."""
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=ccws_factory(config.linebacker),
-        keep_objects=keep_objects,
-    )

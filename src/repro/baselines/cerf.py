@@ -28,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.config import LinebackerConfig, SimulationConfig
+from repro.config import LinebackerConfig
 from repro.core.linebacker import LinebackerExtension
 from repro.core.load_monitor import MonitorState
-from repro.gpu.gpu import SimulationResult, run_kernel
-from repro.gpu.trace import KernelTrace
 
 #: Fraction of each CTA's live register allocation that CERF treats as
 #: rarely accessed and therefore usable as cache space.
@@ -144,15 +142,3 @@ class PCALCERFFactory:
 
 def cerf_factory(config: Optional[LinebackerConfig] = None) -> CERFFactory:
     return CERFFactory(config)
-
-
-def run_cerf(
-    config: SimulationConfig, kernel: KernelTrace, keep_objects: bool = False
-) -> SimulationResult:
-    """Run a kernel under CERF."""
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=cerf_factory(config.linebacker),
-        keep_objects=keep_objects,
-    )

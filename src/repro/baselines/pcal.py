@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.config import LinebackerConfig, SimulationConfig
+from repro.config import LinebackerConfig
 from repro.core.linebacker import LinebackerExtension
-from repro.gpu.gpu import SimulationResult, run_kernel
-from repro.gpu.trace import KernelTrace
 
 
 class PCALExtension(LinebackerExtension):
@@ -51,15 +49,3 @@ class PCALFactory:
 
 def pcal_factory(config: Optional[LinebackerConfig] = None) -> PCALFactory:
     return PCALFactory(config)
-
-
-def run_pcal(
-    config: SimulationConfig, kernel: KernelTrace, keep_objects: bool = False
-) -> SimulationResult:
-    """Run a kernel under PCAL."""
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=pcal_factory(config.linebacker),
-        keep_objects=keep_objects,
-    )

@@ -4,7 +4,8 @@ The paper's main comparison point is Best-SWL (Section 2.4): for each
 application, an oracle picks the static CTA limit that maximizes
 performance; this idealized static throttling was shown to beat
 dynamic schemes like CCWS. We reproduce it as a sweep over concurrent
-CTA limits per SM, memoized per (kernel, config) within a process.
+CTA limits per SM; the experiment runner's memo and persistent cache
+keep it to one sweep per (app, config).
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from typing import Optional
 
 from repro.config import SimulationConfig
 from repro.gpu.gpu import SimulationResult, run_kernel
-from repro.options import RunOptions
 from repro.gpu.sm import SM
 from repro.gpu.trace import KernelTrace
-
-_best_swl_cache: dict[tuple, "BestSWLResult"] = {}
+from repro.options import RunOptions
 
 
 @dataclass
@@ -38,19 +37,11 @@ def run_swl(
     config: SimulationConfig,
     kernel: KernelTrace,
     cta_limit: int,
-    keep_objects: bool = False,
-    backend: Optional[str] = None,
+    options: RunOptions = RunOptions(),
 ) -> SimulationResult:
     """Run with a static per-SM concurrent-CTA limit."""
-    if cta_limit < 1:
-        raise ValueError("CTA limit must be at least 1")
     return run_kernel(
-        config, kernel,
-        options=RunOptions(
-            max_concurrent_ctas=cta_limit,
-            keep_objects=keep_objects,
-            backend=backend,
-        ),
+        config, kernel, options=options.replace(max_concurrent_ctas=cta_limit)
     )
 
 
@@ -64,38 +55,22 @@ def sweep_limits(max_occupancy: int) -> list[int]:
 def best_swl(
     config: SimulationConfig,
     kernel: KernelTrace,
-    cache_key: Optional[tuple] = None,
-    backend: Optional[str] = None,
+    options: RunOptions = RunOptions(),
 ) -> BestSWLResult:
     """The Best-SWL oracle: try every candidate limit, keep the best.
 
-    ``cache_key`` (when given) memoizes the sweep — the oracle is by
-    far the most expensive baseline, and several experiments normalize
-    against it.
+    ``options`` apply to every leg of the sweep (the CTA limit is the
+    sweep's own variable).
     """
-    if cache_key is not None:
-        # Different engines must never alias in the sweep memo, same
-        # rule as the persistent result cache.
-        cache_key = cache_key + (backend,)
-        if cache_key in _best_swl_cache:
-            return _best_swl_cache[cache_key]
-
     max_occ = SM.hardware_occupancy(config.gpu, kernel)
     sweep: dict[int, float] = {}
     best_limit = max_occ
     best_result: Optional[SimulationResult] = None
     for limit in sweep_limits(max_occ):
-        result = run_swl(config, kernel, limit, backend=backend)
+        result = run_swl(config, kernel, limit, options)
         sweep[limit] = result.ipc
         if best_result is None or result.ipc > best_result.ipc:
             best_result = result
             best_limit = limit
     assert best_result is not None
-    outcome = BestSWLResult(best_limit=best_limit, best_result=best_result, sweep_ipc=sweep)
-    if cache_key is not None:
-        _best_swl_cache[cache_key] = outcome
-    return outcome
-
-
-def clear_cache() -> None:
-    _best_swl_cache.clear()
+    return BestSWLResult(best_limit=best_limit, best_result=best_result, sweep_ipc=sweep)

@@ -124,8 +124,8 @@ def select_backend(request: EngineRequest) -> EngineBackend:
     """The engine an unpinned ``request`` runs on: the first registered
     member of :data:`SELECTION_ORDER` that supports it exactly."""
     for name in SELECTION_ORDER:
-        backend = BACKENDS.get(name)  # vector is absent without numpy
-        if backend is not None and backend.supports(request) is None:
+        backend = BACKENDS[name]
+        if backend.supports(request) is None:
             return backend
     raise BackendError("no registered backend supports this job")
 
@@ -155,16 +155,9 @@ def _register_builtin_backends() -> None:
     # the object backend imports repro.gpu.gpu, which imports this
     # module for dispatch.
     from repro.engine.object_backend import ObjectBackend
+    from repro.engine.vector import VectorBackend
 
     if "object" not in BACKENDS:
         register_backend(ObjectBackend())
     if "vector" not in BACKENDS:
-        try:
-            from repro.engine.vector import VectorBackend
-        except ImportError:
-            # numpy is absent: the vector engine simply isn't offered.
-            # Every selection surface (CLI, schema, resolve_backend)
-            # reports it as unknown, which names the missing dependency
-            # better than an import traceback mid-dispatch.
-            return
         register_backend(VectorBackend())

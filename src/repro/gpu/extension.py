@@ -91,7 +91,7 @@ class SMExtension:
     def timeseries_sample(self, cycle: int) -> dict:
         """Extra key/value pairs merged into the SM's timeseries row at
         the window boundary ending at ``cycle``. Only called when the
-        run records timeseries (``run_kernel(..., timeseries=True)``)."""
+        run records timeseries (``RunOptions(timeseries=True)``)."""
         return {}
 
     # -- memory path -------------------------------------------------------

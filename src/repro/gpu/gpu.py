@@ -263,51 +263,27 @@ def run_kernel(
     config: SimulationConfig,
     kernel: KernelTrace,
     extension_factory: Optional[ExtensionFactory] = None,
-    max_concurrent_ctas: Optional[int] = None,
-    track_loads: bool = False,
-    keep_objects: bool = False,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-    options: Optional[RunOptions] = None,
+    options: RunOptions = RunOptions(),
 ) -> SimulationResult:
     """Convenience wrapper: run one kernel on the selected backend.
 
-    The canonical knob surface is ``options=RunOptions(...)``; the
-    individual keywords remain as a compatibility shim for one release
-    and may not be combined with ``options`` (ambiguous intent raises
-    ``TypeError``).
-
-    ``backend`` (or ``options.backend``) pins the execution engine;
-    ``None`` chooses it from the request (``vector`` for extension-free
-    snapshot runs, else ``object``). A pinned backend that cannot run
-    the request exactly falls back with a
+    ``options.backend`` pins the execution engine; ``None`` chooses it
+    from the request (``vector`` for extension-free snapshot runs, else
+    ``object``). A pinned backend that cannot run the request exactly
+    falls back with a
     :class:`~repro.engine.base.BackendFallbackWarning`.
 
     By default the result carries SM/extension *snapshots* (every
     statistic, the load tracker, Linebacker's monitor/VTT) rather than
     the live simulator graph, so sweeps holding thousands of results
     don't keep every SM — and through it the whole memory hierarchy —
-    alive. Pass ``keep_objects=True`` to retain the live SMs and
+    alive. ``RunOptions(keep_objects=True)`` retains the live SMs and
     extensions (tests that poke at MSHRs or register files need this);
     the GPU object itself is discarded either way.
     """
-    if options is None:
-        options = RunOptions(
-            track_loads=track_loads,
-            keep_objects=keep_objects,
-            timeseries=timeseries,
-            max_concurrent_ctas=max_concurrent_ctas,
-            backend=backend,
-        )
-    elif (
-        track_loads or keep_objects or timeseries
-        or max_concurrent_ctas is not None
-        or backend is not None
-    ):
-        raise TypeError(
-            "run_kernel: pass either options=RunOptions(...) or the "
-            "legacy keywords, not both"
-        )
+    limit = options.max_concurrent_ctas
+    if limit is not None and limit < 1:
+        raise ValueError("CTA limit must be at least 1")
     # Imported lazily: repro.engine registers backends whose object
     # implementation imports this module (acyclic at import time).
     from repro.engine import EngineRequest, dispatch
@@ -316,7 +292,7 @@ def run_kernel(
         config=config,
         kernel=kernel,
         extension_factory=extension_factory,
-        max_concurrent_ctas=options.max_concurrent_ctas,
+        max_concurrent_ctas=limit,
         track_loads=options.track_loads,
         keep_objects=options.keep_objects,
         timeseries=options.timeseries,

@@ -53,9 +53,6 @@ class GTOScheduler:
                 return warp
         return None
 
-    def note_issue(self) -> None:
-        self.issues += 1
-
     def next_ready_cycle(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which some warp becomes issuable,
         considering only warps that are READY with a future ready_cycle.

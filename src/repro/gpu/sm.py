@@ -530,10 +530,6 @@ class SM:
             warp.ready_cycle = cycle + 1
         return True
 
-    def _track_load(self, pc: int, line_addr: int, hit: bool, cycle: int) -> None:
-        if self.load_tracker is not None:
-            self.load_tracker.record(pc, line_addr, hit, cycle)
-
     # ------------------------------------------------------------------
     # Timeseries recording
     # ------------------------------------------------------------------

@@ -79,9 +79,6 @@ class Warp:
         self._advance()
 
     # -- state transitions -------------------------------------------------
-    def is_issuable(self, cycle: int) -> bool:
-        return self.state is WarpState.READY and self.ready_cycle <= cycle
-
     def block_on_memory(self, num_responses: int) -> None:
         """Register outstanding line responses for an issued load.
 

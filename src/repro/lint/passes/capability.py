@@ -25,18 +25,9 @@ firing:
   override is then dead code. Pinning is legal only when guarded
   (inside an ``if``) or computed from configuration, e.g. Linebacker's
   ``self.has_victim_cache = cfg.enable_victim_cache``.
-* ``backend-capability-mismatch`` — the registry-level twin of the
-  same discipline: an architecture registered with a vectorized
-  backend in ``supports_backends`` whose runner attaches an SM
-  extension (``extension_factory=...``). The vector engine has no
-  extension hooks, so every job for that architecture would emit a
-  :class:`~repro.engine.base.BackendFallbackWarning` and silently run
-  on the object engine — the capability claim is a lie. Either drop
-  the backend from ``supports_backends`` or vectorize the hooks.
 
 The pass statically re-derives the flag <-> hook mapping from the
-``attach`` body (and the backend claims from ``@register(...)``
-decorations), so it tracks the real contract instead of a
+``attach`` body, so it tracks the real contract instead of a
 hand-maintained table.
 """
 
@@ -62,11 +53,6 @@ UNGATED_HOOKS = {
     "try_reactivate_cta",
     "finalize",
 }
-
-#: Backends that cannot run SM extensions; a runner registered for one
-#: of these must never pass ``extension_factory=``.
-EXTENSION_FREE_BACKENDS = ("vector",)
-
 
 def _methods(node: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     return {
@@ -259,66 +245,6 @@ def _ancestry_overrides(
     return overridden
 
 
-def _decorator_name(dec: ast.expr) -> Optional[str]:
-    if isinstance(dec, ast.Name):
-        return dec.id
-    if isinstance(dec, ast.Attribute):
-        return dec.attr
-    return None
-
-
-def _registered_runners(
-    project: Project,
-) -> Iterable[tuple[SourceFile, ast.FunctionDef, str, tuple[str, ...], int]]:
-    """Every ``@register(...)``-decorated runner with its claimed
-    backends: ``(src, fn, arch_name, backends, decoration line)``."""
-    for src in project.files:
-        for fn in (
-            n for n in ast.walk(src.tree) if isinstance(n, ast.FunctionDef)
-        ):
-            yield from _runner_decorations(src, fn)
-
-
-def _runner_decorations(src: SourceFile, fn: ast.FunctionDef):
-    for dec in fn.decorator_list:
-        if not isinstance(dec, ast.Call):
-            continue
-        if _decorator_name(dec.func) != "register":
-            continue
-        arch = ""
-        if dec.args and isinstance(dec.args[0], ast.Constant) and isinstance(
-            dec.args[0].value, str
-        ):
-            arch = dec.args[0].value
-        backends: tuple[str, ...] = ()
-        for kw in dec.keywords:
-            if kw.arg == "supports_backends" and isinstance(
-                kw.value, (ast.Tuple, ast.List)
-            ):
-                backends = tuple(
-                    elt.value
-                    for elt in kw.value.elts
-                    if isinstance(elt, ast.Constant)
-                    and isinstance(elt.value, str)
-                )
-        yield src, fn, arch, backends, dec.lineno
-
-
-def _attaches_extension(fn: ast.FunctionDef) -> Optional[int]:
-    """Line of the first ``extension_factory=<non-None>`` keyword in
-    ``fn``'s body, or None when the runner is extension-free."""
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        for kw in node.keywords:
-            if kw.arg != "extension_factory":
-                continue
-            if isinstance(kw.value, ast.Constant) and kw.value.value is None:
-                continue
-            return node.lineno
-    return None
-
-
 RULES = (
     Rule("capability-flag-unresolved", Severity.ERROR,
          "flag declared without attach auto-resolution (or vice versa)"),
@@ -328,9 +254,6 @@ RULES = (
          "capability flag not mirrored (or unused) as an SM _ext_ gate"),
     Rule("capability-flag-pinned", Severity.ERROR,
          "overridden hook with its flag pinned False unguarded"),
-    Rule("backend-capability-mismatch", Severity.ERROR,
-         "arch claims a vectorized backend but its runner attaches an "
-         "SM extension"),
 )
 
 
@@ -340,24 +263,6 @@ RULES = (
     "re-derives SMExtension.attach flag resolution statically",
 )
 def run(project: Project) -> Iterable[Finding]:
-    # 0. Registry backend claims vs runner bodies (independent of the
-    # SMExtension anchor: the registry may be linted on its own).
-    for r_src, r_fn, arch, backends, dec_line in _registered_runners(project):
-        claimed = [b for b in backends if b in EXTENSION_FREE_BACKENDS]
-        if not claimed:
-            continue
-        attach_line = _attaches_extension(r_fn)
-        if attach_line is not None:
-            yield make_finding(
-                "backend-capability-mismatch",
-                f"architecture {arch or r_fn.name!r} claims backend(s) "
-                f"{claimed} in supports_backends but its runner passes "
-                "extension_factory=; those engines have no extension "
-                "hooks, so every job would warn and fall back to "
-                "'object' — drop the claim or vectorize the hooks",
-                r_src, attach_line, PASS_NAME,
-            )
-
     entry = project.find_class(BASE_CLASS)
     if entry is None:
         return

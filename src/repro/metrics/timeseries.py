@@ -8,7 +8,7 @@ values into per-window deltas at each boundary; :class:`WindowSeries`
 is the bounded ring the rows land in, and the object that travels
 through snapshots, the wire protocol, and the result cache.
 
-Recording is opt-in (``run_kernel(..., timeseries=True)``); when it is
+Recording is opt-in (``RunOptions(timeseries=True)``); when it is
 off the SM holds no recorder and the per-tick cost is a single float
 compare against an infinite sentinel — the same trick the event
 fast-forward uses.

@@ -1,20 +1,20 @@
 """Run options: the knobs of one simulation, as one frozen record.
 
-:func:`repro.gpu.gpu.run_kernel` historically grew one boolean keyword
-per feature (``track_loads``, ``keep_objects``, ``timeseries``,
-``max_concurrent_ctas``). :class:`RunOptions` consolidates that surface
-into a single frozen dataclass shared by three layers:
+:class:`RunOptions` is the single option surface shared by three
+layers:
 
-* :func:`~repro.gpu.gpu.run_kernel` accepts ``options=RunOptions(...)``
-  (the old keywords remain as a thin compatibility shim for one
-  release);
+* :func:`~repro.gpu.gpu.run_kernel` takes ``options=RunOptions(...)``
+  and nothing else;
 * :meth:`repro.runner.spec.JobSpec.build` accepts ``options=`` and
   folds the **non-default** fields into the spec's sorted override
-  params — exactly the pairs the keywords produced, so content hashes
-  (and therefore every cache entry) are unchanged;
+  params — the same pairs keyword overrides produce, so either
+  spelling hashes (and therefore caches) identically;
 * the HTTP job schema (:mod:`repro.service.schema`) carries the same
   fields under the ``"options"`` key, so a JSON job submitted over the
   wire names precisely the knobs an in-process call would.
+
+Which fields an *architecture* can honour is decided in one place,
+:meth:`repro.runner.registry.ArchSpec.refuses`.
 
 The module sits below :mod:`repro.config` in the import graph (it
 depends on nothing inside the package), so every layer can import it

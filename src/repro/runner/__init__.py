@@ -43,7 +43,7 @@ from repro.runner.executors import (
     build_executor,
 )
 from repro.runner.fleet import JobOutcome, WorkerFleet
-from repro.runner.registry import ARCHITECTURES, ArchSpec, register, resolve
+from repro.runner.registry import ARCHITECTURES, ArchSpec, resolve
 from repro.runner.snapshot import (
     ExtensionSnapshot,
     L1Snapshot,
@@ -103,6 +103,5 @@ __all__ = [
     "portable",
     "portable_best_swl",
     "portable_result",
-    "register",
     "resolve",
 ]

@@ -1,90 +1,175 @@
 """String-keyed registry of every architecture the paper evaluates.
 
-This is the single source of truth for "what can be simulated":
-``ARCHITECTURES`` maps a name (``"baseline"``, ``"linebacker"``,
-``"pcal_svc"``, ...) to an :class:`ArchSpec` whose runner is a
-module-level function ``run(config, kernel, **params)``. Figure
-runners, the CLI and the parallel engine all go through this table —
-:meth:`ExperimentContext.run(app, arch) <repro.analysis.context.ExperimentContext.run>`
-instead of one hand-written method per architecture.
-
-Because runners are looked up *by name* inside worker processes, a
-:class:`~repro.runner.spec.JobSpec` stays a plain data record: no
-closures or bound methods ever cross the process boundary.
+Every configuration of Figs 5, 11, 12 and 15 is the *same* SM with a
+different policy plugged into the memory path and, for CacheExt, a
+differently sized L1 — data, not code. ``ARCHITECTURES`` maps a name to
+an :class:`ArchSpec` row; :meth:`ArchSpec.runner` is the one generic
+run function and :meth:`ArchSpec.refuses` the one arch-versus-option
+check. Workers look rows up *by name*, so a job stays plain data. A new
+mechanism is an ``SMExtension`` subclass plus one row here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
-from repro.baselines.cache_ext import (
-    config_with_cache_ext,
-    run_cache_ext,
-    run_swl_cache_ext,
-)
+from repro.baselines.cache_ext import best_swl_cache_ext, config_with_cache_ext
+from repro.baselines.ccws import ccws_factory
 from repro.baselines.cerf import PCALCERFFactory, cerf_factory
 from repro.baselines.pcal import pcal_factory
 from repro.baselines.swl import best_swl
 from repro.config import LinebackerConfig, SimulationConfig
 from repro.core.linebacker import linebacker_factory
 from repro.gpu.gpu import run_kernel
-from repro.options import RunOptions
 from repro.gpu.trace import KernelTrace
+from repro.options import RUN_OPTION_FIELDS, RunOptions
+
+_DEFAULTS = RunOptions()
 
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """One registered architecture.
+    """One registered architecture, as data.
 
-    ``returns`` distinguishes plain simulations (``"result"``, a
-    :class:`SimulationResult`) from the Best-SWL oracle sweep
-    (``"best_swl"``, a :class:`BestSWLResult`).
+    ``extension(config, **arch_params)`` returns the picklable per-SM
+    extension factory (absent: an extension-free machine);
+    ``configure(config, kernel, **arch_params)`` returns the
+    configuration the machine really runs (CacheExt's enlarged L1);
+    ``params`` names the parameters a job may carry next to its
+    :class:`~repro.options.RunOptions`. The two oracle sweeps instead
+    set ``sweep(config, kernel, options, **arch_params)``, which owns
+    the CTA limit of every leg it runs.
     """
 
     name: str
-    runner: Callable
     description: str = ""
-    returns: str = "result"
-    #: Whether the runner accepts ``timeseries=True`` and threads it to
-    #: :func:`run_kernel` (the ``trace`` CLI and ``run --timeseries``
-    #: only pass the override to architectures that advertise it).
-    supports_timeseries: bool = False
-    #: Execution backends this architecture can run on. Architectures
-    #: whose runner attaches an SM extension (Linebacker, PCAL, CERF)
-    #: are object-only until those hooks vectorize; extension-free
-    #: architectures run on every engine. Submission surfaces (CLI,
-    #: HTTP schema, figure contexts) validate/drop a ``backend``
-    #: override against this, mirroring ``supports_timeseries``.
-    supports_backends: tuple = ("object",)
+    extension: Optional[Callable] = None
+    configure: Optional[Callable] = None
+    params: tuple[str, ...] = ()
+    sweep: Optional[Callable] = None
+
+    @property
+    def supports_backends(self) -> tuple[str, ...]:
+        """Engines a job may pin — computed from the row, never
+        declared: extensions run only on ``object``."""
+        return ("object", "vector") if self.extension is None else ("object",)
+
+    def refuses(self, name: str, value: Any, job: bool = True) -> Optional[str]:
+        """Why this architecture cannot take ``name=value`` (an option
+        or a parameter); ``None`` when it can.
+
+        ``job`` is true for anything that becomes a :class:`JobSpec`
+        (cached, sent to workers, served over HTTP) and false for a
+        direct :meth:`runner` call, which may hand back live objects and
+        whose caller sees the warning when a pinned engine falls back.
+        """
+        why = None
+        if name not in RUN_OPTION_FIELDS:
+            if name not in self.params:
+                accepted = ", ".join(self.params + RUN_OPTION_FIELDS)
+                why = f"takes no parameter {name!r} (accepted: {accepted})"
+        elif value == getattr(_DEFAULTS, name):
+            pass
+        elif self.sweep is not None and name in ("timeseries", "max_concurrent_ctas"):
+            why = f"is an oracle sweep over CTA limits and does not support {name!r}"
+        elif job and name == "keep_objects":
+            why = (
+                "hands back live objects ('keep_objects') only from a direct "
+                "runner(...) call; they never cross the cache or the wire"
+            )
+        elif job and name == "backend" and value not in self.supports_backends:
+            supported = ", ".join(self.supports_backends)
+            why = f"does not support the {value!r} backend (supported: {supported})"
+        return why and f"architecture {self.name!r} {why}"
+
+    def runner(self, config: SimulationConfig, kernel: KernelTrace, **params: Any):
+        """Run ``kernel`` on this architecture; ``params`` mixes
+        ``RunOptions`` fields and the row's own, as a job's overrides do."""
+        for name, value in params.items():
+            reason = self.refuses(name, value, job=False)
+            if reason is not None:
+                raise TypeError(reason)
+        options, arch_params = RunOptions.from_overrides(params)
+        if self.sweep is not None:
+            return self.sweep(config, kernel, options, **arch_params)
+        if self.configure is not None:
+            config = self.configure(config, kernel, **arch_params)
+        factory = self.extension(config, **arch_params) if self.extension else None
+        return run_kernel(config, kernel, factory, options)
 
 
-ARCHITECTURES: dict[str, ArchSpec] = {}
+def _linebacker(config, lb_config: Optional[LinebackerConfig] = None, bypass=False, **switches):
+    """Linebacker over ``lb_config`` (default: the config's own) with
+    the named ``LinebackerConfig`` feature switches overridden."""
+    lb = replace(lb_config or config.linebacker, **switches)
+    return linebacker_factory(lb, enable_bypass_throttling=bypass)
 
 
-def register(
-    name: str,
-    description: str = "",
-    returns: str = "result",
-    supports_timeseries: bool = False,
-    supports_backends: tuple = ("object",),
-):
-    """Register a module-level run function as architecture ``name``."""
+def _policy(factory, config):
+    """A comparison policy parameterized by the Linebacker config."""
+    return factory(config.linebacker)
 
-    def wrap(fn: Callable) -> Callable:
-        # This *is* the module-level registration mechanism; the
-        # decorator runs at import time, so workers re-register too.
-        ARCHITECTURES[name] = ArchSpec(  # repro-lint: ignore[registry-local-runner]
-            name=name,
-            runner=fn,
-            description=description,
-            returns=returns,
-            supports_timeseries=supports_timeseries,
-            supports_backends=supports_backends,
-        )
-        return fn
 
-    return wrap
+_ROWS = (
+    ArchSpec("baseline", "stock GPU, no memory-path policy"),
+    ArchSpec("best_swl", "oracle static CTA-limit sweep", sweep=best_swl),
+    ArchSpec(
+        "linebacker",
+        "full Linebacker (throttling + selective victim cache)",
+        extension=_linebacker,
+        params=("lb_config",),
+    ),
+    ArchSpec(
+        "victim_caching",
+        "Fig 11: keep every victim, no throttling",
+        extension=partial(_linebacker, enable_selective=False, enable_throttling=False),
+    ),
+    ArchSpec(
+        "selective_victim_caching",
+        "Fig 11: SUR space only, no throttling",
+        extension=partial(_linebacker, enable_throttling=False),
+    ),
+    ArchSpec(
+        "pcal", "PCAL bypass-token throttling (HPCA 2015)", extension=partial(_policy, pcal_factory)
+    ),
+    ArchSpec(
+        "cerf", "CERF unified RF/L1 caching (MICRO 2016)", extension=partial(_policy, cerf_factory)
+    ),
+    ArchSpec(
+        "ccws",
+        "CCWS dynamic warp throttling (MICRO 2012; Sec 2.4 ablation)",
+        extension=partial(_policy, ccws_factory),
+    ),
+    ArchSpec(
+        "pcal_svc",
+        "Fig 15: PCAL bypass throttling + SUR victim cache",
+        extension=partial(_linebacker, enable_throttling=False, bypass=True),
+    ),
+    ArchSpec(
+        "pcal_cerf",
+        "Fig 15: PCAL bypass throttling over a CERF cache",
+        extension=partial(_policy, PCALCERFFactory),
+    ),
+    ArchSpec(
+        "cache_ext", "Sec 2.4: idealized SUR-enlarged L1", configure=config_with_cache_ext
+    ),
+    ArchSpec(
+        "best_swl_cache_ext",
+        "Sec 2.4: oracle throttling + (SUR+DUR)-enlarged L1",
+        sweep=best_swl_cache_ext,
+        params=("cta_limit",),
+    ),
+    ArchSpec(
+        "lb_cache_ext",
+        "Fig 15: Linebacker over the idealized enlarged L1",
+        extension=_linebacker,
+        configure=config_with_cache_ext,
+    ),
+)
+
+ARCHITECTURES: dict[str, ArchSpec] = {row.name: row for row in _ROWS}
 
 
 def resolve(name: str) -> ArchSpec:
@@ -93,223 +178,3 @@ def resolve(name: str) -> ArchSpec:
     except KeyError:
         known = ", ".join(sorted(ARCHITECTURES))
         raise KeyError(f"unknown architecture {name!r}; known: {known}") from None
-
-
-# ---------------------------------------------------------------------------
-# Architecture runners. Signature: run(config, kernel, **params).
-# ---------------------------------------------------------------------------
-@register(
-    "baseline",
-    "stock GPU, no memory-path policy",
-    supports_timeseries=True,
-    supports_backends=("object", "vector"),
-)
-def _run_baseline(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    track_loads: bool = False,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    return run_kernel(
-        config, kernel,
-        options=RunOptions(
-            track_loads=track_loads, timeseries=timeseries, backend=backend
-        ),
-    )
-
-
-@register(
-    "best_swl",
-    "oracle static CTA-limit sweep",
-    returns="best_swl",
-    supports_backends=("object", "vector"),
-)
-def _run_best_swl(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    backend: Optional[str] = None,
-):
-    return best_swl(config, kernel, backend=backend)
-
-
-@register(
-    "linebacker",
-    "full Linebacker (throttling + selective victim cache)",
-    supports_timeseries=True,
-)
-def _run_linebacker(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    lb_config: Optional[LinebackerConfig] = None,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    lb = lb_config or config.linebacker
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=linebacker_factory(lb),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register(
-    "victim_caching",
-    "Fig 11: keep every victim, no throttling",
-    supports_timeseries=True,
-)
-def _run_victim_caching(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    lb = replace(config.linebacker, enable_selective=False, enable_throttling=False)
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=linebacker_factory(lb),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register(
-    "selective_victim_caching",
-    "Fig 11: SUR space only, no throttling",
-    supports_timeseries=True,
-)
-def _run_selective_victim_caching(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    lb = replace(config.linebacker, enable_throttling=False)
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=linebacker_factory(lb),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register("pcal", "PCAL bypass-token throttling (HPCA 2015)", supports_timeseries=True)
-def _run_pcal(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=pcal_factory(config.linebacker),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register("cerf", "CERF unified RF/L1 caching (MICRO 2016)", supports_timeseries=True)
-def _run_cerf(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=cerf_factory(config.linebacker),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register(
-    "pcal_svc",
-    "Fig 15: PCAL bypass throttling + SUR victim cache",
-    supports_timeseries=True,
-)
-def _run_pcal_svc(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    lb = replace(config.linebacker, enable_throttling=False)
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=linebacker_factory(lb, enable_bypass_throttling=True),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register(
-    "pcal_cerf",
-    "Fig 15: PCAL bypass throttling over a CERF cache",
-    supports_timeseries=True,
-)
-def _run_pcal_cerf(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    return run_kernel(
-        config,
-        kernel,
-        extension_factory=PCALCERFFactory(config.linebacker),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )
-
-
-@register(
-    "cache_ext",
-    "Sec 2.4: idealized SUR-enlarged L1",
-    supports_backends=("object", "vector"),
-)
-def _run_cache_ext(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    backend: Optional[str] = None,
-):
-    return run_cache_ext(config, kernel, backend=backend)
-
-
-@register(
-    "best_swl_cache_ext",
-    "Sec 2.4: oracle throttling + (SUR+DUR)-enlarged L1",
-    supports_backends=("object", "vector"),
-)
-def _run_best_swl_cache_ext(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    cta_limit: Optional[int] = None,
-    backend: Optional[str] = None,
-):
-    limit = (
-        cta_limit
-        if cta_limit is not None
-        else best_swl(config, kernel, backend=backend).best_limit
-    )
-    return run_swl_cache_ext(config, kernel, limit, backend=backend)
-
-
-@register(
-    "lb_cache_ext",
-    "Fig 15: Linebacker over the idealized enlarged L1",
-    supports_timeseries=True,
-)
-def _run_lb_cache_ext(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    timeseries: bool = False,
-    backend: Optional[str] = None,
-):
-    cfg = config_with_cache_ext(config, kernel)
-    return run_kernel(
-        cfg,
-        kernel,
-        extension_factory=linebacker_factory(cfg.linebacker),
-        options=RunOptions(timeseries=timeseries, backend=backend),
-    )

@@ -24,6 +24,7 @@ from typing import Any, Mapping, Optional
 
 from repro.config import SimulationConfig, stable_hash
 from repro.options import RunOptions
+from repro.runner.registry import resolve
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -67,9 +68,23 @@ class JobSpec:
         When ``app`` names a registered workload (and no explicit
         ``workload`` is given), the registered spec is attached so the
         job stays self-contained across process boundaries.
+
+        Every submission surface (``Session``, ``ExperimentContext``,
+        the HTTP schema) ends here, so this is where a job is checked
+        against its architecture: an unknown architecture, or an option
+        or parameter it :meth:`~repro.runner.registry.ArchSpec.refuses`,
+        raises ``ValueError`` before anything is hashed, cached or sent.
         """
         merged = dict(options.to_overrides()) if options is not None else {}
         merged.update(overrides or {})
+        try:
+            row = resolve(arch)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        for name, value in merged.items():
+            reason = row.refuses(name, value)
+            if reason is not None:
+                raise ValueError(reason)
         params = tuple(sorted(merged.items()))
         if workload is None:
             from repro.workloads.spec import registered_workload

@@ -27,9 +27,11 @@ Design rules:
   produces. A job submitted over HTTP therefore hits the same cache
   entry an inline run would.
 * **Closed world**: unknown config fields, unknown option names,
-  non-scalar override values and unregistered apps/architectures are
-  all rejected at decode time with a message a remote client can act
-  on, instead of surfacing as a pickled traceback mid-simulation.
+  non-scalar override values, unregistered apps/architectures and any
+  option or parameter the architecture refuses
+  (:meth:`~repro.runner.registry.ArchSpec.refuses`) are all rejected
+  at decode time with a message a remote client can act on, instead of
+  surfacing as a pickled traceback mid-simulation.
 
 ``config`` is optional (defaults to :func:`repro.config.scaled_config`
 with the submitted ``sms`` hint, or its plain default); ``options`` and
@@ -48,9 +50,7 @@ from repro.runner.spec import JobSpec
 #: Bump on any incompatible change to the JSON job document shape.
 #: v2: optional ``workload`` member carrying a declarative workload
 #: document (``repro.workloads.spec``) for non-Table-2 apps.
-#: v3: ``options.backend`` selects the execution engine; decoders
-#: validate the name against the backend registry and the arch's
-#: ``supports_backends`` capability.
+#: v3: ``options.backend`` selects the execution engine.
 JOB_SCHEMA_VERSION = 3
 
 #: Override keys whose values are dataclasses (encoded as field dicts).
@@ -172,7 +172,6 @@ def decode_jobspec(doc: Any) -> JobSpec:
         raise SchemaError("job: 'app' and 'arch' must be strings")
     # Validate against the registries up front so a typo comes back as
     # a 400 with the known names, not a worker-side traceback.
-    from repro.runner.registry import ARCHITECTURES
     from repro.workloads.spec import (
         WorkloadSpecError,
         decode_workload,
@@ -205,11 +204,6 @@ def decode_jobspec(doc: Any) -> JobSpec:
                 f"unknown app {app!r}; known: {', '.join(ALL_APPS)} "
                 "(or attach a 'workload' document)"
             )
-    if arch not in ARCHITECTURES:
-        raise SchemaError(
-            f"unknown architecture {arch!r}; known: "
-            f"{', '.join(sorted(ARCHITECTURES))}"
-        )
 
     scale = doc.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or isinstance(scale, bool):
@@ -234,25 +228,6 @@ def decode_jobspec(doc: Any) -> JobSpec:
         options = RunOptions(**opt_doc)
     except TypeError as exc:
         raise SchemaError(f"options: {exc}") from None
-    if options.backend is not None:
-        # Reject unknown engines and arch/backend mismatches at decode
-        # time: a coordinator-side 400 names the fix, whereas a
-        # worker-side BackendFallbackWarning is invisible to the
-        # remote client that pinned the backend.
-        from repro.engine import backend_names
-
-        if options.backend not in backend_names():
-            raise SchemaError(
-                f"options.backend: unknown backend {options.backend!r}; "
-                f"known: {', '.join(backend_names())}"
-            )
-        supported = ARCHITECTURES[arch].supports_backends
-        if options.backend not in supported:
-            raise SchemaError(
-                f"options.backend: architecture {arch!r} does not support "
-                f"the {options.backend!r} backend (supported: "
-                f"{', '.join(supported)})"
-            )
 
     over_doc = doc.get("overrides", {})
     if not isinstance(over_doc, Mapping):
@@ -270,12 +245,19 @@ def decode_jobspec(doc: Any) -> JobSpec:
                 f"{type(value).__name__}"
             )
 
-    return JobSpec.build(
-        app=app,
-        arch=arch,
-        config=config,
-        scale=float(scale),
-        overrides=overrides,
-        options=options,
-        workload=workload,
-    )
+    # JobSpec.build checks the job against its architecture (unknown
+    # name, an option or parameter it refuses): a 400 naming the fix,
+    # where a worker-side traceback or fallback warning would be
+    # invisible to the remote client.
+    try:
+        return JobSpec.build(
+            app=app,
+            arch=arch,
+            config=config,
+            scale=float(scale),
+            overrides=overrides,
+            options=options,
+            workload=workload,
+        )
+    except ValueError as exc:
+        raise SchemaError(f"job: {exc}") from None

@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.config import scaled_config
-from repro.options import RunOptions
 from repro.workloads.classify import WorkloadClassification, classify_workload
 from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
 from repro.workloads.spec import (
@@ -545,8 +544,6 @@ def differential_check(
     bit for bit against a pinned ``object`` run, so a fuzzed workload
     that diverges between engines fails the harness.
     """
-    from repro.core.linebacker import linebacker_factory
-    from repro.gpu.gpu import run_kernel
     from repro.runner.engine import ExperimentRunner, execute_job
     from repro.runner.registry import resolve
     from repro.runner.spec import JobSpec
@@ -555,14 +552,9 @@ def differential_check(
     config = scaled_config(num_sms=sms)
     kernel = build_workload(spec, scale)
 
-    # Live Linebacker run (same construction as the registry's
-    # ``linebacker`` arch, plus keep_objects so the VTTs stay
-    # inspectable): conservation + VTT structure + backups.
-    live = run_kernel(
-        config, kernel,
-        extension_factory=linebacker_factory(config.linebacker),
-        options=RunOptions(keep_objects=True),
-    )
+    # Live Linebacker run (keep_objects so the VTTs stay inspectable):
+    # conservation + VTT structure + backups.
+    live = resolve("linebacker").runner(config, kernel, keep_objects=True)
     problems += _conservation_problems(live, "linebacker")
     problems += _vtt_problems(live.extensions, "linebacker")
 

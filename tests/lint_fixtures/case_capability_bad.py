@@ -15,10 +15,7 @@ Expected findings:
 * ``SM._ext_wants_loads`` is assigned but never read
   (capability-gate-missing);
 * ``MutedExtension`` overrides ``on_tick`` while pinning
-  ``wants_ticks = False`` unconditionally (capability-flag-pinned);
-* the ``muted`` architecture claims the ``vector`` backend in
-  ``supports_backends`` while its runner attaches an extension
-  (backend-capability-mismatch).
+  ``wants_ticks = False`` unconditionally (capability-flag-pinned).
 """
 
 
@@ -87,25 +84,3 @@ class MutedExtension(SMExtension):
 
     def on_tick(self, cycle):
         pass
-
-
-_REGISTRY = {}
-
-
-def register(name, supports_backends=("object",)):
-    def wrap(fn):
-        _REGISTRY[name] = (fn, supports_backends)
-        return fn
-
-    return wrap
-
-
-def run_kernel(config, kernel, extension_factory=None):
-    pass
-
-
-@register("muted", supports_backends=("object", "vector"))
-def _run_muted(config, kernel):
-    # backend-capability-mismatch: claims "vector" but attaches an
-    # extension the vector engine cannot run.
-    return run_kernel(config, kernel, extension_factory=MutedExtension)

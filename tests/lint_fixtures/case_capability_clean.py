@@ -54,36 +54,3 @@ class ConfigurableExtension(SMExtension):
 
     def on_tick(self, cycle):
         pass
-
-
-_REGISTRY = {}
-
-
-def register(name, supports_backends=("object",)):
-    def wrap(fn):
-        _REGISTRY[name] = (fn, supports_backends)
-        return fn
-
-    return wrap
-
-
-def run_kernel(config, kernel, extension_factory=None):
-    pass
-
-
-@register("plain", supports_backends=("object", "vector"))
-def _run_plain(config, kernel):
-    # A vector claim is fine on an extension-free runner.
-    return run_kernel(config, kernel)
-
-
-@register("extended")
-def _run_extended(config, kernel):
-    # Attaching an extension is fine when the arch stays object-only.
-    return run_kernel(config, kernel, extension_factory=ConfigurableExtension)
-
-
-@register("explicit_none", supports_backends=("object", "vector"))
-def _run_explicit_none(config, kernel):
-    # An explicit extension_factory=None is extension-free.
-    return run_kernel(config, kernel, extension_factory=None)

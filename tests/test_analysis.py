@@ -67,6 +67,26 @@ class TestContext:
         assert vc is not svc
 
 
+    def test_default_overrides_drop_where_the_architecture_refuses(self):
+        """`run --timeseries --backend vector` folds both into every
+        spec an architecture can honour and into no other, so a figure
+        sweep neither fails nor moves the keys of the rest."""
+        ctx = ExperimentContext(
+            apps=("S2",), default_overrides={"timeseries": True, "backend": "vector"}
+        )
+        assert ctx.spec("S2", "baseline").overrides == {
+            "timeseries": True, "backend": "vector",
+        }
+        assert ctx.spec("S2", "best_swl").overrides == {"backend": "vector"}
+        assert ctx.spec("S2", "linebacker").overrides == {"timeseries": True}
+        assert ctx.spec("S2", "ccws", track_loads=True).overrides == {
+            "timeseries": True, "track_loads": True,
+        }
+        # Explicit overrides are never dropped: they are refused.
+        with pytest.raises(ValueError, match="'best_swl'.*'timeseries'"):
+            ctx.spec("S2", "best_swl", timeseries=True)
+
+
 class TestFigureRunnersSmoke:
     def test_fig1_shape(self, tiny_ctx):
         data = run_fig1(tiny_ctx)

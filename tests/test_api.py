@@ -84,19 +84,13 @@ class TestRunOptions:
 
     def test_run_kernel_accepts_options_object(self):
         kernel = kernel_for("S2", TINY)
-        via_options = run_kernel(
-            CFG, kernel, options=RunOptions(track_loads=True)
-        )
-        via_kwargs = run_kernel(CFG, kernel, track_loads=True)
-        assert via_options.instructions == via_kwargs.instructions
-        assert via_options.sms[0].load_tracker is not None
+        tracked = run_kernel(CFG, kernel, options=RunOptions(track_loads=True))
+        assert tracked.instructions == run_kernel(CFG, kernel).instructions
+        assert tracked.sms[0].load_tracker is not None
 
-    def test_run_kernel_rejects_mixing_styles(self):
-        with pytest.raises(TypeError, match="not both"):
-            run_kernel(
-                CFG, kernel_for("S2", TINY),
-                options=RunOptions(), track_loads=True,
-            )
+    def test_run_kernel_has_one_option_spelling(self):
+        with pytest.raises(TypeError):
+            run_kernel(CFG, kernel_for("S2", TINY), track_loads=True)
 
 
 class TestSessionLocal:

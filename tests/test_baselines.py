@@ -3,18 +3,20 @@ and the idealized CacheExt configurations."""
 
 import pytest
 
-from repro.baselines.cache_ext import (
-    config_with_cache_ext,
-    extended_l1_bytes,
-    run_cache_ext,
-)
-from repro.baselines.cerf import CERFExtension, run_cerf
-from repro.baselines.pcal import PCALExtension, run_pcal
-from repro.baselines.swl import best_swl, clear_cache, run_swl, sweep_limits
+from repro.baselines.cache_ext import config_with_cache_ext, extended_l1_bytes
+from repro.baselines.cerf import CERFExtension
+from repro.baselines.pcal import PCALExtension
+from repro.baselines.swl import best_swl, run_swl, sweep_limits
 from repro.config import scaled_config
 from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
+from repro.runner.registry import resolve
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+
+#: Every comparison architecture runs through its registry row.
+run_pcal = resolve("pcal").runner
+run_cerf = resolve("cerf").runner
+run_cache_ext = resolve("cache_ext").runner
 
 
 def config():
@@ -54,15 +56,6 @@ class TestSWL:
         outcome = best_swl(cfg, kernel())
         assert outcome.ipc == max(outcome.sweep_ipc.values())
         assert outcome.sweep_ipc[outcome.best_limit] == outcome.ipc
-
-    def test_best_swl_memoizes(self):
-        clear_cache()
-        cfg = config()
-        k = kernel()
-        first = best_swl(cfg, k, cache_key=("test-app",))
-        second = best_swl(cfg, k, cache_key=("test-app",))
-        assert first is second
-        clear_cache()
 
 
 class TestPCAL:

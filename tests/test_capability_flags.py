@@ -24,6 +24,7 @@ from repro.config import scaled_config
 from repro.core.linebacker import linebacker_factory
 from repro.gpu.extension import SMExtension
 from repro.gpu.gpu import run_kernel
+from repro.options import RunOptions
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
 
 #: flag -> the hook it gates (the contract the SM hot path relies on).
@@ -121,7 +122,7 @@ def run_with(factory):
     cfg = scaled_config(num_sms=1)
     ext_factory = factory(cfg.linebacker) if factory else None
     return run_kernel(
-        cfg, tiny_kernel(), extension_factory=ext_factory, keep_objects=True
+        cfg, tiny_kernel(), extension_factory=ext_factory, options=RunOptions(keep_objects=True)
     )
 
 
@@ -161,7 +162,7 @@ def test_cache_ext_runs_an_inert_base_extension():
     cfg = scaled_config(num_sms=1)
     kernel = tiny_kernel()
     result = run_kernel(
-        config_with_cache_ext(cfg, kernel), kernel, keep_objects=True
+        config_with_cache_ext(cfg, kernel), kernel, options=RunOptions(keep_objects=True)
     )
     ext = result.extensions[0]
     assert type(ext) is SMExtension
@@ -173,6 +174,6 @@ def test_plain_base_extension_resolves_all_false():
     assert all(getattr(ext, flag) is None for flag in FLAG_HOOKS)
     result = run_kernel(
         scaled_config(num_sms=1), tiny_kernel(),
-        extension_factory=SMExtension, keep_objects=True,
+        extension_factory=SMExtension, options=RunOptions(keep_objects=True),
     )
     assert flags_of(result.extensions[0]) == {f: False for f in FLAG_HOOKS}

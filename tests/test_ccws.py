@@ -1,12 +1,14 @@
 """Tests for the CCWS baseline (lost-locality warp throttling)."""
 
-from repro.baselines.ccws import (
-    LOST_LOCALITY_SCORE,
-    run_ccws,
-)
+from repro.baselines.ccws import LOST_LOCALITY_SCORE
 from repro.config import scaled_config
 from repro.gpu.gpu import run_kernel
+from repro.runner.registry import resolve
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+
+
+#: CCWS is a registry row like every other architecture.
+run_ccws = resolve("ccws").runner
 
 
 def config():

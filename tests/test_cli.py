@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import FIGURES, main
+from repro.runner import ARCHITECTURES
 
 
 class TestCLI:
@@ -11,6 +12,30 @@ class TestCLI:
         out = capsys.readouterr().out
         for name in FIGURES:
             assert name in out
+
+    def test_list_archs_prints_derived_columns(self, capsys):
+        assert main(["list", "--archs"]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:4]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0] in ARCHITECTURES
+        }
+        assert set(rows) == set(ARCHITECTURES)
+        # returns, the engine an unpinned job runs on, extra params.
+        assert rows["baseline"] == ["result", "vector", "-"]
+        assert rows["best_swl_cache_ext"] == ["sweep", "vector", "cta_limit"]
+        assert rows["linebacker"] == ["result", "object", "lb_config"]
+        assert rows["ccws"] == ["result", "object", "-"]
+
+    def test_submit_refuses_a_bad_pair_before_connecting(self, capsys):
+        # Port 9 is never dialled: the job is refused when it is built.
+        for flags in (["--arch", "linebacker", "--backend", "vector"],
+                      ["--arch", "best_swl", "--timeseries"],
+                      ["--arch", "warp9"]):
+            with pytest.raises(SystemExit) as err:
+                main(["submit", "--url", "http://127.0.0.1:9", *flags])
+            assert err.value.code == 2
+            assert flags[1] in capsys.readouterr().err
 
     def test_overhead_command(self, capsys):
         assert main(["overhead"]) == 0

@@ -530,7 +530,7 @@ class TestSharedCacheBackend:
 # ---------------------------------------------------------------------------
 class TestKeyStability:
     def canonical_spec(self):
-        return make_spec(track_loads=True, cta_limit=4)
+        return make_spec(track_loads=True, max_concurrent_ctas=4)
 
     def test_key_identical_in_child_process(self):
         """stable_hash must not depend on PYTHONHASHSEED, interning, or
@@ -540,7 +540,7 @@ class TestKeyStability:
             "from repro.runner import JobSpec\n"
             "spec = JobSpec.build('S2', 'baseline',"
             " scaled_config(num_sms=1, window_cycles=600), scale=0.05,"
-            " overrides={'track_loads': True, 'cta_limit': 4})\n"
+            " overrides={'track_loads': True, 'max_concurrent_ctas': 4})\n"
             "print(spec.key)\n"
         )
         proc = subprocess.run(
@@ -553,7 +553,7 @@ class TestKeyStability:
         assert proc.stdout.strip() == self.canonical_spec().key
 
     def test_key_invariant_under_override_insertion_order(self):
-        items = [("a", 1), ("b", 2.5), ("c", "x")]
+        items = [("track_loads", True), ("max_concurrent_ctas", 2), ("backend", "object")]
         keys = {
             JobSpec.build("S2", "baseline", CFG, overrides=dict(perm)).key
             for perm in permutations(items)
@@ -567,23 +567,23 @@ class TestKeyStability:
     def test_every_single_field_mutation_changes_key(self):
         base = self.canonical_spec()
         mutations = {
-            "app": make_spec(app="LI", track_loads=True, cta_limit=4),
-            "arch": make_spec(arch="linebacker", track_loads=True, cta_limit=4),
-            "scale": make_spec(scale=0.06, track_loads=True, cta_limit=4),
+            "app": make_spec(app="LI", track_loads=True, max_concurrent_ctas=4),
+            "arch": make_spec(arch="linebacker", track_loads=True, max_concurrent_ctas=4),
+            "scale": make_spec(scale=0.06, track_loads=True, max_concurrent_ctas=4),
             "seed": make_spec(
                 config=replace(CFG, seed=CFG.seed + 1),
                 track_loads=True,
-                cta_limit=4,
+                max_concurrent_ctas=4,
             ),
             "deep config": make_spec(
                 config=replace(CFG, gpu=CFG.gpu.with_l1_size(16 * 1024)),
                 track_loads=True,
-                cta_limit=4,
+                max_concurrent_ctas=4,
             ),
-            "override value": make_spec(track_loads=True, cta_limit=5),
+            "override value": make_spec(track_loads=True, max_concurrent_ctas=5),
             "override removed": make_spec(track_loads=True),
             "override added": make_spec(
-                track_loads=True, cta_limit=4, extra=True
+                track_loads=True, max_concurrent_ctas=4, timeseries=True
             ),
         }
         keys = {"base": base.key}

@@ -8,6 +8,7 @@ from repro.core.linebacker import linebacker_factory
 from repro.gpu.gpu import GPU, run_kernel
 from repro.gpu.isa import alu, exit_inst, load, store
 from repro.gpu.trace import from_instruction_lists
+from repro.options import RunOptions
 
 
 def cfg(**kw):
@@ -24,7 +25,7 @@ class TestMSHRExhaustion:
         config = cfg(l1_mshrs=2)
         per_warp = [[[load(0x100, [w * 50 + i]) for i in range(20)] for w in range(4)]]
         kernel = from_instruction_lists("mshr", per_warp, regs_per_thread=8)
-        result = run_kernel(config, kernel, keep_objects=True)
+        result = run_kernel(config, kernel, options=RunOptions(keep_objects=True))
         assert result.instructions == 4 * 21
         assert result.sms[0].mshr.stalls > 0
 

@@ -16,6 +16,7 @@ from repro.core.linebacker import linebacker_factory
 from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
 from repro.gpu.isa import load
+from repro.options import RunOptions
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
 
 
@@ -59,7 +60,7 @@ def run_lb(cfg, kernel, lb_config=None):
         cfg,
         kernel,
         extension_factory=linebacker_factory(lb_config or cfg.linebacker),
-        keep_objects=True,
+        options=RunOptions(keep_objects=True),
     )
     return result, result.extensions[0]
 

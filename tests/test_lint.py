@@ -64,7 +64,6 @@ EXPECTED = {
             "hook-missing-flag": 1,
             "capability-gate-missing": 3,
             "capability-flag-pinned": 1,
-            "backend-capability-mismatch": 1,
         },
     ),
     "pickle-safety": (

@@ -32,6 +32,7 @@ from repro.metrics import (
     metric_set,
     metric_sets,
 )
+from repro.options import RunOptions
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.wire import decode_result, encode_result
 from repro.workloads.suite import kernel_for
@@ -200,7 +201,7 @@ def _tiny_run(timeseries: bool):
         config,
         kernel_for("GE", scale=0.1),
         extension_factory=linebacker_factory(config.linebacker),
-        timeseries=timeseries,
+        options=RunOptions(timeseries=timeseries),
     )
 
 

@@ -74,8 +74,12 @@ class TestStableHash:
         assert len(keys) == len(variants) + 1
 
     def test_hash_ignores_override_order(self):
-        a = JobSpec.build("S2", "x", CFG, overrides={"p": 1, "q": 2})
-        b = JobSpec.build("S2", "x", CFG, overrides={"q": 2, "p": 1})
+        a = JobSpec.build(
+            "S2", "baseline", CFG, overrides={"track_loads": True, "timeseries": True}
+        )
+        b = JobSpec.build(
+            "S2", "baseline", CFG, overrides={"timeseries": True, "track_loads": True}
+        )
         assert a.key == b.key
 
     def test_canonical_rejects_unencodable(self):
@@ -112,7 +116,8 @@ class TestRegistry:
         ctx = ExperimentContext(
             config=CFG, scale=0.1, apps=("S2",), runner=make_runner(tmp_path)
         )
-        with pytest.raises(KeyError):
+        # Refused when the spec is built, before anything is dispatched.
+        with pytest.raises(ValueError, match="unknown architecture 'not_an_arch'"):
             ctx.run("S2", "not_an_arch")
 
     def test_factories_are_picklable(self):
@@ -301,7 +306,7 @@ class TestExecuteJob:
         assert seconds > 0.0
 
     def test_spec_is_picklable(self):
-        spec = make_spec(lb_config=CFG.linebacker)
+        spec = make_spec(arch="linebacker", lb_config=CFG.linebacker)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.key == spec.key

@@ -24,6 +24,7 @@ from repro.workloads.suite import APP_SPECS, kernel_for
 TEST_MODULES = {
     "test_analysis",
     "test_api",
+    "test_arch_matrix",
     "test_backends",
     "test_backup",
     "test_baselines",
@@ -35,6 +36,7 @@ TEST_MODULES = {
     "test_cli",
     "test_combos",
     "test_config",
+    "test_context_callers",
     "test_cta_throttle",
     "test_distributed",
     "test_dram_l2",

@@ -8,6 +8,7 @@ from repro.config import scaled_config
 from repro.core.cta_throttle import SearchPhase
 from repro.core.linebacker import LinebackerExtension
 from repro.gpu.gpu import run_kernel
+from repro.options import RunOptions
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
 
 
@@ -55,7 +56,8 @@ def run():
     )
     cfg = scaled_config(num_sms=1, window_cycles=400)
     result = run_kernel(
-        cfg, build_kernel(spec), extension_factory=RecordingLinebacker, keep_objects=True
+        cfg, build_kernel(spec), extension_factory=RecordingLinebacker,
+        options=RunOptions(keep_objects=True),
     )
     return result, result.extensions[0]
 
