@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("object", "vector"),
         default=None,
-        help="pin the execution engine for every supporting "
-        "architecture (distinct cache keys per backend; unset, each "
-        "job runs on the engine chosen from its request)",
+        help="pin the execution engine of every job (distinct cache "
+        "keys per backend; unset, each job runs on the engine chosen "
+        "from its request)",
     )
 
     trace_p = sub.add_parser(
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--backend",
                           choices=("object", "vector"),
                           default=None,
-                          help="pin the execution engine (refused when the "
-                          "architecture cannot run on it; see list --archs)")
+                          help="pin the execution engine (list --archs shows "
+                          "the one an unpinned job runs on)")
     submit_p.add_argument("--no-wait", action="store_true",
                           help="print job ids and exit without polling")
     submit_p.add_argument("--timeout", type=float, default=600.0,
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("object", "vector"),
         default=None,
         help="execution engine to benchmark (default: chosen from the "
-        "request, which for these extension-free runs is vector)",
+        "request, which for these plain runs is vector)",
     )
     bench_p.add_argument(
         "--native",
@@ -356,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("object", "vector"),
                         default=None,
                         help="pin the engine of the extension-free "
-                        "legs; pinned or chosen, the baseline is checked "
-                        "bit-identical against a pinned object run")
+                        "legs; pinned or chosen, the baseline and the "
+                        "Linebacker leg are checked bit-identical against "
+                        "a pinned object run")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("info", "clear"))

@@ -15,8 +15,7 @@ from typing import Optional
 
 from repro.config import SimulationConfig
 from repro.gpu.gpu import SimulationResult, run_kernel
-from repro.gpu.sm import SM
-from repro.gpu.trace import KernelTrace
+from repro.gpu.trace import KernelTrace, hardware_occupancy
 from repro.options import RunOptions
 
 
@@ -62,7 +61,7 @@ def best_swl(
     ``options`` apply to every leg of the sweep (the CTA limit is the
     sweep's own variable).
     """
-    max_occ = SM.hardware_occupancy(config.gpu, kernel)
+    max_occ = hardware_occupancy(config.gpu, kernel)
     sweep: dict[int, float] = {}
     best_limit = max_occ
     best_result: Optional[SimulationResult] = None

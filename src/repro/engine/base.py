@@ -23,14 +23,15 @@ backends ship:
 ``vector``
     A lean engine over struct-of-arrays state with numpy bulk trace
     compilation (:mod:`repro.engine.vector`). Bit-identical to
-    ``object`` on every reported statistic, but only for the feature
-    subset it declares (extension-free, snapshot-result runs).
+    ``object`` on every reported statistic, extension hooks included,
+    for the feature subset it declares (snapshot-result runs on the
+    simple DRAM model, no load tracking, timeseries or NoC).
 
 With ``RunOptions.backend=None`` :func:`select_backend` chooses the
 engine from the request — the first of :data:`SELECTION_ORDER` that
-supports it, so extension-free runs take ``vector`` — and, the two
-being bit-identical wherever both run, the choice stays out of job
-cache identity. A named backend is pinned (differential tests, ``repro
+supports it, so every architecture at default options takes
+``vector`` — and, the two being bit-identical wherever both run, the
+choice stays out of job cache identity. A named backend is pinned (differential tests, ``repro
 bench``): it joins the cache key and falls back loudly (a
 :class:`BackendFallbackWarning`) when it declines the request.
 """

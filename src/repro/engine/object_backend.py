@@ -5,9 +5,9 @@ per-SM event heap, live ``SetAssociativeCache``/``MSHRFile`` instances
 — extracted behind the :class:`~repro.engine.base.EngineBackend`
 interface. It supports the full feature surface (extensions, load
 tracking, timeseries, live result objects, timing DRAM, the NoC), so
-it hosts every hooked architecture, ends the selection order for any
-request the vector engine declines, and is the reference the vector
-engine is held bit-identical to.
+it ends the selection order for any request the vector engine
+declines, and is the reference the vector engine — hooks included — is
+held bit-identical to.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """The ``vector`` execution backend.
 
-Struct-of-arrays state plus numpy bulk trace compilation; bit-identical
-to the ``object`` engine on every reported statistic for the feature
-subset it supports (see :meth:`VectorBackend.supports`), and the
-engine every unpinned request inside that subset runs on. Requests
+Struct-of-arrays state plus numpy bulk trace compilation, hosting the
+whole ``SMExtension`` hook surface; bit-identical to the ``object``
+engine on every reported statistic for the feature subset it supports
+(see :meth:`VectorBackend.supports`), and the engine every unpinned
+request inside that subset — every architecture at default options —
+runs on. Requests
 outside it go to ``object`` — silently when the backend was left to
 the selection rule, with a
 :class:`~repro.engine.base.BackendFallbackWarning` when ``vector`` was
@@ -12,6 +14,7 @@ named explicitly.
 
 from __future__ import annotations
 
+import gc
 from typing import Optional
 
 from repro.engine.base import EngineRequest
@@ -21,7 +24,7 @@ __all__ = ["VectorBackend", "VectorGPU"]
 
 
 class VectorBackend:
-    """Vectorized engine for extension-free, snapshot-result runs."""
+    """Vectorized engine for snapshot-result runs, hooked or not."""
 
     name = "vector"
 
@@ -29,12 +32,11 @@ class VectorBackend:
         """None when the request is vectorizable, else the reason.
 
         Each capability here corresponds to object-engine machinery
-        with per-issue hooks or live-object surface the SoA core does
-        not model; declaring them (instead of approximating) is what
-        keeps the two backends bit-identical wherever both run.
+        (per-access recorders, a live-object surface, other memory
+        models) the SoA core does not model; declaring them (instead of
+        approximating) is what keeps the two backends bit-identical
+        wherever both run.
         """
-        if request.extension_factory is not None:
-            return "architecture extensions (Linebacker/PCAL/CERF/VC) are not vectorized"
         if request.track_loads:
             return "per-PC load tracking is not vectorized"
         if request.keep_objects:
@@ -49,8 +51,22 @@ class VectorBackend:
         return None
 
     def run(self, request: EngineRequest):
-        return VectorGPU(
-            request.config,
-            request.kernel,
-            max_concurrent_ctas=request.max_concurrent_ctas,
-        ).run()
+        # The machine allocates heavily (compiled streams, event tuples)
+        # but nothing cyclic has to die mid-run, so the collector only
+        # adds pauses: pause it from construction until the machine —
+        # whose SMs, extensions and warp views do reference each other —
+        # is unreachable again. The first collection after that frees it
+        # whole; re-enabled any earlier, the same collection would find
+        # it alive and promote it to linger until a full collection.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return VectorGPU(
+                request.config,
+                request.kernel,
+                extension_factory=request.extension_factory,
+                max_concurrent_ctas=request.max_concurrent_ctas,
+            ).run()
+        finally:
+            if gc_was_enabled:
+                gc.enable()

@@ -13,7 +13,11 @@ struct-of-arrays buffers:
 * one **load-address queue** and one **store-address queue** per warp,
   consumed in stream order. Fully coalesced accesses compile to plain
   ints, divergent multi-line accesses to tuples — the execution loop
-  branches on ``type(entry) is int``.
+  branches on ``type(entry) is int``;
+* one **load-PC queue** of ``(pc, hpc)`` pairs parallel to the load
+  queue (what the extension hooks and the L1 line metadata key on) —
+  again one template for the whole grid on the generator path, because
+  the static loads repeat per iteration exactly like the opcodes.
 
 Two compilation paths produce that form:
 
@@ -27,7 +31,11 @@ Two compilation paths produce that form:
     arithmetic is replicated *exactly* — every operand is a
     non-negative integer, so numpy's ``%`` and masked uint64 products
     agree bit-for-bit with the Python reference (the golden
-    differential in ``tests/test_backends.py`` pins this).
+    differential in ``tests/test_backends.py`` pins this). numpy is
+    imported here and nowhere else, on first use: a process that never
+    compiles an ``AppSpec`` grid (workers fed DSL jobs, ``repro list``)
+    never pays for it, and a missing numpy is an ``ImportError`` at the
+    first grid compile.
 
 ``compile_warp_iter``
     The generic fallback: drain the kernel's ``warp_trace`` iterator
@@ -39,9 +47,7 @@ Two compilation paths produce that form:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.gpu.isa import Op
+from repro.gpu.isa import Op, hashed_pc
 from repro.gpu.trace import KernelTrace
 from repro.workloads.generator import AppSpec, Pattern, Scope
 
@@ -53,26 +59,23 @@ OP_EXIT = 3
 
 _OP_CODES = {Op.ALU: OP_ALU, Op.LOAD: OP_LOAD, Op.STORE: OP_STORE, Op.EXIT: OP_EXIT}
 
-# Generator constants (see repro.workloads.generator._scramble).
-_MIX = np.uint64(0x9E3779B1)
-_C1 = np.uint64(0xC2B2AE35)
-_C2 = np.uint64(0x27D4EB2F)
-_M1 = np.uint64(0x85EBCA6B)
-_MASK32 = np.uint64(0xFFFFFFFF)
-
-
-def _scramble_np(x: np.ndarray, lane: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _scramble_np(x, lane, j):
     """Vectorized ``generator._scramble`` over uint64 arrays.
 
     Inputs are small non-negative ints, so every intermediate product
     fits in uint64 before the explicit 32-bit masks are applied; the
     result equals the scalar reference for each element.
     """
-    h = (x * _MIX + lane * _C1 + j * _C2) & _MASK32
+    import numpy as np
+
+    # Generator constants (see repro.workloads.generator._scramble).
+    mix, c1, c2 = np.uint64(0x9E3779B1), np.uint64(0xC2B2AE35), np.uint64(0x27D4EB2F)
+    m1, mask32 = np.uint64(0x85EBCA6B), np.uint64(0xFFFFFFFF)
+    h = (x * mix + lane * c1 + j * c2) & mask32
     h ^= h >> np.uint64(16)
-    h = (h * _M1) & _MASK32
+    h = (h * m1) & mask32
     h ^= h >> np.uint64(13)
-    h = (h * _C1) & _MASK32
+    h = (h * c1) & mask32
     h ^= h >> np.uint64(16)
     return h
 
@@ -81,15 +84,16 @@ class CompiledKernel:
     """A kernel's traces in the vector backend's SoA form.
 
     ``warp_streams(grid_cta_id)`` returns, per warp of that CTA, a
-    tuple ``(ops, opnds, loads, stores)`` — the opcode/operand-count
-    templates plus that warp's address queues.
+    tuple ``(ops, opnds, loads, stores, load_pcs)`` — the opcode /
+    operand-count templates, that warp's address queues, and the
+    ``(pc, hpc)`` of each load in queue order.
     """
 
     def __init__(self, kernel: KernelTrace) -> None:
         self.kernel = kernel
         spec = kernel.app_spec
         if isinstance(spec, AppSpec) and spec.loads:
-            self._ops, self._opnds = _app_templates(spec)
+            self._ops, self._opnds, self._load_pcs = _app_templates(spec)
             self._loads, self._stores = compile_app_grid(spec)
             self._generic = False
         else:
@@ -102,21 +106,22 @@ class CompiledKernel:
                 compile_warp_iter(kernel.warp_trace(grid_cta_id, w))
                 for w in range(kernel.warps_per_cta)
             ]
-        ops, opnds = self._ops, self._opnds
+        ops, opnds, load_pcs = self._ops, self._opnds, self._load_pcs
         wpc = kernel.warps_per_cta
         base = grid_cta_id * wpc
         return [
-            (ops, opnds, self._loads[base + w], self._stores[base + w])
+            (ops, opnds, self._loads[base + w], self._stores[base + w], load_pcs)
             for w in range(wpc)
         ]
 
 
-def compile_warp_iter(trace) -> tuple[list, list, list, list]:
+def compile_warp_iter(trace) -> tuple[list, list, list, list, list]:
     """Drain one instruction iterator into the compiled SoA form."""
     ops: list[int] = []
     opnds: list[int] = []
     loads: list = []
     stores: list = []
+    load_pcs: list = []
     for inst in trace:
         code = _OP_CODES[inst.op]
         ops.append(code)
@@ -124,12 +129,16 @@ def compile_warp_iter(trace) -> tuple[list, list, list, list]:
         if code == OP_LOAD or code == OP_STORE:
             addrs = inst.line_addrs
             entry = addrs[0] if len(addrs) == 1 else tuple(addrs)
-            (loads if code == OP_LOAD else stores).append(entry)
-    return ops, opnds, loads, stores
+            if code == OP_LOAD:
+                loads.append(entry)
+                load_pcs.append((inst.pc, inst.hpc))
+            else:
+                stores.append(entry)
+    return ops, opnds, loads, stores, load_pcs
 
 
-def _app_templates(spec: AppSpec) -> tuple[list[int], list[int]]:
-    """The shared opcode/operand templates of one generator app.
+def _app_templates(spec: AppSpec) -> tuple[list[int], list[int], list[tuple]]:
+    """The shared opcode / operand / load-PC templates of one generator app.
 
     Emission order per iteration ``t`` (generator ``_warp_stream``):
     the ALU block, one LOAD per (load spec, weight repeat), then one
@@ -152,7 +161,8 @@ def _app_templates(spec: AppSpec) -> tuple[list[int], list[int]]:
                 opnds.append(2)
     ops.append(OP_EXIT)
     opnds.append(3)
-    return ops, opnds
+    iteration_pcs = [(ld.pc, hashed_pc(ld.pc)) for ld in spec.loads for _ in range(ld.weight)]
+    return ops, opnds, iteration_pcs * spec.iterations
 
 
 def compile_app_grid(spec: AppSpec) -> tuple[list[list], list[list]]:
@@ -162,6 +172,8 @@ def compile_app_grid(spec: AppSpec) -> tuple[list[list], list[list]]:
     returns plain Python lists indexed by global warp id, with int
     entries for single-line accesses and tuples for multi-line ones.
     """
+    import numpy as np
+
     gw_count = spec.num_ctas * spec.warps_per_cta
     T = spec.iterations
     wpc = spec.warps_per_cta

@@ -1,34 +1,67 @@
 """The ``vector`` backend's execution core.
 
-A lean re-implementation of the extension-free simulation path —
-the exact semantics of the object engine's tick and next-event scan
+The machine every registry row runs on at default options: the exact
+semantics of the object engine's tick and next-event scan
 (:meth:`repro.gpu.sm.SM.tick`), event delivery, CTA lifecycle, L1/MSHR
-behaviour and the shared L2/DRAM servers — over struct-of-arrays
-state:
+behaviour, the shared L2/DRAM servers and the whole
+:class:`~repro.gpu.extension.SMExtension` hook contract, over
+struct-of-arrays state:
 
 * per-warp state lives in parallel arrays indexed by warp id
   (``state``/``ready_cycle``/``pending``/instruction pointers), not in
   ``Warp`` objects;
 * instruction streams are the pre-compiled SoA buffers from
-  :mod:`repro.engine.vector.compile` (one shared opcode template plus
-  per-warp address queues) — no ``Instruction`` objects and no
-  generator frames on the hot path;
-* cache lines are bare LRU-ordered dict keys (the object engine's
-  ``CacheLine`` token/hpc/owner/last-use fields are write-only in
-  baseline runs, so dropping them cannot change any reported
-  statistic);
-* the register file keeps only what is observable — the owner map
-  (allocation is first-fit, bit-for-bit), and bank-conflict epochs.
+  :mod:`repro.engine.vector.compile` (shared opcode and load-PC
+  templates plus per-warp address queues) — no ``Instruction`` objects
+  and no generator frames on the hot path;
+* cache lines are bare LRU-ordered dict keys. The value is the line's
+  ``(hpc, owner)`` — refreshed on every hit, handed to
+  ``on_l1_eviction`` as a ``CacheLine`` — only when the extension wants
+  evictions, else ``True``: the object engine's token/last-use fields
+  are write-only everywhere;
+* the register file is a real :class:`~repro.gpu.register_file.
+  RegisterFile`. The coroutine inlines operand accounting over that
+  object's own bank-window lists, so operand traffic, launch-time
+  token writes and an extension's reads and writes at one cycle share
+  one window (``bank_conflicts`` is in the golden fingerprint).
+
+Hosting the extension
+---------------------
+
+:class:`VectorSM` is the ``sm`` its extension is attached to, and its
+``ctas`` are real :class:`~repro.gpu.cta.CTA` records over
+:class:`_Warp` views, so the classes in ``core/`` and ``baselines/``
+run unedited. The eight capability flags and the bound hooks are
+frame locals of the one coroutine like the rest of its state: an inert
+``SMExtension`` costs a local-bool test per tick, per fill and per load
+line. Three pieces of coroutine state are visible to a hook and kept
+honest: ``sm.stats.instructions`` is written back before every
+``on_tick`` (where Linebacker reads it), event sequence numbers come
+from one counter shared with ``schedule_event``, and a warp view's
+``deactivate`` / ``reactivate`` drop the scheduler's memoised hint and
+set ``dirty`` so the next tick time is recomputed in full — a hook may
+throttle any warp from anywhere, the issuing warp from its own load's
+hook included. ``timeseries_sample`` stays with the object engine
+(``VectorBackend.supports`` declines the option).
+
+Ready cycles
+------------
 
 The scheduler scans read a single array: ``w_rc[w]`` holds the real
 ready cycle while a warp is READY and ``inf`` otherwise, so "state is
-READY and ready_cycle <= cycle" collapses to one comparison. The
-encoding is exact because an unblocking memory response always carries
-a ready time >= the ready cycle the warp blocked with: a warp blocks
-only from a load issue (which sets ``ready_cycle = cycle + 1``), and
-every event at or before that cycle was delivered before the issue, so
-the unblocking event's time is >= cycle + 1 and the object engine's
-``max(ready_cycle, event_time)`` is always just ``event_time``.
+READY and ready_cycle <= cycle" collapses to one comparison. A warp
+leaves READY two ways, and the object engine's
+``ready_cycle = max(ready_cycle, t)`` on the way back is reproduced for
+both. *Blocking on its own load*: the issue set ``ready_cycle = cycle +
+1`` and every event at or before ``cycle`` was delivered before the
+issue, so the unblocking response (an L1 or victim hit latency, a fill,
+a bypass fetch — all >= 1 cycle) carries a time >= ``cycle + 1`` and
+the max is just the event time. *Throttling* breaks that argument — a
+READY warp parked mid-ALU-latency or mid-backoff can be reactivated
+before its ready cycle — so the true value is kept in ``w_true_rc``
+beside the ``inf``: written when a READY warp goes INACTIVE, when a
+throttled BLOCKED warp's response arrives (it goes INACTIVE, not
+READY, with the event time), and read by ``reactivate``.
 
 Decoupled SM clocks
 -------------------
@@ -55,15 +88,58 @@ and the grid CTA dispenser. The coroutine yields its current cycle
 immediately before each such interaction and the device coordinator
 (:meth:`VectorGPU.run`) resumes whichever SM has the globally smallest
 pending ``(cycle, sm_id)`` sync point, reproducing the object engine's
-interleaving of shared-state mutations exactly. The only divergence is
-for runs truncated by ``max_cycles``: each SM stops at its own wall,
-which matches the object engine's global wall (all due entries <= the
-wall are batched before the loop exits), including the reported final
-cycle.
+interleaving of shared-state mutations exactly. A hook is such an
+interaction when it can reach ``sm.memory``: a bypassed load's fetch,
+an ``EV_CALLBACK`` delivery (a backup completing may start a restore),
+the CTA lifecycle hooks, which share the dispenser's yield
+(``try_reactivate_cta`` restores), and ``on_tick`` on the first tick at
+or past each multiple of ``extension.shared_tick_period()`` — the
+window close that backs up or restores registers. The period is the
+extension's own (``lb_config`` may carry a window the machine's config
+does not); without one every tick syncs. Extra sync points never hurt
+correctness — the coordinator orders ``(cycle, sm_id)`` and an SM may
+sync several times in one cycle. Every other hook call
+(``should_bypass``, ``lookup_victim``, ``on_load_outcome``,
+``on_l1_eviction``, ``on_store``, ``allocate_fill``, ``on_tick``
+between windows) runs unsynced and must keep to the SM's own state,
+which is all it can reach through the ``sm`` it was given except
+``sm.memory`` — and ``_VectorMemory`` refuses a register stream from
+anywhere but a synced hook, so breaking the rule is an error, not a
+divergence.
+
+The only divergence is for runs truncated by ``max_cycles``: each SM
+stops at its own wall, which matches the object engine's global wall
+(all due entries <= the wall are batched before the loop exits),
+including the reported final cycle.
+
+Stall certificates
+------------------
+
+A load that fails MSHR admission replays every 4 cycles, and in the
+replay storm the probe loop over its addresses is the hottest code in
+the object engine. Here a failed admission records the fill generation
+and its *margin* — distinct missing lines minus free MSHR entries —
+and while ``margin > fills since`` the retry is counted as failed
+without rescanning. That is sound because the margin shrinks by at
+most one per ``EV_FILL`` and by nothing else: an admitted load consumes
+free entries at least as fast as it satisfies this warp's lines; a
+store, or an eviction, only removes lines from L1 (the margin grows); a
+victim hit or a bypass allocates no entry and fills no line; and a
+fill frees exactly one entry while the filled line moves from MSHR to
+L1, still satisfying the same addresses — or, when ``allocate_fill``
+returns False, goes nowhere, which makes one more of this warp's lines
+missing at the same moment one more entry is free. Admission is judged
+before ``should_bypass`` and ``lookup_victim`` are asked, exactly as
+in ``SM._execute_load``, so what those hooks would have said never
+enters the verdict. Throttling a stalled warp leaves its certificate
+valid: it is a statement about MSHR and L1 contents, not about the
+warp.
 
 Everything observable through :class:`~repro.gpu.gpu.SimulationResult`
-is reproduced exactly; ``tests/test_backends.py`` pins the golden
-fingerprints against the object engine. State with no path into a
+is reproduced exactly; ``tests/test_backends.py`` holds all nine
+extension rows, and a probe extension that stresses every hook, to the
+object engine — full fingerprint, every per-SM statistic and a deep
+comparison of every ``ExtensionSnapshot``. State with no path into a
 result (scheduler issue counts, L2 tag-array statistics, MSHR
 allocation counters, DRAM busy cycles, the L1 touch clock) is
 deliberately not modeled.
@@ -71,37 +147,31 @@ deliberately not modeled.
 
 from __future__ import annotations
 
-import gc
+import functools
 import heapq
-from typing import Optional
+import itertools
+from typing import Callable, Optional
 
 from repro.config import GPUConfig, SimulationConfig
 from repro.engine.vector.compile import CompiledKernel
+from repro.gpu.cta import CTA, CTAState
+from repro.gpu.extension import SMExtension
 from repro.gpu.gpu import SimulationResult
-from repro.gpu.register_file import RegisterFileStats
-from repro.gpu.sm import SM
-from repro.gpu.snapshot import ExtensionSnapshot, L1Snapshot, SMSnapshot
+from repro.gpu.register_file import RegisterFile, register_tokens
+from repro.gpu.sm import EV_FILL, EV_WAKE
+from repro.gpu.snapshot import snapshot_extension, snapshot_sm
 from repro.gpu.stats import SMStats
-from repro.gpu.trace import KernelTrace
-from repro.memory.cache import CacheStats
+from repro.gpu.trace import KernelTrace, hardware_occupancy
+from repro.memory.cache import CacheLine, CacheStats
 from repro.memory.subsystem import TrafficStats
 
 _INF = float("inf")
 
-# Event kinds (same encoding as repro.gpu.sm).
-_EV_FILL = 0
-_EV_WAKE = 1
-
-# Warp states. INACTIVE does not exist here: throttling extensions are
-# not vectorizable, so a warp is only ever ready, blocked, or done.
+# Warp states (repro.gpu.warp.WarpState as ints).
 _READY = 0
 _BLOCKED = 1
 _FINISHED = 2
-
-# Indices into the rf_stat accumulator list.
-_RF_READS = 0
-_RF_WRITES = 1
-_RF_CONFLICTS = 2
+_INACTIVE = 3
 
 
 class _VectorMemory:
@@ -112,7 +182,8 @@ class _VectorMemory:
     float servers, ``int()`` truncation, left-associative sums) and the
     L2 tag array's LRU-dict behaviour, without CacheLine objects or the
     statistics nothing reads (L2 hit/miss classification, queue delays,
-    busy cycles).
+    busy cycles). It is also the ``sm.memory`` an extension sees:
+    ``traffic``, ``backup_registers`` and ``restore_registers``.
     """
 
     __slots__ = (
@@ -129,6 +200,11 @@ class _VectorMemory:
         "dram_writes",
         "demand_read_lines",
         "store_write_lines",
+        "backup_write_lines",
+        "restore_read_lines",
+        # True while the running SM is inside a hook it called right
+        # after a sync point — the only time a hook may stream registers.
+        "hook_synced",
     )
 
     def __init__(self, config: GPUConfig) -> None:
@@ -145,6 +221,9 @@ class _VectorMemory:
         self.dram_writes = 0
         self.demand_read_lines = 0
         self.store_write_lines = 0
+        self.backup_write_lines = 0
+        self.restore_read_lines = 0
+        self.hook_synced = False
 
     def fetch_line(self, line_addr: int, cycle: int) -> int:
         start = self.l2_port_free
@@ -186,9 +265,118 @@ class _VectorMemory:
         self.dram_free = dstart + self.dram_svc
         self.dram_writes += 1
 
+    def _stream(self, num_lines: int, cycle: int) -> int:
+        """``num_lines`` back-to-back ``DRAMModel.access`` calls that all
+        arrive at ``cycle`` (the register backup region bypasses L2);
+        returns when the last one completes."""
+        if not self.hook_synced:
+            raise RuntimeError(
+                "an extension reached sm.memory from a hook the vector engine "
+                "does not order across SMs (see SMExtension, 'Shared state')"
+            )
+        arrive = float(cycle)
+        ready = cycle
+        for _ in range(num_lines):
+            start = self.dram_free
+            if arrive > start:
+                start = arrive
+            self.dram_free = start + self.dram_svc
+            ready = int(start + self.dram_svc + self.dram_lat)
+        return ready
+
+    def backup_registers(self, num_lines: int, cycle: int) -> int:
+        self.dram_writes += num_lines
+        self.backup_write_lines += num_lines
+        return self._stream(num_lines, cycle)
+
+    def restore_registers(self, num_lines: int, cycle: int) -> int:
+        self.dram_reads += num_lines
+        self.restore_read_lines += num_lines
+        return self._stream(num_lines, cycle)
+
+    @property
+    def traffic(self) -> TrafficStats:
+        return TrafficStats(
+            demand_read_lines=self.demand_read_lines,
+            store_write_lines=self.store_write_lines,
+            backup_write_lines=self.backup_write_lines,
+            restore_read_lines=self.restore_read_lines,
+        )
+
+
+class _L1:
+    """The L1 as an extension sees it (geometry and occupancy) plus the
+    statistics a result reports. ``sets[i]`` maps tag -> line metadata
+    in LRU order; the metadata is the line's ``(hpc, owner)`` when the
+    extension wants evictions (it reads them off the evicted line) and
+    a bare ``True`` otherwise."""
+
+    __slots__ = ("sets", "num_sets", "assoc", "line_bytes", "stats")
+
+    def __init__(self, config: GPUConfig) -> None:
+        self.assoc = config.l1_assoc
+        self.line_bytes = config.l1_line_bytes
+        self.num_sets = config.l1_size_bytes // (self.assoc * self.line_bytes)
+        self.sets: list[dict] = [dict() for _ in range(self.num_sets)]
+        self.stats = CacheStats()
+
+    def occupancy(self) -> int:
+        return sum(len(ways) for ways in self.sets)
+
+
+class _Warp:
+    """One warp as an extension sees it: a view over the SM's arrays
+    with ``repro.gpu.warp.Warp``'s throttling transitions."""
+
+    __slots__ = ("sm", "warp_id", "launch_order")
+
+    def __init__(self, sm: "VectorSM", warp_id: int, launch_order: int) -> None:
+        self.sm = sm
+        self.warp_id = warp_id
+        self.launch_order = launch_order
+
+    @property
+    def base_register(self) -> int:
+        return self.sm.w_base[self.warp_id]
+
+    @base_register.setter
+    def base_register(self, base: int) -> None:
+        self.sm.rebase(self.warp_id, base)
+
+    @property
+    def finished(self) -> bool:
+        return self.sm.w_state[self.warp_id] == _FINISHED
+
+    def deactivate(self) -> None:
+        sm, w = self.sm, self.warp_id
+        state = sm.w_state[w]
+        if state == _FINISHED:
+            return
+        sm.w_throttled[w] = True
+        if state == _READY:
+            sm.w_state[w] = _INACTIVE
+            sm.w_true_rc[w] = sm.w_rc[w]
+            sm.w_rc[w] = _INF
+            sm.rescan(w % sm.nsched)
+
+    def reactivate(self, cycle: int) -> None:
+        sm, w = self.sm, self.warp_id
+        sm.w_throttled[w] = False
+        if sm.w_state[w] == _INACTIVE:
+            sm.w_state[w] = _READY
+            sm.w_rc[w] = max(sm.w_true_rc[w], cycle)
+            sm.rescan(w % sm.nsched)
+
 
 class VectorSM:
-    """One SM's struct-of-arrays state and fused tick coroutine."""
+    """One SM's struct-of-arrays state and fused tick coroutine.
+
+    Also the ``sm`` its extension is attached to: ``sm_id``, ``config``,
+    ``kernel``, ``memory``, ``l1``, ``register_file``, ``ctas`` (real
+    :class:`~repro.gpu.cta.CTA` records over :class:`_Warp` views),
+    ``stats`` and ``schedule_event`` are the surface ``core/`` and
+    ``baselines/`` touch.
+    """
 
     __slots__ = (
         "sm_id",
@@ -197,92 +385,72 @@ class VectorSM:
         "memory",
         "cta_source",
         "compiled",
+        "extension",
+        "register_file",
+        "l1",
+        "stats",
         # Per-warp SoA, indexed by warp id (slot * warps_per_cta + w).
         # w_rc holds the ready cycle for READY warps and inf otherwise
-        # (see module docstring); w_state holds the precise state.
+        # (see module docstring); w_state holds the precise state,
+        # w_throttled Warp.throttled, and w_true_rc the ready cycle a
+        # warp went INACTIVE with.
         "w_state",
         "w_rc",
+        "w_true_rc",
+        "w_throttled",
+        "w_view",
         "w_pend",
         "w_ip",
         "w_lp",
         "w_sp",
         "w_base",
-        "w_slot",
         "w_ops",
         "w_opnds",
         "w_loads",
         "w_stores",
+        "w_load_pcs",
         "w_len",
         "w_banks2",
         "w_banks3",
-        # Schedulers.
+        # Schedulers. dirty[0] asks the coroutine to recompute its next
+        # tick from scratch (a CTA or a warp changed scheduling state
+        # somewhere the fused scan may already have passed).
         "nsched",
         "sched_warps",
         "sched_greedy",
         "sched_hint",
         "sched_hint_valid",
+        "dirty",
         # CTA bookkeeping.
         "ctas",
         "next_slot",
+        "launched",
         "occupancy_limit",
         "warps_per_cta",
-        "regs_per_cta",
-        "regs_per_warp",
-        # Register file. rf_win is the mutable [usage_cycle, epoch]
-        # pair and rf_stat the [reads, writes, conflicts] accumulator —
-        # lists, so the coroutine's local bindings and the CTA-launch
-        # path share one copy of the state with no write-back
-        # choreography.
-        "rf_owner",
-        "rf_banks",
-        "rf_ports",
-        "rf_win",
-        "bank_epoch",
-        "bank_cnt",
-        "rf_stat",
-        # L1 + MSHR.
-        "l1_sets",
-        "l1_num_sets",
-        "l1_assoc",
+        # L1 line metadata of in-flight misses + MSHR.
         "l1_ever",
-        "l1_evictions",
-        "l1_cold",
-        "l1_write_hits",
-        "l1_write_misses",
+        "fill_meta",
         "mshr",
         "mshr_capacity",
         "mshr_stalls",
         # Stall certificates. fill_gen counts L1 fill deliveries;
         # a warp whose load failed MSHR admission records the fill
         # generation (w_sgen) and its admission margin (w_smargin =
-        # distinct missing lines minus free entries). The
-        # margin can only shrink by one per fill: non-fill activity
-        # moves it the safe way (admitted loads consume free entries
-        # at least as fast as they satisfy this warp's lines, stores
-        # only evict, a fill itself frees exactly one MSHR entry and
-        # never reduces the needed count — the filled line moves from
-        # MSHR to L1, satisfying the same addresses). So while
-        # w_smargin[w] > fill_gen - w_sgen[w] the warp's retry
+        # distinct missing lines minus free entries). The margin can
+        # only shrink by one per fill event (module docstring), so
+        # while w_smargin[w] > fill_gen - w_sgen[w] the warp's retry
         # provably fails and is counted without rescanning its
         # addresses.
         "fill_gen",
         "w_sgen",
         "w_smargin",
-        # Events.
+        # Events: heap of (ready_cycle, seq, kind, payload).
         "events",
-        "eseq",
+        "event_seq",
         # Latencies.
         "alu_latency",
         "l1_hit_latency",
         "max_outstanding",
-        # Counters (SMStats).
-        "instructions",
-        "loads",
-        "stores",
-        "l1_hits",
-        "l1_misses",
-        "mem_requests",
-        "cta_dirty",
         "truncated",
         "final_cycle",
     )
@@ -295,6 +463,7 @@ class VectorSM:
         memory: _VectorMemory,
         cta_source,
         compiled: CompiledKernel,
+        extension: Optional[SMExtension] = None,
         max_concurrent_ctas: Optional[int] = None,
     ) -> None:
         self.sm_id = sm_id
@@ -303,19 +472,30 @@ class VectorSM:
         self.memory = memory
         self.cta_source = cta_source
         self.compiled = compiled
+        self.extension = extension or SMExtension()
+        self.register_file = RegisterFile(
+            config.register_file_bytes,
+            num_banks=config.register_banks,
+            ports_per_bank=config.register_bank_ports,
+        )
+        self.l1 = _L1(config)
+        self.stats = SMStats()
 
         self.w_state: list[int] = []
         self.w_rc: list = []
+        self.w_true_rc: list[int] = []
+        self.w_throttled: list[bool] = []
+        self.w_view: list = []
         self.w_pend: list[int] = []
         self.w_ip: list[int] = []
         self.w_lp: list[int] = []
         self.w_sp: list[int] = []
         self.w_base: list[int] = []
-        self.w_slot: list[int] = []
         self.w_ops: list = []
         self.w_opnds: list = []
         self.w_loads: list = []
         self.w_stores: list = []
+        self.w_load_pcs: list = []
         self.w_len: list[int] = []
         self.w_banks2: list[tuple] = []
         self.w_banks3: list[tuple] = []
@@ -325,30 +505,15 @@ class VectorSM:
         self.sched_greedy: list[int] = [-1] * self.nsched
         self.sched_hint: list[float] = [0.0] * self.nsched
         self.sched_hint_valid: list[bool] = [False] * self.nsched
+        self.dirty = [False]
 
-        self.ctas: dict[int, tuple] = {}
+        self.ctas: dict[int, CTA] = {}
         self.next_slot = 0
+        self.launched = 0
         self.warps_per_cta = kernel.warps_per_cta
-        self.regs_per_cta = kernel.warp_registers_per_cta
-        self.regs_per_warp = kernel.warp_registers_per_warp
 
-        num_regs = config.register_file_bytes // 128
-        self.rf_owner: list[Optional[int]] = [None] * num_regs
-        self.rf_banks = config.register_banks
-        self.rf_ports = config.register_bank_ports
-        self.rf_win: list[int] = [-1, 0]
-        self.bank_epoch = [-1] * self.rf_banks
-        self.bank_cnt = [0] * self.rf_banks
-        self.rf_stat: list[int] = [0, 0, 0]
-
-        self.l1_num_sets = config.l1_size_bytes // (config.l1_assoc * config.l1_line_bytes)
-        self.l1_sets: list[dict] = [dict() for _ in range(self.l1_num_sets)]
-        self.l1_assoc = config.l1_assoc
         self.l1_ever: set[int] = set()
-        self.l1_evictions = 0
-        self.l1_cold = 0
-        self.l1_write_hits = 0
-        self.l1_write_misses = 0
+        self.fill_meta: dict[int, tuple] = {}
         self.mshr: dict[int, list[int]] = {}
         self.mshr_capacity = config.l1_mshrs
         self.mshr_stalls = 0
@@ -357,111 +522,82 @@ class VectorSM:
         self.w_smargin: list[int] = []
 
         self.events: list[tuple] = []
-        self.eseq = 0
+        self.event_seq = itertools.count()
 
         self.alu_latency = config.alu_latency
         self.l1_hit_latency = config.l1_hit_latency
         self.max_outstanding = config.max_outstanding_loads
-
-        self.instructions = 0
-        self.loads = 0
-        self.stores = 0
-        self.l1_hits = 0
-        self.l1_misses = 0
-        self.mem_requests = 0
-        self.cta_dirty = False
         self.truncated = False
         self.final_cycle = 0
 
-        self.occupancy_limit = SM.hardware_occupancy(config, kernel)
+        self.occupancy_limit = hardware_occupancy(config, kernel)
         if max_concurrent_ctas is not None:
             self.occupancy_limit = min(self.occupancy_limit, max_concurrent_ctas)
+        # SMs are built, and finalized, one after another in sm_id order
+        # on both engines: hooks may reach shared memory there too.
+        memory.hook_synced = True
+        self.extension.attach(self)
+        self.extension.resolve_flags()
         while len(self.ctas) < self.occupancy_limit:
-            if not self._launch_next_cta():
+            if not self._launch_next_cta(0):
                 break
+        memory.hook_synced = False
 
     # ------------------------------------------------------------------
-    # CTA lifecycle
+    # What the extension calls back into
     # ------------------------------------------------------------------
-    def _allocate_registers(self, num_regs: int, owner: int) -> Optional[range]:
-        # First-fit over free runs, identical to RegisterFile.allocate.
-        rf_owner = self.rf_owner
-        run_start = None
-        run_len = 0
-        for idx in range(len(rf_owner)):
-            if rf_owner[idx] is None:
-                if run_start is None:
-                    run_start = idx
-                run_len += 1
-                if run_len == num_regs:
-                    rng = range(run_start, run_start + num_regs)
-                    for r in rng:
-                        rf_owner[r] = owner
-                    return rng
-            else:
-                run_start = None
-                run_len = 0
-        return None
+    def schedule_event(self, ready_cycle: int, kind: int, payload: object) -> None:
+        """Queue an event (``repro.gpu.sm.EV_*``); an ``EV_CALLBACK``
+        payload is called with its ready cycle."""
+        heapq.heappush(self.events, (ready_cycle, next(self.event_seq), kind, payload))
 
-    def _launch_next_cta(self) -> bool:
-        self.cta_dirty = True
-        hint_valid = self.sched_hint_valid
+    def rescan(self, sidx: int) -> None:
+        """A warp of scheduler ``sidx`` changed scheduling state outside
+        the issue path: drop the scheduler's memoised hint and have the
+        coroutine recompute its next tick in full."""
+        self.sched_hint_valid[sidx] = False
+        self.dirty[0] = True
+
+    def rebase(self, warp_id: int, base: int) -> None:
+        """Point a warp's operand accounting at a (new) register base."""
+        nb = self.register_file.num_banks
+        self.w_base[warp_id] = base
+        self.w_banks2[warp_id] = (base % nb, (base + 1) % nb)
+        self.w_banks3[warp_id] = (base % nb, (base + 1) % nb, (base + 2) % nb)
+
+    # ------------------------------------------------------------------
+    # CTA lifecycle (SM._launch_next_cta / SM._complete_cta)
+    # ------------------------------------------------------------------
+    def _launch_next_cta(self, cycle: int) -> bool:
         for s in range(self.nsched):
-            hint_valid[s] = False
+            self.rescan(s)
         grid_id = self.cta_source()
         if grid_id is None:
             return False
         slot = self.next_slot
         self.next_slot += 1
-        regs = self._allocate_registers(self.regs_per_cta, owner=slot)
+        kernel = self.kernel
+        regs = self.register_file.allocate(kernel.warp_registers_per_cta, owner=slot)
         if regs is None:
             raise RuntimeError(
                 f"SM{self.sm_id}: register allocation failed for CTA slot {slot}"
             )
-        # Launch-time register token writes: the token values are
-        # unobservable here, but each write accounts one bank access at
-        # cycle -1 — launches bursting within one window do produce
-        # bank conflicts, exactly as in RegisterFile.write.
-        nb = self.rf_banks
-        ports = self.rf_ports
-        rf_win = self.rf_win
-        epoch = rf_win[1]
-        if rf_win[0] != -1:
-            rf_win[0] = -1
-            rf_win[1] = epoch = epoch + 1
-        bank_epoch = self.bank_epoch
-        bank_cnt = self.bank_cnt
-        conflicts = 0
-        for r in regs:
-            bank = r % nb
-            if bank_epoch[bank] != epoch:
-                bank_epoch[bank] = epoch
-                bank_cnt[bank] = 1
-            else:
-                c = bank_cnt[bank]
-                if c >= ports:
-                    conflicts += 1
-                bank_cnt[bank] = c + 1
-        rf_stat = self.rf_stat
-        rf_stat[_RF_CONFLICTS] += conflicts
-        rf_stat[_RF_WRITES] += len(regs)
-
+        # Launches bursting within one window do produce bank conflicts.
+        self.register_file.write_range(regs, register_tokens(slot, regs), cycle=-1)
         streams = self.compiled.warp_streams(grid_id)
         wpc = self.warps_per_cta
-        nsched = self.nsched
-        base0 = regs.start
-        rpw = self.regs_per_warp
         w_state = self.w_state
-        warp_ids = []
+        warps = []
         for w in range(wpc):
             warp_id = slot * wpc + w
-            ops, opnds, lds, sts = streams[w]
+            ops, opnds, lds, sts, load_pcs = streams[w]
             while len(w_state) <= warp_id:
                 self._grow_warp_arrays()
             self.w_ops[warp_id] = ops
             self.w_opnds[warp_id] = opnds
             self.w_loads[warp_id] = lds
             self.w_stores[warp_id] = sts
+            self.w_load_pcs[warp_id] = load_pcs
             self.w_len[warp_id] = len(ops)
             if ops:
                 w_state[warp_id] = _READY
@@ -469,25 +605,28 @@ class VectorSM:
             else:
                 w_state[warp_id] = _FINISHED
                 self.w_rc[warp_id] = _INF
+            self.w_throttled[warp_id] = False
             self.w_sgen[warp_id] = -1
             self.w_smargin[warp_id] = 0
             self.w_pend[warp_id] = 0
             self.w_ip[warp_id] = 0
             self.w_lp[warp_id] = 0
             self.w_sp[warp_id] = 0
-            base = base0 + w * rpw
-            self.w_base[warp_id] = base
-            self.w_slot[warp_id] = slot
-            self.w_banks2[warp_id] = (base % nb, (base + 1) % nb)
-            self.w_banks3[warp_id] = (base % nb, (base + 1) % nb, (base + 2) % nb)
-            self.sched_warps[warp_id % nsched].append(warp_id)
-            warp_ids.append(warp_id)
-        self.ctas[slot] = (warp_ids, regs)
+            self.rebase(warp_id, regs.start + w * kernel.warp_registers_per_warp)
+            self.w_view[warp_id] = view = _Warp(self, warp_id, self.launched)
+            self.launched += 1
+            warps.append(view)
+            self.sched_warps[warp_id % self.nsched].append(warp_id)
+        self.ctas[slot] = CTA(slot=slot, grid_cta_id=grid_id, warps=warps, register_range=regs)
+        self.extension.on_cta_launched(slot, cycle)
         return True
 
     def _grow_warp_arrays(self) -> None:
         self.w_state.append(_FINISHED)
         self.w_rc.append(_INF)
+        self.w_true_rc.append(0)
+        self.w_throttled.append(False)
+        self.w_view.append(None)
         self.w_sgen.append(-1)
         self.w_smargin.append(0)
         self.w_pend.append(0)
@@ -495,24 +634,25 @@ class VectorSM:
         self.w_lp.append(0)
         self.w_sp.append(0)
         self.w_base.append(0)
-        self.w_slot.append(-1)
         self.w_ops.append(())
         self.w_opnds.append(())
         self.w_loads.append(())
         self.w_stores.append(())
+        self.w_load_pcs.append(())
         self.w_len.append(0)
         self.w_banks2.append(())
         self.w_banks3.append(())
 
-    def _complete_cta(self, slot: int) -> None:
-        self.cta_dirty = True
-        hint_valid = self.sched_hint_valid
+    def _complete_cta(self, slot: int, cycle: int) -> None:
         for s in range(self.nsched):
-            hint_valid[s] = False
-        warp_ids, regs = self.ctas.pop(slot)
-        rf_owner = self.rf_owner
-        for r in regs:
-            rf_owner[r] = None
+            self.rescan(s)
+        cta = self.ctas[slot]
+        cta.state = CTAState.FINISHED
+        self.extension.on_cta_finished(slot, cycle)
+        if cta.register_range is not None:
+            self.register_file.free(cta.register_range)
+            cta.register_range = None
+        del self.ctas[slot]
         w_state = self.w_state
         sched_warps = self.sched_warps
         greedy = self.sched_greedy
@@ -521,33 +661,10 @@ class VectorSM:
             g = greedy[s]
             if g >= 0 and w_state[g] == _FINISHED:
                 greedy[s] = -1
-        self._launch_next_cta()
-
-    # ------------------------------------------------------------------
-    # Operand bank accounting (RegisterFile.account_operand_traffic)
-    # ------------------------------------------------------------------
-    def _account(self, num_operands: int, base: int, cycle: int) -> None:
-        rf_win = self.rf_win
-        epoch = rf_win[1]
-        if cycle != rf_win[0]:
-            rf_win[0] = cycle
-            rf_win[1] = epoch = epoch + 1
-        nb = self.rf_banks
-        ports = self.rf_ports
-        bank_epoch = self.bank_epoch
-        bank_cnt = self.bank_cnt
-        rf_stat = self.rf_stat
-        for i in range(num_operands):
-            bank = (base + i) % nb
-            if bank_epoch[bank] != epoch:
-                bank_epoch[bank] = epoch
-                bank_cnt[bank] = 1
-            else:
-                c = bank_cnt[bank]
-                if c >= ports:
-                    rf_stat[_RF_CONFLICTS] += 1
-                bank_cnt[bank] = c + 1
-        rf_stat[_RF_READS] += num_operands
+        # Paper Section 3.2: a throttled CTA is re-scheduled in priority;
+        # only if there is none is a new CTA fetched.
+        if not self.extension.try_reactivate_cta(cycle):
+            self._launch_next_cta(cycle)
 
     # ------------------------------------------------------------------
     # The SM coroutine: fused tick loop over the SM-local clock
@@ -555,10 +672,13 @@ class VectorSM:
     def run_gen(self, max_cycles: int):
         """Run this SM to completion as a coroutine.
 
-        Yields the current cycle immediately before every interaction
-        with shared device state — an L2/DRAM access (load-miss fetch,
-        store write-through) or a CTA fetch from the grid dispenser —
-        and performs that interaction right after being resumed. The
+        Yields the current cycle immediately before every step that can
+        touch shared device state — an L2/DRAM access (load-miss or
+        bypass fetch, store write-through), a CTA fetch from the grid
+        dispenser, and every hook that may reach ``sm.memory``
+        (``on_tick`` at a window boundary, an ``EV_CALLBACK`` delivery,
+        the CTA lifecycle hooks) — and performs that step right after
+        being resumed. The
         device coordinator resumes coroutines in global
         ``(cycle, sm_id)`` order, which reproduces the object engine's
         interleaving of shared-state mutations exactly; everything else
@@ -566,26 +686,33 @@ class VectorSM:
         arbitrarily far ahead of its siblings (see the module docstring
         for why the tick times themselves are SM-local).
 
-        All hot state is bound into frame locals once, for the whole
+        All hot state — the extension's capability flags and bound
+        hooks included — is bound into frame locals once, for the whole
         run; every bound object is mutated in place (never rebound), so
-        the references stay valid across the CTA-lifecycle calls.
+        the references stay valid across hook and CTA-lifecycle calls.
         ``sched_warps`` inner lists ARE rebound by ``_complete_cta`` —
         indexed via the outer list each time. Scalar counters live as
-        plain locals and are written back in the ``finally`` block.
+        plain locals and are written back in the ``finally`` block
+        (``stats.instructions`` also before every ``on_tick``, which is
+        where an extension reads it).
         """
         events = self.events
+        next_seq = self.event_seq.__next__
         w_state = self.w_state
         w_rc = self.w_rc
+        w_true_rc = self.w_true_rc
+        w_throttled = self.w_throttled
+        w_view = self.w_view
         w_pend = self.w_pend
         w_ip = self.w_ip
         w_lp = self.w_lp
         w_sp = self.w_sp
         w_base = self.w_base
-        w_slot = self.w_slot
         w_ops = self.w_ops
         w_opnds = self.w_opnds
         w_loads = self.w_loads
         w_stores = self.w_stores
+        w_load_pcs = self.w_load_pcs
         w_len = self.w_len
         w_banks2 = self.w_banks2
         w_banks3 = self.w_banks3
@@ -597,19 +724,23 @@ class VectorSM:
         greedy = self.sched_greedy
         cached_hint = self.sched_hint
         hint_valid = self.sched_hint_valid
+        dirty = self.dirty
         ctas = self.ctas
+        wpc = self.warps_per_cta
         mshr = self.mshr
         mshr_capacity = self.mshr_capacity
-        l1_sets = self.l1_sets
-        num_sets = self.l1_num_sets
-        l1_assoc = self.l1_assoc
+        fill_meta = self.fill_meta
+        l1_sets = self.l1.sets
+        num_sets = self.l1.num_sets
+        l1_assoc = self.l1.assoc
         l1_ever = self.l1_ever
-        rf_win = self.rf_win
-        bank_epoch = self.bank_epoch
-        bank_cnt = self.bank_cnt
-        rf_stat = self.rf_stat
-        rf_ports = self.rf_ports
-        nb = self.rf_banks
+        rf = self.register_file
+        rf_account = rf.account_operand_traffic
+        rf_window = rf._window
+        bank_epoch = rf._bank_epoch
+        bank_count = rf._bank_count
+        rf_ports = rf.ports_per_bank
+        nb = rf.num_banks
         alu_latency = self.alu_latency
         hit_latency = self.l1_hit_latency
         max_out = self.max_outstanding
@@ -618,27 +749,54 @@ class VectorSM:
         write_line = memory.write_line
         heappush = heapq.heappush
         heappop = heapq.heappop
+        stats = self.stats
+
+        ext = self.extension
+        wants_ticks = ext.wants_ticks
+        wants_outcomes = ext.wants_load_outcomes
+        has_victim = ext.has_victim_cache
+        may_bypass = ext.may_bypass
+        wants_stores = ext.wants_store_events
+        controls_fill = ext.controls_fill
+        wants_evictions = ext.wants_evictions
+        hooked_loads = wants_outcomes or has_victim or may_bypass or wants_evictions
+        tick_period = ext.shared_tick_period() or 1
+        shared_tick = 0
+        on_tick = ext.on_tick
+        on_load_outcome = ext.on_load_outcome
+        lookup_victim = ext.lookup_victim
+        should_bypass = ext.should_bypass
+        on_store = ext.on_store
+        allocate_fill = ext.allocate_fill
+        on_l1_eviction = ext.on_l1_eviction
 
         instructions = 0
         loads = 0
         stores = 0
         l1_hits = 0
         l1_misses = 0
+        victim_hits = 0
+        bypasses = 0
         l1_cold = 0
         l1_wh = 0
         l1_wm = 0
         l1_evictions = 0
         mem_requests = 0
         mshr_stalls = 0
-        eseq = self.eseq
+        rf_reads = 0
+        rf_conflicts = 0
         fill_gen = self.fill_gen
+        # L1 line metadata of the load being issued, and its identity
+        # for the hooks (bound per load only when a hook wants them).
+        line_meta: object = True
+        pc = hpc = 0
+        warp = None
 
         if not ctas and not events:
             return
 
         t = 0
         h: float = 0
-        dirty = False
         try:
             while True:
                 cycle = t + 1
@@ -653,7 +811,7 @@ class VectorSM:
                 if events and events[0][0] <= cycle:
                     while True:
                         ready, _, kind, payload = heappop(events)
-                        if kind == _EV_WAKE:
+                        if kind == EV_WAKE:
                             pend = w_pend[payload] - 1
                             if pend < 0:
                                 raise RuntimeError(
@@ -661,25 +819,41 @@ class VectorSM:
                                 )
                             w_pend[payload] = pend
                             if w_state[payload] == _BLOCKED and pend < max_out:
-                                w_state[payload] = _READY
-                                w_rc[payload] = ready
-                                hint_valid[payload % nsched] = False
-                        else:  # _EV_FILL
+                                if w_throttled[payload]:
+                                    w_state[payload] = _INACTIVE
+                                    w_true_rc[payload] = ready
+                                else:
+                                    w_state[payload] = _READY
+                                    w_rc[payload] = ready
+                                    hint_valid[payload % nsched] = False
+                        elif kind == EV_FILL:
                             # The only event that can improve MSHR
                             # admission: age every stall certificate.
                             fill_gen += 1
                             waiters = mshr.pop(payload, ())
-                            # L1 fill (SetAssociativeCache.fill, minus
-                            # CacheLine fields).
-                            l1_ever.add(payload)
-                            ways = l1_sets[payload % num_sets]
-                            tag = payload // num_sets
-                            if tag in ways:
-                                del ways[tag]
-                            elif len(ways) >= l1_assoc:
-                                del ways[next(iter(ways))]
-                                l1_evictions += 1
-                            ways[tag] = True
+                            meta = fill_meta.pop(payload) if wants_evictions else True
+                            if not controls_fill or allocate_fill(payload):
+                                # SetAssociativeCache.fill over bare
+                                # metadata.
+                                l1_ever.add(payload)
+                                set_idx = payload % num_sets
+                                ways = l1_sets[set_idx]
+                                tag = payload // num_sets
+                                victim = None
+                                if tag in ways:
+                                    del ways[tag]
+                                elif len(ways) >= l1_assoc:
+                                    vtag = next(iter(ways))
+                                    victim = ways.pop(vtag)
+                                    l1_evictions += 1
+                                ways[tag] = meta
+                                if wants_evictions and victim is not None:
+                                    vaddr = vtag * num_sets + set_idx
+                                    on_l1_eviction(
+                                        vaddr,
+                                        CacheLine(vtag, vaddr, victim[0], victim[1]),
+                                        ready,
+                                    )
                             for widx in waiters:
                                 pend = w_pend[widx] - 1
                                 if pend < 0:
@@ -688,11 +862,34 @@ class VectorSM:
                                     )
                                 w_pend[widx] = pend
                                 if w_state[widx] == _BLOCKED and pend < max_out:
-                                    w_state[widx] = _READY
-                                    w_rc[widx] = ready
+                                    if w_throttled[widx]:
+                                        w_state[widx] = _INACTIVE
+                                        w_true_rc[widx] = ready
+                                    else:
+                                        w_state[widx] = _READY
+                                        w_rc[widx] = ready
                                 hint_valid[widx % nsched] = False
+                        else:  # EV_CALLBACK, e.g. a backup/restore step
+                            yield cycle  # sync: may reach sm.memory
+                            memory.hook_synced = True
+                            payload(ready)
+                            memory.hook_synced = False
                         if not events or events[0][0] > cycle:
                             break
+
+                if wants_ticks:
+                    stats.instructions = instructions
+                    if cycle >= shared_tick:
+                        # The first tick at or past a multiple of the
+                        # extension's period: a window close may back
+                        # up or restore registers.
+                        shared_tick = (cycle // tick_period + 1) * tick_period
+                        yield cycle  # sync: may reach sm.memory
+                        memory.hook_synced = True
+                        on_tick(cycle)
+                        memory.hook_synced = False
+                    else:
+                        on_tick(cycle)
 
                 # ---- scheduler scans + issue ----
                 hint: float = _INF
@@ -749,12 +946,13 @@ class VectorSM:
                         instructions += 1
                         nops = w_opnds[pick][ip]
                         if nops:
-                            # Inlined operand bank accounting (hottest
-                            # path).
-                            epoch = rf_win[1]
-                            if cycle != rf_win[0]:
-                                rf_win[0] = cycle
-                                rf_win[1] = epoch = epoch + 1
+                            # Inlined RegisterFile.account_operand_traffic
+                            # (hottest path) over the register file's
+                            # own window.
+                            epoch = rf_window[1]
+                            if cycle != rf_window[0]:
+                                rf_window[0] = cycle
+                                rf_window[1] = epoch = epoch + 1
                             if nops == 3:
                                 banks = w_banks3[pick]
                             elif nops == 2:
@@ -765,13 +963,13 @@ class VectorSM:
                             for bank in banks:
                                 if bank_epoch[bank] != epoch:
                                     bank_epoch[bank] = epoch
-                                    bank_cnt[bank] = 1
+                                    bank_count[bank] = 1
                                 else:
-                                    c = bank_cnt[bank]
+                                    c = bank_count[bank]
                                     if c >= rf_ports:
-                                        rf_stat[_RF_CONFLICTS] += 1
-                                    bank_cnt[bank] = c + 1
-                            rf_stat[_RF_READS] += nops
+                                        rf_conflicts += 1
+                                    bank_count[bank] = c + 1
+                            rf_reads += nops
                         ip += 1
                         w_ip[pick] = ip
                         if ip >= w_len[pick]:
@@ -783,7 +981,8 @@ class VectorSM:
                             if rc < hint:
                                 hint = rc
                     elif op == 1:  # LOAD
-                        entry = w_loads[pick][w_lp[pick]]
+                        lp = w_lp[pick]
+                        entry = w_loads[pick][lp]
                         if type(entry) is int:
                             addrs = (entry,)
                         else:
@@ -794,8 +993,8 @@ class VectorSM:
                             if sg >= 0 and w_smargin[pick] > fill_gen - sg:
                                 # Certified: the recorded admission
                                 # margin shrinks by at most one per
-                                # fill (see __slots__ comment), so it
-                                # still exceeds zero — fail without
+                                # fill (module docstring), so it still
+                                # exceeds zero — fail without
                                 # rescanning the addresses.
                                 stalled = True
                             else:
@@ -840,38 +1039,65 @@ class VectorSM:
                         loads += 1
                         mem_requests += n_addrs
                         hit_ready = cycle + hit_latency
+                        if hooked_loads:
+                            pc, hpc = w_load_pcs[pick][lp]
+                            warp = w_view[pick]
+                            if wants_evictions:
+                                line_meta = (hpc, pick)
                         for a in addrs:
+                            if may_bypass and should_bypass(warp, a, cycle):
+                                bypasses += 1
+                                yield cycle  # sync: shared L2/DRAM access
+                                ready = fetch_line(a, cycle)
+                                heappush(events, (ready, next_seq(), EV_WAKE, pick))
+                                if wants_outcomes:
+                                    on_load_outcome(pc, hpc, a, False, cycle, warp)
+                                continue
                             ways = l1_sets[a % num_sets]
                             tag = a // num_sets
                             if tag in ways:
                                 # LRU touch: move to the end of the set
-                                # dict.
+                                # dict, refreshing (hpc, owner).
                                 del ways[tag]
-                                ways[tag] = True
+                                ways[tag] = line_meta
                                 l1_hits += 1
-                                heappush(events, (hit_ready, eseq, _EV_WAKE, pick))
-                                eseq += 1
+                                heappush(events, (hit_ready, next_seq(), EV_WAKE, pick))
+                                if wants_outcomes:
+                                    on_load_outcome(pc, hpc, a, True, cycle, warp)
                                 continue
                             if a not in l1_ever:
                                 l1_cold += 1
+                            if has_victim:
+                                latency = lookup_victim(a, hpc, cycle)
+                                if latency is not None:
+                                    victim_hits += 1
+                                    heappush(
+                                        events, (cycle + latency, next_seq(), EV_WAKE, pick)
+                                    )
+                                    if wants_outcomes:
+                                        on_load_outcome(pc, hpc, a, True, cycle, warp)
+                                    continue
                             l1_misses += 1
+                            if wants_outcomes:
+                                on_load_outcome(pc, hpc, a, False, cycle, warp)
                             waiters = mshr.get(a)
                             if waiters is not None:
                                 waiters.append(pick)
                             else:
                                 mshr[a] = [pick]
+                                if wants_evictions:
+                                    fill_meta[a] = line_meta
                                 yield cycle  # sync: shared L2/DRAM access
                                 ready = fetch_line(a, cycle)
-                                heappush(events, (ready, eseq, _EV_FILL, a))
-                                eseq += 1
+                                heappush(events, (ready, next_seq(), EV_FILL, a))
                         # Retire + scoreboard (Warp.block_on_memory).
                         instructions += 1
                         nops = w_opnds[pick][ip]
                         if nops:
-                            epoch = rf_win[1]
-                            if cycle != rf_win[0]:
-                                rf_win[0] = cycle
-                                rf_win[1] = epoch = epoch + 1
+                            epoch = rf_window[1]
+                            if cycle != rf_window[0]:
+                                rf_window[0] = cycle
+                                rf_window[1] = epoch = epoch + 1
                             if nops == 2:
                                 banks = w_banks2[pick]
                             elif nops == 3:
@@ -882,17 +1108,19 @@ class VectorSM:
                             for bank in banks:
                                 if bank_epoch[bank] != epoch:
                                     bank_epoch[bank] = epoch
-                                    bank_cnt[bank] = 1
+                                    bank_count[bank] = 1
                                 else:
-                                    c = bank_cnt[bank]
+                                    c = bank_count[bank]
                                     if c >= rf_ports:
-                                        rf_stat[_RF_CONFLICTS] += 1
-                                    bank_cnt[bank] = c + 1
-                            rf_stat[_RF_READS] += nops
+                                        rf_conflicts += 1
+                                    bank_count[bank] = c + 1
+                            rf_reads += nops
                         ip += 1
                         w_ip[pick] = ip
-                        w_lp[pick] += 1
-                        state = _READY if ip < w_len[pick] else _FINISHED
+                        w_lp[pick] = lp + 1
+                        # READY — or INACTIVE, when one of this load's
+                        # own hooks throttled the issuer.
+                        state = w_state[pick] if ip < w_len[pick] else _FINISHED
                         pend = w_pend[pick] + n_addrs
                         w_pend[pick] = pend
                         if pend >= max_out:
@@ -905,6 +1133,8 @@ class VectorSM:
                                 hint = rc
                         else:
                             w_rc[pick] = _INF
+                            if state == _INACTIVE:
+                                w_true_rc[pick] = cycle + 1
                     elif op == 2:  # STORE
                         entry = w_stores[pick][w_sp[pick]]
                         if type(entry) is int:
@@ -924,43 +1154,48 @@ class VectorSM:
                             else:
                                 l1_wm += 1
                             yield cycle  # sync: shared L2/DRAM access
+                            if wants_stores:
+                                on_store(a, cycle)
                             write_line(a, cycle)
                         instructions += 1
                         nops = w_opnds[pick][ip]
                         if nops:
-                            self._account(nops, w_base[pick], cycle)
+                            rf_account(nops, w_base[pick], cycle)
                         ip += 1
                         w_ip[pick] = ip
                         w_sp[pick] += 1
                         if ip >= w_len[pick]:
                             w_state[pick] = _FINISHED
                             w_rc[pick] = _INF
-                        else:
+                        elif w_state[pick] == _READY:
                             w_rc[pick] = rc = cycle + 1
                             if rc < hint:
                                 hint = rc
+                        else:  # on_store throttled the issuer
+                            w_true_rc[pick] = cycle + 1
                     else:  # EXIT
                         instructions += 1
                         nops = w_opnds[pick][ip]
                         if nops:
-                            self._account(nops, w_base[pick], cycle)
+                            rf_account(nops, w_base[pick], cycle)
                         w_ip[pick] = ip + 1
                         w_state[pick] = _FINISHED
                         w_rc[pick] = _INF
-                        slot = w_slot[pick]
-                        cta = ctas.get(slot)
-                        if cta is not None:
-                            for w in cta[0]:
+                        slot = pick // wpc
+                        if slot in ctas:
+                            for w in range(slot * wpc, slot * wpc + wpc):
                                 if w_state[w] != _FINISHED:
                                     break
                             else:
-                                yield cycle  # sync: grid CTA dispenser
-                                self._complete_cta(slot)
-                                dirty = True
+                                # sync: grid CTA dispenser, lifecycle hooks
+                                yield cycle
+                                memory.hook_synced = True
+                                self._complete_cta(slot, cycle)
+                                memory.hook_synced = False
 
                 # ---- next own-clock hint ----
-                if dirty:
-                    dirty = False
+                if dirty[0]:
+                    dirty[0] = False
                     h = self.next_event_cycle(cycle)
                     if h == _INF:
                         break
@@ -973,18 +1208,27 @@ class VectorSM:
                         break
                     h = hint if hint != _INF else cycle + 1
         finally:
-            self.instructions = instructions
-            self.loads = loads
-            self.stores = stores
-            self.l1_hits = l1_hits
-            self.l1_misses = l1_misses
-            self.l1_cold = l1_cold
-            self.l1_write_hits = l1_wh
-            self.l1_write_misses = l1_wm
-            self.l1_evictions = l1_evictions
-            self.mem_requests = mem_requests
+            stats.instructions = instructions
+            stats.loads = loads
+            stats.stores = stores
+            stats.l1_hits = l1_hits
+            stats.l1_misses = l1_misses
+            stats.victim_hits = victim_hits
+            stats.bypasses = bypasses
+            stats.mem_requests = mem_requests
+            # Cache-level view: every probe miss, victim hits included;
+            # bypassed lines never probe.
+            l1_stats = self.l1.stats
+            l1_stats.hits = l1_hits
+            l1_stats.misses = l1_misses + victim_hits
+            l1_stats.cold_misses = l1_cold
+            l1_stats.capacity_conflict_misses = l1_misses + victim_hits - l1_cold
+            l1_stats.evictions = l1_evictions
+            l1_stats.write_hits = l1_wh
+            l1_stats.write_misses = l1_wm
+            rf.stats.reads += rf_reads
+            rf.stats.bank_conflicts += rf_conflicts
             self.mshr_stalls = mshr_stalls
-            self.eseq = eseq
             self.fill_gen = fill_gen
             self.final_cycle = t
 
@@ -1014,60 +1258,13 @@ class VectorSM:
             if first < best:
                 best = first
         if best == _INF:
+            # Deadlock guard: inactive CTAs with nothing pending.
             best = cycle + 1
         return best
 
     @property
     def done(self) -> bool:
         return not self.ctas and not self.events
-
-    # ------------------------------------------------------------------
-    # Result assembly
-    # ------------------------------------------------------------------
-    def sm_stats(self) -> SMStats:
-        return SMStats(
-            instructions=self.instructions,
-            loads=self.loads,
-            stores=self.stores,
-            l1_hits=self.l1_hits,
-            l1_misses=self.l1_misses,
-            victim_hits=0,
-            bypasses=0,
-            mem_requests=self.mem_requests,
-            cycles=self.final_cycle,
-        )
-
-    def l1_stats(self) -> CacheStats:
-        # Baseline invariant: cache-level hits/misses equal the
-        # SM-level l1_hits/l1_misses (no victim path, no bypasses).
-        return CacheStats(
-            hits=self.l1_hits,
-            misses=self.l1_misses,
-            cold_misses=self.l1_cold,
-            capacity_conflict_misses=self.l1_misses - self.l1_cold,
-            evictions=self.l1_evictions,
-            write_hits=self.l1_write_hits,
-            write_misses=self.l1_write_misses,
-        )
-
-    def rf_stats(self) -> RegisterFileStats:
-        return RegisterFileStats(
-            reads=self.rf_stat[_RF_READS],
-            writes=self.rf_stat[_RF_WRITES],
-            bank_conflicts=self.rf_stat[_RF_CONFLICTS],
-        )
-
-    def snapshot(self) -> SMSnapshot:
-        config = self.config
-        return SMSnapshot(
-            sm_id=self.sm_id,
-            done=self.done,
-            l1=L1Snapshot(
-                num_sets=self.l1_num_sets,
-                size_bytes=self.l1_num_sets * self.l1_assoc * config.l1_line_bytes,
-                assoc=self.l1_assoc,
-            ),
-        )
 
 
 class VectorGPU:
@@ -1083,21 +1280,15 @@ class VectorGPU:
         self,
         config: SimulationConfig,
         kernel: KernelTrace,
+        extension_factory: Optional[Callable[[], SMExtension]] = None,
         max_concurrent_ctas: Optional[int] = None,
     ) -> None:
         self.config = config
         self.kernel = kernel
         self.memory = _VectorMemory(config.gpu)
-        self._next_grid_cta = 0
         compiled = CompiledKernel(kernel)
-
-        def cta_source() -> Optional[int]:
-            if self._next_grid_cta >= kernel.num_ctas:
-                return None
-            cta = self._next_grid_cta
-            self._next_grid_cta += 1
-            return cta
-
+        # The grid dispenser: the next unlaunched CTA id, or None.
+        cta_source = functools.partial(next, iter(range(kernel.num_ctas)), None)
         self.sms = [
             VectorSM(
                 sm_id=i,
@@ -1106,6 +1297,7 @@ class VectorGPU:
                 memory=self.memory,
                 cta_source=cta_source,
                 compiled=compiled,
+                extension=extension_factory() if extension_factory else None,
                 max_concurrent_ctas=max_concurrent_ctas,
             )
             for i in range(config.gpu.num_sms)
@@ -1114,58 +1306,49 @@ class VectorGPU:
     def run(self) -> SimulationResult:
         max_cycles = self.config.max_cycles
         sms = self.sms
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            # Advance every SM to its first sync point, then commit
-            # sync points in (cycle, sm_id) order. Once a single SM
-            # remains there is nothing to order against — drain it.
-            pending: list[tuple] = []
-            for sm in sms:
-                gen = sm.run_gen(max_cycles)
-                try:
-                    c = next(gen)
-                except StopIteration:
-                    continue
-                pending.append((c, sm.sm_id, gen))
-            heapq.heapify(pending)
-            heappush, heappop = heapq.heappush, heapq.heappop
-            while len(pending) > 1:
-                c, sm_id, gen = heappop(pending)
-                try:
-                    c = next(gen)
-                except StopIteration:
-                    continue
-                heappush(pending, (c, sm_id, gen))
-            if pending:
-                for _ in pending[0][2]:
-                    pass
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # Advance every SM to its first sync point, then commit sync
+        # points in (cycle, sm_id) order. Once a single SM remains
+        # there is nothing to order against — drain it.
+        pending: list[tuple] = []
+        for sm in sms:
+            gen = sm.run_gen(max_cycles)
+            try:
+                c = next(gen)
+            except StopIteration:
+                continue
+            pending.append((c, sm.sm_id, gen))
+        heapq.heapify(pending)
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
+        while len(pending) > 1:
+            c, sm_id, gen = heappop(pending)
+            try:
+                while True:
+                    # Park this SM at its next sync point and take
+                    # whichever is now earliest (often itself).
+                    c, sm_id, gen = heappushpop(pending, (next(gen), sm_id, gen))
+            except StopIteration:
+                pass
+        if pending:
+            for _ in pending[0][2]:
+                pass
         if any(sm.truncated for sm in sms):
             cycle = max_cycles
         else:
             cycle = max((sm.final_cycle for sm in sms), default=0)
         memory = self.memory
-        traffic = TrafficStats(
-            demand_read_lines=memory.demand_read_lines,
-            store_write_lines=memory.store_write_lines,
-            backup_write_lines=0,
-            restore_read_lines=0,
-        )
+        memory.hook_synced = True
         for sm in sms:
-            sm.final_cycle = cycle
+            sm.stats.cycles = cycle
+            sm.extension.finalize(cycle)
         return SimulationResult(
             kernel_name=self.kernel.name,
             cycles=cycle,
-            sm_stats=[sm.sm_stats() for sm in sms],
-            traffic=traffic,
+            sm_stats=[sm.stats for sm in sms],
+            traffic=memory.traffic,
             dram_reads=memory.dram_reads,
             dram_writes=memory.dram_writes,
-            l1_stats=[sm.l1_stats() for sm in sms],
-            rf_stats=[sm.rf_stats() for sm in sms],
-            extensions=[ExtensionSnapshot(kind="SMExtension") for _ in sms],
-            sms=[sm.snapshot() for sm in sms],
+            l1_stats=[sm.l1.stats for sm in sms],
+            rf_stats=[sm.register_file.stats for sm in sms],
+            extensions=[snapshot_extension(sm.extension) for sm in sms],
+            sms=[snapshot_sm(sm) for sm in sms],
         )

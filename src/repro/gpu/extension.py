@@ -25,6 +25,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.warp import Warp
 
 
+#: Capability flag -> the hook it gates. :meth:`SMExtension.resolve_flags`
+#: and the ``capability`` lint pass both read this table.
+CAPABILITY_FLAGS = {
+    "wants_ticks": "on_tick",
+    "wants_load_outcomes": "on_load_outcome",
+    "has_victim_cache": "lookup_victim",
+    "may_bypass": "should_bypass",
+    "wants_store_events": "on_store",
+    "controls_fill": "allocate_fill",
+    "wants_evictions": "on_l1_eviction",
+    "wants_timeseries": "timeseries_sample",
+}
+
+
 class SMExtension:
     """No-op policy: the baseline GPU.
 
@@ -44,13 +58,28 @@ class SMExtension:
     * ``wants_evictions`` — ``on_l1_eviction`` does something.
     * ``wants_timeseries`` — ``timeseries_sample`` contributes rows.
 
-    The class defaults are ``None`` = "auto": :meth:`attach` resolves
-    them by checking whether the subclass overrides the corresponding
-    hook, so existing extensions (and ad-hoc test doubles) keep exactly
-    their old behaviour without declaring anything. A subclass may pin
-    a flag explicitly (class attribute or instance attribute set before
-    ``attach``) when the override is conditionally inert — e.g.
-    Linebacker with ``enable_victim_cache=False``.
+    The class defaults are ``None`` = "auto": :meth:`resolve_flags`
+    turns them into real bools by checking whether the subclass
+    overrides the corresponding hook (:data:`CAPABILITY_FLAGS`), so
+    existing extensions (and ad-hoc test doubles) keep exactly their
+    old behaviour without declaring anything. A subclass may pin a flag
+    explicitly (class attribute, or instance attribute set in
+    ``__init__`` / ``attach``) when the override is conditionally inert
+    — e.g. Linebacker with ``enable_victim_cache=False``.
+
+    Both engines call ``attach`` and then ``resolve_flags`` once, and
+    afterwards read the eight bools straight off the instance. The
+    ungated hooks (``attach``, ``on_cta_launched``, ``on_cta_finished``,
+    ``try_reactivate_cta``, ``finalize``) fire off the hot path.
+
+    Shared state
+    ------------
+    ``sm.memory`` (``backup_registers`` / ``restore_registers``) is the
+    one thing an extension can reach that other SMs share. Use it only
+    from ``on_tick`` (see :meth:`shared_tick_period`), from an
+    ``EV_CALLBACK`` and from the CTA lifecycle hooks — the calls the
+    vector engine orders across SMs. The load, store and fill hooks
+    must keep to the SM's own state.
     """
 
     wants_ticks: "bool | None" = None
@@ -65,28 +94,35 @@ class SMExtension:
     def attach(self, sm: "SM") -> None:
         """Called once when the SM is constructed."""
         self.sm = sm
-        base = SMExtension
+        self.resolve_flags()
+
+    def resolve_flags(self) -> None:
+        """Leave a real bool on the instance for every capability flag:
+        a pinned value as is, ``None`` as "the hook is overridden".
+        Idempotent — the engines call it again after ``attach``, which
+        covers an ``attach`` override that pinned a flag after (or
+        never called) ``super().attach``."""
         cls = type(self)
-        if self.wants_ticks is None:
-            self.wants_ticks = cls.on_tick is not base.on_tick
-        if self.wants_load_outcomes is None:
-            self.wants_load_outcomes = cls.on_load_outcome is not base.on_load_outcome
-        if self.has_victim_cache is None:
-            self.has_victim_cache = cls.lookup_victim is not base.lookup_victim
-        if self.may_bypass is None:
-            self.may_bypass = cls.should_bypass is not base.should_bypass
-        if self.wants_store_events is None:
-            self.wants_store_events = cls.on_store is not base.on_store
-        if self.controls_fill is None:
-            self.controls_fill = cls.allocate_fill is not base.allocate_fill
-        if self.wants_evictions is None:
-            self.wants_evictions = cls.on_l1_eviction is not base.on_l1_eviction
-        if self.wants_timeseries is None:
-            self.wants_timeseries = cls.timeseries_sample is not base.timeseries_sample
+        for flag, hook in CAPABILITY_FLAGS.items():
+            value = getattr(self, flag)
+            if value is None:
+                value = getattr(cls, hook) is not getattr(SMExtension, hook)
+            setattr(self, flag, bool(value))
 
     # -- per-cycle / windowing -------------------------------------------
     def on_tick(self, cycle: int) -> None:
         """Called at every SM tick (after responses, before issue)."""
+
+    def shared_tick_period(self) -> "int | None":
+        """Cycles between the ticks on which :meth:`on_tick` may reach
+        ``sm.memory``: only the first tick at or past each multiple
+        does. The vector engine lets an SM run ahead of its siblings
+        in between and refuses a shared access from any other tick.
+        The default is the grid every windowed extension here closes
+        its window on — the one place registers are backed up or
+        restored — its own ``config.window_cycles``; ``None`` (no such
+        config) means any tick may."""
+        return getattr(getattr(self, "config", None), "window_cycles", None)
 
     def timeseries_sample(self, cycle: int) -> dict:
         """Extra key/value pairs merged into the SM's timeseries row at

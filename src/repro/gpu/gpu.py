@@ -19,7 +19,7 @@ from repro.options import RunOptions
 from repro.gpu.sm import SM
 from repro.gpu.snapshot import snapshot_extension, snapshot_sm
 from repro.gpu.stats import SMStats
-from repro.gpu.trace import KernelTrace
+from repro.gpu.trace import KernelTrace, hardware_occupancy
 from repro.memory.subsystem import MemorySubsystem, TrafficStats
 
 #: Builds one extension instance per SM (policies keep per-SM state).
@@ -245,7 +245,7 @@ class GPU:
 
 def statically_unused_register_bytes(config: GPUConfig, kernel: KernelTrace) -> int:
     """SUR: register space no CTA ever occupies at full occupancy."""
-    occupancy = SM.hardware_occupancy(config, kernel)
+    occupancy = hardware_occupancy(config, kernel)
     used = occupancy * kernel.warp_registers_per_cta * WARP_REGISTER_BYTES
     return max(0, config.register_file_bytes - used)
 
@@ -254,7 +254,7 @@ def dynamically_unused_register_bytes(
     config: GPUConfig, kernel: KernelTrace, active_ctas: int
 ) -> int:
     """DUR: register space of CTAs a throttling scheme keeps inactive."""
-    occupancy = SM.hardware_occupancy(config, kernel)
+    occupancy = hardware_occupancy(config, kernel)
     inactive = max(0, occupancy - active_ctas)
     return inactive * kernel.warp_registers_per_cta * WARP_REGISTER_BYTES
 
@@ -268,9 +268,9 @@ def run_kernel(
     """Convenience wrapper: run one kernel on the selected backend.
 
     ``options.backend`` pins the execution engine; ``None`` chooses it
-    from the request (``vector`` for extension-free snapshot runs, else
-    ``object``). A pinned backend that cannot run the request exactly
-    falls back with a
+    from the request (``vector`` unless an option it declines is set,
+    else ``object``). A pinned backend that cannot run the request
+    exactly falls back with a
     :class:`~repro.engine.base.BackendFallbackWarning`.
 
     By default the result carries SM/extension *snapshots* (every

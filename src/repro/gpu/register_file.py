@@ -40,6 +40,14 @@ class RegisterFileStats(_RegisterFileStatsBase):
     __slots__ = ()
 
 
+def register_tokens(slot: int, regs: range) -> list[int]:
+    """Deterministic launch-time contents of the registers ``regs`` of
+    the CTA in ``slot``, so backup/restore round-trips are checkable
+    end to end."""
+    high = slot << 20
+    return [high ^ (reg * 2654435761 & 0xFFFFF) for reg in regs]
+
+
 class RegisterFile:
     """Physical warp-register storage with bank-conflict accounting."""
 
@@ -53,9 +61,17 @@ class RegisterFile:
         self._owner: list[Optional[int]] = [None] * self.num_registers  # CTA slot or None
         self._free_base = 0
         self.stats = RegisterFileStats()
-        # Per-cycle bank usage for conflict detection.
-        self._usage_cycle = -1
-        self._bank_use: dict[int, int] = {}
+        # Per-cycle bank usage for conflict detection, as epoch arrays:
+        # ``_window`` is the mutable ``[usage cycle, epoch]`` pair and a
+        # bank's count is live only while its epoch matches, so opening
+        # a new cycle's window is two stores, not a reset. All three are
+        # mutated in place and never rebound — the vector engine's SM
+        # coroutine inlines this accounting over the same lists, so its
+        # operand traffic and an extension's ``read`` / ``write`` /
+        # ``account_operand_traffic`` at one cycle share one window.
+        self._window: list[int] = [-1, 0]
+        self._bank_epoch = [-1] * num_banks
+        self._bank_count = [0] * num_banks
 
     # -- allocation --------------------------------------------------------
     def allocate(self, num_regs: int, owner: int) -> Optional[range]:
@@ -104,14 +120,21 @@ class RegisterFile:
 
     # -- data access ---------------------------------------------------------
     def read(self, reg: int, cycle: int = 0) -> Optional[int]:
-        self._account(reg, cycle)
+        self.stats.bank_conflicts += self._bank_accesses(reg, 1, cycle)
         self.stats.reads += 1
         return self._values[reg]
 
     def write(self, reg: int, value: Optional[int], cycle: int = 0) -> None:
-        self._account(reg, cycle)
+        self.stats.bank_conflicts += self._bank_accesses(reg, 1, cycle)
         self.stats.writes += 1
         self._values[reg] = value
+
+    def write_range(self, regs: range, values: list, cycle: int = 0) -> None:
+        """:meth:`write` for each register of ``regs`` in order (a CTA
+        launch initializing its whole allocation in one window)."""
+        self.stats.bank_conflicts += self._bank_accesses(regs.start, len(regs), cycle)
+        self.stats.writes += len(regs)
+        self._values[regs.start:regs.stop] = values
 
     def peek(self, reg: int) -> Optional[int]:
         """Read without port/bank accounting (testing/introspection)."""
@@ -121,15 +144,30 @@ class RegisterFile:
     def bank_of(self, reg: int) -> int:
         return reg % self.num_banks
 
-    def _account(self, reg: int, cycle: int) -> None:
-        if cycle != self._usage_cycle:
-            self._usage_cycle = cycle
-            self._bank_use = {}
-        bank = self.bank_of(reg)
-        used = self._bank_use.get(bank, 0)
-        if used >= self.ports_per_bank:
-            self.stats.bank_conflicts += 1
-        self._bank_use[bank] = used + 1
+    def _bank_accesses(self, first_reg: int, count: int, cycle: int) -> int:
+        """Claim one port on the bank of each of ``count`` consecutive
+        registers within ``cycle``'s window; returns the conflicts."""
+        window = self._window
+        epoch = window[1]
+        if cycle != window[0]:
+            window[0] = cycle
+            window[1] = epoch = epoch + 1
+        bank_epoch = self._bank_epoch
+        bank_count = self._bank_count
+        num_banks = self.num_banks
+        ports = self.ports_per_bank
+        conflicts = 0
+        for reg in range(first_reg, first_reg + count):
+            bank = reg % num_banks
+            if bank_epoch[bank] != epoch:
+                bank_epoch[bank] = epoch
+                bank_count[bank] = 1
+            else:
+                used = bank_count[bank]
+                if used >= ports:
+                    conflicts += 1
+                bank_count[bank] = used + 1
+        return conflicts
 
     def account_operand_traffic(self, num_operands: int, base_reg: int, cycle: int) -> int:
         """Account bank accesses for an instruction's register operands.
@@ -139,19 +177,7 @@ class RegisterFile:
         at ``base_reg`` (the warp's allocation base), which reproduces
         realistic bank spreading for interleaved allocation.
         """
-        stats = self.stats
-        before = stats.bank_conflicts
-        if cycle != self._usage_cycle:
-            self._usage_cycle = cycle
-            self._bank_use = {}
-        bank_use = self._bank_use
-        num_banks = self.num_banks
-        ports = self.ports_per_bank
-        for i in range(num_operands):
-            bank = (base_reg + i) % num_banks
-            used = bank_use.get(bank, 0)
-            if used >= ports:
-                stats.bank_conflicts += 1
-            bank_use[bank] = used + 1
-        stats.reads += num_operands
-        return stats.bank_conflicts - before
+        conflicts = self._bank_accesses(base_reg, num_operands, cycle)
+        self.stats.bank_conflicts += conflicts
+        self.stats.reads += num_operands
+        return conflicts

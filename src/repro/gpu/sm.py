@@ -20,10 +20,10 @@ from repro.config import GPUConfig
 from repro.gpu.cta import CTA, CTAState
 from repro.gpu.extension import SMExtension
 from repro.gpu.isa import Instruction, Op
-from repro.gpu.register_file import RegisterFile
+from repro.gpu.register_file import RegisterFile, register_tokens
 from repro.gpu.scheduler import GTOScheduler
 from repro.gpu.stats import SM_STATS, LoadTracker, SMStats
-from repro.gpu.trace import KernelTrace
+from repro.gpu.trace import KernelTrace, hardware_occupancy
 from repro.gpu.warp import Warp, WarpState
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MSHRFile
@@ -111,31 +111,14 @@ class SM:
         self.cycle = 0
         self._drained = False
 
-        self.occupancy_limit = self.hardware_occupancy(config, kernel)
+        self.occupancy_limit = hardware_occupancy(config, kernel)
         if max_concurrent_ctas is not None:
             self.occupancy_limit = min(self.occupancy_limit, max_concurrent_ctas)
 
         self.extension.attach(self)
-        # Capability flags resolved once: the load path reads plain
-        # bools instead of making four dynamic no-op calls per line.
-        # A still-None flag (an attach override that skipped super())
-        # falls back to the same auto-detection the base attach does.
-        ext = self.extension
-        cls, base = type(ext), SMExtension
-
-        def flag(value, hook: str) -> bool:
-            if value is not None:
-                return bool(value)
-            return getattr(cls, hook) is not getattr(base, hook)
-
-        self._ext_wants_ticks = flag(ext.wants_ticks, "on_tick")
-        self._ext_wants_load_outcomes = flag(ext.wants_load_outcomes, "on_load_outcome")
-        self._ext_has_victim_cache = flag(ext.has_victim_cache, "lookup_victim")
-        self._ext_may_bypass = flag(ext.may_bypass, "should_bypass")
-        self._ext_wants_store_events = flag(ext.wants_store_events, "on_store")
-        self._ext_controls_fill = flag(ext.controls_fill, "allocate_fill")
-        self._ext_wants_evictions = flag(ext.wants_evictions, "on_l1_eviction")
-        self._ext_wants_timeseries = flag(ext.wants_timeseries, "timeseries_sample")
+        # Eight real bools on the extension from here on; the hot paths
+        # read them instead of making dynamic no-op calls per line.
+        self.extension.resolve_flags()
         # Stable sub-objects of the L1/MSHR, hoisted once. The cache
         # never rebinds ``_sets`` and the MSHR file never rebinds
         # ``_entries`` (both mutate in place), so the load path can
@@ -151,20 +134,6 @@ class SM:
     # ------------------------------------------------------------------
     # Occupancy and CTA lifecycle
     # ------------------------------------------------------------------
-    @staticmethod
-    def hardware_occupancy(config: GPUConfig, kernel: KernelTrace) -> int:
-        """Max concurrent CTAs per SM from the hardware limits (Table 1)."""
-        threads_per_cta = kernel.warps_per_cta * config.simd_width
-        limits = [
-            config.max_ctas_per_sm,
-            config.max_threads_per_sm // threads_per_cta,
-            config.max_warps_per_sm // kernel.warps_per_cta,
-            (config.register_file_bytes // 128) // max(1, kernel.warp_registers_per_cta),
-        ]
-        if kernel.shared_mem_per_cta > 0:
-            limits.append(config.shared_memory_bytes // kernel.shared_mem_per_cta)
-        return max(1, min(limits))
-
     def _fill_occupancy(self, cycle: int) -> None:
         while len(self.ctas) < self.occupancy_limit:
             if not self._launch_next_cta(cycle):
@@ -181,10 +150,7 @@ class SM:
             raise RuntimeError(
                 f"SM{self.sm_id}: register allocation failed for CTA slot {slot}"
             )
-        # Initialize register contents with per-register tokens so that
-        # backup/restore round-trips are checkable end to end.
-        for r in regs:
-            self.register_file.write(r, self._register_token(slot, r), cycle=-1)
+        self.register_file.write_range(regs, register_tokens(slot, regs), cycle=-1)
         warps = []
         for w in range(self.kernel.warps_per_cta):
             warp = Warp(
@@ -202,11 +168,6 @@ class SM:
         )
         self.extension.on_cta_launched(slot, cycle)
         return True
-
-    @staticmethod
-    def _register_token(slot: int, reg: int) -> int:
-        """Deterministic register content token for correctness checks."""
-        return (slot << 20) ^ (reg * 2654435761 & 0xFFFFF)
 
     def _complete_cta(self, cta: CTA, cycle: int) -> None:
         cta.state = CTAState.FINISHED
@@ -268,11 +229,11 @@ class SM:
         # capability flags (allocate_fill defaults to True, eviction
         # notification to a no-op).
         waiters = self._mshr_entries.pop(line_addr, [])
-        if not self._ext_controls_fill or self.extension.allocate_fill(line_addr):
+        if not self.extension.controls_fill or self.extension.allocate_fill(line_addr):
             hpc = waiters[0][1] if waiters else 0
             owner = waiters[0][0].warp_id if waiters else -1
             evicted = self.l1.fill(line_addr, token=line_addr, hpc=hpc, owner=owner)
-            if evicted is not None and self._ext_wants_evictions:
+            if evicted is not None and self.extension.wants_evictions:
                 self.extension.on_l1_eviction(evicted[0], evicted[1], cycle)
         for warp, _hpc in waiters:
             warp.memory_response(cycle)
@@ -293,7 +254,7 @@ class SM:
         events = self._events
         if events and events[0][0] <= cycle:
             self._process_events(cycle)
-        if self._ext_wants_ticks:
+        if self.extension.wants_ticks:
             self.extension.on_tick(cycle)
         if cycle >= self._ts_next:
             # After on_tick: the extension has closed its windows up to
@@ -377,7 +338,7 @@ class SM:
     def _execute_store(self, warp: Warp, inst: Instruction, cycle: int) -> None:
         stats = self.stats
         stats.stores += 1
-        wants_stores = self._ext_wants_store_events
+        wants_stores = self.extension.wants_store_events
         for line_addr in inst.line_addrs:
             stats.mem_requests += 1
             self.l1.write_access(line_addr)
@@ -440,9 +401,9 @@ class SM:
         mshr = self.mshr
         fetch_line = self.memory.fetch_line
         sm_id = self.sm_id
-        may_bypass = self._ext_may_bypass
-        has_victim = self._ext_has_victim_cache
-        wants_outcomes = self._ext_wants_load_outcomes
+        may_bypass = extension.may_bypass
+        has_victim = extension.has_victim_cache
+        wants_outcomes = extension.wants_load_outcomes
         pc = inst.pc
         hpc = inst.hpc
         warp_id = warp.warp_id
@@ -543,7 +504,7 @@ class SM:
         rec = self._ts_recorder
         boundary = self._ts_next
         window = rec.series.window_cycles
-        wants_extra = self._ext_wants_timeseries
+        wants_extra = self.extension.wants_timeseries
         while cycle >= boundary:
             extra = self.extension.timeseries_sample(int(boundary)) if wants_extra else None
             active = 0

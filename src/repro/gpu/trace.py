@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.config import WARP_REGISTER_BYTES
+from repro.config import WARP_REGISTER_BYTES, GPUConfig
 from repro.gpu.isa import Instruction, Op
 
 #: A factory mapping (cta_id, warp_in_cta) -> instruction iterator.
@@ -66,6 +66,20 @@ class KernelTrace:
     def materialize(self, cta_id: int, warp_in_cta: int) -> list[Instruction]:
         """Fully expand one warp's trace (used by tests and analysis)."""
         return list(self.warp_trace(cta_id, warp_in_cta))
+
+
+def hardware_occupancy(config: GPUConfig, kernel: KernelTrace) -> int:
+    """Max concurrent CTAs per SM from the hardware limits (Table 1)."""
+    threads_per_cta = kernel.warps_per_cta * config.simd_width
+    limits = [
+        config.max_ctas_per_sm,
+        config.max_threads_per_sm // threads_per_cta,
+        config.max_warps_per_sm // kernel.warps_per_cta,
+        (config.register_file_bytes // 128) // max(1, kernel.warp_registers_per_cta),
+    ]
+    if kernel.shared_mem_per_cta > 0:
+        limits.append(config.shared_memory_bytes // kernel.shared_mem_per_cta)
+    return max(1, min(limits))
 
 
 def from_instruction_lists(

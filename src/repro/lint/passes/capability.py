@@ -1,34 +1,31 @@
 """Capability-flag consistency for the SM extension interface.
 
-The hot load path in :class:`repro.gpu.sm.SM` never calls an extension
-hook directly: it reads a plain bool resolved once at attach time
-(``wants_ticks`` gates ``on_tick``, ``has_victim_cache`` gates
-``lookup_victim``, ...). That indirection is fast and fragile — three
-distinct drift modes, all invisible until a policy silently stops
-firing:
+Neither engine's hot path calls an extension hook unconditionally: it
+reads a plain bool that ``SMExtension.resolve_flags`` left on the
+instance (``wants_ticks`` gates ``on_tick``, ``has_victim_cache`` gates
+``lookup_victim``, ...), per the module-level ``CAPABILITY_FLAGS``
+table next to the class. That indirection is fast and fragile — drift
+modes that are invisible until a policy silently stops firing:
 
 * ``capability-flag-unresolved`` — a flag declared on ``SMExtension``
-  that ``attach`` never auto-resolves (or an ``attach`` resolution for
-  an undeclared flag). New flags must follow the
-  ``if self.F is None: self.F = cls.H is not base.H`` pattern.
+  that the ``CAPABILITY_FLAGS`` table does not resolve (or a table row
+  for an undeclared flag).
 * ``hook-missing-flag`` — a hook method added to ``SMExtension``
-  without a capability flag. The SM would never call it (or worse,
+  without a capability flag. An engine would never call it (or worse,
   call it unconditionally on the hot path). Lifecycle hooks
   (``on_cta_*``, ``try_reactivate_cta``, ``finalize``, ``attach``)
   are exempt: they fire off the hot path.
-* ``capability-gate-missing`` — the SM side: every flag must be
-  mirrored into a ``self._ext_*`` gate in ``SM.__init__`` (resolved
-  against the same hook name) and that gate must actually be read
-  somewhere in the SM.
+* ``capability-gate-missing`` — the engine side: a class that hosts
+  hooks (``SM``, ``VectorSM``) references a gated hook without reading
+  its flag anywhere, or a flag that no engine reads at all.
 * ``capability-flag-pinned`` — a subclass overrides a hook but pins
   the matching flag to a literal ``False`` unconditionally. The
   override is then dead code. Pinning is legal only when guarded
   (inside an ``if``) or computed from configuration, e.g. Linebacker's
   ``self.has_victim_cache = cfg.enable_victim_cache``.
 
-The pass statically re-derives the flag <-> hook mapping from the
-``attach`` body, so it tracks the real contract instead of a
-hand-maintained table.
+The flag <-> hook mapping is read from the table the runtime itself
+uses, so the pass tracks the real contract instead of a copy.
 """
 
 from __future__ import annotations
@@ -43,11 +40,17 @@ from repro.lint.source import Project, SourceFile
 PASS_NAME = "capability"
 
 BASE_CLASS = "SMExtension"
-SM_CLASS = "SM"
+FLAG_TABLE = "CAPABILITY_FLAGS"
+#: The classes whose code calls the gated hooks.
+ENGINE_CLASSES = ("SM", "VectorSM")
 
-#: Hooks that fire off the hot path and are deliberately ungated.
+#: Hooks that fire off the hot path and are deliberately ungated (and
+#: ``resolve_flags`` / ``shared_tick_period``, which describe the
+#: extension to the engine rather than receive events).
 UNGATED_HOOKS = {
     "attach",
+    "resolve_flags",
+    "shared_tick_period",
     "on_cta_launched",
     "on_cta_finished",
     "try_reactivate_cta",
@@ -84,83 +87,30 @@ def _declared_flags(node: ast.ClassDef) -> dict[str, int]:
     return flags
 
 
-def _attach_resolution(attach: ast.FunctionDef) -> dict[str, tuple[str, int]]:
-    """flag -> (hook, line) parsed from the auto-resolution pattern::
-
-        if self.F is None:
-            self.F = cls.H is not base.H
-    """
-    mapping: dict[str, tuple[str, int]] = {}
-    for stmt in ast.walk(attach):
-        if not isinstance(stmt, ast.If):
-            continue
-        test = stmt.test
-        if not (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Is)
-            and isinstance(test.left, ast.Attribute)
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None
-        ):
-            continue
-        flag = test.left.attr
-        for inner in stmt.body:
-            if not (
-                isinstance(inner, ast.Assign)
-                and len(inner.targets) == 1
-                and isinstance(inner.targets[0], ast.Attribute)
-                and inner.targets[0].attr == flag
-            ):
-                continue
-            value = inner.value
-            if (
-                isinstance(value, ast.Compare)
-                and len(value.ops) == 1
-                and isinstance(value.ops[0], (ast.IsNot, ast.NotEq))
-                and isinstance(value.left, ast.Attribute)
-            ):
-                mapping[flag] = (value.left.attr, inner.lineno)
-    return mapping
-
-
-def _sm_gates(sm_node: ast.ClassDef) -> dict[str, tuple[str, int, str]]:
-    """flag -> (hook, line, gate attr) from
-    ``self._ext_X = flag(ext.F, "H")`` in ``SM.__init__``."""
-    init = _methods(sm_node).get("__init__")
-    if init is None:
-        return {}
-    gates: dict[str, tuple[str, int, str]] = {}
-    for stmt in ast.walk(init):
-        if not (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Attribute)
-            and stmt.targets[0].attr.startswith("_ext_")
-        ):
-            continue
-        call = stmt.value
-        if not (isinstance(call, ast.Call) and len(call.args) == 2):
-            continue
-        flag_arg, hook_arg = call.args
-        if isinstance(flag_arg, ast.Attribute) and isinstance(
-            hook_arg, ast.Constant
-        ) and isinstance(hook_arg.value, str):
-            gates[flag_arg.attr] = (hook_arg.value, stmt.lineno, stmt.targets[0].attr)
-    return gates
-
-
-def _gate_reads(sm_node: ast.ClassDef) -> set[str]:
-    """Every ``self._ext_*`` attribute *read* inside the SM class."""
-    reads: set[str] = set()
-    for node in ast.walk(sm_node):
+def _flag_table(src: SourceFile) -> dict[str, tuple[str, int]]:
+    """flag -> (hook, line) from the module-level literal
+    ``CAPABILITY_FLAGS = {"flag": "hook", ...}``."""
+    for stmt in src.tree.body:
         if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and node.attr.startswith("_ext_")
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == FLAG_TABLE for t in stmt.targets)
+            and isinstance(stmt.value, ast.Dict)
         ):
-            reads.add(node.attr)
-    return reads
+            return {
+                key.value: (value.value, key.lineno)
+                for key, value in zip(stmt.value.keys, stmt.value.values)
+                if isinstance(key, ast.Constant) and isinstance(value, ast.Constant)
+            }
+    return {}
+
+
+def _attribute_reads(node: ast.ClassDef) -> set[str]:
+    """Every attribute name loaded anywhere inside the class."""
+    return {
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
 
 
 def _project_subclasses(
@@ -247,11 +197,11 @@ def _ancestry_overrides(
 
 RULES = (
     Rule("capability-flag-unresolved", Severity.ERROR,
-         "flag declared without attach auto-resolution (or vice versa)"),
+         "flag declared without a CAPABILITY_FLAGS row (or vice versa)"),
     Rule("hook-missing-flag", Severity.ERROR,
          "SMExtension hook without a capability flag"),
     Rule("capability-gate-missing", Severity.ERROR,
-         "capability flag not mirrored (or unused) as an SM _ext_ gate"),
+         "engine references a gated hook without reading its flag"),
     Rule("capability-flag-pinned", Severity.ERROR,
          "overridden hook with its flag pinned False unguarded"),
 )
@@ -260,7 +210,7 @@ RULES = (
 @lint_pass(
     PASS_NAME,
     RULES,
-    "re-derives SMExtension.attach flag resolution statically",
+    "checks the SMExtension flag table against hooks, engines and pins",
 )
 def run(project: Project) -> Iterable[Finding]:
     entry = project.find_class(BASE_CLASS)
@@ -269,23 +219,21 @@ def run(project: Project) -> Iterable[Finding]:
     src, base_node = entry
     methods = _methods(base_node)
     flags = _declared_flags(base_node)
-    attach = methods.get("attach")
-    mapping = _attach_resolution(attach) if attach is not None else {}
+    mapping = _flag_table(src)
 
-    # 1. Declared flags <-> attach resolution, both directions.
+    # 1. Declared flags <-> table rows, both directions.
     for flag, line in sorted(flags.items()):
         if flag not in mapping:
             yield make_finding(
                 "capability-flag-unresolved",
-                f"flag {flag!r} is declared but never auto-resolved in "
-                f"{BASE_CLASS}.attach",
+                f"flag {flag!r} is declared but has no row in {FLAG_TABLE}",
                 src, line, PASS_NAME,
             )
     for flag, (hook, line) in sorted(mapping.items()):
         if flag not in flags:
             yield make_finding(
                 "capability-flag-unresolved",
-                f"attach resolves {flag!r} (from hook {hook!r}) but the "
+                f"{FLAG_TABLE} resolves {flag!r} (from hook {hook!r}) but the "
                 f"flag is not declared on {BASE_CLASS}",
                 src, line, PASS_NAME,
             )
@@ -299,41 +247,34 @@ def run(project: Project) -> Iterable[Finding]:
     for name in sorted(hook_names - gated_hooks):
         yield make_finding(
             "hook-missing-flag",
-            f"hook {BASE_CLASS}.{name} has no capability flag; the SM "
-            "cannot gate it on the hot path (add a flag + attach "
-            "resolution + SM gate, or list it as a lifecycle hook)",
+            f"hook {BASE_CLASS}.{name} has no capability flag; an engine "
+            f"cannot gate it on the hot path (add a flag + {FLAG_TABLE} "
+            "row + engine gate, or list it as a lifecycle hook)",
             src, methods[name].lineno, PASS_NAME,
         )
 
-    # 3. SM-side gates mirror the mapping and are actually read.
-    sm_entry = project.find_class(SM_CLASS)
-    if sm_entry is not None:
-        sm_src, sm_node = sm_entry
-        gates = _sm_gates(sm_node)
-        reads = _gate_reads(sm_node)
+    # 3. Engine side: a referenced hook is gated, and no flag is dead.
+    engines = [entry for entry in map(project.find_class, ENGINE_CLASSES) if entry]
+    read_somewhere: set[str] = set()
+    for engine_src, engine_node in engines:
+        reads = _attribute_reads(engine_node)
+        read_somewhere |= reads
         for flag, (hook, _line) in sorted(mapping.items()):
-            if flag not in gates:
+            if hook in reads and flag not in reads:
                 yield make_finding(
                     "capability-gate-missing",
-                    f"flag {flag!r} has no _ext_ gate in {SM_CLASS}.__init__",
-                    sm_src, sm_node.lineno, PASS_NAME,
+                    f"{engine_node.name} references hook {hook!r} but never "
+                    f"reads its flag {flag!r}; the hook is effectively ungated",
+                    engine_src, engine_node.lineno, PASS_NAME,
                 )
-            elif gates[flag][0] != hook:
-                yield make_finding(
-                    "capability-gate-missing",
-                    f"{SM_CLASS} gate for {flag!r} resolves hook "
-                    f"{gates[flag][0]!r} but attach resolves {hook!r}",
-                    sm_src, gates[flag][1], PASS_NAME,
-                )
-        for flag, (hook, line, gate_attr) in sorted(gates.items()):
-            if gate_attr not in reads:
-                yield make_finding(
-                    "capability-gate-missing",
-                    f"{SM_CLASS}.{gate_attr} (gate for {flag!r}) is "
-                    "assigned but never read; the hook is effectively "
-                    "ungated",
-                    sm_src, line, PASS_NAME,
-                )
+    for flag, (hook, line) in sorted(mapping.items()):
+        if engines and flag not in read_somewhere:
+            yield make_finding(
+                "capability-gate-missing",
+                f"flag {flag!r} is read by no engine "
+                f"({', '.join(node.name for _, node in engines)})",
+                src, line, PASS_NAME,
+            )
 
     # 4. Subclasses pinning flags over overridden hooks.
     all_hooks = gated_hooks

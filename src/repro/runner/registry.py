@@ -22,6 +22,7 @@ from repro.baselines.pcal import pcal_factory
 from repro.baselines.swl import best_swl
 from repro.config import LinebackerConfig, SimulationConfig
 from repro.core.linebacker import linebacker_factory
+from repro.engine import backend_names
 from repro.gpu.gpu import run_kernel
 from repro.gpu.trace import KernelTrace
 from repro.options import RUN_OPTION_FIELDS, RunOptions
@@ -50,12 +51,6 @@ class ArchSpec:
     params: tuple[str, ...] = ()
     sweep: Optional[Callable] = None
 
-    @property
-    def supports_backends(self) -> tuple[str, ...]:
-        """Engines a job may pin — computed from the row, never
-        declared: extensions run only on ``object``."""
-        return ("object", "vector") if self.extension is None else ("object",)
-
     def refuses(self, name: str, value: Any, job: bool = True) -> Optional[str]:
         """Why this architecture cannot take ``name=value`` (an option
         or a parameter); ``None`` when it can.
@@ -79,8 +74,8 @@ class ArchSpec:
                 "hands back live objects ('keep_objects') only from a direct "
                 "runner(...) call; they never cross the cache or the wire"
             )
-        elif job and name == "backend" and value not in self.supports_backends:
-            supported = ", ".join(self.supports_backends)
+        elif job and name == "backend" and value not in backend_names():
+            supported = ", ".join(backend_names())
             why = f"does not support the {value!r} backend (supported: {supported})"
         return why and f"architecture {self.name!r} {why}"
 

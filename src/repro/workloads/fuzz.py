@@ -540,9 +540,10 @@ def differential_check(
 
     ``backend`` pins the execution engine for the extension-free legs
     (baseline, Best-SWL); left unset they run on the selected engine.
-    Unless ``object`` itself is pinned, the baseline run is compared
-    bit for bit against a pinned ``object`` run, so a fuzzed workload
-    that diverges between engines fails the harness.
+    The Linebacker leg and — unless ``object`` itself is pinned — the
+    baseline leg are each run twice, on the selected engine and pinned
+    to ``object``, and compared bit for bit, so a fuzzed workload that
+    diverges between engines (hooks included) fails the harness.
     """
     from repro.runner.engine import ExperimentRunner, execute_job
     from repro.runner.registry import resolve
@@ -552,11 +553,21 @@ def differential_check(
     config = scaled_config(num_sms=sms)
     kernel = build_workload(spec, scale)
 
-    # Live Linebacker run (keep_objects so the VTTs stay inspectable):
-    # conservation + VTT structure + backups.
-    live = resolve("linebacker").runner(config, kernel, keep_objects=True)
-    problems += _conservation_problems(live, "linebacker")
-    problems += _vtt_problems(live.extensions, "linebacker")
+    def diverges(arch: str, selected, reference, engine: str) -> list[str]:
+        selected_fp, reference_fp = _fingerprint(selected), _fingerprint(reference)
+        if selected_fp == reference_fp:
+            return []
+        diff = [k for k in reference_fp if reference_fp[k] != selected_fp.get(k)]
+        return [f"{arch}: {engine} backend diverges from object on {diff}"]
+
+    # Linebacker on the reference engine and on the selected one:
+    # conservation + VTT structure + backups on both, then bit-identity.
+    pinned = resolve("linebacker").runner(config, kernel, backend="object")
+    unpinned = resolve("linebacker").runner(config, kernel)
+    for label, result in (("linebacker[object]", pinned), ("linebacker", unpinned)):
+        problems += _conservation_problems(result, label)
+        problems += _vtt_problems(result.extensions, label)
+    problems += diverges("linebacker", unpinned, pinned, "selected")
 
     # Baseline conservation (no victim path: victim_hits must be 0).
     base = resolve("baseline").runner(config, kernel, backend=backend)
@@ -565,13 +576,7 @@ def differential_check(
         problems.append("baseline: non-zero victim hits without a VTT")
     if backend != "object":  # object against itself proves nothing
         obj = resolve("baseline").runner(config, kernel, backend="object")
-        base_fp, obj_fp = _fingerprint(base), _fingerprint(obj)
-        if base_fp != obj_fp:
-            diff = [k for k in obj_fp if obj_fp[k] != base_fp.get(k)]
-            problems.append(
-                f"baseline: {backend or 'selected'} backend diverges from "
-                f"object on {diff}"
-            )
+        problems += diverges("baseline", base, obj, backend or "selected")
 
     # Best-SWL oracle: sweep sanity + conservation of the winner.
     swl = resolve("best_swl").runner(config, kernel, backend=backend)
@@ -592,10 +597,8 @@ def differential_check(
     job = JobSpec.build(app=spec.name, arch="linebacker", config=config,
                         scale=scale, workload=spec)
     inline_fp = _fingerprint(execute_job(job)[0])
-    if inline_fp != _fingerprint(live):
-        problems.append(
-            "linebacker: keep_objects run and portable snapshot run diverge"
-        )
+    if inline_fp != _fingerprint(unpinned):
+        problems.append("linebacker: direct run and execute_job run diverge")
     runner = ExperimentRunner(workers=1, use_cache=False, executor="loopback")
     loopback_fp = _fingerprint(runner.run_many([job])[0])
     if loopback_fp != inline_fp:

@@ -31,10 +31,9 @@ GOLDEN_APPS = ("S2", "LI")
 #: workloads exercising the declarative spec path end to end, pinned at
 #: full scale (their grids are already small by construction).
 GOLDEN_FUZZ_SPECS = ("thrasher", "multikernel", "multitenant")
+#: The default engine for every cell is ``vector``, so each is pinned a
+#: second time with ``backend="object"``.
 GOLDEN_ARCHS = ("baseline", "best_swl", "linebacker")
-#: The extension-free cells: the default engine for these is ``vector``,
-#: so they are pinned a second time with ``backend="object"``.
-GOLDEN_EXTENSION_FREE_ARCHS = ("baseline", "best_swl")
 GOLDEN_SCALE = 0.25
 GOLDEN_SMS = 2
 
@@ -108,9 +107,9 @@ def golden_spec(app: str, arch: str):
 def fingerprint(app: str, arch: str, backend=None) -> dict:
     """Run one (app, arch) simulation and fingerprint its statistics.
 
-    ``backend=None`` runs the engine selected from the request (vector
-    for the extension-free archs); ``"object"`` pins the reference
-    engine so its hook-free ``tick`` path is held to the same file.
+    ``backend=None`` runs the engine selected from the request
+    (``vector``); ``"object"`` pins the reference engine so its ``tick``
+    path is held to the same file.
     """
     config = scaled_config(num_sms=GOLDEN_SMS)
     if app in GOLDEN_FUZZ_SPECS:

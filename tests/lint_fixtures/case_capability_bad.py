@@ -1,26 +1,28 @@
 """Seeded violations for the capability pass: a miniature of the
-real ``SMExtension``/``SM`` contract with every drift mode present.
+real ``SMExtension``/engine contract with every drift mode present.
 
 Expected findings:
 
-* ``wants_evictions`` declared but never auto-resolved in ``attach``
+* ``wants_evictions`` declared but without a ``CAPABILITY_FLAGS`` row
   (capability-flag-unresolved);
-* ``attach`` resolves ``wants_stores`` which is not declared
+* the table resolves ``wants_stores`` which is not declared
   (capability-flag-unresolved);
 * ``on_snoop`` is a hook with no capability flag (hook-missing-flag);
-* ``wants_fills`` has no ``_ext_`` gate in ``SM.__init__``
+* ``SM`` calls ``on_load`` without ever reading ``wants_loads``
   (capability-gate-missing);
-* the ``wants_stores`` gate resolves ``"on_tick"`` instead of
-  ``"on_store"`` (capability-gate-missing);
-* ``SM._ext_wants_loads`` is assigned but never read
+* ``VectorSM`` calls ``on_tick`` without ever reading ``wants_ticks``
   (capability-gate-missing);
+* ``wants_fills`` is read by no engine (capability-gate-missing);
 * ``MutedExtension`` overrides ``on_tick`` while pinning
   ``wants_ticks = False`` unconditionally (capability-flag-pinned).
 """
 
-
-def _flag(value, hook_name):
-    return bool(value)
+CAPABILITY_FLAGS = {
+    "wants_ticks": "on_tick",
+    "wants_loads": "on_load",
+    "wants_stores": "on_store",
+    "wants_fills": "allocate_fill",
+}
 
 
 class SMExtension:
@@ -31,16 +33,13 @@ class SMExtension:
 
     def attach(self, sm):
         self.sm = sm
-        cls = type(self)
-        base = SMExtension
-        if self.wants_ticks is None:
-            self.wants_ticks = cls.on_tick is not base.on_tick
-        if self.wants_loads is None:
-            self.wants_loads = cls.on_load is not base.on_load
-        if self.wants_stores is None:
-            self.wants_stores = cls.on_store is not base.on_store
-        if self.wants_fills is None:
-            self.wants_fills = cls.allocate_fill is not base.allocate_fill
+        self.resolve_flags()
+
+    def resolve_flags(self):
+        for flag, hook in CAPABILITY_FLAGS.items():
+            if getattr(self, flag) is None:
+                overridden = getattr(type(self), hook) is not getattr(SMExtension, hook)
+                setattr(self, flag, overridden)
 
     def on_tick(self, cycle):
         pass
@@ -65,17 +64,29 @@ class SM:
     def __init__(self, ext):
         self.ext = ext
         ext.attach(self)
-        self._ext_wants_ticks = _flag(ext.wants_ticks, "on_tick")
-        self._ext_wants_loads = _flag(ext.wants_loads, "on_load")
-        self._ext_wants_stores = _flag(ext.wants_stores, "on_tick")
 
     def tick(self, cycle):
-        if self._ext_wants_ticks:
+        if self.ext.wants_ticks:
             self.ext.on_tick(cycle)
 
+    def load(self, addr, cycle):
+        self.ext.on_load(addr, cycle)
+
     def store(self, addr, cycle):
-        if self._ext_wants_stores:
+        if self.ext.wants_stores:
             self.ext.on_store(addr, cycle)
+
+
+class VectorSM:
+    def __init__(self, ext):
+        self.ext = ext
+        ext.attach(self)
+
+    def run(self, addr, cycle):
+        on_tick = self.ext.on_tick
+        on_tick(cycle)
+        if self.ext.wants_loads:
+            self.ext.on_load(addr, cycle)
 
 
 class MutedExtension(SMExtension):

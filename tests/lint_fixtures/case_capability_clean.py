@@ -1,9 +1,10 @@
 """Twin of ``case_capability_bad.py`` with a fully consistent
 flag <-> hook <-> gate contract. Must lint clean."""
 
-
-def _flag(value, hook_name):
-    return bool(value)
+CAPABILITY_FLAGS = {
+    "wants_ticks": "on_tick",
+    "wants_loads": "on_load",
+}
 
 
 class SMExtension:
@@ -12,12 +13,13 @@ class SMExtension:
 
     def attach(self, sm):
         self.sm = sm
-        cls = type(self)
-        base = SMExtension
-        if self.wants_ticks is None:
-            self.wants_ticks = cls.on_tick is not base.on_tick
-        if self.wants_loads is None:
-            self.wants_loads = cls.on_load is not base.on_load
+        self.resolve_flags()
+
+    def resolve_flags(self):
+        for flag, hook in CAPABILITY_FLAGS.items():
+            if getattr(self, flag) is None:
+                overridden = getattr(type(self), hook) is not getattr(SMExtension, hook)
+                setattr(self, flag, overridden)
 
     def on_tick(self, cycle):
         pass
@@ -33,16 +35,29 @@ class SM:
     def __init__(self, ext):
         self.ext = ext
         ext.attach(self)
-        self._ext_wants_ticks = _flag(ext.wants_ticks, "on_tick")
-        self._ext_wants_loads = _flag(ext.wants_loads, "on_load")
 
     def tick(self, cycle):
-        if self._ext_wants_ticks:
+        if self.ext.wants_ticks:
             self.ext.on_tick(cycle)
 
     def load(self, addr, cycle):
-        if self._ext_wants_loads:
+        if self.ext.wants_loads:
             self.ext.on_load(addr, cycle)
+
+
+class VectorSM:
+    """An engine need not host every hook: this one never calls
+    ``on_load``, so it need not read ``wants_loads`` either."""
+
+    def __init__(self, ext):
+        self.ext = ext
+        ext.attach(self)
+
+    def run(self, cycle):
+        wants_ticks = self.ext.wants_ticks
+        on_tick = self.ext.on_tick
+        if wants_ticks:
+            on_tick(cycle)
 
 
 class ConfigurableExtension(SMExtension):

@@ -78,9 +78,8 @@ class TestContext:
             "timeseries": True, "backend": "vector",
         }
         assert ctx.spec("S2", "best_swl").overrides == {"backend": "vector"}
-        assert ctx.spec("S2", "linebacker").overrides == {"timeseries": True}
         assert ctx.spec("S2", "ccws", track_loads=True).overrides == {
-            "timeseries": True, "track_loads": True,
+            "timeseries": True, "backend": "vector", "track_loads": True,
         }
         # Explicit overrides are never dropped: they are refused.
         with pytest.raises(ValueError, match="'best_swl'.*'timeseries'"):

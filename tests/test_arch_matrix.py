@@ -54,7 +54,7 @@ CFG = scaled_config(num_sms=1, window_cycles=600)
 APP, SCALE = "GA", 0.05
 
 #: One non-default value per ``RunOptions`` field (both engines for
-#: ``backend``: a pin is refused or not depending on which).
+#: ``backend``: every architecture runs on either).
 OPTION_VALUES = (
     ("track_loads", True),
     ("keep_objects", True),
@@ -81,7 +81,6 @@ CELLS = [
 #: The cells that must be refused, written out independently of the
 #: code under test: the rule is small enough to state twice.
 SWEEPS = {"best_swl", "best_swl_cache_ext"}
-EXTENSION_FREE = SWEEPS | {"baseline", "cache_ext"}
 
 
 def expect_refused(arch: str, name: str, value) -> bool:
@@ -89,8 +88,6 @@ def expect_refused(arch: str, name: str, value) -> bool:
         return True  # live objects never cross the cache or the wire
     if name in ("timeseries", "max_concurrent_ctas"):
         return arch in SWEEPS
-    if name == "backend":
-        return value == "vector" and arch not in EXTENSION_FREE
     return False
 
 

@@ -1,17 +1,23 @@
 """The pluggable execution-backend layer (``repro.engine``).
 
-Five contracts, mirroring the ISSUE's acceptance bars:
+Six contracts, mirroring the ISSUE's acceptance bars:
 
-* **Registry**: name resolution, unknown names, duplicate
-  registration, and the per-arch ``supports_backends`` capability,
-  computed from the registry row.
+* **Registry**: name resolution, unknown names, duplicate registration,
+  and what the vector engine still declines.
 * **Selection**: with no backend named, the engine is chosen from the
-  request — ``vector`` for extension-free snapshot runs, ``object``
-  otherwise — silently, and without moving any cache key.
+  request — ``vector`` for every registry row at default options,
+  hooked or not; ``object`` for live objects, load tracking,
+  timeseries, timing DRAM and the NoC — silently, and without moving
+  any cache key.
 * **Golden differential**: the vector engine is bit-identical to the
   object engine — every reported statistic — across the extension-free
   architectures, a pinned app matrix, the committed fuzz-corpus specs,
   and every executor path (inline, loopback).
+* **Hooked differential**: the nine extension rows give one answer on
+  both engines — the full golden fingerprint, every per-SM statistic
+  and a deep comparison of every ``ExtensionSnapshot`` — at 2 SMs and
+  on a 4-SM workload that throttles, backs up and restores on several
+  SMs at once.
 * **Loud fallback**: a backend that cannot run a request warns with
   :class:`BackendFallbackWarning` and runs on ``object``; a supported
   request never warns.
@@ -22,6 +28,9 @@ Five contracts, mirroring the ISSUE's acceptance bars:
 
 from __future__ import annotations
 
+import dataclasses
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +52,8 @@ from repro.engine import (
     select_backend,
 )
 from repro.gpu.extension import SMExtension
+from repro.gpu.gpu import run_kernel
+from repro.gpu.sm import EV_CALLBACK
 from repro.options import RunOptions
 from repro.runner import ExperimentRunner, JobSpec, ResultCache
 from repro.runner.registry import ARCHITECTURES, resolve
@@ -52,8 +63,19 @@ from repro.service.schema import (
     decode_jobspec,
     encode_jobspec,
 )
-from repro.workloads.spec import build_workload, load_workload_file
+from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
+from repro.workloads.spec import (
+    KernelPhase,
+    TenantSpec,
+    WorkloadSpec,
+    build_workload,
+    load_workload_file,
+    validate_workload,
+)
 from repro.workloads.suite import kernel_for
+
+sys.path.insert(0, str(Path(__file__).parent))
+from golden import GOLDEN_SCALE, GOLDEN_SMS, result_fingerprint  # noqa: E402
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
 
@@ -121,26 +143,14 @@ class TestRegistry:
         with pytest.raises(BackendError, match="already registered"):
             register_backend(BACKENDS["object"])
 
-    def test_supports_backends_capability_table(self):
-        for name, spec in ARCHITECTURES.items():
-            assert "object" in spec.supports_backends, name
-            for backend in spec.supports_backends:
-                assert backend in backend_names(), (name, backend)
-        # Extension-attaching archs are object-only; extension-free
-        # ones advertise the vector engine.
-        assert ARCHITECTURES["linebacker"].supports_backends == ("object",)
-        assert "vector" in ARCHITECTURES["baseline"].supports_backends
-        assert "vector" in ARCHITECTURES["best_swl"].supports_backends
-        assert "vector" in ARCHITECTURES["cache_ext"].supports_backends
-
     def test_vector_declines_unsupported_features(self):
         kernel = kernel_for("S2", SCALE)
         config = scaled_config(num_sms=1)
         vector = BACKENDS["vector"]
         base = dict(config=config, kernel=kernel)
         assert vector.supports(EngineRequest(**base)) is None
+        assert vector.supports(EngineRequest(**base, extension_factory=SMExtension)) is None
         declined = (
-            dict(extension_factory=lambda: None),
             dict(track_loads=True),
             dict(keep_objects=True),
             dict(timeseries=True),
@@ -179,7 +189,7 @@ class TestSelection:
     TABLE = {
         "plain": ({}, "vector"),
         "cta_limit": ({"max_concurrent_ctas": 2}, "vector"),
-        "extension": ({"extension_factory": SMExtension}, "object"),
+        "extension": ({"extension_factory": SMExtension}, "vector"),
         "track_loads": ({"track_loads": True}, "object"),
         "keep_objects": ({"keep_objects": True}, "object"),
         "timeseries": ({"timeseries": True}, "object"),
@@ -191,6 +201,13 @@ class TestSelection:
     def test_request_selects_engine(self, case):
         knobs, expected = self.TABLE[case]
         assert select_backend(_request(**knobs)).name == expected
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_every_bare_registry_row_selects_vector(self, arch):
+        row = ARCHITECTURES[arch]
+        config = scaled_config(num_sms=1)
+        factory = row.extension(config) if row.extension else None
+        assert select_backend(_request(extension_factory=factory)).name == "vector"
 
     @pytest.mark.parametrize("case", ["plain", "timeseries"])
     def test_unpinned_dispatch_runs_the_selected_engine_silently(
@@ -274,6 +291,277 @@ class TestGoldenDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Hooked differential: nine rows, two engines, one answer
+# ---------------------------------------------------------------------------
+HOOKED_ARCHS = tuple(
+    sorted(name for name, row in ARCHITECTURES.items() if row.extension is not None)
+)
+
+
+def throttle_workload() -> WorkloadSpec:
+    """A CTA-scoped reuse load just past the L1 plus a stream: under
+    ``scaled_config(num_sms=4, window_cycles=800)`` Linebacker selects
+    the reuse load, throttles and — as the 48 CTAs turn over — restores
+    on three SMs at once (six backup/restore round trips), so register
+    backup traffic from different SMs interleaves in the shared DRAM."""
+    phase = KernelPhase(
+        iterations=40,
+        loads=(
+            LoadSpec(pc=0x100, pattern=Pattern.REUSE, working_set_lines=60,
+                     scope=Scope.CTA, stride=1, reuse_burst=1),
+            LoadSpec(pc=0x204, pattern=Pattern.STREAM, working_set_lines=0),
+        ),
+        stores=(StoreSpec(pc=0x1510, every_iterations=8),),
+    )
+    return validate_workload(WorkloadSpec(
+        name="throttle4sm", description="4-SM throttle-heavy differential",
+        num_ctas=48, warps_per_cta=4, regs_per_thread=16,
+        tenants=(TenantSpec(name="main", phases=(phase,)),),
+    ))
+
+
+def _corpus_kernel(name: str):
+    return build_workload(load_workload_file(CORPUS / f"{name}.json"), scale=1.0)
+
+
+#: label -> (kernel builder, config). S2 / LI at the golden operating
+#: point, the three committed fuzz-corpus specs, and the 4-SM case.
+HOOKED_WORKLOADS = {
+    "S2": (lambda: kernel_for("S2", GOLDEN_SCALE), scaled_config(num_sms=GOLDEN_SMS)),
+    "LI": (lambda: kernel_for("LI", GOLDEN_SCALE), scaled_config(num_sms=GOLDEN_SMS)),
+    "thrasher": (lambda: _corpus_kernel("thrasher"), scaled_config(num_sms=GOLDEN_SMS)),
+    "multikernel": (lambda: _corpus_kernel("multikernel"), scaled_config(num_sms=GOLDEN_SMS)),
+    "multitenant": (lambda: _corpus_kernel("multitenant"), scaled_config(num_sms=GOLDEN_SMS)),
+    "throttle4sm": (
+        lambda: build_workload(throttle_workload(), scale=1.0),
+        scaled_config(num_sms=4, window_cycles=800),
+    ),
+}
+
+
+def extension_state(ext) -> dict:
+    """Everything an ``ExtensionSnapshot`` carries, as comparable data:
+    ``idle_register_bytes_sum`` and ``victim_reads_corrupt`` catch a
+    register-owner map or token drift no fingerprint field sees."""
+    state = {"kind": ext.kind}
+    if ext.stats is not None:
+        state["stats"] = dataclasses.asdict(ext.stats)
+    if ext.load_monitor is not None:
+        monitor = ext.load_monitor
+        state["load_monitor"] = (
+            monitor.state, sorted(monitor.selected_hpcs), monitor.windows_elapsed,
+            [(e.hits, e.misses) for e in monitor.entries],
+        )
+    if ext.vtt is not None:
+        vtt = ext.vtt
+        state["vtt"] = (
+            dataclasses.asdict(vtt.stats),
+            [(vp.active, vp.hits) for vp in vtt.partitions],
+            vtt.occupancy_masks(),
+            sorted(vtt.valid_lines()),
+        )
+    return state
+
+
+def deep_state(result) -> dict:
+    return {
+        "fingerprint": result_fingerprint(result),
+        "sm_stats": [dataclasses.asdict(s) for s in result.sm_stats],
+        "l1_stats": [dataclasses.asdict(s) for s in result.l1_stats],
+        "rf_stats": [dataclasses.asdict(s) for s in result.rf_stats],
+        "extensions": [extension_state(e) for e in result.extensions],
+    }
+
+
+@dataclasses.dataclass
+class ProbeStats:
+    trace: int = 0
+    calls: dict = dataclasses.field(default_factory=dict)
+
+
+class ProbeExtension(SMExtension):
+    """Not a policy: a deterministic stress of the whole ``SMExtension``
+    surface. Every hook folds its arguments — and what it reads off the
+    ``sm`` it was attached to — into ``stats.trace``, so two engines
+    agree on it only if they made the same calls with the same values in
+    the same order. On the way it does what no registered row does:
+    bypasses and victim-hits by address, refuses fills, throttles the
+    issuing warp from its own load's hook, throttles other warps from
+    ``on_tick``, and reaches shared DRAM from ``on_tick``, from
+    callbacks and from ``try_reactivate_cta``.
+    """
+
+    def __init__(self) -> None:
+        self.stats = ProbeStats()
+        self.ticks = 0
+
+    def see(self, hook: str, *values: int) -> None:
+        stats = self.stats
+        stats.calls[hook] = stats.calls.get(hook, 0) + 1
+        trace = stats.trace
+        for value in (len(hook), *values):
+            trace = (trace * 1_000_003 ^ int(value)) & 0xFFFF_FFFF_FFFF
+        stats.trace = trace
+
+    def wake_later(self, warp, cycle: int) -> None:
+        # Sometimes the very next cycle: before an ALU latency or a
+        # replay backoff the warp went INACTIVE with has run out.
+        delay = 1 + 30 * (self.ticks % 3)
+        self.sm.schedule_event(cycle + delay, EV_CALLBACK, warp.reactivate)
+
+    def attach(self, sm) -> None:
+        super().attach(sm)
+        self.registers = sm.register_file.num_registers
+        self.see("attach", sm.sm_id, sm.l1.num_sets, sm.l1.assoc, sm.l1.line_bytes,
+                 self.registers, sm.kernel.warp_registers_per_cta, sm.config.l1_hit_latency)
+
+    def on_tick(self, cycle: int) -> None:
+        sm = self.sm
+        self.ticks += 1
+        self.see("on_tick", cycle, sm.stats.instructions)
+        if self.ticks % 61 == 0:
+            live = [w for cta in sm.ctas.values() for w in cta.warps if not w.finished]
+            self.see("on_tick.scan", sm.l1.occupancy(), sm.register_file.unused_bytes(), len(live))
+            if len(live) > 1:
+                warp = live[self.ticks % len(live)]
+                warp.deactivate()
+                self.wake_later(warp, cycle)
+        if self.ticks % 149 == 0:
+            done = sm.memory.backup_registers(7, cycle)
+            self.see("on_tick.backup", done)
+            sm.schedule_event(done, EV_CALLBACK, self.restore)
+
+    def restore(self, cycle: int) -> None:
+        self.see("restore", cycle, self.sm.memory.restore_registers(7, cycle))
+
+    def should_bypass(self, warp, line_addr: int, cycle: int) -> bool:
+        self.see("should_bypass", warp.warp_id, warp.launch_order, line_addr, cycle)
+        return line_addr % 11 == 0
+
+    def lookup_victim(self, line_addr: int, hpc: int, cycle: int):
+        self.see("lookup_victim", line_addr, hpc, cycle)
+        if line_addr % 13:
+            return None
+        self.sm.register_file.read(line_addr % self.registers, cycle)
+        return 9
+
+    def on_load_outcome(self, pc, hpc, line_addr, hit, cycle, warp=None) -> None:
+        self.see("on_load_outcome", pc, hpc, line_addr, hit, cycle,
+                 warp.warp_id, warp.base_register)
+        if line_addr % 23 == 0:
+            warp.deactivate()
+            self.wake_later(warp, cycle)
+
+    def on_l1_eviction(self, line_addr: int, line, cycle: int) -> None:
+        self.see("on_l1_eviction", line_addr, line.hpc, line.owner, cycle)
+        self.sm.register_file.write(line_addr % self.registers, line_addr, cycle)
+
+    def on_store(self, line_addr: int, cycle: int) -> None:
+        self.see("on_store", line_addr, cycle)
+
+    def allocate_fill(self, line_addr: int) -> bool:
+        self.see("allocate_fill", line_addr)
+        return line_addr % 17 != 0
+
+    def on_cta_launched(self, slot: int, cycle: int) -> None:
+        cta = self.sm.ctas[slot]
+        self.see("on_cta_launched", slot, cycle, cta.register_range.start,
+                 *(v for w in cta.warps for v in (w.warp_id, w.launch_order, w.base_register)))
+
+    def on_cta_finished(self, slot: int, cycle: int) -> None:
+        self.see("on_cta_finished", slot, cycle)
+
+    def try_reactivate_cta(self, cycle: int) -> bool:
+        self.see("try_reactivate_cta", cycle, self.sm.memory.restore_registers(3, cycle))
+        return False
+
+    def finalize(self, cycle: int) -> None:
+        self.see("finalize", cycle, self.sm.memory.traffic.backup_write_lines)
+
+
+class TestHookedDifferential:
+    @pytest.mark.parametrize("arch", HOOKED_ARCHS)
+    @pytest.mark.parametrize("workload", sorted(HOOKED_WORKLOADS))
+    def test_default_engine_matches_object(self, workload, arch):
+        build, config = HOOKED_WORKLOADS[workload]
+        runner = resolve(arch).runner
+        default = deep_state(runner(config, build()))
+        reference = deep_state(runner(config, build(), backend="object"))
+        for part in reference:
+            assert default[part] == reference[part], (arch, workload, part)
+
+    @pytest.mark.parametrize("workload", ["S2", "thrasher", "throttle4sm"])
+    def test_probe_sees_one_call_sequence_on_both_engines(self, workload):
+        build, config = HOOKED_WORKLOADS[workload]
+        if workload == "S2":  # the probe is slow; the hooks are the point
+            build, config = (lambda: kernel_for("S2", SCALE)), scaled_config(num_sms=3)
+        default = run_kernel(config, build(), ProbeExtension)
+        reference = run_kernel(config, build(), ProbeExtension, RunOptions(backend="object"))
+        assert deep_state(default) == deep_state(reference)
+        calls = default.extensions[0].stats.calls
+        assert {"on_tick.backup", "restore", "on_l1_eviction", "on_store"} <= set(calls), calls
+        assert default.sm_stats[0].bypasses and default.sm_stats[0].victim_hits
+
+    def test_the_window_is_the_extensions_own_not_the_machines(self):
+        # lb_config may carry a window the SimulationConfig does not:
+        # the SMs resynchronise on the extension's grid (500), not on
+        # the config's (800), or register backups would interleave
+        # differently in DRAM — or be refused outright.
+        build, config = HOOKED_WORKLOADS["throttle4sm"]
+        lb = replace(config.linebacker, window_cycles=500)
+        runner = resolve("linebacker").runner
+        default = runner(config, build(), lb_config=lb)
+        assert default.traffic.backup_write_lines > 0
+        assert deep_state(default) == deep_state(
+            runner(config, build(), lb_config=lb, backend="object")
+        )
+
+    def test_shared_memory_from_an_unordered_hook_is_refused_loudly(self):
+        class Leaky(SMExtension):
+            def on_load_outcome(self, pc, hpc, line_addr, hit, cycle, warp=None):
+                self.sm.memory.backup_registers(1, cycle)
+
+        kernel = kernel_for("S2", SCALE)
+        config = scaled_config(num_sms=2)
+        run_kernel(config, kernel, Leaky, RunOptions(backend="object"))
+        with pytest.raises(RuntimeError, match="does not order across SMs"):
+            run_kernel(config, kernel, Leaky)
+
+    def test_nine_rows_attach_an_extension(self):
+        assert len(HOOKED_ARCHS) == 9 and "linebacker" in HOOKED_ARCHS
+
+    def test_throttle_workload_round_trips_on_several_sms(self):
+        # The 4-SM case is only worth its name while it keeps doing
+        # what its docstring says.
+        build, config = HOOKED_WORKLOADS["throttle4sm"]
+        result = resolve("linebacker").runner(config, build())
+        reactivated = [e.stats.reactivate_events for e in result.extensions]
+        assert sum(1 for n in reactivated if n) >= 2 and sum(reactivated) >= 2
+        assert result.traffic.restore_read_lines > 0
+
+
+def test_engine_import_and_a_dsl_job_leave_numpy_unimported():
+    """numpy is paid for where an ``AppSpec`` grid is compiled, not at
+    import: workers fed DSL jobs never load it (milliseconds)."""
+    code = (
+        "import sys, repro.engine, repro.runner\n"
+        "from repro.config import scaled_config\n"
+        "from repro.runner.registry import resolve\n"
+        "from repro.workloads.spec import build_workload, load_workload_file\n"
+        f"spec = load_workload_file({str(CORPUS / 'multitenant.json')!r})\n"
+        "result = resolve('linebacker').runner(scaled_config(num_sms=1), build_workload(spec))\n"
+        "assert result.instructions > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
 # Executor paths: the backend override rides the job spec everywhere
 # ---------------------------------------------------------------------------
 class TestExecutors:
@@ -306,9 +594,11 @@ class TestFallback:
     def test_unsupported_request_warns_and_matches_object(self):
         kernel = kernel_for("S2", SCALE)
         config = scaled_config(num_sms=1)
-        with pytest.warns(BackendFallbackWarning, match="extension"):
-            vec = resolve("linebacker").runner(config, kernel, backend="vector")
-        obj = resolve("linebacker").runner(config, kernel)
+        with pytest.warns(BackendFallbackWarning, match="load tracking"):
+            vec = resolve("linebacker").runner(
+                config, kernel, backend="vector", track_loads=True
+            )
+        obj = resolve("linebacker").runner(config, kernel, backend="object")
         assert fingerprint(vec) == fingerprint(obj)
 
     def test_supported_request_never_warns(self):
@@ -317,6 +607,7 @@ class TestFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendFallbackWarning)
             resolve("baseline").runner(config, kernel, backend="vector")
+            resolve("linebacker").runner(config, kernel, backend="vector")
 
     def test_dispatch_object_never_warns(self):
         kernel = kernel_for("S2", SCALE)
@@ -391,22 +682,14 @@ class TestSchema:
         with pytest.raises(SchemaError, match="does not support the 'cuda' backend"):
             decode_jobspec(doc)
 
-    def test_arch_backend_mismatch_rejected(self):
-        doc = {
-            "schema": JOB_SCHEMA_VERSION,
-            "app": "S2",
-            "arch": "linebacker",
-            "options": {"backend": "vector"},
-        }
-        with pytest.raises(SchemaError, match="does not support"):
-            decode_jobspec(doc)
-
     def test_object_backend_is_wire_legal_everywhere(self):
-        doc = {
-            "schema": JOB_SCHEMA_VERSION,
-            "app": "S2",
-            "arch": "linebacker",
-            "options": {"backend": "object"},
-        }
-        spec = decode_jobspec(doc)
-        assert ("backend", "object") in spec.params
+        # ... and so is ``vector``: no row is tied to an engine any more.
+        for backend in ("object", "vector"):
+            doc = {
+                "schema": JOB_SCHEMA_VERSION,
+                "app": "S2",
+                "arch": "linebacker",
+                "options": {"backend": backend},
+            }
+            spec = decode_jobspec(doc)
+            assert ("backend", backend) in spec.params

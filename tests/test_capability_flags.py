@@ -1,13 +1,14 @@
-"""End-to-end coverage for ``SMExtension.attach`` capability-flag
+"""End-to-end coverage for ``SMExtension.resolve_flags`` capability-flag
 auto-resolution — the runtime contract the ``capability`` lint pass
-re-derives statically.
+checks statically.
 
 For every architecture extension the repo ships, a tiny kernel is run
 with ``keep_objects=True`` and the *resolved* flags on the live
-extension are checked against the expected table, together with the
-``SM._ext_*`` gates mirrored from them. Includes Linebacker's pinned
-case (``enable_victim_cache=False``): the hooks stay overridden but
-the flags — and therefore the SM gates — must read False.
+extension are checked against the expected table; the gates both
+engines read are those flags themselves, so they must be real bools on
+the extension each engine attached. Includes Linebacker's pinned case
+(``enable_victim_cache=False``): the hooks stay overridden but the
+flags must read False.
 """
 
 from __future__ import annotations
@@ -22,20 +23,16 @@ from repro.baselines.cerf import cerf_factory
 from repro.baselines.pcal import pcal_factory
 from repro.config import scaled_config
 from repro.core.linebacker import linebacker_factory
-from repro.gpu.extension import SMExtension
-from repro.gpu.gpu import run_kernel
+from repro.engine.vector import VectorGPU
+from repro.gpu.extension import CAPABILITY_FLAGS, SMExtension
+from repro.gpu.gpu import GPU, run_kernel
 from repro.options import RunOptions
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
 
-#: flag -> the hook it gates (the contract the SM hot path relies on).
+#: flag -> the hook it gates (the contract the hot paths rely on);
+#: ``timeseries_sample`` is covered by the metrics tests.
 FLAG_HOOKS = {
-    "wants_ticks": "on_tick",
-    "wants_load_outcomes": "on_load_outcome",
-    "has_victim_cache": "lookup_victim",
-    "may_bypass": "should_bypass",
-    "wants_store_events": "on_store",
-    "controls_fill": "allocate_fill",
-    "wants_evictions": "on_l1_eviction",
+    flag: hook for flag, hook in CAPABILITY_FLAGS.items() if flag != "wants_timeseries"
 }
 
 
@@ -133,13 +130,34 @@ def test_attach_resolves_the_expected_flags(arch):
     assert flags_of(result.extensions[0]) == expected
 
 
+class _SkipsSuper(SMExtension):
+    """An ``attach`` override that never calls ``super().attach``."""
+
+    def attach(self, sm) -> None:
+        self.sm = sm
+
+    def on_tick(self, cycle: int) -> None:
+        pass
+
+
 @pytest.mark.parametrize("arch", sorted(CASES))
 def test_sm_gates_mirror_the_resolved_flags(arch):
+    """The gates are the flags: after construction every engine's SM
+    holds an extension with eight real bools — the expected ones — and
+    there is no second copy to drift."""
     factory, expected = CASES[arch]
-    result = run_with(factory)
-    sm = result.sms[0]
-    gates = {flag: getattr(sm, f"_ext_{flag}") for flag in FLAG_HOOKS}
-    assert gates == expected
+    cfg = scaled_config(num_sms=1)
+    for engine in (GPU, VectorGPU):
+        sm = engine(cfg, tiny_kernel(), extension_factory=factory(cfg.linebacker)).sms[0]
+        assert all(type(getattr(sm.extension, flag)) is bool for flag in CAPABILITY_FLAGS)
+        assert flags_of(sm.extension) == expected, engine.__name__
+
+
+@pytest.mark.parametrize("engine", [GPU, VectorGPU])
+def test_attach_override_that_skips_super_still_resolves(engine):
+    sm = engine(scaled_config(num_sms=1), tiny_kernel(), extension_factory=_SkipsSuper).sms[0]
+    assert sm.extension.wants_ticks is True
+    assert sm.extension.wants_load_outcomes is False
 
 
 @pytest.mark.parametrize("arch", sorted(CASES))

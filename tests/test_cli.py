@@ -24,13 +24,12 @@ class TestCLI:
         # returns, the engine an unpinned job runs on, extra params.
         assert rows["baseline"] == ["result", "vector", "-"]
         assert rows["best_swl_cache_ext"] == ["sweep", "vector", "cta_limit"]
-        assert rows["linebacker"] == ["result", "object", "lb_config"]
-        assert rows["ccws"] == ["result", "object", "-"]
+        assert rows["linebacker"] == ["result", "vector", "lb_config"]
+        assert rows["ccws"] == ["result", "vector", "-"]
 
     def test_submit_refuses_a_bad_pair_before_connecting(self, capsys):
         # Port 9 is never dialled: the job is refused when it is built.
-        for flags in (["--arch", "linebacker", "--backend", "vector"],
-                      ["--arch", "best_swl", "--timeseries"],
+        for flags in (["--arch", "best_swl", "--timeseries"],
                       ["--arch", "warp9"]):
             with pytest.raises(SystemExit) as err:
                 main(["submit", "--url", "http://127.0.0.1:9", *flags])

@@ -102,10 +102,11 @@ class TestDifferentialHarness:
         problems = differential_check(fuzz_workload(SEED, 0))
         assert not problems, problems
 
-    def test_default_engine_is_checked_against_pinned_object(self, monkeypatch):
-        # No flag needed: a selected engine that disagrees with the
-        # reference fails the harness. The stand-in "vector" is the
-        # object engine run under a 1-CTA cap, so only that leg moves.
+    @staticmethod
+    def _skew_vector(monkeypatch, hooked: bool):
+        # The stand-in "vector" is the object engine run under a 1-CTA
+        # cap, and only for one kind of request (hooked or
+        # extension-free), so only the leg under test moves.
         import dataclasses
 
         from repro.engine import BACKENDS
@@ -114,15 +115,30 @@ class TestDifferentialHarness:
             name = "vector"
 
             def supports(self, request):
-                return None if request.extension_factory is None else "hooks"
+                is_hooked = request.extension_factory is not None
+                return None if is_hooked == hooked else "not this leg"
 
             def run(self, request):
                 skewed = dataclasses.replace(request, max_concurrent_ctas=1)
                 return BACKENDS["object"].run(skewed)
 
         monkeypatch.setitem(BACKENDS, "vector", Skewed())
+
+    def test_default_engine_is_checked_against_pinned_object(self, monkeypatch):
+        # No flag needed: a selected engine that disagrees with the
+        # reference fails the harness.
+        self._skew_vector(monkeypatch, hooked=False)
         problems = differential_check(fuzz_workload(SEED, 0))
-        assert any("diverges from object" in p for p in problems), problems
+        diverged = [p for p in problems if "diverges from object" in p]
+        assert diverged and all(p.startswith("baseline: selected") for p in diverged), problems
+
+    def test_hooked_leg_is_checked_against_pinned_object(self, monkeypatch):
+        # The Linebacker leg is object-vs-selected on purpose, not by
+        # accident of an option: skew only hooked requests.
+        self._skew_vector(monkeypatch, hooked=True)
+        problems = differential_check(fuzz_workload(SEED, 0))
+        diverged = [p for p in problems if "diverges from object" in p]
+        assert diverged and all(p.startswith("linebacker: selected") for p in diverged), problems
 
 
 class TestMinimize:

@@ -28,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from golden import (  # noqa: E402
     GOLDEN_APPS,
     GOLDEN_ARCHS,
-    GOLDEN_EXTENSION_FREE_ARCHS,
     GOLDEN_FUZZ_SPECS,
     GOLDEN_PATH,
     fingerprint,
@@ -79,12 +78,13 @@ def test_fuzz_corpus_statistics_bit_identical(golden, name: str, arch: str) -> N
     )
 
 
-@pytest.mark.parametrize("arch", GOLDEN_EXTENSION_FREE_ARCHS)
+@pytest.mark.parametrize("arch", GOLDEN_ARCHS)
 @pytest.mark.parametrize("app", (*GOLDEN_APPS, *GOLDEN_FUZZ_SPECS))
 def test_object_engine_statistics_bit_identical(golden, app: str, arch: str) -> None:
-    """The extension-free cells above run on the selected engine
-    (``vector``); pinning ``object`` holds the reference engine's
-    hook-free ``tick`` + ``next_event_cycle`` path to the same file."""
+    """Every cell above runs on the selected engine (``vector``, hooked
+    or not); pinning ``object`` holds the reference engine's ``tick`` +
+    ``next_event_cycle`` path — Linebacker's hooks included — to the
+    same file."""
     _assert_pinned(
         golden, f"{arch}:{app}", fingerprint(app, arch, backend="object"),
         "object engine diverges from the goldens",

@@ -7,8 +7,7 @@ from repro.gpu.gpu import (
     statically_unused_register_bytes,
 )
 from repro.gpu.isa import alu, exit_inst, load, store
-from repro.gpu.sm import SM
-from repro.gpu.trace import from_instruction_lists
+from repro.gpu.trace import from_instruction_lists, hardware_occupancy
 
 
 def tiny_config(**kw):
@@ -119,7 +118,7 @@ class TestOccupancy:
             "k", [[[alu()]] * 8 for _ in range(2)], regs_per_thread=8
         )
         # 8 warps/CTA = 256 threads; 2048/256 = 8 CTAs.
-        assert SM.hardware_occupancy(cfg, kernel) == 8
+        assert hardware_occupancy(cfg, kernel) == 8
 
     def test_register_limit(self):
         cfg = GPUConfig()
@@ -127,7 +126,7 @@ class TestOccupancy:
             "k", [[[alu()]] * 8 for _ in range(2)], regs_per_thread=64
         )
         # 8 x 64 = 512 warp-regs per CTA; 2048/512 = 4 CTAs.
-        assert SM.hardware_occupancy(cfg, kernel) == 4
+        assert hardware_occupancy(cfg, kernel) == 4
 
     def test_statically_unused_registers(self):
         cfg = GPUConfig()
@@ -149,7 +148,7 @@ class TestOccupancy:
             warp_trace=lambda c, w: iter([exit_inst()]),
             shared_mem_per_cta=48 * 1024,
         )
-        assert SM.hardware_occupancy(cfg, kernel) == 2
+        assert hardware_occupancy(cfg, kernel) == 2
 
 
 class TestDeterminism:

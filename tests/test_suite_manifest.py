@@ -16,7 +16,7 @@ silently drift out of sync with the tree.
 from pathlib import Path
 
 from repro.config import GPUConfig
-from repro.gpu.sm import SM
+from repro.gpu.trace import hardware_occupancy
 from repro.workloads.generator import Pattern
 from repro.workloads.suite import APP_SPECS, kernel_for
 
@@ -132,7 +132,7 @@ class TestManifest:
         8-warp insensitive apps run 8."""
         cfg = GPUConfig()
         for name, spec in APP_SPECS.items():
-            occupancy = SM.hardware_occupancy(cfg, kernel_for(name, 0.05))
+            occupancy = hardware_occupancy(cfg, kernel_for(name, 0.05))
             if spec.warps_per_cta == 4 and spec.regs_per_thread == 16:
                 assert occupancy == 16, name
             elif spec.warps_per_cta == 8:

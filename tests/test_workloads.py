@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.gpu.isa import Op
-from repro.gpu.sm import SM
+from repro.gpu.trace import hardware_occupancy
 from repro.workloads.generator import (
     AppSpec,
     LoadSpec,
@@ -171,7 +171,7 @@ class TestCalibration:
         for name in CACHE_SENSITIVE:
             spec = APP_SPECS[name]
             kernel = kernel_for(name, scale=0.1)
-            occ = SM.hardware_occupancy(cfg, kernel)
+            occ = hardware_occupancy(cfg, kernel)
             assert footprint_bytes(spec, occ) > 48 * 1024, name
 
     def test_some_apps_leave_no_static_register_space(self):
