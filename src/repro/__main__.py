@@ -164,14 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record per-window timeseries on every supporting "
         "architecture (distinct cache keys from scalar runs)",
     )
-    run_p.add_argument(
-        "--backend",
-        choices=("object", "vector"),
-        default=None,
-        help="pin the execution engine of every job (distinct cache "
-        "keys per backend; unset, each job runs on the engine chosen "
-        "from its request)",
-    )
 
     trace_p = sub.add_parser(
         "trace", help="per-window timeseries of one (app, architecture) run"
@@ -194,13 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument(
         "--output", default=None, help="write the output to this path instead of stdout"
-    )
-    trace_p.add_argument(
-        "--backend",
-        choices=("object", "vector"),
-        default=None,
-        help="execution engine (timeseries recording is object-only "
-        "today, so a vector request falls back loudly)",
     )
 
     worker_p = sub.add_parser(
@@ -247,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--sms", type=int, default=4, help="number of SMs")
     submit_p.add_argument("--timeseries", action="store_true",
                           help="request per-window timeseries recording")
-    submit_p.add_argument("--backend",
-                          choices=("object", "vector"),
-                          default=None,
-                          help="pin the execution engine (list --archs shows "
-                          "the one an unpinned job runs on)")
     submit_p.add_argument("--no-wait", action="store_true",
                           help="print job ids and exit without polling")
     submit_p.add_argument("--timeout", type=float, default=600.0,
@@ -265,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     list_p.add_argument(
         "--archs",
         action="store_true",
-        help="also list registered architectures: what each returns, the "
-        "engine an unpinned job runs on, and its extra parameters",
+        help="also list registered architectures: what each returns and "
+        "its extra parameters",
     )
 
     sub.add_parser("overhead", help="Section 4.2 storage overhead inventory")
@@ -300,13 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also gate the geomean instructions/sec against the "
         "baseline at this fractional tolerance (e.g. 0.02)",
-    )
-    bench_p.add_argument(
-        "--backend",
-        choices=("object", "vector"),
-        default=None,
-        help="execution engine to benchmark (default: chosen from the "
-        "request, which for these plain runs is vector)",
     )
     bench_p.add_argument(
         "--native",
@@ -352,13 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--minimize", action="store_true",
                         help="greedily shrink each failing spec and write "
                         "<name>.min.json next to it (or print it)")
-    fuzz_p.add_argument("--backend",
-                        choices=("object", "vector"),
-                        default=None,
-                        help="pin the engine of the extension-free "
-                        "legs; pinned or chosen, the baseline and the "
-                        "Linebacker leg are checked bit-identical against "
-                        "a pinned object run")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=("info", "clear"))
@@ -374,20 +340,11 @@ def _cmd_list(args) -> int:
     for name, (_, description) in FIGURES.items():
         print(f"{name:7s} {description}")
     if args.archs:
-        from repro.engine import EngineRequest, select_backend
-
-        # Every column is derived from the registry row; the engine is
-        # what the selection rule answers for the row's plain request
-        # (for a sweep: each of its legs).
-        config = scaled_config()
-        kernel = kernel_for(ALL_APPS[0], scale=0.05)
-        print(f"\n{'architecture':24s} {'returns':7s} {'engine':6s} "
-              f"{'params':10s} description")
+        # Every column is derived from the registry row.
+        print(f"\n{'architecture':24s} {'returns':7s} {'params':10s} description")
         for name, arch in sorted(ARCHITECTURES.items()):
-            factory = arch.extension(config) if arch.extension else None
-            engine = select_backend(EngineRequest(config, kernel, factory)).name
             returns = "sweep" if arch.sweep else "result"
-            print(f"{name:24s} {returns:7s} {engine:6s} "
+            print(f"{name:24s} {returns:7s} "
                   f"{','.join(arch.params) or '-':10s} {arch.description}")
     return 0
 
@@ -430,12 +387,11 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         scale, sms, window_cycles = 1.0, 16, 50_000
     harness = SimThroughput(
         apps=apps, scale=scale, num_sms=sms, reps=args.reps,
-        backend=args.backend, window_cycles=window_cycles,
+        window_cycles=window_cycles,
     )
     print(
         f"benchmarking {len(apps)} apps at scale {scale}, {sms} SMs, "
-        f"{args.reps} rep(s) per app on the {harness.engine} "
-        "backend (cold runs, result cache bypassed)...",
+        f"{args.reps} rep(s) per app (cold runs, result cache bypassed)...",
         file=sys.stderr,
     )
 
@@ -523,7 +479,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
         f"({args.sms} SMs, window = {config.linebacker.window_cycles} cycles)...",
         file=sys.stderr,
     )
-    result = arch.runner(config, kernel, timeseries=True, backend=args.backend)
+    result = arch.runner(config, kernel, timeseries=True)
     series = result.timeseries[args.sm]
     rows = list(series)
 
@@ -642,7 +598,7 @@ def _cmd_submit(args, parser: argparse.ArgumentParser) -> int:
     if unknown:
         parser.error(f"unknown apps: {sorted(unknown)}")
     config = scaled_config(num_sms=args.sms)
-    options = RunOptions(timeseries=args.timeseries, backend=args.backend)
+    options = RunOptions(timeseries=args.timeseries)
     try:
         # Unknown architecture, or a flag it refuses: a usage error
         # before anything is sent.
@@ -713,9 +669,7 @@ def _cmd_fuzz(args, parser: argparse.ArgumentParser) -> int:
     def all_problems(spec) -> list[str]:
         problems, _ = check_gates(spec, scale=args.scale)
         if not args.no_simulate:
-            problems += differential_check(
-                spec, scale=args.scale, sms=args.sms, backend=args.backend
-            )
+            problems += differential_check(spec, scale=args.scale, sms=args.sms)
         return problems
 
     failures = 0
@@ -798,10 +752,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
         scale=args.scale,
         apps=apps,
         runner=runner,
-        default_overrides={
-            **({"timeseries": True} if args.timeseries else {}),
-            **({"backend": args.backend} if args.backend else {}),
-        },
+        default_overrides={"timeseries": True} if args.timeseries else {},
     )
     figure_runner, description = FIGURES[args.figure]
     print(

@@ -179,7 +179,7 @@ class Session:
         """The content-hashed spec this session would submit.
 
         ``overrides`` are :class:`RunOptions` fields by keyword (e.g.
-        ``backend="vector"``) and the architecture's own parameters
+        ``timeseries=True``) and the architecture's own parameters
         (``lb_config=...``); a combination the architecture cannot run
         raises ``ValueError`` here, not in a worker.
         """

@@ -11,10 +11,12 @@ since contention only ever slows a run down.
 The report is JSON-serializable; ``BENCH_sim.json`` at the repo root
 is the committed reference produced by ``python -m repro bench``. The
 file is an **append-only history** (``{"history": [entry, ...]}``):
-every recorded run appends one entry tagged with its backend, scale,
+every recorded run appends one entry tagged with its engine, scale,
 SM count and commit, so throughput trends stay plottable across the
-project's life. The regression gate compares against the *newest*
-entry for the same backend. CI re-runs the harness at a reduced scale
+project's life. Every new entry is labelled ``vector``, the one engine;
+the ``object`` entries are history taken on the retired reference
+engine. The regression gate compares against the *newest* ``vector``
+entry. CI re-runs the harness at a reduced scale
 and fails when an app's throughput regresses more than the tolerance
 against that reference.
 """
@@ -27,12 +29,10 @@ import math
 import platform
 import time
 from dataclasses import asdict, dataclass, field
-
 from typing import Optional
 
 from repro.config import scaled_config
 from repro.gpu.gpu import run_kernel
-from repro.options import RunOptions
 from repro.workloads import ALL_APPS
 from repro.workloads.suite import kernel_for
 
@@ -79,7 +79,7 @@ class BenchReport:
     apps: list[AppThroughput] = field(default_factory=list)
     python: str = ""
     platform: str = ""
-    backend: str = "object"
+    backend: str = "vector"
     window_cycles: int = 2_000
 
     @property
@@ -137,7 +137,6 @@ class SimThroughput:
         scale: float = 0.25,
         num_sms: int = 2,
         reps: int = 1,
-        backend: Optional[str] = None,
         window_cycles: int = 2_000,
     ) -> None:
         if reps < 1:
@@ -145,39 +144,16 @@ class SimThroughput:
         unknown = set(apps) - set(ALL_APPS)
         if unknown:
             raise ValueError(f"unknown apps: {sorted(unknown)}")
-        if backend is not None:
-            from repro.engine import backend_names
-
-            if backend not in backend_names():
-                raise ValueError(
-                    f"unknown backend {backend!r}; known: "
-                    f"{', '.join(backend_names())}"
-                )
         self.apps = tuple(apps)
         self.scale = scale
         self.num_sms = num_sms
         self.reps = reps
-        self.backend = backend
         self.window_cycles = window_cycles
 
     def _config(self):
         return scaled_config(
             num_sms=self.num_sms, window_cycles=self.window_cycles
         )
-
-    @property
-    def engine(self) -> str:
-        """Name of the engine the runs execute on: the pinned backend,
-        else what the selection rule picks for the harness's requests
-        (every app is the same plain, extension-free request)."""
-        if self.backend is not None:
-            return self.backend
-        from repro.engine import EngineRequest, select_backend
-
-        probe = EngineRequest(
-            config=self._config(), kernel=kernel_for(self.apps[0], self.scale)
-        )
-        return select_backend(probe).name
 
     def run_app(self, app: str) -> AppThroughput:
         config = self._config()
@@ -188,9 +164,7 @@ class SimThroughput:
             gc.collect()
             wall0 = time.perf_counter()
             cpu0 = time.process_time()
-            result = run_kernel(
-                config, kernel, options=RunOptions(backend=self.backend)
-            )
+            result = run_kernel(config, kernel)
             cpu = time.process_time() - cpu0
             wall = time.perf_counter() - wall0
             instructions = result.instructions
@@ -217,7 +191,6 @@ class SimThroughput:
             reps=self.reps,
             python=platform.python_version(),
             platform=platform.platform(),
-            backend=self.engine,
             window_cycles=self.window_cycles,
         )
         for app in self.apps:
@@ -270,7 +243,7 @@ def latest_entry(history: list[dict], backend: Optional[str] = None) -> Optional
     """The newest entry, optionally restricted to one backend.
 
     Entries predating the ``backend`` field (v1) were all produced by
-    the object engine and match ``backend="object"``.
+    the retired reference engine and match ``backend="object"``.
     """
     for entry in reversed(history):
         if backend is None or entry.get("backend", "object") == backend:

@@ -32,13 +32,13 @@ from repro.core.cta_throttle import (
 )
 from repro.core.load_monitor import LoadMonitor, MonitorState
 from repro.core.victim_tag_table import VictimTagTable
-from repro.gpu.extension import SMExtension
+from repro.gpu.extension import EV_CALLBACK, SMExtension
 from repro.memory.cache import CacheLine
 from repro.metrics import Metric, MetricSet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.sm import SM
-    from repro.gpu.warp import Warp
+    from repro.engine.vector.machine import VectorSM as SM
+    from repro.engine.vector.machine import WarpView as Warp
 
 
 class BypassThrottler:
@@ -509,8 +509,6 @@ class LinebackerExtension(SMExtension):
         )
 
     def _schedule_callback(self, ready_cycle: int, callback) -> None:
-        from repro.gpu.sm import EV_CALLBACK
-
         self.sm.schedule_event(ready_cycle, EV_CALLBACK, callback)
 
     # ------------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""Pluggable execution backends for the cycle engine.
-
-See :mod:`repro.engine.base` for the architecture. Importing this
-package registers the built-in ``object`` and ``vector`` backends.
+"""The execution-engine seam; see :mod:`repro.engine.base`. Importing
+this package registers the one built-in engine, ``vector``.
 """
 
 from repro.engine.base import (
     BACKENDS,
-    SELECTION_ORDER,
     BackendError,
     BackendFallbackWarning,
     EngineBackend,
@@ -15,15 +12,13 @@ from repro.engine.base import (
     dispatch,
     register_backend,
     resolve_backend,
-    select_backend,
-    _register_builtin_backends,
 )
+from repro.engine.vector import VectorBackend
 
-_register_builtin_backends()
+register_backend(VectorBackend())
 
 __all__ = [
     "BACKENDS",
-    "SELECTION_ORDER",
     "BackendError",
     "BackendFallbackWarning",
     "EngineBackend",
@@ -32,5 +27,4 @@ __all__ = [
     "dispatch",
     "register_backend",
     "resolve_backend",
-    "select_backend",
 ]

@@ -1,21 +1,11 @@
-"""The ``vector`` execution backend.
-
-Struct-of-arrays state plus numpy bulk trace compilation, hosting the
-whole ``SMExtension`` hook surface; bit-identical to the ``object``
-engine on every reported statistic for the feature subset it supports
-(see :meth:`VectorBackend.supports`), and the engine every unpinned
-request inside that subset — every architecture at default options —
-runs on. Requests
-outside it go to ``object`` — silently when the backend was left to
-the selection rule, with a
-:class:`~repro.engine.base.BackendFallbackWarning` when ``vector`` was
-named explicitly.
+"""The ``vector`` engine: struct-of-arrays state plus numpy bulk trace
+compilation, hosting the whole ``SMExtension`` hook surface and every
+``RunOptions`` field (:mod:`repro.engine.vector.machine`).
 """
 
 from __future__ import annotations
 
 import gc
-from typing import Optional
 
 from repro.engine.base import EngineRequest
 from repro.engine.vector.machine import VectorGPU
@@ -24,31 +14,10 @@ __all__ = ["VectorBackend", "VectorGPU"]
 
 
 class VectorBackend:
-    """Vectorized engine for snapshot-result runs, hooked or not."""
+    """The machine, behind the :class:`~repro.engine.base.EngineBackend`
+    interface."""
 
     name = "vector"
-
-    def supports(self, request: EngineRequest) -> Optional[str]:
-        """None when the request is vectorizable, else the reason.
-
-        Each capability here corresponds to object-engine machinery
-        (per-access recorders, a live-object surface, other memory
-        models) the SoA core does not model; declaring them (instead of
-        approximating) is what keeps the two backends bit-identical
-        wherever both run.
-        """
-        if request.track_loads:
-            return "per-PC load tracking is not vectorized"
-        if request.keep_objects:
-            return "live simulator objects exist only in the object engine"
-        if request.timeseries:
-            return "windowed timeseries recording is not vectorized"
-        gpu = request.config.gpu
-        if gpu.dram_model != "simple":
-            return "the bank-level timing DRAM model is not vectorized"
-        if gpu.noc_enable:
-            return "the SM-to-L2 interconnect model is not vectorized"
-        return None
 
     def run(self, request: EngineRequest):
         # The machine allocates heavily (compiled streams, event tuples)
@@ -66,7 +35,9 @@ class VectorBackend:
                 request.kernel,
                 extension_factory=request.extension_factory,
                 max_concurrent_ctas=request.max_concurrent_ctas,
-            ).run()
+                track_loads=request.track_loads,
+                timeseries=request.timeseries,
+            ).run(keep_objects=request.keep_objects)
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -1,9 +1,9 @@
-"""Trace compilation for the vector backend.
+"""Trace compilation for the vector machine.
 
-The object engine consumes one :class:`~repro.gpu.isa.Instruction`
-iterator per warp, lazily, instruction by instruction. The vector
-backend instead *compiles* a kernel's traces up front into flat
-struct-of-arrays buffers:
+A kernel is one :class:`~repro.gpu.isa.Instruction` iterator per warp
+(what the reference engine in ``tests/reference_engine`` consumes,
+lazily, instruction by instruction). The machine instead *compiles* a
+kernel's traces up front into flat struct-of-arrays buffers:
 
 * one **opcode template** (and a parallel operand-count template) —
   for generator-built kernels this is shared by every warp of the
@@ -41,8 +41,8 @@ Two compilation paths produce that form:
     The generic fallback: drain the kernel's ``warp_trace`` iterator
     once and split it into the SoA form. This is what declarative
     workloads (multi-phase / multi-tenant specs) and hand-built test
-    traces go through; it costs about what the object engine pays for
-    trace consumption, paid once per warp.
+    traces go through; it costs about one pass over the iterators,
+    paid once per warp.
 """
 
 from __future__ import annotations

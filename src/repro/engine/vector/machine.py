@@ -1,11 +1,11 @@
-"""The ``vector`` backend's execution core.
+"""The machine: the one cycle engine, which every request runs on.
 
-The machine every registry row runs on at default options: the exact
-semantics of the object engine's tick and next-event scan
-(:meth:`repro.gpu.sm.SM.tick`), event delivery, CTA lifecycle, L1/MSHR
-behaviour, the shared L2/DRAM servers and the whole
-:class:`~repro.gpu.extension.SMExtension` hook contract, over
-struct-of-arrays state:
+Its semantics are those of the oracle kept in ``tests/reference_engine``
+(one ``Warp`` object per warp, ``SM.tick`` per SM per interesting cycle
+under one global clock loop) — tick and next-event scan, event
+delivery, CTA lifecycle, L1/MSHR behaviour, the shared L2/DRAM servers
+and the whole :class:`~repro.gpu.extension.SMExtension` hook contract —
+over struct-of-arrays state:
 
 * per-warp state lives in parallel arrays indexed by warp id
   (``state``/``ready_cycle``/``pending``/instruction pointers), not in
@@ -17,8 +17,8 @@ struct-of-arrays state:
 * cache lines are bare LRU-ordered dict keys. The value is the line's
   ``(hpc, owner)`` — refreshed on every hit, handed to
   ``on_l1_eviction`` as a ``CacheLine`` — only when the extension wants
-  evictions, else ``True``: the object engine's token/last-use fields
-  are write-only everywhere;
+  evictions, else ``True``: the oracle's token/last-use fields are
+  write-only everywhere;
 * the register file is a real :class:`~repro.gpu.register_file.
   RegisterFile`. The coroutine inlines operand accounting over that
   object's own bank-window lists, so operand traffic, launch-time
@@ -30,7 +30,7 @@ Hosting the extension
 
 :class:`VectorSM` is the ``sm`` its extension is attached to, and its
 ``ctas`` are real :class:`~repro.gpu.cta.CTA` records over
-:class:`_Warp` views, so the classes in ``core/`` and ``baselines/``
+:class:`WarpView` views, so the classes in ``core/`` and ``baselines/``
 run unedited. The eight capability flags and the bound hooks are
 frame locals of the one coroutine like the rest of its state: an inert
 ``SMExtension`` costs a local-bool test per tick, per fill and per load
@@ -41,8 +41,24 @@ from one counter shared with ``schedule_event``, and a warp view's
 ``deactivate`` / ``reactivate`` drop the scheduler's memoised hint and
 set ``dirty`` so the next tick time is recomputed in full — a hook may
 throttle any warp from anywhere, the issuing warp from its own load's
-hook included. ``timeseries_sample`` stays with the object engine
-(``VectorBackend.supports`` declines the option).
+hook included.
+
+The two opt-in recorders ride the same frame. A ``LoadTracker``
+(``track_loads``) is put in front of the bound ``on_load_outcome`` once,
+at frame set-up, so it records at exactly the four outcome sites and an
+untracked run pays nothing. A ``WindowRecorder`` (``timeseries``) is one
+compare per tick against the next window boundary (a local-bool test
+when off), placed after ``on_tick`` so a row shows the post-boundary
+mechanism state; at a boundary the frame-local counters are written
+back to ``stats`` and, when the extension contributes to the row
+(``timeseries_sample`` may read ``sm.memory.traffic``), the SM syncs
+first.
+
+The memory model is chosen from the request's configuration: the
+inlined :class:`_VectorMemory` for the simple DRAM model without a NoC,
+otherwise the general :class:`~repro.memory.subsystem.MemorySubsystem`
+(bank-level timing DRAM, interconnect) under the same names. Both are
+shared state the coroutine only touches right after a sync point.
 
 Ready cycles
 ------------
@@ -50,7 +66,7 @@ Ready cycles
 The scheduler scans read a single array: ``w_rc[w]`` holds the real
 ready cycle while a warp is READY and ``inf`` otherwise, so "state is
 READY and ready_cycle <= cycle" collapses to one comparison. A warp
-leaves READY two ways, and the object engine's
+leaves READY two ways, and the oracle's
 ``ready_cycle = max(ready_cycle, t)`` on the way back is reproduced for
 both. *Blocking on its own load*: the issue set ``ready_cycle = cycle +
 1`` and every event at or before ``cycle`` was delivered before the
@@ -69,7 +85,7 @@ Decoupled SM clocks
 Each SM runs as an independent coroutine (:meth:`VectorSM.run_gen`)
 with every piece of hot state bound once into frame locals — no
 per-tick prologue, no method-call overhead, no global tick heap. This
-is exact, not an approximation, because in the object engine's run
+is exact, not an approximation, because in the oracle's global run
 loop an SM's tick times are a pure function of its *own* hint chain::
 
     t_{n+1} = max(t_n + 1, h_n)
@@ -87,7 +103,7 @@ SMs therefore interact only through the shared L2/DRAM float servers
 and the grid CTA dispenser. The coroutine yields its current cycle
 immediately before each such interaction and the device coordinator
 (:meth:`VectorGPU.run`) resumes whichever SM has the globally smallest
-pending ``(cycle, sm_id)`` sync point, reproducing the object engine's
+pending ``(cycle, sm_id)`` sync point, reproducing the oracle's
 interleaving of shared-state mutations exactly. A hook is such an
 interaction when it can reach ``sm.memory``: a bypassed load's fetch,
 an ``EV_CALLBACK`` delivery (a backup completing may start a restore),
@@ -103,12 +119,12 @@ sync several times in one cycle. Every other hook call
 ``on_l1_eviction``, ``on_store``, ``allocate_fill``, ``on_tick``
 between windows) runs unsynced and must keep to the SM's own state,
 which is all it can reach through the ``sm`` it was given except
-``sm.memory`` — and ``_VectorMemory`` refuses a register stream from
+``sm.memory`` — and both memory models refuse a register stream from
 anywhere but a synced hook, so breaking the rule is an error, not a
 divergence.
 
 The only divergence is for runs truncated by ``max_cycles``: each SM
-stops at its own wall, which matches the object engine's global wall
+stops at its own wall, which matches the oracle's global wall
 (all due entries <= the wall are batched before the loop exits),
 including the reported final cycle.
 
@@ -117,7 +133,7 @@ Stall certificates
 
 A load that fails MSHR admission replays every 4 cycles, and in the
 replay storm the probe loop over its addresses is the hottest code in
-the object engine. Here a failed admission records the fill generation
+the oracle. Here a failed admission records the fill generation
 and its *margin* — distinct missing lines minus free MSHR entries —
 and while ``margin > fills since`` the retry is counted as failed
 without rescanning. That is sound because the margin shrinks by at
@@ -130,18 +146,18 @@ L1, still satisfying the same addresses — or, when ``allocate_fill``
 returns False, goes nowhere, which makes one more of this warp's lines
 missing at the same moment one more entry is free. Admission is judged
 before ``should_bypass`` and ``lookup_victim`` are asked, exactly as
-in ``SM._execute_load``, so what those hooks would have said never
-enters the verdict. Throttling a stalled warp leaves its certificate
-valid: it is a statement about MSHR and L1 contents, not about the
-warp.
+in the oracle's ``SM._execute_load``, so what those hooks would have
+said never enters the verdict. Throttling a stalled warp leaves its
+certificate valid: it is a statement about MSHR and L1 contents, not
+about the warp.
 
 Everything observable through :class:`~repro.gpu.gpu.SimulationResult`
 is reproduced exactly; ``tests/test_backends.py`` holds all nine
-extension rows, and a probe extension that stresses every hook, to the
-object engine — full fingerprint, every per-SM statistic and a deep
-comparison of every ``ExtensionSnapshot``. State with no path into a
-result (scheduler issue counts, L2 tag-array statistics, MSHR
-allocation counters, DRAM busy cycles, the L1 touch clock) is
+extension rows, a probe extension that stresses every hook, and each
+option above to the oracle — full fingerprint, every per-SM statistic
+and a deep comparison of every ``ExtensionSnapshot``. State with no
+path into a result (scheduler issue counts, L2 tag-array statistics,
+MSHR allocation counters, DRAM busy cycles, the L1 touch clock) is
 deliberately not modeled.
 """
 
@@ -155,23 +171,33 @@ from typing import Callable, Optional
 from repro.config import GPUConfig, SimulationConfig
 from repro.engine.vector.compile import CompiledKernel
 from repro.gpu.cta import CTA, CTAState
-from repro.gpu.extension import SMExtension
+from repro.gpu.extension import EV_FILL, EV_WAKE, SMExtension
 from repro.gpu.gpu import SimulationResult
 from repro.gpu.register_file import RegisterFile, register_tokens
-from repro.gpu.sm import EV_FILL, EV_WAKE
 from repro.gpu.snapshot import snapshot_extension, snapshot_sm
-from repro.gpu.stats import SMStats
+from repro.gpu.stats import SM_STATS, LoadTracker, SMStats
 from repro.gpu.trace import KernelTrace, hardware_occupancy
 from repro.memory.cache import CacheLine, CacheStats
-from repro.memory.subsystem import TrafficStats
+from repro.memory.subsystem import MemorySubsystem, TrafficStats
+from repro.metrics import WindowRecorder
 
 _INF = float("inf")
 
-# Warp states (repro.gpu.warp.WarpState as ints).
+# Warp states (the oracle's WarpState, as ints).
 _READY = 0
 _BLOCKED = 1
 _FINISHED = 2
 _INACTIVE = 3
+
+
+def _require_sync(memory) -> None:
+    """Registers stream to shared DRAM only from a hook the running SM
+    called right after a sync point."""
+    if not memory.hook_synced:
+        raise RuntimeError(
+            "an extension reached sm.memory from a hook the vector engine "
+            "does not order across SMs (see SMExtension, 'Shared state')"
+        )
 
 
 class _VectorMemory:
@@ -265,15 +291,16 @@ class _VectorMemory:
         self.dram_free = dstart + self.dram_svc
         self.dram_writes += 1
 
+    def ports(self, sm_id: int) -> tuple:
+        """``(fetch_line, write_line)`` as SM ``sm_id`` calls them; this
+        model keeps nothing per SM."""
+        return self.fetch_line, self.write_line
+
     def _stream(self, num_lines: int, cycle: int) -> int:
         """``num_lines`` back-to-back ``DRAMModel.access`` calls that all
         arrive at ``cycle`` (the register backup region bypasses L2);
         returns when the last one completes."""
-        if not self.hook_synced:
-            raise RuntimeError(
-                "an extension reached sm.memory from a hook the vector engine "
-                "does not order across SMs (see SMExtension, 'Shared state')"
-            )
+        _require_sync(self)
         arrive = float(cycle)
         ready = cycle
         for _ in range(num_lines):
@@ -304,6 +331,39 @@ class _VectorMemory:
         )
 
 
+class _SubsystemMemory(MemorySubsystem):
+    """The general hierarchy — bank-level timing DRAM, the SM-to-L2
+    interconnect, the backup-region cursor — under the names the machine
+    calls. The models are shared state behind ``fetch_line`` /
+    ``write_line`` / ``backup_registers`` / ``restore_registers``, which
+    the coroutine only reaches right after a sync point, so they see the
+    oracle's call order and need no arithmetic of their own here."""
+
+    hook_synced = False
+
+    def ports(self, sm_id: int) -> tuple:
+        return (
+            functools.partial(self.fetch_line, sm_id=sm_id),
+            functools.partial(self.write_line, sm_id=sm_id),
+        )
+
+    def backup_registers(self, num_lines: int, cycle: int) -> int:
+        _require_sync(self)
+        return super().backup_registers(num_lines, cycle)
+
+    def restore_registers(self, num_lines: int, cycle: int) -> int:
+        _require_sync(self)
+        return super().restore_registers(num_lines, cycle)
+
+    @property
+    def dram_reads(self) -> int:
+        return self.dram.stats.reads
+
+    @property
+    def dram_writes(self) -> int:
+        return self.dram.stats.writes
+
+
 class _L1:
     """The L1 as an extension sees it (geometry and occupancy) plus the
     statistics a result reports. ``sets[i]`` maps tag -> line metadata
@@ -324,9 +384,9 @@ class _L1:
         return sum(len(ways) for ways in self.sets)
 
 
-class _Warp:
+class WarpView:
     """One warp as an extension sees it: a view over the SM's arrays
-    with ``repro.gpu.warp.Warp``'s throttling transitions."""
+    with the throttling transitions of the oracle's ``Warp``."""
 
     __slots__ = ("sm", "warp_id", "launch_order")
 
@@ -368,12 +428,26 @@ class _Warp:
             sm.rescan(w % sm.nsched)
 
 
+def _tracked_outcome(record: Callable, on_load_outcome: Optional[Callable]) -> Callable:
+    """``on_load_outcome`` with the load tracker's ``record`` in front.
+    Built here, not inside ``run_gen``, so no local of that frame
+    becomes a closure cell."""
+    if on_load_outcome is None:
+        def outcome(pc, hpc, line_addr, hit, cycle, warp):
+            record(pc, line_addr, hit, cycle)
+    else:
+        def outcome(pc, hpc, line_addr, hit, cycle, warp):
+            record(pc, line_addr, hit, cycle)
+            on_load_outcome(pc, hpc, line_addr, hit, cycle, warp)
+    return outcome
+
+
 class VectorSM:
     """One SM's struct-of-arrays state and fused tick coroutine.
 
     Also the ``sm`` its extension is attached to: ``sm_id``, ``config``,
     ``kernel``, ``memory``, ``l1``, ``register_file``, ``ctas`` (real
-    :class:`~repro.gpu.cta.CTA` records over :class:`_Warp` views),
+    :class:`~repro.gpu.cta.CTA` records over :class:`WarpView` views),
     ``stats`` and ``schedule_event`` are the surface ``core/`` and
     ``baselines/`` touch.
     """
@@ -389,6 +463,10 @@ class VectorSM:
         "register_file",
         "l1",
         "stats",
+        # Opt-in recorders (None when off): per-PC load behaviour for
+        # Figs 2-3, and per-window counter rows.
+        "load_tracker",
+        "recorder",
         # Per-warp SoA, indexed by warp id (slot * warps_per_cta + w).
         # w_rc holds the ready cycle for READY warps and inf otherwise
         # (see module docstring); w_state holds the precise state,
@@ -460,11 +538,13 @@ class VectorSM:
         sm_id: int,
         config: GPUConfig,
         kernel: KernelTrace,
-        memory: _VectorMemory,
+        memory: "_VectorMemory | _SubsystemMemory",
         cta_source,
         compiled: CompiledKernel,
         extension: Optional[SMExtension] = None,
         max_concurrent_ctas: Optional[int] = None,
+        load_tracker: Optional[LoadTracker] = None,
+        recorder: Optional[WindowRecorder] = None,
     ) -> None:
         self.sm_id = sm_id
         self.config = config
@@ -473,6 +553,8 @@ class VectorSM:
         self.cta_source = cta_source
         self.compiled = compiled
         self.extension = extension or SMExtension()
+        self.load_tracker = load_tracker
+        self.recorder = recorder
         self.register_file = RegisterFile(
             config.register_file_bytes,
             num_banks=config.register_banks,
@@ -533,8 +615,8 @@ class VectorSM:
         self.occupancy_limit = hardware_occupancy(config, kernel)
         if max_concurrent_ctas is not None:
             self.occupancy_limit = min(self.occupancy_limit, max_concurrent_ctas)
-        # SMs are built, and finalized, one after another in sm_id order
-        # on both engines: hooks may reach shared memory there too.
+        # SMs are built, and finalized, one after another in sm_id
+        # order: hooks may reach shared memory there too.
         memory.hook_synced = True
         self.extension.attach(self)
         self.extension.resolve_flags()
@@ -547,8 +629,8 @@ class VectorSM:
     # What the extension calls back into
     # ------------------------------------------------------------------
     def schedule_event(self, ready_cycle: int, kind: int, payload: object) -> None:
-        """Queue an event (``repro.gpu.sm.EV_*``); an ``EV_CALLBACK``
-        payload is called with its ready cycle."""
+        """Queue an event (``repro.gpu.extension.EV_*``); an
+        ``EV_CALLBACK`` payload is called with its ready cycle."""
         heapq.heappush(self.events, (ready_cycle, next(self.event_seq), kind, payload))
 
     def rescan(self, sidx: int) -> None:
@@ -566,7 +648,42 @@ class VectorSM:
         self.w_banks3[warp_id] = (base % nb, (base + 1) % nb, (base + 2) % nb)
 
     # ------------------------------------------------------------------
-    # CTA lifecycle (SM._launch_next_cta / SM._complete_cta)
+    # Timeseries recording
+    # ------------------------------------------------------------------
+    @property
+    def timeseries(self):
+        """The recorded :class:`~repro.metrics.WindowSeries`, or None
+        when this run did not record timeseries."""
+        return self.recorder.series if self.recorder is not None else None
+
+    def _ts_sample(self, cycle: int, boundary: int, counters: tuple) -> int:
+        """Capture every window boundary the clock has crossed and
+        return the next one. ``counters`` are the coroutine's
+        frame-local statistics, written back here because the recorder
+        differences ``stats``.
+
+        Event fast-forward can jump several windows at once; the loop
+        emits one row per boundary (intermediate rows carry zero
+        counter deltas, matching the extension's own catch-up loop).
+        """
+        stats = self.stats
+        (stats.instructions, stats.loads, stats.stores, stats.l1_hits, stats.l1_misses,
+         stats.victim_hits, stats.bypasses, stats.mem_requests) = counters
+        rec = self.recorder
+        window = rec.series.window_cycles
+        ext = self.extension
+        while cycle >= boundary:
+            extra = ext.timeseries_sample(boundary) if ext.wants_timeseries else None
+            active = 0
+            for cta in self.ctas.values():
+                if cta.state is CTAState.ACTIVE:
+                    active += 1
+            rec.capture(boundary, stats, active, len(self.ctas) - active, extra)
+            boundary += window
+        return boundary
+
+    # ------------------------------------------------------------------
+    # CTA lifecycle
     # ------------------------------------------------------------------
     def _launch_next_cta(self, cycle: int) -> bool:
         for s in range(self.nsched):
@@ -613,7 +730,7 @@ class VectorSM:
             self.w_lp[warp_id] = 0
             self.w_sp[warp_id] = 0
             self.rebase(warp_id, regs.start + w * kernel.warp_registers_per_warp)
-            self.w_view[warp_id] = view = _Warp(self, warp_id, self.launched)
+            self.w_view[warp_id] = view = WarpView(self, warp_id, self.launched)
             self.launched += 1
             warps.append(view)
             self.sched_warps[warp_id % self.nsched].append(warp_id)
@@ -676,11 +793,11 @@ class VectorSM:
         touch shared device state — an L2/DRAM access (load-miss or
         bypass fetch, store write-through), a CTA fetch from the grid
         dispenser, and every hook that may reach ``sm.memory``
-        (``on_tick`` at a window boundary, an ``EV_CALLBACK`` delivery,
-        the CTA lifecycle hooks) — and performs that step right after
-        being resumed. The
-        device coordinator resumes coroutines in global
-        ``(cycle, sm_id)`` order, which reproduces the object engine's
+        (``on_tick`` at a window boundary, a timeseries sample, an
+        ``EV_CALLBACK`` delivery, the CTA lifecycle hooks) — and
+        performs that step right after being resumed. The device
+        coordinator resumes coroutines in global
+        ``(cycle, sm_id)`` order, which reproduces the oracle's
         interleaving of shared-state mutations exactly; everything else
         the SM touches is private, so between sync points it may run
         arbitrarily far ahead of its siblings (see the module docstring
@@ -745,8 +862,7 @@ class VectorSM:
         hit_latency = self.l1_hit_latency
         max_out = self.max_outstanding
         memory = self.memory
-        fetch_line = memory.fetch_line
-        write_line = memory.write_line
+        fetch_line, write_line = memory.ports(self.sm_id)
         heappush = heapq.heappush
         heappop = heapq.heappop
         stats = self.stats
@@ -759,11 +875,22 @@ class VectorSM:
         wants_stores = ext.wants_store_events
         controls_fill = ext.controls_fill
         wants_evictions = ext.wants_evictions
-        hooked_loads = wants_outcomes or has_victim or may_bypass or wants_evictions
+        wants_timeseries = ext.wants_timeseries
         tick_period = ext.shared_tick_period() or 1
         shared_tick = 0
         on_tick = ext.on_tick
         on_load_outcome = ext.on_load_outcome
+        if self.load_tracker is not None:
+            # The tracker records exactly where on_load_outcome fires.
+            on_load_outcome = _tracked_outcome(
+                self.load_tracker.record, on_load_outcome if wants_outcomes else None
+            )
+            wants_outcomes = True
+        hooked_loads = wants_outcomes or has_victim or may_bypass or wants_evictions
+        # The next window boundary to record. Off, the per-tick cost is
+        # one local-bool test.
+        recording = self.recorder is not None
+        ts_next = self.recorder.series.window_cycles if recording else 0
         lookup_victim = ext.lookup_victim
         should_bypass = ext.should_bypass
         on_store = ext.on_store
@@ -891,6 +1018,18 @@ class VectorSM:
                     else:
                         on_tick(cycle)
 
+                if recording and cycle >= ts_next:
+                    # After on_tick: the extension has closed its windows
+                    # up to this cycle, so the sampled mechanism state
+                    # (monitor phase, throttle ladder, VPs) is the
+                    # post-boundary state.
+                    if wants_timeseries:
+                        yield cycle  # sync: a sample may read sm.memory.traffic
+                    ts_next = self._ts_sample(cycle, ts_next, (
+                        instructions, loads, stores, l1_hits, l1_misses,
+                        victim_hits, bypasses, mem_requests,
+                    ))
+
                 # ---- scheduler scans + issue ----
                 hint: float = _INF
                 for sidx in scheds:
@@ -936,9 +1075,8 @@ class VectorSM:
                             continue
                     ip = w_ip[pick]
                     if ip >= w_len[pick]:
-                        # Defensive, as in the object engine: a READY
-                        # warp without an instruction reports as
-                        # issuable.
+                        # Defensive, as in the oracle: a READY warp
+                        # without an instruction reports as issuable.
                         hint = cycle
                         continue
                     op = w_ops[pick][ip]
@@ -1233,7 +1371,7 @@ class VectorSM:
             self.final_cycle = t
 
     # ------------------------------------------------------------------
-    # Clocking interface (mirrors SM.next_event_cycle / SM.done)
+    # Clocking interface
     # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> float:
         events = self.events
@@ -1270,10 +1408,10 @@ class VectorSM:
 class VectorGPU:
     """Whole-device coordinator over :class:`VectorSM` coroutines.
 
-    Mirrors ``GPU.run``'s observable behaviour without its global tick
-    heap: each SM free-runs on its own clock (exact — see the module
-    docstring) and blocks at shared-state sync points, which the
-    coordinator commits in global ``(cycle, sm_id)`` order.
+    There is no global tick heap: each SM free-runs on its own clock
+    (exact — see the module docstring) and blocks at shared-state sync
+    points, which the coordinator commits in global ``(cycle, sm_id)``
+    order.
     """
 
     def __init__(
@@ -1282,10 +1420,19 @@ class VectorGPU:
         kernel: KernelTrace,
         extension_factory: Optional[Callable[[], SMExtension]] = None,
         max_concurrent_ctas: Optional[int] = None,
+        track_loads: bool = False,
+        timeseries: bool = False,
     ) -> None:
         self.config = config
         self.kernel = kernel
-        self.memory = _VectorMemory(config.gpu)
+        gpu = config.gpu
+        # The memory model is read off the request's own configuration:
+        # the inlined float servers are the simple model and nothing else.
+        general = gpu.dram_model != "simple" or gpu.noc_enable
+        self.memory = _SubsystemMemory(gpu) if general else _VectorMemory(gpu)
+        # Load tracking and timeseries rows share the mechanism's window
+        # grid.
+        window = config.linebacker.window_cycles
         compiled = CompiledKernel(kernel)
         # The grid dispenser: the next unlaunched CTA id, or None.
         cta_source = functools.partial(next, iter(range(kernel.num_ctas)), None)
@@ -1299,11 +1446,18 @@ class VectorGPU:
                 compiled=compiled,
                 extension=extension_factory() if extension_factory else None,
                 max_concurrent_ctas=max_concurrent_ctas,
+                load_tracker=LoadTracker(window) if track_loads else None,
+                recorder=(
+                    WindowRecorder(window, SM_STATS.counter_names()) if timeseries else None
+                ),
             )
             for i in range(config.gpu.num_sms)
         ]
 
-    def run(self) -> SimulationResult:
+    def run(self, keep_objects: bool = False) -> SimulationResult:
+        """Run the kernel to completion (or the cycle cap).
+        ``keep_objects`` hands back the live SMs and extensions instead
+        of their snapshots."""
         max_cycles = self.config.max_cycles
         sms = self.sms
         # Advance every SM to its first sync point, then commit sync
@@ -1339,6 +1493,8 @@ class VectorGPU:
         memory.hook_synced = True
         for sm in sms:
             sm.stats.cycles = cycle
+            if sm.load_tracker is not None:
+                sm.load_tracker.close_window()
             sm.extension.finalize(cycle)
         return SimulationResult(
             kernel_name=self.kernel.name,
@@ -1349,6 +1505,8 @@ class VectorGPU:
             dram_writes=memory.dram_writes,
             l1_stats=[sm.l1.stats for sm in sms],
             rf_stats=[sm.register_file.stats for sm in sms],
-            extensions=[snapshot_extension(sm.extension) for sm in sms],
-            sms=[snapshot_sm(sm) for sm in sms],
+            extensions=[
+                sm.extension if keep_objects else snapshot_extension(sm.extension) for sm in sms
+            ],
+            sms=list(sms) if keep_objects else [snapshot_sm(sm) for sm in sms],
         )

@@ -1,9 +1,9 @@
-"""GPU execution substrate: SMs, warps, CTAs, GTO schedulers, banked
-register file, and the whole-device clock loop."""
+"""GPU execution substrate: the extension interface, CTAs, the banked
+register file, traces, statistics and ``run_kernel``. The device that
+executes them is :mod:`repro.engine.vector.machine`."""
 
 from repro.gpu.extension import SMExtension
 from repro.gpu.gpu import (
-    GPU,
     SimulationResult,
     dynamically_unused_register_bytes,
     run_kernel,
@@ -11,23 +11,15 @@ from repro.gpu.gpu import (
 )
 from repro.gpu.isa import Instruction, Op, alu, exit_inst, hashed_pc, load, store
 from repro.gpu.register_file import RegisterFile
-from repro.gpu.scheduler import GTOScheduler
-from repro.gpu.sm import SM
 from repro.gpu.trace import KernelTrace, from_instruction_lists
-from repro.gpu.warp import Warp, WarpState
 
 __all__ = [
-    "GPU",
-    "GTOScheduler",
     "Instruction",
     "KernelTrace",
     "Op",
     "RegisterFile",
-    "SM",
     "SMExtension",
     "SimulationResult",
-    "Warp",
-    "WarpState",
     "alu",
     "dynamically_unused_register_bytes",
     "exit_inst",

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.gpu.warp import Warp
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.vector.machine import WarpView
 
 
 class CTAState(enum.Enum):
@@ -29,7 +30,7 @@ class CTA:
 
     slot: int
     grid_cta_id: int
-    warps: list[Warp] = field(default_factory=list)
+    warps: list[WarpView] = field(default_factory=list)
     register_range: Optional[range] = None
     state: CTAState = CTAState.ACTIVE
 

@@ -21,8 +21,16 @@ from typing import TYPE_CHECKING, Optional
 from repro.memory.cache import CacheLine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gpu.sm import SM
-    from repro.gpu.warp import Warp
+    from repro.engine.vector.machine import VectorSM as SM
+    from repro.engine.vector.machine import WarpView as Warp
+
+# Event kinds of ``sm.schedule_event(ready_cycle, kind, payload)``. Int
+# constants compare faster than strings in the per-event dispatch and
+# keep heap entries small. An extension schedules ``EV_CALLBACK``; the
+# other two are the engine's own.
+EV_FILL = 0      # payload: line_addr whose off-chip fetch completed
+EV_WAKE = 1      # payload: the warp to deliver a memory response to
+EV_CALLBACK = 2  # payload: callable(cycle), e.g. backup/restore steps
 
 
 #: Capability flag -> the hook it gates. :meth:`SMExtension.resolve_flags`
@@ -67,8 +75,8 @@ class SMExtension:
     ``__init__`` / ``attach``) when the override is conditionally inert
     — e.g. Linebacker with ``enable_victim_cache=False``.
 
-    Both engines call ``attach`` and then ``resolve_flags`` once, and
-    afterwards read the eight bools straight off the instance. The
+    The engine calls ``attach`` and then ``resolve_flags`` once, and
+    afterwards reads the eight bools straight off the instance. The
     ungated hooks (``attach``, ``on_cta_launched``, ``on_cta_finished``,
     ``try_reactivate_cta``, ``finalize``) fire off the hot path.
 
@@ -78,8 +86,9 @@ class SMExtension:
     one thing an extension can reach that other SMs share. Use it only
     from ``on_tick`` (see :meth:`shared_tick_period`), from an
     ``EV_CALLBACK`` and from the CTA lifecycle hooks — the calls the
-    vector engine orders across SMs. The load, store and fill hooks
-    must keep to the SM's own state.
+    vector engine orders across SMs — and read it (``traffic``) from
+    ``timeseries_sample``, which is ordered too. The load, store and
+    fill hooks must keep to the SM's own state.
     """
 
     wants_ticks: "bool | None" = None
@@ -99,7 +108,7 @@ class SMExtension:
     def resolve_flags(self) -> None:
         """Leave a real bool on the instance for every capability flag:
         a pinned value as is, ``None`` as "the hook is overridden".
-        Idempotent — the engines call it again after ``attach``, which
+        Idempotent — the engine calls it again after ``attach``, which
         covers an ``attach`` override that pinned a flag after (or
         never called) ``super().attach``."""
         cls = type(self)

@@ -1,26 +1,19 @@
-"""Whole-GPU model: SMs sharing one memory subsystem, plus the kernel
-launcher that distributes the CTA grid across SMs.
-
-The global loop advances a shared clock to the earliest interesting
-cycle across SMs (each SM fast-forwards through cycles where no warp
-can issue), which keeps memory-bound simulation tractable in Python.
+"""What one kernel simulation takes and gives back: :func:`run_kernel`,
+:class:`SimulationResult` and the unused-register accounting (SUR/DUR).
+The device itself is :class:`repro.engine.vector.machine.VectorGPU`.
 """
 
 from __future__ import annotations
 
-import gc
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.config import WARP_REGISTER_BYTES, GPUConfig, SimulationConfig
 from repro.gpu.extension import SMExtension
-from repro.options import RunOptions
-from repro.gpu.sm import SM
-from repro.gpu.snapshot import snapshot_extension, snapshot_sm
 from repro.gpu.stats import SMStats
 from repro.gpu.trace import KernelTrace, hardware_occupancy
-from repro.memory.subsystem import MemorySubsystem, TrafficStats
+from repro.memory.subsystem import TrafficStats
+from repro.options import RunOptions
 
 #: Builds one extension instance per SM (policies keep per-SM state).
 ExtensionFactory = Callable[[], SMExtension]
@@ -39,7 +32,9 @@ class SimulationResult:
     l1_stats: list
     rf_stats: list
     extensions: list[SMExtension]
-    sms: list[SM] = field(default_factory=list, repr=False)
+    #: Per-SM :class:`~repro.gpu.snapshot.SMSnapshot` records — the live
+    #: SMs under ``RunOptions(keep_objects=True)``.
+    sms: list = field(default_factory=list, repr=False)
 
     @property
     def timeseries(self) -> "list | None":
@@ -108,141 +103,6 @@ class SimulationResult:
         return cc / accesses if accesses else 0.0
 
 
-class GPU:
-    """The full device: N SMs over a shared L2/DRAM."""
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        kernel: KernelTrace,
-        extension_factory: Optional[ExtensionFactory] = None,
-        max_concurrent_ctas: Optional[int] = None,
-        track_loads: bool = False,
-        timeseries: bool = False,
-    ) -> None:
-        self.config = config
-        self.kernel = kernel
-        self.memory = MemorySubsystem(config.gpu)
-        self._next_grid_cta = 0
-
-        def cta_source() -> Optional[int]:
-            if self._next_grid_cta >= kernel.num_ctas:
-                return None
-            cta = self._next_grid_cta
-            self._next_grid_cta += 1
-            return cta
-
-        self.sms = [
-            SM(
-                sm_id=i,
-                config=config.gpu,
-                kernel=kernel,
-                memory=self.memory,
-                cta_source=cta_source,
-                extension=extension_factory() if extension_factory else None,
-                max_concurrent_ctas=max_concurrent_ctas,
-                track_loads=track_loads,
-                load_window=config.linebacker.window_cycles,
-                record_timeseries=timeseries,
-            )
-            for i in range(config.gpu.num_sms)
-        ]
-
-    def run(self, keep_objects: bool = True) -> SimulationResult:
-        """Run the kernel to completion (or the cycle cap).
-
-        Each SM caches its next interesting cycle ("hint"); an SM is
-        only ticked when the global clock reaches its hint, so fully
-        stalled SMs cost nothing per cycle. Hints can only change when
-        the owning SM ticks (all of an SM's events live on its own
-        heap), which makes the caching sound.
-
-        The hints live on a min-heap of ``(hint, sm_id)`` so advancing
-        the clock is O(log SMs) instead of a dict scan per iteration.
-        Every SM holds exactly one live heap entry (its entry is popped
-        before it ticks and re-pushed after), so entries never go
-        stale; a finished SM simply is not re-pushed. Due SMs are
-        ticked in ascending ``sm_id`` order — the same order the old
-        dict scan used — because tick order is visible through the
-        shared L2/DRAM timing state.
-
-        ``keep_objects=False`` returns a result carrying lightweight
-        SM/extension snapshots instead of the live object graph.
-        """
-        cycle = 0
-        max_cycles = self.config.max_cycles
-        # SMs are constructed with sm_id == index, so the list doubles
-        # as the id -> SM map.
-        sms = self.sms
-        heap = [(0.0, sm.sm_id) for sm in sms if not sm.done]
-        heapq.heapify(heap)
-        heappush, heappop = heapq.heappush, heapq.heappop
-        inf = float("inf")
-        # The run loop allocates heavily (instructions, event tuples,
-        # cache lines) but creates no cycles that must die mid-run, so
-        # the generational collector only adds pauses — pause it for
-        # the duration and restore the caller's setting after.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self._run_loop(cycle, max_cycles, sms, heap, heappush, heappop, inf)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        cycle = self._final_cycle
-        for sm in self.sms:
-            sm.finalize(cycle)
-        return SimulationResult(
-            kernel_name=self.kernel.name,
-            cycles=cycle,
-            sm_stats=[sm.stats for sm in self.sms],
-            traffic=self.memory.traffic,
-            dram_reads=self.memory.dram.stats.reads,
-            dram_writes=self.memory.dram.stats.writes,
-            l1_stats=[sm.l1.stats for sm in self.sms],
-            rf_stats=[sm.register_file.stats for sm in self.sms],
-            extensions=(
-                [sm.extension for sm in self.sms]
-                if keep_objects
-                else [snapshot_extension(sm.extension) for sm in self.sms]
-            ),
-            sms=(
-                list(self.sms)
-                if keep_objects
-                else [snapshot_sm(sm) for sm in self.sms]
-            ),
-        )
-
-    def _run_loop(self, cycle, max_cycles, sms, heap, heappush, heappop, inf):
-        while heap and cycle < max_cycles:
-            next_cycle = heap[0][0]
-            if next_cycle == inf:
-                break
-            cycle = max(cycle + 1, int(next_cycle))
-            if cycle > max_cycles:
-                cycle = max_cycles
-                break
-            first_id = heappop(heap)[1]
-            if not heap or heap[0][0] > cycle:
-                # Fast path: exactly one SM due, no ordering concerns.
-                sm = sms[first_id]
-                sm.tick(cycle)
-                if not sm.done:
-                    heappush(heap, (sm.next_event_cycle(cycle), first_id))
-                continue
-            due = [first_id]
-            while heap and heap[0][0] <= cycle:
-                due.append(heappop(heap)[1])
-            due.sort()
-            for sm_id in due:
-                sm = sms[sm_id]
-                sm.tick(cycle)
-                if not sm.done:
-                    heappush(heap, (sm.next_event_cycle(cycle), sm_id))
-        self._final_cycle = cycle
-
-
 def statically_unused_register_bytes(config: GPUConfig, kernel: KernelTrace) -> int:
     """SUR: register space no CTA ever occupies at full occupancy."""
     occupancy = hardware_occupancy(config, kernel)
@@ -265,13 +125,9 @@ def run_kernel(
     extension_factory: Optional[ExtensionFactory] = None,
     options: RunOptions = RunOptions(),
 ) -> SimulationResult:
-    """Convenience wrapper: run one kernel on the selected backend.
-
-    ``options.backend`` pins the execution engine; ``None`` chooses it
-    from the request (``vector`` unless an option it declines is set,
-    else ``object``). A pinned backend that cannot run the request
-    exactly falls back with a
-    :class:`~repro.engine.base.BackendFallbackWarning`.
+    """Convenience wrapper: run one kernel on the machine
+    (``options.backend`` names another registered engine; see
+    :mod:`repro.engine.base`).
 
     By default the result carries SM/extension *snapshots* (every
     statistic, the load tracker, Linebacker's monitor/VTT) rather than
@@ -279,13 +135,13 @@ def run_kernel(
     don't keep every SM — and through it the whole memory hierarchy —
     alive. ``RunOptions(keep_objects=True)`` retains the live SMs and
     extensions (tests that poke at MSHRs or register files need this);
-    the GPU object itself is discarded either way.
+    the device object itself is discarded either way.
     """
     limit = options.max_concurrent_ctas
     if limit is not None and limit < 1:
         raise ValueError("CTA limit must be at least 1")
-    # Imported lazily: repro.engine registers backends whose object
-    # implementation imports this module (acyclic at import time).
+    # Imported lazily: the machine imports this module for
+    # SimulationResult (acyclic at import time).
     from repro.engine import EngineRequest, dispatch
 
     request = EngineRequest(

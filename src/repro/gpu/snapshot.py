@@ -76,7 +76,6 @@ def snapshot_sm(sm) -> SMSnapshot:
             size_bytes=sm.l1.num_sets * sm.l1.assoc * sm.l1.line_bytes,
             assoc=sm.l1.assoc,
         ),
-        # Recorders only the object engine's SM carries.
         load_tracker=getattr(sm, "load_tracker", None),
         timeseries=getattr(sm, "timeseries", None),
     )

@@ -1,6 +1,6 @@
 """Capability-flag consistency for the SM extension interface.
 
-Neither engine's hot path calls an extension hook unconditionally: it
+The engine's hot path never calls an extension hook unconditionally: it
 reads a plain bool that ``SMExtension.resolve_flags`` left on the
 instance (``wants_ticks`` gates ``on_tick``, ``has_victim_cache`` gates
 ``lookup_victim``, ...), per the module-level ``CAPABILITY_FLAGS``
@@ -11,13 +11,13 @@ modes that are invisible until a policy silently stops firing:
   that the ``CAPABILITY_FLAGS`` table does not resolve (or a table row
   for an undeclared flag).
 * ``hook-missing-flag`` — a hook method added to ``SMExtension``
-  without a capability flag. An engine would never call it (or worse,
+  without a capability flag. The engine would never call it (or worse,
   call it unconditionally on the hot path). Lifecycle hooks
   (``on_cta_*``, ``try_reactivate_cta``, ``finalize``, ``attach``)
   are exempt: they fire off the hot path.
-* ``capability-gate-missing`` — the engine side: a class that hosts
-  hooks (``SM``, ``VectorSM``) references a gated hook without reading
-  its flag anywhere, or a flag that no engine reads at all.
+* ``capability-gate-missing`` — the engine side: the class that hosts
+  the hooks (``VectorSM``) references a gated hook without reading its
+  flag anywhere, or never reads a flag at all.
 * ``capability-flag-pinned`` — a subclass overrides a hook but pins
   the matching flag to a literal ``False`` unconditionally. The
   override is then dead code. Pinning is legal only when guarded
@@ -41,8 +41,8 @@ PASS_NAME = "capability"
 
 BASE_CLASS = "SMExtension"
 FLAG_TABLE = "CAPABILITY_FLAGS"
-#: The classes whose code calls the gated hooks.
-ENGINE_CLASSES = ("SM", "VectorSM")
+#: The classes whose code calls the gated hooks: the engine.
+ENGINE_CLASSES = ("VectorSM",)
 
 #: Hooks that fire off the hot path and are deliberately ungated (and
 #: ``resolve_flags`` / ``shared_tick_period``, which describe the
@@ -210,7 +210,7 @@ RULES = (
 @lint_pass(
     PASS_NAME,
     RULES,
-    "checks the SMExtension flag table against hooks, engines and pins",
+    "checks the SMExtension flag table against hooks, the engine and pins",
 )
 def run(project: Project) -> Iterable[Finding]:
     entry = project.find_class(BASE_CLASS)
@@ -247,34 +247,31 @@ def run(project: Project) -> Iterable[Finding]:
     for name in sorted(hook_names - gated_hooks):
         yield make_finding(
             "hook-missing-flag",
-            f"hook {BASE_CLASS}.{name} has no capability flag; an engine "
+            f"hook {BASE_CLASS}.{name} has no capability flag; the engine "
             f"cannot gate it on the hot path (add a flag + {FLAG_TABLE} "
             "row + engine gate, or list it as a lifecycle hook)",
             src, methods[name].lineno, PASS_NAME,
         )
 
     # 3. Engine side: a referenced hook is gated, and no flag is dead.
-    engines = [entry for entry in map(project.find_class, ENGINE_CLASSES) if entry]
-    read_somewhere: set[str] = set()
-    for engine_src, engine_node in engines:
+    for engine_src, engine_node in filter(None, map(project.find_class, ENGINE_CLASSES)):
         reads = _attribute_reads(engine_node)
-        read_somewhere |= reads
-        for flag, (hook, _line) in sorted(mapping.items()):
-            if hook in reads and flag not in reads:
+        for flag, (hook, line) in sorted(mapping.items()):
+            if flag in reads:
+                continue
+            if hook in reads:
                 yield make_finding(
                     "capability-gate-missing",
                     f"{engine_node.name} references hook {hook!r} but never "
                     f"reads its flag {flag!r}; the hook is effectively ungated",
                     engine_src, engine_node.lineno, PASS_NAME,
                 )
-    for flag, (hook, line) in sorted(mapping.items()):
-        if engines and flag not in read_somewhere:
-            yield make_finding(
-                "capability-gate-missing",
-                f"flag {flag!r} is read by no engine "
-                f"({', '.join(node.name for _, node in engines)})",
-                src, line, PASS_NAME,
-            )
+            else:
+                yield make_finding(
+                    "capability-gate-missing",
+                    f"flag {flag!r} is never read by the engine ({engine_node.name})",
+                    src, line, PASS_NAME,
+                )
 
     # 4. Subclasses pinning flags over overridden hooks.
     all_hooks = gated_hooks

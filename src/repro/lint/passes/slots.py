@@ -9,8 +9,8 @@ engine touches per instruction. Two things go wrong silently:
   that line — which for rarely-taken paths (error handling, ablation
   variants) means it ships. The check is cross-method: *any* method of
   the class may introduce the attribute.
-* ``hot-class-no-slots`` — a class on the engine's hot list (warps,
-  cache lines, schedulers, per-SM stats) was refactored and dropped
+* ``hot-class-no-slots`` — a class on the engine's hot list (cache
+  lines, per-SM stats, load behaviour) was refactored and dropped
   its ``__slots__`` (or ``@dataclass(slots=True)``), quietly
   reinstating a per-instance ``__dict__`` and the ~2x allocation cost
   the overhaul removed.
@@ -33,12 +33,10 @@ PASS_NAME = "slots"
 
 #: Classes the cycle engine allocates or scans per instruction/event.
 HOT_CLASSES = {
-    "Warp",
     "CacheLine",
     "CacheStats",
     "SMStats",
     "LoadBehavior",
-    "GTOScheduler",
     "SetAssociativeCache",
 }
 

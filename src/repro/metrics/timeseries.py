@@ -9,9 +9,8 @@ is the bounded ring the rows land in, and the object that travels
 through snapshots, the wire protocol, and the result cache.
 
 Recording is opt-in (``RunOptions(timeseries=True)``); when it is
-off the SM holds no recorder and the per-tick cost is a single float
-compare against an infinite sentinel — the same trick the event
-fast-forward uses.
+off the SM holds no recorder and the per-tick cost is a single
+local-bool test.
 """
 
 from __future__ import annotations

@@ -45,11 +45,10 @@ class RunOptions:
     timeseries: bool = False
     #: Static CTA-residency cap (SWL-style throttling); ``None`` = off.
     max_concurrent_ctas: Optional[int] = None
-    #: Execution backend (``"object"`` | ``"vector"``); ``None`` lets
-    #: :func:`repro.engine.select_backend` choose from the request.
-    #: Participates in cache identity when set: results computed by
-    #: pinned backends never alias, so a divergence between engines
-    #: can always be bisected from cache.
+    #: A registered engine's name (:mod:`repro.engine.base`); ``None``
+    #: is the machine, ``"vector"``. Participates in cache identity
+    #: when set: results computed by pinned engines never alias, so a
+    #: divergence from the test-side oracle can be bisected from cache.
     backend: Optional[str] = None
 
     def to_overrides(self) -> dict[str, Any]:

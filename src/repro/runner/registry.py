@@ -58,7 +58,8 @@ class ArchSpec:
         ``job`` is true for anything that becomes a :class:`JobSpec`
         (cached, sent to workers, served over HTTP) and false for a
         direct :meth:`runner` call, which may hand back live objects and
-        whose caller sees the warning when a pinned engine falls back.
+        whose caller sees the ``BackendError`` an unregistered engine
+        name raises.
         """
         why = None
         if name not in RUN_OPTION_FIELDS:

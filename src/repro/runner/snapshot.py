@@ -16,8 +16,7 @@ every figure runner, test, and the energy model.
 
 Since ``run_kernel`` snapshots by default, :func:`portable` is usually
 a pass-through; it still guarantees portability for results produced
-with ``keep_objects=True`` (e.g. by driving :class:`~repro.gpu.gpu.GPU`
-directly).
+with ``keep_objects=True``.
 """
 
 from __future__ import annotations

@@ -532,19 +532,18 @@ def _vtt_problems(extensions, label: str) -> list[str]:
 
 
 def differential_check(
-    spec: WorkloadSpec, *, scale: float = 1.0, sms: int = 1,
-    backend: Optional[str] = None,
+    spec: WorkloadSpec, *, scale: float = 1.0, sms: int = 1
 ) -> list[str]:
     """Simulate ``spec`` under Linebacker, Best-SWL and the baseline;
     check every engine invariant plus inline-vs-loopback bit-identity.
 
-    ``backend`` pins the execution engine for the extension-free legs
-    (baseline, Best-SWL); left unset they run on the selected engine.
-    The Linebacker leg and — unless ``object`` itself is pinned — the
-    baseline leg are each run twice, on the selected engine and pinned
-    to ``object``, and compared bit for bit, so a fuzzed workload that
-    diverges between engines (hooks included) fails the harness.
+    The Linebacker and baseline legs are then run again on every *other*
+    registered engine and compared bit for bit: nothing in production,
+    the reference engine wherever a test or the CI fuzz job registered
+    it (``tests/reference_engine``) — so a fuzzed workload on which the
+    machine and its oracle diverge, hooks included, fails the harness.
     """
+    from repro.engine import backend_names
     from repro.runner.engine import ExperimentRunner, execute_job
     from repro.runner.registry import resolve
     from repro.runner.spec import JobSpec
@@ -553,33 +552,32 @@ def differential_check(
     config = scaled_config(num_sms=sms)
     kernel = build_workload(spec, scale)
 
-    def diverges(arch: str, selected, reference, engine: str) -> list[str]:
-        selected_fp, reference_fp = _fingerprint(selected), _fingerprint(reference)
-        if selected_fp == reference_fp:
-            return []
-        diff = [k for k in reference_fp if reference_fp[k] != selected_fp.get(k)]
-        return [f"{arch}: {engine} backend diverges from object on {diff}"]
-
-    # Linebacker on the reference engine and on the selected one:
-    # conservation + VTT structure + backups on both, then bit-identity.
-    pinned = resolve("linebacker").runner(config, kernel, backend="object")
+    # Linebacker: conservation + VTT structure + backups.
     unpinned = resolve("linebacker").runner(config, kernel)
-    for label, result in (("linebacker[object]", pinned), ("linebacker", unpinned)):
-        problems += _conservation_problems(result, label)
-        problems += _vtt_problems(result.extensions, label)
-    problems += diverges("linebacker", unpinned, pinned, "selected")
+    problems += _conservation_problems(unpinned, "linebacker")
+    problems += _vtt_problems(unpinned.extensions, "linebacker")
 
     # Baseline conservation (no victim path: victim_hits must be 0).
-    base = resolve("baseline").runner(config, kernel, backend=backend)
+    base = resolve("baseline").runner(config, kernel)
     problems += _conservation_problems(base, "baseline")
     if sum(s.victim_hits for s in base.sm_stats):
         problems.append("baseline: non-zero victim hits without a VTT")
-    if backend != "object":  # object against itself proves nothing
-        obj = resolve("baseline").runner(config, kernel, backend="object")
-        problems += diverges("baseline", base, obj, backend or "selected")
+
+    for other in backend_names():
+        if other == "vector":
+            continue
+        for arch, machine in (("linebacker", unpinned), ("baseline", base)):
+            reference = resolve(arch).runner(config, kernel, backend=other)
+            label = f"{arch}[{other}]"
+            problems += _conservation_problems(reference, label)
+            problems += _vtt_problems(reference.extensions, label)
+            machine_fp, reference_fp = _fingerprint(machine), _fingerprint(reference)
+            if machine_fp != reference_fp:
+                diff = [k for k in reference_fp if reference_fp[k] != machine_fp.get(k)]
+                problems.append(f"{arch}: the machine diverges from {other} on {diff}")
 
     # Best-SWL oracle: sweep sanity + conservation of the winner.
-    swl = resolve("best_swl").runner(config, kernel, backend=backend)
+    swl = resolve("best_swl").runner(config, kernel)
     problems += _conservation_problems(swl.best_result, "best_swl")
     if swl.best_limit not in swl.sweep_ipc:
         problems.append(

@@ -31,8 +31,7 @@ GOLDEN_APPS = ("S2", "LI")
 #: workloads exercising the declarative spec path end to end, pinned at
 #: full scale (their grids are already small by construction).
 GOLDEN_FUZZ_SPECS = ("thrasher", "multikernel", "multitenant")
-#: The default engine for every cell is ``vector``, so each is pinned a
-#: second time with ``backend="object"``.
+#: Every cell is pinned twice: machine ≡ file, reference engine ≡ file.
 GOLDEN_ARCHS = ("baseline", "best_swl", "linebacker")
 GOLDEN_SCALE = 0.25
 GOLDEN_SMS = 2
@@ -107,9 +106,9 @@ def golden_spec(app: str, arch: str):
 def fingerprint(app: str, arch: str, backend=None) -> dict:
     """Run one (app, arch) simulation and fingerprint its statistics.
 
-    ``backend=None`` runs the engine selected from the request
-    (``vector``); ``"object"`` pins the reference engine so its ``tick``
-    path is held to the same file.
+    ``backend=None`` runs the machine; ``"object"`` pins the reference
+    engine (the caller has registered it, see ``tests/reference_engine``)
+    so its ``tick`` path is held to the same file.
     """
     config = scaled_config(num_sms=GOLDEN_SMS)
     if app in GOLDEN_FUZZ_SPECS:

@@ -8,11 +8,9 @@ Expected findings:
 * the table resolves ``wants_stores`` which is not declared
   (capability-flag-unresolved);
 * ``on_snoop`` is a hook with no capability flag (hook-missing-flag);
-* ``SM`` calls ``on_load`` without ever reading ``wants_loads``
-  (capability-gate-missing);
-* ``VectorSM`` calls ``on_tick`` without ever reading ``wants_ticks``
-  (capability-gate-missing);
-* ``wants_fills`` is read by no engine (capability-gate-missing);
+* ``VectorSM`` calls ``on_tick`` through a bound local without ever
+  reading ``wants_ticks`` (capability-gate-missing);
+* ``wants_fills`` is never read by the engine (capability-gate-missing);
 * ``MutedExtension`` overrides ``on_tick`` while pinning
   ``wants_ticks = False`` unconditionally (capability-flag-pinned).
 """
@@ -60,23 +58,6 @@ class SMExtension:
         pass
 
 
-class SM:
-    def __init__(self, ext):
-        self.ext = ext
-        ext.attach(self)
-
-    def tick(self, cycle):
-        if self.ext.wants_ticks:
-            self.ext.on_tick(cycle)
-
-    def load(self, addr, cycle):
-        self.ext.on_load(addr, cycle)
-
-    def store(self, addr, cycle):
-        if self.ext.wants_stores:
-            self.ext.on_store(addr, cycle)
-
-
 class VectorSM:
     def __init__(self, ext):
         self.ext = ext
@@ -87,6 +68,10 @@ class VectorSM:
         on_tick(cycle)
         if self.ext.wants_loads:
             self.ext.on_load(addr, cycle)
+
+    def store(self, addr, cycle):
+        if self.ext.wants_stores:
+            self.ext.on_store(addr, cycle)
 
 
 class MutedExtension(SMExtension):

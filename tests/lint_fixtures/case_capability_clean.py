@@ -31,23 +31,9 @@ class SMExtension:
         pass
 
 
-class SM:
-    def __init__(self, ext):
-        self.ext = ext
-        ext.attach(self)
-
-    def tick(self, cycle):
-        if self.ext.wants_ticks:
-            self.ext.on_tick(cycle)
-
-    def load(self, addr, cycle):
-        if self.ext.wants_loads:
-            self.ext.on_load(addr, cycle)
-
-
 class VectorSM:
-    """An engine need not host every hook: this one never calls
-    ``on_load``, so it need not read ``wants_loads`` either."""
+    """The engine reads every flag and gates every hook it calls — a
+    bound local is as good as an attribute."""
 
     def __init__(self, ext):
         self.ext = ext
@@ -58,6 +44,10 @@ class VectorSM:
         on_tick = self.ext.on_tick
         if wants_ticks:
             on_tick(cycle)
+
+    def load(self, addr, cycle):
+        if self.ext.wants_loads:
+            self.ext.on_load(addr, cycle)
 
 
 class ConfigurableExtension(SMExtension):

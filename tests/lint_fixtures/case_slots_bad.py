@@ -1,15 +1,15 @@
 """Seeded violations for the slots pass.
 
-``Warp`` is on the engine's hot list but lost its ``__slots__``;
+``CacheLine`` is on the engine's hot list but lost its ``__slots__``;
 ``WindowMonitor`` declares slots but a rarely-taken method introduces
 an attribute outside them (AttributeError on first execution).
 """
 
 
-class Warp:  # hot-class-no-slots: per-instruction allocation
-    def __init__(self, warp_id):
-        self.warp_id = warp_id
-        self.active = True
+class CacheLine:  # hot-class-no-slots: per-fill allocation
+    def __init__(self, tag):
+        self.tag = tag
+        self.valid = True
 
 
 class WindowMonitor:

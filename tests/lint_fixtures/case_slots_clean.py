@@ -1,12 +1,12 @@
 """Twin of ``case_slots_bad.py`` with complete slot declarations."""
 
 
-class Warp:
-    __slots__ = ("warp_id", "active")
+class CacheLine:
+    __slots__ = ("tag", "valid")
 
-    def __init__(self, warp_id):
-        self.warp_id = warp_id
-        self.active = True
+    def __init__(self, tag):
+        self.tag = tag
+        self.valid = True
 
 
 class WindowMonitor:

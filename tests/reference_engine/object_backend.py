@@ -26,7 +26,7 @@ class ObjectBackend:
         return None
 
     def run(self, request: EngineRequest):
-        from repro.gpu.gpu import GPU
+        from .gpu import GPU
 
         gpu = GPU(
             request.config,

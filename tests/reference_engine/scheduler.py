@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.gpu.warp import Warp, WarpState
+from .warp import Warp, WarpState
 
 #: Hoisted: `warp.state is _READY` in the pick/next-ready loops skips
 #: the WarpState class attribute lookup per scanned warp.

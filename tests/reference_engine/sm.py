@@ -18,28 +18,23 @@ from typing import Callable, Optional
 
 from repro.config import GPUConfig
 from repro.gpu.cta import CTA, CTAState
-from repro.gpu.extension import SMExtension
+from repro.gpu.extension import EV_CALLBACK, EV_FILL, EV_WAKE, SMExtension
 from repro.gpu.isa import Instruction, Op
 from repro.gpu.register_file import RegisterFile, register_tokens
-from repro.gpu.scheduler import GTOScheduler
 from repro.gpu.stats import SM_STATS, LoadTracker, SMStats
 from repro.gpu.trace import KernelTrace, hardware_occupancy
-from repro.gpu.warp import Warp, WarpState
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MSHRFile
 from repro.memory.subsystem import MemorySubsystem
 from repro.metrics import WindowRecorder
 
+from .scheduler import GTOScheduler
+from .warp import Warp, WarpState
+
 #: A source of grid CTA ids: returns the next unlaunched CTA id or None.
 CTASource = Callable[[], Optional[int]]
 
 _NO_EVENT = float("inf")
-
-# Event kinds on the SM's event heap. Int constants compare faster
-# than strings in the per-event dispatch and keep heap entries small.
-EV_FILL = 0      # payload: line_addr whose off-chip fetch completed
-EV_WAKE = 1      # payload: the Warp to deliver a memory response to
-EV_CALLBACK = 2  # payload: callable(cycle), e.g. backup/restore steps
 
 # Hot enum members hoisted to module level: `inst.op is _OP_ALU` skips
 # the Op class attribute lookup on every issued instruction.

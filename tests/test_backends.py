@@ -1,26 +1,27 @@
-"""The pluggable execution-backend layer (``repro.engine``).
+"""The machine (``repro.engine``) and its oracle (``tests/reference_engine``).
 
-Six contracts, mirroring the ISSUE's acceptance bars:
+Six contracts:
 
-* **Registry**: name resolution, unknown names, duplicate registration,
-  and what the vector engine still declines.
-* **Selection**: with no backend named, the engine is chosen from the
-  request — ``vector`` for every registry row at default options,
-  hooked or not; ``object`` for live objects, load tracking,
-  timeseries, timing DRAM and the NoC — silently, and without moving
-  any cache key.
-* **Golden differential**: the vector engine is bit-identical to the
-  object engine — every reported statistic — across the extension-free
+* **Registry**: ``vector`` is the one engine registered at import; a
+  test registers the reference as ``"object"`` around itself and it is
+  gone afterwards; unknown names and duplicates are refused.
+* **Selection** (what is left of it): with no backend named every
+  request — any option, any registry row, any leg of a sweep — runs on
+  the machine, silently, whatever else is registered, and without
+  moving any cache key.
+* **Golden differential**: the machine is bit-identical to the
+  reference — every reported statistic — across the extension-free
   architectures, a pinned app matrix, the committed fuzz-corpus specs,
   and every executor path (inline, loopback).
 * **Hooked differential**: the nine extension rows give one answer on
-  both engines — the full golden fingerprint, every per-SM statistic
-  and a deep comparison of every ``ExtensionSnapshot`` — at 2 SMs and
-  on a 4-SM workload that throttles, backs up and restores on several
-  SMs at once.
-* **Loud fallback**: a backend that cannot run a request warns with
-  :class:`BackendFallbackWarning` and runs on ``object``; a supported
-  request never warns.
+  both — the full golden fingerprint, every per-SM statistic and a deep
+  comparison of every ``ExtensionSnapshot`` — at 2 SMs and on a 4-SM
+  workload that throttles, backs up and restores on several SMs at
+  once; and so do the five options the machine hosts last: load
+  tracking, timeseries rows, live objects, the timing DRAM model and
+  the NoC.
+* **No fallback**: no request warns, pinned or not; an unregistered
+  name raises.
 * **Cache identity**: ``backend`` participates in job content hashes
   when set and stays hash-neutral when unset, across the in-process
   spec builder and the HTTP job schema (v3 validation included).
@@ -42,18 +43,19 @@ from repro.config import scaled_config
 from repro.engine import (
     BACKENDS,
     BackendError,
-    BackendFallbackWarning,
     EngineBackend,
     EngineRequest,
     backend_names,
     dispatch,
     register_backend,
     resolve_backend,
-    select_backend,
 )
-from repro.gpu.extension import SMExtension
+from repro.engine.vector.machine import VectorSM
+from repro.gpu.extension import EV_CALLBACK, SMExtension
 from repro.gpu.gpu import run_kernel
-from repro.gpu.sm import EV_CALLBACK
+from repro.gpu.isa import alu
+from repro.gpu.snapshot import snapshot_extension
+from repro.gpu.trace import from_instruction_lists
 from repro.options import RunOptions
 from repro.runner import ExperimentRunner, JobSpec, ResultCache
 from repro.runner.registry import ARCHITECTURES, resolve
@@ -75,6 +77,7 @@ from repro.workloads.spec import (
 from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
+import reference_engine  # noqa: E402
 from golden import GOLDEN_SCALE, GOLDEN_SMS, result_fingerprint  # noqa: E402
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
@@ -85,6 +88,13 @@ GOLDEN_ARCHS = ("baseline", "best_swl", "cache_ext")
 GOLDEN_APPS = ("S2", "LI", "BG")
 SCALE = 0.05
 SMS = 2
+
+
+@pytest.fixture
+def reference():
+    """The oracle, registered as ``"object"`` for one test."""
+    with reference_engine.registered() as backend:
+        yield backend
 
 
 def fingerprint(result) -> dict:
@@ -126,55 +136,43 @@ def run_arch(arch: str, kernel, backend=None, sms=SMS):
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert backend_names() == ("object", "vector")
-        for name in backend_names():
-            assert isinstance(BACKENDS[name], EngineBackend)
-            assert BACKENDS[name].name == name
+        assert backend_names() == ("vector",)
+        assert isinstance(BACKENDS["vector"], EngineBackend)
+        assert BACKENDS["vector"].name == "vector"
+        # A test-side registration lasts as long as its ``with``.
+        with reference_engine.registered() as oracle:
+            assert backend_names() == ("object", "vector")
+            assert isinstance(oracle, EngineBackend) and BACKENDS["object"] is oracle
+        assert backend_names() == ("vector",)
 
-    def test_explicit_names_resolve(self):
-        assert resolve_backend("object").name == "object"
+    def test_explicit_names_resolve(self, reference):
+        assert resolve_backend("object") is reference
         assert resolve_backend("vector").name == "vector"
 
     def test_unknown_name_raises_with_known_names(self):
-        with pytest.raises(BackendError, match="object.*vector"):
+        with pytest.raises(BackendError, match="known: vector"):
             resolve_backend("cuda")
+        with pytest.raises(BackendError, match="unknown backend 'object'"):
+            resolve_backend("object")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(BackendError, match="already registered"):
-            register_backend(BACKENDS["object"])
-
-    def test_vector_declines_unsupported_features(self):
-        kernel = kernel_for("S2", SCALE)
-        config = scaled_config(num_sms=1)
-        vector = BACKENDS["vector"]
-        base = dict(config=config, kernel=kernel)
-        assert vector.supports(EngineRequest(**base)) is None
-        assert vector.supports(EngineRequest(**base, extension_factory=SMExtension)) is None
-        declined = (
-            dict(track_loads=True),
-            dict(keep_objects=True),
-            dict(timeseries=True),
-        )
-        for knobs in declined:
-            reason = vector.supports(EngineRequest(**base, **knobs))
-            assert reason is not None, knobs
+            register_backend(BACKENDS["vector"])
 
 
 # ---------------------------------------------------------------------------
-# Selection: backend=None picks the engine from the request
+# Selection: backend=None is the machine, whatever the request
 # ---------------------------------------------------------------------------
 class _Counting:
-    """A registered backend that counts the jobs it is handed."""
+    """A registered backend that counts the jobs it is handed and runs
+    them (or, given ``canned``, answers every one with it)."""
 
-    def __init__(self, inner):
-        self.inner, self.name, self.runs = inner, inner.name, 0
-
-    def supports(self, request):
-        return self.inner.supports(request)
+    def __init__(self, inner, canned=None):
+        self.inner, self.name, self.runs, self.canned = inner, inner.name, 0, canned
 
     def run(self, request):
         self.runs += 1
-        return self.inner.run(request)
+        return self.canned or self.inner.run(request)
 
 
 def _request(gpu=None, **knobs) -> EngineRequest:
@@ -184,54 +182,60 @@ def _request(gpu=None, **knobs) -> EngineRequest:
     return EngineRequest(config=config, kernel=kernel_for("S2", SCALE), **knobs)
 
 
+@pytest.fixture(scope="module")
+def canned():
+    return dispatch(None, _request())
+
+
+def _count_all(monkeypatch, canned=None) -> dict:
+    for name in backend_names():
+        monkeypatch.setitem(BACKENDS, name, _Counting(BACKENDS[name], canned))
+    return BACKENDS
+
+
+@pytest.mark.usefixtures("reference")
 class TestSelection:
-    #: ``_request`` knobs -> the engine an unpinned request runs on.
+    #: ``_request`` knobs; the last five each pinned the reference
+    #: engine once.
     TABLE = {
-        "plain": ({}, "vector"),
-        "cta_limit": ({"max_concurrent_ctas": 2}, "vector"),
-        "extension": ({"extension_factory": SMExtension}, "vector"),
-        "track_loads": ({"track_loads": True}, "object"),
-        "keep_objects": ({"keep_objects": True}, "object"),
-        "timeseries": ({"timeseries": True}, "object"),
-        "timing_dram": ({"gpu": {"dram_model": "timing"}}, "object"),
-        "noc": ({"gpu": {"noc_enable": True}}, "object"),
+        "plain": {},
+        "cta_limit": {"max_concurrent_ctas": 2},
+        "extension": {"extension_factory": SMExtension},
+        "track_loads": {"track_loads": True},
+        "keep_objects": {"keep_objects": True},
+        "timeseries": {"timeseries": True},
+        "timing_dram": {"gpu": {"dram_model": "timing"}},
+        "noc": {"gpu": {"noc_enable": True}},
     }
 
     @pytest.mark.parametrize("case", sorted(TABLE))
-    def test_request_selects_engine(self, case):
-        knobs, expected = self.TABLE[case]
-        assert select_backend(_request(**knobs)).name == expected
+    def test_request_selects_engine(self, case, canned, monkeypatch):
+        engines = _count_all(monkeypatch, canned)
+        dispatch(None, _request(**self.TABLE[case]))
+        assert {n: b.runs for n, b in engines.items()} == {"object": 0, "vector": 1}
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
-    def test_every_bare_registry_row_selects_vector(self, arch):
-        row = ARCHITECTURES[arch]
-        config = scaled_config(num_sms=1)
-        factory = row.extension(config) if row.extension else None
-        assert select_backend(_request(extension_factory=factory)).name == "vector"
+    def test_every_bare_registry_row_selects_vector(self, arch, canned, monkeypatch):
+        # Through the row's own runner, so every leg of a sweep counts.
+        engines = _count_all(monkeypatch, canned)
+        resolve(arch).runner(scaled_config(num_sms=1), kernel_for("S2", SCALE))
+        assert engines["vector"].runs >= 1 and engines["object"].runs == 0
 
     @pytest.mark.parametrize("case", ["plain", "timeseries"])
     def test_unpinned_dispatch_runs_the_selected_engine_silently(
         self, case, monkeypatch
     ):
-        knobs, expected = self.TABLE[case]
-        for name in backend_names():
-            monkeypatch.setitem(BACKENDS, name, _Counting(BACKENDS[name]))
+        engines = _count_all(monkeypatch)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any category, not only fallback
-            dispatch(None, _request(**knobs))
-        assert {n: b.runs for n, b in BACKENDS.items()} == {
-            n: int(n == expected) for n in BACKENDS
-        }
+            warnings.simplefilter("error")  # any category
+            dispatch(None, _request(**self.TABLE[case]))
+        assert {n: b.runs for n, b in engines.items()} == {"object": 0, "vector": 1}
 
     def test_bench_labels_entries_with_the_engine_that_runs(self):
         from repro.bench import SimThroughput
 
-        def label(backend=None):
-            harness = SimThroughput(apps=("S2",), scale=SCALE, backend=backend)
-            return harness.engine
-
-        assert label() == "vector"
-        assert label("object") == "object"
+        report = SimThroughput(apps=("S2",), scale=SCALE).run()
+        assert report.backend == report.to_json()["backend"] == "vector"
 
     def test_unpinned_key_is_the_parent_commits(self):
         # Computed at 314abe9, before selection existed: choosing the
@@ -264,8 +268,9 @@ class TestSelection:
 
 
 # ---------------------------------------------------------------------------
-# Golden differential: vector == object, bit for bit
+# Golden differential: machine == reference, bit for bit
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("reference")
 class TestGoldenDifferential:
     @pytest.mark.parametrize("arch", GOLDEN_ARCHS)
     @pytest.mark.parametrize("app", GOLDEN_APPS)
@@ -291,7 +296,8 @@ class TestGoldenDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Hooked differential: nine rows, two engines, one answer
+# Hooked differential: nine rows and five options, machine and
+# reference, one answer
 # ---------------------------------------------------------------------------
 HOOKED_ARCHS = tuple(
     sorted(name for name, row in ARCHITECTURES.items() if row.extension is not None)
@@ -369,7 +375,21 @@ def deep_state(result) -> dict:
         "sm_stats": [dataclasses.asdict(s) for s in result.sm_stats],
         "l1_stats": [dataclasses.asdict(s) for s in result.l1_stats],
         "rf_stats": [dataclasses.asdict(s) for s in result.rf_stats],
-        "extensions": [extension_state(e) for e in result.extensions],
+        "extensions": [extension_state(snapshot_extension(e)) for e in result.extensions],
+    }
+
+
+def tracker_state(tracker) -> dict:
+    """Everything a ``LoadTracker`` holds, plus the two figures read
+    off it (Figs 2-3)."""
+    return {
+        "current": {pc: dataclasses.asdict(b) for pc, b in tracker.current.items()},
+        "window_reused_bytes": dict(tracker.window_reused_bytes),
+        "window_streaming_bytes": tracker.window_streaming_bytes,
+        "window_miss_ratios": dict(tracker.window_miss_ratios),
+        "total_accesses": dict(tracker.total_accesses),
+        "top4_reused_working_set": tracker.top_loads_reused_working_set(4),
+        "mean_streaming_bytes": tracker.mean_streaming_bytes(),
     }
 
 
@@ -479,6 +499,7 @@ class ProbeExtension(SMExtension):
         self.see("finalize", cycle, self.sm.memory.traffic.backup_write_lines)
 
 
+@pytest.mark.usefixtures("reference")
 class TestHookedDifferential:
     @pytest.mark.parametrize("arch", HOOKED_ARCHS)
     @pytest.mark.parametrize("workload", sorted(HOOKED_WORKLOADS))
@@ -524,8 +545,10 @@ class TestHookedDifferential:
         kernel = kernel_for("S2", SCALE)
         config = scaled_config(num_sms=2)
         run_kernel(config, kernel, Leaky, RunOptions(backend="object"))
-        with pytest.raises(RuntimeError, match="does not order across SMs"):
-            run_kernel(config, kernel, Leaky)
+        timing = replace(config, gpu=replace(config.gpu, dram_model="timing"))
+        for memory_model in (config, timing):
+            with pytest.raises(RuntimeError, match="does not order across SMs"):
+                run_kernel(memory_model, kernel, Leaky)
 
     def test_nine_rows_attach_an_extension(self):
         assert len(HOOKED_ARCHS) == 9 and "linebacker" in HOOKED_ARCHS
@@ -538,6 +561,120 @@ class TestHookedDifferential:
         reactivated = [e.stats.reactivate_events for e in result.extensions]
         assert sum(1 for n in reactivated if n) >= 2 and sum(reactivated) >= 2
         assert result.traffic.restore_read_lines > 0
+
+    # -- the five options the machine hosted last -------------------------
+    @pytest.mark.parametrize("arch", ["baseline", "linebacker"])
+    @pytest.mark.parametrize("workload", ["LI", "S2", "multitenant"])
+    def test_load_tracking_matches_the_reference(self, workload, arch):
+        config = scaled_config(num_sms=SMS)
+
+        def build():
+            if workload == "multitenant":
+                return _corpus_kernel(workload)
+            return kernel_for(workload, SCALE)
+
+        runner = resolve(arch).runner
+        default = runner(config, build(), track_loads=True)
+        reference = runner(config, build(), track_loads=True, backend="object")
+        assert result_fingerprint(default) == result_fingerprint(reference)
+        for ours, theirs in zip(default.sms, reference.sms, strict=True):
+            assert tracker_state(ours.load_tracker) == tracker_state(theirs.load_tracker)
+        assert len(default.sms[0].load_tracker.window_streaming_bytes) > 1
+
+    @pytest.mark.parametrize("arch", ["baseline", "cerf", "linebacker"])
+    def test_timeseries_rows_match_the_reference(self, arch):
+        build, config = HOOKED_WORKLOADS["throttle4sm"]
+        runner = resolve(arch).runner
+        default = runner(config, build(), timeseries=True)
+        reference = runner(config, build(), timeseries=True, backend="object")
+        assert [s.to_payload() for s in default.timeseries] == [
+            s.to_payload() for s in reference.timeseries
+        ]
+        assert len(default.timeseries[0]) >= 5
+        # Recording moves no statistic.
+        assert deep_state(default) == deep_state(reference) == deep_state(
+            runner(config, build())
+        )
+
+    def test_a_timeseries_sample_reads_shared_state_in_order(self):
+        # Between sync points an SM runs ahead of its siblings, and an
+        # ALU-only kernel has no other sync point than the extension's
+        # own window (97): a sample on the recorder's grid (100) that
+        # reads the device-wide traffic counters must sync first, or it
+        # misses backups its siblings made before its cycle.
+        class TrafficSampler(SMExtension):
+            config = scaled_config(window_cycles=97).linebacker
+            window_end = 0
+
+            def on_tick(self, cycle: int) -> None:
+                if cycle >= self.window_end:
+                    self.window_end = (cycle // 97 + 1) * 97
+                    self.sm.memory.backup_registers(1, cycle)
+
+            def timeseries_sample(self, cycle: int) -> dict:
+                return {"backups": self.sm.memory.traffic.backup_write_lines}
+
+        warp = [alu() for _ in range(300)]
+        kernel = from_instruction_lists("alu", [[warp] * 2] * 6, regs_per_thread=8)
+        config = scaled_config(num_sms=3, window_cycles=100)
+        options = RunOptions(timeseries=True, max_concurrent_ctas=2)  # 2 CTAs on each SM
+        default = run_kernel(config, kernel, TrafficSampler, options)
+        reference = run_kernel(config, kernel, TrafficSampler, options.replace(backend="object"))
+        rows = [s.to_payload()["rows"] for s in default.timeseries]
+        assert rows == [s.to_payload()["rows"] for s in reference.timeseries]
+        assert all(len(r) >= 5 and r[-1]["backups"] > 2 * len(r) for r in rows)
+
+    def test_one_tick_emits_several_timeseries_rows(self, monkeypatch):
+        # A 40-cycle window is shorter than a DRAM round trip, so event
+        # fast-forward crosses several boundaries in one tick.
+        samples = []
+        sample = VectorSM._ts_sample
+
+        def counted(sm, cycle, boundary, counters):
+            samples.append(cycle)
+            return sample(sm, cycle, boundary, counters)
+
+        monkeypatch.setattr(VectorSM, "_ts_sample", counted)
+        config = scaled_config(num_sms=SMS, window_cycles=40)
+        build = HOOKED_WORKLOADS["thrasher"][0]
+        runner = resolve("linebacker").runner
+        default = runner(config, build(), timeseries=True)
+        reference = runner(config, build(), timeseries=True, backend="object")
+        rows = sum(len(series) + series.dropped for series in default.timeseries)
+        assert rows > len(samples) > 0
+        assert [s.to_payload() for s in default.timeseries] == [
+            s.to_payload() for s in reference.timeseries
+        ]
+
+    def test_live_objects_are_what_the_snapshots_copy(self):
+        build, config = HOOKED_WORKLOADS["throttle4sm"]
+        runner = resolve("linebacker").runner
+        live = runner(config, build(), keep_objects=True)
+        assert all(type(sm) is VectorSM and sm.done for sm in live.sms)
+        assert all(e.sm is sm for e, sm in zip(live.extensions, live.sms))
+        assert deep_state(live) == deep_state(runner(config, build()))
+        assert deep_state(live) == deep_state(
+            runner(config, build(), keep_objects=True, backend="object")
+        )
+
+    @pytest.mark.parametrize("arch", ["baseline", "linebacker"])
+    @pytest.mark.parametrize("sms", [2, 4])
+    @pytest.mark.parametrize("memory", ["timing", "noc", "timing+noc"])
+    def test_general_memory_models_match_the_reference(self, memory, sms, arch):
+        config = scaled_config(num_sms=sms, window_cycles=800)
+        gpu = replace(
+            config.gpu,
+            dram_model="timing" if "timing" in memory else "simple",
+            noc_enable="noc" in memory,
+        )
+        config = replace(config, gpu=gpu)
+        build = HOOKED_WORKLOADS["throttle4sm"][0]
+        runner = resolve(arch).runner
+        default = runner(config, build())
+        assert deep_state(default) == deep_state(runner(config, build(), backend="object"))
+        if arch == "linebacker":  # registers stream through the model under test
+            assert default.traffic.backup_write_lines > 0
+            assert default.traffic.restore_read_lines > 0
 
 
 def test_engine_import_and_a_dsl_job_leave_numpy_unimported():
@@ -568,7 +705,8 @@ class TestExecutors:
     @pytest.fixture(scope="class")
     def inline_object(self):
         runner = ExperimentRunner(use_cache=False, executor="inline")
-        return runner.run(self._spec(backend="object")).ipc
+        with reference_engine.registered():
+            return runner.run(self._spec(backend="object")).ipc
 
     def _spec(self, backend):
         options = RunOptions(backend=backend)
@@ -588,41 +726,35 @@ class TestExecutors:
 
 
 # ---------------------------------------------------------------------------
-# Fallback semantics
+# No fallback: nothing declines a request, so nothing warns
 # ---------------------------------------------------------------------------
 class TestFallback:
-    def test_unsupported_request_warns_and_matches_object(self):
-        kernel = kernel_for("S2", SCALE)
-        config = scaled_config(num_sms=1)
-        with pytest.warns(BackendFallbackWarning, match="load tracking"):
-            vec = resolve("linebacker").runner(
-                config, kernel, backend="vector", track_loads=True
-            )
-        obj = resolve("linebacker").runner(config, kernel, backend="object")
-        assert fingerprint(vec) == fingerprint(obj)
-
     def test_supported_request_never_warns(self):
         kernel = kernel_for("S2", SCALE)
         config = scaled_config(num_sms=1)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", BackendFallbackWarning)
+            warnings.simplefilter("error")
             resolve("baseline").runner(config, kernel, backend="vector")
-            resolve("linebacker").runner(config, kernel, backend="vector")
+            resolve("linebacker").runner(
+                config, kernel, backend="vector",
+                track_loads=True, timeseries=True, keep_objects=True,
+            )
 
-    def test_dispatch_object_never_warns(self):
+    def test_dispatch_object_never_warns(self, reference):
         kernel = kernel_for("S2", SCALE)
         request = EngineRequest(
             config=scaled_config(num_sms=1), kernel=kernel, timeseries=True
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("error", BackendFallbackWarning)
+            warnings.simplefilter("error")
             dispatch("object", request)
 
     def test_dispatch_unknown_backend_raises(self):
         kernel = kernel_for("S2", SCALE)
         request = EngineRequest(config=scaled_config(num_sms=1), kernel=kernel)
-        with pytest.raises(BackendError):
-            dispatch("cuda", request)
+        for name in ("cuda", "object"):  # nothing registered the oracle here
+            with pytest.raises(BackendError):
+                dispatch(name, request)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +770,7 @@ class TestCacheIdentity:
             options=RunOptions(**options) if options else None,
         )
 
-    def test_backend_separates_cache_keys(self):
+    def test_backend_separates_cache_keys(self, reference):
         assert self._spec(backend="vector").key != self._spec().key
         assert (
             self._spec(backend="vector").key != self._spec(backend="object").key
@@ -677,19 +809,12 @@ class TestSchema:
         assert decoded.key == spec.key
 
     def test_unknown_backend_rejected(self):
-        doc, _ = self._doc()
-        doc["options"]["backend"] = "cuda"
-        with pytest.raises(SchemaError, match="does not support the 'cuda' backend"):
-            decode_jobspec(doc)
-
-    def test_object_backend_is_wire_legal_everywhere(self):
-        # ... and so is ``vector``: no row is tied to an engine any more.
-        for backend in ("object", "vector"):
-            doc = {
-                "schema": JOB_SCHEMA_VERSION,
-                "app": "S2",
-                "arch": "linebacker",
-                "options": {"backend": backend},
-            }
-            spec = decode_jobspec(doc)
-            assert ("backend", backend) in spec.params
+        # ``object`` is as unknown as ``cuda`` wherever nothing
+        # registered the oracle — every production process.
+        for name in ("cuda", "object"):
+            doc, _ = self._doc()
+            doc["options"]["backend"] = name
+            with pytest.raises(
+                SchemaError, match=f"does not support the {name!r} backend"
+            ):
+                decode_jobspec(doc)

@@ -4,16 +4,18 @@ checks statically.
 
 For every architecture extension the repo ships, a tiny kernel is run
 with ``keep_objects=True`` and the *resolved* flags on the live
-extension are checked against the expected table; the gates both
-engines read are those flags themselves, so they must be real bools on
-the extension each engine attached. Includes Linebacker's pinned case
+extension are checked against the expected table; the gates the machine
+and its oracle read are those flags themselves, so they must be real
+bools on the extension each attached. Includes Linebacker's pinned case
 (``enable_victim_cache=False``): the hooks stay overridden but the
 flags must read False.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +27,12 @@ from repro.config import scaled_config
 from repro.core.linebacker import linebacker_factory
 from repro.engine.vector import VectorGPU
 from repro.gpu.extension import CAPABILITY_FLAGS, SMExtension
-from repro.gpu.gpu import GPU, run_kernel
+from repro.gpu.gpu import run_kernel
 from repro.options import RunOptions
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine import GPU  # noqa: E402
 
 #: flag -> the hook it gates (the contract the hot paths rely on);
 #: ``timeseries_sample`` is covered by the metrics tests.

@@ -16,16 +16,22 @@ class TestCLI:
     def test_list_archs_prints_derived_columns(self, capsys):
         assert main(["list", "--archs"]) == 0
         rows = {
-            line.split()[0]: line.split()[1:4]
+            line.split()[0]: line.split()[1:3]
             for line in capsys.readouterr().out.splitlines()
             if line.split() and line.split()[0] in ARCHITECTURES
         }
         assert set(rows) == set(ARCHITECTURES)
-        # returns, the engine an unpinned job runs on, extra params.
-        assert rows["baseline"] == ["result", "vector", "-"]
-        assert rows["best_swl_cache_ext"] == ["sweep", "vector", "cta_limit"]
-        assert rows["linebacker"] == ["result", "vector", "lb_config"]
-        assert rows["ccws"] == ["result", "vector", "-"]
+        # returns, extra params — there is one engine, so no column for it.
+        assert rows["baseline"] == ["result", "-"]
+        assert rows["best_swl_cache_ext"] == ["sweep", "cta_limit"]
+        assert rows["linebacker"] == ["result", "lb_config"]
+        assert rows["ccws"] == ["result", "-"]
+
+    def test_no_subcommand_takes_a_backend_flag(self, capsys):
+        for command in ("run", "trace", "submit", "bench", "fuzz"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "--backend" not in capsys.readouterr().out
 
     def test_submit_refuses_a_bad_pair_before_connecting(self, capsys):
         # Port 9 is never dialled: the job is refused when it is built.
@@ -66,7 +72,9 @@ class TestBenchHistory:
         from repro.bench import latest_entry, load_history
 
         history = load_history(str(Path(__file__).parent.parent / "BENCH_sim.json"))
+        # Entries taken on the retired reference engine stay readable.
         assert latest_entry(history, backend="object") is not None
+        assert latest_entry(history, backend="vector") is not None
 
     def test_single_report_is_not_a_history(self, tmp_path):
         from repro.bench import load_history

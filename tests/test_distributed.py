@@ -553,7 +553,7 @@ class TestKeyStability:
         assert proc.stdout.strip() == self.canonical_spec().key
 
     def test_key_invariant_under_override_insertion_order(self):
-        items = [("track_loads", True), ("max_concurrent_ctas", 2), ("backend", "object")]
+        items = [("track_loads", True), ("max_concurrent_ctas", 2), ("backend", "vector")]
         keys = {
             JobSpec.build("S2", "baseline", CFG, overrides=dict(perm)).key
             for perm in permutations(items)

@@ -1,10 +1,17 @@
-"""Unit tests for the DRAM bandwidth server and the shared L2."""
+"""Unit tests for the DRAM bandwidth server and the shared L2, and the
+machine's inlined copy of both held to them."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import GPUConfig
+from repro.config import KB, GPUConfig
+from repro.engine.vector.machine import _VectorMemory
 from repro.memory.dram import DRAMModel
 from repro.memory.l2 import L2Cache
+from repro.memory.subsystem import MemorySubsystem
 
 
 class TestDRAM:
@@ -78,3 +85,56 @@ class TestL2:
         dram = DRAMModel(lines_per_cycle=1.0)
         with pytest.raises(ValueError):
             L2Cache(64 * 1024, 8, 100, dram, lines_per_cycle=0)
+
+
+# ---------------------------------------------------------------------------
+# An oracle for the machine's fast path that needs no engine at all:
+# ``_VectorMemory`` inlines the float arithmetic of ``L2Cache`` +
+# ``DRAMModel`` and the L2's LRU tag array; the composed
+# ``MemorySubsystem`` is driven with the same calls and must agree on
+# every returned cycle and every counter after every one of them.
+# ---------------------------------------------------------------------------
+_MEM_OPS = ["fetch_line"] * 8 + ["write_line"] * 4 + ["backup_registers", "restore_registers"]
+_mem_stream = st.lists(
+    st.tuples(
+        st.sampled_from(_MEM_OPS),
+        st.integers(min_value=0, max_value=1 << 16),  # which line / how many
+        st.integers(min_value=0, max_value=40),  # cycles since the last call
+    ),
+    min_size=30,
+    max_size=200,
+)
+
+#: Small L2s, so sets fill and evict; bandwidths with inexact binary
+#: reciprocals (1/4.9, 1/0.3), so float order of operations matters.
+_GEOMETRIES = {
+    "tiny-direct": dict(l2_size_bytes=1 * KB, l2_assoc=1, l2_lines_per_cycle=0.3,
+                        l2_latency=7, dram_bandwidth_gbps=20.0, dram_latency=31),
+    "small-2way": dict(l2_size_bytes=2 * KB, l2_assoc=2, l2_lines_per_cycle=4.9,
+                       l2_latency=200, dram_bandwidth_gbps=352.5, dram_latency=220),
+    "4way-slow-dram": dict(l2_size_bytes=8 * KB, l2_assoc=4, l2_lines_per_cycle=1.0,
+                           l2_latency=3, dram_bandwidth_gbps=3.0, dram_latency=1),
+}
+
+
+class TestVectorMemoryAgainstSubsystem:
+    @pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
+    @given(stream=_mem_stream)
+    @settings(max_examples=100, deadline=None)
+    def test_every_cycle_and_counter_agrees_after_every_call(self, geometry, stream):
+        config = GPUConfig(**_GEOMETRIES[geometry])
+        fast, general = _VectorMemory(config), MemorySubsystem(config)
+        fast.hook_synced = True  # as inside a synced hook
+        lines = 3 * config.l2_num_sets * config.l2_assoc // 2  # more than fit
+        cycle = 0
+        for step, (op, arg, advance) in enumerate(stream):
+            cycle += advance
+            value = arg % 9 if op.endswith("registers") else arg % lines
+            got = getattr(fast, op)(value, cycle)
+            want = getattr(general, op)(value, cycle)
+            if op != "write_line":  # the machine never reads a store's completion
+                assert got == want, f"step {step}: {op}({value}, {cycle}) -> {got}, oracle {want}"
+            assert dataclasses.asdict(fast.traffic) == dataclasses.asdict(general.traffic), step
+            assert (fast.dram_reads, fast.dram_writes) == (
+                general.dram.stats.reads, general.dram.stats.writes
+            ), f"step {step}: DRAM counters diverged after {op}({value}, {cycle})"

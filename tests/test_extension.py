@@ -1,9 +1,14 @@
 """Tests for the SM extension interface and the PCAL bypass throttler."""
 
+import sys
+from pathlib import Path
+
 from repro.core.linebacker import BypassThrottler
 from repro.gpu.extension import SMExtension
 from repro.gpu.isa import alu, exit_inst
-from repro.gpu.warp import Warp
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine import Warp  # noqa: E402
 
 
 def make_warp(launch_order):

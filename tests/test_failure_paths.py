@@ -1,14 +1,19 @@
 """Failure-injection and edge-path tests: MSHR exhaustion, cycle caps,
 grids larger/smaller than the machine, and degenerate kernels."""
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from repro.config import scaled_config
 from repro.core.linebacker import linebacker_factory
-from repro.gpu.gpu import GPU, run_kernel
+from repro.gpu.gpu import run_kernel
 from repro.gpu.isa import alu, exit_inst, load, store
 from repro.gpu.trace import from_instruction_lists
 from repro.options import RunOptions
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine import GPU  # noqa: E402
 
 
 def cfg(**kw):
@@ -27,7 +32,7 @@ class TestMSHRExhaustion:
         kernel = from_instruction_lists("mshr", per_warp, regs_per_thread=8)
         result = run_kernel(config, kernel, options=RunOptions(keep_objects=True))
         assert result.instructions == 4 * 21
-        assert result.sms[0].mshr.stalls > 0
+        assert result.sms[0].mshr_stalls > 0
 
     def test_divergent_load_wider_than_mshr_file(self):
         """A single load touching more lines than there are MSHRs can

@@ -3,6 +3,8 @@ gates, the differential engine-invariant harness, greedy minimization,
 and the ``python -m repro fuzz`` CLI."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ from repro.workloads.spec import (
     validate_workload,
     workload_hash,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+import reference_engine  # noqa: E402
 
 SEED = 2019
 
@@ -96,49 +101,53 @@ class TestGates:
 
 class TestDifferentialHarness:
     def test_engine_invariants_hold(self):
-        # One representative spec end to end; the CI fuzz job sweeps
-        # the full corpus. thrash (index 0) exercises the victim path
-        # hardest: L1-adversarial working sets with backups/restores.
-        problems = differential_check(fuzz_workload(SEED, 0))
+        # One representative spec end to end, machine and reference; the
+        # CI fuzz job sweeps the full corpus. thrash (index 0) exercises
+        # the victim path hardest: L1-adversarial working sets with
+        # backups/restores.
+        with reference_engine.registered():
+            problems = differential_check(fuzz_workload(SEED, 0))
         assert not problems, problems
 
     @staticmethod
     def _skew_vector(monkeypatch, hooked: bool):
-        # The stand-in "vector" is the object engine run under a 1-CTA
-        # cap, and only for one kind of request (hooked or
+        # The stand-in "vector" is the reference engine run under a
+        # 1-CTA cap, and only for one kind of request (hooked or
         # extension-free), so only the leg under test moves.
         import dataclasses
 
         from repro.engine import BACKENDS
 
+        vector = BACKENDS["vector"]
+
         class Skewed:
             name = "vector"
 
-            def supports(self, request):
-                is_hooked = request.extension_factory is not None
-                return None if is_hooked == hooked else "not this leg"
-
             def run(self, request):
+                if (request.extension_factory is not None) != hooked:
+                    return vector.run(request)
                 skewed = dataclasses.replace(request, max_concurrent_ctas=1)
                 return BACKENDS["object"].run(skewed)
 
         monkeypatch.setitem(BACKENDS, "vector", Skewed())
 
     def test_default_engine_is_checked_against_pinned_object(self, monkeypatch):
-        # No flag needed: a selected engine that disagrees with the
+        # No flag needed: a machine that disagrees with a registered
         # reference fails the harness.
-        self._skew_vector(monkeypatch, hooked=False)
-        problems = differential_check(fuzz_workload(SEED, 0))
+        with reference_engine.registered():
+            self._skew_vector(monkeypatch, hooked=False)
+            problems = differential_check(fuzz_workload(SEED, 0))
         diverged = [p for p in problems if "diverges from object" in p]
-        assert diverged and all(p.startswith("baseline: selected") for p in diverged), problems
+        assert diverged and all(p.startswith("baseline: the machine") for p in diverged), problems
 
     def test_hooked_leg_is_checked_against_pinned_object(self, monkeypatch):
-        # The Linebacker leg is object-vs-selected on purpose, not by
-        # accident of an option: skew only hooked requests.
-        self._skew_vector(monkeypatch, hooked=True)
-        problems = differential_check(fuzz_workload(SEED, 0))
+        # The Linebacker leg is compared on purpose, not by accident of
+        # an option: skew only hooked requests.
+        with reference_engine.registered():
+            self._skew_vector(monkeypatch, hooked=True)
+            problems = differential_check(fuzz_workload(SEED, 0))
         diverged = [p for p in problems if "diverges from object" in p]
-        assert diverged and all(p.startswith("linebacker: selected") for p in diverged), problems
+        assert diverged and all(p.startswith("linebacker: the machine") for p in diverged), problems
 
 
 class TestMinimize:

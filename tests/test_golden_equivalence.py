@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+import reference_engine  # noqa: E402
 from golden import (  # noqa: E402
     GOLDEN_APPS,
     GOLDEN_ARCHS,
@@ -81,14 +82,12 @@ def test_fuzz_corpus_statistics_bit_identical(golden, name: str, arch: str) -> N
 @pytest.mark.parametrize("arch", GOLDEN_ARCHS)
 @pytest.mark.parametrize("app", (*GOLDEN_APPS, *GOLDEN_FUZZ_SPECS))
 def test_object_engine_statistics_bit_identical(golden, app: str, arch: str) -> None:
-    """Every cell above runs on the selected engine (``vector``, hooked
-    or not); pinning ``object`` holds the reference engine's ``tick`` +
-    ``next_event_cycle`` path — Linebacker's hooks included — to the
-    same file."""
-    _assert_pinned(
-        golden, f"{arch}:{app}", fingerprint(app, arch, backend="object"),
-        "object engine diverges from the goldens",
-    )
+    """Every cell above runs on the machine; registering the reference
+    engine and pinning it holds its ``tick`` + ``next_event_cycle`` path
+    — Linebacker's hooks included — to the same file."""
+    with reference_engine.registered():
+        current = fingerprint(app, arch, backend="object")
+    _assert_pinned(golden, f"{arch}:{app}", current, "object engine diverges from the goldens")
 
 
 def test_golden_file_covers_matrix(golden) -> None:

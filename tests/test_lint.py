@@ -62,7 +62,9 @@ EXPECTED = {
         {
             "capability-flag-unresolved": 2,
             "hook-missing-flag": 1,
-            "capability-gate-missing": 3,
+            # One engine class, each mode once: a hook it calls
+            # ungated, a flag it never reads.
+            "capability-gate-missing": 2,
             "capability-flag-pinned": 1,
         },
     ),

@@ -76,8 +76,8 @@ TEST_MODULES = {
 #: Importable helper modules that are *not* collected as tests but are
 #: part of the test tree's public surface.
 SUPPORT_MODULES = {
-    "__init__", "fault_injection", "golden", "reference_vtt", "stub_worker",
-    "workload_helpers",
+    "__init__", "fault_injection", "golden", "reference_engine", "reference_vtt",
+    "stub_worker", "workload_helpers",
 }
 
 #: name -> (num_ctas, warps_per_cta, regs_per_thread, n_loads, has_stream)
@@ -120,7 +120,9 @@ class TestManifest:
         assert set(MANIFEST) == set(APP_SPECS)
 
     def test_test_module_registry_matches_tree(self):
-        on_disk = {p.stem for p in Path(__file__).parent.glob("*.py")}
+        here = Path(__file__).parent
+        on_disk = {p.stem for p in here.glob("*.py")}
+        on_disk |= {p.parent.name for p in here.glob("*/__init__.py")}
         registered = TEST_MODULES | SUPPORT_MODULES
         missing = on_disk - registered
         stale = registered - on_disk

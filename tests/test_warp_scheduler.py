@@ -1,10 +1,14 @@
-"""Unit tests for warps and the GTO scheduler."""
+"""Unit tests for the reference engine's warps and GTO scheduler."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.gpu.isa import alu, exit_inst
-from repro.gpu.scheduler import GTOScheduler
-from repro.gpu.warp import Warp, WarpState
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine import GTOScheduler, Warp, WarpState  # noqa: E402
 
 
 def make_warp(insts=None, launch_order=0, max_outstanding=4):
