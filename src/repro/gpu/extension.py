@@ -34,7 +34,7 @@ EV_CALLBACK = 2  # payload: callable(cycle), e.g. backup/restore steps
 
 
 #: Capability flag -> the hook it gates. :meth:`SMExtension.resolve_flags`
-#: and the ``capability`` lint pass both read this table.
+#: reads this table; ``tests/test_capability_flags.py`` holds it to the class.
 CAPABILITY_FLAGS = {
     "wants_ticks": "on_tick",
     "wants_load_outcomes": "on_load_outcome",

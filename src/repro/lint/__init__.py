@@ -5,12 +5,12 @@ registry, per-pass severity levels, inline ``# repro-lint:
 ignore[rule]`` suppressions, a committed baseline file and text/JSON
 reporters — exposed as ``python -m repro lint``.
 
-The bundled passes guard the invariants the reproduction's headline
-numbers rest on: bit-identical determinism, ``__slots__`` coverage on
-the cycle engine's hot classes, capability-flag consistency of the SM
-extension interface, pickle/cache safety of everything reachable from
-a :class:`~repro.runner.spec.JobSpec`, and parity between SMStats
-counters and the golden-statistics schema. See DESIGN.md section 5d.
+The bundled passes keep what only a static analysis can know and no
+execution shows: bit-identical determinism (a set iteration that
+happens to come out right on this interpreter), lock discipline over
+the service stack's shared state, and a wire schema changed without
+its version constant. A contract the imported program states about
+itself is checked by its tests instead. See DESIGN.md section 5d.
 """
 
 from repro.lint.baseline import load_baseline, write_baseline

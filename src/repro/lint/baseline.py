@@ -51,11 +51,7 @@ def load_schema_baseline(path: Path) -> dict:
 def write_baseline(
     path: Path, findings: list[Finding], schemas: dict | None = None
 ) -> None:
-    """Record ``findings`` (and schema fingerprints) as the baseline.
-
-    ``schemas=None`` preserves whatever fingerprints the existing file
-    records — only a run that re-derived them replaces the section.
-    """
+    """Record ``findings`` (and schema fingerprints) as the baseline."""
     entries = [
         {
             "fingerprint": f.fingerprint,
@@ -65,8 +61,7 @@ def write_baseline(
         }
         for f in sorted(findings, key=Finding.sort_key)
     ]
-    if schemas is None:
-        schemas = load_schema_baseline(path)
+    schemas = schemas or {}
     payload = {
         "comment": "Accepted lint findings and schema fingerprints; "
                    "regenerate with `python -m repro lint --write-baseline`.",

@@ -1,16 +1,13 @@
 """Lint orchestration and the ``python -m repro lint`` entry point.
 
-Default analysis roots are the installed ``repro`` package sources
-plus ``tests/golden.py`` (which carries the golden fingerprint schema
-the parity pass checks). Explicit paths replace the default set, which
-is what the fixture self-tests use.
+The default analysis root is the installed ``repro`` package sources.
+Explicit paths replace it, which is what the fixture self-tests use.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import subprocess
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -38,53 +35,6 @@ def repo_root() -> Path:
     return package_root().parent.parent
 
 
-def default_paths() -> list[Path]:
-    paths = [package_root()]
-    golden = repo_root() / "tests" / "golden.py"
-    if golden.is_file():
-        paths.append(golden)
-    return paths
-
-
-def changed_paths(root: Path, ref: Optional[str] = None) -> list[Path]:
-    """Python files touched relative to ``ref`` (or the worktree).
-
-    Without a ref: files modified versus ``HEAD`` plus untracked files
-    — "what my working copy changed". With a ref (e.g. ``origin/main``):
-    ``git diff --name-only <ref>``. Deleted files are dropped. Note the
-    cross-file passes see *only* these files, so twin/anchor checks
-    that need both sides of a pair are skipped when one side did not
-    change — ``--changed`` is a fast local filter, not the CI gate.
-    """
-    def _git(*argv: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", "-C", str(root), *argv],
-            capture_output=True, text=True, check=False,
-        )
-        if proc.returncode != 0:
-            raise ValueError(
-                f"git {' '.join(argv)} failed: {proc.stderr.strip() or 'not a git checkout?'}"
-            )
-        return [line for line in proc.stdout.splitlines() if line.strip()]
-
-    names: list[str] = []
-    if ref:
-        names += _git("diff", "--name-only", ref)
-    else:
-        names += _git("diff", "--name-only", "HEAD")
-        names += _git("ls-files", "--others", "--exclude-standard")
-    out: list[Path] = []
-    seen: set[str] = set()
-    for name in names:
-        if name in seen or not name.endswith(".py"):
-            continue
-        seen.add(name)
-        path = root / name
-        if path.is_file():
-            out.append(path)
-    return out
-
-
 def run_lint(
     paths: Optional[Sequence[Path]] = None,
     root: Optional[Path] = None,
@@ -93,7 +43,7 @@ def run_lint(
 ) -> LintResult:
     """Run the registered passes over ``paths`` and triage findings."""
     root = root or repo_root()
-    files = collect_files([Path(p) for p in (paths or default_paths())], root)
+    files = collect_files([Path(p) for p in (paths or [package_root()])], root)
     project = Project(files, root)
     project.schema_baseline = (
         load_schema_baseline(baseline_path) if baseline_path else {}
@@ -165,15 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro lint",
         description=(
             "AST-based invariant checker for the simulator: determinism, "
-            "__slots__ coverage, capability-flag consistency, pickle "
-            "safety and golden-schema parity. Pure static analysis — "
-            "nothing is imported or executed."
+            "lock discipline and wire-schema drift. Pure static analysis "
+            "— nothing is imported or executed."
         ),
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: the repro sources "
-             "and tests/golden.py)",
+        help="files/directories to lint (default: the repro sources)",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -191,12 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif", metavar="PATH",
         help="also write a SARIF 2.1.0 report to PATH (GitHub code "
              "scanning upload)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="WORKTREE", default=None, metavar="REF",
-        help="lint only files changed in the working copy (or versus REF, "
-             "e.g. --changed origin/main); a fast local filter — "
-             "cross-file checks still need the full-tree run",
     )
     parser.add_argument(
         "--baseline", metavar="PATH", default=None,
@@ -239,18 +181,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     paths = [Path(p) for p in args.paths] if args.paths else None
     try:
-        if args.changed is not None:
-            if paths is not None:
-                print(
-                    "error: --changed and explicit paths are mutually "
-                    "exclusive", file=sys.stderr,
-                )
-                return 2
-            ref = None if args.changed == "WORKTREE" else args.changed
-            paths = changed_paths(repo_root(), ref)
-            if not paths:
-                print("no changed python files; nothing to lint")
-                return 0
         result = run_lint(
             paths=paths, baseline_path=baseline_path, pass_names=args.passes
         )
@@ -260,12 +190,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.write_baseline:
         accepted = result.findings + result.baselined
-        # A --changed run saw a partial tree; keep the recorded schema
-        # fingerprints rather than overwrite them from half a project.
-        write_baseline(
-            baseline_path, accepted,
-            schemas=result.schemas if args.changed is None else None,
-        )
+        write_baseline(baseline_path, accepted, schemas=result.schemas)
         print(
             f"wrote {len(accepted)} finding(s) and "
             f"{len(result.schemas)} schema fingerprint(s) to {baseline_path}",

@@ -1,11 +1,7 @@
 """Bundled lint passes: importing this package registers them all."""
 
 from repro.lint.passes import (  # noqa: F401  (registration side effects)
-    capability,
     determinism,
-    pickle_safety,
     protocol_drift,
-    slots,
-    stats_parity,
     thread_safety,
 )

@@ -118,26 +118,22 @@ def load_source(path: Path, root: Path) -> Optional[SourceFile]:
 class Project:
     """The set of files one lint invocation analyzes.
 
-    Cross-file passes (capability flags, stats parity) locate their
-    anchor definitions *by name inside the project* — e.g. "the class
-    named ``SMExtension``" — so the same passes run unchanged against
-    the real tree and against self-test fixture twins.
+    Cross-file passes (protocol drift) locate their anchor definitions
+    *by name inside the project* — e.g. "the class named ``JobSpec``"
+    — so the same passes run unchanged against the real tree and
+    against self-test fixture twins.
     """
 
     def __init__(self, files: list[SourceFile], root: Path) -> None:
         self.files = files
         self.root = root
-        self._class_index: dict[str, list[tuple[SourceFile, ast.ClassDef]]] = {}
+        self._class_index: dict[str, tuple[SourceFile, ast.ClassDef]] = {}
         for src in files:
             for node in src.iter_classes():
-                self._class_index.setdefault(node.name, []).append((src, node))
+                self._class_index.setdefault(node.name, (src, node))
 
     def find_class(self, name: str) -> Optional[tuple[SourceFile, ast.ClassDef]]:
-        entries = self._class_index.get(name)
-        return entries[0] if entries else None
-
-    def find_classes(self, name: str) -> list[tuple[SourceFile, ast.ClassDef]]:
-        return list(self._class_index.get(name, ()))
+        return self._class_index.get(name)
 
     def iter_all_classes(self) -> Iterator[tuple[SourceFile, ast.ClassDef]]:
         for src in self.files:

@@ -18,7 +18,7 @@ This package replaces that with a single declarative registry:
   simulator's existing ``window_cycles`` boundary, with counter deltas
   derived from the registry.
 
-The lint ``stats-parity`` pass re-derives its coverage list from the
+``tests/test_metrics.py`` takes its fingerprint coverage list from the
 ``MetricSet`` declarations, and ``python -m repro trace`` exposes the
 recorded windows from the CLI.
 """

@@ -9,10 +9,9 @@ the fields that actually exist.
 
 Two consumers read the registry instead of hand-maintained lists:
 
-* the ``stats-parity`` lint pass, which re-derives the set of
-  fingerprint-participating counters straight from the ``MetricSet``
-  declarations in the source tree (purely syntactically — the
-  declarations below are the runtime mirror of the same data);
+* ``tests/test_metrics.py``, which asks every set for its
+  fingerprint-participating counters and checks that moving one moves
+  ``tests/golden.py::result_fingerprint``;
 * the :class:`~repro.metrics.timeseries.WindowRecorder`, which asks a
   set for its delta-able counter names when folding end-of-window
   snapshots.
@@ -46,8 +45,8 @@ class Metric:
     kind: str = "counter"
     description: str = ""
     #: True when ``tests/golden.py::result_fingerprint`` pins this
-    #: metric — the stats-parity lint pass enforces that every such
-    #: metric is actually read there.
+    #: metric — ``tests/test_metrics.py`` enforces that every such
+    #: metric is actually folded in there.
     fingerprint: bool = False
 
 

@@ -50,12 +50,15 @@ from repro.engine import (
     register_backend,
     resolve_backend,
 )
-from repro.engine.vector.machine import VectorSM
-from repro.gpu.extension import EV_CALLBACK, SMExtension
+from repro.engine.vector.machine import _L1, VectorSM, WarpView, _VectorMemory
+from repro.gpu.cta import CTA
+from repro.gpu.extension import CAPABILITY_FLAGS, EV_CALLBACK, SMExtension
 from repro.gpu.gpu import run_kernel
-from repro.gpu.isa import alu
+from repro.gpu.isa import Instruction, alu
 from repro.gpu.snapshot import snapshot_extension
+from repro.gpu.stats import LoadBehavior, SMStats
 from repro.gpu.trace import from_instruction_lists
+from repro.memory.cache import CacheLine, CacheStats
 from repro.options import RunOptions
 from repro.runner import ExperimentRunner, JobSpec, ResultCache
 from repro.runner.registry import ARCHITECTURES, resolve
@@ -520,7 +523,10 @@ class TestHookedDifferential:
         reference = run_kernel(config, build(), ProbeExtension, RunOptions(backend="object"))
         assert deep_state(default) == deep_state(reference)
         calls = default.extensions[0].stats.calls
-        assert {"on_tick.backup", "restore", "on_l1_eviction", "on_store"} <= set(calls), calls
+        # Every gate opens: a hook whose flag the machine never read
+        # would never be called (``timeseries_sample`` has its own cases).
+        gated = set(CAPABILITY_FLAGS.values()) - {"timeseries_sample"}
+        assert gated | {"on_tick.backup", "restore"} <= set(calls), calls
         assert default.sm_stats[0].bypasses and default.sm_stats[0].victim_hits
 
     def test_the_window_is_the_extensions_own_not_the_machines(self):
@@ -675,6 +681,18 @@ class TestHookedDifferential:
         if arch == "linebacker":  # registers stream through the model under test
             assert default.traffic.backup_write_lines > 0
             assert default.traffic.restore_read_lines > 0
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [VectorSM, WarpView, _L1, _VectorMemory, CacheLine, CacheStats, SMStats, LoadBehavior, CTA,
+     Instruction],
+    ids=lambda cls: cls.__name__,
+)
+def test_what_the_machine_touches_per_instruction_has_no_instance_dict(cls):
+    # ``__slots__`` all the way up: a refactor that drops one quietly
+    # gives every instance a ``__dict__`` back (and its allocation cost).
+    assert cls.__dictoffset__ == 0
 
 
 def test_engine_import_and_a_dsl_job_leave_numpy_unimported():

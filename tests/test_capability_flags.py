@@ -1,6 +1,7 @@
-"""End-to-end coverage for ``SMExtension.resolve_flags`` capability-flag
-auto-resolution — the runtime contract the ``capability`` lint pass
-checks statically.
+"""The capability-flag contract of ``SMExtension``, checked at run time:
+the flag table, the class and its hooks name the same eight pairs, a
+flag that reads False keeps its hook from ever being called, and
+``resolve_flags`` derives each flag from the hook overrides.
 
 For every architecture extension the repo ships, a tiny kernel is run
 with ``keep_objects=True`` and the *resolved* flags on the live
@@ -30,8 +31,10 @@ from repro.gpu.extension import CAPABILITY_FLAGS, SMExtension
 from repro.gpu.gpu import run_kernel
 from repro.options import RunOptions
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
+from golden import result_fingerprint  # noqa: E402
 from reference_engine import GPU  # noqa: E402
 
 #: flag -> the hook it gates (the contract the hot paths rely on);
@@ -39,6 +42,59 @@ from reference_engine import GPU  # noqa: E402
 FLAG_HOOKS = {
     flag: hook for flag, hook in CAPABILITY_FLAGS.items() if flag != "wants_timeseries"
 }
+
+#: The public methods of ``SMExtension`` that no flag gates: they fire
+#: off the hot path, or describe the extension to the engine
+#: (``resolve_flags``, ``shared_tick_period``) instead of receiving events.
+UNGATED_HOOKS = {
+    "attach",
+    "resolve_flags",
+    "shared_tick_period",
+    "on_cta_launched",
+    "on_cta_finished",
+    "try_reactivate_cta",
+    "finalize",
+}
+
+
+def test_flag_table_declared_flags_and_hooks_agree():
+    """A flag without a table row (or a row without a flag) never
+    resolves; a hook without a flag is one the engine cannot gate."""
+    public = {name: v for name, v in vars(SMExtension).items() if not name.startswith("_")}
+    assert {name for name, v in public.items() if v is None} == set(CAPABILITY_FLAGS)
+    methods = {name for name, v in public.items() if callable(v)}
+    assert UNGATED_HOOKS <= methods
+    assert methods - UNGATED_HOOKS == set(CAPABILITY_FLAGS.values())
+
+
+def _tripped(self, *args, **kwargs):
+    raise AssertionError("a gated hook was called although its flag reads False")
+
+
+#: Every gated hook raises, every flag is pinned off.
+Tripwire = type(
+    "Tripwire",
+    (SMExtension,),
+    dict.fromkeys(CAPABILITY_FLAGS, False) | dict.fromkeys(CAPABILITY_FLAGS.values(), _tripped),
+)
+
+
+def test_a_false_flag_keeps_its_hook_from_being_called():
+    """The machine reads all eight gates: with loads, stores, evictions
+    and window samples going by, no pinned-off hook fires and the run is
+    the plain ``SMExtension``'s. (That a True flag does reach its hook is
+    the probe's call coverage in ``tests/test_backends.py``.)"""
+    config = scaled_config(num_sms=1, window_cycles=500)
+
+    def run(extension):
+        return run_kernel(
+            config, kernel_for("S2", 0.05), extension, RunOptions(timeseries=True)
+        )
+
+    plain, tripwire = run(SMExtension), run(Tripwire)
+    assert plain.sm_stats[0].stores and plain.l1_stats[0].evictions
+    assert len(plain.timeseries[0]) > 1
+    assert result_fingerprint(tripwire) == result_fingerprint(plain)
 
 
 def tiny_kernel():

@@ -15,7 +15,7 @@ Covers, bottom-up:
   tree is in sync today, deleting a field one-sided is twin drift, and
   deleting it from both sides demands a version-constant bump that
   then clears the finding;
-* the ``--sarif`` and ``--changed`` CLI surfaces.
+* the ``--sarif`` CLI surface.
 """
 
 from __future__ import annotations
@@ -500,7 +500,7 @@ def drift_lint_paths(paths):
 
 
 # ---------------------------------------------------------------------------
-# CLI: --sarif and --changed
+# CLI: --sarif
 # ---------------------------------------------------------------------------
 def test_sarif_report_is_written(tmp_path, capsys):
     from repro.lint.cli import main as lint_main
@@ -524,33 +524,3 @@ def test_sarif_report_is_written(tmp_path, capsys):
         for r in results
     }
     assert locations == {"tests/lint_fixtures/case_thread_safety_bad.py"}
-
-
-def test_changed_is_mutually_exclusive_with_paths(capsys):
-    from repro.lint.cli import main as lint_main
-
-    assert lint_main(["somefile.py", "--changed"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-
-
-def test_changed_with_no_changes_short_circuits(monkeypatch, capsys):
-    from repro.lint import cli
-
-    monkeypatch.setattr(cli, "changed_paths", lambda root, ref=None: [])
-    assert cli.main(["--changed"]) == 0
-    assert "nothing to lint" in capsys.readouterr().out
-
-
-def test_changed_lints_only_the_returned_files(monkeypatch, capsys, tmp_path):
-    from repro.lint import cli
-
-    bad = tmp_path / "clocky.py"
-    bad.write_text(
-        "import time\n\n\ndef stamp():\n    return time.time()\n",
-        encoding="utf-8",
-    )
-    monkeypatch.setattr(cli, "changed_paths", lambda root, ref=None: [bad])
-    assert cli.main(["--changed", "--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["errors"] == 1
-    assert [f["rule"] for f in payload["findings"]] == ["wall-clock"]

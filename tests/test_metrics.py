@@ -10,6 +10,7 @@ run, so recording can never perturb simulation semantics.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import sys
@@ -231,6 +232,26 @@ class TestTimeseriesEndToEnd:
         """The overhead contract: recording must not perturb the sim."""
         plain = _tiny_run(timeseries=False)
         assert result_fingerprint(plain) == result_fingerprint(recorded)
+
+    def test_fingerprint_folds_in_every_declared_metric(self, recorded):
+        """``fingerprint=True`` is a promise about ``tests/golden.py``:
+        moving that counter moves the fingerprint the goldens pin."""
+        result = copy.deepcopy(recorded)
+        holders = {
+            "SMStats": result.sm_stats[0],
+            "TrafficStats": result.traffic,
+            "RegisterFileStats": result.rf_stats[0],
+        }
+        # ``SMStats.cycles`` is each SM's copy of the device clock, and
+        # that clock is what the fingerprint reads.
+        assert all(s.cycles == result.cycles for s in result.sm_stats)
+        pinned = result_fingerprint(result)
+        for declared in metric_sets():
+            for name in declared.fingerprint_names():
+                holder = result if name == "cycles" else holders[declared.class_name]
+                setattr(holder, name, getattr(holder, name) + 1)
+                assert result_fingerprint(result) != pinned, name
+                setattr(holder, name, getattr(holder, name) - 1)
 
     def test_wire_and_cache_round_trip_bit_identical(self, recorded, tmp_path):
         payload_before = [s.to_payload() for s in recorded.timeseries]

@@ -4,6 +4,7 @@ the architecture registry, and corrupted-cache recovery."""
 
 import json
 import pickle
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from repro.runner import (
     resolve,
     wire,
 )
+from repro.runner.fleet import worker_env
 from repro.runner.snapshot import portable
 from repro.service.schema import encode_jobspec
 from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
@@ -34,6 +36,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from golden import fingerprint_value  # noqa: E402
 
 CFG = scaled_config(num_sms=1, window_cycles=600)
+#: Every registry row that builds an extension factory.
+HOOKED_ROWS = sorted(name for name, row in ARCHITECTURES.items() if row.extension)
 
 
 def make_spec(app="S2", arch="baseline", config=CFG, scale=0.1, **overrides):
@@ -120,19 +124,27 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown architecture 'not_an_arch'"):
             ctx.run("S2", "not_an_arch")
 
-    def test_factories_are_picklable(self):
-        from repro.baselines.cerf import PCALCERFFactory, cerf_factory
-        from repro.baselines.pcal import pcal_factory
-        from repro.core.linebacker import linebacker_factory
+    @pytest.mark.parametrize("arch", HOOKED_ROWS)
+    def test_factories_are_picklable(self, arch):
+        # What a row hands a worker: no lambda, closure or local class.
+        factory = ARCHITECTURES[arch].extension(CFG)
+        clone = pickle.loads(pickle.dumps(factory))
+        assert type(clone()) is type(factory())
 
-        for factory in (
-            linebacker_factory(CFG.linebacker, enable_bypass_throttling=True),
-            pcal_factory(CFG.linebacker),
-            cerf_factory(CFG.linebacker),
-            PCALCERFFactory(CFG.linebacker),
-        ):
-            clone = pickle.loads(pickle.dumps(factory))
-            assert type(clone()) is type(factory())
+    def test_factories_hash_the_same_in_a_fresh_process(self):
+        code = (
+            "from repro.config import scaled_config, stable_hash\n"
+            "from repro.runner import ARCHITECTURES\n"
+            "cfg = scaled_config(num_sms=1, window_cycles=600)\n"
+            f"print([stable_hash(ARCHITECTURES[a].extension(cfg)) for a in {HOOKED_ROWS!r}])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=worker_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        here = [stable_hash(ARCHITECTURES[arch].extension(CFG)) for arch in HOOKED_ROWS]
+        assert done.stdout.strip() == repr(here)
 
 
 class TestCacheRoundTrip:
