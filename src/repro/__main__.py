@@ -6,7 +6,7 @@ Usage:
     python -m repro run fig14 --sms 2 --no-cache
     python -m repro run fig12 --executor remote --hosts a,b,c \\
         --worker-command "ssh {host} python -m repro worker"
-    python -m repro worker --cache-dir /shared/cache --shared-cache
+    python -m repro worker --cache-dir /shared/cache
     python -m repro serve --port 8642 --workers 2
     python -m repro submit --url http://127.0.0.1:8642 --apps S2,LI \\
         --arch linebacker --scale 0.25
@@ -36,7 +36,7 @@ or ``loopback`` (the remote wire protocol, round-tripped in-process —
 deterministic, great for debugging). ``python -m repro worker`` is the
 process on the other end of that wire.
 
-``python -m repro serve`` promotes that machinery into an always-on
+``python -m repro serve`` puts the same job table behind an always-on
 HTTP service: a coordinator with a persistent worker fleet and a
 shared read-through result cache, deduplicating concurrent submissions
 by content hash. ``python -m repro submit`` is the matching client
@@ -123,17 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     run_p.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="use the advisory-lock cache backend (safe for concurrent "
-        "writers on a shared/network filesystem)",
-    )
-    run_p.add_argument(
         "--executor",
         choices=("inline", "pool", "remote", "loopback"),
         default=None,
-        help="where jobs run (default: $REPRO_EXECUTOR, else pool iff "
-        "--workers > 1)",
+        help="where jobs run (default: pool iff --workers > 1, else inline)",
     )
     run_p.add_argument(
         "--hosts",
@@ -622,7 +615,7 @@ def _cmd_submit(args, parser: argparse.ArgumentParser) -> int:
             entry["status"] = handle.status()
         else:
             result = handle.result(timeout=args.timeout)
-            status = session._client.status(handle.job_id)
+            status = session._transport.status(handle.job_id)
             entry["status"] = status["status"]
             entry["source"] = status["source"]
             entry["ipc"] = getattr(result, "ipc", None)
@@ -729,14 +722,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"unknown apps: {sorted(unknown)}")
 
     workers = args.workers if args.workers is not None else default_workers()
-    if args.no_cache:
-        cache = None
-    elif args.shared_cache:
-        from repro.runner import SharedDirectoryBackend
-
-        cache = ResultCache(backend=SharedDirectoryBackend(args.cache_dir))
-    else:
-        cache = ResultCache(args.cache_dir)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     hosts = [h for h in args.hosts.split(",") if h] or None
     runner = ExperimentRunner(
         workers=workers,
@@ -763,6 +749,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     )
     started = time.time()
     data = figure_runner(ctx)
+    runner.close()
     _print_result(args.figure, data)
     print(
         f"\n[{time.time() - started:.0f}s; {runner.stats.summary()}]",

@@ -1,20 +1,24 @@
 """The public programmatic surface: one ``Session``, two transports.
 
 :class:`Session` is a single facade over one-off simulations, batched
-sweeps (:class:`~repro.runner.engine.ExperimentRunner`) and served
-capacity, and it is *transport-agnostic*:
+sweeps and served capacity, and it is *transport-agnostic*: it holds
+one transport and every verb goes through it unchanged.
 
-* ``Session.local(...)`` executes through an in-process
-  :class:`ExperimentRunner` (memo → persistent cache → executor);
-* ``Session.connect(url)`` submits the identical content-hashed specs
-  to a running coordinator (``python -m repro serve``) over HTTP.
+* ``Session.local(...)`` — the in-process job table,
+  :class:`~repro.runner.engine.ExperimentRunner` (memo → persistent
+  cache → executor → degrade), driven by the calling thread;
+* ``Session.connect(url)`` — a :class:`~repro.service.ServiceClient`
+  on a running coordinator (``python -m repro serve``), which is the
+  same table behind HTTP.
 
-Either way, ``run`` / ``run_many`` / ``trace`` return typed
-:class:`JobHandle`\\ s with the same three methods (``status()``,
-``result()``, ``stream_timeseries()``), and — because identity is the
-spec's content hash end to end — the same submission yields
-bit-identical results on both transports, deduplicated through the
-same shared cache.
+Both answer ``submit`` / ``status`` / ``result`` /
+``stream_timeseries``, so ``run`` / ``run_many`` / ``trace`` return
+typed :class:`JobHandle`\\ s that behave the same way: ``status()`` is
+one of ``JOB_STATES``, a failed simulation raises
+:class:`~repro.runner.executors.RemoteJobError` from ``result()``, and
+— because identity is the spec's content hash end to end (the job id
+*is* ``spec.key``) — the same submission yields bit-identical results
+on both transports, deduplicated through the same cache.
 
 Example::
 
@@ -54,8 +58,8 @@ class JobHandle:
         return f"JobHandle({self.spec.label}, {self.job_id[:12]}...)"
 
     def status(self) -> str:
-        """``"queued" | "running" | "done" | "failed"``."""
-        return self._session._status(self)
+        """``"queued" | "running" | "done" | "failed"`` (``JOB_STATES``)."""
+        return self._session._transport.status(self.job_id)["status"]
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until done; returns the portable simulation result.
@@ -63,7 +67,7 @@ class JobHandle:
         Raises :class:`~repro.runner.executors.RemoteJobError` when the
         simulation failed, ``TimeoutError`` when ``timeout`` elapses.
         """
-        return self._session._result(self, timeout)
+        return self._session._transport.result(self.job_id, timeout=timeout)
 
     def stream_timeseries(
         self,
@@ -72,7 +76,14 @@ class JobHandle:
         timeout: Optional[float] = None,
     ) -> Iterator[dict]:
         """Yield per-window rows of a ``timeseries=True`` run."""
-        return self._session._stream_timeseries(self, sm, poll, timeout)
+        if self.spec.options.timeseries is False:
+            raise ValueError(
+                "this job was not submitted with timeseries recording; "
+                "use Session.trace or RunOptions(timeseries=True)"
+            )
+        return self._session._transport.stream_timeseries(
+            self.job_id, sm=sm, poll=poll, timeout=timeout
+        )
 
 
 #: A ``run_many`` item: (app, arch) or (app, arch, overrides-dict).
@@ -83,8 +94,8 @@ class Session:
     """A connection to simulation capacity — local or served.
 
     Construct through :meth:`local` or :meth:`connect`, not directly.
-    Sessions are context managers; ``close()`` releases executors /
-    sockets.
+    Sessions are context managers; ``close()`` releases the executor /
+    socket.
     """
 
     def __init__(
@@ -97,8 +108,8 @@ class Session:
     ) -> None:
         if (runner is None) == (client is None):
             raise ValueError("Session needs exactly one of runner/client")
-        self._runner = runner
-        self._client = client
+        #: The runner or the ServiceClient: the same verbs either way.
+        self._transport = runner if runner is not None else client
         self.config = config if config is not None else scaled_config()
         self.scale = scale
 
@@ -149,16 +160,9 @@ class Session:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Release the session's transport.
-
-        Local engines build and shut down executors per batch, and the
-        HTTP client's per-thread keep-alive connections close with the
-        client object, so this only drops references — but callers
-        should still treat a closed session as dead; the context-manager
-        form makes that structural.
-        """
-        self._runner = None
-        self._client = None
+        """Release the transport: the local executor's workers or pool,
+        or this thread's HTTP connection. Idempotent."""
+        self._transport.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -211,20 +215,14 @@ class Session:
         """Submit a batch; the fan-out / dedup point for sweeps.
 
         Items are :class:`JobSpec`\\ s, ``(app, arch)`` or
-        ``(app, arch, overrides)`` tuples. Local sessions resolve the
-        whole batch through the engine at once (parallel executors,
-        coalesced duplicates); connected sessions submit each spec and
-        let the coordinator dedup by content hash.
+        ``(app, arch, overrides)`` tuples. Every spec is built (and so
+        checked) before any is submitted, and every one is submitted
+        before any result is asked for, so the batch fans out over the
+        executor's workers (or the service's fleet); duplicates share
+        one job by content hash.
         """
         specs = [self._as_spec(job) for job in jobs]
-        if self._runner is not None:
-            self._runner.run_many(specs)  # resolve eagerly, in parallel
-            return [JobHandle(self, spec, spec.key) for spec in specs]
-        handles = []
-        for spec in specs:
-            doc = self._client.submit(spec)
-            handles.append(JobHandle(self, spec, doc["job_id"]))
-        return handles
+        return [self.submit(spec) for spec in specs]
 
     def trace(
         self,
@@ -242,14 +240,10 @@ class Session:
                         options=options, **overrides)
 
     def submit(self, spec: JobSpec) -> JobHandle:
-        """Submit one pre-built spec."""
-        if self._runner is not None:
-            self._runner.run(spec)
-            return JobHandle(self, spec, spec.key)
-        doc = self._client.submit(spec)
-        return JobHandle(self, spec, doc["job_id"])
+        """Submit one pre-built spec; never waits for the simulation."""
+        self._transport.submit(spec)
+        return JobHandle(self, spec, spec.key)
 
-    # -- handle backends -------------------------------------------------
     def _as_spec(self, job: JobLike) -> JobSpec:
         if isinstance(job, JobSpec):
             return job
@@ -257,48 +251,12 @@ class Session:
         overrides = rest[0] if rest else {}
         return self.spec(app, arch, **overrides)
 
-    def _status(self, handle: JobHandle) -> str:
-        if self._runner is not None:
-            # Local submissions resolve eagerly; reaching the handle
-            # means the run (or a raise) already happened.
-            return "done"
-        return self._client.status(handle.job_id)["status"]
-
-    def _result(self, handle: JobHandle, timeout: Optional[float]) -> Any:
-        if self._runner is not None:
-            return self._runner.run(handle.spec)  # memo hit: same object
-        return self._client.result(handle.job_id, timeout=timeout)
-
-    def _stream_timeseries(
-        self,
-        handle: JobHandle,
-        sm: int,
-        poll: float,
-        timeout: Optional[float],
-    ) -> Iterator[dict]:
-        if handle.spec.options.timeseries is False:
-            raise ValueError(
-                "this job was not submitted with timeseries recording; "
-                "use Session.trace or RunOptions(timeseries=True)"
-            )
-        if self._runner is not None:
-            result = self._result(handle, timeout)
-            series = (result.timeseries or [])
-            if not series:
-                return iter(())
-            return iter(list(series[sm]))
-        return self._client.stream_timeseries(
-            handle.job_id, sm=sm, poll=poll, timeout=timeout
-        )
-
     # -- observability ---------------------------------------------------
     @property
     def stats(self):
-        """Local: the engine's :class:`RunnerStats`. Connected: the
+        """Local: the table's :class:`RunnerStats`. Connected: the
         service's ``/v1/fleet`` report (a dict)."""
-        if self._runner is not None:
-            return self._runner.stats
-        return self._client.fleet()
+        return self._transport.stats
 
 
 def run_many_results(

@@ -358,7 +358,8 @@ class _ClassAnalysis:
 
     # -- lock acquisition sites (for ordering) -----------------------------
     def acquisitions(self) -> list[tuple[frozenset[str], str, int]]:
-        """``(already_held, acquired_lock, line)`` per acquisition."""
+        """``(already_held, acquired_lock, line)`` per acquisition; in
+        ``with a, b:`` the lock ``a`` is already held when ``b`` is taken."""
         out = []
         for info in self.methods.values():
             for _block, _idx, stmt in info.cfg.statements():
@@ -370,6 +371,7 @@ class _ClassAnalysis:
                     normalized = self._normalize([name] if name else [])
                     for lock in normalized:
                         out.append((held, lock, stmt.lineno))
+                    held |= normalized
         return out
 
 

@@ -1,12 +1,14 @@
 """repro.runner — parallel experiment engine with a persistent cache.
 
 The runner expresses every simulation as a picklable, content-hashed
-:class:`JobSpec`, executes it through a pluggable
+:class:`JobSpec` and resolves it through one job table,
+:class:`ExperimentRunner`: memo, then the on-disk cache
+(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, behind a
+:class:`CacheBackend`), then a pluggable
 :class:`~repro.runner.executors.Executor` (in-process, process pool,
 wire-protocol loopback, or worker subprocesses that can sit on other
-hosts), and memoizes portable results both in-process and on disk
-(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) through a pluggable
-:class:`CacheBackend`. The string-keyed :data:`ARCHITECTURES` registry
+hosts), then in-process degradation. The service's coordinator is the
+same table behind HTTP. The string-keyed :data:`ARCHITECTURES` registry
 is the API every consumer (figure runners, CLI, benchmarks) uses to
 name a simulation.
 """
@@ -18,16 +20,17 @@ from repro.runner.cache import (
     DirectoryBackend,
     MISS,
     ResultCache,
-    SharedDirectoryBackend,
     cache_salt,
     code_salt,
     default_cache_dir,
 )
 from repro.runner.engine import (
+    JOB_SOURCES,
+    JOB_STATES,
     ExperimentRunner,
+    Job,
     JobRecord,
     RunnerStats,
-    default_executor,
     default_workers,
     execute_job,
 )
@@ -74,6 +77,9 @@ __all__ = [
     "ExperimentRunner",
     "ExtensionSnapshot",
     "InlineExecutor",
+    "JOB_SOURCES",
+    "JOB_STATES",
+    "Job",
     "JobOutcome",
     "JobRecord",
     "JobSpec",
@@ -89,7 +95,6 @@ __all__ = [
     "RunOptions",
     "RunnerStats",
     "SMSnapshot",
-    "SharedDirectoryBackend",
     "WireError",
     "WireResult",
     "WorkerFleet",
@@ -97,7 +102,6 @@ __all__ = [
     "cache_salt",
     "code_salt",
     "default_cache_dir",
-    "default_executor",
     "default_workers",
     "execute_job",
     "portable",

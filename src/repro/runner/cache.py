@@ -6,19 +6,18 @@ key echo + payload), and the corruption contract (anything unreadable
 degrades to a miss and is discarded, never served). *Storage* is a
 :class:`CacheBackend`:
 
-* :class:`DirectoryBackend` — the historical layout: one pickle per
-  job under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), named
-  ``<key>.pkl`` inside a two-character fan-out directory, written
-  atomically (temp file + ``os.replace``) so an interrupted writer can
-  never leave a half-written entry behind.
-* :class:`SharedDirectoryBackend` — the same layout hardened for
-  *many concurrent writers on a shared (e.g. network) filesystem*: an
-  advisory per-key ``flock`` serializes writers, and a read-through
-  check under the lock makes the first completed write win — later
-  writers of the same key (which, for a deterministic simulator,
-  carry an identical payload) skip their write instead of churning
-  the file underneath readers. On platforms without ``fcntl`` the
-  lock degrades to plain atomic-replace semantics.
+:class:`DirectoryBackend` stores one pickle per job under
+``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), named ``<key>.pkl``
+inside a two-character fan-out directory, written atomically (temp file
++ ``os.replace``) so an interrupted writer can never leave a
+half-written entry behind. It is safe for *many concurrent writers*,
+local or on a shared (e.g. network) filesystem: an advisory ``flock``
+on the cache directory's ``.lock`` file serializes writers, and a
+read-through check under the lock makes the first completed write win —
+later writers of the same key (which, for a deterministic simulator,
+carry an identical payload) skip their write instead of churning the
+file underneath readers. On platforms without ``fcntl`` the lock
+degrades to plain atomic-replace semantics.
 
 The key is salted with a cache schema version, the package version and
 a digest of the installed sources, so
@@ -139,7 +138,18 @@ class CacheBackend:
 
 
 class DirectoryBackend(CacheBackend):
-    """One file per entry, atomic replace, single-writer-friendly."""
+    """One file per entry; concurrent writers, first writer wins.
+
+    Writers take an exclusive ``flock`` on ``<root>/.lock``, then
+    re-check existence *under the lock* (read-through): if another
+    writer already landed the key, this write is skipped — the entry
+    file is only ever created, never replaced. One lock file for the
+    directory, not one per key or fan-out directory: creating a lock
+    inode beside a new entry costs as much again as writing the entry,
+    and a write holds the lock for well under a millisecond. Readers
+    stay lock-free; atomic replace guarantees they see a complete entry
+    or none.
+    """
 
     def __init__(self, root: "Path | str | None" = None) -> None:
         self.root = Path(root).expanduser() if root else default_cache_dir()
@@ -150,44 +160,14 @@ class DirectoryBackend(CacheBackend):
         except FileNotFoundError:
             return None
 
-    def write(self, key: str, data: bytes) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-
-class SharedDirectoryBackend(DirectoryBackend):
-    """Advisory-lock variant for concurrent writers on one directory.
-
-    Writers take an exclusive ``flock`` on ``<key>.lock`` next to the
-    entry, then re-check existence *under the lock* (read-through):
-    if another writer already landed the key, this write is skipped —
-    first writer wins and the entry file is only ever replaced when
-    absent. Readers stay lock-free; atomic replace guarantees they
-    see a complete entry or none.
-    """
-
     @contextmanager
-    def _locked(self, key: str):
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path = path.with_suffix(".lock")
+    def _locked(self):
         try:
             import fcntl
         except ImportError:  # non-POSIX: degrade to lockless atomic replace
             yield
             return
-        with open(lock_path, "a+b") as lock_fh:
+        with open(self.root / ".lock", "a+b") as lock_fh:
             fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX)
             try:
                 yield
@@ -195,17 +175,22 @@ class SharedDirectoryBackend(DirectoryBackend):
                 fcntl.flock(lock_fh.fileno(), fcntl.LOCK_UN)
 
     def write(self, key: str, data: bytes) -> None:
-        with self._locked(key):
-            if self.path_for(key).exists():
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with self._locked():
+            if path.exists():
                 return  # first writer won; identical payload by determinism
-            super().write(key, data)
-
-    def discard(self, key: str) -> None:
-        super().discard(key)
-        try:
-            self.path_for(key).with_suffix(".lock").unlink()
-        except OSError:
-            pass
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, path)
+            except Exception:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
 
 
 @dataclass

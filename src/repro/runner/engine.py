@@ -1,54 +1,84 @@
-"""The parallel experiment-execution engine.
+"""The job table: every simulation a process resolves, keyed by content.
 
 :class:`ExperimentRunner` turns content-hashed
 :class:`~repro.runner.spec.JobSpec`\\ s into portable results through
-three layers, cheapest first:
+four tiers, cheapest first:
 
-1. an **in-process memo** (same object returned for the same spec —
-   the identity guarantee the old ``ExperimentContext._memo`` gave),
-2. the **persistent on-disk cache** (survives process restarts; a warm
-   figure rerun is almost pure unpickling), and
+1. the **table** itself — a key already submitted shares its job
+   (``memo`` once it is done: the same object comes back; ``coalesced``
+   while it is still running),
+2. the **persistent cache** (read-through: a hit settles the job at
+   once, ``cache``; survives process restarts),
 3. **execution** through a pluggable
    :class:`~repro.runner.executors.Executor` — in-process (inline),
    fanned out over a ``ProcessPoolExecutor`` (pool), shipped to worker
    subprocesses over the wire protocol (remote), or round-tripped
-   through that protocol in-process (loopback). Infrastructure
-   failures at any executor — a broken pool, a dead worker after its
-   retry budget, an unlaunchable worker command — degrade to
-   in-process execution; job-level simulation errors propagate.
+   through that protocol in-process (loopback) — ``run``,
+4. the **degrade** tier: a job the executor gives up on, and every job
+   in flight when the executor becomes unavailable, runs in this
+   process instead — ``degraded``.
 
-Every execution is timed and counted in :class:`RunnerStats` so the
-CLI and benchmarks can report per-job wall-clock, hit ratios and
-distributed-execution health (dispatched / retried / requeued /
-worker deaths).
+A simulation error is final on every tier: the job is ``failed`` and
+asking for its result raises :class:`RemoteJobError`.
 
-Simulations are deterministic given ``config.seed``, so serial,
-parallel, remote and cached executions of the same spec produce
-identical statistics — the engine only changes *where and when* a job
-runs.
+The table is driven in one of two ways. Caller-driven — ``run_many``
+and ``result`` call :meth:`ExperimentRunner.step` themselves until the
+job settles (the CLI, ``Session.local``, ``ExperimentContext``).
+Thread-driven — the service's coordinator loops ``step()`` on its
+``fleet-dispatch`` thread while HTTP threads ``submit``, ``wait`` and
+``fetch``. Either way one lock guards the table, and no store I/O,
+pickling or simulation happens while it is held.
+
+Only the :data:`RESIDENT_RESULTS` most recently used results stay in
+memory; an evicted one is re-read through the cache when next asked
+for, and run again if the cache has lost it. Without a cache nothing is
+evicted.
+
+Simulations are deterministic given ``config.seed``, so every tier and
+executor produces identical statistics for one spec — the table only
+changes *where and when* a job runs.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 import warnings
+import weakref
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.executors import (
-    EXECUTOR_NAMES,
     Executor,
     ExecutorUnavailable,
     RemoteJobError,
     build_executor,
+    run_job,
 )
-from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS
+from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, JobOutcome
 from repro.runner.registry import resolve
 from repro.runner.snapshot import portable
 from repro.runner.spec import JobSpec
+from repro.runner.wire import _pack, _unpack
 from repro.workloads.suite import kernel_for
+
+#: Where a result came from. ``JobRecord.source``, ``Job.source`` and
+#: the HTTP job ``source`` all take their values from this tuple: the
+#: first three name the tier that resolved a job, the last two a
+#: submission whose key was already in the table.
+JOB_SOURCES = ("run", "degraded", "cache", "memo", "coalesced")
+#: ``Job.status`` values.
+JOB_STATES = ("queued", "running", "done", "failed")
+#: Settled results kept in memory (most recently used first to stay).
+RESIDENT_RESULTS = 128
+#: Infrastructure-fault counters an executor may keep (``RunnerStats``).
+FAULT_COUNTERS = ("retried", "requeued", "worker_deaths")
+#: Submissions a ``RunnerStats`` keeps a record of (the latest): a
+#: figure is a few hundred, a long-lived service submits without end.
+RECORDS_KEPT = 10_000
 
 
 def default_workers() -> int:
@@ -57,17 +87,6 @@ def default_workers() -> int:
         return max(1, int(os.environ.get("REPRO_WORKERS", "1")))
     except ValueError:
         return 1
-
-
-def default_executor() -> Optional[str]:
-    """Executor default: ``$REPRO_EXECUTOR`` or ``None`` (auto).
-
-    ``None`` preserves the historical behaviour: a process pool when
-    ``workers > 1`` and more than one job is pending, in-process
-    otherwise.
-    """
-    name = os.environ.get("REPRO_EXECUTOR", "").strip()
-    return name or None
 
 
 def execute_job(spec: JobSpec) -> tuple[Any, float]:
@@ -91,12 +110,12 @@ def execute_job(spec: JobSpec) -> tuple[Any, float]:
 
 @dataclass
 class JobRecord:
-    """Timing/provenance of one resolved job."""
+    """Timing/provenance of one submission."""
 
     label: str
     key: str
     seconds: float
-    source: str  # "run" | "cache" | "memo" | "coalesced"
+    source: str  # one of JOB_SOURCES
 
 
 @dataclass
@@ -107,6 +126,8 @@ class RunnerStats:
     cache_hits: int = 0
     memo_hits: int = 0
     coalesced: int = 0
+    #: Of ``simulated``, the jobs the degrade tier ran in-process.
+    degraded: int = 0
     pool_fallbacks: int = 0
     sim_seconds: float = 0.0
     # Executor-path counters: jobs handed to an executor, redispatches
@@ -116,15 +137,18 @@ class RunnerStats:
     retried: int = 0
     requeued: int = 0
     worker_deaths: int = 0
-    records: list[JobRecord] = field(default_factory=list)
+    records: "deque[JobRecord]" = field(
+        default_factory=lambda: deque(maxlen=RECORDS_KEPT)
+    )
 
     def record(self, spec: JobSpec, seconds: float, source: str) -> None:
         self.records.append(
             JobRecord(label=spec.label, key=spec.key, seconds=seconds, source=source)
         )
-        if source == "run":
+        if source in ("run", "degraded"):
             self.simulated += 1
             self.sim_seconds += seconds
+            self.degraded += source == "degraded"
         elif source == "cache":
             self.cache_hits += 1
         elif source == "coalesced":
@@ -151,6 +175,7 @@ class RunnerStats:
             "cache_hits": self.cache_hits,
             "memo_hits": self.memo_hits,
             "coalesced": self.coalesced,
+            "degraded": self.degraded,
             "pool_fallbacks": self.pool_fallbacks,
             "sim_seconds": self.sim_seconds,
             "dispatched": self.dispatched,
@@ -171,29 +196,64 @@ class RunnerStats:
         return report
 
 
+@dataclass
+class Job:
+    """One logical simulation, however many times it was submitted."""
+
+    id: str
+    spec: JobSpec
+    status: str = "queued"  # one of JOB_STATES
+    error: str = ""
+    source: str = ""  # "run" | "degraded" | "cache", once done
+    seconds: float = 0.0
+    submits: int = 1
+    created: float = field(default_factory=time.time)
+    finished: Optional[float] = None
+
+    def summary(self) -> dict:
+        return {
+            "job_id": self.id,
+            "label": self.spec.label,
+            "app": self.spec.app,
+            "arch": self.spec.arch,
+            "scale": self.spec.scale,
+            "status": self.status,
+            "source": self.source,
+            "seconds": self.seconds,
+            "submits": self.submits,
+            "error": self.error,
+            "created": self.created,
+            "finished": self.finished,
+        }
+
+
 class ExperimentRunner:
-    """Fan-out + memoization front-end for experiment jobs.
+    """The job table: memo → cache → executor → degrade.
 
     Parameters
     ----------
     workers:
-        Process count for fan-out; ``None`` reads ``$REPRO_WORKERS``
-        (default 1 = run in-process, no pool).
+        Process count for the ``pool`` and ``remote`` executors;
+        ``None`` reads ``$REPRO_WORKERS`` (default 1).
     cache:
         A :class:`ResultCache`, or ``None`` for the default directory.
     use_cache:
-        Disable the persistent layer entirely with ``False`` (the
-        in-process memo always stays on). ``None`` honours
-        ``$REPRO_NO_CACHE``.
+        Disable the persistent layer entirely with ``False`` (the table
+        always stays on). ``None`` honours ``$REPRO_NO_CACHE``.
     executor:
         ``"inline" | "pool" | "remote" | "loopback"``, an
-        :class:`~repro.runner.executors.Executor` instance, or ``None``
-        for the historical auto choice (pool iff ``workers > 1`` and
-        more than one job is pending). ``None`` honours
-        ``$REPRO_EXECUTOR``.
+        :class:`~repro.runner.executors.Executor` instance (the runner
+        takes it over), or ``None``: ``pool`` when ``workers > 1``, else
+        ``inline``.
     hosts / worker_command / job_timeout / max_attempts / backoff:
         Remote-executor tuning; see
         :class:`~repro.runner.executors.RemoteExecutor`.
+
+    The runner owns its executor until :meth:`close` (or until it is
+    garbage-collected). ``submit``, ``wait``, ``fetch``, ``fetch_box``,
+    ``job``, ``status``, ``table_stats`` and ``close`` may be called from
+    any thread; ``step`` — and ``run``, ``run_many``, ``result`` and
+    ``stream_timeseries``, which call it — from one thread at a time.
     """
 
     def __init__(
@@ -212,148 +272,320 @@ class ExperimentRunner:
         if use_cache is None:
             use_cache = not os.environ.get("REPRO_NO_CACHE")
         self.cache = (cache or ResultCache()) if use_cache else None
-        self.executor = executor if executor is not None else default_executor()
-        if isinstance(self.executor, str) and self.executor not in EXECUTOR_NAMES:
-            known = ", ".join(EXECUTOR_NAMES)
-            raise ValueError(
-                f"unknown executor {self.executor!r}; known: {known}"
+        if executor is None:
+            executor = "pool" if self.workers > 1 else "inline"
+        if isinstance(executor, str):
+            executor = build_executor(
+                executor,
+                workers=self.workers,
+                hosts=hosts,
+                command=worker_command,
+                job_timeout=job_timeout,
+                max_attempts=max_attempts,
+                backoff=backoff,
             )
-        self.hosts = hosts
-        self.worker_command = worker_command
-        self.job_timeout = job_timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
+        self.executor = executor
         self.stats = RunnerStats()
-        self._memo: dict[str, Any] = {}
+        self.closed = False
+        #: Threads parked in :meth:`wait`.
+        self.waiters = 0
+        self._lock = threading.Lock()
+        self._settled = threading.Condition(self._lock)
+        self._jobs: dict[str, Job] = {}
+        #: Jobs handed to the executor and not settled yet.
+        self._running: dict[str, Job] = {}
+        #: Results of settled jobs, least recently used first (:meth:`_admit`).
+        self._results: "OrderedDict[str, list]" = OrderedDict()
+        #: Why the executor refused a submit; the next step degrades.
+        self._unavailable: Optional[ExecutorUnavailable] = None
+        self._shutdown = weakref.finalize(self, executor.shutdown)
 
-    # -- public API ------------------------------------------------------
+    # -- submission ------------------------------------------------------
+    def submit(self, spec: JobSpec) -> tuple[Job, bool, bool]:
+        """Enter ``spec`` in the table; returns ``(job, coalesced, cached)``.
+
+        A key already in the table shares its job; a new key is read
+        through the cache (settled at once) or handed to the executor.
+        Never waits for a simulation.
+        """
+        key = spec.key
+        with self._lock:
+            job = self._jobs.get(key)
+            if job is not None:
+                return self._join(job), True, job.source == "cache"
+        # The store read runs unlocked (waiters and other submits queue
+        # on ``_lock``); the table is re-checked below, so two racing
+        # submits of one key still share one job.
+        payload = self._read_store(spec)
+        with self._lock:
+            job = self._jobs.get(key)
+            if job is not None:
+                return self._join(job), True, job.source == "cache"
+            if payload is not MISS:
+                job = Job(id=key, spec=spec, status="done", source="cache",
+                          finished=time.time())
+                self._jobs[key] = job
+                self._admit(key, payload)
+                self.stats.record(spec, 0.0, "cache")
+                return job, False, True
+            job = Job(id=key, spec=spec)
+            self._jobs[key] = job
+            self._start(job)
+        self._dispatch(job)
+        return job, False, False
+
+    def _join(self, job: Job) -> Job:
+        """Count another submission of ``job``'s key (``_lock`` held)."""
+        job.submits += 1
+        source = "coalesced" if job.status == "running" else "memo"
+        self.stats.record(job.spec, 0.0, source)
+        return job
+
+    def _start(self, job: Job) -> None:
+        """Mark ``job`` in flight (``_lock`` held); :meth:`_dispatch` next."""
+        job.status = "running"
+        self._running[job.id] = job
+        self.stats.dispatched += 1
+
+    def _dispatch(self, job: Job) -> None:
+        try:
+            self.executor.submit(job.id, job.spec)
+        except ExecutorUnavailable as exc:
+            with self._lock:
+                self._unavailable = exc
+
+    # -- settling --------------------------------------------------------
+    def step(self) -> None:
+        """Advance the executor once and settle what it finished.
+
+        A ``give_up`` outcome, and every job in flight once the executor
+        is unavailable, is run in this process instead (degrade tier).
+        """
+        with self._lock:
+            unavailable, self._unavailable = self._unavailable, None
+        outcomes = []
+        if unavailable is None:
+            try:
+                outcomes = self.executor.poll()
+            except ExecutorUnavailable as exc:
+                unavailable = exc
+        with self._lock:
+            for counter in FAULT_COUNTERS:
+                setattr(self.stats, counter, getattr(self.executor, counter, 0))
+            stranded = list(self._running.values()) if unavailable is not None else []
+            self.stats.pool_fallbacks += bool(stranded)
+        if stranded:
+            warnings.warn(
+                f"{self.executor.name} executor unavailable ({unavailable}); "
+                "finishing jobs in-process",
+                RuntimeWarning,
+            )
+        for job in stranded:
+            self._settle(run_job(job.id, job.spec), "degraded")
+        for outcome in outcomes:
+            source = "run"
+            if outcome.give_up:
+                with self._lock:
+                    job = self._running.get(outcome.key)
+                if job is None:
+                    continue  # the degrade tier settled it already
+                warnings.warn(
+                    f"{job.spec.label}: {self.executor.name} execution gave up "
+                    f"({outcome.error}); running in-process",
+                    RuntimeWarning,
+                )
+                outcome, source = run_job(job.id, job.spec), "degraded"
+            self._settle(outcome, source)
+
+    def _settle(self, outcome: JobOutcome, source: str) -> None:
+        """Record one finished job and wake its waiters; then, unlocked,
+        store the result unless a worker already did."""
+        with self._lock:
+            job = self._running.pop(outcome.key, None)
+            if job is None:
+                return  # the degrade tier settled it first
+            job.finished = time.time()
+            if outcome.ok:
+                job.status, job.source, job.seconds = "done", source, outcome.seconds
+                self._admit(job.id, outcome.payload)
+                self.stats.record(job.spec, outcome.seconds, source)
+            else:
+                job.status, job.error = "failed", outcome.error
+            self._settled.notify_all()
+        if outcome.ok and self.cache is not None:
+            key = self.cache.key_for(job.spec)
+            try:
+                if not self.cache.path_for(key).exists():
+                    self.cache.put(key, outcome.payload)
+            except Exception as exc:  # a write failure only costs a re-simulation
+                warnings.warn(f"result cache write failed: {exc}", RuntimeWarning)
+
+    # -- results ---------------------------------------------------------
+    def _read_store(self, spec: JobSpec) -> Any:
+        """``spec``'s result through the cache, or :data:`MISS` (disk
+        I/O and unpickling: never call with ``_lock`` held)."""
+        if self.cache is None:
+            return MISS
+        return self.cache.get(self.cache.key_for(spec))
+
+    def _admit(self, key: str, payload: Any) -> None:
+        """Make ``payload`` the most recently used result (``_lock``
+        held). An entry is ``[payload, None]``, or ``[None, box]`` once
+        :meth:`fetch_box` has encoded it. Without a store nothing can be
+        re-read, so nothing is evicted."""
+        self._results[key] = [payload, None]
+        self._results.move_to_end(key)
+        while self.cache is not None and len(self._results) > RESIDENT_RESULTS:
+            self._results.popitem(last=False)
+
+    def fetch(self, job_id: str) -> Any:
+        """A done job's result, or :data:`MISS` while it is not done —
+        or was evicted and the store lost it too: it is then running
+        again. Never waits."""
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None or job.status != "done":
+                return MISS
+            entry = self._results.get(job_id)
+            if entry is not None:
+                self._results.move_to_end(job_id)
+                payload, box = entry
+        if entry is not None:
+            return payload if box is None else _unpack(box)
+        payload = self._read_store(job.spec)
+        with self._lock:
+            if payload is not MISS:
+                self._admit(job_id, payload)
+                return payload
+            rerun = job.status == "done" and job_id not in self._results
+            if rerun:
+                self._start(job)
+        if not rerun:
+            return self.fetch(job_id)  # a concurrent fetch got here first
+        self._dispatch(job)
+        return MISS
+
+    def fetch_box(self, job_id: str) -> Optional[dict]:
+        """:meth:`fetch`'s result as the wire protocol's digest-protected
+        box, or ``None``. Encoded once, never with ``_lock`` held; the
+        resident entry then keeps only the box, which is all the HTTP
+        side serves (:meth:`fetch` decodes it on demand)."""
+        with self._lock:
+            entry = self._results.get(job_id)
+            if entry is not None and entry[1] is not None:
+                self._results.move_to_end(job_id)
+                return entry[1]
+        payload = self.fetch(job_id)
+        if payload is MISS:
+            return None
+        box = _pack(payload)
+        with self._lock:
+            entry = self._results.get(job_id)
+            if entry is not None:
+                entry[:] = [None, box]
+        return box
+
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:
+        """Block until ``job_id`` settles (done/failed), the timeout
+        elapses or the runner closes; never drives the executor."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            self.waiters += 1
+            try:
+                while True:
+                    job = self._jobs.get(job_id)
+                    if job is None or job.status in ("done", "failed"):
+                        return job
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if self.closed or (remaining is not None and remaining <= 0):
+                        return job
+                    self._settled.wait(timeout=remaining)
+            finally:
+                self.waiters -= 1
+
+    def result(self, job_id: str, timeout: Optional[float] = None) -> Any:
+        """Drive the table until ``job_id`` settles; returns its result.
+
+        Raises :class:`RemoteJobError` when the simulation failed, and
+        ``TimeoutError`` when ``timeout`` elapses first (checked between
+        steps).
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            payload = self.fetch(job_id)
+            if payload is not MISS:
+                return payload
+            with self._lock:
+                job, closed = self._jobs.get(job_id), self.closed
+            if job is None:
+                raise KeyError(f"unknown job {job_id!r}")
+            if job.status == "failed":
+                raise RemoteJobError(
+                    f"{job.spec.label} failed on the {self.executor.name} executor:\n"
+                    f"{job.error}"
+                )
+            if closed:  # the executor is gone: nothing will settle it
+                raise RuntimeError(f"runner closed before job {job_id[:12]} settled")
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"job {job_id[:12]} still {job.status!r} after {timeout}s")
+            self.step()
+
     def run(self, spec: JobSpec) -> Any:
         return self.run_many([spec])[0]
 
     def run_many(self, specs: Sequence[JobSpec]) -> list[Any]:
-        """Resolve every spec, exploiting memo, cache and parallelism.
+        """Submit every spec, then drive the table until each has
+        settled; results come back in input order.
 
-        Duplicate specs are coalesced; results come back in input
-        order. Repeated calls with a spec return the *same object*
-        (in-process memo), preserving the old context's identity
-        semantics. Every input spec gets exactly one
-        :class:`JobRecord` — duplicates coalesced within one batch are
-        recorded with source ``"coalesced"``.
+        Every input spec gets exactly one :class:`JobRecord`, and
+        repeated specs share one job: the *same object* comes back for
+        each (while it stays resident).
         """
-        specs = list(specs)
-        pending: dict[str, JobSpec] = {}
-        for spec in specs:
-            key = spec.key
-            if key in self._memo:
-                self.stats.record(spec, 0.0, "memo")
-            elif key in pending:
-                self.stats.record(spec, 0.0, "coalesced")
-            elif not self._load_cached(spec, key):
-                pending[key] = spec
-        if pending:
-            self._execute(pending)
-        return [self._memo[spec.key] for spec in specs]
+        jobs = [self.submit(spec)[0] for spec in specs]
+        return [self.result(job.id) for job in jobs]
 
-    # -- internals -------------------------------------------------------
-    def _load_cached(self, spec: JobSpec, key: str) -> bool:
-        if self.cache is None:
-            return False
-        payload = self.cache.get(self.cache.key_for(spec))
-        if payload is MISS:
-            return False
-        self._memo[key] = payload
-        self.stats.record(spec, 0.0, "cache")
-        return True
+    def stream_timeseries(
+        self, job_id: str, sm: int = 0, poll: float = 0.1, timeout: Optional[float] = None
+    ) -> Iterator[dict]:
+        """Per-window rows of a ``timeseries=True`` job once it has
+        settled (``poll`` is :class:`~repro.service.ServiceClient`'s;
+        this table drives itself)."""
+        series = self.result(job_id, timeout).timeseries
+        yield from series[sm] if series else ()
 
-    def _store(self, spec: JobSpec, key: str, payload: Any, seconds: float) -> None:
-        self._memo[key] = payload
-        self.stats.record(spec, seconds, "run")
-        if self.cache is not None:
-            try:
-                self.cache.put(self.cache.key_for(spec), payload)
-            except Exception as exc:  # cache write failure is never fatal
-                warnings.warn(f"result cache write failed: {exc}", RuntimeWarning)
+    # -- queries ---------------------------------------------------------
+    def job(self, job_id: str) -> Optional[Job]:
+        with self._lock:
+            return self._jobs.get(job_id)
 
-    def _make_executor(self, n_pending: int) -> Optional[Executor]:
-        """Build the executor for this batch; ``None`` means inline.
+    def status(self, job_id: str) -> dict:
+        """The job's status document (:meth:`Job.summary`)."""
+        with self._lock:
+            return self._jobs[job_id].summary()
 
-        The auto choice (``executor=None``) reproduces the historical
-        engine exactly: a process pool only when it can actually help.
-        """
-        choice = self.executor
-        if choice is None:
-            if self.workers > 1 and n_pending > 1:
-                choice = "pool"
-            else:
-                return None
-        if not isinstance(choice, str):
-            return choice  # a pre-built Executor instance
-        if choice == "inline":
-            return None
-        return build_executor(
-            choice,
-            workers=self.workers,
-            hosts=self.hosts,
-            command=self.worker_command,
-            job_timeout=self.job_timeout,
-            max_attempts=self.max_attempts,
-            backoff=self.backoff,
-            stats=self.stats,
+    def table_stats(self) -> dict:
+        """Jobs per state, submissions, parked waiters and resident
+        results (the service's ``/v1/fleet`` report is built on it)."""
+        with self._lock:
+            jobs = list(self._jobs.values())
+            report = {
+                "degraded": self.stats.degraded,
+                "waiters": self.waiters,
+                "resident_results": len(self._results),
+            }
+        counts = dict.fromkeys(JOB_STATES, 0)
+        submits = 0
+        for job in jobs:
+            counts[job.status] += 1
+            submits += job.submits
+        report.update(
+            jobs=counts, submits=submits, unique_jobs=len(jobs), coalesced=submits - len(jobs)
         )
+        return report
 
-    def _execute(self, pending: dict[str, JobSpec]) -> None:
-        executor = self._make_executor(len(pending))
-        remaining = pending if executor is None else self._drive(executor, pending)
-        for key, spec in remaining.items():
-            payload, seconds = execute_job(spec)
-            self._store(spec, key, payload, seconds)
-
-    def _drive(
-        self, executor: Executor, pending: dict[str, JobSpec]
-    ) -> dict[str, JobSpec]:
-        """Run pending jobs through an executor.
-
-        Returns the jobs that still need in-process execution: all of
-        them when the executor infrastructure is unavailable, the
-        retry-exhausted stragglers otherwise. Job-level simulation
-        errors propagate (as :class:`RemoteJobError` when the failure
-        happened on the other side of the wire).
-        """
-        remaining = dict(pending)
-        name = getattr(executor, "name", type(executor).__name__)
-        try:
-            try:
-                for key, spec in pending.items():
-                    executor.submit(key, spec)
-                    self.stats.dispatched += 1
-                finished = 0
-                while finished < len(pending):
-                    for outcome in executor.poll():
-                        finished += 1
-                        spec = pending[outcome.key]
-                        if outcome.ok:
-                            self._store(
-                                spec, outcome.key, outcome.payload, outcome.seconds
-                            )
-                            del remaining[outcome.key]
-                        elif outcome.give_up:
-                            warnings.warn(
-                                f"{spec.label}: {name} execution gave up "
-                                f"({outcome.error}); running in-process",
-                                RuntimeWarning,
-                            )
-                        else:
-                            raise RemoteJobError(
-                                f"{spec.label} failed on the {name} executor:\n"
-                                f"{outcome.error}"
-                            )
-            except ExecutorUnavailable as exc:
-                self.stats.pool_fallbacks += 1
-                warnings.warn(
-                    f"{name} executor unavailable ({exc}); "
-                    "finishing jobs in-process",
-                    RuntimeWarning,
-                )
-        finally:
-            executor.shutdown()
-        return remaining
+    def close(self) -> None:
+        """Release every waiter and shut the executor down; idempotent."""
+        with self._lock:
+            self.closed = True
+            self._settled.notify_all()
+        self._shutdown()

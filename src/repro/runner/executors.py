@@ -1,8 +1,9 @@
 """Pluggable job executors: *where* a simulation runs.
 
-The engine resolves every :class:`~repro.runner.spec.JobSpec` through
-its memo and the persistent cache; whatever survives is handed to an
-**executor** behind a three-method protocol:
+The job table (:class:`~repro.runner.engine.ExperimentRunner`) resolves
+every :class:`~repro.runner.spec.JobSpec` through itself and the
+persistent cache; whatever survives is handed to the one **executor**
+it owns, behind a three-method protocol:
 
 * ``submit(key, spec)`` — enqueue one job,
 * ``poll()``            — block until progress, return finished
@@ -10,12 +11,17 @@ its memo and the persistent cache; whatever survives is handed to an
   internal state such as a respawn),
 * ``shutdown()``        — release workers/pools; idempotent.
 
+An executor may also count its infrastructure faults as ``retried``,
+``requeued`` and ``worker_deaths`` attributes; the engine reports them
+in :class:`~repro.runner.engine.RunnerStats`. Only ``RemoteExecutor``
+takes ``submit`` from any thread; the others are driven from one.
+
 Four implementations cover the deployment spectrum:
 
 =================  ========================================================
 ``InlineExecutor``   runs jobs on ``poll()`` in the calling process — the
                      zero-infrastructure reference semantics.
-``PoolExecutor``     the historical ``ProcessPoolExecutor`` fan-out.
+``PoolExecutor``     a ``ProcessPoolExecutor`` fan-out.
 ``LoopbackExecutor`` round-trips every spec through the full wire
                      protocol (encode → decode → execute → encode →
                      decode) *in-process*: every byte that would cross a
@@ -32,8 +38,9 @@ Four implementations cover the deployment spectrum:
 Failure semantics are uniform and deliberate:
 
 * a **simulation error** (the job itself raised) is final — it comes
-  back as ``JobOutcome(ok=False, error=...)`` and the engine re-raises,
-  because deterministic failures do not heal on retry;
+  back as ``JobOutcome(ok=False, error=...)`` on every executor and the
+  engine raises :class:`RemoteJobError`, because deterministic failures
+  do not heal on retry;
 * an **infrastructure fault** (worker death, response timeout, a
   corrupted wire line) requeues the job with bounded retries and
   linear backoff; a job that exhausts its attempts is returned with
@@ -41,12 +48,12 @@ Failure semantics are uniform and deliberate:
 * a **dead executor** (nothing can run at all: unlaunchable command,
   launch budget spent with no worker left, broken pool) raises
   :class:`ExecutorUnavailable` and the engine degrades to in-process
-  execution for everything still pending — the same graceful path the
-  pool has always had.
+  execution for everything still pending.
 """
 
 from __future__ import annotations
 
+import traceback
 from collections import deque
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
@@ -76,7 +83,7 @@ class ExecutorUnavailable(RuntimeError):
 
 
 class RemoteJobError(RuntimeError):
-    """A job raised inside a worker; carries the remote traceback."""
+    """A job raised wherever it ran; carries that side's traceback."""
 
 
 @runtime_checkable
@@ -90,6 +97,17 @@ class Executor(Protocol):
     def poll(self) -> "list[JobOutcome]": ...
 
     def shutdown(self) -> None: ...
+
+
+def run_job(key: str, spec: JobSpec) -> JobOutcome:
+    """Run one job in this process; a simulation error is a failed outcome."""
+    from repro.runner.engine import execute_job
+
+    try:
+        payload, seconds = execute_job(spec)
+    except Exception:
+        return JobOutcome(key=key, ok=False, error=traceback.format_exc())
+    return JobOutcome(key=key, ok=True, payload=payload, seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +125,9 @@ class InlineExecutor:
         self._queue.append((key, spec))
 
     def poll(self) -> list[JobOutcome]:
-        from repro.runner.engine import execute_job
-
         if not self._queue:
             return []
-        key, spec = self._queue.popleft()
-        payload, seconds = execute_job(spec)
-        return [JobOutcome(key=key, ok=True, payload=payload, seconds=seconds)]
+        return [run_job(*self._queue.popleft())]
 
     def shutdown(self) -> None:
         self._queue.clear()
@@ -127,8 +141,8 @@ class PoolExecutor:
 
     Pool-infrastructure failures (broken pool, sandboxed semaphores,
     unpicklable payloads, fork unavailable) surface as
-    :class:`ExecutorUnavailable`; job-level simulation errors propagate
-    unchanged, exactly as the engine's historical pool path did.
+    :class:`ExecutorUnavailable`; any other exception is the job's own
+    and comes back as a failed outcome.
     """
 
     name = "pool"
@@ -174,8 +188,12 @@ class PoolExecutor:
                 payload, seconds = future.result()
             except cf.process.BrokenProcessPool as exc:
                 raise ExecutorUnavailable(f"process pool died: {exc}")
-            except (OSError, ValueError, ImportError, pickle.PicklingError) as exc:
+            except (OSError, ImportError, pickle.PicklingError) as exc:
                 raise ExecutorUnavailable(f"process pool unusable: {exc}")
+            except Exception as exc:
+                error = "".join(traceback.format_exception(exc))
+                outcomes.append(JobOutcome(key=key, ok=False, error=error))
+                continue
             outcomes.append(
                 JobOutcome(key=key, ok=True, payload=payload, seconds=seconds)
             )
@@ -206,15 +224,15 @@ class LoopbackExecutor:
 
     def __init__(
         self,
-        stats=None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         mutate_job: Optional[Callable[[str], str]] = None,
         mutate_result: Optional[Callable[[str], str]] = None,
     ) -> None:
-        self.stats = stats
         self.max_attempts = max(1, max_attempts)
         self.mutate_job = mutate_job
         self.mutate_result = mutate_result
+        self.retried = 0
+        self.requeued = 0
         self._queue: deque[tuple[str, JobSpec]] = deque()
 
     def submit(self, key: str, spec: JobSpec) -> None:
@@ -252,9 +270,8 @@ class LoopbackExecutor:
             try:
                 return [self._round_trip(key, spec)]
             except WireError:
-                if self.stats is not None:
-                    self.stats.requeued += 1
-                    self.stats.retried += attempt < self.max_attempts
+                self.requeued += 1
+                self.retried += attempt < self.max_attempts
         return [JobOutcome(key=key, ok=False, give_up=True,
                            error="wire corruption persisted across retries")]
 
@@ -265,10 +282,6 @@ class LoopbackExecutor:
 # ---------------------------------------------------------------------------
 # Remote (subprocess-per-host)
 # ---------------------------------------------------------------------------
-#: Fleet health counters a :class:`RemoteExecutor` mirrors into its stats.
-_FLEET_COUNTERS = ("retried", "requeued", "worker_deaths")
-
-
 class RemoteExecutor:
     """Ship jobs to worker subprocesses: the synchronous driver of a
     :class:`~repro.runner.fleet.WorkerFleet`, one ``step()`` per ``poll()``.
@@ -280,12 +293,13 @@ class RemoteExecutor:
         ``None`` runs ``workers`` local workers.
     command / job_timeout / max_attempts / backoff:
         See :class:`~repro.runner.fleet.WorkerFleet`.
-    stats:
-        A :class:`~repro.runner.engine.RunnerStats` that receives the
-        fleet's ``retried`` / ``requeued`` / ``worker_deaths``.
     """
 
     name = "remote"
+
+    retried = property(lambda self: self.fleet.retried)
+    requeued = property(lambda self: self.fleet.requeued)
+    worker_deaths = property(lambda self: self.fleet.worker_deaths)
 
     def __init__(
         self,
@@ -295,7 +309,6 @@ class RemoteExecutor:
         job_timeout: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff: float = DEFAULT_BACKOFF,
-        stats=None,
     ) -> None:
         self.fleet = WorkerFleet(
             hosts=hosts or ["local"] * max(1, workers),
@@ -304,9 +317,6 @@ class RemoteExecutor:
             max_attempts=max_attempts,
             backoff=backoff,
         )
-        self.stats = stats
-        #: ``stats``' counters before this fleet added anything to them.
-        self._before = {name: getattr(stats, name, 0) for name in _FLEET_COUNTERS}
 
     def submit(self, key: str, spec: JobSpec) -> None:
         if self.fleet.closed:
@@ -315,9 +325,6 @@ class RemoteExecutor:
 
     def poll(self) -> list[JobOutcome]:
         outcomes = self.fleet.step()
-        if self.stats is not None:
-            for name, before in self._before.items():
-                setattr(self.stats, name, before + getattr(self.fleet, name))
         if self.fleet.exhausted:
             raise ExecutorUnavailable(
                 f"no worker could be started from template "
@@ -341,7 +348,6 @@ def build_executor(
     job_timeout: Optional[float] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff: float = DEFAULT_BACKOFF,
-    stats=None,
 ) -> Executor:
     """Construct a named executor with the engine's tuning knobs."""
     if name == "inline":
@@ -349,7 +355,7 @@ def build_executor(
     if name == "pool":
         return PoolExecutor(workers=workers)
     if name == "loopback":
-        return LoopbackExecutor(stats=stats, max_attempts=max_attempts)
+        return LoopbackExecutor(max_attempts=max_attempts)
     if name == "remote":
         return RemoteExecutor(
             hosts=hosts,
@@ -358,7 +364,6 @@ def build_executor(
             job_timeout=job_timeout,
             max_attempts=max_attempts,
             backoff=backoff,
-            stats=stats,
         )
     known = ", ".join(EXECUTOR_NAMES)
     raise ValueError(f"unknown executor {name!r}; known: {known}")

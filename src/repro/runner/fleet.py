@@ -4,15 +4,13 @@
 subprocesses over the wire protocol of :mod:`repro.runner.wire`: the
 worker table, the backlog, launching, the per-worker reader threads,
 hello and result handling, recycling, requeue with backoff, and
-deadlines. It starts no thread that makes decisions; whoever owns the
-fleet *drives* it by calling :meth:`WorkerFleet.step` in a loop, and
-there are exactly two drivers:
-
-* :class:`~repro.runner.executors.RemoteExecutor` — synchronous: the
-  engine's ``poll()`` is one ``step()``;
-* :class:`~repro.service.coordinator.Coordinator` — threaded: one
-  ``fleet-dispatch`` thread loops ``step()`` while HTTP handler threads
-  call :meth:`~WorkerFleet.submit` and :meth:`~WorkerFleet.stats`.
+deadlines. It starts no thread that makes decisions; its one driver,
+:class:`~repro.runner.executors.RemoteExecutor`, calls
+:meth:`WorkerFleet.step` once per ``poll()``. The job table above it is
+stepped by whoever asks a batch for its results, or — in the service —
+by the coordinator's ``fleet-dispatch`` thread, while HTTP handler
+threads reach :meth:`~WorkerFleet.submit` and read
+:meth:`~WorkerFleet.stats`.
 
 One policy, with no option selecting between variants:
 
@@ -35,7 +33,7 @@ deadlines          ``job_timeout`` bounds a dispatched job and, equally,
 
 A remote *simulation* error is final: it comes back as a failed
 outcome, never retried. A ``give_up`` outcome asks the owner to run the
-job in-process (the engine's fallback, the coordinator's degrade tier).
+job in-process (the job table's degrade tier).
 """
 
 from __future__ import annotations

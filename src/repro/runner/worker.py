@@ -19,9 +19,9 @@ Error containment mirrors the engine's contract:
 * stdout carries protocol lines *only*; diagnostics go to stderr.
 
 With ``--cache-dir`` the worker reads and writes the persistent result
-cache itself (read-through: a hit skips the simulation entirely). On a
-shared filesystem pass ``--shared-cache`` so concurrent writers on
-different hosts serialize through the advisory-lock backend.
+cache itself (read-through: a hit skips the simulation entirely); the
+directory may be shared by workers on different hosts, whose writes
+serialize through the cache's per-key advisory lock.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import sys
 import traceback
 from typing import IO, Optional
 
-from repro.runner.cache import MISS, ResultCache, SharedDirectoryBackend
+from repro.runner.cache import MISS, ResultCache
 from repro.runner.wire import (
     WireError,
     decode_job,
@@ -104,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="read-through persistent result cache directory",
     )
     parser.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="use the advisory-lock cache backend (safe for concurrent "
-        "writers on a network filesystem)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="log served jobs to stderr"
     )
     return parser
@@ -117,22 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    cache = None
-    if args.cache_dir:
-        backend = (
-            SharedDirectoryBackend(args.cache_dir)
-            if args.shared_cache
-            else None
-        )
-        cache = (
-            ResultCache(backend=backend)
-            if backend is not None
-            else ResultCache(args.cache_dir)
-        )
     return serve(
         sys.stdin,
         sys.stdout,
-        cache=cache,
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         stderr=sys.stderr if args.verbose else None,
     )
 

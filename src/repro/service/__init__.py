@@ -1,20 +1,20 @@
 """repro.service — simulation-as-a-service over HTTP/JSON.
 
-A long-lived :class:`Coordinator` drives a
-:class:`~repro.runner.fleet.WorkerFleet` of persistent ``python -m
-repro worker`` processes (the batch engine's fleet, kept warm) and a
-shared read-through result store, and serves versioned JSON
-``JobSpec`` documents over a stdlib ``ThreadingHTTPServer``. Start one
-with ``python -m repro serve``;
-talk to it with ``repro.api.Session.connect(url)``, ``python -m repro
-submit``, or plain ``curl``.
+A long-lived :class:`Coordinator` is the batch engine's job table
+(:class:`~repro.runner.engine.ExperimentRunner`) over a warm fleet of
+persistent ``python -m repro worker`` processes and a shared
+read-through result store, driven by one thread and serving versioned
+JSON ``JobSpec`` documents over a stdlib ``ThreadingHTTPServer``.
+Start one with ``python -m repro serve``; talk to it with
+``repro.api.Session.connect(url)``, ``python -m repro submit``, or
+plain ``curl``.
 """
 
+from repro.runner.engine import Job
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coordinator import (
     DEFAULT_PORT,
     Coordinator,
-    Job,
     ServiceHandler,
     ServiceServer,
     serve,

@@ -118,6 +118,15 @@ class ServiceClient:
         self._raise_for(status, doc)
         return doc
 
+    #: The service's ``/v1/fleet`` report, fetched on every read.
+    stats = property(fleet)
+
+    def close(self) -> None:
+        """Close the calling thread's kept-alive connection, if any."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
     def submit(self, spec: JobSpec) -> dict:
         """POST one spec; returns ``{job_id, status, cached, coalesced}``."""
         status, doc = self._request("POST", "/v1/jobs", encode_jobspec(spec))

@@ -4,7 +4,9 @@
 counters and ``last_error`` mutated by the dispatcher with no lock and
 read by the stats endpoint, the worker table touched lock-free from
 some entry points but guarded from others, an ABBA deadlock between
-the book-keeping and I/O locks, and blocking calls (``time.sleep``,
+the book-keeping and I/O locks (nested), another between the
+book-keeping and stats locks (one side a single ``with a, b:``
+statement), and blocking calls (``time.sleep``,
 ``subprocess.Popen``) executed while holding the lock.
 """
 
@@ -19,6 +21,7 @@ class MiniFleet:
     def __init__(self):
         self._lock = threading.Lock()
         self._io_lock = threading.Lock()
+        self._stats_lock = threading.Lock()
         self._workers = {}
         self.completed = 0
         self.last_error = ""
@@ -53,3 +56,12 @@ class MiniFleet:
         with self._io_lock:
             with self._lock:  # lock-order: ... but _io_lock -> _lock here (ABBA)
                 return subprocess.Popen(argv)  # lock-held-blocking: fork under locks
+
+    def snapshot(self):
+        with self._lock, self._stats_lock:  # lock-order: _lock -> _stats_lock in one statement ...
+            return len(self._workers)
+
+    def publish(self):
+        with self._stats_lock:
+            with self._lock:  # lock-order: ... but _stats_lock -> _lock here (ABBA)
+                return len(self._workers)

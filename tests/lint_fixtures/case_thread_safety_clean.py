@@ -1,6 +1,7 @@
 """Behaviour-equivalent twin of ``case_thread_safety_bad.py`` with the
-lock discipline the pass demands: one lock, every shared field guarded,
-a single global acquisition order, and all blocking work (pipe I/O,
+lock discipline the pass demands: every shared field guarded by one
+lock, a single global acquisition order whether the locks are taken in
+one ``with a, b:`` statement or nested, and all blocking work (pipe I/O,
 process spawning) outside the lock region. Must lint clean."""
 
 import subprocess
@@ -10,6 +11,7 @@ import threading
 class MiniFleet:
     def __init__(self):
         self._lock = threading.Lock()
+        self._stats_lock = threading.Lock()
         self._workers = {}
         self.completed = 0
         self.last_error = ""
@@ -49,3 +51,12 @@ class MiniFleet:
         with self._lock:
             self._workers[wid] = proc
         return proc
+
+    def snapshot(self):
+        with self._lock, self._stats_lock:  # one statement, the one global order
+            return len(self._workers)
+
+    def publish(self):
+        with self._lock:
+            with self._stats_lock:  # nested, the same order
+                return len(self._workers)

@@ -1,25 +1,30 @@
-"""Tests for the ``repro.api`` Session facade (local transport) and the
-consolidated :class:`~repro.options.RunOptions`.
+"""Tests for the ``repro.api`` Session facade and the consolidated
+:class:`~repro.options.RunOptions`.
 
-The remote transport (``Session.connect``) is exercised end-to-end in
-``tests/test_service.py`` against a live coordinator; everything here
-runs in-process, pinning the facade's contract: spec identity is
-preserved exactly (options or legacy kwargs, facade or engine — same
-content hash, same cache entries), and handles behave the same way
-they do over HTTP.
+Most of this runs in-process, pinning the facade's contract: spec
+identity is preserved exactly (options or legacy kwargs, facade or
+engine — same content hash, same cache entries). ``TestTransportParity``
+then runs one set of assertions over every transport — ``Session.local``
+on the ``inline``, ``loopback`` and ``remote`` executors and
+``Session.connect`` against a live coordinator — so a handle behaves
+the same wherever its job ran. The HTTP layer itself is exercised in
+``tests/test_service.py``.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from golden import fingerprint_value  # noqa: E402
 from repro.api import JobHandle, Session, run_many_results  # noqa: E402
 from repro.config import scaled_config  # noqa: E402
 from repro.gpu import run_kernel  # noqa: E402
 from repro.options import RUN_OPTION_FIELDS, RunOptions  # noqa: E402
-from repro.runner import JobSpec  # noqa: E402
+from repro.runner import JOB_SOURCES, JOB_STATES, JobSpec, RemoteJobError, execute_job  # noqa: E402
+from repro.service import serve  # noqa: E402
 from repro.workloads import kernel_for  # noqa: E402
 
 CFG = scaled_config(num_sms=1, window_cycles=600)
@@ -97,8 +102,8 @@ class TestSessionLocal:
     def test_run_returns_handle_with_result(self, session):
         handle = session.run("S2", "baseline")
         assert isinstance(handle, JobHandle)
-        assert handle.status() == "done"
         assert handle.result().instructions > 0
+        assert handle.status() == "done"
 
     def test_results_are_memo_shared(self, session):
         first = session.run("S2", "baseline").result()
@@ -163,3 +168,99 @@ class TestSessionLocal:
         s = Session.local(workers=1, config=CFG, scale=TINY)
         s.close()
         s.close()
+
+
+# ---------------------------------------------------------------------------
+# Transport parity: the same assertions over every transport
+# ---------------------------------------------------------------------------
+TRANSPORTS = ("inline", "loopback", "remote", "http")
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A live coordinator (one worker) for the ``http`` transport."""
+    server = serve(
+        host="127.0.0.1", port=0, workers=1,
+        cache_dir=str(tmp_path_factory.mktemp("parity-cache")),
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    server.coordinator.shutdown()
+    thread.join(timeout=10)
+
+
+@pytest.fixture(params=TRANSPORTS)
+def any_session(request):
+    if request.param == "http":
+        session = Session.connect(request.getfixturevalue("served"), config=CFG, scale=TINY)
+    else:
+        session = Session.local(
+            workers=1, executor=request.param, use_cache=False, config=CFG, scale=TINY
+        )
+    with session:
+        yield session
+
+
+def source_of(session, handle):
+    return session._transport.status(handle.job_id)["source"]
+
+
+class TestTransportParity:
+    def test_handle_verbs_behave_the_same(self, any_session):
+        handle = any_session.trace("S2", "linebacker")
+        assert handle.job_id == handle.spec.key  # identity is content
+        assert handle.status() in JOB_STATES
+        result = handle.result(timeout=120)
+        assert handle.status() == "done"
+        rows = list(handle.stream_timeseries(timeout=120))
+        assert rows and all("ipc" in row for row in rows)
+        assert rows == list(result.timeseries[0])
+        plain = any_session.run("S2", "baseline")
+        with pytest.raises(ValueError, match="timeseries"):
+            plain.stream_timeseries()
+
+    def test_simulation_error_surfaces_from_result(self, any_session):
+        handle = any_session.run("S2", "baseline", max_concurrent_ctas=-3)
+        assert handle.status() in JOB_STATES
+        with pytest.raises(RemoteJobError, match="CTA limit"):
+            handle.result(timeout=120)
+        assert handle.status() == "failed"
+
+    def test_sources_come_from_the_one_tuple(self, any_session):
+        spec = any_session.spec("LI", "baseline")
+        first, again = any_session.run_many([spec, spec])
+        assert first.result(timeout=120).instructions == again.result(timeout=120).instructions
+        assert source_of(any_session, first) in JOB_SOURCES
+        if isinstance(any_session.stats, dict):  # the service's /v1/fleet report
+            assert any_session.stats["coalesced"] >= 1
+        else:
+            records = [r for r in any_session.stats.records if r.key == spec.key]
+            assert [r.source for r in records] == ["coalesced", "run"]
+
+    def test_result_fingerprints_equal_across_transports(self, any_session):
+        spec = any_session.spec("KM", "linebacker")
+        served = any_session.submit(spec).result(timeout=120)
+        here, _ = execute_job(spec)
+        assert fingerprint_value("linebacker", served) == fingerprint_value("linebacker", here)
+
+
+def test_local_remote_session_serves_successive_runs_from_one_fleet(tmp_path):
+    launches = tmp_path / "launches"
+    shim = tmp_path / "counting_worker.py"
+    shim.write_text(
+        f"open({str(launches)!r}, 'a').write('x\\n')\n"
+        "import sys\n"
+        "from repro.runner.worker import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    with Session.local(
+        workers=1, executor="remote", use_cache=False,
+        worker_command=f"{{python}} -u {shim}", config=CFG, scale=TINY,
+    ) as session:
+        first = session.run("S2", "baseline").result(timeout=120)
+        second = session.run("LI", "baseline").result(timeout=120)
+    assert first.instructions > 0 and second.instructions > 0
+    assert launches.read_text().split() == ["x"]  # one boot, two jobs

@@ -1,7 +1,7 @@
 """Distributed-execution tests: the wire protocol, the four executors,
 fault injection (dead/hung/corrupting workers, flaky cache backends),
-the shared cache backend under concurrent writers, and cross-process
-key stability.
+the cache backend under concurrent writers, and cross-process key
+stability.
 
 Every scenario here must end in one of exactly two states: the sweep
 completes with results bit-identical to in-process execution, or a
@@ -39,7 +39,6 @@ from repro.runner import (  # noqa: E402
     RemoteJobError,
     ResultCache,
     RunnerStats,
-    SharedDirectoryBackend,
     WireError,
 )
 from repro.runner.fleet import worker_env  # noqa: E402
@@ -251,19 +250,17 @@ class TestLoopbackExecutor:
     @pytest.mark.parametrize("hook", ["mutate_job", "mutate_result"])
     @pytest.mark.parametrize("kind", ["truncate", "flip"])
     def test_single_corruption_is_retried(self, hook, kind, inline_results):
-        runner = ExperimentRunner(use_cache=False)
-        executor = LoopbackExecutor(
-            stats=runner.stats, **{hook: corrupt_once(kind)}
+        runner = ExperimentRunner(
+            use_cache=False, executor=LoopbackExecutor(**{hook: corrupt_once(kind)})
         )
-        runner.executor = executor
         assert_matches_inline(runner.run_many(SPECS), inline_results)
         assert runner.stats.retried >= 1
         assert runner.stats.requeued >= 1
 
     def test_persistent_corruption_degrades_in_process(self, inline_results):
-        runner = ExperimentRunner(use_cache=False)
-        runner.executor = LoopbackExecutor(
-            stats=runner.stats, mutate_result=corrupt_always("truncate")
+        runner = ExperimentRunner(
+            use_cache=False,
+            executor=LoopbackExecutor(mutate_result=corrupt_always("truncate")),
         )
         with pytest.warns(RuntimeWarning, match="gave up"):
             results = runner.run_many(SPECS)
@@ -291,8 +288,21 @@ class TestPoolExecutor:
     def test_auto_choice_still_uses_pool(self, inline_results):
         """executor=None + workers>1 keeps the historical pool path."""
         runner = ExperimentRunner(workers=2, use_cache=False, executor=None)
-        runner.executor = None  # force auto even under $REPRO_EXECUTOR
         assert_matches_inline(runner.run_many(SPECS), inline_results)
+
+    def test_unusable_pool_degrades(self, inline_results, monkeypatch):
+        import concurrent.futures as cf
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores in this sandbox")
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", refuse)
+        runner = ExperimentRunner(workers=2, use_cache=False, executor="pool")
+        with pytest.warns(RuntimeWarning, match="unavailable"):
+            results = runner.run_many(SPECS)
+        assert_matches_inline(results, inline_results)
+        assert runner.stats.pool_fallbacks == 1
+        assert runner.stats.degraded == len(SPECS)
 
     def test_unknown_executor_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -403,7 +413,7 @@ class TestRemoteExecutor:
 # ---------------------------------------------------------------------------
 class TestSharedCacheBackend:
     def shared_cache(self, tmp_path) -> ResultCache:
-        return ResultCache(backend=SharedDirectoryBackend(tmp_path / "cache"))
+        return ResultCache(backend=DirectoryBackend(tmp_path / "cache"))
 
     def test_round_trip(self, tmp_path):
         cache = self.shared_cache(tmp_path)
@@ -429,7 +439,7 @@ class TestSharedCacheBackend:
                 barrier.wait(timeout=5)
                 for _ in range(20):
                     ResultCache(
-                        backend=SharedDirectoryBackend(tmp_path / "cache")
+                        backend=DirectoryBackend(tmp_path / "cache")
                     ).put(key, {"writer": tag, "blob": "x" * 4096})
             except Exception as exc:  # noqa: BLE001 - surface in main thread
                 errors.append(exc)
@@ -482,7 +492,7 @@ class TestSharedCacheBackend:
     def test_read_only_cache_dir_degrades(self, tmp_path):
         """Writes into an unwritable cache warn and continue."""
         backend = FlakyBackend(
-            SharedDirectoryBackend(tmp_path / "cache"),
+            DirectoryBackend(tmp_path / "cache"),
             fail_on=1,
             method="write",
             exc=PermissionError("read-only filesystem"),
@@ -497,7 +507,7 @@ class TestSharedCacheBackend:
         """Cache-write failure on the 2nd job: that entry is simply not
         cached; every other entry lands and no job is lost."""
         backend = FlakyBackend(
-            SharedDirectoryBackend(tmp_path / "cache"), fail_on=2, method="write"
+            DirectoryBackend(tmp_path / "cache"), fail_on=2, method="write"
         )
         runner = ExperimentRunner(cache=ResultCache(backend=backend))
         with pytest.warns(RuntimeWarning, match="cache write failed"):
@@ -508,7 +518,7 @@ class TestSharedCacheBackend:
 
     def test_flaky_read_degrades_to_resimulation(self, tmp_path):
         backend = FlakyBackend(
-            SharedDirectoryBackend(tmp_path / "cache"), fail_on=1, method="read"
+            DirectoryBackend(tmp_path / "cache"), fail_on=1, method="read"
         )
         warm = ExperimentRunner(cache=ResultCache(backend=backend.inner))
         expected = warm.run(make_spec())
@@ -619,21 +629,14 @@ class TestRunnerStatsReport:
 
 
 # ---------------------------------------------------------------------------
-# Directory backend keeps historical behaviour
+# The default cache is the one directory backend
 # ---------------------------------------------------------------------------
 class TestDirectoryBackendCompat:
     def test_default_cache_uses_directory_backend(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         assert isinstance(cache.backend, DirectoryBackend)
-        assert not isinstance(cache.backend, SharedDirectoryBackend)
         assert cache.root == tmp_path / "cache"
 
     def test_root_and_backend_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
             ResultCache(tmp_path, backend=DirectoryBackend(tmp_path))
-
-    def test_last_writer_wins_without_lock(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("ab" * 16, "first")
-        cache.put("ab" * 16, "second")
-        assert cache.get("ab" * 16) == "second"

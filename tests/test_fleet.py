@@ -33,7 +33,6 @@ from repro.runner import (  # noqa: E402
     RemoteExecutor,
     WorkerFleet,
 )
-from repro.runner.wire import _unpack  # noqa: E402
 from repro.service import Coordinator  # noqa: E402
 
 STUB = Path(__file__).with_name("stub_worker.py")
@@ -259,8 +258,9 @@ def inline_fingerprint():
 
 def run_remote(tmp_path, **fleet_kwargs):
     """SPEC through the synchronous driver → (result, fleet, degraded?)."""
-    runner = ExperimentRunner(use_cache=False)
-    runner.executor = RemoteExecutor(hosts=["a"], stats=runner.stats, **fleet_kwargs)
+    runner = ExperimentRunner(
+        use_cache=False, executor=RemoteExecutor(hosts=["a"], **fleet_kwargs)
+    )
     result = runner.run(SPEC)
     mirrored = {n: getattr(runner.stats, n) for n in ("retried", "requeued", "worker_deaths")}
     stats = runner.executor.fleet.stats()
@@ -277,7 +277,7 @@ def run_service(tmp_path, command=None, **fleet_kwargs):
     try:
         job, _, _ = coordinator.submit(SPEC)
         assert coordinator.wait(job.id, timeout=60).status == "done"
-        result = _unpack(coordinator.result_box(job))
+        result = coordinator.runner.fetch(job.id)
         return result, coordinator.fleet, job.source == "degraded"
     finally:
         coordinator.shutdown()

@@ -45,7 +45,7 @@ EXPECTED = {
         {
             "unguarded-attribute": 2,
             "unsynchronized-attribute": 4,
-            "lock-order": 2,
+            "lock-order": 4,  # two ABBA pairs, one of them written as `with a, b:`
             "lock-held-blocking": 2,
         },
     ),

@@ -517,7 +517,7 @@ def test_sarif_report_is_written(tmp_path, capsys):
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert {"unguarded-attribute", "schema-twin-drift"} <= rule_ids
     results = run["results"]
-    assert len(results) == 10
+    assert len(results) == 12  # the fixture's seeded findings (tests/test_lint.py)
     assert all(r["partialFingerprints"]["reproLint/v1"] for r in results)
     locations = {
         r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]

@@ -261,6 +261,32 @@ class TestParallelEquivalence:
         assert runner.stats.simulated == 2
 
 
+class TestJobTable:
+    def test_submit_never_simulates(self):
+        runner = ExperimentRunner(use_cache=False, executor="inline")
+        job, coalesced, cached = runner.submit(make_spec())
+        assert (job.status, coalesced, cached) == ("running", False, False)
+        assert runner.stats.simulated == 0
+        assert runner.result(job.id).instructions > 0
+        assert runner.status(job.id)["source"] == "run"
+
+    def test_a_served_box_replaces_the_live_result(self):
+        runner = ExperimentRunner(use_cache=False, executor="inline")
+        spec = make_spec()
+        live = runner.run(spec)
+        box = runner.fetch_box(spec.key)
+        assert runner.fetch_box(spec.key) is box  # encoded once
+        again = runner.fetch(spec.key)  # decoded from the box: no live copy kept
+        assert again is not live and again.instructions == live.instructions
+
+    def test_result_after_close_raises_instead_of_spinning(self):
+        runner = ExperimentRunner(use_cache=False, executor="inline")
+        job, _, _ = runner.submit(make_spec())
+        runner.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            runner.result(job.id)
+
+
 class TestContextDelegation:
     def test_best_swl_keyed_by_content_not_identity(self, tmp_path):
         """Regression: the old memo keyed Best-SWL on ``id(config)``,

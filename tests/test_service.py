@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+import repro.runner.engine as engine_module  # noqa: E402
 import repro.service.coordinator as coordinator_module  # noqa: E402
 from fault_injection import FlakyBackend, flaky_worker_command  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
@@ -247,7 +248,7 @@ class TestServiceEndToEnd:
         client.result(doc["job_id"], timeout=120)
         status = client.status(doc["job_id"])
         assert status["status"] == "done"
-        assert status["source"] in ("fleet", "cache", "degraded")
+        assert status["source"] in ("run", "cache", "degraded")
         assert status["app"] == "S2" and status["arch"] == "linebacker"
 
     def test_unknown_job_is_404(self, client):
@@ -386,7 +387,7 @@ class TestFaultTolerance:
             assert result.instructions > 0
             # The degrade tier's settle woke the one parked request.
             assert handler.result_requests == 1
-            assert coordinator.degraded >= 1
+            assert coordinator.stats()["degraded"] >= 1
             assert coordinator.job(doc["job_id"]).source == "degraded"
             assert coordinator.fleet.stats()["give_ups"] >= 1
         finally:
@@ -450,7 +451,7 @@ class TestLongPoll:
             doc = client.submit(spec)
             result = client.result(doc["job_id"], timeout=120)
             assert result.instructions > 0
-            assert client.status(doc["job_id"])["source"] == "fleet"
+            assert client.status(doc["job_id"])["source"] == "run"
             assert handler.result_requests == 1
             # This worker carries no --cache-dir: the coordinator's own
             # store write (after the waiters are woken) is what makes the
@@ -637,7 +638,7 @@ class TestWaitParameter:
 # ---------------------------------------------------------------------------
 class TestResidency:
     def test_evicted_result_is_reread_through_the_store(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(coordinator_module, "RESIDENT_RESULTS", 4)
+        monkeypatch.setattr(engine_module, "RESIDENT_RESULTS", 4)
         server, coordinator, url = start_service(tmp_path, workers=1)
         try:
             client = ServiceClient(url)
@@ -679,7 +680,7 @@ class TestResidency:
     def test_store_that_lost_an_evicted_result_simulates_again(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(coordinator_module, "RESIDENT_RESULTS", 1)
+        monkeypatch.setattr(engine_module, "RESIDENT_RESULTS", 1)
         server, coordinator, url = start_service(tmp_path, workers=1)
         try:
             client = ServiceClient(url)
@@ -695,7 +696,7 @@ class TestResidency:
             stop_service(server, coordinator)
 
     def test_without_a_store_nothing_is_evicted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(coordinator_module, "RESIDENT_RESULTS", 1)
+        monkeypatch.setattr(engine_module, "RESIDENT_RESULTS", 1)
         server, coordinator, url = start_service(tmp_path, workers=2, use_cache=False)
         try:
             client = ServiceClient(url)
