@@ -46,6 +46,7 @@ by content hash. ``python -m repro submit`` is the matching client
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -57,6 +58,7 @@ from repro.analysis import (
 )
 from repro.analysis import experiments as exp
 from repro.config import scaled_config
+from repro.gpu.gpu import run_kernel
 from repro.runner import ARCHITECTURES, ExperimentRunner, ResultCache, default_workers
 from repro.workloads import ALL_APPS, kernel_for
 
@@ -166,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         "arch",
         nargs="?",
         default="linebacker",
-        help="a registered architecture other than the oracle sweeps "
-        "(default: linebacker; see list --archs)",
+        help="a registered architecture other than the derived (oracle) "
+        "rows (default: linebacker; see list --archs)",
     )
     trace_p.add_argument("--scale", type=float, default=0.5, help="workload scale")
     trace_p.add_argument("--sms", type=int, default=4, help="number of SMs")
@@ -333,11 +335,12 @@ def _cmd_list(args) -> int:
     for name, (_, description) in FIGURES.items():
         print(f"{name:7s} {description}")
     if args.archs:
-        # Every column is derived from the registry row.
-        print(f"\n{'architecture':24s} {'returns':7s} {'params':10s} description")
+        # Every column is derived from the registry row: what it returns
+        # is the return type of the function that makes its value.
+        print(f"\n{'architecture':24s} {'returns':16s} {'params':10s} description")
         for name, arch in sorted(ARCHITECTURES.items()):
-            returns = "sweep" if arch.sweep else "result"
-            print(f"{name:24s} {returns:7s} "
+            returns = inspect.signature(arch.reduce or run_kernel).return_annotation
+            print(f"{name:24s} {returns:16s} "
                   f"{','.join(arch.params) or '-':10s} {arch.description}")
     return 0
 

@@ -101,27 +101,15 @@ def run_fig5(ctx: ExperimentContext) -> dict[str, dict[str, float]]:
     ctx.prefetch(["baseline", "best_swl", "cache_ext"])
     # The (SUR+DUR)-enlarged L1 needs each app's oracle limit, so this
     # second wave depends on the Best-SWL results above.
-    ctx.run_many(
-        [
-            (
-                app,
-                "best_swl_cache_ext",
-                {"cta_limit": ctx.run(app, "best_swl").best_limit},
-            )
-            for app in ctx.apps
-        ]
-    )
+    limits = {app: {"cta_limit": ctx.run(app, "best_swl").best_limit} for app in ctx.apps}
+    ctx.run_many([(app, "best_swl_cache_ext", limits[app]) for app in ctx.apps])
     out: dict[str, dict[str, float]] = {}
     for app in ctx.apps:
         base = ctx.run(app, "baseline").ipc
-        limit = ctx.run(app, "best_swl").best_limit
         out[app] = {
             "best_swl": ctx.run(app, "best_swl").ipc / base,
             "cache_ext": ctx.run(app, "cache_ext").ipc / base,
-            "best_swl_cache_ext": ctx.run(
-                app, "best_swl_cache_ext", cta_limit=limit
-            ).ipc
-            / base,
+            "best_swl_cache_ext": ctx.run(app, "best_swl_cache_ext", **limits[app]).ipc / base,
         }
     out["GM"] = {
         key: geomean(out[a][key] for a in ctx.apps)

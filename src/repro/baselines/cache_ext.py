@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.baselines.swl import best_swl, run_swl
 from repro.config import SimulationConfig
 from repro.gpu.gpu import (
     SimulationResult,
@@ -28,7 +27,6 @@ from repro.gpu.gpu import (
     statically_unused_register_bytes,
 )
 from repro.gpu.trace import KernelTrace
-from repro.options import RunOptions
 
 
 def extended_l1_bytes(config: SimulationConfig, kernel: KernelTrace, extra_bytes: int) -> int:
@@ -54,15 +52,15 @@ def config_with_cache_ext(
     return replace(config, gpu=config.gpu.with_l1_size(new_size))
 
 
-def best_swl_cache_ext(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    options: RunOptions = RunOptions(),
-    cta_limit: Optional[int] = None,
-) -> SimulationResult:
-    """Static CTA limit with an (SUR+DUR)-enlarged L1; the limit is the
-    Best-SWL oracle's unless ``cta_limit`` names one."""
-    if cta_limit is None:
-        cta_limit = best_swl(config, kernel, options).best_limit
+def best_swl_cache_ext_legs(
+    config: SimulationConfig, kernel: KernelTrace, cta_limit: int
+) -> dict:
+    """One ``baseline`` leg at ``cta_limit`` on an L1 enlarged by SUR
+    plus the DUR that limit leaves idle (Fig 5 passes Best-SWL's)."""
     ext_config = config_with_cache_ext(config, kernel, include_dur_for_limit=cta_limit)
-    return run_swl(ext_config, kernel, cta_limit, options)
+    return {cta_limit: ("baseline", ext_config, {"max_concurrent_ctas": cta_limit})}
+
+
+def only_leg(results: dict) -> SimulationResult:
+    (result,) = results.values()
+    return result

@@ -3,20 +3,19 @@
 The paper's main comparison point is Best-SWL (Section 2.4): for each
 application, an oracle picks the static CTA limit that maximizes
 performance; this idealized static throttling was shown to beat
-dynamic schemes like CCWS. We reproduce it as a sweep over concurrent
-CTA limits per SM; the experiment runner's memo and persistent cache
-keep it to one sweep per (app, config).
+dynamic schemes like CCWS. It is a *derived* registry row: its legs
+are ``baseline`` jobs, one per candidate CTA limit, which the job table
+runs as jobs of their own (in parallel, memoized, cached), and its
+reduction keeps the best of their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.config import SimulationConfig
-from repro.gpu.gpu import SimulationResult, run_kernel
+from repro.gpu.gpu import SimulationResult
 from repro.gpu.trace import KernelTrace, hardware_occupancy
-from repro.options import RunOptions
 
 
 @dataclass
@@ -32,18 +31,6 @@ class BestSWLResult:
         return self.best_result.ipc
 
 
-def run_swl(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    cta_limit: int,
-    options: RunOptions = RunOptions(),
-) -> SimulationResult:
-    """Run with a static per-SM concurrent-CTA limit."""
-    return run_kernel(
-        config, kernel, options=options.replace(max_concurrent_ctas=cta_limit)
-    )
-
-
 def sweep_limits(max_occupancy: int) -> list[int]:
     """Candidate static limits: dense at the low end where throttling
     matters, sparse above."""
@@ -51,25 +38,20 @@ def sweep_limits(max_occupancy: int) -> list[int]:
     return sorted(c for c in candidates if 1 <= c <= max_occupancy)
 
 
-def best_swl(
-    config: SimulationConfig,
-    kernel: KernelTrace,
-    options: RunOptions = RunOptions(),
-) -> BestSWLResult:
-    """The Best-SWL oracle: try every candidate limit, keep the best.
-
-    ``options`` apply to every leg of the sweep (the CTA limit is the
-    sweep's own variable).
-    """
+def best_swl_legs(config: SimulationConfig, kernel: KernelTrace) -> dict:
+    """One ``baseline`` leg per candidate limit, keyed by the limit. The
+    machine caps residency at the hardware occupancy anyway, so the
+    max-occupancy leg is spelled as plain ``baseline``: it *is* that job."""
     max_occ = hardware_occupancy(config.gpu, kernel)
-    sweep: dict[int, float] = {}
-    best_limit = max_occ
-    best_result: Optional[SimulationResult] = None
-    for limit in sweep_limits(max_occ):
-        result = run_swl(config, kernel, limit, options)
-        sweep[limit] = result.ipc
-        if best_result is None or result.ipc > best_result.ipc:
-            best_result = result
-            best_limit = limit
-    assert best_result is not None
-    return BestSWLResult(best_limit=best_limit, best_result=best_result, sweep_ipc=sweep)
+    return {
+        limit: ("baseline", config, {} if limit == max_occ else {"max_concurrent_ctas": limit})
+        for limit in sweep_limits(max_occ)
+    }
+
+
+def best_swl_reduce(results: dict[int, SimulationResult]) -> BestSWLResult:
+    """The oracle's pick: the highest IPC, the lowest limit on a tie."""
+    limits = sorted(results)
+    best = max(limits, key=lambda limit: results[limit].ipc)  # first of equals
+    sweep_ipc = {limit: results[limit].ipc for limit in limits}
+    return BestSWLResult(best_limit=best, best_result=results[best], sweep_ipc=sweep_ipc)

@@ -52,8 +52,6 @@ from repro.runner.snapshot import (
     L1Snapshot,
     SMSnapshot,
     portable,
-    portable_best_swl,
-    portable_result,
 )
 from repro.options import RunOptions
 from repro.runner.spec import JobSpec
@@ -105,7 +103,5 @@ __all__ = [
     "default_workers",
     "execute_job",
     "portable",
-    "portable_best_swl",
-    "portable_result",
     "resolve",
 ]

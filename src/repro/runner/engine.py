@@ -21,6 +21,9 @@ four tiers, cheapest first:
 A simulation error is final on every tier: the job is ``failed`` and
 asking for its result raises :class:`RemoteJobError`.
 
+A *derived* job (``best_swl``) runs nothing itself: its legs are jobs
+of their own, and its value, their ``reduce``, is never stored.
+
 The table is driven in one of two ways. Caller-driven — ``run_many``
 and ``result`` call :meth:`ExperimentRunner.step` themselves until the
 job settles (the CLI, ``Session.local``, ``ExperimentContext``).
@@ -47,7 +50,7 @@ import time
 import warnings
 import weakref
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Iterator, Optional, Sequence, Union
 
 from repro.runner.cache import MISS, ResultCache
@@ -63,12 +66,11 @@ from repro.runner.registry import resolve
 from repro.runner.snapshot import portable
 from repro.runner.spec import JobSpec
 from repro.runner.wire import _pack, _unpack
-from repro.workloads.suite import kernel_for
 
 #: Where a result came from. ``JobRecord.source``, ``Job.source`` and
 #: the HTTP job ``source`` all take their values from this tuple: the
 #: first three name the tier that resolved a job, the last two a
-#: submission whose key was already in the table.
+#: submission whose key was already in the table ("failed": no result).
 JOB_SOURCES = ("run", "degraded", "cache", "memo", "coalesced")
 #: ``Job.status`` values.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -97,14 +99,7 @@ def execute_job(spec: JobSpec) -> tuple[Any, float]:
     crosses a process boundary. Returns ``(portable payload, seconds)``.
     """
     started = time.perf_counter()
-    arch = resolve(spec.arch)
-    if spec.workload is not None:
-        from repro.workloads.spec import build_workload
-
-        kernel = build_workload(spec.workload, spec.scale)
-    else:
-        kernel = kernel_for(spec.app, spec.scale)
-    value = arch.runner(spec.config, kernel, **spec.overrides)
+    value = resolve(spec.arch).runner(spec.config, spec.kernel(), **spec.overrides)
     return portable(value), time.perf_counter() - started
 
 
@@ -126,6 +121,7 @@ class RunnerStats:
     cache_hits: int = 0
     memo_hits: int = 0
     coalesced: int = 0
+    failed: int = 0  # jobs whose simulation (or a leg's) raised
     #: Of ``simulated``, the jobs the degrade tier ran in-process.
     degraded: int = 0
     pool_fallbacks: int = 0
@@ -145,7 +141,9 @@ class RunnerStats:
         self.records.append(
             JobRecord(label=spec.label, key=spec.key, seconds=seconds, source=source)
         )
-        if source in ("run", "degraded"):
+        if source == "failed":
+            self.failed += 1
+        elif source in ("run", "degraded"):
             self.simulated += 1
             self.sim_seconds += seconds
             self.degraded += source == "degraded"
@@ -170,29 +168,9 @@ class RunnerStats:
 
     def to_dict(self, include_records: bool = True) -> dict:
         """JSON-ready report (the CI artifact / ``--stats-report``)."""
-        report = {
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "memo_hits": self.memo_hits,
-            "coalesced": self.coalesced,
-            "degraded": self.degraded,
-            "pool_fallbacks": self.pool_fallbacks,
-            "sim_seconds": self.sim_seconds,
-            "dispatched": self.dispatched,
-            "retried": self.retried,
-            "requeued": self.requeued,
-            "worker_deaths": self.worker_deaths,
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
         if include_records:
-            report["records"] = [
-                {
-                    "label": r.label,
-                    "key": r.key,
-                    "seconds": r.seconds,
-                    "source": r.source,
-                }
-                for r in self.records
-            ]
+            report["records"] = [asdict(record) for record in self.records]
         return report
 
 
@@ -209,6 +187,7 @@ class Job:
     submits: int = 1
     created: float = field(default_factory=time.time)
     finished: Optional[float] = None
+    legs: dict = field(default_factory=dict)  # a derived job's: label -> id
 
     def summary(self) -> dict:
         return {
@@ -294,6 +273,8 @@ class ExperimentRunner:
         self._jobs: dict[str, Job] = {}
         #: Jobs handed to the executor and not settled yet.
         self._running: dict[str, Job] = {}
+        #: Running leg id -> the derived jobs waiting for it.
+        self._parents: dict[str, list[Job]] = {}
         #: Results of settled jobs, least recently used first (:meth:`_admit`).
         self._results: "OrderedDict[str, list]" = OrderedDict()
         #: Why the executor refused a submit; the next step degrades.
@@ -305,18 +286,20 @@ class ExperimentRunner:
         """Enter ``spec`` in the table; returns ``(job, coalesced, cached)``.
 
         A key already in the table shares its job; a new key is read
-        through the cache (settled at once) or handed to the executor.
-        Never waits for a simulation.
+        through the cache (settled at once) or handed to the executor —
+        a derived one's legs are submitted instead, and its job settles
+        with them. Never waits for a simulation.
         """
         key = spec.key
         with self._lock:
             job = self._jobs.get(key)
             if job is not None:
                 return self._join(job), True, job.source == "cache"
+        legs = {label: self.submit(leg)[0].id for label, leg in spec.legs().items()}
         # The store read runs unlocked (waiters and other submits queue
         # on ``_lock``); the table is re-checked below, so two racing
         # submits of one key still share one job.
-        payload = self._read_store(spec)
+        payload = self._read_store(spec) if not legs else MISS
         with self._lock:
             job = self._jobs.get(key)
             if job is not None:
@@ -328,11 +311,39 @@ class ExperimentRunner:
                 self._admit(key, payload)
                 self.stats.record(spec, 0.0, "cache")
                 return job, False, True
-            job = Job(id=key, spec=spec)
-            self._jobs[key] = job
+            job = self._jobs[key] = Job(id=key, spec=spec, legs=legs)
+            if legs:
+                job.status = "running"
+                for leg_id in legs.values():
+                    if self._jobs[leg_id].status == "running":
+                        self._parents.setdefault(leg_id, []).append(job)
+                self._settle_derived(job)
+                return job, False, False
             self._start(job)
         self._dispatch(job)
         return job, False, False
+
+    def _settle_derived(self, job: Job) -> None:
+        """Settle a running derived job once a leg has failed or every leg
+        is done, its source then the costliest of theirs (``_lock`` held)."""
+        if job.status != "running":
+            return
+        legs = {label: self._jobs[leg_id] for label, leg_id in job.legs.items()}
+        failed = [(label, leg) for label, leg in legs.items() if leg.status == "failed"]
+        if failed:
+            label, leg = failed[0]
+            job.status, job.error = "failed", f"leg {label} ({leg.spec.label}) failed:\n{leg.error}"
+            self.stats.record(job.spec, 0.0, "failed")
+        elif all(leg.status == "done" for leg in legs.values()):
+            sources = {leg.source for leg in legs.values()}
+            job.status, job.seconds = "done", sum(leg.seconds for leg in legs.values())
+            job.source = next(s for s in ("degraded", "run", "cache") if s in sources)
+            # A record, but no count: its legs' submissions were counted.
+            self.stats.records.append(JobRecord(job.spec.label, job.id, job.seconds, job.source))
+        else:
+            return
+        job.finished = time.time()
+        self._settled.notify_all()
 
     def _join(self, job: Job) -> Job:
         """Count another submission of ``job``'s key (``_lock`` held)."""
@@ -411,6 +422,9 @@ class ExperimentRunner:
                 self.stats.record(job.spec, outcome.seconds, source)
             else:
                 job.status, job.error = "failed", outcome.error
+                self.stats.record(job.spec, outcome.seconds, "failed")
+            for parent in self._parents.pop(job.id, ()):
+                self._settle_derived(parent)
             self._settled.notify_all()
         if outcome.ok and self.cache is not None:
             key = self.cache.key_for(job.spec)
@@ -452,6 +466,14 @@ class ExperimentRunner:
                 payload, box = entry
         if entry is not None:
             return payload if box is None else _unpack(box)
+        if job.legs:  # derived: reduced from its legs' results, never stored
+            results = {label: self.fetch(leg_id) for label, leg_id in job.legs.items()}
+            if any(result is MISS for result in results.values()):
+                return MISS  # a leg evicted, and lost by the store, runs again
+            payload = resolve(job.spec.arch).reduce(results)
+            with self._lock:
+                self._admit(job_id, payload)
+            return payload
         payload = self._read_store(job.spec)
         with self._lock:
             if payload is not MISS:

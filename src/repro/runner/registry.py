@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from repro.baselines.cache_ext import best_swl_cache_ext, config_with_cache_ext
+from repro.baselines.cache_ext import best_swl_cache_ext_legs, config_with_cache_ext, only_leg
 from repro.baselines.ccws import ccws_factory
 from repro.baselines.cerf import PCALCERFFactory, cerf_factory
 from repro.baselines.pcal import pcal_factory
-from repro.baselines.swl import best_swl
+from repro.baselines.swl import best_swl_legs, best_swl_reduce
 from repro.config import LinebackerConfig, SimulationConfig
 from repro.core.linebacker import linebacker_factory
 from repro.engine import backend_names
@@ -28,6 +28,7 @@ from repro.gpu.trace import KernelTrace
 from repro.options import RUN_OPTION_FIELDS, RunOptions
 
 _DEFAULTS = RunOptions()
+_CTA_LIMITS = ("max_concurrent_ctas", "cta_limit")
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,13 @@ class ArchSpec:
     ``configure(config, kernel, **arch_params)`` returns the
     configuration the machine really runs (CacheExt's enlarged L1);
     ``params`` names the parameters a job may carry next to its
-    :class:`~repro.options.RunOptions`. The two oracle sweeps instead
-    set ``sweep(config, kernel, options, **arch_params)``, which owns
-    the CTA limit of every leg it runs.
+    :class:`~repro.options.RunOptions`.
+
+    A *derived* row runs no machine of its own: ``legs(config, kernel,
+    **arch_params)`` names the jobs it is made of, ``{label: (arch,
+    config, overrides)}``, and ``reduce({label: result})`` folds their
+    results. Its legs own the CTA limit, and every job carries its
+    ``params`` (they are arguments of ``legs``).
     """
 
     name: str
@@ -49,7 +54,8 @@ class ArchSpec:
     extension: Optional[Callable] = None
     configure: Optional[Callable] = None
     params: tuple[str, ...] = ()
-    sweep: Optional[Callable] = None
+    legs: Optional[Callable] = None
+    reduce: Optional[Callable] = None
 
     def refuses(self, name: str, value: Any, job: bool = True) -> Optional[str]:
         """Why this architecture cannot take ``name=value`` (an option
@@ -62,14 +68,15 @@ class ArchSpec:
         name raises.
         """
         why = None
-        if name not in RUN_OPTION_FIELDS:
-            if name not in self.params:
-                accepted = ", ".join(self.params + RUN_OPTION_FIELDS)
-                why = f"takes no parameter {name!r} (accepted: {accepted})"
-        elif value == getattr(_DEFAULTS, name):
+        if name not in RUN_OPTION_FIELDS and name not in self.params:
+            accepted = ", ".join(self.params + RUN_OPTION_FIELDS)
+            why = f"takes no parameter {name!r} (accepted: {accepted})"
+        elif name in RUN_OPTION_FIELDS and value == getattr(_DEFAULTS, name):
             pass
-        elif self.sweep is not None and name in ("timeseries", "max_concurrent_ctas"):
-            why = f"is an oracle sweep over CTA limits and does not support {name!r}"
+        elif self.legs is not None and name in ("timeseries", "max_concurrent_ctas"):
+            why = f"is derived from jobs over CTA limits and does not support {name!r}"
+        elif name in _CTA_LIMITS and (type(value) is not int or value < 1):
+            why = f"takes {name!r} only as an integer >= 1, not {value!r}"
         elif job and name == "keep_objects":
             why = (
                 "hands back live objects ('keep_objects') only from a direct "
@@ -80,16 +87,33 @@ class ArchSpec:
             why = f"does not support the {value!r} backend (supported: {supported})"
         return why and f"architecture {self.name!r} {why}"
 
+    def check(self, params: Mapping[str, Any], job: bool = True, error=ValueError) -> None:
+        """Raise ``error`` with the first reason this row cannot run
+        ``params``: a derived row's missing parameter, else :meth:`refuses`."""
+        for name in self.params if self.legs else ():
+            if name not in params:
+                raise error(f"architecture {self.name!r} needs the parameter {name!r}")
+        for name, value in params.items():
+            reason = self.refuses(name, value, job)
+            if reason is not None:
+                raise error(reason)
+
+    def expand(self, config: SimulationConfig, kernel: KernelTrace, params: Mapping) -> dict:
+        """A derived row's legs, each with the job's options added."""
+        options, arch_params = RunOptions.from_overrides(params)
+        legs = self.legs(config, kernel, **arch_params)
+        shared = options.to_overrides()
+        return {label: (arch, c, {**shared, **o}) for label, (arch, c, o) in legs.items()}
+
     def runner(self, config: SimulationConfig, kernel: KernelTrace, **params: Any):
         """Run ``kernel`` on this architecture; ``params`` mixes
-        ``RunOptions`` fields and the row's own, as a job's overrides do."""
-        for name, value in params.items():
-            reason = self.refuses(name, value, job=False)
-            if reason is not None:
-                raise TypeError(reason)
+        ``RunOptions`` fields and the row's own, as a job's overrides do.
+        A derived row runs its legs here, one after another."""
+        self.check(params, job=False, error=TypeError)
+        if self.legs is not None:
+            legs = self.expand(config, kernel, params).items()
+            return self.reduce({k: resolve(a).runner(c, kernel, **p) for k, (a, c, p) in legs})
         options, arch_params = RunOptions.from_overrides(params)
-        if self.sweep is not None:
-            return self.sweep(config, kernel, options, **arch_params)
         if self.configure is not None:
             config = self.configure(config, kernel, **arch_params)
         factory = self.extension(config, **arch_params) if self.extension else None
@@ -110,7 +134,8 @@ def _policy(factory, config):
 
 _ROWS = (
     ArchSpec("baseline", "stock GPU, no memory-path policy"),
-    ArchSpec("best_swl", "oracle static CTA-limit sweep", sweep=best_swl),
+    ArchSpec("best_swl", "oracle static CTA-limit sweep",
+             legs=best_swl_legs, reduce=best_swl_reduce),
     ArchSpec(
         "linebacker",
         "full Linebacker (throttling + selective victim cache)",
@@ -154,8 +179,9 @@ _ROWS = (
     ArchSpec(
         "best_swl_cache_ext",
         "Sec 2.4: oracle throttling + (SUR+DUR)-enlarged L1",
-        sweep=best_swl_cache_ext,
         params=("cta_limit",),
+        legs=best_swl_cache_ext_legs,
+        reduce=only_leg,
     ),
     ArchSpec(
         "lb_cache_ext",

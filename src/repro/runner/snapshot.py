@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.baselines.swl import BestSWLResult
 from repro.gpu.gpu import SimulationResult
 from repro.gpu.snapshot import (
     ExtensionSnapshot,
@@ -39,40 +38,24 @@ __all__ = [
     "SMSnapshot",
     "snapshot_extension",
     "snapshot_sm",
-    "portable_result",
-    "portable_best_swl",
     "portable",
 ]
 
 
-def portable_result(result: SimulationResult) -> SimulationResult:
-    """Strip a result down to picklable state.
-
-    Idempotent: a result whose SMs are already snapshots passes
-    through unchanged, so cached payloads can be re-portabilized
-    safely.
-    """
-    if all(isinstance(sm, SMSnapshot) for sm in result.sms):
-        return result
-    return replace(
-        result,
-        sms=[snapshot_sm(sm) for sm in result.sms],
-        extensions=[snapshot_extension(ext) for ext in result.extensions],
-    )
-
-
-def portable_best_swl(outcome: BestSWLResult) -> BestSWLResult:
-    return BestSWLResult(
-        best_limit=outcome.best_limit,
-        best_result=portable_result(outcome.best_result),
-        sweep_ipc=dict(outcome.sweep_ipc),
-    )
-
-
 def portable(value):
-    """Portabilize any runner payload (simulation or Best-SWL sweep)."""
-    if isinstance(value, BestSWLResult):
-        return portable_best_swl(value)
-    if isinstance(value, SimulationResult):
-        return portable_result(value)
-    return value
+    """Strip a runner payload down to picklable state.
+
+    Idempotent: a result whose SMs are already snapshots passes through
+    unchanged, so cached payloads can be re-portabilized safely. A
+    derived row's value (a Best-SWL sweep) is folded from leg results
+    that are snapshots already, and passes through too.
+    """
+    if not isinstance(value, SimulationResult) or all(
+        isinstance(sm, SMSnapshot) for sm in value.sms
+    ):
+        return value
+    return replace(
+        value,
+        sms=[snapshot_sm(sm) for sm in value.sms],
+        extensions=[snapshot_extension(ext) for ext in value.extensions],
+    )

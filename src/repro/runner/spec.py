@@ -19,13 +19,15 @@ two specs built from the same keyword arguments always hash equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Mapping, Optional
 
 from repro.config import SimulationConfig, stable_hash
+from repro.gpu.trace import KernelTrace
 from repro.options import RunOptions
 from repro.runner.registry import resolve
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import WorkloadSpec, build_workload, registered_workload
+from repro.workloads.suite import kernel_for
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,10 @@ class JobSpec:
 
         Every submission surface (``Session``, ``ExperimentContext``,
         the HTTP schema) ends here, so this is where a job is checked
-        against its architecture: an unknown architecture, or an option
-        or parameter it :meth:`~repro.runner.registry.ArchSpec.refuses`,
-        raises ``ValueError`` before anything is hashed, cached or sent.
+        against its architecture: an unknown architecture, an option or
+        parameter it :meth:`~repro.runner.registry.ArchSpec.refuses`, or
+        a parameter it requires and the job lacks, raises ``ValueError``
+        before anything is hashed, cached, expanded into legs or sent.
         """
         merged = dict(options.to_overrides()) if options is not None else {}
         merged.update(overrides or {})
@@ -81,14 +84,9 @@ class JobSpec:
             row = resolve(arch)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-        for name, value in merged.items():
-            reason = row.refuses(name, value)
-            if reason is not None:
-                raise ValueError(reason)
+        row.check(merged)
         params = tuple(sorted(merged.items()))
         if workload is None:
-            from repro.workloads.spec import registered_workload
-
             workload = registered_workload(app)
         elif workload.name != app:
             raise ValueError(
@@ -101,6 +99,22 @@ class JobSpec:
     @property
     def overrides(self) -> dict[str, Any]:
         return dict(self.params)
+
+    def kernel(self) -> KernelTrace:
+        """This job's kernel trace (built lazily: nothing is simulated)."""
+        if self.workload is not None:
+            return build_workload(self.workload, self.scale)
+        return kernel_for(self.app, self.scale)
+
+    def legs(self) -> dict[Any, "JobSpec"]:
+        """A derived job's legs by label (none for a plain job)."""
+        row = resolve(self.arch)
+        if row.legs is None:
+            return {}
+        legs = row.expand(self.config, self.kernel(), self.overrides).items()
+        build = partial(JobSpec.build, self.app, scale=self.scale, workload=self.workload)
+        return {label: build(arch, config, overrides=params)
+                for label, (arch, config, params) in legs}
 
     @property
     def options(self) -> RunOptions:

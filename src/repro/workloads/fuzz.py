@@ -576,19 +576,13 @@ def differential_check(
                 diff = [k for k in reference_fp if reference_fp[k] != machine_fp.get(k)]
                 problems.append(f"{arch}: the machine diverges from {other} on {diff}")
 
-    # Best-SWL oracle: sweep sanity + conservation of the winner.
+    # Best-SWL: conservation of the winner. Its max-occupancy leg is the
+    # plain baseline job, sound only if a cap at the occupancy is a no-op.
     swl = resolve("best_swl").runner(config, kernel)
     problems += _conservation_problems(swl.best_result, "best_swl")
-    if swl.best_limit not in swl.sweep_ipc:
-        problems.append(
-            f"best_swl: winning limit {swl.best_limit} missing from its "
-            f"own sweep {sorted(swl.sweep_ipc)}"
-        )
-    elif abs(swl.best_result.ipc - max(swl.sweep_ipc.values())) > 1e-12:
-        problems.append(
-            f"best_swl: winner IPC {swl.best_result.ipc} is not the sweep "
-            f"maximum {max(swl.sweep_ipc.values())}"
-        )
+    capped = resolve("baseline").runner(config, kernel, max_concurrent_ctas=max(swl.sweep_ipc))
+    if _fingerprint(capped) != _fingerprint(base):
+        problems.append("baseline: a CTA limit at the hardware occupancy changes it")
 
     # Executor bit-identity: the same job inline and through the full
     # wire-protocol loopback must produce identical statistics.

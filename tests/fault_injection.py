@@ -47,11 +47,19 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.runner.cache import CacheBackend
 
 FAULT_MODES = ("die", "hang", "garbage", "banner", "exit", "proto")
+
+
+def unsimulatable(config):
+    """``config`` with an L1 of no ways: every construction surface
+    accepts the job, and its simulation raises ``ZeroDivisionError`` —
+    a deterministic *simulation* error on any executor or transport."""
+    return replace(config, gpu=replace(config.gpu, l1_assoc=0))
 
 
 # ---------------------------------------------------------------------------

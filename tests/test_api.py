@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from fault_injection import unsimulatable  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import JobHandle, Session, run_many_results  # noqa: E402
 from repro.config import scaled_config  # noqa: E402
@@ -223,9 +224,9 @@ class TestTransportParity:
             plain.stream_timeseries()
 
     def test_simulation_error_surfaces_from_result(self, any_session):
-        handle = any_session.run("S2", "baseline", max_concurrent_ctas=-3)
+        handle = any_session.run("S2", "baseline", config=unsimulatable(CFG))
         assert handle.status() in JOB_STATES
-        with pytest.raises(RemoteJobError, match="CTA limit"):
+        with pytest.raises(RemoteJobError, match="ZeroDivisionError"):
             handle.result(timeout=120)
         assert handle.status() == "failed"
 

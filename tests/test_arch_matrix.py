@@ -68,33 +68,56 @@ PARAM_VALUES = {
     "lb_config": replace(CFG.linebacker, vtt_ways=2),
     "cta_limit": 3,
 }
+#: What no CTA limit may be: each is a cell of every row for
+#: ``max_concurrent_ctas`` and of every row declaring ``cta_limit``.
+BAD_CTA_LIMITS = (0, -2, True, "2")
+#: Parameters a row cannot run without; every cell of the row carries them.
+REQUIRED = {"best_swl_cache_ext": {"cta_limit": PARAM_VALUES["cta_limit"]}}
 
 CELLS = [
     (arch, name, value)
     for arch in sorted(ARCHITECTURES)
     for name, value in OPTION_VALUES
 ] + [
-    (arch, name, PARAM_VALUES[name])
+    (arch, "max_concurrent_ctas", value)
+    for arch in sorted(ARCHITECTURES)
+    for value in BAD_CTA_LIMITS
+] + [
+    (arch, name, value)
     for arch, row in sorted(ARCHITECTURES.items())
     for name in row.params
+    for value in (PARAM_VALUES[name], *(BAD_CTA_LIMITS if name == "cta_limit" else ()))
 ]
 
 #: The cells that must be refused, written out independently of the
 #: code under test: the rule is small enough to state twice.
-SWEEPS = {"best_swl", "best_swl_cache_ext"}
+DERIVED = {"best_swl", "best_swl_cache_ext"}
+
+
+def valid_cta_limit(value) -> bool:
+    return type(value) is int and value >= 1
 
 
 def expect_refused(arch: str, name: str, value) -> bool:
     if name == "keep_objects":
         return True  # live objects never cross the cache or the wire
-    if name in ("timeseries", "max_concurrent_ctas"):
-        return arch in SWEEPS
+    if name in ("timeseries", "max_concurrent_ctas") and arch in DERIVED:
+        return True
+    if name in ("max_concurrent_ctas", "cta_limit"):
+        return not valid_cta_limit(value)
     return (name, value) == ("backend", "object")  # unregistered: a 400
 
 
 def cell_id(cell) -> str:
     arch, name, value = cell
-    return f"{arch}+{name}" + (f"={value}" if name == "backend" else "")
+    shown = name == "backend" or (
+        name in ("max_concurrent_ctas", "cta_limit") and not valid_cta_limit(value)
+    )
+    return f"{arch}+{name}" + (f"={value!r}" if shown else "")
+
+
+def cell_overrides(arch: str, name: str, value) -> dict:
+    return {**REQUIRED.get(arch, {}), name: value}
 
 
 def job_document(arch: str, name: str, value) -> dict:
@@ -106,12 +129,13 @@ def job_document(arch: str, name: str, value) -> dict:
         "scale": SCALE,
         "config": encode_config(CFG),
     }
-    if name in RUN_OPTION_FIELDS:
-        doc["options"] = {name: value}
-    elif dataclasses.is_dataclass(value):
-        doc["overrides"] = {name: dataclasses.asdict(value)}
-    else:
-        doc["overrides"] = {name: value}
+    for key, item in cell_overrides(arch, name, value).items():
+        if key in RUN_OPTION_FIELDS:
+            doc.setdefault("options", {})[key] = item
+        else:
+            doc.setdefault("overrides", {})[key] = (
+                dataclasses.asdict(item) if dataclasses.is_dataclass(item) else item
+            )
     return doc
 
 
@@ -120,7 +144,9 @@ def test_matrix_covers_every_row_and_field():
     assert all(value != getattr(RunOptions(), name) for name, value in OPTION_VALUES)
     declared = {name for row in ARCHITECTURES.values() for name in row.params}
     assert declared == set(PARAM_VALUES)
-    assert len(CELLS) == len(ARCHITECTURES) * len(OPTION_VALUES) + 2
+    per_row = len(OPTION_VALUES) + len(BAD_CTA_LIMITS)
+    assert len(CELLS) == len(ARCHITECTURES) * per_row + 2 + len(BAD_CTA_LIMITS)
+    assert {arch for arch, row in ARCHITECTURES.items() if row.legs and row.params} == set(REQUIRED)
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +158,12 @@ def session():
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_cell_is_refused_at_construction_or_runs(cell, session):
     arch, name, value = cell
+    overrides = cell_overrides(arch, name, value)
     surfaces = {
         "JobSpec.build": lambda: JobSpec.build(
-            APP, arch, CFG, SCALE, overrides={name: value}
+            APP, arch, CFG, SCALE, overrides=overrides
         ),
-        "Session.spec": lambda: session.spec(APP, arch, **{name: value}),
+        "Session.spec": lambda: session.spec(APP, arch, **overrides),
         "decode_jobspec": lambda: decode_jobspec(job_document(arch, name, value)),
     }
     if expect_refused(arch, name, value):
@@ -249,7 +276,6 @@ PINNED_VARIANTS = {
 PINNED_KEYS = {
     "baseline": "f3ac9671dbd5b935ea35e4db75371ad5f47dc33e8659105ba93e76836bac76a0",
     "best_swl": "733455d679ce54ad9fa2033899aad80597fa5ecff966412b5e1d6ddf6565facf",
-    "best_swl_cache_ext": "76c5730dafb961ef793cade6c1654e8a597cc04008499606b7576a574640672f",
     "cache_ext": "6692792853c196424ed3e9741fb986375ede45f5224d6e9ee1514b762931190d",
     "cerf": "20a8cf0aa98ae3b694c44e4bf6c96233da91a0f4bddae2a00fbfbabd7eb4489f",
     "lb_cache_ext": "b3148d6852649e22c83572ae90e22672223320463f38a6f4f7e1e8b4b17aa914",
@@ -283,7 +309,12 @@ def test_job_key_is_the_parent_commits(label):
 
 
 def test_every_parent_architecture_is_pinned():
-    assert set(PINNED_KEYS) - set(PINNED_VARIANTS) == set(ARCHITECTURES) - {"ccws"}
+    # A row that requires a parameter has no bare job: it is pinned as
+    # a variant carrying that parameter.
+    bare = set(ARCHITECTURES) - {"ccws"} - set(REQUIRED)
+    assert set(PINNED_KEYS) - set(PINNED_VARIANTS) == bare
+    assert all(f"{arch}+{name}" in PINNED_KEYS
+               for arch, params in REQUIRED.items() for name in params)
 
 
 def test_dsl_workload_job_key_is_the_parent_commits():

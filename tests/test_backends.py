@@ -219,9 +219,12 @@ class TestSelection:
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_every_bare_registry_row_selects_vector(self, arch, canned, monkeypatch):
-        # Through the row's own runner, so every leg of a sweep counts.
+        # Through the row's own runner, so every leg of a sweep counts;
+        # a derived row cannot run without its parameters.
         engines = _count_all(monkeypatch, canned)
-        resolve(arch).runner(scaled_config(num_sms=1), kernel_for("S2", SCALE))
+        row = resolve(arch)
+        params = dict.fromkeys(row.params, 2) if row.legs else {}
+        row.runner(scaled_config(num_sms=1), kernel_for("S2", SCALE), **params)
         assert engines["vector"].runs >= 1 and engines["object"].runs == 0
 
     @pytest.mark.parametrize("case", ["plain", "timeseries"])

@@ -1,15 +1,18 @@
 """Tests for the comparison architectures: SWL/Best-SWL, PCAL, CERF,
 and the idealized CacheExt configurations."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines.cache_ext import config_with_cache_ext, extended_l1_bytes
 from repro.baselines.cerf import CERFExtension
 from repro.baselines.pcal import PCALExtension
-from repro.baselines.swl import best_swl, run_swl, sweep_limits
+from repro.baselines.swl import best_swl_reduce, sweep_limits
 from repro.config import scaled_config
 from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
+from repro.options import RunOptions
 from repro.runner.registry import resolve
 from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
 
@@ -17,6 +20,8 @@ from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_k
 run_pcal = resolve("pcal").runner
 run_cerf = resolve("cerf").runner
 run_cache_ext = resolve("cache_ext").runner
+run_baseline = resolve("baseline").runner
+best_swl = resolve("best_swl").runner
 
 
 def config():
@@ -42,14 +47,25 @@ class TestSWL:
         assert limits == sorted(limits)
         assert limits[0] == 1 and limits[-1] == 16
 
-    def test_run_swl_respects_limit(self):
+    def test_static_limit_leg_runs(self):
         cfg = config()
-        result = run_swl(cfg, kernel(), cta_limit=2)
+        result = run_baseline(cfg, kernel(), max_concurrent_ctas=2)
         assert result.instructions > 0
 
     def test_rejects_zero_limit(self):
         with pytest.raises(ValueError):
-            run_swl(config(), kernel(), cta_limit=0)
+            run_kernel(config(), kernel(), options=RunOptions(max_concurrent_ctas=0))
+        with pytest.raises(TypeError, match="integer >= 1"):
+            run_baseline(config(), kernel(), max_concurrent_ctas=0)
+
+    def test_reduce_keeps_the_lowest_limit_of_the_best_ipc(self):
+        def result(instructions):
+            return SimpleNamespace(ipc=instructions / 100)
+
+        legs = {8: result(50), 2: result(70), 4: result(70), 1: result(10)}
+        outcome = best_swl_reduce(legs)
+        assert (outcome.best_limit, outcome.best_result) == (2, legs[2])
+        assert list(outcome.sweep_ipc) == [1, 2, 4, 8]
 
     def test_best_swl_picks_max_ipc(self):
         cfg = config()

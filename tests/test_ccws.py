@@ -73,10 +73,10 @@ class TestPaperClaim:
     def test_best_swl_at_least_matches_ccws(self):
         """Paper Section 2.4: the Best-SWL oracle outperforms dynamic
         schemes like CCWS (it is the stronger baseline by design)."""
-        from repro.baselines.swl import best_swl
+        from repro.runner.registry import resolve
 
         cfg = config()
         kernel = thrashing_kernel(iters=60)
-        oracle = best_swl(cfg, kernel)
+        oracle = resolve("best_swl").runner(cfg, kernel)
         ccws = run_ccws(cfg, thrashing_kernel(iters=60))
         assert oracle.ipc >= ccws.ipc * 0.9

@@ -22,10 +22,11 @@ class TestCLI:
         }
         assert set(rows) == set(ARCHITECTURES)
         # returns, extra params — there is one engine, so no column for it.
-        assert rows["baseline"] == ["result", "-"]
-        assert rows["best_swl_cache_ext"] == ["sweep", "cta_limit"]
-        assert rows["linebacker"] == ["result", "lb_config"]
-        assert rows["ccws"] == ["result", "-"]
+        assert rows["baseline"] == ["SimulationResult", "-"]
+        assert rows["best_swl"] == ["BestSWLResult", "-"]
+        assert rows["best_swl_cache_ext"] == ["SimulationResult", "cta_limit"]
+        assert rows["linebacker"] == ["SimulationResult", "lb_config"]
+        assert rows["ccws"] == ["SimulationResult", "-"]
 
     def test_no_subcommand_takes_a_backend_flag(self, capsys):
         for command in ("run", "trace", "submit", "bench", "fuzz"):

@@ -26,7 +26,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import repro.runner.engine as engine_module  # noqa: E402
 import repro.service.coordinator as coordinator_module  # noqa: E402
-from fault_injection import FlakyBackend, flaky_worker_command  # noqa: E402
+from fault_injection import FlakyBackend, flaky_worker_command, unsimulatable  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import Session  # noqa: E402
 from repro.config import scaled_config  # noqa: E402
@@ -268,7 +268,7 @@ class TestServiceEndToEnd:
         assert err.value.code == 400
 
     def test_simulation_error_is_final_and_surfaces(self, client):
-        spec = make_spec("S2", "baseline", max_concurrent_ctas=-3)
+        spec = make_spec("S2", "baseline", config=unsimulatable(CFG))
         doc = client.submit(spec)
         with pytest.raises(RemoteJobError):
             client.result(doc["job_id"], timeout=120)
@@ -474,7 +474,7 @@ class TestLongPoll:
         )
         try:
             client = ServiceClient(url)
-            doc = client.submit(make_spec("S2", "baseline", max_concurrent_ctas=-3))
+            doc = client.submit(make_spec("S2", "baseline", config=unsimulatable(CFG)))
             with pytest.raises(RemoteJobError):
                 client.result(doc["job_id"], timeout=120)
             assert handler.result_requests == 1

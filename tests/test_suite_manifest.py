@@ -38,6 +38,7 @@ TEST_MODULES = {
     "test_config",
     "test_context_callers",
     "test_cta_throttle",
+    "test_derived_jobs",
     "test_distributed",
     "test_dram_l2",
     "test_dram_timing",
