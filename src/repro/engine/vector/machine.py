@@ -38,10 +38,10 @@ line. Three pieces of coroutine state are visible to a hook and kept
 honest: ``sm.stats.instructions`` is written back before every
 ``on_tick`` (where Linebacker reads it), event sequence numbers come
 from one counter shared with ``schedule_event``, and a warp view's
-``deactivate`` / ``reactivate`` drop the scheduler's memoised hint and
-set ``dirty`` so the next tick time is recomputed in full — a hook may
-throttle any warp from anywhere, the issuing warp from its own load's
-hook included.
+``deactivate`` / ``reactivate`` take the warp out of / put it back into
+its scheduler's READY list and set ``dirty`` so the next tick time is
+recomputed in full — a hook may throttle any warp from anywhere, the
+issuing warp from its own load's hook included.
 
 The two opt-in recorders ride the same frame. A ``LoadTracker``
 (``track_loads``) is put in front of the bound ``on_load_outcome`` once,
@@ -60,12 +60,23 @@ otherwise the general :class:`~repro.memory.subsystem.MemorySubsystem`
 (bank-level timing DRAM, interconnect) under the same names. Both are
 shared state the coroutine only touches right after a sync point.
 
-Ready cycles
-------------
+Scheduler lists and ready cycles
+--------------------------------
 
-The scheduler scans read a single array: ``w_rc[w]`` holds the real
-ready cycle while a warp is READY and ``inf`` otherwise, so "state is
-READY and ready_cycle <= cycle" collapses to one comparison. A warp
+``sched_warps[s]`` holds exactly the READY warps of scheduler ``s``
+(``w % nsched == s``) in ascending warp id, which is GTO age order
+because CTA slots only grow. The lists are kept at the state
+transitions themselves: a launch appends; a wake (``EV_WAKE``, an
+``EV_FILL`` waiter) and ``reactivate`` insort; ``deactivate``, an
+ALU/STORE/EXIT finish and a load retiring BLOCKED or FINISHED remove.
+The per-tick GTO scan therefore never steps over a blocked, inactive
+or finished warp, and a scheduler that cannot issue costs one pass
+over warps waiting out a latency or a replay backoff — cheap enough
+that nothing of it is memoised.
+
+``w_rc[w]`` holds the real ready cycle while a warp is READY and
+``inf`` otherwise, so the greedy warp — which may have left READY
+since it last issued — is tested with one comparison. A warp
 leaves READY two ways, and the oracle's
 ``ready_cycle = max(ready_cycle, t)`` on the way back is reproduced for
 both. *Blocking on its own load*: the issue set ``ready_cycle = cycle +
@@ -133,10 +144,11 @@ Stall certificates
 
 A load that fails MSHR admission replays every 4 cycles, and in the
 replay storm the probe loop over its addresses is the hottest code in
-the oracle. Here a failed admission records the fill generation
-and its *margin* — distinct missing lines minus free MSHR entries —
-and while ``margin > fills since`` the retry is counted as failed
-without rescanning. That is sound because the margin shrinks by at
+the oracle. Here a failed admission records one number, ``w_cert[w] =
+fill_gen + margin``, where the *margin* is distinct missing lines minus
+free MSHR entries, and while ``fill_gen < w_cert[w]`` — fewer fills
+since than the margin — the retry is counted as failed without
+rescanning. That is sound because the margin shrinks by at
 most one per ``EV_FILL`` and by nothing else: an admitted load consumes
 free entries at least as fast as it satisfies this warp's lines; a
 store, or an eviction, only removes lines from L1 (the margin grows); a
@@ -150,6 +162,17 @@ in the oracle's ``SM._execute_load``, so what those hooks would have
 said never enters the verdict. Throttling a stalled warp leaves its
 certificate valid: it is a statement about MSHR and L1 contents, not
 about the warp.
+
+The certificate is tested first, before the load is even decoded, and
+two facts make that exact. A valid certificate implies the oracle's
+capacity pre-check fails: the margin is still > 0, so ``len(addrs) >=
+needed >= distinct missing > free``, i.e. ``len(mshr) + len(addrs) >
+capacity`` — the oracle would have probed, and stalled. And once
+invalid a certificate stays invalid: ``fill_gen`` only grows and
+``w_cert`` is written only when a load stalls (a margin <= 0 writes one
+that is invalid from the start). A load is admitted only past an
+invalid certificate, so the warp's next load never inherits a stale
+one.
 
 Everything observable through :class:`~repro.gpu.gpu.SimulationResult`
 is reproduced exactly; ``tests/test_backends.py`` holds all nine
@@ -166,6 +189,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from bisect import insort
 from typing import Callable, Optional
 
 from repro.config import GPUConfig, SimulationConfig
@@ -417,7 +441,8 @@ class WarpView:
             sm.w_state[w] = _INACTIVE
             sm.w_true_rc[w] = sm.w_rc[w]
             sm.w_rc[w] = _INF
-            sm.rescan(w % sm.nsched)
+            sm.sched_warps[w % sm.nsched].remove(w)
+            sm.dirty[0] = True
 
     def reactivate(self, cycle: int) -> None:
         sm, w = self.sm, self.warp_id
@@ -425,7 +450,8 @@ class WarpView:
         if sm.w_state[w] == _INACTIVE:
             sm.w_state[w] = _READY
             sm.w_rc[w] = max(sm.w_true_rc[w], cycle)
-            sm.rescan(w % sm.nsched)
+            insort(sm.sched_warps[w % sm.nsched], w)
+            sm.dirty[0] = True
 
 
 def _tracked_outcome(record: Callable, on_load_outcome: Optional[Callable]) -> Callable:
@@ -490,14 +516,14 @@ class VectorSM:
         "w_len",
         "w_banks2",
         "w_banks3",
-        # Schedulers. dirty[0] asks the coroutine to recompute its next
-        # tick from scratch (a CTA or a warp changed scheduling state
-        # somewhere the fused scan may already have passed).
+        # Schedulers: READY-only warp lists in age order and the
+        # greedy warp (module docstring). dirty[0] asks the coroutine to
+        # recompute its next tick from scratch (a CTA or a warp changed
+        # scheduling state somewhere the fused scan may already have
+        # passed).
         "nsched",
         "sched_warps",
         "sched_greedy",
-        "sched_hint",
-        "sched_hint_valid",
         "dirty",
         # CTA bookkeeping.
         "ctas",
@@ -511,17 +537,14 @@ class VectorSM:
         "mshr",
         "mshr_capacity",
         "mshr_stalls",
-        # Stall certificates. fill_gen counts L1 fill deliveries;
-        # a warp whose load failed MSHR admission records the fill
-        # generation (w_sgen) and its admission margin (w_smargin =
-        # distinct missing lines minus free entries). The margin can
-        # only shrink by one per fill event (module docstring), so
-        # while w_smargin[w] > fill_gen - w_sgen[w] the warp's retry
-        # provably fails and is counted without rescanning its
-        # addresses.
+        # Stall certificates. fill_gen counts L1 fill deliveries; a warp
+        # whose load failed MSHR admission records w_cert = fill_gen +
+        # (distinct missing lines - free entries). The margin shrinks
+        # by at most one per fill (module docstring), so while
+        # fill_gen < w_cert[w] the warp's retry provably fails and is
+        # counted without decoding the load.
         "fill_gen",
-        "w_sgen",
-        "w_smargin",
+        "w_cert",
         # Events: heap of (ready_cycle, seq, kind, payload).
         "events",
         "event_seq",
@@ -585,8 +608,6 @@ class VectorSM:
         self.nsched = config.num_schedulers
         self.sched_warps: list[list[int]] = [[] for _ in range(self.nsched)]
         self.sched_greedy: list[int] = [-1] * self.nsched
-        self.sched_hint: list[float] = [0.0] * self.nsched
-        self.sched_hint_valid: list[bool] = [False] * self.nsched
         self.dirty = [False]
 
         self.ctas: dict[int, CTA] = {}
@@ -600,8 +621,7 @@ class VectorSM:
         self.mshr_capacity = config.l1_mshrs
         self.mshr_stalls = 0
         self.fill_gen = 0
-        self.w_sgen: list[int] = []
-        self.w_smargin: list[int] = []
+        self.w_cert: list[int] = []
 
         self.events: list[tuple] = []
         self.event_seq = itertools.count()
@@ -632,13 +652,6 @@ class VectorSM:
         """Queue an event (``repro.gpu.extension.EV_*``); an
         ``EV_CALLBACK`` payload is called with its ready cycle."""
         heapq.heappush(self.events, (ready_cycle, next(self.event_seq), kind, payload))
-
-    def rescan(self, sidx: int) -> None:
-        """A warp of scheduler ``sidx`` changed scheduling state outside
-        the issue path: drop the scheduler's memoised hint and have the
-        coroutine recompute its next tick in full."""
-        self.sched_hint_valid[sidx] = False
-        self.dirty[0] = True
 
     def rebase(self, warp_id: int, base: int) -> None:
         """Point a warp's operand accounting at a (new) register base."""
@@ -686,8 +699,7 @@ class VectorSM:
     # CTA lifecycle
     # ------------------------------------------------------------------
     def _launch_next_cta(self, cycle: int) -> bool:
-        for s in range(self.nsched):
-            self.rescan(s)
+        self.dirty[0] = True
         grid_id = self.cta_source()
         if grid_id is None:
             return False
@@ -719,12 +731,13 @@ class VectorSM:
             if ops:
                 w_state[warp_id] = _READY
                 self.w_rc[warp_id] = 0
+                # The newest slot: appending keeps the list in age order.
+                self.sched_warps[warp_id % self.nsched].append(warp_id)
             else:
                 w_state[warp_id] = _FINISHED
                 self.w_rc[warp_id] = _INF
             self.w_throttled[warp_id] = False
-            self.w_sgen[warp_id] = -1
-            self.w_smargin[warp_id] = 0
+            self.w_cert[warp_id] = 0
             self.w_pend[warp_id] = 0
             self.w_ip[warp_id] = 0
             self.w_lp[warp_id] = 0
@@ -733,7 +746,6 @@ class VectorSM:
             self.w_view[warp_id] = view = WarpView(self, warp_id, self.launched)
             self.launched += 1
             warps.append(view)
-            self.sched_warps[warp_id % self.nsched].append(warp_id)
         self.ctas[slot] = CTA(slot=slot, grid_cta_id=grid_id, warps=warps, register_range=regs)
         self.extension.on_cta_launched(slot, cycle)
         return True
@@ -744,8 +756,7 @@ class VectorSM:
         self.w_true_rc.append(0)
         self.w_throttled.append(False)
         self.w_view.append(None)
-        self.w_sgen.append(-1)
-        self.w_smargin.append(0)
+        self.w_cert.append(0)
         self.w_pend.append(0)
         self.w_ip.append(0)
         self.w_lp.append(0)
@@ -761,8 +772,7 @@ class VectorSM:
         self.w_banks3.append(())
 
     def _complete_cta(self, slot: int, cycle: int) -> None:
-        for s in range(self.nsched):
-            self.rescan(s)
+        self.dirty[0] = True
         cta = self.ctas[slot]
         cta.state = CTAState.FINISHED
         self.extension.on_cta_finished(slot, cycle)
@@ -770,14 +780,6 @@ class VectorSM:
             self.register_file.free(cta.register_range)
             cta.register_range = None
         del self.ctas[slot]
-        w_state = self.w_state
-        sched_warps = self.sched_warps
-        greedy = self.sched_greedy
-        for s in range(self.nsched):
-            sched_warps[s] = [w for w in sched_warps[s] if w_state[w] != _FINISHED]
-            g = greedy[s]
-            if g >= 0 and w_state[g] == _FINISHED:
-                greedy[s] = -1
         # Paper Section 3.2: a throttled CTA is re-scheduled in priority;
         # only if there is none is a new CTA fetched.
         if not self.extension.try_reactivate_cta(cycle):
@@ -807,8 +809,7 @@ class VectorSM:
         hooks included — is bound into frame locals once, for the whole
         run; every bound object is mutated in place (never rebound), so
         the references stay valid across hook and CTA-lifecycle calls.
-        ``sched_warps`` inner lists ARE rebound by ``_complete_cta`` —
-        indexed via the outer list each time. Scalar counters live as
+        Scalar counters live as
         plain locals and are written back in the ``finally`` block
         (``stats.instructions`` also before every ``on_tick``, which is
         where an extension reads it).
@@ -833,14 +834,11 @@ class VectorSM:
         w_len = self.w_len
         w_banks2 = self.w_banks2
         w_banks3 = self.w_banks3
-        w_sgen = self.w_sgen
-        w_smargin = self.w_smargin
+        w_cert = self.w_cert
         nsched = self.nsched
         scheds = range(nsched)
         sched_warps = self.sched_warps
         greedy = self.sched_greedy
-        cached_hint = self.sched_hint
-        hint_valid = self.sched_hint_valid
         dirty = self.dirty
         ctas = self.ctas
         wpc = self.warps_per_cta
@@ -952,7 +950,7 @@ class VectorSM:
                                 else:
                                     w_state[payload] = _READY
                                     w_rc[payload] = ready
-                                    hint_valid[payload % nsched] = False
+                                    insort(sched_warps[payload % nsched], payload)
                         elif kind == EV_FILL:
                             # The only event that can improve MSHR
                             # admission: age every stall certificate.
@@ -995,7 +993,7 @@ class VectorSM:
                                     else:
                                         w_state[widx] = _READY
                                         w_rc[widx] = ready
-                                hint_valid[widx % nsched] = False
+                                        insort(sched_warps[widx % nsched], widx)
                         else:  # EV_CALLBACK, e.g. a backup/restore step
                             yield cycle  # sync: may reach sm.memory
                             memory.hook_synced = True
@@ -1033,13 +1031,6 @@ class VectorSM:
                 # ---- scheduler scans + issue ----
                 hint: float = _INF
                 for sidx in scheds:
-                    if hint_valid[sidx]:
-                        ch = cached_hint[sidx]
-                        if ch > cycle:
-                            if ch < hint:
-                                hint = ch
-                            continue
-                        hint_valid[sidx] = False
                     g = greedy[sidx]
                     if g >= 0 and w_rc[g] <= cycle:
                         pick = g
@@ -1054,7 +1045,6 @@ class VectorSM:
                                         hint = rc
                     else:
                         pick = -1
-                        sched_min: float = _INF
                         for w in sched_warps[sidx]:
                             rc = w_rc[w]
                             if rc <= cycle:
@@ -1065,13 +1055,9 @@ class VectorSM:
                                 else:
                                     hint = cycle
                                     break
-                            elif rc < sched_min:
-                                sched_min = rc
-                        if sched_min < hint:
-                            hint = sched_min
+                            elif rc < hint:
+                                hint = rc
                         if pick < 0:
-                            cached_hint[sidx] = sched_min
-                            hint_valid[sidx] = True
                             continue
                     ip = w_ip[pick]
                     if ip >= w_len[pick]:
@@ -1113,29 +1099,27 @@ class VectorSM:
                         if ip >= w_len[pick]:
                             w_state[pick] = _FINISHED
                             w_rc[pick] = _INF
+                            sched_warps[sidx].remove(pick)
                         else:
                             rc = cycle + alu_latency
                             w_rc[pick] = rc
                             if rc < hint:
                                 hint = rc
                     elif op == 1:  # LOAD
-                        lp = w_lp[pick]
-                        entry = w_loads[pick][lp]
-                        if type(entry) is int:
-                            addrs = (entry,)
+                        if fill_gen < w_cert[pick]:
+                            # Certified (module docstring): admission
+                            # still fails — do not even decode the load.
+                            stalled = True
                         else:
-                            addrs = entry
-                        n_addrs = len(addrs)
-                        if len(mshr) + n_addrs > mshr_capacity:
-                            sg = w_sgen[pick]
-                            if sg >= 0 and w_smargin[pick] > fill_gen - sg:
-                                # Certified: the recorded admission
-                                # margin shrinks by at most one per
-                                # fill (module docstring), so it still
-                                # exceeds zero — fail without
-                                # rescanning the addresses.
-                                stalled = True
+                            lp = w_lp[pick]
+                            entry = w_loads[pick][lp]
+                            if type(entry) is int:
+                                addrs = (entry,)
                             else:
+                                addrs = entry
+                            n_addrs = len(addrs)
+                            stalled = len(mshr) + n_addrs > mshr_capacity
+                            if stalled:
                                 # The admission verdict counts address
                                 # occurrences (object semantics); the
                                 # certificate margin counts distinct
@@ -1160,19 +1144,14 @@ class VectorSM:
                                 free = mshr_capacity - len(mshr)
                                 stalled = needed > free
                                 if stalled:
-                                    margin = dneed - free
-                                    if margin > 0:
-                                        w_sgen[pick] = fill_gen
-                                        w_smargin[pick] = margin
-                                    else:
-                                        w_sgen[pick] = -1
-                            if stalled:
-                                mshr_stalls += 1
-                                rc = cycle + 4
-                                w_rc[pick] = rc
-                                if rc < hint:
-                                    hint = rc
-                                continue
+                                    w_cert[pick] = fill_gen + dneed - free
+                        if stalled:
+                            mshr_stalls += 1
+                            rc = cycle + 4
+                            w_rc[pick] = rc
+                            if rc < hint:
+                                hint = rc
+                            continue
                         # _execute_load, inlined.
                         loads += 1
                         mem_requests += n_addrs
@@ -1263,16 +1242,18 @@ class VectorSM:
                         w_pend[pick] = pend
                         if pend >= max_out:
                             state = _BLOCKED
-                        w_state[pick] = state
                         if state == _READY:
                             rc = cycle + 1
                             w_rc[pick] = rc
                             if rc < hint:
                                 hint = rc
                         else:
+                            if w_state[pick] == _READY:  # not throttled
+                                sched_warps[sidx].remove(pick)
                             w_rc[pick] = _INF
                             if state == _INACTIVE:
                                 w_true_rc[pick] = cycle + 1
+                        w_state[pick] = state
                     elif op == 2:  # STORE
                         entry = w_stores[pick][w_sp[pick]]
                         if type(entry) is int:
@@ -1303,6 +1284,8 @@ class VectorSM:
                         w_ip[pick] = ip
                         w_sp[pick] += 1
                         if ip >= w_len[pick]:
+                            if w_state[pick] == _READY:  # not throttled
+                                sched_warps[sidx].remove(pick)
                             w_state[pick] = _FINISHED
                             w_rc[pick] = _INF
                         elif w_state[pick] == _READY:
@@ -1319,6 +1302,7 @@ class VectorSM:
                         w_ip[pick] = ip + 1
                         w_state[pick] = _FINISHED
                         w_rc[pick] = _INF
+                        sched_warps[sidx].remove(pick)
                         slot = pick // wpc
                         if slot in ctas:
                             for w in range(slot * wpc, slot * wpc + wpc):

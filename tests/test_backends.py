@@ -1,6 +1,6 @@
 """The machine (``repro.engine``) and its oracle (``tests/reference_engine``).
 
-Six contracts:
+Eight contracts:
 
 * **Registry**: ``vector`` is the one engine registered at import; a
   test registers the reference as ``"object"`` around itself and it is
@@ -20,6 +20,11 @@ Six contracts:
   once; and so do the five options the machine hosts last: load
   tracking, timeseries rows, live objects, the timing DRAM model and
   the NoC.
+* **Stall replays**: the live per-SM MSHR-stall replay counts, which
+  no result carries, equal the oracle's — Table-2 apps, the
+  MSHR-exhaustion kernels, throttling and refused fills.
+* **Scan lists**: each scheduler's list is exactly its READY warps in
+  age order at every tick, under Linebacker's throttling and the probe's.
 * **No fallback**: no request warns, pinned or not; an unregistered
   name raises.
 * **Cache identity**: ``backend`` participates in job content hashes
@@ -30,6 +35,7 @@ Six contracts:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import subprocess
 import sys
 import warnings
@@ -40,6 +46,7 @@ import pytest
 
 from repro.baselines.swl import BestSWLResult
 from repro.config import scaled_config
+from repro.core.linebacker import LinebackerExtension
 from repro.engine import (
     BACKENDS,
     BackendError,
@@ -50,7 +57,7 @@ from repro.engine import (
     register_backend,
     resolve_backend,
 )
-from repro.engine.vector.machine import _L1, VectorSM, WarpView, _VectorMemory
+from repro.engine.vector.machine import _L1, _READY, VectorSM, WarpView, _VectorMemory
 from repro.gpu.cta import CTA
 from repro.gpu.extension import CAPABILITY_FLAGS, EV_CALLBACK, SMExtension
 from repro.gpu.gpu import run_kernel
@@ -82,6 +89,7 @@ from repro.workloads.suite import kernel_for
 sys.path.insert(0, str(Path(__file__).parent))
 import reference_engine  # noqa: E402
 from golden import GOLDEN_SCALE, GOLDEN_SMS, result_fingerprint  # noqa: E402
+from workload_helpers import MSHR_EXHAUSTION, mshr_exhaustion  # noqa: E402
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
 
@@ -684,6 +692,103 @@ class TestHookedDifferential:
         if arch == "linebacker":  # registers stream through the model under test
             assert default.traffic.backup_write_lines > 0
             assert default.traffic.restore_read_lines > 0
+
+
+# ---------------------------------------------------------------------------
+# Stall replays: no result field carries them, so hold the live counts
+# ---------------------------------------------------------------------------
+def stall_counts(result) -> list:
+    """Per-SM MSHR-stall replays off live SMs (``keep_objects``): the
+    machine counts them in ``mshr_stalls``, the oracle in its MSHR file."""
+    return [sm.mshr_stalls if type(sm) is VectorSM else sm.mshr.stalls for sm in result.sms]
+
+
+@pytest.mark.usefixtures("reference")
+class TestStallReplays:
+    """A replay the stall certificate answered without probing must be
+    counted exactly as the oracle's probe counts it — a miscount would
+    pass every differential above, which compare results only."""
+
+    @staticmethod
+    def same_on_both(run) -> None:
+        ours = stall_counts(run(keep_objects=True))
+        assert ours == stall_counts(run(keep_objects=True, backend="object"))
+        assert sum(ours) > 0
+
+    @pytest.mark.parametrize("arch", ["baseline", "linebacker"])
+    @pytest.mark.parametrize("app", ["S2", "GE"])
+    def test_table2_apps(self, app, arch):
+        config = scaled_config(num_sms=GOLDEN_SMS)
+        runner = resolve(arch).runner
+        self.same_on_both(lambda **o: runner(config, kernel_for(app, GOLDEN_SCALE), **o))
+
+    @pytest.mark.parametrize("label", sorted(MSHR_EXHAUSTION))
+    def test_mshr_exhaustion_kernels(self, label):
+        config, kernel = mshr_exhaustion(label)
+        self.same_on_both(lambda **o: run_kernel(config, kernel, options=RunOptions(**o)))
+
+    @pytest.mark.parametrize("extension", ["linebacker", "probe"])
+    def test_throttling_and_refused_fills(self, extension):
+        build, config = HOOKED_WORKLOADS["throttle4sm"]
+        if extension == "linebacker":
+            runner = resolve("linebacker").runner
+            self.same_on_both(lambda **o: runner(config, build(), **o))
+        else:  # refuses fills: a filled line that goes nowhere
+            self.same_on_both(
+                lambda **o: run_kernel(config, build(), ProbeExtension, RunOptions(**o))
+            )
+
+
+# ---------------------------------------------------------------------------
+# Scan lists: READY-only, in age order, at every tick
+# ---------------------------------------------------------------------------
+def assert_scan_lists(sm) -> None:
+    """``sched_warps[s]`` is exactly scheduler ``s``'s READY warps in
+    ascending id, and ``w_rc`` is finite for those warps alone. Warps of
+    completed CTAs are all FINISHED, so the live CTAs hold every READY
+    warp."""
+    live = sorted(view.warp_id for cta in sm.ctas.values() for view in cta.warps)
+    ready = [w for w in live if sm.w_state[w] == _READY]
+    assert sm.sched_warps == [[w for w in ready if w % sm.nsched == s] for s in range(sm.nsched)]
+    assert [w for w in live if sm.w_rc[w] != float("inf")] == ready
+
+
+class ScanListCheck:
+    """Mixin over an extension: check the scan lists at every tick, after
+    the extension's own ``on_tick`` — so after every wake, throttle,
+    reactivation and finish of the tick before, the issuing warp
+    throttled from its own load's hook included."""
+
+    def on_tick(self, cycle: int) -> None:
+        super().on_tick(cycle)
+        assert_scan_lists(self.sm)
+
+
+class CheckedProbe(ScanListCheck, ProbeExtension):
+    pass
+
+
+class CheckedLinebacker(ScanListCheck, LinebackerExtension):
+    pass
+
+
+@pytest.mark.parametrize("workload", sorted(HOOKED_WORKLOADS))
+def test_scan_lists_hold_at_every_tick(workload):
+    # The probe throttles from on_tick and from a load's own hook,
+    # reactivates on a timer and refuses fills.
+    build, config = HOOKED_WORKLOADS[workload]
+    if workload in ("S2", "LI"):  # every tick is checked; keep the job short
+        build, config = (lambda: kernel_for(workload, SCALE)), scaled_config(num_sms=3)
+    result = run_kernel(config, build(), CheckedProbe)
+    assert result.extensions[0].stats.calls["on_tick"] > 0
+
+
+def test_scan_lists_hold_under_linebacker():
+    # Real throttling: whole CTAs parked and restored on several SMs.
+    build, config = HOOKED_WORKLOADS["throttle4sm"]
+    factory = functools.partial(CheckedLinebacker, config=config.linebacker)
+    result = run_kernel(config, build(), factory)
+    assert sum(e.stats.reactivate_events for e in result.extensions) >= 2
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from repro.options import RunOptions
 
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_engine import GPU  # noqa: E402
+from workload_helpers import mshr_exhaustion  # noqa: E402
 
 
 def cfg(**kw):
@@ -27,9 +28,7 @@ class TestMSHRExhaustion:
     def test_run_completes_with_tiny_mshr_file(self):
         """With 2 MSHRs, most loads must retry; the run still finishes
         and counts stalls."""
-        config = cfg(l1_mshrs=2)
-        per_warp = [[[load(0x100, [w * 50 + i]) for i in range(20)] for w in range(4)]]
-        kernel = from_instruction_lists("mshr", per_warp, regs_per_thread=8)
+        config, kernel = mshr_exhaustion("mshr2")
         result = run_kernel(config, kernel, options=RunOptions(keep_objects=True))
         assert result.instructions == 4 * 21
         assert result.sms[0].mshr_stalls > 0
@@ -38,20 +37,13 @@ class TestMSHRExhaustion:
         """A single load touching more lines than there are MSHRs can
         never fully reserve entries; the (warp-wide) request must still
         complete rather than livelock."""
-        config = cfg(l1_mshrs=4)
-        kernel = from_instruction_lists(
-            "wide", [[[load(0x100, list(range(16)))]]], regs_per_thread=8
-        )
-        result = run_kernel(config, kernel)
+        result = run_kernel(*mshr_exhaustion("wide"))
         # The run ends (possibly via the cycle cap guard) and the warp
         # either completed or the simulator terminated cleanly.
         assert result.cycles > 0
 
     def test_mshr_stall_does_not_lose_instructions(self):
-        config = cfg(l1_mshrs=1)
-        per_warp = [[[load(0x100, [i]) for i in range(10)] for _ in range(2)]]
-        kernel = from_instruction_lists("stall", per_warp, regs_per_thread=8)
-        result = run_kernel(config, kernel)
+        result = run_kernel(*mshr_exhaustion("mshr1"))
         assert result.instructions == 2 * 11
 
 

@@ -1,11 +1,18 @@
-"""Unit tests for the reference engine's warps and GTO scheduler."""
+"""Unit tests for the reference engine's warps and GTO scheduler, and
+the same GTO cases on the machine."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.gpu.isa import alu, exit_inst
+from repro.config import scaled_config
+from repro.gpu.extension import EV_CALLBACK, SMExtension
+from repro.gpu.gpu import run_kernel
+from repro.gpu.isa import alu, exit_inst, load
+from repro.gpu.trace import from_instruction_lists
+from repro.options import RunOptions
 
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_engine import GTOScheduler, Warp, WarpState  # noqa: E402
@@ -150,3 +157,73 @@ class TestGTOScheduler:
         sched.add_warp(live)
         sched.remove_finished()
         assert sched.warps == [live]
+
+
+# ---------------------------------------------------------------------------
+# The same cases on the machine, read off its issue order
+# ---------------------------------------------------------------------------
+class IssueLog(SMExtension):
+    """Which warp issued in which tick. ``on_tick`` runs after event
+    delivery and before the scan, so a warp whose instruction pointer
+    moved between two calls issued in the tick between them; with one
+    scheduler that is at most one warp."""
+
+    def attach(self, sm) -> None:
+        super().attach(sm)
+        self.ticks: list[int] = []
+        self.order: list[int] = []
+        self.seen: list[int] = []
+
+    def settle(self) -> None:
+        ips = self.sm.w_ip
+        self.seen += [0] * (len(ips) - len(self.seen))
+        self.order += [w for w, ip in enumerate(ips) if ip != self.seen[w]]
+        self.seen = list(ips)
+
+    def on_tick(self, cycle: int) -> None:
+        self.settle()
+        self.ticks.append(cycle)
+
+    def finalize(self, cycle: int) -> None:
+        self.settle()
+
+
+def issue_log(per_warp, extension=IssueLog, **gpu) -> IssueLog:
+    """Run one CTA of ``per_warp`` on a one-SM, one-scheduler machine."""
+    config = scaled_config(num_sms=1)
+    config = replace(config, gpu=replace(config.gpu, num_schedulers=1, **gpu))
+    kernel = from_instruction_lists("gto", [per_warp], regs_per_thread=8)
+    return run_kernel(config, kernel, extension, RunOptions(keep_objects=True)).extensions[0]
+
+
+class TestMachineGTO:
+    def test_greedy_keeps_issuing(self):
+        # Ready again the next cycle, the greedy warp keeps the slot
+        # through its EXIT; round-robin would alternate.
+        log = issue_log([[alu()] * 3, [alu()] * 3], alu_latency=1)
+        assert log.order == [0] * 4 + [1] * 4
+
+    def test_oldest_ready_wins_when_greedy_stalls(self):
+        # While warp 1 waits out its latency warp 0 is ready again, and
+        # it wins over the younger warp 2 that has waited all along.
+        log = issue_log([[alu()] * 3] * 3, alu_latency=2)
+        assert log.order == [0, 1] * 4 + [2] * 4
+
+    def test_nothing_ready_fast_forwards(self):
+        # No tick while the only warp waits out an ALU latency...
+        log = issue_log([[alu(), alu()]], alu_latency=50)
+        assert log.ticks == [1, 51, 101] and log.order == [0, 0, 0]
+        # ...or is blocked on memory: its fill is the next tick.
+        log = issue_log([[load(0x100, [0]), alu()]], max_outstanding_loads=1)
+        assert len(log.ticks) == 3 and log.order == [0, 0, 0]
+
+    def test_inactive_warp_is_skipped(self):
+        class ThrottleOldest(IssueLog):
+            def on_cta_launched(self, slot: int, cycle: int) -> None:
+                oldest = self.sm.ctas[slot].warps[0]
+                oldest.deactivate()
+                self.sm.schedule_event(10, EV_CALLBACK, oldest.reactivate)
+
+        # Warp 0 is back at cycle 10, but greedy warp 1 keeps the slot.
+        log = issue_log([[alu()] * 3, [alu()] * 20], ThrottleOldest, alu_latency=1)
+        assert log.order == [1] * 21 + [0] * 4
