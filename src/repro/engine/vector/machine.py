@@ -54,11 +54,11 @@ back to ``stats`` and, when the extension contributes to the row
 (``timeseries_sample`` may read ``sm.memory.traffic``), the SM syncs
 first.
 
-The memory model is chosen from the request's configuration: the
-inlined :class:`_VectorMemory` for the simple DRAM model without a NoC,
-otherwise the general :class:`~repro.memory.subsystem.MemorySubsystem`
-(bank-level timing DRAM, interconnect) under the same names. Both are
-shared state the coroutine only touches right after a sync point.
+Every configuration runs on one
+:class:`~repro.memory.subsystem.MemorySubsystem` — the shared L2 tag
+array and port server, simple or bank-level timing DRAM, the optional
+interconnect behind ``ports(sm_id)`` — which is shared state the
+coroutine only touches right after a sync point.
 
 Scheduler lists and ready cycles
 --------------------------------
@@ -130,7 +130,7 @@ sync several times in one cycle. Every other hook call
 ``on_l1_eviction``, ``on_store``, ``allocate_fill``, ``on_tick``
 between windows) runs unsynced and must keep to the SM's own state,
 which is all it can reach through the ``sm`` it was given except
-``sm.memory`` — and both memory models refuse a register stream from
+``sm.memory`` — and the memory model refuses a register stream from
 anywhere but a synced hook, so breaking the rule is an error, not a
 divergence.
 
@@ -179,8 +179,8 @@ is reproduced exactly; ``tests/test_backends.py`` holds all nine
 extension rows, a probe extension that stresses every hook, and each
 option above to the oracle — full fingerprint, every per-SM statistic
 and a deep comparison of every ``ExtensionSnapshot``. State with no
-path into a result (scheduler issue counts, L2 tag-array statistics,
-MSHR allocation counters, DRAM busy cycles, the L1 touch clock) is
+path into a result (scheduler issue counts, L2 hit/miss and queue-delay
+statistics, MSHR allocation counters, the L1 touch clock) is
 deliberately not modeled.
 """
 
@@ -202,7 +202,7 @@ from repro.gpu.snapshot import snapshot_extension, snapshot_sm
 from repro.gpu.stats import SM_STATS, LoadTracker, SMStats
 from repro.gpu.trace import KernelTrace, hardware_occupancy
 from repro.memory.cache import CacheLine, CacheStats
-from repro.memory.subsystem import MemorySubsystem, TrafficStats
+from repro.memory.subsystem import MemorySubsystem
 from repro.metrics import WindowRecorder
 
 _INF = float("inf")
@@ -212,180 +212,6 @@ _READY = 0
 _BLOCKED = 1
 _FINISHED = 2
 _INACTIVE = 3
-
-
-def _require_sync(memory) -> None:
-    """Registers stream to shared DRAM only from a hook the running SM
-    called right after a sync point."""
-    if not memory.hook_synced:
-        raise RuntimeError(
-            "an extension reached sm.memory from a hook the vector engine "
-            "does not order across SMs (see SMExtension, 'Shared state')"
-        )
-
-
-class _VectorMemory:
-    """Shared L2 + DRAM, inlined.
-
-    Replicates the float arithmetic of ``L2Cache.read_demand``/
-    ``L2Cache.write`` and ``DRAMModel.access`` exactly (port/channel
-    float servers, ``int()`` truncation, left-associative sums) and the
-    L2 tag array's LRU-dict behaviour, without CacheLine objects or the
-    statistics nothing reads (L2 hit/miss classification, queue delays,
-    busy cycles). It is also the ``sm.memory`` an extension sees:
-    ``traffic``, ``backup_registers`` and ``restore_registers``.
-    """
-
-    __slots__ = (
-        "l2_sets",
-        "l2_num_sets",
-        "l2_assoc",
-        "l2_svc",
-        "l2_lat",
-        "l2_port_free",
-        "dram_svc",
-        "dram_lat",
-        "dram_free",
-        "dram_reads",
-        "dram_writes",
-        "demand_read_lines",
-        "store_write_lines",
-        "backup_write_lines",
-        "restore_read_lines",
-        # True while the running SM is inside a hook it called right
-        # after a sync point — the only time a hook may stream registers.
-        "hook_synced",
-    )
-
-    def __init__(self, config: GPUConfig) -> None:
-        self.l2_num_sets = config.l2_size_bytes // (config.l2_assoc * config.l1_line_bytes)
-        self.l2_sets: list[dict] = [dict() for _ in range(self.l2_num_sets)]
-        self.l2_assoc = config.l2_assoc
-        self.l2_svc = 1.0 / config.l2_lines_per_cycle
-        self.l2_lat = config.l2_latency
-        self.l2_port_free = 0.0
-        self.dram_svc = 1.0 / config.dram_lines_per_cycle
-        self.dram_lat = config.dram_latency
-        self.dram_free = 0.0
-        self.dram_reads = 0
-        self.dram_writes = 0
-        self.demand_read_lines = 0
-        self.store_write_lines = 0
-        self.backup_write_lines = 0
-        self.restore_read_lines = 0
-        self.hook_synced = False
-
-    def fetch_line(self, line_addr: int, cycle: int) -> int:
-        start = self.l2_port_free
-        if cycle > start:
-            start = float(cycle)
-        self.l2_port_free = start + self.l2_svc
-        ns = self.l2_num_sets
-        ways = self.l2_sets[line_addr % ns]
-        tag = line_addr // ns
-        if tag in ways:
-            del ways[tag]
-            ways[tag] = True
-            return int(start + self.l2_lat)
-        arrive = float(int(start + self.l2_lat))
-        dstart = self.dram_free
-        if arrive > dstart:
-            dstart = arrive
-        self.dram_free = dstart + self.dram_svc
-        self.dram_reads += 1
-        if len(ways) >= self.l2_assoc:
-            del ways[next(iter(ways))]
-        ways[tag] = True
-        self.demand_read_lines += 1
-        return int(dstart + self.dram_svc + self.dram_lat)
-
-    def write_line(self, line_addr: int, cycle: int) -> None:
-        self.store_write_lines += 1
-        start = self.l2_port_free
-        fc = float(cycle)
-        if fc > start:
-            start = fc
-        self.l2_port_free = start + self.l2_svc
-        ns = self.l2_num_sets
-        self.l2_sets[line_addr % ns].pop(line_addr // ns, None)
-        arrive = float(int(start + self.l2_lat))
-        dstart = self.dram_free
-        if arrive > dstart:
-            dstart = arrive
-        self.dram_free = dstart + self.dram_svc
-        self.dram_writes += 1
-
-    def ports(self, sm_id: int) -> tuple:
-        """``(fetch_line, write_line)`` as SM ``sm_id`` calls them; this
-        model keeps nothing per SM."""
-        return self.fetch_line, self.write_line
-
-    def _stream(self, num_lines: int, cycle: int) -> int:
-        """``num_lines`` back-to-back ``DRAMModel.access`` calls that all
-        arrive at ``cycle`` (the register backup region bypasses L2);
-        returns when the last one completes."""
-        _require_sync(self)
-        arrive = float(cycle)
-        ready = cycle
-        for _ in range(num_lines):
-            start = self.dram_free
-            if arrive > start:
-                start = arrive
-            self.dram_free = start + self.dram_svc
-            ready = int(start + self.dram_svc + self.dram_lat)
-        return ready
-
-    def backup_registers(self, num_lines: int, cycle: int) -> int:
-        self.dram_writes += num_lines
-        self.backup_write_lines += num_lines
-        return self._stream(num_lines, cycle)
-
-    def restore_registers(self, num_lines: int, cycle: int) -> int:
-        self.dram_reads += num_lines
-        self.restore_read_lines += num_lines
-        return self._stream(num_lines, cycle)
-
-    @property
-    def traffic(self) -> TrafficStats:
-        return TrafficStats(
-            demand_read_lines=self.demand_read_lines,
-            store_write_lines=self.store_write_lines,
-            backup_write_lines=self.backup_write_lines,
-            restore_read_lines=self.restore_read_lines,
-        )
-
-
-class _SubsystemMemory(MemorySubsystem):
-    """The general hierarchy — bank-level timing DRAM, the SM-to-L2
-    interconnect, the backup-region cursor — under the names the machine
-    calls. The models are shared state behind ``fetch_line`` /
-    ``write_line`` / ``backup_registers`` / ``restore_registers``, which
-    the coroutine only reaches right after a sync point, so they see the
-    oracle's call order and need no arithmetic of their own here."""
-
-    hook_synced = False
-
-    def ports(self, sm_id: int) -> tuple:
-        return (
-            functools.partial(self.fetch_line, sm_id=sm_id),
-            functools.partial(self.write_line, sm_id=sm_id),
-        )
-
-    def backup_registers(self, num_lines: int, cycle: int) -> int:
-        _require_sync(self)
-        return super().backup_registers(num_lines, cycle)
-
-    def restore_registers(self, num_lines: int, cycle: int) -> int:
-        _require_sync(self)
-        return super().restore_registers(num_lines, cycle)
-
-    @property
-    def dram_reads(self) -> int:
-        return self.dram.stats.reads
-
-    @property
-    def dram_writes(self) -> int:
-        return self.dram.stats.writes
 
 
 class _L1:
@@ -561,7 +387,7 @@ class VectorSM:
         sm_id: int,
         config: GPUConfig,
         kernel: KernelTrace,
-        memory: "_VectorMemory | _SubsystemMemory",
+        memory: MemorySubsystem,
         cta_source,
         compiled: CompiledKernel,
         extension: Optional[SMExtension] = None,
@@ -1409,11 +1235,7 @@ class VectorGPU:
     ) -> None:
         self.config = config
         self.kernel = kernel
-        gpu = config.gpu
-        # The memory model is read off the request's own configuration:
-        # the inlined float servers are the simple model and nothing else.
-        general = gpu.dram_model != "simple" or gpu.noc_enable
-        self.memory = _SubsystemMemory(gpu) if general else _VectorMemory(gpu)
+        self.memory = MemorySubsystem(config.gpu)
         # Load tracking and timeseries rows share the mechanism's window
         # grid.
         window = config.linebacker.window_cycles

@@ -1,11 +1,12 @@
-"""Memory hierarchy substrate: L1 cache machinery, MSHRs, shared L2,
-and a bandwidth/latency DRAM model."""
+"""Memory hierarchy substrate: L1 cache machinery, MSHRs, and the
+shared L2 + interconnect + DRAM every SM reaches through one
+:class:`MemorySubsystem` (simple bandwidth/latency or bank-level timing
+DRAM)."""
 
 from repro.memory.cache import CacheLine, CacheStats, SetAssociativeCache
 from repro.memory.dram import DRAMModel, DRAMStats
 from repro.memory.dram_timing import DRAMTimings, TimingDRAMModel
 from repro.memory.interconnect import Interconnect
-from repro.memory.l2 import L2Cache
 from repro.memory.mshr import MSHRFile
 from repro.memory.subsystem import MemorySubsystem, TrafficStats
 
@@ -18,7 +19,6 @@ __all__ = [
     "DRAMTimings",
     "Interconnect",
     "TimingDRAMModel",
-    "L2Cache",
     "MSHRFile",
     "MemorySubsystem",
     "TrafficStats",

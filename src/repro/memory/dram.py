@@ -57,14 +57,18 @@ class DRAMModel:
         bank-level :class:`~repro.memory.dram_timing.TimingDRAMModel`;
         the simple model is address-blind.
         """
-        start = max(float(cycle), self._channel_free)
-        self._channel_free = start + self.service_cycles
-        self.stats.busy_cycles += self.service_cycles
+        svc = self.service_cycles
+        start = self._channel_free
+        if cycle > start:
+            start = float(cycle)
+        self._channel_free = start + svc
+        stats = self.stats
+        stats.busy_cycles += svc
         if is_write:
-            self.stats.writes += 1
+            stats.writes += 1
         else:
-            self.stats.reads += 1
-        return int(start + self.service_cycles + self.access_latency)
+            stats.reads += 1
+        return int(start + svc + self.access_latency)
 
     def queue_delay(self, cycle: int) -> float:
         """Current queueing delay seen by a request arriving at ``cycle``."""

@@ -19,8 +19,8 @@ from repro.config import SimulationConfig
 from repro.gpu.gpu import ExtensionFactory, SimulationResult
 from repro.gpu.snapshot import snapshot_extension, snapshot_sm
 from repro.gpu.trace import KernelTrace
-from repro.memory.subsystem import MemorySubsystem
 
+from .memory import MemorySubsystem
 from .sm import SM
 
 

@@ -25,9 +25,9 @@ from repro.gpu.stats import SM_STATS, LoadTracker, SMStats
 from repro.gpu.trace import KernelTrace, hardware_occupancy
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MSHRFile
-from repro.memory.subsystem import MemorySubsystem
 from repro.metrics import WindowRecorder
 
+from .memory import MemorySubsystem
 from .scheduler import GTOScheduler
 from .warp import Warp, WarpState
 

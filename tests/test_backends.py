@@ -57,7 +57,7 @@ from repro.engine import (
     register_backend,
     resolve_backend,
 )
-from repro.engine.vector.machine import _L1, _READY, VectorSM, WarpView, _VectorMemory
+from repro.engine.vector.machine import _L1, _READY, VectorSM, WarpView
 from repro.gpu.cta import CTA
 from repro.gpu.extension import CAPABILITY_FLAGS, EV_CALLBACK, SMExtension
 from repro.gpu.gpu import run_kernel
@@ -66,6 +66,7 @@ from repro.gpu.snapshot import snapshot_extension
 from repro.gpu.stats import LoadBehavior, SMStats
 from repro.gpu.trace import from_instruction_lists
 from repro.memory.cache import CacheLine, CacheStats
+from repro.memory.subsystem import MemorySubsystem
 from repro.options import RunOptions
 from repro.runner import ExperimentRunner, JobSpec, ResultCache
 from repro.runner.registry import ARCHITECTURES, resolve
@@ -793,8 +794,8 @@ def test_scan_lists_hold_under_linebacker():
 
 @pytest.mark.parametrize(
     "cls",
-    [VectorSM, WarpView, _L1, _VectorMemory, CacheLine, CacheStats, SMStats, LoadBehavior, CTA,
-     Instruction],
+    [VectorSM, WarpView, _L1, MemorySubsystem, CacheLine, CacheStats, SMStats, LoadBehavior,
+     CTA, Instruction],
     ids=lambda cls: cls.__name__,
 )
 def test_what_the_machine_touches_per_instruction_has_no_instance_dict(cls):

@@ -13,6 +13,7 @@ class Harness:
 
     def __init__(self):
         self.memory = MemorySubsystem(GPUConfig(num_sms=1))
+        self.memory.hook_synced = True  # as inside a synced hook
         self.engine = RegisterBackupEngine(self.memory)
         self.rf = RegisterFile(256 * 1024)
         self.events = []

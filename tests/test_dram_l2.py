@@ -1,17 +1,20 @@
 """Unit tests for the DRAM bandwidth server and the shared L2, and the
-machine's inlined copy of both held to them."""
+machine's memory model held to the oracle's composed one."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import KB, GPUConfig
-from repro.engine.vector.machine import _VectorMemory
 from repro.memory.dram import DRAMModel
-from repro.memory.l2 import L2Cache
 from repro.memory.subsystem import MemorySubsystem
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine import memory as reference  # noqa: E402
 
 
 class TestDRAM:
@@ -55,44 +58,66 @@ class TestDRAM:
 
 
 class TestL2:
-    def make(self, lines_per_cycle=4.0, size=64 * 1024):
-        dram = DRAMModel(lines_per_cycle=2.0, access_latency=200)
-        return L2Cache(size, 8, latency=100, dram=dram, lines_per_cycle=lines_per_cycle)
+    """The shared L2 in front of DRAM, observed through the cycles
+    :class:`MemorySubsystem` returns (L2 latency 100, DRAM latency 200)."""
+
+    def make(self, lines_per_cycle=4.0, size=64 * KB):
+        return MemorySubsystem(
+            GPUConfig(
+                l2_size_bytes=size,
+                l2_assoc=8,
+                l2_latency=100,
+                l2_lines_per_cycle=lines_per_cycle,
+                dram_latency=200,
+            )
+        )
 
     def test_miss_goes_to_dram_then_hits(self):
-        l2 = self.make()
-        miss_ready = l2.read(42, 0)
-        hit_ready = l2.read(42, 1000)
-        assert miss_ready > 100  # L2 latency + DRAM
+        mem = self.make()
+        miss_ready = mem.fetch_line(42, 0)
+        hit_ready = mem.fetch_line(42, 1000)
+        assert miss_ready >= 100 + 200  # L2 latency + DRAM
         assert hit_ready == 1000 + 100
+        assert mem.traffic.demand_read_lines == mem.dram_reads == 1
 
     def test_write_through_invalidates(self):
-        l2 = self.make()
-        l2.read(7, 0)
-        l2.write(7, 10)
-        assert l2.cache.probe(7) is None
+        mem = self.make()
+        mem.fetch_line(7, 0)
+        assert mem.fetch_line(7, 1000) == 1000 + 100  # resident
+        assert mem.write_line(7, 2000) >= 2000 + 100 + 200  # through to DRAM
+        assert mem.fetch_line(7, 3000) >= 3000 + 100 + 200  # refetched
+        assert mem.traffic.demand_read_lines == 2
+        assert (mem.dram_reads, mem.dram_writes) == (2, 1)
 
     def test_port_bandwidth_queues_requests(self):
         """The L2 port serializes: heavy traffic sees growing delay
         (the congestion that makes thrashing expensive, Section 2.2)."""
-        l2 = self.make(lines_per_cycle=0.5)
-        l2.read(0, 0)
-        completions = [l2.read(0, 0) for _ in range(20)]
-        assert completions[-1] > completions[0]
-        assert l2.mean_queue_delay > 0
+        mem = self.make(lines_per_cycle=0.5)
+        mem.fetch_line(0, 0)
+        completions = [mem.fetch_line(0, 0) for _ in range(20)]
+        # Every hit waits out the two port cycles of the one before.
+        assert completions == [2 * (i + 1) + 100 for i in range(20)]
 
     def test_rejects_zero_bandwidth(self):
-        dram = DRAMModel(lines_per_cycle=1.0)
-        with pytest.raises(ValueError):
-            L2Cache(64 * 1024, 8, 100, dram, lines_per_cycle=0)
+        with pytest.raises(ValueError, match="l2_lines_per_cycle"):
+            self.make(lines_per_cycle=0)
+
+
+def test_register_streams_wait_for_a_synced_hook():
+    memory = MemorySubsystem(GPUConfig())  # the guard starts closed
+    for stream in (memory.backup_registers, memory.restore_registers):
+        with pytest.raises(RuntimeError, match="does not order across SMs"):
+            stream(4, 0)
+    assert memory.traffic.total_lines == memory.dram_reads + memory.dram_writes == 0
 
 
 # ---------------------------------------------------------------------------
-# An oracle for the machine's fast path that needs no engine at all:
-# ``_VectorMemory`` inlines the float arithmetic of ``L2Cache`` +
-# ``DRAMModel`` and the L2's LRU tag array; the composed
-# ``MemorySubsystem`` is driven with the same calls and must agree on
-# every returned cycle and every counter after every one of them.
+# An oracle for the machine's memory model that needs no engine at all:
+# ``MemorySubsystem`` inlines the L2's LRU tag array and port server;
+# the oracle's composed ``MemorySubsystem`` (``L2Cache`` over the same
+# DRAM model, the NoC inside ``fetch_line``) is driven with the same
+# calls and must agree on every returned cycle and every counter after
+# every one of them — for both DRAM models, with and without the NoC.
 # ---------------------------------------------------------------------------
 _MEM_OPS = ["fetch_line"] * 8 + ["write_line"] * 4 + ["backup_registers", "restore_registers"]
 _mem_stream = st.lists(
@@ -100,6 +125,7 @@ _mem_stream = st.lists(
         st.sampled_from(_MEM_OPS),
         st.integers(min_value=0, max_value=1 << 16),  # which line / how many
         st.integers(min_value=0, max_value=40),  # cycles since the last call
+        st.integers(min_value=0, max_value=2),  # the calling SM
     ),
     min_size=30,
     max_size=200,
@@ -117,24 +143,36 @@ _GEOMETRIES = {
 }
 
 
-class TestVectorMemoryAgainstSubsystem:
+class TestMemoryAgainstReference:
+    @pytest.mark.parametrize("noc", [False, True], ids=["no-noc", "noc"])
+    @pytest.mark.parametrize("dram_model", ["simple", "timing"])
     @pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
     @given(stream=_mem_stream)
     @settings(max_examples=100, deadline=None)
-    def test_every_cycle_and_counter_agrees_after_every_call(self, geometry, stream):
-        config = GPUConfig(**_GEOMETRIES[geometry])
-        fast, general = _VectorMemory(config), MemorySubsystem(config)
-        fast.hook_synced = True  # as inside a synced hook
+    def test_every_cycle_and_counter_agrees_after_every_call(
+        self, geometry, dram_model, noc, stream
+    ):
+        config = GPUConfig(
+            num_sms=3, dram_model=dram_model, noc_enable=noc, **_GEOMETRIES[geometry]
+        )
+        memory, oracle = MemorySubsystem(config), reference.MemorySubsystem(config)
+        memory.hook_synced = True  # as inside a synced hook
+        ports = [memory.ports(sm_id) for sm_id in range(config.num_sms)]
         lines = 3 * config.l2_num_sets * config.l2_assoc // 2  # more than fit
         cycle = 0
-        for step, (op, arg, advance) in enumerate(stream):
+        for step, (op, arg, advance, sm_id) in enumerate(stream):
             cycle += advance
-            value = arg % 9 if op.endswith("registers") else arg % lines
-            got = getattr(fast, op)(value, cycle)
-            want = getattr(general, op)(value, cycle)
-            if op != "write_line":  # the machine never reads a store's completion
-                assert got == want, f"step {step}: {op}({value}, {cycle}) -> {got}, oracle {want}"
-            assert dataclasses.asdict(fast.traffic) == dataclasses.asdict(general.traffic), step
-            assert (fast.dram_reads, fast.dram_writes) == (
-                general.dram.stats.reads, general.dram.stats.writes
-            ), f"step {step}: DRAM counters diverged after {op}({value}, {cycle})"
+            if op.endswith("registers"):
+                value = arg % 9
+                got = getattr(memory, op)(value, cycle)
+                want = getattr(oracle, op)(value, cycle)
+            else:
+                value = arg % lines
+                got = ports[sm_id][op == "write_line"](value, cycle)
+                want = getattr(oracle, op)(value, cycle, sm_id=sm_id)
+            call = f"step {step}: SM {sm_id} {op}({value}, {cycle})"
+            assert got == want, f"{call} -> {got}, oracle {want}"
+            assert dataclasses.asdict(memory.traffic) == dataclasses.asdict(oracle.traffic), call
+            assert (memory.dram_reads, memory.dram_writes) == (
+                oracle.dram.stats.reads, oracle.dram.stats.writes
+            ), f"{call}: DRAM counters diverged"

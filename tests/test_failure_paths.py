@@ -1,16 +1,22 @@
 """Failure-injection and edge-path tests: MSHR exhaustion, cycle caps,
-grids larger/smaller than the machine, and degenerate kernels."""
+grids larger/smaller than the machine, degenerate kernels, and memory
+geometries no request could be served by."""
 
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from repro.api import Session
 from repro.config import scaled_config
 from repro.core.linebacker import linebacker_factory
 from repro.gpu.gpu import run_kernel
 from repro.gpu.isa import alu, exit_inst, load, store
 from repro.gpu.trace import from_instruction_lists
 from repro.options import RunOptions
+from repro.runner import RemoteJobError
+from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_engine import GPU  # noqa: E402
@@ -105,3 +111,30 @@ class TestRegisterPressureEdge:
         assert all(len(sm.ctas) <= 1 for sm in gpu.sms)
         result = gpu.run()
         assert result.instructions == 3 * 8 * 2  # ALU + EXIT per warp
+
+
+#: ``GPUConfig`` memory fields whose value leaves no L2 set, no L2 way
+#: or no bandwidth: each ran (a negative L2 rate) or divided by zero.
+MALFORMED_MEMORY = [
+    pytest.param("l2_lines_per_cycle", -1.0, id="negative-l2-bandwidth"),
+    pytest.param("l2_lines_per_cycle", 0, id="zero-l2-bandwidth"),
+    pytest.param("dram_bandwidth_gbps", 0, id="zero-dram-bandwidth"),
+    pytest.param("l2_assoc", 0, id="zero-l2-ways"),
+    pytest.param("l2_size_bytes", 512, id="l2-smaller-than-a-set"),
+]
+
+
+class TestMalformedMemoryGeometry:
+    @pytest.mark.parametrize("field, value", MALFORMED_MEMORY)
+    def test_run_kernel_refuses_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"GPUConfig.{field}"):
+            run_kernel(cfg(**{field: value}), kernel_for("GA", 0.05))
+
+    def test_session_job_fails_naming_the_field(self):
+        session = Session.local(
+            workers=1, executor="inline", use_cache=False, config=cfg(l2_assoc=0), scale=0.05
+        )
+        with session:
+            handle = session.run("GA", "baseline")
+            with pytest.raises(RemoteJobError, match="GPUConfig.l2_assoc"):
+                handle.result(timeout=120)

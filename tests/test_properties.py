@@ -172,6 +172,7 @@ class TestBackupProperties:
     @settings(max_examples=30, deadline=None)
     def test_backup_restore_roundtrip_lossless(self, values):
         memory = MemorySubsystem(GPUConfig(num_sms=1))
+        memory.hook_synced = True  # as inside a synced hook
         engine = RegisterBackupEngine(memory)
         rf = RegisterFile(256 * 1024)
         regs = rf.allocate(len(values), owner=0)
