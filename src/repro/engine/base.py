@@ -19,7 +19,7 @@ duration of a test — never globally — and reach it through the same
 ``backend=`` every executor already carries. And ``benchmarks/e2e``
 passes ``backend="vector"`` and imports :class:`BackendFallbackWarning`,
 and a benchmark's definition only changes in a PR of its own: the class
-stays, raised by nothing, until the benchmark PR (ROADMAP item 2) drops
+stays, raised by nothing, until the benchmark PR (ROADMAP item 1) drops
 ``base_vector``, the class and, if it chooses, the option.
 """
 

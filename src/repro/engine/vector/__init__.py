@@ -1,6 +1,7 @@
-"""The ``vector`` engine: struct-of-arrays state plus numpy bulk trace
-compilation, hosting the whole ``SMExtension`` hook surface and every
-``RunOptions`` field (:mod:`repro.engine.vector.machine`).
+"""The ``vector`` engine: struct-of-arrays state over per-warp compiled
+streams (:mod:`repro.engine.vector.compile`), hosting the whole
+``SMExtension`` hook surface and every ``RunOptions`` field
+(:mod:`repro.engine.vector.machine`).
 """
 
 from __future__ import annotations

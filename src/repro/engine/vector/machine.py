@@ -10,10 +10,10 @@ over struct-of-arrays state:
 * per-warp state lives in parallel arrays indexed by warp id
   (``state``/``ready_cycle``/``pending``/instruction pointers), not in
   ``Warp`` objects;
-* instruction streams are the pre-compiled SoA buffers from
-  :mod:`repro.engine.vector.compile` (shared opcode and load-PC
-  templates plus per-warp address queues) — no ``Instruction`` objects
-  and no generator frames on the hot path;
+* instruction streams are the SoA buffers each warp is compiled to at
+  CTA launch (:mod:`repro.engine.vector.compile`: shared opcode and
+  load-PC templates plus per-warp address queues) — no ``Instruction``
+  objects and no generator frames on the hot path;
 * cache lines are bare LRU-ordered dict keys. The value is the line's
   ``(hpc, owner)`` — refreshed on every hit, handed to
   ``on_l1_eviction`` as a ``CacheLine`` — only when the extension wants

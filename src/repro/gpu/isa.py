@@ -25,6 +25,14 @@ class Op(enum.Enum):
     EXIT = "exit"
 
 
+# Opcode codes of the compiled struct-of-arrays form the machine runs
+# (int compares in its hot loop; see repro.workloads.generator.Program).
+OP_ALU = 0
+OP_LOAD = 1
+OP_STORE = 2
+OP_EXIT = 3
+
+
 @dataclass(frozen=True, slots=True)
 class Instruction:
     """One dynamic instruction in a warp's trace.

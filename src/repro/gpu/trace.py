@@ -10,10 +10,13 @@ CTA *c* only when that CTA is launched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.config import WARP_REGISTER_BYTES, GPUConfig
 from repro.gpu.isa import Instruction, Op
+
+if TYPE_CHECKING:
+    from repro.workloads.generator import Program
 
 #: A factory mapping (cta_id, warp_in_cta) -> instruction iterator.
 WarpTraceFactory = Callable[[int, int], Iterator[Instruction]]
@@ -34,12 +37,13 @@ class KernelTrace:
             ``w`` of CTA ``c``.
         shared_mem_per_cta: Shared memory footprint, which can bound
             occupancy just like registers.
-        app_spec: The generator :class:`~repro.workloads.generator.AppSpec`
-            this trace was built from, when it came from the synthetic
-            generator. Purely advisory: execution backends that can
-            synthesize the address stream in bulk (the vector backend's
-            trace compiler) use it; everything else falls back to the
-            ``warp_trace`` iterator, which remains the source of truth.
+        program: The :class:`~repro.workloads.generator.Program` a
+            generator kernel (a Table-2 app or a workload document) was
+            built from. The machine compiles each launched warp from it
+            straight to its struct-of-arrays form, and ``warp_trace`` is
+            then a decode view over those same streams. ``None`` for
+            kernels built from explicit instruction lists, whose
+            ``warp_trace`` is the only description.
     """
 
     name: str
@@ -48,7 +52,7 @@ class KernelTrace:
     regs_per_thread: int
     warp_trace: WarpTraceFactory
     shared_mem_per_cta: int = 0
-    app_spec: Optional[object] = field(default=None, repr=False, compare=False)
+    program: Optional[Program] = field(default=None, repr=False, compare=False)
 
     @property
     def warp_registers_per_warp(self) -> int:

@@ -17,15 +17,33 @@ what the paper's motivational study measures per app:
 Addresses are line-granular integers. The pseudo-random components use
 fixed multiplicative hashing so traces are deterministic without
 per-instruction RNG overhead.
+
+A kernel built here (or by :func:`repro.workloads.spec.build_workload`)
+carries its :class:`Program`, the one implementation of that address
+arithmetic: it compiles a warp straight to the machine's
+struct-of-arrays form, and the kernel's ``Instruction`` view is decoded
+from the same streams.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.gpu.isa import Instruction, Op, alu, exit_inst, hashed_pc, store
+from repro.gpu.isa import (
+    OP_ALU,
+    OP_EXIT,
+    OP_LOAD,
+    OP_STORE,
+    Instruction,
+    Op,
+    alu,
+    exit_inst,
+    hashed_pc,
+    store,
+)
 from repro.gpu.trace import KernelTrace
 
 
@@ -92,7 +110,7 @@ class AppSpec:
     def store_region_base(self) -> int:
         """Base of the store output region, past every load region.
 
-        A method (not a constant in :func:`_warp_stream`) so composed
+        A method (not a constant in the generator) so composed
         workloads — multi-phase or multi-tenant kernels that relocate
         their load regions — can relocate store traffic consistently
         and never alias another phase's loads.
@@ -102,6 +120,7 @@ class AppSpec:
 
 _MIX = 0x9E3779B1  # Fibonacci hashing constant for address scrambling.
 _MASK32 = 0xFFFFFFFF
+_SLOT_ONE = (1).to_bytes(8, "little")
 
 
 def _scramble(t: int, lane: int, j: int) -> int:
@@ -111,117 +130,220 @@ def _scramble(t: int, lane: int, j: int) -> int:
     plain ``(t * odd_constant) % ws`` is a *permutation* of the region
     — a warp would never revisit a line within ``ws`` iterations, so a
     nominally random pattern would behave like streaming. The
-    finalizer below destroys that structure, giving birthday-rate
-    collisions and therefore a hit ratio that scales smoothly with
-    (resident capacity / region size).
+    finalizer in :func:`_scramble_packed` destroys that structure,
+    giving birthday-rate collisions and therefore a hit ratio that
+    scales smoothly with (resident capacity / region size).
     """
-    h = (t * _MIX + lane * 0xC2B2AE35 + j * 0x27D4EB2F) & _MASK32
-    h ^= h >> 16
-    h = (h * 0x85EBCA6B) & _MASK32
-    h ^= h >> 13
-    h = (h * 0xC2B2AE35) & _MASK32
-    h ^= h >> 16
-    return h
+    return _scramble_packed(_pack_terms((t,)), lane, j)[0]
 
 
-def _warp_stream(spec: AppSpec, cta_id: int, warp: int) -> Iterator[Instruction]:
-    """Generate one warp's instruction stream for ``spec``."""
-    warps_per_cta = spec.warps_per_cta
-    global_warp = cta_id * warps_per_cta + warp
-    alu_ops = spec.alu_per_iteration
+def _pack_terms(ts) -> tuple:
+    """A DIVERGENT column's iteration terms ``t * _MIX``, packed one per
+    64-bit slot of a single int, with the slot mask and the codec that
+    unpacks a result."""
+    codec = struct.Struct(f"<{len(ts)}Q")
+    packed = int.from_bytes(codec.pack(*[(t * _MIX) & _MASK32 for t in ts]), "little")
+    ones = int.from_bytes(_SLOT_ONE * len(ts), "little")
+    return packed, ones, ones * _MASK32, codec
 
-    # Pre-compute a flat per-load plan (base address, hashed PC,
-    # pattern-specific offsets) so the emission loop reads locals and
-    # tuple slots instead of dataclass attributes per access. The
-    # XOR fold, scope phase and stream base are all per-static-load
-    # constants for a given warp.
-    stream_p = Pattern.STREAM
-    divergent_p = Pattern.DIVERGENT
-    plan = []
-    for idx, ld in enumerate(spec.loads):
-        base = spec.region_base(idx)
-        if ld.scope is Scope.CTA:
-            base += cta_id * ld.working_set_lines
-        elif ld.scope is Scope.WARP:
-            base += global_warp * ld.working_set_lines
-        ws = max(1, ld.working_set_lines)
-        pattern = ld.pattern
-        if pattern is stream_p:
-            # Unique line per dynamic access across the grid: the warp's
-            # stream region starts at a per-warp offset, advanced by the
-            # running counter (plan slot "extra" = region start).
-            extra = base + global_warp * spec.iterations * ld.weight
-        elif pattern is divergent_p:
-            extra = 0
-        else:  # REUSE: per-warp phase shift within the working set
-            phase_warp = global_warp if ld.scope is Scope.GLOBAL else warp
-            extra = phase_warp * (ws // max(1, warps_per_cta))
-        plan.append(
-            (
-                pattern,
-                ld.pc,
-                hashed_pc(ld.pc),
-                ld.weight,
-                ld.lines_per_access,
-                ws,
-                ld.stride,
-                max(1, ld.reuse_burst),
-                base,
-                extra,
-                idx,
-            )
-        )
-    op_load = Op.LOAD
-    # One interned ALU instruction emitted alu_per_iteration times per
-    # loop body: a pre-built block avoids the memo probe per emission.
-    alu_block = (alu(pc=0x10),) * alu_ops
-    stream_counters = [0] * len(spec.loads)
-    store_base = spec.store_region_base()
 
-    for t in range(spec.iterations):
-        yield from alu_block
-        for pattern, pc, hpc, weight, lpa, ws, stride, burst, base, extra, idx in plan:
-            for rep in range(weight):
-                if pattern is stream_p:
-                    seq = stream_counters[idx]
-                    stream_counters[idx] = seq + 1
-                    first = extra + seq
-                    if lpa == 1:
-                        lines = (first,)
-                    else:
-                        lines = tuple(first + j for j in range(lpa))
-                elif pattern is divergent_p:
-                    # Hash the *global* warp id: warp k of different
-                    # CTAs must not generate identical streams
-                    # (lockstep duplicates would merge in the MSHRs
-                    # and never produce a hit).
-                    if lpa == 1:
-                        lines = (
-                            base + _scramble(t * stride + rep, global_warp, 0) % ws,
-                        )
-                    else:
-                        lines = tuple(
-                            base + (_scramble(t * stride + rep, global_warp, j) % ws)
-                            for j in range(lpa)
-                        )
-                else:  # REUSE
-                    offset = ((t // burst) * stride + rep + extra) % ws
-                    if lpa == 1:
-                        lines = (base + offset,)
-                    else:
-                        lines = tuple(
-                            base + ((offset + j * 17) % ws) for j in range(lpa)
-                        )
-                # Direct construction (not the load() wrapper): the
-                # emission loop is the hot path of trace generation.
-                yield Instruction(
-                    op=op_load, pc=pc, line_addrs=lines, operands=2, hpc=hpc
+def _scramble_packed(terms: tuple, lane: int, j: int) -> tuple[int, ...]:
+    """``_scramble(t, lane, j)`` for every packed ``t`` at once.
+
+    Each step is one big-int operation over all slots. A slot holds a
+    32-bit value, so a sum of two stays below 2**33 and a product with
+    a 32-bit constant below 2**64: nothing carries into the next slot,
+    and the slot mask drops what a right shift brings in from it.
+    """
+    packed, ones, mask, codec = terms
+    h = (packed + ((lane * 0xC2B2AE35 + j * 0x27D4EB2F) & _MASK32) * ones) & mask
+    h ^= (h >> 16) & mask
+    h = (h * 0x85EBCA6B) & mask
+    h ^= (h >> 13) & mask
+    h = (h * 0xC2B2AE35) & mask
+    h ^= (h >> 16) & mask
+    return codec.unpack(h.to_bytes(codec.size, "little"))
+
+
+def scaled_iterations(iterations: int, scale: float) -> int:
+    """The one scaling rule: iterations shrink, the CTA grid does not.
+
+    The grid keeps its multi-wave shape so CTA turnover and drain
+    behaviour stay realistic at any scale.
+    """
+    if scale == 1.0:
+        return iterations
+    return max(8, int(iterations * scale))
+
+
+#: PC of every generated ALU instruction (the decode view rebuilds it).
+_ALU_PC = 0x10
+
+
+class Program:
+    """What a generator kernel is built from, compiled one warp at a time.
+
+    ``tenants[k]`` is tenant ``k``'s phase apps, run back to back by
+    each of its warps; CTA ``i`` runs tenant ``i % len(tenants)``. A
+    Table-2 kernel is one tenant of one phase.
+
+    :meth:`warp_streams` returns one warp's struct-of-arrays form, what
+    the machine executes: the tenant's opcode / operand-count / load-PC
+    templates, shared by all its warps, and the warp's own load- and
+    store-address queues. Phases are concatenated with one final EXIT.
+    A queue entry is an int for a one-line access and a tuple for a
+    divergent multi-line one. :meth:`instructions` decodes the same
+    streams back into :class:`~repro.gpu.isa.Instruction` objects — the
+    ``warp_trace`` of a generator kernel.
+    """
+
+    __slots__ = ("tenants", "_plans")
+
+    def __init__(self, tenants: tuple[tuple[AppSpec, ...], ...]) -> None:
+        self.tenants = tenants
+        self._plans: list = [None] * len(tenants)
+
+    def _plan(self, cta_id: int) -> tuple:
+        k = cta_id % len(self.tenants)
+        plan = self._plans[k]
+        if plan is None:
+            plan = self._plans[k] = _tenant_plan(self.tenants[k])
+        return plan
+
+    def warp_streams(self, cta_id: int, warp: int) -> tuple:
+        """``(ops, opnds, loads, stores, load_pcs)`` of one warp."""
+        ops, opnds, load_pcs, _, phases = self._plan(cta_id)
+        loads, stores = _warp_queues(phases, cta_id, warp)
+        return ops, opnds, loads, stores, load_pcs
+
+    def instructions(self, cta_id: int, warp: int) -> Iterator[Instruction]:
+        """One warp's stream as ``Instruction`` objects (a decode view)."""
+        ops, _, load_pcs, store_pcs, phases = self._plan(cta_id)
+        loads, stores = _warp_queues(phases, cta_id, warp)
+        op_load = Op.LOAD
+        alu_inst = alu(pc=_ALU_PC)
+        li = si = 0
+        for code in ops:
+            if code == OP_ALU:
+                yield alu_inst
+            elif code == OP_LOAD:
+                entry = loads[li]
+                pc, hpc = load_pcs[li]
+                li += 1
+                lines = (entry,) if type(entry) is int else entry
+                yield Instruction(op=op_load, pc=pc, line_addrs=lines, operands=2, hpc=hpc)
+            elif code == OP_STORE:
+                yield store(pc=store_pcs[si], line_addrs=(stores[si],))
+                si += 1
+            else:
+                yield exit_inst()
+
+
+def _tenant_plan(apps: tuple[AppSpec, ...]) -> tuple:
+    """The warp-independent part of one tenant's program.
+
+    Per iteration ``t`` a phase emits its ALU block, one LOAD per
+    (static load, weight repeat) — the load *columns* — then one STORE
+    per store spec whose period divides ``t``. ALU and EXIT carry 3
+    operands, memory ops 2. Each column's iteration terms are computed
+    here once, for all warps.
+    """
+    ops: list[int] = []
+    opnds: list[int] = []
+    load_pcs: list[tuple[int, int]] = []
+    store_pcs: list[int] = []
+    phases = []
+    for app in apps:
+        n_alu = app.alu_per_iteration
+        n_loads = sum(ld.weight for ld in app.loads)
+        body_ops = [OP_ALU] * n_alu + [OP_LOAD] * n_loads
+        body_opnds = [3] * n_alu + [2] * n_loads
+        store_ts: list[int] = []
+        for t in range(app.iterations):
+            ops += body_ops
+            opnds += body_opnds
+            for st in app.stores:
+                if st.every_iterations > 0 and t % st.every_iterations == 0:
+                    ops.append(OP_STORE)
+                    opnds.append(2)
+                    store_pcs.append(st.pc)
+                    store_ts.append(t)
+        load_pcs += [
+            (ld.pc, hashed_pc(ld.pc)) for ld in app.loads for _ in range(ld.weight)
+        ] * app.iterations
+        columns = []
+        for idx, ld in enumerate(app.loads):
+            ws = max(1, ld.working_set_lines)
+            # A CTA- or WARP-scoped load addresses its entity's sub-region.
+            cta_step = ld.working_set_lines if ld.scope is Scope.CTA else 0
+            warp_step = ld.working_set_lines if ld.scope is Scope.WARP else 0
+            for rep in range(ld.weight):
+                if ld.pattern is Pattern.STREAM:
+                    terms = (rep, ld.weight, app.iterations * ld.weight)
+                elif ld.pattern is Pattern.DIVERGENT:
+                    terms = _pack_terms(range(rep, rep + app.iterations * ld.stride, ld.stride))
+                else:  # REUSE revisits a line for reuse_burst iterations
+                    burst = max(1, ld.reuse_burst)
+                    ks = [(t // burst) * ld.stride + rep for t in range(app.iterations)]
+                    shift = ws // max(1, app.warps_per_cta)
+                    terms = (ks, shift, ld.scope is Scope.GLOBAL)
+                columns.append(
+                    (ld.pattern, app.region_base(idx), cta_step, warp_step,
+                     ld.lines_per_access, ws, terms)
                 )
-        for st in spec.stores:
-            if st.every_iterations > 0 and t % st.every_iterations == 0:
-                addr = store_base + global_warp * spec.iterations + t
-                yield store(pc=st.pc, line_addrs=(addr,))
-    yield exit_inst()
+        phases.append((app, columns, store_ts))
+    ops.append(OP_EXIT)
+    opnds.append(3)
+    return ops, opnds, load_pcs, store_pcs, phases
+
+
+def _warp_queues(phases: list, cta_id: int, warp: int) -> tuple[list, list]:
+    """One warp's load- and store-address queues over all its phases."""
+    parts = [_phase_queues(phase, cta_id, warp) for phase in phases]
+    if len(parts) == 1:
+        return parts[0]
+    return (
+        [entry for loads, _ in parts for entry in loads],
+        [entry for _, stores in parts for entry in stores],
+    )
+
+
+def _phase_queues(phase: tuple, cta_id: int, warp: int) -> tuple[list, list]:
+    app, columns, store_ts = phase
+    global_warp = cta_id * app.warps_per_cta + warp
+    n = len(columns)
+    if n == 1:
+        queue = _column(columns[0], cta_id, warp, global_warp)
+    else:
+        queue = [None] * (app.iterations * n)
+        for c, column in enumerate(columns):
+            queue[c::n] = _column(column, cta_id, warp, global_warp)
+    store_base = app.store_region_base() + global_warp * app.iterations
+    return queue, [store_base + t for t in store_ts]
+
+
+def _column(column: tuple, cta_id: int, warp: int, global_warp: int) -> list:
+    """One load column's address entries for one warp, in iteration order."""
+    pattern, base, cta_step, warp_step, lpa, ws, terms = column
+    base += cta_id * cta_step + global_warp * warp_step
+    if pattern is Pattern.STREAM:
+        # A unique line per dynamic access across the grid: each warp
+        # streams from its own offset, one line per emission.
+        rep, step, span = terms
+        first = base + global_warp * span + rep
+        lines = [list(range(first + j, first + j + span, step)) for j in range(lpa)]
+    elif pattern is Pattern.DIVERGENT:
+        # Hash the *global* warp id: warp k of different CTAs must not
+        # generate identical streams (lockstep duplicates would merge in
+        # the MSHRs and never produce a hit).
+        lines = [
+            [base + h % ws for h in _scramble_packed(terms, global_warp, j)] for j in range(lpa)
+        ]
+    else:  # REUSE: a per-warp phase shift within the working set
+        ks, shift, by_global_warp = terms
+        extra = (global_warp if by_global_warp else warp) * shift
+        lines = [[base + (k + extra + j * 17) % ws for k in ks] for j in range(lpa)]
+    return lines[0] if lpa == 1 else list(zip(*lines))
 
 
 def build_kernel(spec: AppSpec) -> KernelTrace:
@@ -231,18 +353,21 @@ def build_kernel(spec: AppSpec) -> KernelTrace:
     pcs = [ld.pc for ld in spec.loads]
     if len(set(pcs)) != len(pcs):
         raise ValueError(f"{spec.name}: duplicate load PCs")
+    return program_kernel(spec.name, ((spec,),))
 
-    def factory(cta_id: int, warp: int) -> Iterator[Instruction]:
-        return _warp_stream(spec, cta_id, warp)
 
+def program_kernel(name: str, tenants: tuple[tuple[AppSpec, ...], ...]) -> KernelTrace:
+    """The KernelTrace of a generator program; its apps share one grid shape."""
+    shape = tenants[0][0]
+    program = Program(tenants)
     return KernelTrace(
-        name=spec.name,
-        num_ctas=spec.num_ctas,
-        warps_per_cta=spec.warps_per_cta,
-        regs_per_thread=spec.regs_per_thread,
-        warp_trace=factory,
-        shared_mem_per_cta=spec.shared_mem_per_cta,
-        app_spec=spec,
+        name=name,
+        num_ctas=shape.num_ctas,
+        warps_per_cta=shape.warps_per_cta,
+        regs_per_thread=shape.regs_per_thread,
+        warp_trace=program.instructions,
+        shared_mem_per_cta=shape.shared_mem_per_cta,
+        program=program,
     )
 
 

@@ -20,9 +20,10 @@ corpora instead of hand-written code:
   ``.get`` reads on the decode side). Unknown fields and unknown
   enum values are rejected with actionable errors, never ignored.
 * :func:`build_workload` — compiles a spec to a
-  :class:`~repro.gpu.trace.KernelTrace` by stitching per-phase
-  :class:`~repro.workloads.generator.AppSpec` streams end to end,
-  with tenant-disjoint address regions. A single-tenant,
+  :class:`~repro.gpu.trace.KernelTrace` whose generator
+  :class:`~repro.workloads.generator.Program` runs each tenant's
+  per-phase :class:`~repro.workloads.generator.AppSpec` values end to
+  end, with tenant-disjoint address regions. A single-tenant,
   single-phase workload compiles to the *bit-identical* trace the
   plain generator emits for the equivalent ``AppSpec``.
 * a process-local **registry** (:func:`register_workload`) that lets
@@ -70,10 +71,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.config import stable_hash
-from repro.gpu.isa import Instruction, Op, exit_inst
 from repro.gpu.trace import KernelTrace
 from repro.workloads.generator import (
     AppSpec,
@@ -81,7 +81,8 @@ from repro.workloads.generator import (
     Pattern,
     Scope,
     StoreSpec,
-    _warp_stream,
+    program_kernel,
+    scaled_iterations,
 )
 from repro.workloads.suite import APP_SPECS
 
@@ -505,13 +506,6 @@ class _PhaseApp(AppSpec):
         return self.store_slot << 22
 
 
-def _scaled_iterations(iterations: int, scale: float) -> int:
-    # Mirrors suite.app_spec: iterations shrink, grid shape does not.
-    if scale == 1.0:
-        return iterations
-    return max(8, int(iterations * scale))
-
-
 def compile_tenants(
     spec: WorkloadSpec, scale: float = 1.0
 ) -> tuple[tuple[_PhaseApp, ...], ...]:
@@ -539,7 +533,7 @@ def compile_tenants(
                 num_ctas=spec.num_ctas,
                 warps_per_cta=spec.warps_per_cta,
                 regs_per_thread=spec.regs_per_thread,
-                iterations=_scaled_iterations(phase.iterations, scale),
+                iterations=scaled_iterations(phase.iterations, scale),
                 loads=phase.loads,
                 stores=phase.stores,
                 alu_per_iteration=phase.alu_per_iteration,
@@ -554,34 +548,9 @@ def compile_tenants(
     return tuple(tenants)
 
 
-def _tenant_stream(
-    apps: tuple[_PhaseApp, ...], cta_id: int, warp: int
-) -> Iterator[Instruction]:
-    """One warp's instruction stream: its tenant's phases, end to end."""
-    exit_op = Op.EXIT
-    for app in apps:
-        for inst in _warp_stream(app, cta_id, warp):
-            if inst.op is exit_op:
-                break
-            yield inst
-    yield exit_inst()
-
-
 def build_workload(spec: WorkloadSpec, scale: float = 1.0) -> KernelTrace:
     """Materialize the :class:`KernelTrace` for a workload spec."""
-    tenants = compile_tenants(spec, scale)
-
-    def factory(cta_id: int, warp: int) -> Iterator[Instruction]:
-        return _tenant_stream(tenants[cta_id % len(tenants)], cta_id, warp)
-
-    return KernelTrace(
-        name=spec.name,
-        num_ctas=spec.num_ctas,
-        warps_per_cta=spec.warps_per_cta,
-        regs_per_thread=spec.regs_per_thread,
-        warp_trace=factory,
-        shared_mem_per_cta=spec.shared_mem_per_cta,
-    )
+    return program_kernel(spec.name, compile_tenants(spec, scale))
 
 
 def workload_from_app(app: AppSpec, name: Optional[str] = None) -> WorkloadSpec:

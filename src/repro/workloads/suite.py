@@ -34,6 +34,7 @@ from repro.workloads.generator import (
     Scope,
     StoreSpec,
     build_kernel,
+    scaled_iterations,
 )
 
 # Static load PCs: distinct per app slot; the 5-bit XOR fold keeps
@@ -227,9 +228,7 @@ def app_spec(name: str, scale: float = 1.0) -> AppSpec:
     """Fetch an app spec, optionally scaled down for fast runs."""
     spec = APP_SPECS[name]
     if scale != 1.0:
-        # Only iterations shrink; the CTA grid keeps its multi-wave
-        # shape so CTA turnover and drain behaviour stay realistic.
-        spec = replace(spec, iterations=max(8, int(spec.iterations * scale)))
+        spec = replace(spec, iterations=scaled_iterations(spec.iterations, scale))
     return spec
 
 

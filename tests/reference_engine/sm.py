@@ -27,6 +27,7 @@ from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MSHRFile
 from repro.metrics import WindowRecorder
 
+from .generator import _tenant_stream, _warp_stream
 from .memory import MemorySubsystem
 from .scheduler import GTOScheduler
 from .warp import Warp, WarpState
@@ -147,12 +148,24 @@ class SM:
             )
         self.register_file.write_range(regs, register_tokens(slot, regs), cycle=-1)
         warps = []
+        # A generator kernel's streams come from the oracle's own
+        # per-instruction generator, not from the program the machine
+        # compiles: machine == oracle then also checks the generator.
+        program = self.kernel.program
         for w in range(self.kernel.warps_per_cta):
+            if program is None:
+                trace = self.kernel.warp_trace(grid_id, w)
+            else:
+                apps = program.tenants[grid_id % len(program.tenants)]
+                if len(apps) == 1:
+                    trace = _warp_stream(apps[0], grid_id, w)
+                else:
+                    trace = _tenant_stream(apps, grid_id, w)
             warp = Warp(
                 warp_id=slot * self.kernel.warps_per_cta + w,
                 cta_slot=slot,
                 launch_order=next(self._launch_counter),
-                trace=self.kernel.warp_trace(grid_id, w),
+                trace=trace,
                 base_register=regs.start + w * self.kernel.warp_registers_per_warp,
                 max_outstanding=self.config.max_outstanding_loads,
             )

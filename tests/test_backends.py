@@ -805,15 +805,18 @@ def test_what_the_machine_touches_per_instruction_has_no_instance_dict(cls):
 
 
 def test_engine_import_and_a_dsl_job_leave_numpy_unimported():
-    """numpy is paid for where an ``AppSpec`` grid is compiled, not at
-    import: workers fed DSL jobs never load it (milliseconds)."""
+    """The package has no runtime dependency: importing the engine and
+    running a workload document or a Table-2 app never loads numpy."""
     code = (
         "import sys, repro.engine, repro.runner\n"
         "from repro.config import scaled_config\n"
         "from repro.runner.registry import resolve\n"
         "from repro.workloads.spec import build_workload, load_workload_file\n"
+        "from repro.workloads.suite import kernel_for\n"
         f"spec = load_workload_file({str(CORPUS / 'multitenant.json')!r})\n"
         "result = resolve('linebacker').runner(scaled_config(num_sms=1), build_workload(spec))\n"
+        "assert result.instructions > 0\n"
+        "result = resolve('baseline').runner(scaled_config(num_sms=1), kernel_for('S2', 0.1))\n"
         "assert result.instructions > 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )

@@ -1,6 +1,7 @@
 """Additional workload-generator coverage: WARP scope, strides,
 reuse bursts, weights, and the scramble hash quality."""
 
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,12 +10,18 @@ from repro.workloads.generator import (
     LoadSpec,
     Pattern,
     Scope,
+    _pack_terms,
     _scramble,
+    _scramble_packed,
     build_kernel,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine import generator as reference  # noqa: E402
 from workload_helpers import lines_of, make_app  # noqa: E402
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def spec_with(load, iters=20, warps=2, ctas=2, alu=1):
@@ -57,6 +64,16 @@ class TestReuseKnobs:
 
 
 class TestScrambleQuality:
+    def test_packed_hash_matches_the_scalar_oracle_at_extreme_inputs(self):
+        # Every 64-bit slot at its widest (terms and lanes far past 32
+        # bits): a carry between slots would corrupt a neighbour.
+        rng = random.Random(7)
+        ts = [rng.randrange(1 << 40) for _ in range(300)] + [0, _MASK64]
+        for lane, j in ((0, 0), (1 << 20, 63), (rng.randrange(1 << 40), 5)):
+            expected = [reference._scramble(t, lane, j) for t in ts]
+            assert list(_scramble_packed(_pack_terms(ts), lane, j)) == expected
+            assert [_scramble(t, lane, j) for t in ts] == expected
+
     def test_deterministic(self):
         assert _scramble(5, 7, 0) == _scramble(5, 7, 0)
 

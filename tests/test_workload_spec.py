@@ -3,10 +3,13 @@ registry semantics, and first-class integration with JobSpec, the HTTP
 job schema and the execution engine."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.config import scaled_config
+from repro.engine.vector.compile import compile_warp_iter
 from repro.runner.engine import execute_job
 from repro.runner.spec import JobSpec
 from repro.service.schema import SchemaError, decode_jobspec, encode_jobspec
@@ -29,7 +32,12 @@ from repro.workloads.spec import (
     workload_from_app,
     workload_hash,
 )
-from repro.workloads.suite import app_spec, kernel_for
+from repro.workloads.suite import ALL_APPS, app_spec, kernel_for
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_engine.generator import _tenant_stream  # noqa: E402
+
+CORPUS = Path(__file__).parent / "fuzz_corpus"
 
 
 def simple_workload(name="wl-test", **kw):
@@ -195,7 +203,33 @@ class TestRegistry:
             register_workload(simple_workload(name="S2"))
 
 
+def _assert_matches_oracle(kernel, ctas):
+    """Per warp: the compiled SoA streams and the ``warp_trace`` decode
+    view equal the oracle's per-instruction generator."""
+    program = kernel.program
+    for cta in ctas:
+        apps = program.tenants[cta % len(program.tenants)]
+        for warp in range(kernel.warps_per_cta):
+            reference = list(_tenant_stream(apps, cta, warp))
+            where = (kernel.name, cta, warp)
+            assert program.warp_streams(cta, warp) == compile_warp_iter(reference), where
+            assert list(kernel.warp_trace(cta, warp)) == reference, where
+
+
 class TestTraceEquivalence:
+    @pytest.mark.parametrize("scale", [0.125, 0.25, 1.0])
+    @pytest.mark.parametrize("app", ALL_APPS)
+    def test_table2_app_matches_oracle_generator(self, app, scale):
+        kernel = kernel_for(app, scale)
+        last = kernel.num_ctas - 1
+        _assert_matches_oracle(kernel, sorted({0, 1, last // 2, last}))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_corpus_spec_matches_oracle_generator(self, path, scale):
+        kernel = build_workload(load_workload_file(path), scale)
+        _assert_matches_oracle(kernel, range(kernel.num_ctas))
+
     def test_single_tenant_matches_plain_generator(self):
         app = app_spec("LI", scale=0.1)
         wrapped = workload_from_app(app)
