@@ -13,8 +13,6 @@ Usage:
     python -m repro overhead
     python -m repro trace GE linebacker --json
     python -m repro run dynamics --timeseries
-    python -m repro bench --reps 3 --output BENCH_sim.json
-    python -m repro bench --check-against BENCH_sim.json
     python -m repro lint --strict
     python -m repro lint --json src/repro/gpu
     python -m repro fuzz --seed 2019 --count 25 --out corpus/
@@ -246,50 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("overhead", help="Section 4.2 storage overhead inventory")
 
-    bench_p = sub.add_parser(
-        "bench", help="simulator throughput benchmark (cold runs, no cache)"
-    )
-    bench_p.add_argument("--apps", default="", help="comma-separated app subset")
-    bench_p.add_argument("--scale", type=float, default=0.25, help="workload scale")
-    bench_p.add_argument("--sms", type=int, default=2, help="number of SMs")
-    bench_p.add_argument(
-        "--reps", type=int, default=3, help="repetitions per app (min is kept)"
-    )
-    bench_p.add_argument(
-        "--output", default=None, help="write the JSON report to this path"
-    )
-    bench_p.add_argument(
-        "--check-against",
-        default=None,
-        help="baseline BENCH_sim.json; exit 1 on a throughput regression",
-    )
-    bench_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="fractional regression allowed against the baseline (default 0.30)",
-    )
-    bench_p.add_argument(
-        "--geomean-tolerance",
-        type=float,
-        default=None,
-        help="also gate the geomean instructions/sec against the "
-        "baseline at this fractional tolerance (e.g. 0.02)",
-    )
-    bench_p.add_argument(
-        "--native",
-        action="store_true",
-        help="the paper's native configuration: 16 SMs, scale 1.0, "
-        "50,000-cycle windows (overrides --scale/--sms)",
-    )
-    bench_p.add_argument(
-        "--record",
-        default=None,
-        metavar="HISTORY",
-        help="append this run as a new entry to the given history file "
-        "(e.g. BENCH_sim.json); existing entries are never rewritten",
-    )
-
     lint_p = sub.add_parser(
         "lint",
         add_help=False,
@@ -357,96 +311,6 @@ def _cmd_overhead() -> int:
         "buffer": overhead.buffer,
         "total (KB)": overhead.total_kb,
     }, precision=1))
-    return 0
-
-
-def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    from repro.bench import (
-        SimThroughput,
-        append_history,
-        compare_reports,
-        latest_entry,
-        load_history,
-        write_report,
-    )
-
-    apps = tuple(a for a in args.apps.split(",") if a) or ALL_APPS
-    unknown = set(apps) - set(ALL_APPS)
-    if unknown:
-        parser.error(f"unknown apps: {sorted(unknown)}")
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
-    scale, sms, window_cycles = args.scale, args.sms, 2_000
-    if args.native:
-        # The paper's Table 1/3 machine: unscaled traces on 16 SMs
-        # with the 50,000-cycle monitoring window.
-        scale, sms, window_cycles = 1.0, 16, 50_000
-    harness = SimThroughput(
-        apps=apps, scale=scale, num_sms=sms, reps=args.reps,
-        window_cycles=window_cycles,
-    )
-    print(
-        f"benchmarking {len(apps)} apps at scale {scale}, {sms} SMs, "
-        f"{args.reps} rep(s) per app (cold runs, result cache bypassed)...",
-        file=sys.stderr,
-    )
-
-    def progress(app, result):
-        print(
-            f"  {app:4s} {result.instructions:>8d} instr "
-            f"{result.cpu_seconds:7.3f}s cpu  "
-            f"{result.instructions_per_second:>10,.0f} instr/s  "
-            f"{result.cycles_per_second:>10,.0f} cyc/s",
-            file=sys.stderr,
-        )
-
-    report = harness.run(progress=progress)
-    print(
-        f"\ngeomean: {report.geomean_instructions_per_second:,.0f} instr/s, "
-        f"{report.geomean_cycles_per_second:,.0f} cyc/s "
-        f"over {len(report.apps)} apps "
-        f"({report.total_cpu_seconds:.1f}s cpu total)"
-    )
-    if args.output:
-        write_report(report, args.output)
-        print(f"report written to {args.output}", file=sys.stderr)
-    if args.record:
-        entry = append_history(report, args.record)
-        print(
-            f"history entry appended to {args.record} "
-            f"(backend {entry['backend']}, commit "
-            f"{entry.get('commit', '?')})",
-            file=sys.stderr,
-        )
-    if args.check_against:
-        baseline = latest_entry(
-            load_history(args.check_against), backend=report.backend
-        )
-        if baseline is None:
-            print(
-                f"no {report.backend!r} entry in {args.check_against} to "
-                "gate against",
-                file=sys.stderr,
-            )
-            return 1
-        problems = compare_reports(
-            report,
-            baseline,
-            tolerance=args.tolerance,
-            geomean_tolerance=args.geomean_tolerance,
-        )
-        if problems:
-            print(
-                f"\nTHROUGHPUT REGRESSION vs {args.check_against}:", file=sys.stderr
-            )
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(
-            f"no regression vs {args.check_against} "
-            f"(newest {report.backend} entry, tolerance {args.tolerance:.0%})",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -786,8 +650,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list(args)
     if args.command == "overhead":
         return _cmd_overhead()
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
     if args.command == "trace":
         return _cmd_trace(args, parser)
     if args.command == "fuzz":

@@ -15,7 +15,7 @@ A generator kernel — a Table-2 app or a workload document — carries
 its :class:`~repro.workloads.generator.Program`, which compiles each
 warp of a launched CTA straight to that form; its templates are
 shared by every warp of a tenant. A kernel built from explicit
-instruction lists (``from_instruction_lists``, ``traceio``) has only
+instruction lists (``from_instruction_lists``) has only
 its ``warp_trace`` iterators, which :func:`compile_warp_iter` drains
 once per warp at launch.
 """

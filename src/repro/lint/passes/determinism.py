@@ -38,9 +38,9 @@ Since the dataflow engine landed, the ``set-iteration`` and
 
 Scope: simulation-core packages only. Orchestration layers
 (:mod:`repro.runner`, :mod:`repro.service`, :mod:`repro.analysis`,
-:mod:`repro.bench`, :mod:`repro.workloads`, :mod:`repro.power`, the
-CLI) legitimately read wall clocks for progress reporting, job
-deadlines and uptime counters, so they are skipped. Files outside
+:mod:`repro.workloads`, :mod:`repro.power`, the CLI) legitimately
+read wall clocks for progress reporting, job deadlines and uptime
+counters, so they are skipped. Files outside
 the ``repro`` package (e.g. lint self-test fixtures) are always in
 scope.
 """
@@ -61,7 +61,7 @@ PASS_NAME = "determinism"
 #: repro subpackages (and top-level modules) outside the simulation
 #: core: wall clocks and host-dependent state are allowed there.
 _EXCLUDED_SUBPACKAGES = {
-    "analysis", "runner", "bench", "workloads", "power", "lint", "service",
+    "analysis", "runner", "workloads", "power", "lint", "service",
 }
 _EXCLUDED_MODULES = {"__main__.py"}
 

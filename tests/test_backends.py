@@ -246,12 +246,6 @@ class TestSelection:
             dispatch(None, _request(**self.TABLE[case]))
         assert {n: b.runs for n, b in engines.items()} == {"object": 0, "vector": 1}
 
-    def test_bench_labels_entries_with_the_engine_that_runs(self):
-        from repro.bench import SimThroughput
-
-        report = SimThroughput(apps=("S2",), scale=SCALE).run()
-        assert report.backend == report.to_json()["backend"] == "vector"
-
     def test_unpinned_key_is_the_parent_commits(self):
         # Computed at 314abe9, before selection existed: choosing the
         # engine must not move the identity of an unpinned job.

@@ -1,8 +1,12 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.__main__ import FIGURES, main
+from repro.__main__ import FIGURES, build_parser, main
 from repro.runner import ARCHITECTURES
 
 
@@ -29,7 +33,7 @@ class TestCLI:
         assert rows["ccws"] == ["SimulationResult", "-"]
 
     def test_no_subcommand_takes_a_backend_flag(self, capsys):
-        for command in ("run", "trace", "submit", "bench", "fuzz"):
+        for command in ("run", "trace", "submit", "fuzz"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert "--backend" not in capsys.readouterr().out
@@ -66,24 +70,46 @@ class TestCLI:
         assert set(FIGURES) == expected | {"dynamics"}
 
 
-class TestBenchHistory:
-    def test_committed_history_loads(self):
-        from pathlib import Path
+class TestDocumentedCommands:
+    """Every ``python -m repro <word>`` the docs and CI spell names a
+    subcommand the parser registers. EXPERIMENTS.md and CHANGES.md are
+    history and may name retired ones."""
 
-        from repro.bench import latest_entry, load_history
+    ROOT = Path(__file__).resolve().parent.parent
+    FILES = (".github/workflows/ci.yml", "README.md", "DESIGN.md",
+             ".claude/skills/verify/SKILL.md")
 
-        history = load_history(str(Path(__file__).parent.parent / "BENCH_sim.json"))
-        # Entries taken on the retired reference engine stay readable.
-        assert latest_entry(history, backend="object") is not None
-        assert latest_entry(history, backend="vector") is not None
+    @staticmethod
+    def registered() -> set:
+        return {
+            name
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name in action.choices
+        }
 
-    def test_single_report_is_not_a_history(self, tmp_path):
-        from repro.bench import load_history
+    def test_retired_bench_is_an_argparse_error(self, capsys):
+        assert {"run", "lint", "worker", "fuzz"} <= self.registered()
+        with pytest.raises(SystemExit) as err:
+            main(["bench"])
+        assert err.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-        report = tmp_path / "bench-ci.json"
-        report.write_text('{"backend": "object", "apps": []}')
-        with pytest.raises(ValueError, match="not a bench history"):
-            load_history(str(report))
+    @pytest.mark.parametrize("retired", ["repro bench", "repro.bench", "BENCH_sim", "traceio"])
+    def test_retired_names_appear_only_in_history(self, retired):
+        live = [*self.FILES, *(
+            str(p.relative_to(self.ROOT))
+            for pattern in ("src/repro/**/*.py", "examples/*.py")
+            for p in sorted(self.ROOT.glob(pattern))
+        )]
+        assert [name for name in live if retired in (self.ROOT / name).read_text()] == []
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_every_documented_subcommand_is_registered(self, name):
+        text = (self.ROOT / name).read_text()
+        words = re.findall(r"python3? -m repro\s+([a-z][\w-]*)", text)
+        assert words, f"{name} names no `python -m repro` command"
+        assert sorted(set(words) - self.registered()) == []
 
 
 class TestTraceCLI:

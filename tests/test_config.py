@@ -1,5 +1,9 @@
 """Tests for the configuration layer (Tables 1 and 3)."""
 
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -11,6 +15,8 @@ from repro.config import (
     paper_config,
     scaled_config,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestGPUConfig:
@@ -109,3 +115,31 @@ class TestScaledConfig:
         cfg = paper_config()
         assert cfg.gpu.num_sms == 16
         assert cfg.linebacker.window_cycles == 50_000
+
+
+class TestSeed:
+    """``SimulationConfig.seed`` keys jobs but varies nothing yet
+    (DESIGN.md, "Determinism"; a seed that does is ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("package", ["engine", "core", "gpu", "memory", "workloads"])
+    def test_no_simulation_package_reads_the_seed(self, package):
+        readers = [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for path in sorted((SRC / package).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "seed"
+        ]
+        assert readers == []
+
+    def test_two_seeds_simulate_identically(self):
+        from repro.api import Session
+
+        cfg = scaled_config(num_sms=1, window_cycles=600)
+        results = []
+        for seed in (cfg.seed, cfg.seed + 1):
+            with Session.local(
+                use_cache=False, config=replace(cfg, seed=seed), scale=0.1
+            ) as session:
+                results.append(session.run("S2", "linebacker").result())
+        a, b = results
+        assert (a.cycles, a.instructions) == (b.cycles, b.instructions)

@@ -2,10 +2,12 @@
 reuse bursts, weights, and the scramble hash quality."""
 
 import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+from repro.runner.fleet import worker_env
 from repro.workloads.generator import (
     LoadSpec,
     Pattern,
@@ -15,6 +17,7 @@ from repro.workloads.generator import (
     _scramble_packed,
     build_kernel,
 )
+from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_engine import generator as reference  # noqa: E402
@@ -76,6 +79,22 @@ class TestScrambleQuality:
 
     def test_deterministic(self):
         assert _scramble(5, 7, 0) == _scramble(5, 7, 0)
+
+    def test_streams_identical_in_a_child_with_another_hash_seed(self):
+        """The address hash is a fixed function: a process with a
+        different PYTHONHASHSEED builds the same Table-2 streams."""
+        child = (
+            "from repro.workloads.suite import kernel_for\n"
+            "k = kernel_for('2D', scale=0.05)\n"
+            "print([(i.op.name, i.line_addrs) for i in k.materialize(3, 1)])\n"
+        )
+        env = dict(worker_env(), PYTHONHASHSEED="12345")
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        here = kernel_for("2D", scale=0.05).materialize(3, 1)
+        assert proc.stdout.strip() == str([(i.op.name, i.line_addrs) for i in here])
 
     def test_no_linear_structure_in_t(self):
         """Consecutive iterations must not form a permutation of the

@@ -11,7 +11,7 @@ import pytest
 
 from dataclasses import replace
 
-from repro.config import scaled_config
+from repro.config import SimulationConfig, scaled_config
 from repro.core.linebacker import linebacker_factory
 from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
@@ -215,3 +215,18 @@ class TestAblationFlags:
         # Selective mode must insert no more victim lines than the
         # unselective mode (stream evictions are filtered out).
         assert ext_s.stats.victim_inserts <= ext_u.stats.victim_inserts
+
+
+class TestPaperMachine:
+    def test_ga_ends_inside_one_window_so_linebacker_equals_baseline(self):
+        """The CI native smoke's configuration (Table 1/3, scale 1.0):
+        GA finishes before the first 50 000-cycle LM window closes, so
+        Linebacker never selects a load (EXPERIMENTS.md)."""
+        from repro.api import Session
+
+        cfg = SimulationConfig()
+        with Session.local(use_cache=False, config=cfg, scale=1.0) as session:
+            base, lb = (session.run("GA", arch).result() for arch in ("baseline", "linebacker"))
+        assert base.cycles == 16_742
+        assert base.cycles < cfg.linebacker.window_cycles
+        assert (lb.cycles, lb.instructions) == (base.cycles, base.instructions)

@@ -217,3 +217,18 @@ def test_repository_tree_lints_clean():
     assert result.findings == [], [f.location for f in result.findings]
     assert result.files_checked > 50
     assert set(result.passes_run) == set(EXPECTED)
+
+
+def test_determinism_exclusions_name_existing_subpackages():
+    # A retired subpackage left in the list would silently exempt any
+    # future package reusing its name.
+    from repro.lint.passes import determinism
+
+    src = Path(determinism.__file__).resolve().parents[2]
+    stale = {
+        name for name in determinism._EXCLUDED_SUBPACKAGES
+        if not (src / name / "__init__.py").is_file()
+    } | {
+        name for name in determinism._EXCLUDED_MODULES if not (src / name).is_file()
+    }
+    assert stale == set()

@@ -66,7 +66,6 @@ TEST_MODULES = {
     "test_sm_integration",
     "test_stats",
     "test_suite_manifest",
-    "test_traceio",
     "test_victim_tag_table",
     "test_warp_scheduler",
     "test_workflow_protocol",
