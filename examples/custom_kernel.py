@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Define a custom kernel model and watch Linebacker's mechanisms work.
 
-This example builds a tiled stencil-style kernel from scratch with the
-workload generator's primitives — a hot shared lookup table, per-CTA
-tiles, and a streaming input — then inspects what Linebacker's Load
-Monitor selected, how much idle register space became victim cache,
-and what that did to the memory system.
+This example declares a tiled stencil-style kernel from scratch as a
+``WorkloadSpec`` — the same type the 20 Table-2 apps are — with a hot
+shared lookup table, per-CTA tiles, and a streaming input, builds it
+with ``build_workload``, then inspects what Linebacker's Load Monitor
+selected, how much idle register space became victim cache, and what
+that did to the memory system.
 
 Run:
     python examples/custom_kernel.py
@@ -16,7 +17,16 @@ from repro.core import linebacker_factory
 from repro.gpu import run_kernel
 from repro.gpu.isa import hashed_pc
 from repro.options import RunOptions
-from repro.workloads import AppSpec, LoadSpec, Pattern, Scope, StoreSpec, build_kernel
+from repro.workloads import (
+    KernelPhase,
+    LoadSpec,
+    Pattern,
+    Scope,
+    StoreSpec,
+    TenantSpec,
+    WorkloadSpec,
+    build_workload,
+)
 
 LOOKUP_PC = 0x100   # hot shared table: high locality, should be selected
 TILE_PC = 0x204     # per-CTA tile with reuse: should be selected
@@ -25,13 +35,7 @@ STORE_PC = 0x510
 
 
 def main() -> None:
-    spec = AppSpec(
-        name="stencil",
-        description="tiled stencil with a shared lookup table",
-        cache_sensitive=True,
-        num_ctas=96,
-        warps_per_cta=8,
-        regs_per_thread=16,   # leaves 128 KB of SUR for victim caching
+    loop = KernelPhase(
         iterations=80,
         alu_per_iteration=3,
         loads=(
@@ -43,7 +47,15 @@ def main() -> None:
         ),
         stores=(StoreSpec(STORE_PC, every_iterations=10),),
     )
-    kernel = build_kernel(spec)
+    spec = WorkloadSpec(
+        name="stencil",
+        description="tiled stencil with a shared lookup table",
+        num_ctas=96,
+        warps_per_cta=8,
+        regs_per_thread=16,   # leaves 128 KB of SUR for victim caching
+        tenants=(TenantSpec(name="main", phases=(loop,)),),
+    )
+    kernel = build_workload(spec)
     config = scaled_config()
 
     baseline = run_kernel(config, kernel)

@@ -58,7 +58,7 @@ from repro.analysis import experiments as exp
 from repro.config import scaled_config
 from repro.gpu.gpu import run_kernel
 from repro.runner import ARCHITECTURES, ExperimentRunner, ResultCache, default_workers
-from repro.workloads import ALL_APPS, kernel_for
+from repro.workloads import ALL_APPS, kernel_for, validate_scale
 
 #: figure name -> (runner, description)
 FIGURES = {
@@ -94,6 +94,14 @@ def _print_result(name: str, data) -> None:
         print(format_series(name, data))
 
 
+def _scale(text: str) -> float:
+    """``--scale``: a finite number > 0, or an argparse error (exit 2)."""
+    try:
+        return validate_scale(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -104,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="regenerate one figure")
     run_p.add_argument("figure", help="a figure id (fig1..fig18); see 'list'")
     run_p.add_argument("--apps", default="", help="comma-separated app subset")
-    run_p.add_argument("--scale", type=float, default=0.5, help="workload scale")
+    run_p.add_argument("--scale", type=_scale, default=0.5, help="workload scale")
     run_p.add_argument("--sms", type=int, default=4, help="number of SMs")
     run_p.add_argument(
         "--workers",
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a registered architecture other than the derived (oracle) "
         "rows (default: linebacker; see list --archs)",
     )
-    trace_p.add_argument("--scale", type=float, default=0.5, help="workload scale")
+    trace_p.add_argument("--scale", type=_scale, default=0.5, help="workload scale")
     trace_p.add_argument("--sms", type=int, default=4, help="number of SMs")
     trace_p.add_argument(
         "--sm", type=int, default=0, help="which SM's series to print (default 0)"
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated apps (default S2)")
     submit_p.add_argument("--arch", default="linebacker",
                           help="registered architecture (default linebacker)")
-    submit_p.add_argument("--scale", type=float, default=0.5,
+    submit_p.add_argument("--scale", type=_scale, default=0.5,
                           help="workload scale")
     submit_p.add_argument("--sms", type=int, default=4, help="number of SMs")
     submit_p.add_argument("--timeseries", action="store_true",
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--out", default=None,
                         help="write each spec as <name>.json into this "
                         "corpus directory")
-    fuzz_p.add_argument("--scale", type=float, default=1.0,
+    fuzz_p.add_argument("--scale", type=_scale, default=1.0,
                         help="workload scale for classification/simulation")
     fuzz_p.add_argument("--sms", type=int, default=1,
                         help="SMs for the differential simulation (default 1)")

@@ -26,8 +26,8 @@ from repro.config import SimulationConfig, stable_hash
 from repro.gpu.trace import KernelTrace
 from repro.options import RunOptions
 from repro.runner.registry import resolve
-from repro.workloads.spec import WorkloadSpec, build_workload, registered_workload
-from repro.workloads.suite import kernel_for
+from repro.workloads.spec import WorkloadSpec, build_workload, validate_scale
+from repro.workloads.suite import APP_SPECS, workload_for
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,13 @@ class JobSpec:
         would — content hashes are identical either way. Explicit
         ``overrides`` win over ``options`` on key collisions.
 
-        When ``app`` names a registered workload (and no explicit
-        ``workload`` is given), the registered spec is attached so the
-        job stays self-contained across process boundaries.
+        ``app`` is resolved here through the one name lookup
+        (:func:`~repro.workloads.suite.workload_for`): a Table-2 app
+        carries no document (its key is its name's), and a registered
+        workload is attached so the job stays self-contained across
+        process boundaries. An unknown name, a built-in name with a
+        document, or a scale that is not a finite number > 0 raises
+        ``ValueError``.
 
         Every submission surface (``Session``, ``ExperimentContext``,
         the HTTP schema) ends here, so this is where a job is checked
@@ -86,8 +90,18 @@ class JobSpec:
             raise ValueError(exc.args[0]) from None
         row.check(merged)
         params = tuple(sorted(merged.items()))
-        if workload is None:
-            workload = registered_workload(app)
+        validate_scale(scale)
+        if app in APP_SPECS:
+            if workload is not None:
+                raise ValueError(
+                    f"app {app!r} is a built-in Table-2 app and cannot carry "
+                    "a workload document"
+                )
+        elif workload is None:
+            try:
+                workload = workload_for(app)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
         elif workload.name != app:
             raise ValueError(
                 f"job app {app!r} does not match its attached workload "
@@ -102,9 +116,7 @@ class JobSpec:
 
     def kernel(self) -> KernelTrace:
         """This job's kernel trace (built lazily: nothing is simulated)."""
-        if self.workload is not None:
-            return build_workload(self.workload, self.scale)
-        return kernel_for(self.app, self.scale)
+        return build_workload(self.workload or workload_for(self.app), self.scale)
 
     def legs(self) -> dict[Any, "JobSpec"]:
         """A derived job's legs by label (none for a plain job)."""

@@ -170,40 +170,14 @@ def decode_jobspec(doc: Any) -> JobSpec:
     arch = doc.get("arch")
     if not isinstance(app, str) or not isinstance(arch, str):
         raise SchemaError("job: 'app' and 'arch' must be strings")
-    # Validate against the registries up front so a typo comes back as
-    # a 400 with the known names, not a worker-side traceback.
-    from repro.workloads.spec import (
-        WorkloadSpecError,
-        decode_workload,
-        registered_workload,
-    )
-    from repro.workloads.suite import ALL_APPS
-
     workload = None
     if "workload" in doc:
+        from repro.workloads.spec import WorkloadSpecError, decode_workload
+
         try:
             workload = decode_workload(doc["workload"])
         except WorkloadSpecError as exc:
             raise SchemaError(f"workload: {exc}") from None
-        if workload.name != app:
-            raise SchemaError(
-                f"job app {app!r} does not match its workload document "
-                f"{workload.name!r}"
-            )
-        if app in ALL_APPS:
-            raise SchemaError(
-                f"app {app!r} is a built-in Table-2 app and cannot carry "
-                "a workload document"
-            )
-    elif app not in ALL_APPS:
-        # A coordinator may have the workload registered locally (e.g.
-        # loaded from a corpus dir at boot); otherwise the name is a typo.
-        workload = registered_workload(app)
-        if workload is None:
-            raise SchemaError(
-                f"unknown app {app!r}; known: {', '.join(ALL_APPS)} "
-                "(or attach a 'workload' document)"
-            )
 
     scale = doc.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or isinstance(scale, bool):
@@ -245,10 +219,11 @@ def decode_jobspec(doc: Any) -> JobSpec:
                 f"{type(value).__name__}"
             )
 
-    # JobSpec.build checks the job against its architecture (unknown
-    # name, an option or parameter it refuses): a 400 naming the fix,
-    # where a worker-side traceback or fallback warning would be
-    # invisible to the remote client.
+    # JobSpec.build resolves the app name, checks the scale and checks
+    # the job against its architecture (unknown name, an option or
+    # parameter it refuses): a 400 naming the fix, where a worker-side
+    # traceback or fallback warning would be invisible to the remote
+    # client.
     try:
         return JobSpec.build(
             app=app,

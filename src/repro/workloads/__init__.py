@@ -1,25 +1,10 @@
 """Synthetic workload suite standing in for the paper's 20 CUDA
-applications (Table 2), plus the declarative workload description
-language (``spec``), the Fig 1-4 analytic classifier (``classify``)
-and the seeded scenario fuzzer (``fuzz``)."""
+applications (Table 2), written in the declarative workload
+description language (``spec``) that every other scenario uses too,
+plus the Fig 1-4 analytic classifier (``classify``) and the seeded
+scenario fuzzer (``fuzz``)."""
 
-from repro.workloads.generator import (
-    AppSpec,
-    LoadSpec,
-    Pattern,
-    Scope,
-    StoreSpec,
-    build_kernel,
-    footprint_bytes,
-)
-from repro.workloads.suite import (
-    ALL_APPS,
-    APP_SPECS,
-    CACHE_INSENSITIVE,
-    CACHE_SENSITIVE,
-    app_spec,
-    kernel_for,
-)
+from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
 from repro.workloads.spec import (
     WORKLOAD_SPEC_VERSION,
     KernelPhase,
@@ -34,18 +19,23 @@ from repro.workloads.spec import (
     registered_workload,
     save_workload_file,
     unregister_workload,
+    validate_scale,
     validate_workload,
-    workload_from_app,
     workload_hash,
+)
+from repro.workloads.suite import (
+    ALL_APPS,
+    APP_SPECS,
+    CACHE_INSENSITIVE,
+    CACHE_SENSITIVE,
+    kernel_for,
+    workload_for,
 )
 from repro.workloads.classify import (
     LoadClass,
     WorkloadClassification,
-    check_expected_classes,
-    classify_app,
     classify_kernel,
     classify_workload,
-    expected_classes_for_app,
 )
 from repro.workloads.fuzz import (
     FAMILIES,
@@ -59,7 +49,6 @@ from repro.workloads.fuzz import (
 __all__ = [
     "ALL_APPS",
     "APP_SPECS",
-    "AppSpec",
     "CACHE_INSENSITIVE",
     "CACHE_SENSITIVE",
     "FAMILIES",
@@ -74,19 +63,13 @@ __all__ = [
     "WorkloadClassification",
     "WorkloadSpec",
     "WorkloadSpecError",
-    "app_spec",
-    "build_kernel",
     "build_workload",
-    "check_expected_classes",
     "check_gates",
-    "classify_app",
     "classify_kernel",
     "classify_workload",
     "decode_workload",
     "differential_check",
     "encode_workload",
-    "expected_classes_for_app",
-    "footprint_bytes",
     "fuzz_workload",
     "generate_corpus",
     "kernel_for",
@@ -96,7 +79,8 @@ __all__ = [
     "registered_workload",
     "save_workload_file",
     "unregister_workload",
+    "validate_scale",
     "validate_workload",
-    "workload_from_app",
+    "workload_for",
     "workload_hash",
 ]

@@ -21,8 +21,9 @@ The motivational study (Sections 2.2-2.3) characterizes applications by
   Linebacker's victim storage lives in.
 
 Everything is computed from a bounded *trace prefix* (no simulation),
-so classification is cheap enough to gate every fuzzed spec, and the
-same code asserts the 20 built-in apps land in their published classes
+so classification is cheap enough to gate every workload: the fuzzer's
+:func:`~repro.workloads.fuzz.check_gates` holds fuzzed specs and the 20
+built-in apps alike to the classes their loads declare
 (``tests/test_classify.py``).
 """
 
@@ -30,14 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import GPUConfig
 from repro.gpu.gpu import statically_unused_register_bytes
 from repro.gpu.isa import Op
 from repro.gpu.trace import KernelTrace
 from repro.workloads.spec import WorkloadSpec, build_workload
-from repro.workloads.suite import app_spec, kernel_for
 
 #: The paper's streaming criterion: >95% misses under an infinite cache.
 STREAMING_MISS_THRESHOLD = 0.95
@@ -216,90 +216,3 @@ def classify_workload(
     kernel = build_workload(spec, scale)
     kwargs.setdefault("tenant_groups", len(spec.tenants))
     return classify_kernel(kernel, **kwargs)
-
-
-def classify_app(name: str, scale: float = 1.0, **kwargs) -> WorkloadClassification:
-    """Classify one of the 20 built-in Table-2 apps."""
-    return classify_kernel(kernel_for(name, scale), **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Expected classes (the "published" labels the suite must land in)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExpectedLoadClass:
-    """What the generator *declares* a load to be; the classifier must
-    re-derive it from the trace alone."""
-
-    pc: int
-    streaming: bool
-    uncoalesced: bool
-    sharing: str
-
-
-def expected_classes_for_app(name: str) -> tuple[ExpectedLoadClass, ...]:
-    """Ground-truth per-load labels for a built-in app.
-
-    Derived from the spec literals (pattern/scope/lines_per_access),
-    i.e. from Table 2 and Figs 2-3 as encoded in the suite — *not*
-    from the trace, which is the classifier's job to measure.
-    """
-    from repro.workloads.generator import Pattern, Scope
-
-    spec = app_spec(name)
-    out = []
-    for ld in spec.loads:
-        streaming = ld.pattern is Pattern.STREAM
-        if streaming:
-            # A stream touches each line exactly once, so no two warps
-            # ever meet on a line regardless of declared scope.
-            sharing = "private"
-        elif ld.scope is Scope.GLOBAL:
-            sharing = "inter-cta"
-        elif ld.scope is Scope.CTA:
-            sharing = "intra-cta"
-        else:
-            sharing = "private"
-        out.append(ExpectedLoadClass(
-            pc=ld.pc,
-            streaming=streaming,
-            uncoalesced=ld.lines_per_access > 1,
-            sharing=sharing,
-        ))
-    return tuple(out)
-
-
-def check_expected_classes(
-    classification: WorkloadClassification,
-    expected: Iterable[ExpectedLoadClass],
-) -> list[str]:
-    """Compare measured classes against ground truth; returns mismatches
-    as human-readable strings (empty list = the workload passes)."""
-    problems = []
-    measured = {lc.pc: lc for lc in classification.loads}
-    for exp in expected:
-        lc = measured.get(exp.pc)
-        if lc is None:
-            problems.append(f"pc {exp.pc}: never observed in the trace prefix")
-            continue
-        if lc.streaming != exp.streaming:
-            problems.append(
-                f"pc {exp.pc}: streaming={lc.streaming} (cold ratio "
-                f"{lc.infinite_miss_ratio:.3f}), expected {exp.streaming}"
-            )
-        if lc.uncoalesced != exp.uncoalesced:
-            problems.append(
-                f"pc {exp.pc}: uncoalesced={lc.uncoalesced} "
-                f"(mean lines/access {lc.mean_lines_per_access:.2f}), "
-                f"expected {exp.uncoalesced}"
-            )
-        if lc.sharing != exp.sharing:
-            problems.append(
-                f"pc {exp.pc}: sharing={lc.sharing!r}, expected {exp.sharing!r}"
-            )
-        if not lc.consistent_across_warps:
-            problems.append(
-                f"pc {exp.pc}: per-warp locality disagrees with the pooled "
-                "verdict (paper Section 2.3 expects consistency)"
-            )
-    return problems

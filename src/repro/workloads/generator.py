@@ -18,7 +18,7 @@ Addresses are line-granular integers. The pseudo-random components use
 fixed multiplicative hashing so traces are deterministic without
 per-instruction RNG overhead.
 
-A kernel built here (or by :func:`repro.workloads.spec.build_workload`)
+Every kernel :func:`repro.workloads.spec.build_workload` compiles
 carries its :class:`Program`, the one implementation of that address
 arithmetic: it compiles a warp straight to the machine's
 struct-of-arrays form, and the kernel's ``Instruction`` view is decoded
@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.gpu.isa import (
     OP_ALU,
@@ -44,7 +44,9 @@ from repro.gpu.isa import (
     hashed_pc,
     store,
 )
-from repro.gpu.trace import KernelTrace
+
+if TYPE_CHECKING:
+    from repro.workloads.spec import TenantSpec, WorkloadSpec
 
 
 class Scope(enum.Enum):
@@ -85,37 +87,6 @@ class StoreSpec:
 
     pc: int
     every_iterations: int = 8
-
-
-@dataclass(frozen=True)
-class AppSpec:
-    """One synthetic application."""
-
-    name: str
-    description: str
-    cache_sensitive: bool
-    num_ctas: int
-    warps_per_cta: int
-    regs_per_thread: int
-    iterations: int
-    loads: tuple[LoadSpec, ...]
-    stores: tuple[StoreSpec, ...] = ()
-    alu_per_iteration: int = 4
-    shared_mem_per_cta: int = 0
-
-    def region_base(self, load_index: int) -> int:
-        """Disjoint, stable address regions per static load."""
-        return (load_index + 1) << 22
-
-    def store_region_base(self) -> int:
-        """Base of the store output region, past every load region.
-
-        A method (not a constant in the generator) so composed
-        workloads — multi-phase or multi-tenant kernels that relocate
-        their load regions — can relocate store traffic consistently
-        and never alias another phase's loads.
-        """
-        return (len(self.loads) + 2) << 22
 
 
 _MIX = 0x9E3779B1  # Fibonacci hashing constant for address scrambling.
@@ -183,9 +154,10 @@ _ALU_PC = 0x10
 class Program:
     """What a generator kernel is built from, compiled one warp at a time.
 
-    ``tenants[k]`` is tenant ``k``'s phase apps, run back to back by
-    each of its warps; CTA ``i`` runs tenant ``i % len(tenants)``. A
-    Table-2 kernel is one tenant of one phase.
+    ``workload`` is the :class:`~repro.workloads.spec.WorkloadSpec` the
+    kernel was built from and ``scale`` its iteration scale. CTA ``i``
+    runs tenant ``i % len(workload.tenants)``, whose phases each of its
+    warps runs back to back. A Table-2 kernel is one tenant of one phase.
 
     :meth:`warp_streams` returns one warp's struct-of-arrays form, what
     the machine executes: the tenant's opcode / operand-count / load-PC
@@ -197,17 +169,18 @@ class Program:
     ``warp_trace`` of a generator kernel.
     """
 
-    __slots__ = ("tenants", "_plans")
+    __slots__ = ("workload", "scale", "_plans")
 
-    def __init__(self, tenants: tuple[tuple[AppSpec, ...], ...]) -> None:
-        self.tenants = tenants
-        self._plans: list = [None] * len(tenants)
+    def __init__(self, workload: "WorkloadSpec", scale: float) -> None:
+        self.workload = workload
+        self.scale = scale
+        self._plans: list = [None] * len(workload.tenants)
 
     def _plan(self, cta_id: int) -> tuple:
-        k = cta_id % len(self.tenants)
+        k = cta_id % len(self._plans)
         plan = self._plans[k]
         if plan is None:
-            plan = self._plans[k] = _tenant_plan(self.tenants[k])
+            plan = self._plans[k] = _tenant_plan(self.workload, k, self.scale)
         return plan
 
     def warp_streams(self, cta_id: int, warp: int) -> tuple:
@@ -239,8 +212,19 @@ class Program:
                 yield exit_inst()
 
 
-def _tenant_plan(apps: tuple[AppSpec, ...]) -> tuple:
-    """The warp-independent part of one tenant's program.
+def _widest(tenant: "TenantSpec") -> int:
+    return max(len(phase.loads) for phase in tenant.phases)
+
+
+def _tenant_plan(workload: "WorkloadSpec", k: int, scale: float) -> tuple:
+    """The warp-independent part of tenant ``k``'s program.
+
+    Region layout, in ``1 << 22``-line slots: tenant ``k`` owns the
+    ``L_k + 3`` slots after every earlier tenant's, ``L_k`` its widest
+    phase's load count; ``base_slot`` is the first. Its load ``i`` sits at
+    slot ``base_slot + i + 1`` in every phase (phase-shifting working sets
+    operate on the same data structure), its stores at
+    ``base_slot + L_k + 2``.
 
     Per iteration ``t`` a phase emits its ALU block, one LOAD per
     (static load, weight repeat) — the load *columns* — then one STORE
@@ -248,50 +232,55 @@ def _tenant_plan(apps: tuple[AppSpec, ...]) -> tuple:
     operands, memory ops 2. Each column's iteration terms are computed
     here once, for all warps.
     """
+    tenants = workload.tenants
+    base_slot = sum(_widest(tenant) + 3 for tenant in tenants[:k])
+    store_base = (base_slot + _widest(tenants[k]) + 2) << 22
+    warps_per_cta = workload.warps_per_cta
     ops: list[int] = []
     opnds: list[int] = []
     load_pcs: list[tuple[int, int]] = []
     store_pcs: list[int] = []
     phases = []
-    for app in apps:
-        n_alu = app.alu_per_iteration
-        n_loads = sum(ld.weight for ld in app.loads)
+    for phase in tenants[k].phases:
+        iterations = scaled_iterations(phase.iterations, scale)
+        n_alu = phase.alu_per_iteration
+        n_loads = sum(ld.weight for ld in phase.loads)
         body_ops = [OP_ALU] * n_alu + [OP_LOAD] * n_loads
         body_opnds = [3] * n_alu + [2] * n_loads
         store_ts: list[int] = []
-        for t in range(app.iterations):
+        for t in range(iterations):
             ops += body_ops
             opnds += body_opnds
-            for st in app.stores:
+            for st in phase.stores:
                 if st.every_iterations > 0 and t % st.every_iterations == 0:
                     ops.append(OP_STORE)
                     opnds.append(2)
                     store_pcs.append(st.pc)
                     store_ts.append(t)
         load_pcs += [
-            (ld.pc, hashed_pc(ld.pc)) for ld in app.loads for _ in range(ld.weight)
-        ] * app.iterations
+            (ld.pc, hashed_pc(ld.pc)) for ld in phase.loads for _ in range(ld.weight)
+        ] * iterations
         columns = []
-        for idx, ld in enumerate(app.loads):
+        for idx, ld in enumerate(phase.loads):
             ws = max(1, ld.working_set_lines)
             # A CTA- or WARP-scoped load addresses its entity's sub-region.
             cta_step = ld.working_set_lines if ld.scope is Scope.CTA else 0
             warp_step = ld.working_set_lines if ld.scope is Scope.WARP else 0
             for rep in range(ld.weight):
                 if ld.pattern is Pattern.STREAM:
-                    terms = (rep, ld.weight, app.iterations * ld.weight)
+                    terms = (rep, ld.weight, iterations * ld.weight)
                 elif ld.pattern is Pattern.DIVERGENT:
-                    terms = _pack_terms(range(rep, rep + app.iterations * ld.stride, ld.stride))
+                    terms = _pack_terms(range(rep, rep + iterations * ld.stride, ld.stride))
                 else:  # REUSE revisits a line for reuse_burst iterations
                     burst = max(1, ld.reuse_burst)
-                    ks = [(t // burst) * ld.stride + rep for t in range(app.iterations)]
-                    shift = ws // max(1, app.warps_per_cta)
+                    ks = [(t // burst) * ld.stride + rep for t in range(iterations)]
+                    shift = ws // max(1, warps_per_cta)
                     terms = (ks, shift, ld.scope is Scope.GLOBAL)
                 columns.append(
-                    (ld.pattern, app.region_base(idx), cta_step, warp_step,
+                    (ld.pattern, (base_slot + idx + 1) << 22, cta_step, warp_step,
                      ld.lines_per_access, ws, terms)
                 )
-        phases.append((app, columns, store_ts))
+        phases.append((iterations, warps_per_cta, store_base, columns, store_ts))
     ops.append(OP_EXIT)
     opnds.append(3)
     return ops, opnds, load_pcs, store_pcs, phases
@@ -309,16 +298,16 @@ def _warp_queues(phases: list, cta_id: int, warp: int) -> tuple[list, list]:
 
 
 def _phase_queues(phase: tuple, cta_id: int, warp: int) -> tuple[list, list]:
-    app, columns, store_ts = phase
-    global_warp = cta_id * app.warps_per_cta + warp
+    iterations, warps_per_cta, store_base, columns, store_ts = phase
+    global_warp = cta_id * warps_per_cta + warp
     n = len(columns)
     if n == 1:
         queue = _column(columns[0], cta_id, warp, global_warp)
     else:
-        queue = [None] * (app.iterations * n)
+        queue = [None] * (iterations * n)
         for c, column in enumerate(columns):
             queue[c::n] = _column(column, cta_id, warp, global_warp)
-    store_base = app.store_region_base() + global_warp * app.iterations
+    store_base += global_warp * iterations
     return queue, [store_base + t for t in store_ts]
 
 
@@ -344,48 +333,3 @@ def _column(column: tuple, cta_id: int, warp: int, global_warp: int) -> list:
         extra = (global_warp if by_global_warp else warp) * shift
         lines = [[base + (k + extra + j * 17) % ws for k in ks] for j in range(lpa)]
     return lines[0] if lpa == 1 else list(zip(*lines))
-
-
-def build_kernel(spec: AppSpec) -> KernelTrace:
-    """Materialize the KernelTrace for an application spec."""
-    if not spec.loads:
-        raise ValueError(f"{spec.name}: an application needs at least one load")
-    pcs = [ld.pc for ld in spec.loads]
-    if len(set(pcs)) != len(pcs):
-        raise ValueError(f"{spec.name}: duplicate load PCs")
-    return program_kernel(spec.name, ((spec,),))
-
-
-def program_kernel(name: str, tenants: tuple[tuple[AppSpec, ...], ...]) -> KernelTrace:
-    """The KernelTrace of a generator program; its apps share one grid shape."""
-    shape = tenants[0][0]
-    program = Program(tenants)
-    return KernelTrace(
-        name=name,
-        num_ctas=shape.num_ctas,
-        warps_per_cta=shape.warps_per_cta,
-        regs_per_thread=shape.regs_per_thread,
-        warp_trace=program.instructions,
-        shared_mem_per_cta=shape.shared_mem_per_cta,
-        program=program,
-    )
-
-
-def footprint_bytes(spec: AppSpec, resident_ctas: int) -> int:
-    """Reused working-set footprint on one SM at a given residency.
-
-    Streaming loads are excluded — their lines are dead on arrival.
-    Used by calibration tests to check an app lands in its intended
-    cache-sensitivity class.
-    """
-    total_lines = 0
-    for ld in spec.loads:
-        if ld.pattern is Pattern.STREAM:
-            continue
-        if ld.scope is Scope.GLOBAL:
-            total_lines += ld.working_set_lines
-        elif ld.scope is Scope.CTA:
-            total_lines += ld.working_set_lines * resident_ctas
-        else:
-            total_lines += ld.working_set_lines * resident_ctas * spec.warps_per_cta
-    return total_lines * 128

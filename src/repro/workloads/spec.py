@@ -1,12 +1,12 @@
-"""Declarative workload documents: a versioned DSL over the generator.
+"""Declarative workload documents: the one workload type, versioned.
 
-The 20 Table-2 apps are Python literals in :mod:`repro.workloads.suite`.
-Everything the mechanisms are judged on, though, is a function of the
-*generator knobs* those literals set — grid shape, registers per
-thread, and per-load pattern/scope/working-set parameters. This module
-makes that parameter space a first-class, file-loadable document so
-scenarios can come from fuzzers, experiment sweeps or checked-in
-corpora instead of hand-written code:
+Everything the mechanisms are judged on is a function of the
+*generator knobs* a workload sets — grid shape, registers per thread,
+and per-load pattern/scope/working-set parameters. This module makes
+that parameter space a first-class, file-loadable document. The 20
+Table-2 apps are values of it (:mod:`repro.workloads.suite`), and so is
+every scenario from a fuzzer, an experiment sweep or a checked-in
+corpus:
 
 * :class:`WorkloadSpec` — a frozen tree of plain data (tenants →
   kernel phases → :class:`~repro.workloads.generator.LoadSpec`) that
@@ -19,13 +19,10 @@ corpora instead of hand-written code:
   literals on the encode side, ``set(doc) - {...}`` accepted sets and
   ``.get`` reads on the decode side). Unknown fields and unknown
   enum values are rejected with actionable errors, never ignored.
-* :func:`build_workload` — compiles a spec to a
-  :class:`~repro.gpu.trace.KernelTrace` whose generator
-  :class:`~repro.workloads.generator.Program` runs each tenant's
-  per-phase :class:`~repro.workloads.generator.AppSpec` values end to
-  end, with tenant-disjoint address regions. A single-tenant,
-  single-phase workload compiles to the *bit-identical* trace the
-  plain generator emits for the equivalent ``AppSpec``.
+* :func:`build_workload` — the one build path: compiles a spec at a
+  scale to a :class:`~repro.gpu.trace.KernelTrace` whose generator
+  :class:`~repro.workloads.generator.Program` runs each tenant's phases
+  end to end, in tenant-disjoint address regions.
 * a process-local **registry** (:func:`register_workload`) that lets
   :class:`~repro.runner.spec.JobSpec` / ``Session.run`` / the HTTP
   schema accept workload names that are not Table-2 apps.
@@ -69,22 +66,14 @@ make the classifier's paper-rule gates sound):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from repro.config import stable_hash
 from repro.gpu.trace import KernelTrace
-from repro.workloads.generator import (
-    AppSpec,
-    LoadSpec,
-    Pattern,
-    Scope,
-    StoreSpec,
-    program_kernel,
-    scaled_iterations,
-)
-from repro.workloads.suite import APP_SPECS
+from repro.workloads.generator import LoadSpec, Pattern, Program, Scope, StoreSpec
 
 #: Bump on any incompatible change to the workload document shape.
 WORKLOAD_SPEC_VERSION = 1
@@ -458,6 +447,9 @@ def register_workload(spec: WorkloadSpec, *, replace: bool = False) -> WorkloadS
     spec under an existing name needs ``replace=True`` (the same spec
     is always idempotent).
     """
+    # Deferred import: the suite's literals are values of this module.
+    from repro.workloads.suite import APP_SPECS
+
     validate_workload(spec)
     if spec.name in APP_SPECS:
         raise WorkloadSpecError(
@@ -486,93 +478,29 @@ def unregister_workload(name: str) -> None:
 # ---------------------------------------------------------------------------
 # Compilation to a KernelTrace
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _PhaseApp(AppSpec):
-    """An ``AppSpec`` relocated into a tenant's address-region window.
-
-    ``region_shift`` slides every load region; ``store_slot`` pins the
-    store output region to a tenant-level slot past the longest
-    phase's loads, so no phase's stores can alias another phase's (or
-    tenant's) load regions.
-    """
-
-    region_shift: int = 0
-    store_slot: int = 0
-
-    def region_base(self, load_index: int) -> int:
-        return (load_index + 1 + self.region_shift) << 22
-
-    def store_region_base(self) -> int:
-        return self.store_slot << 22
-
-
-def compile_tenants(
-    spec: WorkloadSpec, scale: float = 1.0
-) -> tuple[tuple[_PhaseApp, ...], ...]:
-    """Per-tenant phase programs as relocated ``AppSpec`` values.
-
-    Region layout: tenant ``k`` owns slots ``[shift_k, shift_k + L_k
-    + 2]`` where ``L_k`` is its widest phase's load count — loads at
-    ``shift_k + i + 1`` (so a load keeps its region across phases:
-    phase-shifting working sets operate on the same data structure),
-    stores at ``shift_k + L_k + 2``. For a single tenant this is
-    exactly the plain generator's layout, so the compiled trace is
-    bit-identical to ``build_kernel`` on the equivalent ``AppSpec``.
-    """
-    validate_workload(spec)
-    tenants = []
-    shift = 0
-    for tenant in spec.tenants:
-        max_loads = max(len(phase.loads) for phase in tenant.phases)
-        store_slot = shift + max_loads + 2
-        apps = tuple(
-            _PhaseApp(
-                name=f"{spec.name}/{tenant.name}#{pi}",
-                description=spec.description,
-                cache_sensitive=False,
-                num_ctas=spec.num_ctas,
-                warps_per_cta=spec.warps_per_cta,
-                regs_per_thread=spec.regs_per_thread,
-                iterations=scaled_iterations(phase.iterations, scale),
-                loads=phase.loads,
-                stores=phase.stores,
-                alu_per_iteration=phase.alu_per_iteration,
-                shared_mem_per_cta=spec.shared_mem_per_cta,
-                region_shift=shift,
-                store_slot=store_slot,
-            )
-            for pi, phase in enumerate(tenant.phases)
-        )
-        tenants.append(apps)
-        shift = store_slot + 1
-    return tuple(tenants)
+def validate_scale(scale: float) -> float:
+    """Check a build scale is a finite number > 0; returns it."""
+    if not 0 < scale < math.inf:
+        raise WorkloadSpecError(f"scale must be a finite number > 0, got {scale!r}")
+    return scale
 
 
 def build_workload(spec: WorkloadSpec, scale: float = 1.0) -> KernelTrace:
-    """Materialize the :class:`KernelTrace` for a workload spec."""
-    return program_kernel(spec.name, compile_tenants(spec, scale))
+    """Materialize the :class:`KernelTrace` for a workload spec.
 
-
-def workload_from_app(app: AppSpec, name: Optional[str] = None) -> WorkloadSpec:
-    """Wrap a generator ``AppSpec`` as a single-tenant workload.
-
-    The compiled trace is bit-identical to ``build_kernel(app)``; the
-    wrapper exists so built-in shapes can seed fuzz corpora and tests.
+    ``scale`` shrinks every phase's iteration count
+    (:func:`~repro.workloads.generator.scaled_iterations`); the grid
+    keeps its shape.
     """
-    return validate_workload(WorkloadSpec(
-        name=name or app.name,
-        description=app.description,
-        num_ctas=app.num_ctas,
-        warps_per_cta=app.warps_per_cta,
-        regs_per_thread=app.regs_per_thread,
-        tenants=(TenantSpec(
-            name="main",
-            phases=(KernelPhase(
-                iterations=app.iterations,
-                loads=app.loads,
-                stores=app.stores,
-                alu_per_iteration=app.alu_per_iteration,
-            ),),
-        ),),
-        shared_mem_per_cta=app.shared_mem_per_cta,
-    ))
+    validate_scale(scale)
+    validate_workload(spec)
+    program = Program(spec, scale)
+    return KernelTrace(
+        name=spec.name,
+        num_ctas=spec.num_ctas,
+        warps_per_cta=spec.warps_per_cta,
+        regs_per_thread=spec.regs_per_thread,
+        warp_trace=program.instructions,
+        shared_mem_per_cta=spec.shared_mem_per_cta,
+        program=program,
+    )

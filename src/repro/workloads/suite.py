@@ -1,6 +1,7 @@
 """The 20-application benchmark suite (paper Table 2).
 
-Each application is a synthetic kernel model calibrated to the
+Each application is a one-tenant, one-phase
+:class:`~repro.workloads.spec.WorkloadSpec` calibrated to the
 behavioural class the paper reports for it:
 
 * **Cache-sensitive** (S2, BI, AT, S1, CF, GE, KM, BC, MV, PF): the
@@ -20,21 +21,21 @@ Figure 4 (from ~0 KB in fully-occupied kernels to >128 KB).
 
 ``scale`` shrinks iteration counts (and with them simulated cycles)
 proportionally — tests run at scale 0.25, the benchmark harness at 1.0.
+:func:`workload_for` is the one name lookup (a Table-2 app, else a
+registered workload); :func:`kernel_for` builds what it finds with
+:func:`~repro.workloads.spec.build_workload`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.gpu.trace import KernelTrace
-from repro.workloads.generator import (
-    AppSpec,
-    LoadSpec,
-    Pattern,
-    Scope,
-    StoreSpec,
-    build_kernel,
-    scaled_iterations,
+from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
+from repro.workloads.spec import (
+    KernelPhase,
+    TenantSpec,
+    WorkloadSpec,
+    build_workload,
+    registered_workload,
 )
 
 # Static load PCs: distinct per app slot; the 5-bit XOR fold keeps
@@ -71,184 +72,136 @@ def _random(pc: int, ws: int, scope: Scope = Scope.CTA) -> LoadSpec:
                     lines_per_access=1)
 
 
+def _app(
+    name: str, description: str, num_ctas: int, warps_per_cta: int,
+    regs_per_thread: int, phase: KernelPhase,
+) -> WorkloadSpec:
+    return WorkloadSpec(
+        name=name, description=description, num_ctas=num_ctas,
+        warps_per_cta=warps_per_cta, regs_per_thread=regs_per_thread,
+        tenants=(TenantSpec(name="main", phases=(phase,)),),
+    )
+
+
 #: The full suite, in the paper's Table 2 order (sensitive first).
-APP_SPECS: dict[str, AppSpec] = {}
+APP_SPECS: dict[str, WorkloadSpec] = {spec.name: spec for spec in (
+    # -----------------------------------------------------------------------
+    # Cache-sensitive applications
+    # -----------------------------------------------------------------------
+    _app("S2", "Symmetric rank-2k operations (Polybench)", 192, 4, 16, KernelPhase(
+        iterations=96, alu_per_iteration=2,
+        loads=(_random(_PC0, 64), _random(_PC1, 48), _reuse(_PC2, 64, Scope.GLOBAL)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=16),),
+    )),
+    _app("BI", "BiCGStab linear solver (Polybench)", 192, 4, 16, KernelPhase(
+        iterations=90, alu_per_iteration=2,
+        loads=(_random(_PC0, 384, Scope.GLOBAL), _random(_PC1, 24), _stream(_PC2)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=12),),
+    )),
+    _app("AT", "Matrix transpose-vector multiply (Polybench)", 192, 4, 16, KernelPhase(
+        iterations=90, alu_per_iteration=2,
+        loads=(_random(_PC0, 48), _reuse(_PC1, 96, Scope.GLOBAL)),
+    )),
+    _app("S1", "Symmetric rank-1k operations (Polybench)", 192, 4, 16, KernelPhase(
+        iterations=96, alu_per_iteration=2,
+        loads=(_random(_PC0, 48), _reuse(_PC1, 64, Scope.GLOBAL)),
+    )),
+    _app("CF", "CFD Euler solver (Rodinia)", 192, 4, 24, KernelPhase(
+        iterations=84, alu_per_iteration=2,
+        loads=(_random(_PC0, 48), _reuse(_PC1, 64, Scope.GLOBAL), _stream(_PC2)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=10),),
+    )),
+    _app("GE", "Scalar-vector-matrix multiply GEMVER (Polybench)", 160, 4, 16, KernelPhase(
+        iterations=120, alu_per_iteration=2,
+        loads=(_random(_PC0, 768, Scope.GLOBAL), _random(_PC1, 64)),
+    )),
+    _app("KM", "KMeans clustering (Rodinia)", 192, 4, 16, KernelPhase(
+        iterations=96, alu_per_iteration=2,
+        loads=(LoadSpec(_PC0, Pattern.DIVERGENT, 320, Scope.GLOBAL,
+                        lines_per_access=1, weight=2),
+               _random(_PC1, 32), _stream(_PC2)),
+    )),
+    _app("BC", "BFS (CUDA SDK)", 192, 4, 24, KernelPhase(
+        iterations=84, alu_per_iteration=2,
+        loads=(_divergent(_PC0, 48, Scope.CTA), _reuse(_PC1, 64, Scope.GLOBAL), _stream(_PC2)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=14),),
+    )),
+    _app("MV", "Matrix-vector product transpose (Polybench)", 192, 4, 16, KernelPhase(
+        iterations=96, alu_per_iteration=2,
+        loads=(_random(_PC0, 448, Scope.GLOBAL), _random(_PC1, 48)),
+    )),
+    _app("PF", "Particle filter, float (Rodinia)", 192, 4, 24, KernelPhase(
+        iterations=84, alu_per_iteration=2,
+        loads=(_random(_PC0, 40), _reuse(_PC1, 80, Scope.GLOBAL), _stream(_PC2)),
+    )),
+    # -----------------------------------------------------------------------
+    # Cache-insensitive applications
+    # -----------------------------------------------------------------------
+    _app("BG", "BFS (GPGPU-Sim suite)", 96, 8, 16, KernelPhase(
+        iterations=72, alu_per_iteration=2,
+        loads=(_divergent(_PC0, 2048, Scope.GLOBAL), _stream(_PC1)),
+    )),
+    _app("LI", "LIBOR Monte Carlo (GPGPU-Sim suite)", 96, 8, 16, KernelPhase(
+        iterations=72, alu_per_iteration=8,
+        loads=(_stream(_PC0), _stream(_PC1)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=8),),
+    )),
+    _app("SR2", "SRAD v2 (Rodinia)", 96, 8, 24, KernelPhase(
+        iterations=84, alu_per_iteration=5,
+        loads=(_stream(_PC0), _reuse(_PC1, 8)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=8),),
+    )),
+    _app("SP", "Sparse matrix-vector multiply (Parboil)", 96, 8, 16, KernelPhase(
+        iterations=78, alu_per_iteration=2,
+        loads=(_divergent(_PC0, 384, Scope.GLOBAL), _reuse(_PC1, 16), _stream(_PC2)),
+    )),
+    _app("BR", "BFS (Rodinia)", 96, 8, 16, KernelPhase(
+        iterations=78, alu_per_iteration=2,
+        loads=(_divergent(_PC0, 64, Scope.CTA), _stream(_PC1)),
+    )),
+    _app("FD", "2D finite-difference time domain (Polybench)", 96, 8, 24, KernelPhase(
+        iterations=90, alu_per_iteration=4,
+        loads=(_reuse(_PC0, 20), _stream(_PC1)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=6),),
+    )),
+    _app("GA", "Gaussian elimination (Rodinia)", 160, 4, 16, KernelPhase(
+        iterations=120, alu_per_iteration=6,
+        loads=(_reuse(_PC0, 96, Scope.GLOBAL), _reuse(_PC1, 8)),
+    )),
+    _app("2D", "2D convolution (Polybench)", 96, 8, 16, KernelPhase(
+        iterations=90, alu_per_iteration=4,
+        loads=(_reuse(_PC0, 12), _stream(_PC1)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=6),),
+    )),
+    _app("SR1", "SRAD v1 (Rodinia)", 96, 8, 24, KernelPhase(
+        iterations=90, alu_per_iteration=6,
+        loads=(_reuse(_PC0, 16), _reuse(_PC1, 32, Scope.GLOBAL)),
+    )),
+    _app("HS", "HotSpot thermal simulation (Rodinia)", 96, 8, 32, KernelPhase(
+        iterations=90, alu_per_iteration=6,
+        loads=(_reuse(_PC0, 12), _stream(_PC1)),
+        stores=(StoreSpec(_STORE_PC, every_iterations=8),),
+    )),
+)}
 
-
-def _app(spec: AppSpec) -> None:
-    APP_SPECS[spec.name] = spec
-
-
-# ---------------------------------------------------------------------------
-# Cache-sensitive applications
-# ---------------------------------------------------------------------------
-_app(AppSpec(
-    name="S2", description="Symmetric rank-2k operations (Polybench)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=16,
-    iterations=96, alu_per_iteration=2,
-    loads=(_random(_PC0, 64), _random(_PC1, 48), _reuse(_PC2, 64, Scope.GLOBAL)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=16),),
-))
-_app(AppSpec(
-    name="BI", description="BiCGStab linear solver (Polybench)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=16,
-    iterations=90, alu_per_iteration=2,
-    loads=(_random(_PC0, 384, Scope.GLOBAL), _random(_PC1, 24), _stream(_PC2)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=12),),
-))
-_app(AppSpec(
-    name="AT", description="Matrix transpose-vector multiply (Polybench)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=16,
-    iterations=90, alu_per_iteration=2,
-    loads=(_random(_PC0, 48), _reuse(_PC1, 96, Scope.GLOBAL)),
-))
-_app(AppSpec(
-    name="S1", description="Symmetric rank-1k operations (Polybench)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=16,
-    iterations=96, alu_per_iteration=2,
-    loads=(_random(_PC0, 48), _reuse(_PC1, 64, Scope.GLOBAL)),
-))
-_app(AppSpec(
-    name="CF", description="CFD Euler solver (Rodinia)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=24,
-    iterations=84, alu_per_iteration=2,
-    loads=(_random(_PC0, 48), _reuse(_PC1, 64, Scope.GLOBAL), _stream(_PC2)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=10),),
-))
-_app(AppSpec(
-    name="GE", description="Scalar-vector-matrix multiply GEMVER (Polybench)",
-    cache_sensitive=True, num_ctas=160, warps_per_cta=4, regs_per_thread=16,
-    iterations=120, alu_per_iteration=2,
-    loads=(_random(_PC0, 768, Scope.GLOBAL), _random(_PC1, 64)),
-))
-_app(AppSpec(
-    name="KM", description="KMeans clustering (Rodinia)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=16,
-    iterations=96, alu_per_iteration=2,
-    loads=(LoadSpec(_PC0, Pattern.DIVERGENT, 320, Scope.GLOBAL,
-                    lines_per_access=1, weight=2),
-           _random(_PC1, 32), _stream(_PC2)),
-))
-_app(AppSpec(
-    name="BC", description="BFS (CUDA SDK)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=24,
-    iterations=84, alu_per_iteration=2,
-    loads=(_divergent(_PC0, 48, Scope.CTA), _reuse(_PC1, 64, Scope.GLOBAL), _stream(_PC2)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=14),),
-))
-_app(AppSpec(
-    name="MV", description="Matrix-vector product transpose (Polybench)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=16,
-    iterations=96, alu_per_iteration=2,
-    loads=(_random(_PC0, 448, Scope.GLOBAL), _random(_PC1, 48)),
-))
-_app(AppSpec(
-    name="PF", description="Particle filter, float (Rodinia)",
-    cache_sensitive=True, num_ctas=192, warps_per_cta=4, regs_per_thread=24,
-    iterations=84, alu_per_iteration=2,
-    loads=(_random(_PC0, 40), _reuse(_PC1, 80, Scope.GLOBAL), _stream(_PC2)),
-))
-
-# ---------------------------------------------------------------------------
-# Cache-insensitive applications
-# ---------------------------------------------------------------------------
-_app(AppSpec(
-    name="BG", description="BFS (GPGPU-Sim suite)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=16,
-    iterations=72, alu_per_iteration=2,
-    loads=(_divergent(_PC0, 2048, Scope.GLOBAL), _stream(_PC1)),
-))
-_app(AppSpec(
-    name="LI", description="LIBOR Monte Carlo (GPGPU-Sim suite)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=16,
-    iterations=72, alu_per_iteration=8,
-    loads=(_stream(_PC0), _stream(_PC1)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=8),),
-))
-_app(AppSpec(
-    name="SR2", description="SRAD v2 (Rodinia)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=24,
-    iterations=84, alu_per_iteration=5,
-    loads=(_stream(_PC0), _reuse(_PC1, 8)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=8),),
-))
-_app(AppSpec(
-    name="SP", description="Sparse matrix-vector multiply (Parboil)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=16,
-    iterations=78, alu_per_iteration=2,
-    loads=(_divergent(_PC0, 384, Scope.GLOBAL), _reuse(_PC1, 16), _stream(_PC2)),
-))
-_app(AppSpec(
-    name="BR", description="BFS (Rodinia)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=16,
-    iterations=78, alu_per_iteration=2,
-    loads=(_divergent(_PC0, 64, Scope.CTA), _stream(_PC1)),
-))
-_app(AppSpec(
-    name="FD", description="2D finite-difference time domain (Polybench)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=24,
-    iterations=90, alu_per_iteration=4,
-    loads=(_reuse(_PC0, 20), _stream(_PC1)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=6),),
-))
-_app(AppSpec(
-    name="GA", description="Gaussian elimination (Rodinia)",
-    cache_sensitive=False, num_ctas=160, warps_per_cta=4, regs_per_thread=16,
-    iterations=120, alu_per_iteration=6,
-    loads=(_reuse(_PC0, 96, Scope.GLOBAL), _reuse(_PC1, 8)),
-))
-_app(AppSpec(
-    name="2D", description="2D convolution (Polybench)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=16,
-    iterations=90, alu_per_iteration=4,
-    loads=(_reuse(_PC0, 12), _stream(_PC1)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=6),),
-))
-_app(AppSpec(
-    name="SR1", description="SRAD v1 (Rodinia)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=24,
-    iterations=90, alu_per_iteration=6,
-    loads=(_reuse(_PC0, 16), _reuse(_PC1, 32, Scope.GLOBAL)),
-))
-_app(AppSpec(
-    name="HS", description="HotSpot thermal simulation (Rodinia)",
-    cache_sensitive=False, num_ctas=96, warps_per_cta=8, regs_per_thread=32,
-    iterations=90, alu_per_iteration=6,
-    loads=(_reuse(_PC0, 12), _stream(_PC1)),
-    stores=(StoreSpec(_STORE_PC, every_iterations=8),),
-))
-
-
-CACHE_SENSITIVE = tuple(n for n, s in APP_SPECS.items() if s.cache_sensitive)
-CACHE_INSENSITIVE = tuple(n for n, s in APP_SPECS.items() if not s.cache_sensitive)
+CACHE_SENSITIVE = ("S2", "BI", "AT", "S1", "CF", "GE", "KM", "BC", "MV", "PF")
+CACHE_INSENSITIVE = ("BG", "LI", "SR2", "SP", "BR", "FD", "GA", "2D", "SR1", "HS")
 ALL_APPS = tuple(APP_SPECS)
 
 
-def app_spec(name: str, scale: float = 1.0) -> AppSpec:
-    """Fetch an app spec, optionally scaled down for fast runs."""
-    spec = APP_SPECS[name]
-    if scale != 1.0:
-        spec = replace(spec, iterations=scaled_iterations(spec.iterations, scale))
-    return spec
+def workload_for(name: str) -> WorkloadSpec:
+    """The workload called ``name``: a Table-2 app, else one registered
+    with :func:`repro.workloads.spec.register_workload` (file-defined or
+    fuzzed specs made first-class)."""
+    workload = APP_SPECS.get(name) or registered_workload(name)
+    if workload is None:
+        raise KeyError(
+            f"unknown app {name!r}: not a Table-2 app ({', '.join(ALL_APPS)}) "
+            "and no registered workload by that name"
+        )
+    return workload
 
 
 def kernel_for(name: str, scale: float = 1.0) -> KernelTrace:
-    """Build the KernelTrace for an application by name.
-
-    Table-2 apps take priority; any other name falls back to the
-    process-local workload registry (file-defined / fuzzed specs made
-    first-class via :func:`repro.workloads.spec.register_workload`).
-    """
-    if name in APP_SPECS:
-        return build_kernel(app_spec(name, scale))
-    # Deferred import: spec.py imports this module for the registry's
-    # shadowing check.
-    from repro.workloads.spec import build_workload, registered_workload
-
-    workload = registered_workload(name)
-    if workload is None:
-        raise KeyError(
-            f"unknown app {name!r}: not a Table-2 app and no registered "
-            "workload by that name"
-        )
-    return build_workload(workload, scale)
+    """Build the KernelTrace for an application by name."""
+    return build_workload(workload_for(name), scale)

@@ -1,13 +1,12 @@
 """The per-instruction trace generator, kept as the oracle's stream source.
 
-``_warp_stream``, ``_tenant_stream`` and the scalar ``_scramble`` were
-the generator of ``src/repro`` until ``repro.workloads.generator.Program``
-compiled every warp straight to the machine's struct-of-arrays form.
-They live here, code unchanged: one ``Instruction`` per generator step,
-written against the ``AppSpec`` fields directly, so the reference
-engine (``sm.py``) reads its streams from code independent of the one
-the machine runs, and machine == oracle also holds the compiled
-generator to this one.
+:func:`warp_stream` reads a :class:`~repro.workloads.spec.WorkloadSpec`
+and emits one ``Instruction`` per generator step. It derives the
+iteration scaling, each tenant's address-region window and its store
+region with its own code, so the reference engine (``sm.py``) reads
+its streams from code independent of the compiled
+``repro.workloads.generator.Program`` the machine runs, and machine ==
+oracle also holds that program's relocation arithmetic to this one.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.gpu.isa import Instruction, Op, alu, exit_inst, hashed_pc, store
-from repro.workloads.generator import AppSpec, Pattern, Scope
+from repro.workloads.generator import Pattern, Scope
+from repro.workloads.spec import KernelPhase, WorkloadSpec
 
 _MIX = 0x9E3779B1  # Fibonacci hashing constant for address scrambling.
 _MASK32 = 0xFFFFFFFF
@@ -41,11 +41,42 @@ def _scramble(t: int, lane: int, j: int) -> int:
     return h
 
 
-def _warp_stream(spec: AppSpec, cta_id: int, warp: int) -> Iterator[Instruction]:
-    """Generate one warp's instruction stream for ``spec``."""
-    warps_per_cta = spec.warps_per_cta
+def warp_stream(
+    workload: WorkloadSpec, scale: float, cta_id: int, warp: int
+) -> Iterator[Instruction]:
+    """One warp's stream: its CTA's tenant's phases end to end, one EXIT.
+
+    CTA ``i`` runs tenant ``i % T``. Address space is cut into slots of
+    ``1 << 22`` lines; a tenant takes (widest phase's load count + 3)
+    slots after every earlier tenant's: one unused, one per load index
+    (the same region in every phase), one unused, then its stores.
+    """
+    tenants = workload.tenants
+    first_slot = 0
+    for tenant in tenants[: cta_id % len(tenants)]:
+        first_slot += max(len(phase.loads) for phase in tenant.phases) + 3
+    tenant = tenants[cta_id % len(tenants)]
+    store_slot = first_slot + max(len(phase.loads) for phase in tenant.phases) + 2
+    for phase in tenant.phases:
+        iterations = phase.iterations if scale == 1.0 else max(8, int(phase.iterations * scale))
+        yield from _phase_stream(
+            phase, iterations, workload.warps_per_cta, first_slot, store_slot << 22, cta_id, warp
+        )
+    yield exit_inst()
+
+
+def _phase_stream(
+    phase: KernelPhase,
+    iterations: int,
+    warps_per_cta: int,
+    first_slot: int,
+    store_base: int,
+    cta_id: int,
+    warp: int,
+) -> Iterator[Instruction]:
+    """One phase of one warp's stream, without the final EXIT."""
     global_warp = cta_id * warps_per_cta + warp
-    alu_ops = spec.alu_per_iteration
+    alu_ops = phase.alu_per_iteration
 
     # Pre-compute a flat per-load plan (base address, hashed PC,
     # pattern-specific offsets) so the emission loop reads locals and
@@ -55,8 +86,8 @@ def _warp_stream(spec: AppSpec, cta_id: int, warp: int) -> Iterator[Instruction]
     stream_p = Pattern.STREAM
     divergent_p = Pattern.DIVERGENT
     plan = []
-    for idx, ld in enumerate(spec.loads):
-        base = spec.region_base(idx)
+    for idx, ld in enumerate(phase.loads):
+        base = (first_slot + idx + 1) << 22
         if ld.scope is Scope.CTA:
             base += cta_id * ld.working_set_lines
         elif ld.scope is Scope.WARP:
@@ -67,7 +98,7 @@ def _warp_stream(spec: AppSpec, cta_id: int, warp: int) -> Iterator[Instruction]
             # Unique line per dynamic access across the grid: the warp's
             # stream region starts at a per-warp offset, advanced by the
             # running counter (plan slot "extra" = region start).
-            extra = base + global_warp * spec.iterations * ld.weight
+            extra = base + global_warp * iterations * ld.weight
         elif pattern is divergent_p:
             extra = 0
         else:  # REUSE: per-warp phase shift within the working set
@@ -92,10 +123,9 @@ def _warp_stream(spec: AppSpec, cta_id: int, warp: int) -> Iterator[Instruction]
     # One interned ALU instruction emitted alu_per_iteration times per
     # loop body: a pre-built block avoids the memo probe per emission.
     alu_block = (alu(pc=0x10),) * alu_ops
-    stream_counters = [0] * len(spec.loads)
-    store_base = spec.store_region_base()
+    stream_counters = [0] * len(phase.loads)
 
-    for t in range(spec.iterations):
+    for t in range(iterations):
         yield from alu_block
         for pattern, pc, hpc, weight, lpa, ws, stride, burst, base, extra, idx in plan:
             for rep in range(weight):
@@ -134,21 +164,7 @@ def _warp_stream(spec: AppSpec, cta_id: int, warp: int) -> Iterator[Instruction]
                 yield Instruction(
                     op=op_load, pc=pc, line_addrs=lines, operands=2, hpc=hpc
                 )
-        for st in spec.stores:
+        for st in phase.stores:
             if st.every_iterations > 0 and t % st.every_iterations == 0:
-                addr = store_base + global_warp * spec.iterations + t
+                addr = store_base + global_warp * iterations + t
                 yield store(pc=st.pc, line_addrs=(addr,))
-    yield exit_inst()
-
-
-def _tenant_stream(
-    apps: tuple[AppSpec, ...], cta_id: int, warp: int
-) -> Iterator[Instruction]:
-    """One warp's instruction stream: its tenant's phases, end to end."""
-    exit_op = Op.EXIT
-    for app in apps:
-        for inst in _warp_stream(app, cta_id, warp):
-            if inst.op is exit_op:
-                break
-            yield inst
-    yield exit_inst()

@@ -27,7 +27,7 @@ from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MSHRFile
 from repro.metrics import WindowRecorder
 
-from .generator import _tenant_stream, _warp_stream
+from .generator import warp_stream
 from .memory import MemorySubsystem
 from .scheduler import GTOScheduler
 from .warp import Warp, WarpState
@@ -156,11 +156,7 @@ class SM:
             if program is None:
                 trace = self.kernel.warp_trace(grid_id, w)
             else:
-                apps = program.tenants[grid_id % len(program.tenants)]
-                if len(apps) == 1:
-                    trace = _warp_stream(apps[0], grid_id, w)
-                else:
-                    trace = _tenant_stream(apps, grid_id, w)
+                trace = warp_stream(program.workload, program.scale, grid_id, w)
             warp = Warp(
                 warp_id=slot * self.kernel.warps_per_cta + w,
                 cta_slot=slot,

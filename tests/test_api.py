@@ -150,6 +150,12 @@ class TestSessionLocal:
         spec = session.spec("S2", "baseline")
         assert spec.scale == TINY
         assert spec.config is CFG or spec.config == CFG
+        # A name or scale no job can run is refused here, not in a worker.
+        with pytest.raises(ValueError, match="unknown app 'NOPE'.*S2"):
+            session.spec("NOPE", "baseline")
+        for bad in (float("nan"), float("inf"), 0, -1):
+            with pytest.raises(ValueError, match="scale"):
+                session.spec("S2", "baseline", scale=bad)
 
     def test_facade_spec_matches_engine_spec(self, session):
         direct = JobSpec.build(

@@ -1,6 +1,8 @@
 """Tests for the comparison architectures: SWL/Best-SWL, PCAL, CERF,
 and the idealized CacheExt configurations."""
 
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,11 @@ from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
 from repro.options import RunOptions
 from repro.runner.registry import resolve
-from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from workload_helpers import make_app  # noqa: E402
 
 #: Every comparison architecture runs through its registry row.
 run_pcal = resolve("pcal").runner
@@ -29,16 +35,13 @@ def config():
 
 
 def kernel(ws=256, ctas=8, warps=4, iters=80):
-    spec = AppSpec(
-        name="k", description="t", cache_sensitive=True,
-        num_ctas=ctas, warps_per_cta=warps, regs_per_thread=16,
-        iterations=iters, alu_per_iteration=2,
-        loads=(
+    return build_workload(make_app(
+        (
             LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),
             LoadSpec(0x204, Pattern.STREAM, 0),
         ),
-    )
-    return build_kernel(spec)
+        iters=iters, warps=warps, ctas=ctas, regs=16, name="k",
+    ))
 
 
 class TestSWL:

@@ -30,12 +30,14 @@ from repro.engine.vector import VectorGPU
 from repro.gpu.extension import CAPABILITY_FLAGS, SMExtension
 from repro.gpu.gpu import run_kernel
 from repro.options import RunOptions
-from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
 from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
 from golden import result_fingerprint  # noqa: E402
 from reference_engine import GPU  # noqa: E402
+from workload_helpers import make_app  # noqa: E402
 
 #: flag -> the hook it gates (the contract the hot paths rely on);
 #: ``timeseries_sample`` is covered by the metrics tests.
@@ -98,13 +100,10 @@ def test_a_false_flag_keeps_its_hook_from_being_called():
 
 
 def tiny_kernel():
-    spec = AppSpec(
-        name="cap", description="capability probe", cache_sensitive=True,
-        num_ctas=2, warps_per_cta=2, regs_per_thread=16,
-        iterations=4, alu_per_iteration=1,
-        loads=(LoadSpec(0x100, Pattern.REUSE, 64, Scope.GLOBAL),),
-    )
-    return build_kernel(spec)
+    return build_workload(make_app(
+        LoadSpec(0x100, Pattern.REUSE, 64, Scope.GLOBAL),
+        iters=4, warps=2, ctas=2, alu=1, regs=16, name="cap",
+    ))
 
 
 def flags_of(ext) -> dict[str, bool]:

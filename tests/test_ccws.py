@@ -1,10 +1,17 @@
 """Tests for the CCWS baseline (lost-locality warp throttling)."""
 
+import sys
+from pathlib import Path
+
 from repro.baselines.ccws import LOST_LOCALITY_SCORE
 from repro.config import scaled_config
 from repro.gpu.gpu import run_kernel
 from repro.runner.registry import resolve
-from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from workload_helpers import make_app  # noqa: E402
 
 
 #: CCWS is a registry row like every other architecture.
@@ -16,13 +23,10 @@ def config():
 
 
 def thrashing_kernel(ws=1024, ctas=8, warps=8, iters=100):
-    spec = AppSpec(
-        name="thrash", description="t", cache_sensitive=True,
-        num_ctas=ctas, warps_per_cta=warps, regs_per_thread=16,
-        iterations=iters, alu_per_iteration=2,
-        loads=(LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),),
-    )
-    return build_kernel(spec)
+    return build_workload(make_app(
+        LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),
+        iters=iters, warps=warps, ctas=ctas, regs=16, name="thrash",
+    ))
 
 
 class TestLostLocalityDetection:

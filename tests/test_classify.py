@@ -1,7 +1,8 @@
 """Analytic workload classifier: re-derives the paper's Fig 1-4 load
 characteristics (streaming, coalescing, sharing scope, per-warp
 consistency, statically-unused register fraction) from trace prefixes,
-and pins that all 20 built-in apps land in their published classes."""
+and pins that all 20 built-in apps land in their published classes
+under the same gates every fuzzed workload passes."""
 
 import sys
 from pathlib import Path
@@ -10,21 +11,20 @@ import pytest
 
 from repro.workloads.classify import (
     STREAMING_MISS_THRESHOLD,
-    check_expected_classes,
-    classify_app,
     classify_kernel,
     classify_workload,
-    expected_classes_for_app,
 )
-from repro.workloads.generator import LoadSpec, Pattern, Scope, build_kernel
-from repro.workloads.suite import ALL_APPS
+from repro.workloads.fuzz import check_gates
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
+from repro.workloads.suite import ALL_APPS, APP_SPECS
 
 sys.path.insert(0, str(Path(__file__).parent))
 from workload_helpers import make_app  # noqa: E402
 
 
 def classify_one(load, iters=40, warps=2, ctas=4, regs=8):
-    kernel = build_kernel(
+    kernel = build_workload(
         make_app(load, iters=iters, warps=warps, ctas=ctas, regs=regs)
     )
     return classify_kernel(kernel)
@@ -65,16 +65,16 @@ class TestSyntheticLoads:
         assert not single.load_class(0x100).uncoalesced
 
     def test_register_fraction_tracks_pressure(self):
-        light = classify_kernel(build_kernel(make_app(
+        light = classify_kernel(build_workload(make_app(
             LoadSpec(0x100, Pattern.REUSE, 8), regs=8)))
-        heavy = classify_kernel(build_kernel(make_app(
+        heavy = classify_kernel(build_workload(make_app(
             LoadSpec(0x100, Pattern.REUSE, 8), regs=64)))
         assert 0.0 <= heavy.unused_register_fraction
         assert heavy.unused_register_fraction <= light.unused_register_fraction
         assert light.unused_register_fraction <= 1.0
 
     def test_streaming_pcs_helper(self):
-        c = classify_kernel(build_kernel(make_app(
+        c = classify_kernel(build_workload(make_app(
             (LoadSpec(0x100, Pattern.STREAM, 0),
              LoadSpec(0x204, Pattern.REUSE, 8)),
             iters=40,
@@ -114,7 +114,5 @@ class TestPublishedClasses:
 
     @pytest.mark.parametrize("name", ALL_APPS)
     def test_app_lands_in_published_class(self, name):
-        classification = classify_app(name)
-        expected = expected_classes_for_app(name)
-        mismatches = check_expected_classes(classification, expected)
-        assert not mismatches, f"{name}: {mismatches}"
+        problems, _ = check_gates(APP_SPECS[name])
+        assert not problems, f"{name}: {problems}"

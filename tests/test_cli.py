@@ -95,7 +95,10 @@ class TestDocumentedCommands:
         assert err.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("retired", ["repro bench", "repro.bench", "BENCH_sim", "traceio"])
+    @pytest.mark.parametrize("retired", [
+        "repro bench", "repro.bench", "BENCH_sim", "traceio",
+        "AppSpec", "build_kernel", "workload_from_app", "expected_classes_for_app",
+    ])
     def test_retired_names_appear_only_in_history(self, retired):
         live = [*self.FILES, *(
             str(p.relative_to(self.ROOT))

@@ -1,6 +1,9 @@
 """Tests for the Figure 15 combination architectures and the CERF
 unified-space race handling."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import ExperimentContext
@@ -8,17 +11,18 @@ from repro.baselines.cerf import CERFExtension
 from repro.config import scaled_config
 from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
-from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from workload_helpers import make_app  # noqa: E402
 
 
 def kernel(ws=256, iters=100):
-    spec = AppSpec(
-        name="k", description="t", cache_sensitive=True,
-        num_ctas=8, warps_per_cta=4, regs_per_thread=16,
-        iterations=iters, alu_per_iteration=2,
-        loads=(LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),),
-    )
-    return build_kernel(spec)
+    return build_workload(make_app(
+        LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),
+        iters=iters, warps=4, ctas=8, regs=16, name="k",
+    ))
 
 
 @pytest.fixture(scope="module")

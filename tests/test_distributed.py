@@ -66,6 +66,10 @@ def make_spec(app="S2", arch="baseline", config=CFG, scale=TINY, **overrides):
 
 SPECS = [make_spec("S2"), make_spec("LI"), make_spec("KM")]
 
+#: A job that fails in the worker: ``JobSpec.build`` refuses the name,
+#: so it is constructed directly, and the worker's own lookup raises.
+UNKNOWN_APP = JobSpec(app="NOPE", arch="baseline", config=CFG, scale=TINY)
+
 
 @pytest.fixture(scope="module")
 def inline_results():
@@ -208,7 +212,7 @@ class TestWorkerServe:
         assert decode_result(replies[1]).ok
 
     def test_simulation_error_becomes_error_result(self):
-        spec = make_spec(app="NOPE")
+        spec = UNKNOWN_APP
         replies = self.run_worker([encode_job(spec.key, spec) + "\n"])
         result = decode_result(replies[0])
         assert not result.ok
@@ -271,7 +275,7 @@ class TestLoopbackExecutor:
     def test_simulation_error_propagates(self):
         runner = ExperimentRunner(use_cache=False, executor="loopback")
         with pytest.raises(RemoteJobError, match="NOPE"):
-            runner.run(make_spec(app="NOPE"))
+            runner.run(UNKNOWN_APP)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +392,7 @@ class TestRemoteExecutor:
     def test_simulation_error_propagates(self):
         runner = self.remote_runner(hosts=["a"])
         with pytest.raises(RemoteJobError, match="NOPE"):
-            runner.run(make_spec(app="NOPE"))
+            runner.run(UNKNOWN_APP)
 
     def test_worker_side_cache_read_through(self, tmp_path, inline_results):
         """Workers launched with --cache-dir serve hits without

@@ -15,8 +15,8 @@ from repro.workloads.generator import (
     _pack_terms,
     _scramble,
     _scramble_packed,
-    build_kernel,
 )
+from repro.workloads.spec import build_workload
 from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -33,7 +33,7 @@ def spec_with(load, iters=20, warps=2, ctas=2, alu=1):
 
 class TestWarpScope:
     def test_warp_regions_disjoint(self):
-        kernel = build_kernel(
+        kernel = build_workload(
             spec_with(LoadSpec(0x100, Pattern.REUSE, 8, Scope.WARP))
         )
         w0 = set(lines_of(kernel, 0, 0))
@@ -45,7 +45,7 @@ class TestWarpScope:
 
 class TestReuseKnobs:
     def test_burst_repeats_lines(self):
-        kernel = build_kernel(
+        kernel = build_workload(
             spec_with(LoadSpec(0x100, Pattern.REUSE, 64, reuse_burst=4), iters=8)
         )
         seq = lines_of(kernel, 0, 0)
@@ -54,15 +54,15 @@ class TestReuseKnobs:
         assert seq[4] == seq[5]
 
     def test_stride_advances_offset(self):
-        kernel = build_kernel(
+        kernel = build_workload(
             spec_with(LoadSpec(0x100, Pattern.REUSE, 64, stride=3, reuse_burst=1), iters=4)
         )
         seq = lines_of(kernel, 0, 0)
         assert (seq[1] - seq[0]) % 64 == 3
 
     def test_weight_multiplies_issues(self):
-        light = build_kernel(spec_with(LoadSpec(0x100, Pattern.REUSE, 8, weight=1)))
-        heavy = build_kernel(spec_with(LoadSpec(0x100, Pattern.REUSE, 8, weight=3)))
+        light = build_workload(spec_with(LoadSpec(0x100, Pattern.REUSE, 8, weight=1)))
+        heavy = build_workload(spec_with(LoadSpec(0x100, Pattern.REUSE, 8, weight=3)))
         assert len(lines_of(heavy, 0, 0)) == 3 * len(lines_of(light, 0, 0))
 
 

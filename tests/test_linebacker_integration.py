@@ -7,9 +7,11 @@ are filtered, throttled CTAs round-trip their registers, and disabled
 mode leaves the baseline untouched.
 """
 
-import pytest
-
+import sys
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from repro.config import SimulationConfig, scaled_config
 from repro.core.linebacker import linebacker_factory
@@ -17,7 +19,11 @@ from repro.core.load_monitor import MonitorState
 from repro.gpu.gpu import run_kernel
 from repro.gpu.isa import load
 from repro.options import RunOptions
-from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from workload_helpers import make_app  # noqa: E402
 
 
 def config(window=400):
@@ -26,33 +32,17 @@ def config(window=400):
 
 def locality_kernel(n_ctas=4, warps=4, iters=120, ws=64, regs=16):
     """Warps hammering a small shared region: a high-locality load."""
-    spec = AppSpec(
-        name="loc",
-        description="test",
-        cache_sensitive=True,
-        num_ctas=n_ctas,
-        warps_per_cta=warps,
-        regs_per_thread=regs,
-        iterations=iters,
-        alu_per_iteration=1,
-        loads=(LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),),
-    )
-    return build_kernel(spec)
+    return build_workload(make_app(
+        LoadSpec(0x100, Pattern.DIVERGENT, ws, Scope.GLOBAL, lines_per_access=1),
+        iters=iters, warps=warps, ctas=n_ctas, alu=1, regs=regs, name="loc",
+    ))
 
 
 def streaming_kernel(n_ctas=4, warps=4, iters=150):
-    spec = AppSpec(
-        name="stream",
-        description="test",
-        cache_sensitive=False,
-        num_ctas=n_ctas,
-        warps_per_cta=warps,
-        regs_per_thread=16,
-        iterations=iters,
-        alu_per_iteration=1,
-        loads=(LoadSpec(0x100, Pattern.STREAM, 0),),
-    )
-    return build_kernel(spec)
+    return build_workload(make_app(
+        LoadSpec(0x100, Pattern.STREAM, 0),
+        iters=iters, warps=warps, ctas=n_ctas, alu=1, regs=16, name="stream",
+    ))
 
 
 def run_lb(cfg, kernel, lb_config=None):
@@ -192,23 +182,16 @@ class TestAblationFlags:
             cfg.linebacker, enable_selective=False, enable_throttling=False
         )
         # Mixed kernel: locality load selects LB, stream pollutes.
-        spec = AppSpec(
-            name="mix",
-            description="test",
-            cache_sensitive=True,
-            num_ctas=4,
-            warps_per_cta=4,
-            regs_per_thread=16,
-            iterations=150,
-            alu_per_iteration=1,
-            loads=(
+        spec = make_app(
+            (
                 LoadSpec(0x100, Pattern.DIVERGENT, 64, Scope.GLOBAL, lines_per_access=1),
                 LoadSpec(0x204, Pattern.STREAM, 0),
             ),
+            iters=150, warps=4, ctas=4, alu=1, regs=16, name="mix",
         )
-        unselective, ext_u = run_lb(cfg, build_kernel(spec), lb)
+        unselective, ext_u = run_lb(cfg, build_workload(spec), lb)
         selective, ext_s = run_lb(
-            cfg, build_kernel(spec), replace(lb, enable_selective=True)
+            cfg, build_workload(spec), replace(lb, enable_selective=True)
         )
         if ext_s.load_monitor.state is not MonitorState.SELECTED:
             pytest.skip("locality load not selected in this configuration")

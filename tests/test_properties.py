@@ -21,7 +21,8 @@ from repro.gpu.register_file import RegisterFile
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.mshr import MSHRFile
 from repro.memory.subsystem import MemorySubsystem
-from repro.workloads.generator import LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
 
 sys.path.insert(0, str(Path(__file__).parent))
 from workload_helpers import lines_of, make_app  # noqa: E402
@@ -248,7 +249,7 @@ class TestGeneratorProperties:
             LoadSpec(0x100, Pattern.STREAM, 0, weight=weight),
             iters=iters, warps=warps, ctas=ctas,
         )
-        kernel = build_kernel(spec)
+        kernel = build_workload(spec)
         seen = set()
         for cta in range(ctas):
             for warp in range(warps):
@@ -265,7 +266,7 @@ class TestGeneratorProperties:
                      reuse_burst=burst),
             iters=iters, warps=2, ctas=2,
         )
-        kernel = build_kernel(spec)
+        kernel = build_workload(spec)
         lines = set(lines_of(kernel, 0, 0)) | set(lines_of(kernel, 1, 1))
         assert len(lines) <= 2 * ws  # GLOBAL scope: one region, phase-shifted
 
@@ -274,7 +275,7 @@ class TestGeneratorProperties:
                      reuse_burst=burst),
             iters=iters, warps=2, ctas=2,
         )
-        k2 = build_kernel(scoped)
+        k2 = build_workload(scoped)
         for cta in range(2):
             for warp in range(2):
                 assert len(set(lines_of(k2, cta, warp))) <= ws
@@ -287,7 +288,7 @@ class TestGeneratorProperties:
             LoadSpec(0x100, pattern, ws, Scope.WARP),
             iters=iters, warps=2, ctas=2,
         )
-        kernel = build_kernel(spec)
+        kernel = build_workload(spec)
         per_warp = [
             set(lines_of(kernel, cta, warp))
             for cta in range(2) for warp in range(2)
@@ -300,7 +301,7 @@ class TestGeneratorProperties:
             LoadSpec(0x100, pattern, ws, Scope.CTA),
             iters=iters, warps=2, ctas=3,
         )
-        k2 = build_kernel(cta_spec)
+        k2 = build_workload(cta_spec)
         per_cta = [
             set(lines_of(k2, cta, 0)) | set(lines_of(k2, cta, 1))
             for cta in range(3)
@@ -318,5 +319,5 @@ class TestGeneratorProperties:
             LoadSpec(0x100, pattern, ws, lines_per_access=2),
             iters=iters, warps=2, ctas=3,
         )
-        k1, k2 = build_kernel(spec), build_kernel(spec)
+        k1, k2 = build_workload(spec), build_workload(spec)
         assert list(k1.materialize(cta, warp)) == list(k2.materialize(cta, warp))

@@ -164,6 +164,11 @@ class TestSchema:
         doc["arch"] = "warp9"
         with pytest.raises(SchemaError, match="warp9"):
             decode_jobspec(doc)
+        for bad in ("NaN", "Infinity", "-Infinity", "0", "-1"):
+            doc = dict(encode_jobspec(make_spec()), scale="SCALE")
+            text = json.dumps(doc).replace('"SCALE"', bad)  # bare JSON tokens
+            with pytest.raises(SchemaError, match="scale"):
+                decode_jobspec(json.loads(text))
 
     def test_nested_config_override_roundtrips(self):
         from repro.config import LinebackerConfig

@@ -112,8 +112,9 @@ class TestManifest:
             assert spec.num_ctas == ctas, name
             assert spec.warps_per_cta == warps, name
             assert spec.regs_per_thread == regs, name
-            assert len(spec.loads) == n_loads, name
-            streams = any(l.pattern is Pattern.STREAM for l in spec.loads)
+            ((phase,),) = (tenant.phases for tenant in spec.tenants)
+            assert len(phase.loads) == n_loads, name
+            streams = any(l.pattern is Pattern.STREAM for l in phase.loads)
             assert streams == has_stream, name
 
     def test_manifest_covers_whole_suite(self):

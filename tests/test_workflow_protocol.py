@@ -2,6 +2,9 @@
 workflow: monitoring -> selection -> proactive throttle -> backup ->
 victim caching -> reactivation on CTA completion."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import scaled_config
@@ -9,7 +12,11 @@ from repro.core.cta_throttle import SearchPhase
 from repro.core.linebacker import LinebackerExtension
 from repro.gpu.gpu import run_kernel
 from repro.options import RunOptions
-from repro.workloads.generator import AppSpec, LoadSpec, Pattern, Scope, build_kernel
+from repro.workloads.generator import LoadSpec, Pattern, Scope
+from repro.workloads.spec import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from workload_helpers import make_app  # noqa: E402
 
 
 class RecordingLinebacker(LinebackerExtension):
@@ -45,18 +52,16 @@ class RecordingLinebacker(LinebackerExtension):
 @pytest.fixture(scope="module")
 def run():
     RecordingLinebacker.instances.clear()
-    spec = AppSpec(
-        name="proto", description="t", cache_sensitive=True,
-        num_ctas=24, warps_per_cta=4, regs_per_thread=16,
-        iterations=220, alu_per_iteration=2,
-        loads=(
+    spec = make_app(
+        (
             LoadSpec(0x100, Pattern.DIVERGENT, 1024, Scope.GLOBAL, lines_per_access=1),
             LoadSpec(0x204, Pattern.STREAM, 0),
         ),
+        iters=220, warps=4, ctas=24, regs=16, name="proto",
     )
     cfg = scaled_config(num_sms=1, window_cycles=400)
     result = run_kernel(
-        cfg, build_kernel(spec), extension_factory=RecordingLinebacker,
+        cfg, build_workload(spec), extension_factory=RecordingLinebacker,
         options=RunOptions(keep_objects=True),
     )
     return result, result.extensions[0]

@@ -4,6 +4,7 @@ job schema and the execution engine."""
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,13 +30,12 @@ from repro.workloads.spec import (
     save_workload_file,
     unregister_workload,
     validate_workload,
-    workload_from_app,
     workload_hash,
 )
-from repro.workloads.suite import ALL_APPS, app_spec, kernel_for
+from repro.workloads.suite import ALL_APPS, APP_SPECS, kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
-from reference_engine.generator import _tenant_stream  # noqa: E402
+from reference_engine.generator import warp_stream  # noqa: E402
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
 
@@ -78,7 +78,7 @@ def multi_tenant_workload(name="wl-mt"):
 @pytest.fixture(autouse=True)
 def clean_registry():
     yield
-    for name in ("wl-test", "wl-mt", "wl-reg", "wl-file", "wl-job"):
+    for name in ("wl-test", "wl-mt", "wl-reg", "wl-file", "wl-job", "LI-copy"):
         unregister_workload(name)
 
 
@@ -205,12 +205,12 @@ class TestRegistry:
 
 def _assert_matches_oracle(kernel, ctas):
     """Per warp: the compiled SoA streams and the ``warp_trace`` decode
-    view equal the oracle's per-instruction generator."""
+    view equal the oracle's per-instruction generator, which derives
+    scaling and region layout from the workload on its own."""
     program = kernel.program
     for cta in ctas:
-        apps = program.tenants[cta % len(program.tenants)]
         for warp in range(kernel.warps_per_cta):
-            reference = list(_tenant_stream(apps, cta, warp))
+            reference = list(warp_stream(program.workload, program.scale, cta, warp))
             where = (kernel.name, cta, warp)
             assert program.warp_streams(cta, warp) == compile_warp_iter(reference), where
             assert list(kernel.warp_trace(cta, warp)) == reference, where
@@ -231,11 +231,12 @@ class TestTraceEquivalence:
         _assert_matches_oracle(kernel, range(kernel.num_ctas))
 
     def test_single_tenant_matches_plain_generator(self):
-        app = app_spec("LI", scale=0.1)
-        wrapped = workload_from_app(app)
+        """A registered copy of a Table-2 app builds the app's trace:
+        both names go through one lookup into one build path."""
+        register_workload(replace(APP_SPECS["LI"], name="LI-copy"))
         k_app = kernel_for("LI", scale=0.1)
-        k_wl = build_workload(wrapped)
-        for cta, warp in ((0, 0), (1, 3), (app.num_ctas - 1, 0)):
+        k_wl = kernel_for("LI-copy", scale=0.1)
+        for cta, warp in ((0, 0), (1, 3), (k_app.num_ctas - 1, 0)):
             assert list(k_wl.warp_trace(cta, warp)) == list(
                 k_app.warp_trace(cta, warp)
             )
@@ -288,6 +289,9 @@ class TestJobIntegration:
         doc["workload"]["name"] = "S2"
         with pytest.raises(SchemaError, match="built-in"):
             decode_jobspec(doc)
+        with pytest.raises(ValueError, match="built-in"):
+            JobSpec.build(app="S2", arch="baseline", config=scaled_config(num_sms=1),
+                          workload=APP_SPECS["S2"])
 
     def test_unknown_app_without_doc_rejected(self):
         job = JobSpec.build(app="S2", arch="baseline",

@@ -1,10 +1,11 @@
 """Shared builders for synthetic single-app workload tests.
 
-``test_workloads.py`` and ``test_generator_extra.py`` grew identical
-ad-hoc AppSpec builders; the fuzzer/classifier tests need the same
-shapes again, so the construction lives here once. So do the
-MSHR-exhaustion kernels, which the failure-path tests run on the
-machine and ``test_backends.py`` holds to the oracle.
+The generator, classifier and mechanism tests all need small
+one-tenant, one-phase workloads around a few loads, so the
+construction lives here once, with the footprint measure the suite's
+calibration test reads. So do the MSHR-exhaustion kernels, which the
+failure-path tests run on the machine and ``test_backends.py`` holds to
+the oracle.
 """
 
 from dataclasses import replace
@@ -12,18 +13,46 @@ from dataclasses import replace
 from repro.config import scaled_config
 from repro.gpu.isa import Op, load
 from repro.gpu.trace import from_instruction_lists
-from repro.workloads.generator import AppSpec
+from repro.workloads.generator import Pattern, Scope
+from repro.workloads.spec import KernelPhase, TenantSpec, WorkloadSpec
 
 
-def make_app(loads, iters=10, warps=2, ctas=2, alu=2, regs=8, name="t"):
-    """A minimal synthetic :class:`AppSpec` around ``loads``."""
+def make_app(loads, iters=10, warps=2, ctas=2, alu=2, regs=8, name="t", stores=()):
+    """A minimal one-tenant, one-phase :class:`WorkloadSpec` around ``loads``."""
     if not isinstance(loads, (tuple, list)):
         loads = (loads,)
-    return AppSpec(
-        name=name, description="t", cache_sensitive=True,
-        num_ctas=ctas, warps_per_cta=warps, regs_per_thread=regs,
-        iterations=iters, alu_per_iteration=alu, loads=tuple(loads),
+    phase = KernelPhase(iterations=iters, loads=tuple(loads), stores=tuple(stores),
+                        alu_per_iteration=alu)
+    return WorkloadSpec(
+        name=name, description="t", num_ctas=ctas, warps_per_cta=warps,
+        regs_per_thread=regs, tenants=(TenantSpec(name="main", phases=(phase,)),),
     )
+
+
+def loads_of(spec):
+    """Every load of every phase of ``spec``, in declaration order."""
+    return [ld for tenant in spec.tenants for phase in tenant.phases for ld in phase.loads]
+
+
+def footprint_bytes(spec, resident_ctas):
+    """Reused working-set footprint of ``spec``'s loads on one SM at a
+    given residency (summed over phases: exact for one phase).
+
+    Streaming loads are excluded — their lines are dead on arrival.
+    The calibration test reads it to check an app lands in its
+    intended cache-sensitivity class.
+    """
+    total_lines = 0
+    for ld in loads_of(spec):
+        if ld.pattern is Pattern.STREAM:
+            continue
+        if ld.scope is Scope.GLOBAL:
+            total_lines += ld.working_set_lines
+        elif ld.scope is Scope.CTA:
+            total_lines += ld.working_set_lines * resident_ctas
+        else:
+            total_lines += ld.working_set_lines * resident_ctas * spec.warps_per_cta
+    return total_lines * 128
 
 
 def lines_of(kernel, cta, warp):
