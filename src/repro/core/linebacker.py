@@ -40,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.vector.machine import VectorSM as SM
     from repro.engine.vector.machine import WarpView as Warp
 
+_MONITORING = MonitorState.MONITORING
+_SELECTED = MonitorState.SELECTED
+
 
 class BypassThrottler:
     """PCAL-style token pool: warps beyond the token count bypass L1.
@@ -325,18 +328,22 @@ class LinebackerExtension(SMExtension):
     def should_bypass(self, warp: "Warp", line_addr: int, cycle: int) -> bool:
         return self.bypass is not None and self.bypass.should_bypass(warp)
 
+    # The three per-line hooks below read ``load_monitor.state`` once
+    # and compare it by identity: they run on every L1 miss, hit and
+    # eviction.
     def lookup_victim(self, line_addr: int, hpc: int, cycle: int) -> Optional[int]:
         if not self.config.enable_victim_cache:
             return None
         self._last_vtt_tag_hit = False
-        if self.load_monitor.monitoring:
+        state = self.load_monitor.state
+        if state is _MONITORING:
             # Tag-only phase: a VTT hit counts as a hit for the Load
             # Monitor but the data is not present, so the load still
             # fetches from L2/DRAM. Tags are recorded at L1 eviction.
             if self.vtt.lookup(line_addr) is not None:
                 self._last_vtt_tag_hit = True
             return None
-        if self.load_monitor.state is not MonitorState.SELECTED:
+        if state is not _SELECTED:
             return None
         hit = self.vtt.lookup(line_addr)
         if hit is None:
@@ -356,21 +363,24 @@ class LinebackerExtension(SMExtension):
         return self.sm.config.l1_hit_latency + search_latency + arbitration
 
     def on_load_outcome(self, pc, hpc, line_addr, hit, cycle, warp=None) -> None:
-        lm_hit = hit or self._last_vtt_tag_hit
+        monitor = self.load_monitor
+        if monitor.state is _MONITORING:  # the LM is frozen otherwise
+            monitor.record_access(pc, hit or self._last_vtt_tag_hit)
         self._last_vtt_tag_hit = False
-        self.load_monitor.record_access(pc, lm_hit)
 
     def on_l1_eviction(self, line_addr: int, line: CacheLine, cycle: int) -> None:
         if not self.config.enable_victim_cache:
             return
-        if self.load_monitor.monitoring:
+        monitor = self.load_monitor
+        state = monitor.state
+        if state is _MONITORING:
             # Keep only the tag of the evicted line (no data) so the
             # Load Monitor can credit re-accesses to it as hits.
             self.vtt.insert(line_addr)
             return
-        if self.load_monitor.state is not MonitorState.SELECTED:
+        if state is not _SELECTED:
             return
-        if self.config.enable_selective and not self.load_monitor.is_selected(line.hpc):
+        if self.config.enable_selective and line.hpc not in monitor.selected_hpcs:
             return
         register_number = self.vtt.insert(line_addr)
         if register_number is None:

@@ -36,7 +36,7 @@ frame locals of the one coroutine like the rest of its state: an inert
 ``SMExtension`` costs a local-bool test per tick, per fill and per load
 line. Three pieces of coroutine state are visible to a hook and kept
 honest: ``sm.stats.instructions`` is written back before every
-``on_tick`` (where Linebacker reads it), event sequence numbers come
+``on_tick`` call (where Linebacker reads it), event sequence numbers come
 from one counter shared with ``schedule_event``, and a warp view's
 ``deactivate`` / ``reactivate`` take the warp out of / put it back into
 its scheduler's READY list and set ``dirty`` so the next tick time is
@@ -119,16 +119,19 @@ interleaving of shared-state mutations exactly. A hook is such an
 interaction when it can reach ``sm.memory``: a bypassed load's fetch,
 an ``EV_CALLBACK`` delivery (a backup completing may start a restore),
 the CTA lifecycle hooks, which share the dispenser's yield
-(``try_reactivate_cta`` restores), and ``on_tick`` on the first tick at
+(``try_reactivate_cta`` restores), and ``on_tick``. The sync rule for
+``on_tick`` is also its call rule: it fires only on the first tick at
 or past each multiple of ``extension.shared_tick_period()`` — the
-window close that backs up or restores registers. The period is the
-extension's own (``lb_config`` may carry a window the machine's config
-does not); without one every tick syncs. Extra sync points never hurt
-correctness — the coordinator orders ``(cycle, sm_id)`` and an SM may
-sync several times in one cycle. Every other hook call
-(``should_bypass``, ``lookup_victim``, ``on_load_outcome``,
-``on_l1_eviction``, ``on_store``, ``allocate_fill``, ``on_tick``
-between windows) runs unsynced and must keep to the SM's own state,
+window close that backs up or restores registers, and the only ticks
+on which Linebacker and CCWS do any work — and that tick always syncs.
+The period is the extension's own (``lb_config`` may carry a window
+the machine's config does not); without one ``on_tick`` fires, and
+syncs, on every tick. The oracle calls it on the same grid. Extra
+sync points never hurt correctness — the coordinator orders
+``(cycle, sm_id)`` and an SM may sync several times in one cycle.
+Every other hook call (``should_bypass``, ``lookup_victim``,
+``on_load_outcome``, ``on_l1_eviction``, ``on_store``,
+``allocate_fill``) runs unsynced and must keep to the SM's own state,
 which is all it can reach through the ``sm`` it was given except
 ``sm.memory`` — and the memory model refuses a register stream from
 anywhere but a synced hook, so breaking the rule is an error, not a
@@ -163,16 +166,24 @@ said never enters the verdict. Throttling a stalled warp leaves its
 certificate valid: it is a statement about MSHR and L1 contents, not
 about the warp.
 
-The certificate is tested first, before the load is even decoded, and
-two facts make that exact. A valid certificate implies the oracle's
-capacity pre-check fails: the margin is still > 0, so ``len(addrs) >=
-needed >= distinct missing > free``, i.e. ``len(mshr) + len(addrs) >
-capacity`` — the oracle would have probed, and stalled. And once
-invalid a certificate stays invalid: ``fill_gen`` only grows and
-``w_cert`` is written only when a load stalls (a margin <= 0 writes one
-that is invalid from the start). A load is admitted only past an
-invalid certificate, so the warp's next load never inherits a stale
-one.
+The certificate is tested first, right after the scheduler's pick and
+before the warp's instruction is even decoded, and three facts make
+that exact. A valid certificate means the warp is still on the load
+that was refused: ``w_cert`` is written only when a load stalls (a
+margin <= 0 writes one that is invalid from the start), is reset to 0
+at launch, and once invalid stays invalid, because ``fill_gen`` only
+grows — so a load is admitted only past an invalid certificate, and
+the warp's next instruction never inherits a stale one. And a valid
+certificate implies the oracle's capacity pre-check fails: the margin
+is still > 0, so ``len(addrs) >= needed >= distinct missing > free``,
+i.e. ``len(mshr) + len(addrs) > capacity`` — the oracle would have
+probed, and stalled.
+
+Past an invalid certificate the verdict follows the load's address
+count. A single-line load (S2's) is decided by one MSHR-membership
+test and one L1 probe, and stalls only when the MSHR file is full, so
+its margin is ``1 - free``; a multi-line load (BG's, a divergent DSL
+tail's) runs the occurrence-counting probe loop.
 
 Everything observable through :class:`~repro.gpu.gpu.SimulationResult`
 is reproduced exactly; ``tests/test_backends.py`` holds all nine
@@ -368,7 +379,7 @@ class VectorSM:
         # (distinct missing lines - free entries). The margin shrinks
         # by at most one per fill (module docstring), so while
         # fill_gen < w_cert[w] the warp's retry provably fails and is
-        # counted without decoding the load.
+        # counted without decoding its instruction.
         "fill_gen",
         "w_cert",
         # Events: heap of (ready_cycle, seq, kind, payload).
@@ -637,8 +648,8 @@ class VectorSM:
         the references stay valid across hook and CTA-lifecycle calls.
         Scalar counters live as
         plain locals and are written back in the ``finally`` block
-        (``stats.instructions`` also before every ``on_tick``, which is
-        where an extension reads it).
+        (``stats.instructions`` also before every ``on_tick`` call,
+        which is where an extension reads it).
         """
         events = self.events
         next_seq = self.event_seq.__next__
@@ -828,19 +839,16 @@ class VectorSM:
                         if not events or events[0][0] > cycle:
                             break
 
-                if wants_ticks:
+                if wants_ticks and cycle >= shared_tick:
+                    # The first tick at or past a multiple of the
+                    # extension's period, the only tick on_tick sees: a
+                    # window close may back up or restore registers.
+                    shared_tick = (cycle // tick_period + 1) * tick_period
                     stats.instructions = instructions
-                    if cycle >= shared_tick:
-                        # The first tick at or past a multiple of the
-                        # extension's period: a window close may back
-                        # up or restore registers.
-                        shared_tick = (cycle // tick_period + 1) * tick_period
-                        yield cycle  # sync: may reach sm.memory
-                        memory.hook_synced = True
-                        on_tick(cycle)
-                        memory.hook_synced = False
-                    else:
-                        on_tick(cycle)
+                    yield cycle  # sync: may reach sm.memory
+                    memory.hook_synced = True
+                    on_tick(cycle)
+                    memory.hook_synced = False
 
                 if recording and cycle >= ts_next:
                     # After on_tick: the extension has closed its windows
@@ -885,6 +893,16 @@ class VectorSM:
                                 hint = rc
                         if pick < 0:
                             continue
+                    if fill_gen < w_cert[pick]:
+                        # Certified (module docstring): the warp is still
+                        # on the load that was refused, and admission
+                        # still fails — do not even decode it.
+                        mshr_stalls += 1
+                        rc = cycle + 4
+                        w_rc[pick] = rc
+                        if rc < hint:
+                            hint = rc
+                        continue
                     ip = w_ip[pick]
                     if ip >= w_len[pick]:
                         # Defensive, as in the oracle: a READY warp
@@ -932,17 +950,22 @@ class VectorSM:
                             if rc < hint:
                                 hint = rc
                     elif op == 1:  # LOAD
-                        if fill_gen < w_cert[pick]:
-                            # Certified (module docstring): admission
-                            # still fails — do not even decode the load.
-                            stalled = True
+                        lp = w_lp[pick]
+                        entry = w_loads[pick][lp]
+                        if type(entry) is int:
+                            # One line: one MSHR-membership test and one
+                            # L1 probe decide admission.
+                            addrs = (entry,)
+                            n_addrs = 1
+                            stalled = (
+                                len(mshr) >= mshr_capacity
+                                and entry not in mshr
+                                and (entry // num_sets) not in l1_sets[entry % num_sets]
+                            )
+                            if stalled:
+                                w_cert[pick] = fill_gen + 1 - (mshr_capacity - len(mshr))
                         else:
-                            lp = w_lp[pick]
-                            entry = w_loads[pick][lp]
-                            if type(entry) is int:
-                                addrs = (entry,)
-                            else:
-                                addrs = entry
+                            addrs = entry
                             n_addrs = len(addrs)
                             stalled = len(mshr) + n_addrs > mshr_capacity
                             if stalled:

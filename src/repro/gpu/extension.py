@@ -84,11 +84,20 @@ class SMExtension:
     ------------
     ``sm.memory`` (``backup_registers`` / ``restore_registers``) is the
     one thing an extension can reach that other SMs share. Use it only
-    from ``on_tick`` (see :meth:`shared_tick_period`), from an
-    ``EV_CALLBACK`` and from the CTA lifecycle hooks — the calls the
-    vector engine orders across SMs — and read it (``traffic``) from
-    ``timeseries_sample``, which is ordered too. The load, store and
-    fill hooks must keep to the SM's own state.
+    from ``on_tick``, from an ``EV_CALLBACK`` and from the CTA
+    lifecycle hooks — the calls the vector engine orders across SMs —
+    and read it (``traffic``) from ``timeseries_sample``, which is
+    ordered too. The load, store and fill hooks must keep to the SM's
+    own state.
+
+    Tick grid
+    ---------
+    ``on_tick`` is not a per-tick hook: both engines call it only on
+    the first SM tick at or past each multiple of
+    :meth:`shared_tick_period`, and on every tick when that is
+    ``None``. A windowed extension therefore sees each window boundary
+    exactly once, on the tick that crosses it; one that must act on
+    every tick returns ``None``.
     """
 
     wants_ticks: "bool | None" = None
@@ -120,17 +129,20 @@ class SMExtension:
 
     # -- per-cycle / windowing -------------------------------------------
     def on_tick(self, cycle: int) -> None:
-        """Called at every SM tick (after responses, before issue)."""
+        """Called on the first SM tick at or past each multiple of
+        :meth:`shared_tick_period` — every tick when it is ``None`` —
+        after responses, before issue. ``sm.stats.instructions`` is
+        current, and ``sm.memory`` may be used."""
 
     def shared_tick_period(self) -> "int | None":
-        """Cycles between the ticks on which :meth:`on_tick` may reach
-        ``sm.memory``: only the first tick at or past each multiple
-        does. The vector engine lets an SM run ahead of its siblings
-        in between and refuses a shared access from any other tick.
-        The default is the grid every windowed extension here closes
-        its window on — the one place registers are backed up or
-        restored — its own ``config.window_cycles``; ``None`` (no such
-        config) means any tick may."""
+        """The grid :meth:`on_tick` fires on: only the first tick at or
+        past each multiple of this many cycles calls it, and that call
+        may reach ``sm.memory`` (the vector engine syncs the SM with
+        its siblings first and lets it run ahead in between). The
+        default is the grid every windowed extension here closes its
+        window on — the one place registers are backed up or restored
+        — its own ``config.window_cycles``; ``None`` (no such config)
+        means every tick."""
         return getattr(getattr(self, "config", None), "window_cycles", None)
 
     def timeseries_sample(self, cycle: int) -> dict:

@@ -120,12 +120,12 @@ class RegisterFile:
 
     # -- data access ---------------------------------------------------------
     def read(self, reg: int, cycle: int = 0) -> Optional[int]:
-        self.stats.bank_conflicts += self._bank_accesses(reg, 1, cycle)
+        self._claim_port(reg, cycle)
         self.stats.reads += 1
         return self._values[reg]
 
     def write(self, reg: int, value: Optional[int], cycle: int = 0) -> None:
-        self.stats.bank_conflicts += self._bank_accesses(reg, 1, cycle)
+        self._claim_port(reg, cycle)
         self.stats.writes += 1
         self._values[reg] = value
 
@@ -143,6 +143,24 @@ class RegisterFile:
     # -- bank-conflict model ---------------------------------------------
     def bank_of(self, reg: int) -> int:
         return reg % self.num_banks
+
+    def _claim_port(self, reg: int, cycle: int) -> None:
+        """:meth:`_bank_accesses` for one register (a victim line's read
+        or write), conflict counted in place."""
+        window = self._window
+        epoch = window[1]
+        if cycle != window[0]:
+            window[0] = cycle
+            window[1] = epoch = epoch + 1
+        bank = reg % self.num_banks
+        if self._bank_epoch[bank] != epoch:
+            self._bank_epoch[bank] = epoch
+            self._bank_count[bank] = 1
+        else:
+            used = self._bank_count[bank]
+            if used >= self.ports_per_bank:
+                self.stats.bank_conflicts += 1
+            self._bank_count[bank] = used + 1
 
     def _bank_accesses(self, first_reg: int, count: int, cycle: int) -> int:
         """Claim one port on the bank of each of ``count`` consecutive

@@ -24,8 +24,10 @@ holds every one of them to two bars:
    from ``tests/test_properties.py`` (valid entries hold unique
    register numbers inside their *active* partition's range, and the
    occupancy masks match the tag maps), backup/restore
-   conservation (no restore without a backup), and inline-vs-loopback
-   executor **bit-identity** on the full statistics fingerprint.
+   conservation (no restore without a backup), inline-vs-loopback
+   executor **bit-identity** on the full statistics fingerprint, and,
+   against every other registered engine, the same fingerprint and
+   per-SM MSHR-stall replay counts.
 
 Generation is deterministic per ``(seed, index)`` — a CI failure
 reproduces locally from the seed alone — and every generated spec
@@ -529,6 +531,8 @@ def differential_check(
     the reference engine wherever a test or the CI fuzz job registered
     it (``tests/reference_engine``) — so a fuzzed workload on which the
     machine and its oracle diverge, hooks included, fails the harness.
+    The per-SM MSHR-stall replay counts (``sm.mshr_stalls`` off the
+    live SMs) are compared too: a miscounted replay moves no result.
     """
     from repro.engine import backend_names
     from repro.runner.engine import ExperimentRunner, execute_job
@@ -539,13 +543,15 @@ def differential_check(
     config = scaled_config(num_sms=sms)
     kernel = build_workload(spec, scale)
 
-    # Linebacker: conservation + VTT structure + backups.
-    unpinned = resolve("linebacker").runner(config, kernel)
+    # Linebacker: conservation + VTT structure + backups. The engine
+    # legs keep their live SMs, whose MSHR-stall replay counts no
+    # result carries.
+    unpinned = resolve("linebacker").runner(config, kernel, keep_objects=True)
     problems += _conservation_problems(unpinned, "linebacker")
     problems += _vtt_problems(unpinned.extensions, "linebacker")
 
     # Baseline conservation (no victim path: victim_hits must be 0).
-    base = resolve("baseline").runner(config, kernel)
+    base = resolve("baseline").runner(config, kernel, keep_objects=True)
     problems += _conservation_problems(base, "baseline")
     if sum(s.victim_hits for s in base.sm_stats):
         problems.append("baseline: non-zero victim hits without a VTT")
@@ -554,7 +560,7 @@ def differential_check(
         if other == "vector":
             continue
         for arch, machine in (("linebacker", unpinned), ("baseline", base)):
-            reference = resolve(arch).runner(config, kernel, backend=other)
+            reference = resolve(arch).runner(config, kernel, backend=other, keep_objects=True)
             label = f"{arch}[{other}]"
             problems += _conservation_problems(reference, label)
             problems += _vtt_problems(reference.extensions, label)
@@ -562,6 +568,13 @@ def differential_check(
             if machine_fp != reference_fp:
                 diff = [k for k in reference_fp if reference_fp[k] != machine_fp.get(k)]
                 problems.append(f"{arch}: the machine diverges from {other} on {diff}")
+            ours = [sm.mshr_stalls for sm in machine.sms]
+            theirs = [sm.mshr_stalls for sm in reference.sms]
+            if ours != theirs:
+                problems.append(
+                    f"{arch}: MSHR-stall replays per SM are {ours} on the machine, "
+                    f"{theirs} on {other}"
+                )
 
     # Best-SWL: conservation of the winner. Its max-occupancy leg is the
     # plain baseline job, sound only if a cap at the occupancy is a no-op.

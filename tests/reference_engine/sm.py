@@ -115,6 +115,10 @@ class SM:
         # Eight real bools on the extension from here on; the hot paths
         # read them instead of making dynamic no-op calls per line.
         self.extension.resolve_flags()
+        # on_tick's grid (SMExtension docstring): the first tick at or
+        # past each multiple of the period, every tick without one.
+        self._tick_period = self.extension.shared_tick_period() or 1
+        self._next_on_tick = 0
         # Stable sub-objects of the L1/MSHR, hoisted once. The cache
         # never rebinds ``_sets`` and the MSHR file never rebinds
         # ``_entries`` (both mutate in place), so the load path can
@@ -258,7 +262,9 @@ class SM:
         events = self._events
         if events and events[0][0] <= cycle:
             self._process_events(cycle)
-        if self.extension.wants_ticks:
+        if self.extension.wants_ticks and cycle >= self._next_on_tick:
+            period = self._tick_period
+            self._next_on_tick = (cycle // period + 1) * period
             self.extension.on_tick(cycle)
         if cycle >= self._ts_next:
             # After on_tick: the extension has closed its windows up to
@@ -570,6 +576,12 @@ class SM:
     @property
     def done(self) -> bool:
         return not self.ctas and not self._events
+
+    @property
+    def mshr_stalls(self) -> int:
+        """MSHR-stall replays, under the machine's name (no result
+        carries them; a live SM is read through ``keep_objects``)."""
+        return self.mshr.stalls
 
     def finalize(self, cycle: int) -> None:
         self.stats.cycles = cycle

@@ -19,7 +19,8 @@ Eight contracts:
   workload that throttles, backs up and restores on several SMs at
   once; and so do the five options the machine hosts last: load
   tracking, timeseries rows, live objects, the timing DRAM model and
-  the NoC.
+  the NoC. Both call ``on_tick`` on the same grid: the first tick at
+  or past each multiple of the extension's period.
 * **Stall replays**: the live per-SM MSHR-stall replay counts, which
   no result carries, equal the oracle's — Table-2 apps, the
   MSHR-exhaustion kernels, throttling and refused fills.
@@ -549,6 +550,45 @@ class TestHookedDifferential:
             runner(config, build(), lb_config=lb, backend="object")
         )
 
+    def test_on_tick_fires_on_the_window_grid_on_both_engines(self):
+        # on_tick is no per-tick hook: a windowed extension is called on
+        # the first tick at or past each multiple of its period and on no
+        # other tick, by both engines. A twin with no period is called on
+        # every tick, which gives the ticks the grid is picked from.
+        class Windowed(SMExtension):
+            config = scaled_config(window_cycles=97).linebacker
+
+            def attach(self, sm) -> None:
+                super().attach(sm)
+                self.calls = []
+
+            def on_tick(self, cycle: int) -> None:
+                self.calls.append(cycle)
+
+        class EveryTick(Windowed):
+            def shared_tick_period(self):
+                return None
+
+        build, config = HOOKED_WORKLOADS["multitenant"]
+
+        def calls(extension, backend=None):
+            options = RunOptions(keep_objects=True, backend=backend)
+            return [ext.calls for ext in run_kernel(config, build(), extension, options).extensions]
+
+        ticks = calls(EveryTick)
+        assert calls(EveryTick, "object") == ticks
+        grid = []
+        for sm_ticks in ticks:
+            firsts, boundary = [], 0
+            for cycle in sm_ticks:
+                if cycle >= boundary:
+                    firsts.append(cycle)
+                    boundary = (cycle // 97 + 1) * 97
+            grid.append(firsts)
+        assert calls(Windowed) == grid == calls(Windowed, "object")
+        assert len(grid[0]) >= 3
+        assert all(len(firsts) <= len(sm_ticks) // 2 for firsts, sm_ticks in zip(grid, ticks))
+
     def test_shared_memory_from_an_unordered_hook_is_refused_loudly(self):
         class Leaky(SMExtension):
             def on_load_outcome(self, pc, hpc, line_addr, hit, cycle, warp=None):
@@ -693,9 +733,9 @@ class TestHookedDifferential:
 # Stall replays: no result field carries them, so hold the live counts
 # ---------------------------------------------------------------------------
 def stall_counts(result) -> list:
-    """Per-SM MSHR-stall replays off live SMs (``keep_objects``): the
-    machine counts them in ``mshr_stalls``, the oracle in its MSHR file."""
-    return [sm.mshr_stalls if type(sm) is VectorSM else sm.mshr.stalls for sm in result.sms]
+    """Per-SM MSHR-stall replays off live SMs (``keep_objects``); both
+    engines expose them as ``mshr_stalls``."""
+    return [sm.mshr_stalls for sm in result.sms]
 
 
 @pytest.mark.usefixtures("reference")
@@ -752,7 +792,15 @@ class ScanListCheck:
     """Mixin over an extension: check the scan lists at every tick, after
     the extension's own ``on_tick`` — so after every wake, throttle,
     reactivation and finish of the tick before, the issuing warp
-    throttled from its own load's hook included."""
+    throttled from its own load's hook included.
+
+    ``on_tick`` fires only on the extension's window grid; a period of
+    ``None`` puts it back on every tick. A windowed extension's own
+    ``on_tick`` acts only once the clock crosses its next boundary, so
+    it runs unchanged."""
+
+    def shared_tick_period(self):
+        return None
 
     def on_tick(self, cycle: int) -> None:
         super().on_tick(cycle)

@@ -150,6 +150,28 @@ class TestDifferentialHarness:
         assert diverged and all(p.startswith("linebacker: the machine") for p in diverged), problems
 
 
+    def test_stall_replays_are_compared(self, monkeypatch):
+        # A replay miscount moves no result: only the live SMs show it.
+        from repro.engine import BACKENDS
+
+        vector = BACKENDS["vector"]
+
+        class Miscounting:
+            name = "vector"
+
+            def run(self, request):
+                result = vector.run(request)
+                for sm in result.sms if request.keep_objects else ():
+                    sm.mshr_stalls += 1
+                return result
+
+        with reference_engine.registered():
+            monkeypatch.setitem(BACKENDS, "vector", Miscounting())
+            problems = differential_check(fuzz_workload(SEED, 0))
+        assert [p.split(":")[0] for p in problems] == ["linebacker", "baseline"], problems
+        assert all("MSHR-stall replays" in p for p in problems), problems
+
+
 class TestMinimize:
     def test_shrinks_while_preserving_predicate(self):
         def fails(s):
