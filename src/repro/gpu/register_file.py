@@ -59,7 +59,6 @@ class RegisterFile:
         self.ports_per_bank = ports_per_bank
         self._values: list[Optional[int]] = [None] * self.num_registers
         self._owner: list[Optional[int]] = [None] * self.num_registers  # CTA slot or None
-        self._free_base = 0
         self.stats = RegisterFileStats()
         # Per-cycle bank usage for conflict detection, as epoch arrays:
         # ``_window`` is the mutable ``[usage cycle, epoch]`` pair and a
@@ -80,21 +79,22 @@ class RegisterFile:
         Uses first-fit over free runs. Returns the allocated range or
         None when no contiguous run is available.
         """
-        run_start = None
-        run_len = 0
-        for idx in range(self.num_registers):
-            if self._owner[idx] is None:
-                if run_start is None:
-                    run_start = idx
-                run_len += 1
-                if run_len == num_regs:
-                    rng = range(run_start, run_start + num_regs)
-                    for r in rng:
-                        self._owner[r] = owner
-                    return rng
-            else:
-                run_start = None
-                run_len = 0
+        owners = self._owner
+        start = 0
+        while num_regs > 0:
+            try:
+                start = owners.index(None, start)
+            except ValueError:
+                return None
+            stop = start + num_regs
+            if stop > self.num_registers:
+                return None
+            window = owners[start:stop]
+            if window.count(None) == num_regs:
+                owners[start:stop] = [owner] * num_regs
+                return range(start, stop)
+            # Too short a run: search again past its first owned register.
+            start += next(i for i, o in enumerate(window) if o is not None)
         return None
 
     def free(self, regs: Iterable[int]) -> None:

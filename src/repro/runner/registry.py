@@ -28,6 +28,8 @@ from repro.gpu.trace import KernelTrace
 from repro.options import RUN_OPTION_FIELDS, RunOptions
 
 _DEFAULTS = RunOptions()
+#: The on/off ``RunOptions`` fields.
+_FLAGS = tuple(n for n in RUN_OPTION_FIELDS if type(getattr(_DEFAULTS, n)) is bool)
 _CTA_LIMITS = ("max_concurrent_ctas", "cta_limit")
 
 
@@ -73,6 +75,8 @@ class ArchSpec:
             why = f"takes no parameter {name!r} (accepted: {accepted})"
         elif name in RUN_OPTION_FIELDS and value == getattr(_DEFAULTS, name):
             pass
+        elif name in _FLAGS and type(value) is not bool:
+            why = f"takes {name!r} only as true or false, not {value!r}"
         elif self.legs is not None and name in ("timeseries", "max_concurrent_ctas"):
             why = f"is derived from jobs over CTA limits and does not support {name!r}"
         elif name in _CTA_LIMITS and (type(value) is not int or value < 1):

@@ -9,6 +9,10 @@ back onto the exceptions in-process callers already know — a failed
 simulation raises :class:`~repro.runner.executors.RemoteJobError`; a
 schema/version disagreement, a dropped connection or an unparseable
 answer raises :class:`ServiceError`, never a raw ``http.client`` error.
+
+A spec is encoded once: the JSON bytes of the last :data:`BODIES_KEPT`
+submitted specs are kept by key and posted again on a resubmission,
+which the coordinator's document memo then answers without decoding.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import http.client
 import json
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Iterator, Optional
 from urllib.parse import urlsplit
 
@@ -24,6 +29,10 @@ from repro.runner.executors import RemoteJobError
 from repro.runner.spec import JobSpec
 from repro.runner.wire import _unpack
 from repro.service.schema import JOB_SCHEMA_VERSION, encode_jobspec
+
+#: Encoded job documents a client keeps for resubmission, by spec key
+#: (least recently used first out).
+BODIES_KEPT = 128
 
 
 class ServiceError(RuntimeError):
@@ -48,6 +57,9 @@ class ServiceClient:
         self._target = urlsplit(self.url)
         #: ``.conn``: the calling thread's open connection, if any.
         self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Spec key -> its JSON job document, encoded (:meth:`_body`).
+        self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
 
     # -- plumbing --------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
@@ -59,9 +71,8 @@ class ServiceClient:
         return conn
 
     def _request(
-        self, method: str, path: str, body: Optional[dict] = None
+        self, method: str, path: str, data: Optional[bytes] = None
     ) -> tuple[int, Any]:
-        data = None if body is None else json.dumps(body).encode("utf-8")
         conn = self._connection()
         for reused in (conn.sock is not None, False):
             try:
@@ -127,9 +138,26 @@ class ServiceClient:
         if conn is not None:
             conn.close()
 
+    def _body(self, spec: JobSpec) -> bytes:
+        """``spec``'s job document as JSON bytes, encoded once per key:
+        a resubmission posts the same bytes again, which the
+        coordinator's document memo answers without decoding."""
+        key = spec.key
+        with self._lock:
+            body = self._bodies.get(key)
+            if body is not None:
+                self._bodies.move_to_end(key)
+                return body
+        body = json.dumps(encode_jobspec(spec)).encode("utf-8")
+        with self._lock:
+            self._bodies[key] = body
+            while len(self._bodies) > BODIES_KEPT:
+                self._bodies.popitem(last=False)
+        return body
+
     def submit(self, spec: JobSpec) -> dict:
         """POST one spec; returns ``{job_id, status, cached, coalesced}``."""
-        status, doc = self._request("POST", "/v1/jobs", encode_jobspec(spec))
+        status, doc = self._request("POST", "/v1/jobs", self._body(spec))
         self._raise_for(status, doc)
         return doc
 

@@ -20,6 +20,14 @@ the workers are launched with ``--cache-dir``, so results land in the
 shared store as they are produced and duplicates across coordinator
 restarts dedup too.
 
+A resubmitted job document is decoded once: the document memo keeps the
+spec of each of the last :data:`DOCUMENTS_KEPT` bodies by the SHA-256 of
+the raw body, so a byte-identical one skips ``json.loads``,
+``decode_jobspec`` and the spec hash (:meth:`Coordinator.submit_document`
+has the exclusions). :class:`~repro.service.client.ServiceClient` posts
+the same bytes for a resubmitted spec, so a warm round trip pays the
+codec on neither side.
+
 ========================================  ================================
 ``POST /v1/jobs``                           submit one schema-versioned
                                             JSON job document; returns
@@ -50,10 +58,12 @@ a private interface, never the open internet.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import threading
 import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
@@ -61,6 +71,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.engine import ExperimentRunner, Job
 from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, DEFAULT_WORKER_COMMAND
+from repro.runner.registry import resolve
 from repro.runner.spec import JobSpec
 from repro.runner.wire import PROTOCOL_VERSION
 from repro.service.schema import JOB_SCHEMA_VERSION, SchemaError, decode_jobspec
@@ -73,6 +84,19 @@ DEFAULT_PORT = 8642
 MAX_WAIT_SECONDS = 20.0
 #: Largest request body read; job documents are a few KB.
 MAX_BODY_BYTES = 1 << 20
+#: Job documents whose spec the document memo keeps, by the SHA-256 of
+#: the raw body (least recently used first out).
+DOCUMENTS_KEPT = 1024
+
+
+def _runnable(spec: JobSpec) -> bool:
+    """Whether ``spec``'s architecture, as registered now, takes its
+    params (what ``JobSpec.build`` checks)."""
+    try:
+        resolve(spec.arch).check(spec.overrides)
+    except (KeyError, ValueError):
+        return False
+    return True
 
 
 class Coordinator:
@@ -112,6 +136,11 @@ class Coordinator:
             target=self._dispatch_loop, name="fleet-dispatch", daemon=True
         )
         self.started_at = time.time()
+        self._lock = threading.Lock()
+        #: The document memo: body digest -> the spec it decoded to.
+        self._documents: "OrderedDict[bytes, JobSpec]" = OrderedDict()
+        self._decoded = 0
+        self._reused = 0
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
@@ -144,6 +173,45 @@ class Coordinator:
         """Register one spec; returns ``(job, coalesced, cached)``."""
         return self.runner.submit(spec)
 
+    def submit_document(self, body: bytes) -> tuple[Job, bool, bool]:
+        """:meth:`submit` the spec a ``POST /v1/jobs`` body names;
+        :class:`SchemaError` when it names none.
+
+        A body byte-identical to one decoded before is answered from the
+        document memo, keyed on its SHA-256 (never on the body), without
+        ``json.loads``, ``decode_jobspec`` or the spec hash. A hit still
+        re-checks the spec against today's architecture registry, and a
+        refused one is decoded afresh, so its 400 is the one a first
+        submission gets. Errors are never memoized, and neither is a
+        document whose app resolves through the workload registry (no
+        inline ``workload``): ``register_workload(..., replace=True)``
+        can change what that name means.
+        """
+        digest = hashlib.sha256(body).digest()
+        with self._lock:
+            spec = self._documents.get(digest)
+            if spec is not None:
+                self._documents.move_to_end(digest)
+        if spec is not None and _runnable(spec):
+            with self._lock:
+                self._reused += 1
+            return self.submit(spec)
+        with self._lock:
+            self._decoded += 1
+        try:
+            doc = json.loads(body)
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+            raise SchemaError(f"request body is not JSON: {exc}") from None
+        spec = decode_jobspec(doc)
+        submitted = self.submit(spec)
+        if spec.workload is None or "workload" in doc:
+            with self._lock:
+                # The table's own spec: an entry holds no second copy.
+                self._documents[digest] = submitted[0].spec
+                while len(self._documents) > DOCUMENTS_KEPT:
+                    self._documents.popitem(last=False)
+        return submitted
+
     def job(self, job_id: str) -> Optional[Job]:
         return self.runner.job(job_id)
 
@@ -153,9 +221,13 @@ class Coordinator:
         return self.runner.wait(job_id, timeout)
 
     def stats(self) -> dict:
+        with self._lock:
+            documents = {"decoded": self._decoded, "reused": self._reused,
+                         "kept": len(self._documents)}
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             **self.runner.table_stats(),
+            "documents": documents,
             "cache_dir": str(self.cache.root) if self.cache else None,
             "fleet": self.fleet.stats(),
         }
@@ -173,6 +245,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
     #: connection that stays open Nagle holds the second until the
     #: client's delayed ACK of the first (a 40 ms stall per response).
     disable_nagle_algorithm = True
+
+    #: Longest silence while a request body is read, in seconds.
+    body_stall_seconds = 5.0
 
     #: Quieten the default per-request stderr logging.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -213,12 +288,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if 0 <= length <= MAX_BODY_BYTES:
-            return self.rfile.read(length)
+            # A body shorter than its Content-Length would park this
+            # thread for good: a stall this long ends the read.
+            self.connection.settimeout(self.body_stall_seconds)
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:
+                body = b""
+            finally:
+                self.connection.settimeout(self.timeout)
+            if len(body) == length:
+                return body
         self.close_connection = True
         if length < 0:
             self._error(400, "Content-Length must be a non-negative integer")
-        else:
+        elif length > MAX_BODY_BYTES:
             self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        else:
+            self._error(400, f"request body ended before its Content-Length ({length} bytes)")
         return None
 
     # -- routes ----------------------------------------------------------
@@ -231,14 +318,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such endpoint: POST {parsed.path}")
             return
         try:
-            spec = decode_jobspec(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            self._error(400, f"request body is not JSON: {exc}")
-            return
+            job, coalesced, cached = self.coordinator.submit_document(raw)
         except SchemaError as exc:
             self._error(400, str(exc))
             return
-        job, coalesced, cached = self.coordinator.submit(spec)
         self._send_json(
             {
                 "job_id": job.id,

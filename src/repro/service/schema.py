@@ -26,7 +26,8 @@ Design rules:
   fold into the same sorted override params the in-process path
   produces. A job submitted over HTTP therefore hits the same cache
   entry an inline run would.
-* **Closed world**: unknown config fields, unknown option names,
+* **Closed world**: unknown config fields, unknown option names, a
+  config field whose JSON type is not its annotated type,
   non-scalar override values, unregistered apps/architectures and any
   option or parameter the architecture refuses
   (:meth:`~repro.runner.registry.ArchSpec.refuses`) are all rejected
@@ -41,6 +42,7 @@ with the submitted ``sms`` hint, or its plain default); ``options`` and
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Mapping
 
 from repro.config import GPUConfig, LinebackerConfig, SimulationConfig
@@ -56,7 +58,18 @@ JOB_SCHEMA_VERSION = 3
 #: Override keys whose values are dataclasses (encoded as field dicts).
 _DATACLASS_OVERRIDES = {"lb_config": LinebackerConfig}
 
-_SCALARS = (bool, int, float, str, type(None))
+_NONE = type(None)
+_SCALARS = (bool, int, float, str, _NONE)
+
+#: The JSON value types a dataclass field of each annotated type takes
+#: (the annotations are strings: every config module postpones them).
+#: Matched by exact type, so a ``bool`` is no number here.
+_FIELD_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+}
 
 
 class SchemaError(ValueError):
@@ -67,16 +80,36 @@ def _encode_dataclass(value: Any) -> dict:
     return dataclasses.asdict(value)
 
 
-def _decode_dataclass(cls: type, doc: Any, where: str) -> Any:
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
+@functools.cache
+def _field_types(cls: type) -> dict:
+    """``cls``'s field names -> the JSON value types each one takes."""
+    return {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(cls)}
+
+
+def _type_error(value: Any, types: tuple, where: str) -> SchemaError:
+    names = " or ".join("null" if t is _NONE else t.__name__ for t in types)
+    return SchemaError(f"{where}: expected {names}, got {value!r}")
+
+
+def _check_fields(cls: type, doc: Mapping, where: str) -> None:
+    """Refuse a field of ``doc`` that ``cls`` does not have, or whose
+    value is not of the field's type."""
+    types = _field_types(cls)
+    unknown = doc.keys() - types.keys()
     if unknown:
         raise SchemaError(
             f"{where}: unknown field(s) {sorted(unknown)}; "
-            f"known: {sorted(known)}"
+            f"known: {sorted(types)}"
         )
+    for name, value in doc.items():
+        if type(value) not in types[name]:
+            raise _type_error(value, types[name], f"{where}.{name}")
+
+
+def _decode_dataclass(cls: type, doc: Any, where: str) -> Any:
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
+    _check_fields(cls, doc, where)
     try:
         return cls(**doc)
     except TypeError as exc:
@@ -98,6 +131,9 @@ def decode_config(doc: Any) -> SimulationConfig:
     unknown = set(doc) - {"gpu", "linebacker", "max_cycles", "seed"}
     if unknown:
         raise SchemaError(f"config: unknown field(s) {sorted(unknown)}")
+    for name in ("max_cycles", "seed"):
+        if name in doc and type(doc[name]) is not int:
+            raise _type_error(doc[name], (int,), f"config.{name}")
     base = SimulationConfig()
     return SimulationConfig(
         gpu=(
@@ -112,8 +148,8 @@ def decode_config(doc: Any) -> SimulationConfig:
             if "linebacker" in doc
             else base.linebacker
         ),
-        max_cycles=int(doc.get("max_cycles", base.max_cycles)),
-        seed=int(doc.get("seed", base.seed)),
+        max_cycles=doc.get("max_cycles", base.max_cycles),
+        seed=doc.get("seed", base.seed),
     )
 
 

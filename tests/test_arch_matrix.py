@@ -71,6 +71,9 @@ PARAM_VALUES = {
 #: What no CTA limit may be: each is a cell of every row for
 #: ``max_concurrent_ctas`` and of every row declaring ``cta_limit``.
 BAD_CTA_LIMITS = (0, -2, True, "2")
+#: What no on/off option may be: each is a cell of every row, per flag.
+FLAGS = ("track_loads", "timeseries")
+BAD_FLAGS = (1, "yes", None)
 #: Parameters a row cannot run without; every cell of the row carries them.
 REQUIRED = {"best_swl_cache_ext": {"cta_limit": PARAM_VALUES["cta_limit"]}}
 
@@ -82,6 +85,11 @@ CELLS = [
     (arch, "max_concurrent_ctas", value)
     for arch in sorted(ARCHITECTURES)
     for value in BAD_CTA_LIMITS
+] + [
+    (arch, name, value)
+    for arch in sorted(ARCHITECTURES)
+    for name in FLAGS
+    for value in BAD_FLAGS
 ] + [
     (arch, name, value)
     for arch, row in sorted(ARCHITECTURES.items())
@@ -99,6 +107,8 @@ def valid_cta_limit(value) -> bool:
 
 
 def expect_refused(arch: str, name: str, value) -> bool:
+    if name in FLAGS and type(value) is not bool:
+        return True
     if name == "keep_objects":
         return True  # live objects never cross the cache or the wire
     if name in ("timeseries", "max_concurrent_ctas") and arch in DERIVED:
@@ -112,7 +122,7 @@ def cell_id(cell) -> str:
     arch, name, value = cell
     shown = name == "backend" or (
         name in ("max_concurrent_ctas", "cta_limit") and not valid_cta_limit(value)
-    )
+    ) or (name in FLAGS and type(value) is not bool)
     return f"{arch}+{name}" + (f"={value!r}" if shown else "")
 
 
@@ -144,7 +154,7 @@ def test_matrix_covers_every_row_and_field():
     assert all(value != getattr(RunOptions(), name) for name, value in OPTION_VALUES)
     declared = {name for row in ARCHITECTURES.values() for name in row.params}
     assert declared == set(PARAM_VALUES)
-    per_row = len(OPTION_VALUES) + len(BAD_CTA_LIMITS)
+    per_row = len(OPTION_VALUES) + len(BAD_CTA_LIMITS) + len(FLAGS) * len(BAD_FLAGS)
     assert len(CELLS) == len(ARCHITECTURES) * per_row + 2 + len(BAD_CTA_LIMITS)
     assert {arch for arch, row in ARCHITECTURES.items() if row.legs and row.params} == set(REQUIRED)
 

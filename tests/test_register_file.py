@@ -37,6 +37,31 @@ class TestAllocation:
         # Only regs 1 and 3 are free; no contiguous run of 2.
         assert rf.allocate(2, owner=3) is None
 
+    def test_first_fit_matches_a_register_by_register_scan(self):
+        """Seeded allocate/free churn: every allocation lands where a
+        plain scan for the first free run of that length puts it."""
+        import random
+
+        rng = random.Random(2019)
+        rf = RegisterFile(64 * 128, num_banks=4)
+        held = []
+        for step in range(2000):
+            if held and rng.random() < 0.45:
+                rf.free(held.pop(rng.randrange(len(held))))
+                continue
+            n = rng.choice([0, 1, 2, 3, 5, 8, 13, 64, 65])
+            owners = [rf.owner_of(r) for r in range(rf.num_registers)]
+            expected = next(
+                (range(s, s + n) for s in range(rf.num_registers - n + 1)
+                 if n > 0 and all(o is None for o in owners[s:s + n])),
+                None,
+            )
+            got = rf.allocate(n, owner=step)
+            assert got == expected, (step, n)
+            if got is not None:
+                held.append(got)
+                assert all(rf.owner_of(r) == step for r in got)
+
     def test_unused_accounting(self):
         rf = make_rf()
         rf.allocate(1024, owner=0)

@@ -10,6 +10,7 @@ infrastructure fault may wedge the service or smuggle in a wrong
 payload, and no worker process may outlive its fleet.
 """
 
+import dataclasses
 import http.client
 import json
 import socket
@@ -29,7 +30,7 @@ import repro.service.coordinator as coordinator_module  # noqa: E402
 from fault_injection import FlakyBackend, flaky_worker_command, unsimulatable  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import Session  # noqa: E402
-from repro.config import scaled_config  # noqa: E402
+from repro.config import SimulationConfig, scaled_config  # noqa: E402
 from repro.options import RunOptions  # noqa: E402
 from repro.runner import ExperimentRunner, JobSpec, RemoteJobError  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -179,6 +180,26 @@ class TestSchema:
         decoded = decode_jobspec(encode_jobspec(spec))
         assert decoded.key == spec.key
         assert decoded.overrides["lb_config"].vtt_ways == 2
+
+    def test_a_field_of_the_wrong_json_type_is_refused(self):
+        from repro.config import GPUConfig, LinebackerConfig
+        from repro.service.schema import _FIELD_TYPES
+
+        # Every config field the schema reads has a JSON type to check.
+        for cls in (GPUConfig, LinebackerConfig):
+            assert all(f.type in _FIELD_TYPES for f in dataclasses.fields(cls)), cls
+        for path, value in ((("config", "gpu", "num_sms"), "2"),
+                            (("config", "gpu", "noc_enable"), 1),
+                            (("config", "linebacker", "hit_ratio_threshold"), None),
+                            (("config", "seed"), 1.5),
+                            (("config", "max_cycles"), "9")):
+            doc = encode_jobspec(make_spec())
+            parent = doc
+            for step in path[:-1]:
+                parent = parent.setdefault(step, {})
+            parent[path[-1]] = value
+            with pytest.raises(SchemaError, match=".".join(path)):
+                decode_jobspec(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -823,3 +844,270 @@ class TestConnections:
                         client.healthz()
             finally:
                 peer.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Job documents: the client's body cache, the coordinator's memo, and
+# malformed input. The coordinator is never started: no worker runs,
+# every accepted job stays "running", and only the request path is
+# exercised.
+# ---------------------------------------------------------------------------
+def start_idle_service(tmp):
+    coordinator = Coordinator(workers=1, cache_dir=str(tmp), use_cache=False)
+    server = coordinator_module.ServiceServer(("127.0.0.1", 0), coordinator)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, coordinator, f"http://127.0.0.1:{server.server_address[1]}"
+
+
+@pytest.fixture
+def idle(tmp_path):
+    server, coordinator, url = start_idle_service(tmp_path)
+    yield {"coordinator": coordinator, "url": url}
+    stop_service(server, coordinator)
+
+
+def body_of(spec):
+    return json.dumps(encode_jobspec(spec)).encode("utf-8")
+
+
+def post(url, body, headers=None, timeout=10.0):
+    """One POST /v1/jobs on a fresh connection: ``(status, document)``."""
+    conn = http.client.HTTPConnection(url.split("//")[1], timeout=timeout)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        if headers is None:
+            headers = {"Content-Length": str(len(body))}
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.putheader("Connection", "close")
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so its calls are counted in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestDocumentMemo:
+    def test_identical_resubmission_decodes_once(self, idle, monkeypatch):
+        decodes = counting(monkeypatch, coordinator_module, "decode_jobspec")
+        spec = make_spec("S2", "linebacker", track_loads=True)
+        answers = [post(idle["url"], body_of(spec)) for _ in range(3)]
+        assert len(decodes) == 1
+        assert [doc["job_id"] for _, doc in answers] == [spec.key] * 3
+        assert [status for status, _ in answers] == [201, 200, 200]
+        assert idle["coordinator"].stats()["documents"] == {
+            "decoded": 1, "reused": 2, "kept": 1}
+        assert ServiceClient(idle["url"]).fleet()["documents"]["reused"] == 2
+
+    def test_a_hit_accounts_like_a_fresh_decode(self, tmp_path, monkeypatch):
+        """The same bodies, posted to one coordinator with the memo and
+        to one that keeps nothing, give the same answers and counts."""
+        specs = [make_spec("S2", "baseline"), make_spec("LI", "best_swl")]
+        bodies = [body_of(specs[i]) for i in (0, 0, 1, 0, 1, 1)]
+        seen = []
+        for kept in (coordinator_module.DOCUMENTS_KEPT, 0):
+            monkeypatch.setattr(coordinator_module, "DOCUMENTS_KEPT", kept)
+            coordinator = Coordinator(workers=1, use_cache=False)
+            try:
+                answers = [
+                    (job.id, coalesced, cached, job.submits)
+                    for job, coalesced, cached in map(coordinator.submit_document, bodies)
+                ]
+                table = coordinator.runner.table_stats()
+                sources = [r.source for r in coordinator.runner.stats.records]
+                seen.append((answers, table, sources))
+                assert coordinator.stats()["documents"]["kept"] == min(kept, 2)
+            finally:
+                coordinator.shutdown()
+        assert seen[0] == seen[1]
+        assert seen[0][1]["coalesced"] == 4
+
+    def test_a_reregistered_workload_name_is_decoded_again(self, idle):
+        from repro.workloads.spec import register_workload, unregister_workload
+        from repro.workloads.suite import APP_SPECS
+
+        first = dataclasses.replace(APP_SPECS["S2"], name="memo_probe")
+        second = dataclasses.replace(first, num_ctas=first.num_ctas + 1)
+        body = json.dumps({"schema": JOB_SCHEMA_VERSION, "app": "memo_probe",
+                           "arch": "baseline", "scale": TINY}).encode()
+        try:
+            ids = []
+            for workload in (first, second):
+                register_workload(workload, replace=True)
+                status, doc = post(idle["url"], body)
+                assert status == 201
+                ids.append(doc["job_id"])
+                assert doc["job_id"] == make_spec("memo_probe", config=SimulationConfig()).key
+            assert ids[0] != ids[1]
+            assert idle["coordinator"].stats()["documents"] == {
+                "decoded": 2, "reused": 0, "kept": 0}
+        finally:
+            unregister_workload("memo_probe")
+
+    def test_a_hit_the_architecture_now_refuses_is_400(self, idle):
+        import reference_engine
+
+        spec_doc = encode_jobspec(make_spec())
+        spec_doc["options"] = {"backend": "object"}
+        body = json.dumps(spec_doc).encode()
+        with reference_engine.registered():
+            status, doc = post(idle["url"], body)
+            assert status == 201
+            assert post(idle["url"], body)[0] == 200  # a memo hit
+        status, doc = post(idle["url"], body)
+        assert status == 400 and "'object' backend" in doc["error"]
+        assert idle["coordinator"].stats()["documents"]["reused"] == 1
+
+    def test_a_malformed_body_is_never_memoized(self, idle):
+        doc = encode_jobspec(make_spec())
+        doc["overrides"] = {"cta_limit": 2}  # baseline takes no cta_limit
+        for body in (json.dumps(doc).encode(), b'{"schema": 3, "app": '):
+            for _ in range(2):
+                assert post(idle["url"], body)[0] == 400
+        assert idle["coordinator"].stats()["documents"] == {
+            "decoded": 4, "reused": 0, "kept": 0}
+
+    def test_racing_posts_lose_no_count(self, tmp_path):
+        """More posting threads than cores, switching often: every post
+        is counted once as decoded or reused, and joins its job."""
+        bodies = [body_of(make_spec(app)) for app in ("S2", "LI", "KM")]
+        threads, rounds = 8, 30
+        coordinator = Coordinator(workers=1, use_cache=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def poster(slot):
+                for i in range(rounds):
+                    coordinator.submit_document(bodies[(slot + i) % len(bodies)])
+
+            workers = [threading.Thread(target=poster, args=(slot,))
+                       for slot in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+            documents = coordinator.stats()["documents"]
+            assert documents["decoded"] + documents["reused"] == threads * rounds
+            assert documents["kept"] == len(bodies)
+            assert coordinator.runner.table_stats()["submits"] == threads * rounds
+        finally:
+            sys.setswitchinterval(interval)
+            coordinator.shutdown()
+
+    def test_client_encodes_each_spec_once(self, idle, monkeypatch):
+        from repro.service import client as client_module
+
+        encodes = counting(monkeypatch, client_module, "encode_jobspec")
+        client = ServiceClient(idle["url"])
+        specs = [make_spec("S2"), make_spec("LI")]
+        ids = [client.submit(spec)["job_id"] for spec in specs + specs]
+        assert ids == [spec.key for spec in specs + specs]
+        assert len(encodes) == 2
+        assert idle["coordinator"].stats()["documents"]["reused"] == 2
+        monkeypatch.setattr(client_module, "BODIES_KEPT", 1)
+        client.submit(make_spec("KM"))
+        assert list(client._bodies) == [make_spec("KM").key]
+
+
+#: Values of the wrong JSON type for a field of each annotated type.
+WRONG_VALUES = {
+    int: ["x", [], {}, None, True, 1.5],
+    float: ["x", [], {}, None, True],
+    bool: ["x", [], {}, None, 1],
+    str: [1, [], {}, None, True],
+    "object": ["x", [], 1, True],
+}
+
+
+def wrong_type_mutants(doc, rng):
+    """``(where, document)`` pairs: one field of ``doc`` given a value of
+    the wrong type, at each nesting level the schema reads."""
+    from repro.config import GPUConfig, LinebackerConfig
+
+    kinds = {"int": int, "float": float, "bool": bool, "str": str}
+    slots = [((), "app", str), ((), "arch", str), ((), "scale", float),
+             ((), "config", "object"), ((), "options", "object"),
+             ((), "overrides", "object"), ((), "workload", "object"),
+             (("config",), "max_cycles", int), (("config",), "seed", int),
+             (("options",), "timeseries", bool), (("options",), "track_loads", bool)]
+    for path, cls in ((("config", "gpu"), GPUConfig),
+                      (("config", "linebacker"), LinebackerConfig)):
+        fields = dataclasses.fields(cls)
+        slots += [(path, f.name, kinds[f.type]) for f in rng.sample(fields, 4)]
+    for path, name, kind in slots:
+        mutant = json.loads(json.dumps(doc))
+        parent = mutant
+        for step in path:
+            parent = parent.setdefault(step, {})
+        parent[name] = rng.choice(WRONG_VALUES[kind])
+        yield ".".join(path + (name,)), mutant
+
+
+class TestMalformedDocuments:
+    """Seeded mutations of a valid document: each gets a 4xx JSON error
+    within the client timeout, and the service still accepts the
+    original afterwards under its job id."""
+
+    SEED = 2019
+
+    def test_mutated_documents_are_refused_and_the_original_still_runs(
+        self, idle, monkeypatch
+    ):
+        import random
+
+        monkeypatch.setattr(ServiceHandler, "body_stall_seconds", 0.5)
+        rng = random.Random(self.SEED)
+        spec = make_spec("S2", "linebacker")
+        doc = encode_jobspec(spec)
+        body = json.dumps(doc).encode()
+        cases = []
+        for cut in sorted(rng.sample(range(len(body)), 12)):
+            cases.append((f"truncated at {cut}", body[:cut], None))
+        cases.append(("not UTF-8", b"\xff\xfe" + body, None))
+        cases.append(("nested too deep", b"[" * 100_000, None))
+        for where, mutant in wrong_type_mutants(doc, rng):
+            cases.append((f"wrong type at {where}", json.dumps(mutant).encode(), None))
+        for path in ((), ("config",), ("config", "gpu"), ("options",)):
+            mutant = json.loads(body)
+            parent = mutant
+            for step in path:
+                parent = parent.setdefault(step, {})
+            parent[f"x{rng.randrange(1 << 16)}"] = rng.choice([1, "x", None])
+            cases.append((f"unknown field in {path}", json.dumps(mutant).encode(), None))
+        for version in (0, 1, 2, JOB_SCHEMA_VERSION + 1, str(JOB_SCHEMA_VERSION), None):
+            cases.append((f"schema {version!r}", json.dumps({**doc, "schema": version}).encode(), None))
+        cases.append(("no schema", json.dumps({k: v for k, v in doc.items() if k != "schema"}).encode(), None))
+        for other in ([doc], "job", 3, None, True):
+            cases.append((f"non-object {other!r:.20}", json.dumps(other).encode(), None))
+        for length in ("abc", "-1", "", "1e3", str(coordinator_module.MAX_BODY_BYTES + 1)):
+            cases.append((f"Content-Length {length!r}", b"", {"Content-Length": length}))
+        cases.append(("no Content-Length", b"", {}))
+        cases.append(("Content-Length past the body", body[:100],
+                      {"Content-Length": str(len(body))}))
+        rng.shuffle(cases)
+
+        for what, raw, headers in cases:
+            started = time.monotonic()
+            status, answer = post(idle["url"], raw, headers)
+            assert 400 <= status < 500, (what, status, answer)
+            assert isinstance(answer.get("error"), str) and answer["error"], what
+            assert time.monotonic() - started < 5.0, what
+        status, answer = post(idle["url"], body)
+        assert status == 201 and answer["job_id"] == spec.key
+        assert idle["coordinator"].stats()["documents"]["kept"] == 1
