@@ -102,6 +102,16 @@ def _scale(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _scaled(args, parser: argparse.ArgumentParser):
+    """``scaled_config`` at ``--sms``; a refused machine is a usage error."""
+    config = scaled_config(num_sms=args.sms)
+    try:
+        config.gpu.check()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return config
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -337,10 +347,10 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     refusal = arch.refuses("timeseries", True, job=False)
     if refusal:
         parser.error(refusal)
+    config = _scaled(args, parser)
     if args.sm < 0 or args.sm >= args.sms:
         parser.error(f"--sm must be in [0, {args.sms})")
 
-    config = scaled_config(num_sms=args.sms)
     kernel = kernel_for(args.app, scale=args.scale)
     print(
         f"tracing {args.app} on {args.arch} at scale {args.scale} "
@@ -465,7 +475,7 @@ def _cmd_submit(args, parser: argparse.ArgumentParser) -> int:
     unknown = set(apps) - set(ALL_APPS)
     if unknown:
         parser.error(f"unknown apps: {sorted(unknown)}")
-    config = scaled_config(num_sms=args.sms)
+    config = _scaled(args, parser)
     options = RunOptions(timeseries=args.timeseries)
     try:
         # Unknown architecture, or a flag it refuses: a usage error
@@ -530,6 +540,7 @@ def _cmd_fuzz(args, parser: argparse.ArgumentParser) -> int:
 
     if args.count < 1:
         parser.error("--count must be at least 1")
+    _scaled(args, parser)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -595,6 +606,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     unknown = set(apps) - set(ALL_APPS)
     if unknown:
         parser.error(f"unknown apps: {sorted(unknown)}")
+    config = _scaled(args, parser)
 
     workers = args.workers if args.workers is not None else default_workers()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -609,7 +621,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
         job_timeout=args.job_timeout,
     )
     ctx = ExperimentContext(
-        config=scaled_config(num_sms=args.sms),
+        config=config,
         scale=args.scale,
         apps=apps,
         runner=runner,

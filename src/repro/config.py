@@ -12,18 +12,30 @@ Two dataclasses mirror the paper's configuration tables:
   to 8 partitions and a 3-cycle partition access latency).
 
 Because a pure-Python simulator is several orders of magnitude slower
-than GPGPU-Sim, :func:`scaled_config` provides a proportionally scaled
-configuration (fewer SMs, shorter windows) that preserves the ratios
-the mechanisms depend on: windows per kernel, working set to cache
-size, and victim-space to L1 size.
+than GPGPU-Sim, :func:`scaled_config` provides a scaled configuration:
+fewer SMs, 2,000-cycle windows, and shared resources (L2, DRAM
+bandwidth) cut in proportion to the SM count, while per-SM structures
+stay at paper size, so working set to cache size and victim space to
+L1 size match the paper. Windows per kernel do *not*: at the figure
+scale (0.5) a Table-2 app spans 9-56 scaled windows, but at
+:func:`paper_config` and scale 1.0 every app ends within 0.22-1.59 of
+the paper's windows, before the load monitor's two consecutive
+windows, so Linebacker there ties the baseline.
+
+:func:`to_doc` / :func:`from_doc` are the one JSON codec of these
+dataclasses and of the workload tree, driven by their fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
+import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 #: Bytes in one cache line and in one warp register (32 threads x 4 B).
 LINE_SIZE = 128
@@ -33,6 +45,9 @@ LINE_SIZE = 128
 WARP_REGISTER_BYTES = 128
 
 KB = 1024
+
+#: The DRAM models :class:`~repro.memory.subsystem.MemorySubsystem` builds.
+DRAM_MODELS = ("simple", "timing")
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,28 @@ class GPUConfig:
     def with_l1_size(self, size_bytes: int) -> "GPUConfig":
         """Return a copy with a different L1 size (paper Figure 14 sweep)."""
         return replace(self, l1_size_bytes=size_bytes)
+
+    def check(self) -> "GPUConfig":
+        """``self``, or a ``ValueError`` naming the field of a machine no
+        job runs on: no SM, an unknown DRAM model, an L2/DRAM no request
+        could be served by."""
+        if self.num_sms < 1:
+            raise ValueError(f"GPUConfig.num_sms must be at least 1, got {self.num_sms!r}")
+        if self.dram_model not in DRAM_MODELS:
+            raise ValueError(f"GPUConfig.dram_model must be one of {DRAM_MODELS}, "
+                             f"got {self.dram_model!r}")
+        for name in ("l2_lines_per_cycle", "dram_bandwidth_gbps"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"GPUConfig.{name} must be positive, got {value!r}")
+        if self.l2_assoc < 1:
+            raise ValueError(f"GPUConfig.l2_assoc must be at least 1, got {self.l2_assoc!r}")
+        if self.l2_num_sets < 1:
+            raise ValueError(
+                f"GPUConfig.l2_size_bytes={self.l2_size_bytes!r} is less than one set "
+                f"({self.l2_assoc} ways of {self.l1_line_bytes} B)"
+            )
+        return self
 
 
 @dataclass(frozen=True)
@@ -236,6 +273,127 @@ def stable_hash(*objs) -> str:
         digest.update(canonical_tokens(obj).encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+class DocumentError(ValueError):
+    """A JSON document that does not fit its dataclass; the message
+    names the JSON path of the refused value."""
+
+
+class _Refused(Exception):
+    """A refusal on its way up; each level prefixes its step to ``path``,
+    so a path is built only for a document that fails."""
+
+    def __init__(self, reason: str, path: str = "") -> None:
+        super().__init__(reason)
+        self.reason, self.path = reason, path
+
+
+def to_doc(value: Any) -> Any:
+    """The JSON value of a dataclass tree: every field at every level,
+    even at its default; enums by value, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [to_doc(item) for item in value]
+    return value
+
+
+def from_doc(cls: type, doc: Any, where: str) -> Any:
+    """Decode the JSON value ``doc`` into the dataclass ``cls``.
+
+    Closed world at every level: an unknown field, a missing field
+    without a default, a value not of its field's annotated type (a
+    ``bool`` is no number; a ``float`` field takes an ``int`` as is) or
+    an unknown enum value raises :class:`DocumentError` naming its JSON
+    path under ``where``. A missing field takes its default."""
+    try:
+        return _decoder(cls)(doc)
+    except _Refused as exc:
+        raise DocumentError(f"{where}{exc.path}: {exc.reason}") from None
+
+
+#: The JSON value types an annotated scalar field takes, matched exactly.
+_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _value_decoder(hint: Any) -> Callable[[Any], Any]:
+    """The decoder of one annotated field type: a dataclass, an
+    ``Optional``, a ``tuple[X, ...]``, an ``Enum`` or a scalar."""
+    if dataclasses.is_dataclass(hint):
+        return _decoder(hint)
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = [_value_decoder(arg) for arg in args if arg is not type(None)]
+        return lambda value: None if value is None else inner(value)
+    if typing.get_origin(hint) is tuple:
+        item = _value_decoder(args[0])
+
+        def sequence(value: Any) -> tuple:
+            if type(value) is not list and type(value) is not tuple:
+                raise _Refused(f"expected a list, got {value!r:.60}")
+            out = []
+            for index, element in enumerate(value):
+                try:
+                    out.append(item(element))
+                except _Refused as exc:
+                    exc.path = f"[{index}]{exc.path}"
+                    raise
+            return tuple(out)
+
+        return sequence
+    if issubclass(hint, enum.Enum):
+
+        def member(value: Any) -> enum.Enum:
+            try:
+                return hint(value)
+            except (ValueError, TypeError):
+                known = ", ".join(str(m.value) for m in hint)
+                raise _Refused(f"unknown {hint.__name__.lower()} {value!r:.60}; "
+                               f"known: {known}") from None
+
+        return member
+    accepted = _SCALARS[hint]
+
+    def scalar(value: Any) -> Any:
+        if type(value) not in accepted:
+            raise _Refused(f"expected {hint.__name__}, got {value!r:.60}")
+        return value
+
+    return scalar
+
+
+@functools.cache
+def _decoder(cls: type) -> Callable[[Any], Any]:
+    """``cls``'s document decoder, compiled from its fields once."""
+    hints = typing.get_type_hints(cls)
+    plan = [(f.name, _value_decoder(hints[f.name]),
+             f.default is f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)]
+    names = frozenset(name for name, _, _ in plan)
+
+    def decode(doc: Any) -> Any:
+        if not isinstance(doc, Mapping):
+            raise _Refused(f"expected an object, got {type(doc).__name__}")
+        if not names.issuperset(doc):
+            raise _Refused(f"unknown field(s) {sorted(doc.keys() - names)}; "
+                           f"known: {sorted(names)}")
+        kwargs = {}
+        for name, value_decoder, required in plan:
+            value = doc.get(name, dataclasses.MISSING)
+            if value is not dataclasses.MISSING:
+                try:
+                    kwargs[name] = value_decoder(value)
+                except _Refused as exc:
+                    exc.path = f".{name}{exc.path}"
+                    raise
+            elif required:
+                raise _Refused("required field is missing", f".{name}")
+        return cls(**kwargs)
+
+    return decode
 
 
 def paper_config() -> SimulationConfig:

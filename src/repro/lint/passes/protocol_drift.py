@@ -12,13 +12,16 @@ without bumping the version, so old peers mis-parse instead of refusing.
 
 This pass statically re-derives every field set and enforces two rules:
 
-* ``schema-twin-drift`` — a field appears on one side of an
+* ``schema-twin-drift`` — a field appears on one side of a hand-written
   encode/decode pair but not its twin. Field sets are extracted from
   the idioms the code actually uses: all-string dict literals and
   ``doc["field"] = ...`` stores on the encode side; closed-world
   ``set(doc) - {"a", "b"}`` accepted sets, ``.get("field")`` reads and
-  ``doc["field"]`` loads on the decode side; dataclass ``field: type``
-  annotations for :class:`RunOptions` and :class:`JobSpec`. The
+  ``doc["field"]`` loads on the decode side. A dataclass surface —
+  the config and the workload tree (which :func:`repro.config.to_doc`
+  / ``from_doc`` carry), :class:`RunOptions`, :class:`JobSpec` — *is*
+  its classes' ``field: type`` annotations plus any envelope key (the
+  workload's ``"spec"``), so it has no twins to drift. The
   :class:`JobSpec` surface additionally checks *transport*: every spec
   field must be carried by the HTTP job document (``params`` rides in
   ``options``/``overrides``).
@@ -64,23 +67,24 @@ class _Surface:
     """One versioned compatibility surface and its anchor names."""
 
     name: str
-    encoder: Optional[str]      # function emitting the document
-    decoder: Optional[str]      # function validating/reading it
-    dataclass: Optional[str]    # class whose annotated fields ARE the schema
-    constant: str               # version constant acknowledging changes
+    encoder: Optional[str]          # function emitting the document
+    decoder: Optional[str]          # function validating/reading it
+    classes: tuple[str, ...]        # dataclasses whose annotated fields ARE the schema
+    constant: str                   # version constant acknowledging changes
+    envelope: tuple[str, ...] = ()  # document keys around the class fields
 
 
 SURFACES = (
-    _Surface("wire-hello", "encode_hello", "decode_hello", None,
+    _Surface("wire-hello", "encode_hello", "decode_hello", (),
              "PROTOCOL_VERSION"),
-    _Surface("http-job", "encode_jobspec", "decode_jobspec", None,
+    _Surface("http-job", "encode_jobspec", "decode_jobspec", (),
              "JOB_SCHEMA_VERSION"),
-    _Surface("config", "encode_config", "decode_config", None,
-             "JOB_SCHEMA_VERSION"),
-    _Surface("run-options", None, None, "RunOptions", "JOB_SCHEMA_VERSION"),
-    _Surface("jobspec", None, None, "JobSpec", "CACHE_SCHEMA_VERSION"),
-    _Surface("workload-spec", "encode_workload", "decode_workload", None,
-             "WORKLOAD_SPEC_VERSION"),
+    _Surface("config", None, None, ("SimulationConfig",), "JOB_SCHEMA_VERSION"),
+    _Surface("run-options", None, None, ("RunOptions",), "JOB_SCHEMA_VERSION"),
+    _Surface("jobspec", None, None, ("JobSpec",), "CACHE_SCHEMA_VERSION"),
+    _Surface("workload-spec", None, None,
+             ("WorkloadSpec", "TenantSpec", "KernelPhase", "LoadSpec", "StoreSpec"),
+             "WORKLOAD_SPEC_VERSION", envelope=("spec",)),
 )
 
 
@@ -201,14 +205,18 @@ def _derive(project: Project) -> dict[str, _Derived]:
     """Re-derive every surface whose anchors exist in the project."""
     out: dict[str, _Derived] = {}
     for surface in SURFACES:
-        if surface.dataclass is not None:
-            entry = project.find_class(surface.dataclass)
-            if entry is None:
-                continue
-            src, node = entry
-            out[surface.name] = _Derived(
-                surface=surface, fields=dataclass_fields(node), src=src
-            )
+        if surface.classes:
+            entries = [project.find_class(name) for name in surface.classes]
+            if any(entry is None for entry in entries):
+                continue  # a partial tree: the surface is not all in scope
+            fields: dict[str, int] = {}
+            for _, node in entries:
+                for name, line in dataclass_fields(node).items():
+                    _record(fields, name, line)
+            src, first = entries[0]
+            for name in surface.envelope:
+                _record(fields, name, first.lineno)
+            out[surface.name] = _Derived(surface=surface, fields=fields, src=src)
             continue
         enc = project.find_function(surface.encoder) if surface.encoder else None
         dec = project.find_function(surface.decoder) if surface.decoder else None

@@ -71,21 +71,6 @@ def _require_sync(memory) -> None:
         )
 
 
-def _check_geometry(config: GPUConfig) -> None:
-    """Refuse an L2/DRAM no request could be served by, naming the field."""
-    for name in ("l2_lines_per_cycle", "dram_bandwidth_gbps"):
-        value = getattr(config, name)
-        if not value > 0:
-            raise ValueError(f"GPUConfig.{name} must be positive, got {value!r}")
-    if config.l2_assoc < 1:
-        raise ValueError(f"GPUConfig.l2_assoc must be at least 1, got {config.l2_assoc!r}")
-    if config.l2_num_sets < 1:
-        raise ValueError(
-            f"GPUConfig.l2_size_bytes={config.l2_size_bytes!r} is less than one set "
-            f"({config.l2_assoc} ways of {config.l1_line_bytes} B)"
-        )
-
-
 class MemorySubsystem:
     """Shared L2 + DRAM with traffic accounting: the ``sm.memory`` of
     every SM of a device, and all an extension may reach of it.
@@ -121,8 +106,7 @@ class MemorySubsystem:
     BACKUP_REGION_BASE = 1 << 40
 
     def __init__(self, config: GPUConfig) -> None:
-        _check_geometry(config)
-        self.config = config
+        self.config = config.check()
         if config.dram_model == "timing":
             from repro.memory.dram_timing import TimingDRAMModel
 
@@ -133,14 +117,12 @@ class MemorySubsystem:
                 num_channels=config.dram_channels,
                 banks_per_channel=config.dram_banks_per_channel,
             )
-        elif config.dram_model == "simple":
+        else:
             self.dram = DRAMModel(
                 lines_per_cycle=config.dram_lines_per_cycle,
                 access_latency=config.dram_latency,
                 line_bytes=config.l1_line_bytes,
             )
-        else:
-            raise ValueError(f"unknown dram_model {config.dram_model!r}")
         self._dram_access = self.dram.access
         self._l2_num_sets = config.l2_num_sets
         self._l2_sets: list[dict] = [dict() for _ in range(self._l2_num_sets)]

@@ -72,7 +72,8 @@ class JobSpec:
         carries no document (its key is its name's), and a registered
         workload is attached so the job stays self-contained across
         process boundaries. An unknown name, a built-in name with a
-        document, or a scale that is not a finite number > 0 raises
+        document, a scale that is not a finite number > 0 or a machine
+        :meth:`~repro.config.GPUConfig.check` refuses raises
         ``ValueError``.
 
         Every submission surface (``Session``, ``ExperimentContext``,
@@ -91,6 +92,7 @@ class JobSpec:
         row.check(merged)
         params = tuple(sorted(merged.items()))
         validate_scale(scale)
+        config.gpu.check()
         if app in APP_SPECS:
             if workload is not None:
                 raise ValueError(

@@ -22,9 +22,7 @@ from repro.service.coordinator import (
 from repro.service.schema import (
     JOB_SCHEMA_VERSION,
     SchemaError,
-    decode_config,
     decode_jobspec,
-    encode_config,
     encode_jobspec,
 )
 
@@ -38,9 +36,7 @@ __all__ = [
     "ServiceError",
     "ServiceHandler",
     "ServiceServer",
-    "decode_config",
     "decode_jobspec",
-    "encode_config",
     "encode_jobspec",
     "serve",
 ]

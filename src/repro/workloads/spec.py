@@ -13,12 +13,10 @@ corpus:
   content-hashes stably via :func:`repro.config.stable_hash`, so a
   file-defined workload caches and coalesces exactly like a built-in
   app.
-* ``encode_workload`` / ``decode_workload`` — a closed-world JSON
-  twin pair under ``WORKLOAD_SPEC_VERSION``, written in the same
-  idiom the protocol-drift lint pass anchors on (exhaustive dict
-  literals on the encode side, ``set(doc) - {...}`` accepted sets and
-  ``.get`` reads on the decode side). Unknown fields and unknown
-  enum values are rejected with actionable errors, never ignored.
+* ``encode_workload`` / ``decode_workload`` — the JSON document: the
+  ``"spec"`` stamp (``WORKLOAD_SPEC_VERSION``) around the dataclass
+  tree as :func:`repro.config.to_doc` / ``from_doc`` write and read
+  it. Unknown fields and enum values are refused, naming their path.
 * :func:`build_workload` — the one build path: compiles a spec at a
   scale to a :class:`~repro.gpu.trace.KernelTrace` whose generator
   :class:`~repro.workloads.generator.Program` runs each tenant's phases
@@ -27,29 +25,17 @@ corpus:
   :class:`~repro.runner.spec.JobSpec` / ``Session.run`` / the HTTP
   schema accept workload names that are not Table-2 apps.
 
-Document grammar (all fields shown; defaults in brackets)::
+A document is the ``"spec"`` stamp plus one key per dataclass field,
+named as the field (``pattern`` is reuse|stream|divergent, ``scope``
+global|cta|warp); a field with a default may be left out::
 
-    {
-      "spec": 1,                      # WORKLOAD_SPEC_VERSION, mandatory
-      "name": "thrash-small",
-      "description": "...",           [""]
-      "num_ctas": 16,
-      "warps_per_cta": 2,
-      "regs_per_thread": 24,
-      "shared_mem_per_cta": 0,        [0]
-      "tenants": [                    # co-resident kernels, CTA-interleaved
-        {"name": "t0",
-         "phases": [                  # kernel phases run back to back
-           {"iterations": 32,
-            "alu_per_iteration": 4,   [4]
-            "loads": [
-              {"pc": 256, "pattern": "reuse",   # reuse|stream|divergent
-               "working_set_lines": 64,         [64]
-               "scope": "cta",                  ["global"] global|cta|warp
-               "stride": 1, "lines_per_access": 1,
-               "weight": 1, "reuse_burst": 2}],
-            "stores": [{"pc": 1296, "every_iterations": 8}]}]}]
-    }
+    {"spec": 1, "name": "thrash-small", "description": "...",
+     "num_ctas": 16, "warps_per_cta": 2, "regs_per_thread": 24,
+     "tenants": [{"name": "t0", "phases": [{
+         "iterations": 32, "alu_per_iteration": 4,
+         "loads": [{"pc": 256, "pattern": "reuse", "scope": "cta",
+                    "working_set_lines": 64}],
+         "stores": [{"pc": 1296, "every_iterations": 8}]}]}]}
 
 Semantic rules enforced by :func:`validate_workload` (they are what
 make the classifier's paper-rule gates sound):
@@ -67,11 +53,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.config import stable_hash
+from repro.config import DocumentError, from_doc, stable_hash, to_doc
 from repro.gpu.trace import KernelTrace
 from repro.workloads.generator import LoadSpec, Pattern, Program, Scope, StoreSpec
 
@@ -123,7 +109,9 @@ class WorkloadSpec:
     """
 
     name: str
-    description: str
+    #: Keyword-only so it may default while the fields after it keep
+    #: their order (``canonical_tokens`` hashes in ``fields()`` order).
+    description: str = field(default="", kw_only=True)
     num_ctas: int
     warps_per_cta: int
     regs_per_thread: int
@@ -145,269 +133,108 @@ def _check(cond: bool, message: str) -> None:
 
 
 def validate_workload(spec: WorkloadSpec) -> WorkloadSpec:
-    """Check the semantic rules; returns ``spec`` for chaining."""
+    """Check the semantic rules; returns ``spec`` for chaining.
+
+    A refusal names the workload and the JSON path of the value under
+    it (``workload 'x': tenants[0].phases[1].loads[2].pc ...``)."""
     _check(isinstance(spec.name, str) and spec.name != "",
            "workload: 'name' must be a non-empty string")
+    top = f"workload {spec.name!r}:"
     _check(1 <= spec.num_ctas <= MAX_CTAS,
-           f"{spec.name}: num_ctas must be in [1, {MAX_CTAS}]")
+           f"{top} num_ctas must be in [1, {MAX_CTAS}]")
     _check(1 <= spec.warps_per_cta <= MAX_WARPS_PER_CTA,
-           f"{spec.name}: warps_per_cta must be in [1, {MAX_WARPS_PER_CTA}]")
+           f"{top} warps_per_cta must be in [1, {MAX_WARPS_PER_CTA}]")
     _check(1 <= spec.regs_per_thread <= MAX_REGS_PER_THREAD,
-           f"{spec.name}: regs_per_thread must be in [1, {MAX_REGS_PER_THREAD}]")
+           f"{top} regs_per_thread must be in [1, {MAX_REGS_PER_THREAD}]")
     _check(spec.shared_mem_per_cta >= 0,
-           f"{spec.name}: shared_mem_per_cta must be >= 0")
+           f"{top} shared_mem_per_cta must be >= 0")
     _check(1 <= len(spec.tenants) <= MAX_TENANTS,
-           f"{spec.name}: needs 1..{MAX_TENANTS} tenants")
+           f"{top} tenants needs 1..{MAX_TENANTS} entries")
 
     # The paper's Section 2.3 rule as a format invariant: one static
     # load (PC) has one behaviour class, wherever it appears.
     pc_class: dict[int, tuple[Pattern, Scope]] = {}
-    for tenant in spec.tenants:
+    for ti, tenant in enumerate(spec.tenants):
+        twhere = f"{top} tenants[{ti}]"
         _check(isinstance(tenant.name, str) and tenant.name != "",
-               f"{spec.name}: tenant names must be non-empty strings")
+               f"{twhere}.name must be a non-empty string")
         _check(1 <= len(tenant.phases) <= MAX_PHASES,
-               f"{spec.name}/{tenant.name}: needs 1..{MAX_PHASES} phases")
+               f"{twhere}.phases needs 1..{MAX_PHASES} entries")
         stream_pcs: set[int] = set()
         for pi, phase in enumerate(tenant.phases):
-            where = f"{spec.name}/{tenant.name}#{pi}"
+            where = f"{twhere}.phases[{pi}]"
             _check(1 <= phase.iterations <= MAX_ITERATIONS,
-                   f"{where}: iterations must be in [1, {MAX_ITERATIONS}]")
+                   f"{where}.iterations must be in [1, {MAX_ITERATIONS}]")
             _check(phase.alu_per_iteration >= 0,
-                   f"{where}: alu_per_iteration must be >= 0")
+                   f"{where}.alu_per_iteration must be >= 0")
             _check(1 <= len(phase.loads) <= MAX_LOADS_PER_PHASE,
-                   f"{where}: needs 1..{MAX_LOADS_PER_PHASE} loads")
+                   f"{where}.loads needs 1..{MAX_LOADS_PER_PHASE} loads")
             pcs = [ld.pc for ld in phase.loads]
-            _check(len(set(pcs)) == len(pcs), f"{where}: duplicate load PCs")
-            for ld in phase.loads:
-                _check(ld.pc >= 1, f"{where}: load PCs must be >= 1")
+            _check(len(set(pcs)) == len(pcs), f"{where}.loads: duplicate load PCs")
+            for li, ld in enumerate(phase.loads):
+                lwhere = f"{where}.loads[{li}]"
+                _check(ld.pc >= 1, f"{lwhere}.pc: load PCs must be >= 1")
                 _check(ld.working_set_lines >= 0,
-                       f"{where}: working_set_lines must be >= 0")
+                       f"{lwhere}.working_set_lines must be >= 0")
                 _check(ld.pattern is Pattern.STREAM or ld.working_set_lines >= 1,
-                       f"{where}: pc {ld.pc}: non-stream loads need a "
+                       f"{lwhere}.working_set_lines: non-stream loads need a "
                        "working set of at least one line")
                 _check(ld.stride >= 1 and ld.lines_per_access >= 1
                        and ld.weight >= 1 and ld.reuse_burst >= 1,
-                       f"{where}: pc {ld.pc}: stride/lines_per_access/"
+                       f"{lwhere}: stride/lines_per_access/"
                        "weight/reuse_burst must all be >= 1")
                 seen = pc_class.get(ld.pc)
                 _check(seen is None or seen == (ld.pattern, ld.scope),
-                       f"{where}: pc {ld.pc} changes pattern/scope across "
+                       f"{lwhere}: pc {ld.pc} changes pattern/scope across "
                        "phases or tenants; a static load has one behaviour "
                        "class (use a fresh PC)")
                 pc_class[ld.pc] = (ld.pattern, ld.scope)
                 if ld.pattern is Pattern.STREAM:
                     _check(ld.pc not in stream_pcs,
-                           f"{where}: STREAM pc {ld.pc} appears in more "
+                           f"{lwhere}: STREAM pc {ld.pc} appears in more "
                            "than one phase; a stream touches each line "
                            "once (use a fresh PC per phase)")
                     stream_pcs.add(ld.pc)
-            for st in phase.stores:
+            for si, st in enumerate(phase.stores):
+                swhere = f"{where}.stores[{si}]"
                 _check(st.pc >= 1 and st.every_iterations >= 1,
-                       f"{where}: store pc and every_iterations must be >= 1")
+                       f"{swhere}: store pc and every_iterations must be >= 1")
                 _check(st.pc not in pcs,
-                       f"{where}: store pc {st.pc} collides with a load PC")
+                       f"{swhere}: store pc {st.pc} collides with a load PC")
     return spec
 
 
 # ---------------------------------------------------------------------------
-# JSON twins (closed world, versioned — see the protocol-drift pass)
+# JSON documents (closed world, versioned)
 # ---------------------------------------------------------------------------
 def encode_workload(spec: WorkloadSpec) -> dict:
-    """The JSON workload document for ``spec`` (version-stamped).
-
-    Emission is exhaustive — every field is written even at its
-    default — so ``decode_workload(encode_workload(s))`` reproduces
-    ``s`` including its content hash.
-    """
+    """The JSON document for ``spec``: the version stamp plus every
+    field at every level, so decoding it reproduces ``spec`` and its
+    content hash."""
     validate_workload(spec)
-    tenants = []
-    for tenant in spec.tenants:
-        phases = []
-        for phase in tenant.phases:
-            loads = [
-                {
-                    "pc": ld.pc,
-                    "pattern": ld.pattern.value,
-                    "working_set_lines": ld.working_set_lines,
-                    "scope": ld.scope.value,
-                    "stride": ld.stride,
-                    "lines_per_access": ld.lines_per_access,
-                    "weight": ld.weight,
-                    "reuse_burst": ld.reuse_burst,
-                }
-                for ld in phase.loads
-            ]
-            stores = [
-                {"pc": st.pc, "every_iterations": st.every_iterations}
-                for st in phase.stores
-            ]
-            phases.append(
-                {
-                    "iterations": phase.iterations,
-                    "alu_per_iteration": phase.alu_per_iteration,
-                    "loads": loads,
-                    "stores": stores,
-                }
-            )
-        tenants.append({"name": tenant.name, "phases": phases})
-    return {
-        "spec": WORKLOAD_SPEC_VERSION,
-        "name": spec.name,
-        "description": spec.description,
-        "num_ctas": spec.num_ctas,
-        "warps_per_cta": spec.warps_per_cta,
-        "regs_per_thread": spec.regs_per_thread,
-        "shared_mem_per_cta": spec.shared_mem_per_cta,
-        "tenants": tenants,
-    }
+    return {"spec": WORKLOAD_SPEC_VERSION, **to_doc(spec)}
 
 
 def decode_workload(doc: Any) -> WorkloadSpec:
     """Validate and decode one JSON workload document.
 
-    Closed world at every nesting level: unknown fields, unknown
-    pattern/scope values, wrong types and out-of-range numbers are
-    all :class:`WorkloadSpecError`\\ s naming the offending path.
-    """
-
-    def _int(value: Any, where: str, minimum: int) -> int:
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise WorkloadSpecError(
-                f"{where}: expected an integer >= {minimum}, got {value!r}"
-            )
-        return value
-
-    def _seq(value: Any, where: str) -> list:
-        if not isinstance(value, (list, tuple)):
-            raise WorkloadSpecError(f"{where}: expected a list, got "
-                                    f"{type(value).__name__}")
-        return list(value)
-
-    def _obj(value: Any, where: str) -> Mapping:
-        if not isinstance(value, Mapping):
-            raise WorkloadSpecError(f"{where}: expected an object, got "
-                                    f"{type(value).__name__}")
-        return value
-
-    top = _obj(doc, "workload")
-    version = top.get("spec")
+    Closed world at every level (:func:`repro.config.from_doc`): an
+    unknown field or enum value, a wrong type or a range rule of
+    :func:`validate_workload` is a :class:`WorkloadSpecError` naming
+    the JSON path."""
+    if not isinstance(doc, Mapping):
+        raise WorkloadSpecError(f"workload: expected an object, got {type(doc).__name__}")
+    body = dict(doc)
+    version = body.pop("spec", None)
     if version != WORKLOAD_SPEC_VERSION:
         raise WorkloadSpecError(
             f"workload spec version mismatch (got {version!r}, this tree "
             f"speaks {WORKLOAD_SPEC_VERSION}); upgrade the older peer"
         )
-    unknown = set(top) - {"spec", "name", "description", "num_ctas",
-                          "warps_per_cta", "regs_per_thread",
-                          "shared_mem_per_cta", "tenants"}
-    if unknown:
-        raise WorkloadSpecError(f"workload: unknown field(s) {sorted(unknown)}")
-    name = top.get("name")
-    if not isinstance(name, str) or not name:
-        raise WorkloadSpecError("workload: 'name' must be a non-empty string")
-    description = top.get("description", "")
-    if not isinstance(description, str):
-        raise WorkloadSpecError(f"{name}: 'description' must be a string")
-
-    tenants = []
-    for ti, tdoc in enumerate(_seq(top.get("tenants"), f"{name}.tenants")):
-        twhere = f"{name}.tenants[{ti}]"
-        tdoc = _obj(tdoc, twhere)
-        unknown = set(tdoc) - {"name", "phases"}
-        if unknown:
-            raise WorkloadSpecError(f"{twhere}: unknown field(s) {sorted(unknown)}")
-        tname = tdoc.get("name")
-        if not isinstance(tname, str) or not tname:
-            raise WorkloadSpecError(f"{twhere}: 'name' must be a non-empty string")
-        phases = []
-        for pi, pdoc in enumerate(_seq(tdoc.get("phases"), f"{twhere}.phases")):
-            pwhere = f"{twhere}.phases[{pi}]"
-            pdoc = _obj(pdoc, pwhere)
-            unknown = set(pdoc) - {"iterations", "alu_per_iteration",
-                                   "loads", "stores"}
-            if unknown:
-                raise WorkloadSpecError(
-                    f"{pwhere}: unknown field(s) {sorted(unknown)}"
-                )
-            loads = []
-            for li, ldoc in enumerate(_seq(pdoc.get("loads"), f"{pwhere}.loads")):
-                lwhere = f"{pwhere}.loads[{li}]"
-                ldoc = _obj(ldoc, lwhere)
-                unknown = set(ldoc) - {"pc", "pattern", "working_set_lines",
-                                       "scope", "stride", "lines_per_access",
-                                       "weight", "reuse_burst"}
-                if unknown:
-                    raise WorkloadSpecError(
-                        f"{lwhere}: unknown field(s) {sorted(unknown)}"
-                    )
-                try:
-                    pattern = Pattern(ldoc.get("pattern"))
-                except ValueError:
-                    raise WorkloadSpecError(
-                        f"{lwhere}: unknown pattern {ldoc.get('pattern')!r}; "
-                        f"known: {', '.join(p.value for p in Pattern)}"
-                    ) from None
-                try:
-                    scope = Scope(ldoc.get("scope", Scope.GLOBAL.value))
-                except ValueError:
-                    raise WorkloadSpecError(
-                        f"{lwhere}: unknown scope {ldoc.get('scope')!r}; "
-                        f"known: {', '.join(s.value for s in Scope)}"
-                    ) from None
-                loads.append(LoadSpec(
-                    pc=_int(ldoc.get("pc"), f"{lwhere}.pc", 1),
-                    pattern=pattern,
-                    working_set_lines=_int(
-                        ldoc.get("working_set_lines", 64),
-                        f"{lwhere}.working_set_lines", 0),
-                    scope=scope,
-                    stride=_int(ldoc.get("stride", 1), f"{lwhere}.stride", 1),
-                    lines_per_access=_int(
-                        ldoc.get("lines_per_access", 1),
-                        f"{lwhere}.lines_per_access", 1),
-                    weight=_int(ldoc.get("weight", 1), f"{lwhere}.weight", 1),
-                    reuse_burst=_int(
-                        ldoc.get("reuse_burst", 2),
-                        f"{lwhere}.reuse_burst", 1),
-                ))
-            stores = []
-            for si, sdoc in enumerate(
-                _seq(pdoc.get("stores", []), f"{pwhere}.stores")
-            ):
-                swhere = f"{pwhere}.stores[{si}]"
-                sdoc = _obj(sdoc, swhere)
-                unknown = set(sdoc) - {"pc", "every_iterations"}
-                if unknown:
-                    raise WorkloadSpecError(
-                        f"{swhere}: unknown field(s) {sorted(unknown)}"
-                    )
-                stores.append(StoreSpec(
-                    pc=_int(sdoc.get("pc"), f"{swhere}.pc", 1),
-                    every_iterations=_int(
-                        sdoc.get("every_iterations", 8),
-                        f"{swhere}.every_iterations", 1),
-                ))
-            phases.append(KernelPhase(
-                iterations=_int(pdoc.get("iterations"),
-                                f"{pwhere}.iterations", 1),
-                loads=tuple(loads),
-                stores=tuple(stores),
-                alu_per_iteration=_int(
-                    pdoc.get("alu_per_iteration", 4),
-                    f"{pwhere}.alu_per_iteration", 0),
-            ))
-        tenants.append(TenantSpec(name=tname, phases=tuple(phases)))
-
-    spec = WorkloadSpec(
-        name=name,
-        description=description,
-        num_ctas=_int(top.get("num_ctas"), f"{name}.num_ctas", 1),
-        warps_per_cta=_int(top.get("warps_per_cta"), f"{name}.warps_per_cta", 1),
-        regs_per_thread=_int(top.get("regs_per_thread"),
-                             f"{name}.regs_per_thread", 1),
-        tenants=tuple(tenants),
-        shared_mem_per_cta=_int(top.get("shared_mem_per_cta", 0),
-                                f"{name}.shared_mem_per_cta", 0),
-    )
+    try:
+        spec = from_doc(WorkloadSpec, body, "workload")
+    except DocumentError as exc:
+        raise WorkloadSpecError(str(exc)) from None
     return validate_workload(spec)
 
 

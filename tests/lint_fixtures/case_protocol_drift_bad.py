@@ -5,7 +5,6 @@ Each encode/decode pair below disagrees about its field set, and the
 
 * wire hello: encoder emits ``pid`` the decoder never reads, decoder
   reads ``host`` the encoder never emits (two findings),
-* config: encoder emits ``seed`` outside the decoder's closed world,
 * ``JobSpec.priority`` never crosses the HTTP job surface,
 * http job: encoder emits ``backend`` outside the decoder's closed
   world — the engine selector would be silently dropped on decode.
@@ -35,20 +34,6 @@ def decode_hello(line):
     if msg.get("type") != "hello":
         raise ValueError("expected a hello")
     return msg.get("host")  # schema-twin-drift: encoder never emits "host"
-
-
-def encode_config(config):
-    return {
-        "max_cycles": config.max_cycles,
-        "seed": config.seed,  # schema-twin-drift: outside decoder's closed world
-    }
-
-
-def decode_config(doc):
-    unknown = set(doc) - {"max_cycles"}
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return {"max_cycles": int(doc.get("max_cycles", 0))}
 
 
 class JobSpec:

@@ -29,23 +29,6 @@ def decode_hello(line):
     return msg.get("pid")
 
 
-def encode_config(config):
-    return {
-        "max_cycles": config.max_cycles,
-        "seed": config.seed,
-    }
-
-
-def decode_config(doc):
-    unknown = set(doc) - {"max_cycles", "seed"}
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return {
-        "max_cycles": int(doc.get("max_cycles", 0)),
-        "seed": int(doc.get("seed", 0)),
-    }
-
-
 class JobSpec:
     app: str = ""
     arch: str = ""

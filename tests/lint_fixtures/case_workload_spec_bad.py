@@ -1,30 +1,45 @@
-"""Seeded drift on the workload-spec document surface.
+"""Seeded version drift on the workload-spec surface.
 
-``encode_workload`` emits ``shared_mem_per_cta`` outside the decoder's
-closed world, and ``decode_workload`` reads ``priority`` the encoder
-never emits — two ``schema-twin-drift`` findings.
+Against the fingerprint recorded from ``case_workload_spec_clean.py``,
+``LoadSpec`` gains ``priority`` and ``WorkloadSpec`` loses
+``shared_mem_per_cta`` while ``WORKLOAD_SPEC_VERSION`` stays 7 — one
+``schema-version-unbumped`` finding. Linted without that baseline, it
+is clean: the classes are the schema, so no twin can drift.
 """
+
+from dataclasses import dataclass
 
 WORKLOAD_SPEC_VERSION = 7
 
 
-def encode_workload(spec):
-    return {
-        "spec": WORKLOAD_SPEC_VERSION,
-        "name": spec.name,
-        "num_ctas": spec.num_ctas,
-        "shared_mem_per_cta": spec.shared_mem_per_cta,  # drift: decoder drops it
-    }
+@dataclass(frozen=True)
+class LoadSpec:
+    pc: int
+    working_set_lines: int = 64
+    priority: int = 0  # schema-version-unbumped: a new document field
 
 
-def decode_workload(doc):
-    unknown = set(doc) - {"spec", "name", "num_ctas"}
-    if unknown:
-        raise ValueError(f"unknown workload fields: {sorted(unknown)}")
-    if doc.get("spec") != WORKLOAD_SPEC_VERSION:
-        raise ValueError("workload spec version mismatch")
-    return (
-        doc.get("name"),
-        int(doc.get("num_ctas", 1)),
-        doc.get("priority"),  # drift: encoder never emits "priority"
-    )
+@dataclass(frozen=True)
+class StoreSpec:
+    pc: int
+
+
+@dataclass(frozen=True)
+class KernelPhase:
+    iterations: int
+    loads: tuple
+    stores: tuple = ()
+
+
+@dataclass(frozen=True)
+class TenantSpec:
+    name: str
+    phases: tuple
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    name: str
+    num_ctas: int
+    tenants: tuple
+    # schema-version-unbumped: shared_mem_per_cta left the document

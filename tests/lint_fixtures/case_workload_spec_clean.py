@@ -1,26 +1,41 @@
-"""Twin of ``case_workload_spec_bad.py`` with the workload-spec
-encode/decode pair in sync. Must lint clean."""
+"""The workload-spec surface as the dataclass codec carries it: the
+document's fields are these classes' annotated fields plus the
+``"spec"`` envelope key, so there is no encode/decode pair to drift.
+Recorded as the baseline ``case_workload_spec_bad.py`` is held to.
+Must lint clean."""
+
+from dataclasses import dataclass
 
 WORKLOAD_SPEC_VERSION = 7
 
 
-def encode_workload(spec):
-    return {
-        "spec": WORKLOAD_SPEC_VERSION,
-        "name": spec.name,
-        "num_ctas": spec.num_ctas,
-        "shared_mem_per_cta": spec.shared_mem_per_cta,
-    }
+@dataclass(frozen=True)
+class LoadSpec:
+    pc: int
+    working_set_lines: int = 64
 
 
-def decode_workload(doc):
-    unknown = set(doc) - {"spec", "name", "num_ctas", "shared_mem_per_cta"}
-    if unknown:
-        raise ValueError(f"unknown workload fields: {sorted(unknown)}")
-    if doc.get("spec") != WORKLOAD_SPEC_VERSION:
-        raise ValueError("workload spec version mismatch")
-    return (
-        doc.get("name"),
-        int(doc.get("num_ctas", 1)),
-        int(doc.get("shared_mem_per_cta", 0)),
-    )
+@dataclass(frozen=True)
+class StoreSpec:
+    pc: int
+
+
+@dataclass(frozen=True)
+class KernelPhase:
+    iterations: int
+    loads: tuple
+    stores: tuple = ()
+
+
+@dataclass(frozen=True)
+class TenantSpec:
+    name: str
+    phases: tuple
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    name: str
+    num_ctas: int
+    tenants: tuple
+    shared_mem_per_cta: int = 0

@@ -23,7 +23,6 @@ fingerprint.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import urllib.error
@@ -34,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Session
-from repro.config import scaled_config
+from repro.config import scaled_config, to_doc
 from repro.options import RUN_OPTION_FIELDS, RunOptions
 from repro.runner import JobSpec, execute_job
 from repro.runner.registry import ARCHITECTURES
@@ -45,7 +44,6 @@ from repro.service import (
     decode_jobspec,
     serve,
 )
-from repro.service.schema import encode_config
 from repro.workloads.spec import load_workload_file
 
 CFG = scaled_config(num_sms=1, window_cycles=600)
@@ -137,15 +135,13 @@ def job_document(arch: str, name: str, value) -> dict:
         "app": APP,
         "arch": arch,
         "scale": SCALE,
-        "config": encode_config(CFG),
+        "config": to_doc(CFG),
     }
     for key, item in cell_overrides(arch, name, value).items():
         if key in RUN_OPTION_FIELDS:
             doc.setdefault("options", {})[key] = item
         else:
-            doc.setdefault("overrides", {})[key] = (
-                dataclasses.asdict(item) if dataclasses.is_dataclass(item) else item
-            )
+            doc.setdefault("overrides", {})[key] = to_doc(item)
     return doc
 
 

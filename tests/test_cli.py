@@ -47,6 +47,18 @@ class TestCLI:
             assert err.value.code == 2
             assert flags[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "fig1", "--apps", "S2", "--no-cache"],
+        ["trace", "S2", "--sm", "0"],
+        ["submit", "--url", "http://127.0.0.1:9"],
+        ["fuzz", "--count", "1", "--no-simulate"],
+    ], ids=lambda c: c[0])
+    def test_a_machine_without_sms_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--sms", "0"])
+        assert err.value.code == 2
+        assert "GPUConfig.num_sms" in capsys.readouterr().err
+
     def test_overhead_command(self, capsys):
         assert main(["overhead"]) == 0
         out = capsys.readouterr().out

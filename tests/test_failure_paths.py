@@ -15,7 +15,6 @@ from repro.gpu.gpu import run_kernel
 from repro.gpu.isa import alu, exit_inst, load, store
 from repro.gpu.trace import from_instruction_lists
 from repro.options import RunOptions
-from repro.runner import RemoteJobError
 from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -130,11 +129,12 @@ class TestMalformedMemoryGeometry:
         with pytest.raises(ValueError, match=f"GPUConfig.{field}"):
             run_kernel(cfg(**{field: value}), kernel_for("GA", 0.05))
 
-    def test_session_job_fails_naming_the_field(self):
+    def test_session_refuses_the_job_naming_the_field(self):
         session = Session.local(
             workers=1, executor="inline", use_cache=False, config=cfg(l2_assoc=0), scale=0.05
         )
         with session:
-            handle = session.run("GA", "baseline")
-            with pytest.raises(RemoteJobError, match="GPUConfig.l2_assoc"):
-                handle.result(timeout=120)
+            with pytest.raises(ValueError, match="GPUConfig.l2_assoc"):
+                session.spec("GA", "baseline")
+            with pytest.raises(ValueError, match="GPUConfig.l2_assoc"):
+                session.run("GA", "baseline")

@@ -51,7 +51,7 @@ EXPECTED = {
     ),
     "protocol-drift": (
         "case_protocol_drift_bad.py",
-        {"schema-twin-drift": 5},
+        {"schema-twin-drift": 4},
     ),
 }
 

@@ -25,6 +25,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import run_lint, write_baseline
 from repro.lint.cfg import build_cfg, stmt_owned_exprs
 from repro.lint.dataflow import HeldLocks, ReachingDefinitions, any_path_has
@@ -363,6 +365,7 @@ def test_suppression_with_justification_is_honoured(tmp_path):
 # Protocol drift against the real surface modules
 # ---------------------------------------------------------------------------
 SURFACE_FILES = (
+    "config.py",
     "options.py",
     "runner/wire.py",
     "runner/spec.py",
@@ -442,60 +445,68 @@ def test_http_job_field_deletion_demands_a_version_bump(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Protocol drift on the workload-spec surface (fixture twins)
+# Protocol drift on the workload-spec surface: the dataclass tree
 # ---------------------------------------------------------------------------
-def test_workload_spec_fixture_pair():
-    bad = drift_lint_paths([FIXTURES / "case_workload_spec_bad.py"])
-    assert sorted(f.rule for f in bad.findings) == [
-        "schema-twin-drift", "schema-twin-drift",
-    ]
-    messages = " ".join(f.message for f in bad.findings)
-    assert "'shared_mem_per_cta'" in messages
-    assert "'priority'" in messages
-    assert all("workload-spec" in f.message for f in bad.findings)
+def test_workload_spec_fixture_pair(tmp_path):
+    clean = FIXTURES / "case_workload_spec_clean.py"
+    bad = FIXTURES / "case_workload_spec_bad.py"
+    baseline = tmp_path / "baseline.json"
+    write_baseline(baseline, [], schemas=drift_lint_paths([clean]).schemas)
+    assert drift_lint_paths([clean], baseline).findings == []
 
-    clean = drift_lint_paths([FIXTURES / "case_workload_spec_clean.py"])
-    assert clean.findings == []
+    drifted = drift_lint_paths([bad], baseline)
+    assert [f.rule for f in drifted.findings] == ["schema-version-unbumped"]
+    message = drifted.findings[0].message
+    for part in ("workload-spec", "'priority'", "'shared_mem_per_cta'",
+                 "WORKLOAD_SPEC_VERSION"):
+        assert part in message
+    # Without a recorded fingerprint there is nothing to drift from.
+    assert drift_lint_paths([bad]).findings == []
+
+
+WORKLOAD_FILES = ("workloads/spec.py", "workloads/generator.py")
+
+
+def copy_workload_surface(tmp_path):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    for rel in WORKLOAD_FILES:
+        dest = tmp_path / Path(rel).name
+        dest.write_text((SRC / rel).read_text(encoding="utf-8"), encoding="utf-8")
+    return tmp_path
 
 
 def test_real_workload_spec_surface_is_in_sync(tmp_path):
-    dest = tmp_path / "spec.py"
-    dest.write_text(
-        (SRC / "workloads/spec.py").read_text(encoding="utf-8"),
-        encoding="utf-8",
-    )
-    result = drift_lint(tmp_path)
+    result = drift_lint(copy_workload_surface(tmp_path))
     assert result.findings == []
-    assert "workload-spec" in result.schemas
+    recorded = json.loads((SRC.parent.parent / "lint_baseline.json").read_text())
+    assert result.schemas["workload-spec"] == recorded["schemas"]["workload-spec"]
 
 
-def test_workload_field_deletion_demands_a_version_bump(tmp_path):
-    dest = tmp_path / "spec.py"
-    dest.write_text(
-        (SRC / "workloads/spec.py").read_text(encoding="utf-8"),
-        encoding="utf-8",
-    )
+@pytest.mark.parametrize("path, old, new", [
+    ("generator.py", "    reuse_burst: int = 2\n", ""),
+    ("spec.py", "    shared_mem_per_cta: int = 0\n",
+     "    shared_mem_per_cta: int = 0\n    priority: int = 0\n"),
+], ids=["LoadSpec-drops-a-field", "WorkloadSpec-adds-a-field"])
+def test_workload_field_change_demands_a_version_bump(tmp_path, path, old, new):
+    root = copy_workload_surface(tmp_path / "tree")
     baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, [], schemas=drift_lint(tmp_path).schemas)
-    assert drift_lint(tmp_path, baseline).findings == []
+    write_baseline(baseline, [], schemas=drift_lint(root).schemas)
+    assert drift_lint(root, baseline).findings == []
 
-    # Drop "description" from both twins: only the fingerprint knows.
-    mutate(dest, '        "description": spec.description,\n', "")
-    mutate(dest, '"name", "description", "num_ctas"', '"name", "num_ctas"')
-    mutate(dest, 'description = top.get("description", "")',
-           'description = ""')
-    drifted = drift_lint(tmp_path, baseline)
+    mutate(root / path, old, new)
+    drifted = drift_lint(root, baseline)
     assert [f.rule for f in drifted.findings] == ["schema-version-unbumped"]
     assert "workload-spec" in drifted.findings[0].message
     assert "WORKLOAD_SPEC_VERSION" in drifted.findings[0].message
 
-    mutate(dest, "WORKLOAD_SPEC_VERSION = 1", "WORKLOAD_SPEC_VERSION = 2")
-    assert drift_lint(tmp_path, baseline).findings == []
+    mutate(root / "spec.py", "WORKLOAD_SPEC_VERSION = 1", "WORKLOAD_SPEC_VERSION = 2")
+    assert drift_lint(root, baseline).findings == []
 
 
-def drift_lint_paths(paths):
+def drift_lint_paths(paths, baseline=None):
     return run_lint(
-        paths=paths, root=FIXTURES, pass_names=["protocol-drift"],
+        paths=paths, root=FIXTURES, baseline_path=baseline,
+        pass_names=["protocol-drift"],
     )
 
 

@@ -30,7 +30,8 @@ import repro.service.coordinator as coordinator_module  # noqa: E402
 from fault_injection import FlakyBackend, flaky_worker_command, unsimulatable  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import Session  # noqa: E402
-from repro.config import SimulationConfig, scaled_config  # noqa: E402
+from document_helpers import dataclass_nodes, field_slots, node_at, wrong_values  # noqa: E402
+from repro.config import LinebackerConfig, SimulationConfig, scaled_config  # noqa: E402
 from repro.options import RunOptions  # noqa: E402
 from repro.runner import ExperimentRunner, JobSpec, RemoteJobError  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -44,6 +45,9 @@ from repro.service import (  # noqa: E402
     encode_jobspec,
     serve,
 )
+from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec  # noqa: E402
+from repro.workloads.spec import WorkloadSpec  # noqa: E402
+from workload_helpers import make_app  # noqa: E402
 
 CFG = scaled_config(num_sms=1, window_cycles=600)
 TINY = 0.05
@@ -182,24 +186,30 @@ class TestSchema:
         assert decoded.overrides["lb_config"].vtt_ways == 2
 
     def test_a_field_of_the_wrong_json_type_is_refused(self):
-        from repro.config import GPUConfig, LinebackerConfig
-        from repro.service.schema import _FIELD_TYPES
-
-        # Every config field the schema reads has a JSON type to check.
-        for cls in (GPUConfig, LinebackerConfig):
-            assert all(f.type in _FIELD_TYPES for f in dataclasses.fields(cls)), cls
         for path, value in ((("config", "gpu", "num_sms"), "2"),
                             (("config", "gpu", "noc_enable"), 1),
                             (("config", "linebacker", "hit_ratio_threshold"), None),
                             (("config", "seed"), 1.5),
                             (("config", "max_cycles"), "9")):
             doc = encode_jobspec(make_spec())
-            parent = doc
-            for step in path[:-1]:
-                parent = parent.setdefault(step, {})
-            parent[path[-1]] = value
+            node_at(doc, path[:-1])[path[-1]] = value
             with pytest.raises(SchemaError, match=".".join(path)):
                 decode_jobspec(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_sms", 0), ("num_sms", -4), ("dram_model", "x"), ("l2_assoc", 0),
+        ("l2_lines_per_cycle", 0.0), ("dram_bandwidth_gbps", -1.0),
+        ("l2_size_bytes", 512),
+    ])
+    def test_a_machine_no_job_runs_on_is_refused(self, field, value):
+        doc = encode_jobspec(make_spec())
+        doc["config"]["gpu"][field] = value
+        with pytest.raises(SchemaError, match=f"GPUConfig.{field}"):
+            decode_jobspec(doc)
+        with pytest.raises(ValueError, match=f"GPUConfig.{field}"):
+            Session.local(executor="inline").spec(
+                "S2", "baseline", config=SimulationConfig(
+                    gpu=dataclasses.replace(CFG.gpu, **{field: value})))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,38 +1035,66 @@ class TestDocumentMemo:
         assert list(client._bodies) == [make_spec("KM").key]
 
 
-#: Values of the wrong JSON type for a field of each annotated type.
-WRONG_VALUES = {
-    int: ["x", [], {}, None, True, 1.5],
-    float: ["x", [], {}, None, True],
-    bool: ["x", [], {}, None, 1],
-    str: [1, [], {}, None, True],
-    "object": ["x", [], 1, True],
-}
+def malformed_dsl_spec():
+    """A DSL job whose document carries every decoded dataclass: the
+    config, options, an ``lb_config`` override and a workload tree with
+    loads of every kind and a store."""
+    loads = (LoadSpec(0x100, Pattern.REUSE, 8, Scope.CTA), LoadSpec(0x204, Pattern.STREAM, 0))
+    workload = make_app(loads, iters=4, name="malformed-dsl", stores=(StoreSpec(0x510),))
+    return JobSpec.build(
+        app=workload.name, arch="linebacker", config=CFG, scale=TINY,
+        overrides={"lb_config": LinebackerConfig(vtt_ways=2)},
+        options=RunOptions(track_loads=True), workload=workload,
+    )
+
+
+#: The dataclass each object member of a job document decodes into.
+JOB_MEMBERS = {("config",): SimulationConfig, ("options",): RunOptions,
+               ("overrides", "lb_config"): LinebackerConfig, ("workload",): WorkloadSpec}
+
+
+def job_field_slots(doc):
+    """``(path, field, annotation)`` for each member of the job document
+    ``doc`` and every field of every dataclass object it carries."""
+    slots = [((), "app", str), ((), "arch", str), ((), "scale", float),
+             ((), "overrides", "object")]
+    slots += [((), path[0], cls) for path, cls in JOB_MEMBERS.items() if len(path) == 1]
+    for path, cls in JOB_MEMBERS.items():
+        if node_at(doc, path[:-1]).get(path[-1]) is not None:
+            slots += field_slots(cls, node_at(doc, path), path)
+    return slots
 
 
 def wrong_type_mutants(doc, rng):
-    """``(where, document)`` pairs: one field of ``doc`` given a value of
-    the wrong type, at each nesting level the schema reads."""
-    from repro.config import GPUConfig, LinebackerConfig
-
-    kinds = {"int": int, "float": float, "bool": bool, "str": str}
-    slots = [((), "app", str), ((), "arch", str), ((), "scale", float),
-             ((), "config", "object"), ((), "options", "object"),
-             ((), "overrides", "object"), ((), "workload", "object"),
-             (("config",), "max_cycles", int), (("config",), "seed", int),
-             (("options",), "timeseries", bool), (("options",), "track_loads", bool)]
-    for path, cls in ((("config", "gpu"), GPUConfig),
-                      (("config", "linebacker"), LinebackerConfig)):
-        fields = dataclasses.fields(cls)
-        slots += [(path, f.name, kinds[f.type]) for f in rng.sample(fields, 4)]
-    for path, name, kind in slots:
+    """``(field, document)`` pairs: every field of ``doc`` given a value
+    of the wrong type, down to each load of the workload tree."""
+    for path, name, hint in job_field_slots(doc):
         mutant = json.loads(json.dumps(doc))
-        parent = mutant
-        for step in path:
-            parent = parent.setdefault(step, {})
-        parent[name] = rng.choice(WRONG_VALUES[kind])
-        yield ".".join(path + (name,)), mutant
+        node_at(mutant, path)[name] = rng.choice(wrong_values(hint))
+        yield name, mutant
+
+
+def wrong_value_mutants(doc, rng):
+    """``(field, document)`` pairs: a value of the right type that no
+    job could run with — a machine :meth:`GPUConfig.check` refuses, or
+    a workload :func:`validate_workload` refuses."""
+    cases = [
+        (("config", "gpu"), "num_sms", rng.choice([0, -1, -16])),
+        (("config", "gpu"), "dram_model", rng.choice(["x", "", "Timing"])),
+        (("config", "gpu"), "l2_assoc", 0),
+        (("config", "gpu"), "l2_lines_per_cycle", rng.choice([0, -1.0])),
+        (("config", "gpu"), "dram_bandwidth_gbps", rng.choice([0.0, -352.5])),
+        (("config", "gpu"), "l2_size_bytes", rng.randrange(1, 1024)),
+        (("workload",), "num_ctas", 0),
+        (("workload",), "regs_per_thread", rng.choice([0, 4096])),
+        (("workload", "tenants", 0, "phases", 0), "iterations", 0),
+        (("workload", "tenants", 0, "phases", 0, "loads", 0), "pc", rng.choice([0, -256])),
+        (("workload", "tenants", 0, "phases", 0, "stores", 0), "every_iterations", 0),
+    ]
+    for path, name, value in cases:
+        mutant = json.loads(json.dumps(doc))
+        node_at(mutant, path)[name] = value
+        yield name, mutant
 
 
 class TestMalformedDocuments:
@@ -1073,40 +1111,44 @@ class TestMalformedDocuments:
 
         monkeypatch.setattr(ServiceHandler, "body_stall_seconds", 0.5)
         rng = random.Random(self.SEED)
-        spec = make_spec("S2", "linebacker")
+        spec = malformed_dsl_spec()
         doc = encode_jobspec(spec)
         body = json.dumps(doc).encode()
-        cases = []
+        cases = []  # (what, body, headers, the field its error must name)
         for cut in sorted(rng.sample(range(len(body)), 12)):
-            cases.append((f"truncated at {cut}", body[:cut], None))
-        cases.append(("not UTF-8", b"\xff\xfe" + body, None))
-        cases.append(("nested too deep", b"[" * 100_000, None))
-        for where, mutant in wrong_type_mutants(doc, rng):
-            cases.append((f"wrong type at {where}", json.dumps(mutant).encode(), None))
-        for path in ((), ("config",), ("config", "gpu"), ("options",)):
+            cases.append((f"truncated at {cut}", body[:cut], None, None))
+        cases.append(("not UTF-8", b"\xff\xfe" + body, None, None))
+        cases.append(("nested too deep", b"[" * 100_000, None, None))
+        named = list(wrong_type_mutants(doc, rng)) + list(wrong_value_mutants(doc, rng))
+        objects = [()] + [path for root, cls in JOB_MEMBERS.items()
+                          for path, _, _ in dataclass_nodes(cls, node_at(doc, root), root)]
+        for path in objects:
             mutant = json.loads(body)
-            parent = mutant
-            for step in path:
-                parent = parent.setdefault(step, {})
-            parent[f"x{rng.randrange(1 << 16)}"] = rng.choice([1, "x", None])
-            cases.append((f"unknown field in {path}", json.dumps(mutant).encode(), None))
+            unknown = f"x{rng.randrange(1 << 16)}"
+            node_at(mutant, path)[unknown] = rng.choice([1, "x", None])
+            named.append((unknown, mutant))
+        for name, mutant in named:
+            cases.append((f"field {name}", json.dumps(mutant).encode(), None, name))
         for version in (0, 1, 2, JOB_SCHEMA_VERSION + 1, str(JOB_SCHEMA_VERSION), None):
-            cases.append((f"schema {version!r}", json.dumps({**doc, "schema": version}).encode(), None))
-        cases.append(("no schema", json.dumps({k: v for k, v in doc.items() if k != "schema"}).encode(), None))
+            cases.append((f"schema {version!r}",
+                          json.dumps({**doc, "schema": version}).encode(), None, None))
+        unversioned = {k: v for k, v in doc.items() if k != "schema"}
+        cases.append(("no schema", json.dumps(unversioned).encode(), None, None))
         for other in ([doc], "job", 3, None, True):
-            cases.append((f"non-object {other!r:.20}", json.dumps(other).encode(), None))
+            cases.append((f"non-object {other!r:.20}", json.dumps(other).encode(), None, None))
         for length in ("abc", "-1", "", "1e3", str(coordinator_module.MAX_BODY_BYTES + 1)):
-            cases.append((f"Content-Length {length!r}", b"", {"Content-Length": length}))
-        cases.append(("no Content-Length", b"", {}))
+            cases.append((f"Content-Length {length!r}", b"", {"Content-Length": length}, None))
+        cases.append(("no Content-Length", b"", {}, None))
         cases.append(("Content-Length past the body", body[:100],
-                      {"Content-Length": str(len(body))}))
+                      {"Content-Length": str(len(body))}, None))
         rng.shuffle(cases)
 
-        for what, raw, headers in cases:
+        for what, raw, headers, field in cases:
             started = time.monotonic()
             status, answer = post(idle["url"], raw, headers)
             assert 400 <= status < 500, (what, status, answer)
             assert isinstance(answer.get("error"), str) and answer["error"], what
+            assert field is None or field in answer["error"], (what, answer)
             assert time.monotonic() - started < 5.0, what
         status, answer = post(idle["url"], body)
         assert status == 201 and answer["job_id"] == spec.key

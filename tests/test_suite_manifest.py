@@ -76,8 +76,8 @@ TEST_MODULES = {
 #: Importable helper modules that are *not* collected as tests but are
 #: part of the test tree's public surface.
 SUPPORT_MODULES = {
-    "__init__", "fault_injection", "golden", "reference_engine", "reference_vtt",
-    "stub_worker", "workload_helpers",
+    "__init__", "document_helpers", "fault_injection", "golden", "reference_engine",
+    "reference_vtt", "stub_worker", "workload_helpers",
 }
 
 #: name -> (num_ctas, warps_per_cta, regs_per_thread, n_loads, has_stream)

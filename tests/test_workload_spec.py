@@ -2,18 +2,30 @@
 registry semantics, and first-class integration with JobSpec, the HTTP
 job schema and the execution engine."""
 
+import ast
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from repro.config import scaled_config
+import repro.service.schema as schema_module
+import repro.workloads.spec as workload_spec_module
+from repro.config import (
+    GPUConfig,
+    LinebackerConfig,
+    SimulationConfig,
+    from_doc,
+    scaled_config,
+    stable_hash,
+    to_doc,
+)
 from repro.engine.vector.compile import compile_warp_iter
 from repro.runner.engine import execute_job
 from repro.runner.spec import JobSpec
 from repro.service.schema import SchemaError, decode_jobspec, encode_jobspec
+from repro.workloads.fuzz import generate_corpus
 from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
 from repro.workloads.spec import (
     WORKLOAD_SPEC_VERSION,
@@ -35,6 +47,7 @@ from repro.workloads.spec import (
 from repro.workloads.suite import ALL_APPS, APP_SPECS, kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
+from document_helpers import dataclass_nodes, json_path, node_at  # noqa: E402
 from reference_engine.generator import warp_stream  # noqa: E402
 
 CORPUS = Path(__file__).parent / "fuzz_corpus"
@@ -101,21 +114,34 @@ class TestDocumentRoundTrip:
         with pytest.raises(WorkloadSpecError, match="version"):
             decode_workload(doc)
 
-    @pytest.mark.parametrize("path,field", [
-        ((), "surprise"),
-        (("tenants", 0), "surprise"),
-        (("tenants", 0, "phases", 0), "surprise"),
-        (("tenants", 0, "phases", 0, "loads", 0), "surprise"),
-        (("tenants", 0, "phases", 0, "stores", 0), "surprise"),
-    ])
-    def test_unknown_fields_rejected_at_every_level(self, path, field):
+    @pytest.mark.parametrize(
+        "path", [path for path, _, _ in dataclass_nodes(
+            WorkloadSpec, encode_workload(simple_workload()))],
+        ids=lambda path: json_path(path) or "top",
+    )
+    def test_unknown_fields_rejected_at_every_level(self, path):
         doc = encode_workload(simple_workload())
-        node = doc
-        for step in path:
-            node = node[step]
-        node[field] = 1
-        with pytest.raises(WorkloadSpecError, match="unknown"):
+        node_at(doc, path)["surprise"] = 1
+        with pytest.raises(WorkloadSpecError, match="unknown") as refused:
             decode_workload(doc)
+        assert json_path(("workload",) + path) in str(refused.value)
+
+    def test_description_may_be_left_out(self):
+        doc = encode_workload(simple_workload(description=""))
+        del doc["description"]
+        assert decode_workload(doc) == simple_workload(description="")
+
+    def test_no_field_name_is_spelled_out_by_a_codec(self):
+        """The document fields are the dataclass fields: neither the
+        workload module nor the job schema names one as a string."""
+        names = {f.name for cls in (WorkloadSpec, TenantSpec, KernelPhase, LoadSpec,
+                                    StoreSpec, GPUConfig, LinebackerConfig)
+                 for f in fields(cls)}
+        for module in (workload_spec_module, schema_module):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            literals = {node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+            assert not literals & names, module.__name__
 
     def test_unknown_pattern_named_in_error(self):
         doc = encode_workload(simple_workload())
@@ -137,6 +163,44 @@ class TestDocumentRoundTrip:
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(WorkloadSpecError):
             load_workload_file(path)
+
+
+def round_trip_specs():
+    """The 20 Table-2 apps, a 200-spec seeded fuzz corpus and the
+    committed corpus, as ``(id, spec)``."""
+    specs = list(APP_SPECS.items())
+    specs += [(spec.name, spec) for spec in generate_corpus(2019, 200)]
+    specs += [(path.stem, load_workload_file(path)) for path in sorted(CORPUS.glob("*.json"))]
+    return specs
+
+
+class TestCodecRoundTrip:
+    def test_every_workload_round_trips_with_its_hash_and_job_key(self):
+        config = scaled_config(num_sms=1)
+        for what, spec in round_trip_specs():
+            doc = encode_workload(spec)
+            back = decode_workload(json.loads(json.dumps(doc)))
+            assert back == spec, what
+            assert encode_workload(back) == doc, what
+            assert workload_hash(back) == workload_hash(spec), what
+            if spec.name in APP_SPECS:
+                job = JobSpec.build(app=spec.name, arch="linebacker", config=config)
+            else:
+                job = JobSpec.build(app=spec.name, arch="linebacker", config=config,
+                                    workload=spec)
+            again = decode_jobspec(json.loads(json.dumps(encode_jobspec(job))))
+            assert again == job and again.key == job.key, what
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_committed_documents_re_encode_to_themselves(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert encode_workload(decode_workload(doc)) == doc
+
+    def test_every_config_round_trips(self):
+        for config in (SimulationConfig(), scaled_config(num_sms=2, window_cycles=700)):
+            doc = json.loads(json.dumps(to_doc(config)))
+            back = from_doc(SimulationConfig, doc, "config")
+            assert back == config and stable_hash(back) == stable_hash(config)
 
 
 class TestValidation:
