@@ -6,7 +6,7 @@ Usage:
     python -m repro run fig14 --sms 2 --no-cache
     python -m repro run fig12 --executor remote --hosts a,b,c \\
         --worker-command "ssh {host} python -m repro worker"
-    python -m repro worker --cache-dir /shared/cache
+    python -m repro worker
     python -m repro serve --port 8642 --workers 2
     python -m repro submit --url http://127.0.0.1:8642 --apps S2,LI \\
         --arch linebacker --scale 0.25
@@ -36,7 +36,7 @@ process on the other end of that wire.
 
 ``python -m repro serve`` puts the same job table behind an always-on
 HTTP service: a coordinator with a persistent worker fleet and a
-shared read-through result cache, deduplicating concurrent submissions
+read-through result cache it alone writes, deduplicating concurrent submissions
 by content hash. ``python -m repro submit`` is the matching client
 (programmatic callers use ``repro.api.Session.connect``).
 """

@@ -306,9 +306,10 @@ def from_doc(cls: type, doc: Any, where: str) -> Any:
 
     Closed world at every level: an unknown field, a missing field
     without a default, a value not of its field's annotated type (a
-    ``bool`` is no number; a ``float`` field takes an ``int`` as is) or
-    an unknown enum value raises :class:`DocumentError` naming its JSON
-    path under ``where``. A missing field takes its default."""
+    ``bool`` is no number) or an unknown enum value raises
+    :class:`DocumentError` naming its JSON path under ``where``. A
+    missing field takes its default. A ``float`` field takes an ``int``
+    as a ``float``, so ``1126`` and ``1126.0`` give one ``JobSpec.key``."""
     try:
         return _decoder(cls)(doc)
     except _Refused as exc:
@@ -362,6 +363,8 @@ def _value_decoder(hint: Any) -> Callable[[Any], Any]:
             raise _Refused(f"expected {hint.__name__}, got {value!r:.60}")
         return value
 
+    if hint is float:
+        return lambda value: float(scalar(value))
     return scalar
 
 

@@ -59,7 +59,6 @@ from repro.runner.wire import (
     PROTOCOL_VERSION,
     ProtocolMismatch,
     WireError,
-    WireResult,
 )
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "RunnerStats",
     "SMSnapshot",
     "WireError",
-    "WireResult",
     "WorkerFleet",
     "build_executor",
     "cache_salt",

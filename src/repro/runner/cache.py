@@ -1,23 +1,15 @@
-"""Persistent result cache: pickled entries over pluggable backends.
+"""Persistent result cache: sealed entries over pluggable backends.
 
 :class:`ResultCache` owns the *semantics* — key derivation
-(``stable_hash(salt, spec.key)``), the entry envelope (schema version +
-key echo + payload), and the corruption contract (anything unreadable
-degrades to a miss and is discarded, never served). *Storage* is a
-:class:`CacheBackend`:
-
-:class:`DirectoryBackend` stores one pickle per job under
-``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), named ``<key>.pkl``
-inside a two-character fan-out directory, written atomically (temp file
-+ ``os.replace``) so an interrupted writer can never leave a
-half-written entry behind. It is safe for *many concurrent writers*,
-local or on a shared (e.g. network) filesystem: an advisory ``flock``
-on the cache directory's ``.lock`` file serializes writers, and a
-read-through check under the lock makes the first completed write win —
-later writers of the same key (which, for a deterministic simulator,
-carry an identical payload) skip their write instead of churning the
-file underneath readers. On platforms without ``fcntl`` the lock
-degrades to plain atomic-replace semantics.
+(``stable_hash(salt, spec.key)``), the entry (a result's sealed bytes,
+:func:`repro.runner.wire.seal`) and the corruption contract (an entry
+that fails the digest-and-unpickle check is a miss, discarded, never
+served). *Storage* is a :class:`CacheBackend`: :class:`DirectoryBackend`
+keeps one ``<key>.pkl`` file per entry under ``$REPRO_CACHE_DIR``
+(default ``~/.cache/repro``), written atomically, first writer wins, so
+several processes may share it (two CLI runs, a service and a CLI run).
+Within a process the job table (:mod:`repro.runner.engine`) is the one
+writer; workers never touch the store.
 
 The key is salted with a cache schema version, the package version and
 a digest of the installed sources, so
@@ -32,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,6 +32,7 @@ from typing import Any, Iterator, Optional
 
 import repro
 from repro.config import stable_hash
+from repro.runner.wire import WireError, seal, unseal
 
 #: Bump when the cached payload format changes (snapshot classes,
 #: pickled structure, ...). Old entries then miss and are re-simulated.
@@ -51,7 +43,10 @@ from repro.config import stable_hash
 #: v4: the pickled ``VictimTagTable`` inside Linebacker snapshots is
 #: sparse (tag maps, not a dense entry array), and the cache key
 #: derives from ``JobSpec.key`` instead of re-hashing the whole spec.
-CACHE_SCHEMA_VERSION = 4
+#: v5: an entry is the sealed bytes of the payload alone, with no
+#: ``{"schema", "key", "payload"}`` envelope (the salt carries the
+#: version, the path the key).
+CACHE_SCHEMA_VERSION = 5
 
 #: Sentinel distinguishing "entry absent" from a cached ``None``.
 MISS = object()
@@ -107,7 +102,7 @@ class CacheBackend:
 
     A backend maps keys to opaque byte blobs. It must guarantee that
     :meth:`read` never observes a torn write (it may return garbage if
-    the *medium* corrupts data — the front-end's envelope check covers
+    the *medium* corrupts data — the front-end's digest check covers
     that) and that :meth:`write`/:meth:`discard` failures surface as
     exceptions rather than silent data loss.
     """
@@ -201,7 +196,9 @@ class CacheInfo:
 
 
 class ResultCache:
-    """Content-addressed pickle store for portable simulation results."""
+    """Content-addressed store of sealed portable simulation results:
+    :meth:`read` hands back the sealed bytes beside the payload, and the
+    job table writes the sealed bytes it holds through ``backend``."""
 
     def __init__(
         self,
@@ -221,39 +218,33 @@ class ResultCache:
         return self.backend.path_for(key)
 
     # -- lookup ----------------------------------------------------------
-    def get(self, key: str) -> Any:
-        """The cached payload for ``key``, or :data:`MISS`.
+    def read(self, key: str) -> Any:
+        """``(payload, sealed bytes)`` for ``key``, or :data:`MISS`.
 
-        Any failure mode — missing file, truncated pickle, foreign
-        schema, classes that no longer unpickle — degrades to a miss;
-        corrupted entries are deleted so they are rewritten cleanly.
+        Any failure mode — missing file, truncated or bit-flipped entry,
+        an entry of an older format, classes that no longer unpickle —
+        degrades to a miss; an entry that fails the digest-and-unpickle
+        check is deleted so it is rewritten cleanly.
         """
         try:
-            data = self.backend.read(key)
+            sealed = self.backend.read(key)
         except Exception:
             return MISS
-        if data is None:
+        if sealed is None:
             return MISS
         try:
-            entry = pickle.loads(data)
-        except Exception:
+            return unseal(sealed), sealed
+        except WireError:
             self.backend.discard(key)
             return MISS
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != CACHE_SCHEMA_VERSION
-            or entry.get("key") != key
-            or "payload" not in entry
-        ):
-            self.backend.discard(key)
-            return MISS
-        return entry["payload"]
+
+    def get(self, key: str) -> Any:
+        """The cached payload for ``key``, or :data:`MISS` (:meth:`read`)."""
+        entry = self.read(key)
+        return entry if entry is MISS else entry[0]
 
     def put(self, key: str, payload: Any) -> None:
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "payload": payload}
-        self.backend.write(
-            key, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        self.backend.write(key, seal(payload))
 
     # -- maintenance -----------------------------------------------------
     def info(self) -> CacheInfo:

@@ -32,6 +32,11 @@ Thread-driven — the service's coordinator loops ``step()`` on its
 ``fetch``. Either way one lock guards the table, and no store I/O,
 pickling or simulation happens while it is held.
 
+The table is the persistent cache's one writer: it stores each result
+as the sealed bytes (:func:`~repro.runner.wire.seal`) a worker or pool
+child sent, or sealed here once, and :meth:`ExperimentRunner.fetch_sealed`
+serves the same bytes.
+
 Only the :data:`RESIDENT_RESULTS` most recently used results stay in
 memory; an evicted one is re-read through the cache when next asked
 for, and run again if the cache has lost it. Without a cache nothing is
@@ -65,7 +70,7 @@ from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, JobOutcome
 from repro.runner.registry import resolve
 from repro.runner.snapshot import portable
 from repro.runner.spec import JobSpec
-from repro.runner.wire import _pack, _unpack
+from repro.runner.wire import seal, unseal
 
 #: Where a result came from. ``JobRecord.source``, ``Job.source`` and
 #: the HTTP job ``source`` all take their values from this tuple: the
@@ -229,7 +234,7 @@ class ExperimentRunner:
         :class:`~repro.runner.executors.RemoteExecutor`.
 
     The runner owns its executor until :meth:`close` (or until it is
-    garbage-collected). ``submit``, ``wait``, ``fetch``, ``fetch_box``,
+    garbage-collected). ``submit``, ``wait``, ``fetch``, ``fetch_sealed``,
     ``job``, ``status``, ``table_stats`` and ``close`` may be called from
     any thread; ``step`` — and ``run``, ``run_many``, ``result`` and
     ``stream_timeseries``, which call it — from one thread at a time.
@@ -299,16 +304,16 @@ class ExperimentRunner:
         # The store read runs unlocked (waiters and other submits queue
         # on ``_lock``); the table is re-checked below, so two racing
         # submits of one key still share one job.
-        payload = self._read_store(spec) if not legs else MISS
+        stored = self._read_store(spec) if not legs else MISS
         with self._lock:
             job = self._jobs.get(key)
             if job is not None:
                 return self._join(job), True, job.source == "cache"
-            if payload is not MISS:
+            if stored is not MISS:
                 job = Job(id=key, spec=spec, status="done", source="cache",
                           finished=time.time())
                 self._jobs[key] = job
-                self._admit(key, payload)
+                self._admit(key, *stored)
                 self.stats.record(spec, 0.0, "cache")
                 return job, False, True
             job = self._jobs[key] = Job(id=key, spec=spec, legs=legs)
@@ -369,23 +374,28 @@ class ExperimentRunner:
     def step(self) -> None:
         """Advance the executor once and settle what it finished.
 
-        A ``give_up`` outcome, and every job in flight once the executor
-        is unavailable, is run in this process instead (degrade tier).
+        A ``give_up`` outcome, and every job in flight that nobody
+        answers for once the executor is unavailable, is run in this
+        process instead (degrade tier).
         """
         with self._lock:
             unavailable, self._unavailable = self._unavailable, None
-        outcomes = []
+        outcomes = None  # None: nobody answers for the jobs in flight
         if unavailable is None:
             try:
                 outcomes = self.executor.poll()
             except ExecutorUnavailable as exc:
-                unavailable = exc
+                unavailable, outcomes = exc, exc.outcomes
         with self._lock:
             for counter in FAULT_COUNTERS:
                 setattr(self.stats, counter, getattr(self.executor, counter, 0))
-            stranded = list(self._running.values()) if unavailable is not None else []
-            self.stats.pool_fallbacks += bool(stranded)
-        if stranded:
+            stranded = list(self._running.values()) if outcomes is None else []
+            outcomes = outcomes or []
+            fell_back = bool(stranded) or (
+                unavailable is not None and any(o.give_up for o in outcomes)
+            )
+            self.stats.pool_fallbacks += fell_back
+        if fell_back:
             warnings.warn(
                 f"{self.executor.name} executor unavailable ({unavailable}); "
                 "finishing jobs in-process",
@@ -410,7 +420,8 @@ class ExperimentRunner:
 
     def _settle(self, outcome: JobOutcome, source: str) -> None:
         """Record one finished job and wake its waiters; then, unlocked,
-        store the result unless a worker already did."""
+        write its result to the store (this table is its one writer)."""
+        entry = None
         with self._lock:
             job = self._running.pop(outcome.key, None)
             if job is None:
@@ -418,7 +429,7 @@ class ExperimentRunner:
             job.finished = time.time()
             if outcome.ok:
                 job.status, job.source, job.seconds = "done", source, outcome.seconds
-                self._admit(job.id, outcome.payload)
+                entry = self._admit(job.id, outcome.payload, outcome.sealed)
                 self.stats.record(job.spec, outcome.seconds, source)
             else:
                 job.status, job.error = "failed", outcome.error
@@ -426,36 +437,69 @@ class ExperimentRunner:
             for parent in self._parents.pop(job.id, ()):
                 self._settle_derived(parent)
             self._settled.notify_all()
-        if outcome.ok and self.cache is not None:
-            key = self.cache.key_for(job.spec)
+        if entry is not None and self.cache is not None:
             try:
-                if not self.cache.path_for(key).exists():
-                    self.cache.put(key, outcome.payload)
+                self.cache.backend.write(self.cache.key_for(job.spec), self._sealed(entry))
             except Exception as exc:  # a write failure only costs a re-simulation
                 warnings.warn(f"result cache write failed: {exc}", RuntimeWarning)
 
     # -- results ---------------------------------------------------------
     def _read_store(self, spec: JobSpec) -> Any:
-        """``spec``'s result through the cache, or :data:`MISS` (disk
-        I/O and unpickling: never call with ``_lock`` held)."""
+        """``spec``'s ``(payload, sealed bytes)`` through the cache, or
+        :data:`MISS` (disk I/O and unpickling: never call with ``_lock``
+        held)."""
         if self.cache is None:
             return MISS
-        return self.cache.get(self.cache.key_for(spec))
+        return self.cache.read(self.cache.key_for(spec))
 
-    def _admit(self, key: str, payload: Any) -> None:
+    def _admit(self, key: str, payload: Any, sealed: Optional[bytes] = None) -> list:
         """Make ``payload`` the most recently used result (``_lock``
-        held). An entry is ``[payload, None]``, or ``[None, box]`` once
-        :meth:`fetch_box` has encoded it. Without a store nothing can be
-        re-read, so nothing is evicted."""
-        self._results[key] = [payload, None]
+        held) and return its entry, ``[payload, sealed bytes or None]``
+        (:meth:`_sealed`), or ``[None, sealed bytes]`` once served. Without
+        a store nothing can be re-read, so nothing is evicted."""
+        entry = self._results[key] = [payload, sealed]
         self._results.move_to_end(key)
         while self.cache is not None and len(self._results) > RESIDENT_RESULTS:
             self._results.popitem(last=False)
+        return entry
+
+    def _sealed(self, entry: list) -> bytes:
+        """``entry``'s sealed bytes. A result computed in this process
+        is sealed here, the first time it is written or served (never
+        with ``_lock`` held)."""
+        if entry[1] is None:
+            sealed = seal(entry[0])
+            with self._lock:
+                if entry[1] is None:
+                    entry[1] = sealed
+        return entry[1]
 
     def fetch(self, job_id: str) -> Any:
         """A done job's result, or :data:`MISS` while it is not done —
         or was evicted and the store lost it too: it is then running
         again. Never waits."""
+        entry = self._entry(job_id)
+        if entry is MISS:
+            return MISS
+        payload = entry[0]
+        return unseal(entry[1]) if payload is None else payload
+
+    def fetch_sealed(self, job_id: str) -> Optional[bytes]:
+        """:meth:`fetch`'s result as sealed bytes, never pickled again, or
+        ``None``. The entry then keeps only the bytes, all that HTTP
+        serves (:meth:`fetch` unseals them on demand)."""
+        entry = self._entry(job_id)
+        if entry is MISS:
+            return None
+        sealed = self._sealed(entry)
+        with self._lock:
+            entry[0] = None
+        return sealed
+
+    def _entry(self, job_id: str) -> Any:
+        """The resident entry of a done job (:meth:`_admit`), re-read
+        from the store or reduced from its legs when evicted; :data:`MISS`
+        as :meth:`fetch` says."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.status != "done":
@@ -463,49 +507,25 @@ class ExperimentRunner:
             entry = self._results.get(job_id)
             if entry is not None:
                 self._results.move_to_end(job_id)
-                payload, box = entry
-        if entry is not None:
-            return payload if box is None else _unpack(box)
+                return entry
         if job.legs:  # derived: reduced from its legs' results, never stored
             results = {label: self.fetch(leg_id) for label, leg_id in job.legs.items()}
             if any(result is MISS for result in results.values()):
                 return MISS  # a leg evicted, and lost by the store, runs again
             payload = resolve(job.spec.arch).reduce(results)
             with self._lock:
-                self._admit(job_id, payload)
-            return payload
-        payload = self._read_store(job.spec)
+                return self._admit(job_id, payload)
+        stored = self._read_store(job.spec)
         with self._lock:
-            if payload is not MISS:
-                self._admit(job_id, payload)
-                return payload
+            if stored is not MISS:
+                return self._admit(job_id, *stored)
             rerun = job.status == "done" and job_id not in self._results
             if rerun:
                 self._start(job)
         if not rerun:
-            return self.fetch(job_id)  # a concurrent fetch got here first
+            return self._entry(job_id)  # a concurrent fetch got here first
         self._dispatch(job)
         return MISS
-
-    def fetch_box(self, job_id: str) -> Optional[dict]:
-        """:meth:`fetch`'s result as the wire protocol's digest-protected
-        box, or ``None``. Encoded once, never with ``_lock`` held; the
-        resident entry then keeps only the box, which is all the HTTP
-        side serves (:meth:`fetch` decodes it on demand)."""
-        with self._lock:
-            entry = self._results.get(job_id)
-            if entry is not None and entry[1] is not None:
-                self._results.move_to_end(job_id)
-                return entry[1]
-        payload = self.fetch(job_id)
-        if payload is MISS:
-            return None
-        box = _pack(payload)
-        with self._lock:
-            entry = self._results.get(job_id)
-            if entry is not None:
-                entry[:] = [None, box]
-        return box
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:
         """Block until ``job_id`` settles (done/failed), the timeout

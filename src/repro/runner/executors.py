@@ -72,6 +72,8 @@ from repro.runner.wire import (
     encode_error,
     encode_job,
     encode_result,
+    seal,
+    unseal,
 )
 
 #: Executor names accepted by the engine and the CLI.
@@ -79,7 +81,16 @@ EXECUTOR_NAMES = ("inline", "pool", "remote", "loopback")
 
 
 class ExecutorUnavailable(RuntimeError):
-    """The executor cannot run anything; degrade to in-process."""
+    """The executor cannot run anything; degrade to in-process.
+
+    Without ``outcomes`` every job in flight is run in-process at once.
+    With them (from ``poll``) the executor still answers for each job it
+    holds, by giving it up: this poll's outcomes, then later polls'.
+    """
+
+    def __init__(self, message: str, outcomes: "Optional[list[JobOutcome]]" = None) -> None:
+        super().__init__(message)
+        self.outcomes = outcomes
 
 
 class RemoteJobError(RuntimeError):
@@ -108,6 +119,14 @@ def run_job(key: str, spec: JobSpec) -> JobOutcome:
     except Exception:
         return JobOutcome(key=key, ok=False, error=traceback.format_exc())
     return JobOutcome(key=key, ok=True, payload=payload, seconds=seconds)
+
+
+def sealed_job(spec: JobSpec) -> tuple[bytes, float]:
+    """A pool child's job: the payload sealed where it was computed."""
+    from repro.runner.engine import execute_job
+
+    payload, seconds = execute_job(spec)
+    return seal(payload), seconds
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +184,9 @@ class PoolExecutor:
     def submit(self, key: str, spec: JobSpec) -> None:
         import pickle
 
-        from repro.runner.engine import execute_job
-
         pool = self._ensure_pool()
         try:
-            future = pool.submit(execute_job, spec)
+            future = pool.submit(sealed_job, spec)
         except (RuntimeError, OSError, pickle.PicklingError) as exc:
             raise ExecutorUnavailable(f"pool submit failed: {exc}")
         self._futures[future] = key
@@ -185,7 +202,8 @@ class PoolExecutor:
         for future in done:
             key = self._futures.pop(future)
             try:
-                payload, seconds = future.result()
+                sealed, seconds = future.result()
+                payload = unseal(sealed)
             except cf.process.BrokenProcessPool as exc:
                 raise ExecutorUnavailable(f"process pool died: {exc}")
             except (OSError, ImportError, pickle.PicklingError) as exc:
@@ -195,7 +213,7 @@ class PoolExecutor:
                 outcomes.append(JobOutcome(key=key, ok=False, error=error))
                 continue
             outcomes.append(
-                JobOutcome(key=key, ok=True, payload=payload, seconds=seconds)
+                JobOutcome(key=key, ok=True, payload=payload, seconds=seconds, sealed=sealed)
             )
         return outcomes
 
@@ -254,13 +272,7 @@ class LoopbackExecutor:
             result_line = encode_error(wire_key, f"{type(exc).__name__}: {exc}")
         if self.mutate_result is not None:
             result_line = self.mutate_result(result_line)
-        result = decode_result(result_line)  # may raise WireError
-        if result.ok:
-            return JobOutcome(
-                key=result.key, ok=True, payload=result.payload,
-                seconds=result.seconds,
-            )
-        return JobOutcome(key=result.key, ok=False, error=result.error)
+        return decode_result(result_line)  # may raise WireError
 
     def poll(self) -> list[JobOutcome]:
         if not self._queue:
@@ -326,9 +338,12 @@ class RemoteExecutor:
     def poll(self) -> list[JobOutcome]:
         outcomes = self.fleet.step()
         if self.fleet.exhausted:
+            # An exhausted fleet gives every job it holds up, now or at
+            # the step after its submit: each is run in-process once.
             raise ExecutorUnavailable(
                 f"no worker could be started from template "
-                f"{self.fleet.command!r}: {self.fleet.last_error}"
+                f"{self.fleet.command!r}: {self.fleet.last_error}",
+                outcomes,
             )
         return outcomes
 

@@ -47,10 +47,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.runner.spec import JobSpec
 from repro.runner.wire import (
+    JobOutcome,
     ProtocolMismatch,
     WireError,
     decode_hello,
@@ -72,20 +73,6 @@ IDLE_TICK = 0.1
 REAP_SECONDS = 2.0
 
 _WAKE = (-1, "wake", "")
-
-
-@dataclass
-class JobOutcome:
-    """One finished job as reported by an executor or the fleet."""
-
-    key: str
-    ok: bool
-    payload: Any = None
-    seconds: float = 0.0
-    error: str = ""
-    #: True when infrastructure retries were exhausted: the owner
-    #: should run this job in-process rather than raise.
-    give_up: bool = False
 
 
 def worker_env() -> dict:
@@ -434,10 +421,7 @@ class WorkerFleet:
             worker.deadline = None
             worker.jobs_done += 1
             self.completed += 1
-        # ok=False is a remote simulation error: final, no retry.
-        outcomes.append(
-            JobOutcome(result.key, result.ok, result.payload, result.seconds, result.error)
-        )
+        outcomes.append(result)  # ok=False is a remote simulation error: final
 
     # -- faults ----------------------------------------------------------
     def _recycle(self, worker: _Worker, reason: str, outcomes: list[JobOutcome]) -> None:

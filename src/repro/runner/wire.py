@@ -31,6 +31,10 @@ opt-in extras such as per-window timeseries
 (:class:`~repro.metrics.WindowSeries`) without a protocol change —
 payload-shape versioning is owned by the result cache
 (``CACHE_SCHEMA_VERSION``), not the wire.
+
+A value is pickled once, by :func:`seal`, into *sealed bytes*
+(``sha256(pickle) || pickle``), which :func:`unseal` checks and loads;
+a result line, a result-cache entry and an HTTP result carry them.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 #: Bump on any incompatible message-shape change; mismatched peers
 #: refuse each other loudly instead of mis-parsing.
@@ -65,28 +69,39 @@ class ProtocolMismatch(WireError):
     """
 
 
-def _pack(value: Any) -> dict:
-    """Pickle ``value`` into a digest-protected transport dict."""
+def seal(value: Any) -> bytes:
+    """``value`` as sealed bytes, ``sha256(pickle) || pickle``: the one
+    place a value is pickled."""
     data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    return {
-        "b64": base64.b64encode(data).decode("ascii"),
-        "sha": hashlib.sha256(data).hexdigest(),
-    }
+    return hashlib.sha256(data).digest() + data
 
 
-def _unpack(box: Any) -> Any:
-    if not isinstance(box, dict) or "b64" not in box or "sha" not in box:
-        raise WireError("malformed payload box")
-    try:
-        data = base64.b64decode(box["b64"], validate=True)
-    except (binascii.Error, ValueError, TypeError) as exc:
-        raise WireError(f"undecodable payload base64: {exc}") from None
-    if hashlib.sha256(data).hexdigest() != box["sha"]:
+def unseal(sealed: bytes) -> Any:
+    """The value in ``sealed``; :class:`WireError` unless the digest
+    matches and the pickle loads."""
+    data = memoryview(sealed)[32:]
+    if hashlib.sha256(data).digest() != sealed[:32]:
         raise WireError("payload digest mismatch (corrupted in transit)")
     try:
         return pickle.loads(data)
     except Exception as exc:
         raise WireError(f"unpicklable payload: {exc}") from None
+
+
+def _pack(sealed: bytes) -> dict:
+    """Sealed bytes as a JSON transport box: the pickle in base64, its digest in hex."""
+    return {"b64": base64.b64encode(memoryview(sealed)[32:]).decode("ascii"),
+            "sha": sealed[:32].hex()}
+
+
+def _unpack(box: Any) -> bytes:
+    """The sealed bytes in a :func:`_pack` box (:func:`unseal` checks them)."""
+    if not isinstance(box, dict) or "b64" not in box or "sha" not in box:
+        raise WireError("malformed payload box")
+    try:
+        return bytes.fromhex(box["sha"]) + base64.b64decode(box["b64"], validate=True)
+    except (binascii.Error, ValueError, TypeError) as exc:
+        raise WireError(f"undecodable payload box: {exc}") from None
 
 
 def _decode_envelope(line: str, expect: str) -> dict:
@@ -157,7 +172,7 @@ def decode_hello(line: str) -> int:
 # -- jobs ------------------------------------------------------------------
 def encode_job(key: str, spec: Any) -> str:
     return json.dumps(
-        {"v": PROTOCOL_VERSION, "type": "job", "key": key, "spec": _pack(spec)}
+        {"v": PROTOCOL_VERSION, "type": "job", "key": key, "spec": _pack(seal(spec))}
     )
 
 
@@ -166,19 +181,26 @@ def decode_job(line: str) -> tuple[str, Any]:
     key = msg.get("key")
     if not isinstance(key, str) or not key:
         raise WireError("job without a key")
-    return key, _unpack(msg.get("spec"))
+    return key, unseal(_unpack(msg.get("spec")))
 
 
 # -- results ---------------------------------------------------------------
-@dataclass(frozen=True)
-class WireResult:
-    """A decoded result line: either a payload or a remote traceback."""
+@dataclass
+class JobOutcome:
+    """One finished job: a decoded result line, or what an executor or
+    the fleet reports."""
 
     key: str
     ok: bool
     payload: Any = None
     seconds: float = 0.0
     error: str = ""
+    #: True when infrastructure retries were exhausted: the owner
+    #: should run this job in-process rather than raise.
+    give_up: bool = False
+    #: ``payload`` as the sealed bytes it crossed a process boundary
+    #: in; ``None`` for a result computed in this process.
+    sealed: Optional[bytes] = None
 
 
 def encode_result(key: str, payload: Any, seconds: float) -> str:
@@ -189,7 +211,7 @@ def encode_result(key: str, payload: Any, seconds: float) -> str:
             "key": key,
             "ok": True,
             "seconds": seconds,
-            "payload": _pack(payload),
+            "payload": _pack(seal(payload)),
         }
     )
 
@@ -201,7 +223,7 @@ def encode_error(key: str, error: str) -> str:
     )
 
 
-def decode_result(line: str) -> WireResult:
+def decode_result(line: str) -> JobOutcome:
     msg = _decode_envelope(line, "result")
     key = msg.get("key")
     if not isinstance(key, str) or not key:
@@ -210,11 +232,12 @@ def decode_result(line: str) -> WireResult:
         seconds = msg.get("seconds")
         if not isinstance(seconds, (int, float)):
             raise WireError("result without a wall-clock measurement")
-        return WireResult(
-            key=key, ok=True, payload=_unpack(msg.get("payload")),
-            seconds=float(seconds),
+        sealed = _unpack(msg.get("payload"))
+        return JobOutcome(
+            key=key, ok=True, payload=unseal(sealed), seconds=float(seconds),
+            sealed=sealed,
         )
     error = msg.get("error")
     if not isinstance(error, str):
         raise WireError("failed result without an error string")
-    return WireResult(key=key, ok=False, error=error)
+    return JobOutcome(key=key, ok=False, error=error)

@@ -18,10 +18,8 @@ Error containment mirrors the engine's contract:
   transport corruption and recycles the worker;
 * stdout carries protocol lines *only*; diagnostics go to stderr.
 
-With ``--cache-dir`` the worker reads and writes the persistent result
-cache itself (read-through: a hit skips the simulation entirely); the
-directory may be shared by workers on different hosts, whose writes
-serialize through the cache's per-key advisory lock.
+A worker never touches the result cache: it seals the payload into its
+result line, and the job table that sent the job stores those bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import sys
 import traceback
 from typing import IO, Optional
 
-from repro.runner.cache import MISS, ResultCache
 from repro.runner.wire import (
     WireError,
     decode_job,
@@ -46,14 +43,13 @@ def _emit(stream: IO[str], line: str) -> None:
     stream.flush()
 
 
-def serve(
-    stdin: IO[str],
-    stdout: IO[str],
-    cache: Optional[ResultCache] = None,
-    stderr: Optional[IO[str]] = None,
-) -> int:
+def serve(stdin: IO[str], stdout: IO[str], stderr: Optional[IO[str]] = None) -> int:
     """Serve jobs from ``stdin`` until EOF; returns a process exit code."""
     _emit(stdout, encode_hello())
+    # Imported here so `python -m repro worker --help` stays instant —
+    # pulling in the registry imports the whole simulator.
+    from repro.runner.engine import execute_job
+
     for raw in stdin:
         line = raw.strip()
         if not line:
@@ -64,7 +60,7 @@ def serve(
             _emit(stdout, encode_error("?", f"undecodable job line: {exc}"))
             continue
         try:
-            payload, seconds = _resolve(spec, cache)
+            payload, seconds = execute_job(spec)
         except Exception:
             _emit(stdout, encode_error(key, traceback.format_exc()))
             continue
@@ -74,34 +70,10 @@ def serve(
     return 0
 
 
-def _resolve(spec, cache: Optional[ResultCache]):
-    """Cache read-through around one simulation."""
-    # Imported here so `python -m repro worker --help` stays instant —
-    # pulling in the registry imports the whole simulator.
-    from repro.runner.engine import execute_job
-
-    if cache is not None:
-        cached = cache.get(cache.key_for(spec))
-        if cached is not MISS:
-            return cached, 0.0
-    payload, seconds = execute_job(spec)
-    if cache is not None:
-        try:
-            cache.put(cache.key_for(spec), payload)
-        except Exception as exc:  # never let a cache write kill a worker
-            print(f"worker: cache write failed: {exc}", file=sys.stderr)
-    return payload, seconds
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro worker",
         description="Serve simulation jobs over stdin/stdout (wire protocol v1).",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="read-through persistent result cache directory",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="log served jobs to stderr"
@@ -111,12 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    return serve(
-        sys.stdin,
-        sys.stdout,
-        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-        stderr=sys.stderr if args.verbose else None,
-    )
+    return serve(sys.stdin, sys.stdout, stderr=sys.stderr if args.verbose else None)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 
 from repro.runner.executors import RemoteJobError
 from repro.runner.spec import JobSpec
-from repro.runner.wire import _unpack
+from repro.runner.wire import _unpack, unseal
 from repro.service.schema import JOB_SCHEMA_VERSION, encode_jobspec
 
 #: Encoded job documents a client keeps for resubmission, by spec key
@@ -188,7 +188,7 @@ class ServiceClient:
             asked = time.monotonic()
             status, doc = self._get(f"/v1/jobs/{job_id}/result?wait={wait:.3f}")
             if status == 200:
-                return _unpack(doc["payload"])
+                return unseal(_unpack(doc["payload"]))
             if status == 500:
                 raise RemoteJobError(
                     f"job {job_id[:12]} failed on the service:\n"

@@ -15,9 +15,10 @@
 Identity is content: two clients submitting the same (app, arch,
 config, scale, options) get the same job id — the spec's key — and at
 most one simulation runs. The tiers, the ``source`` vocabulary and the
-bounded residency of results are the table's (``repro.runner.engine``);
-the workers are launched with ``--cache-dir``, so results land in the
-shared store as they are produced and duplicates across coordinator
+bounded residency of results are the table's (``repro.runner.engine``),
+and so is the result store: the workers never touch it. The
+dispatcher thread writes each result, as the sealed bytes its worker
+sent, after waking the job's waiters, so duplicates across coordinator
 restarts dedup too.
 
 A resubmitted job document is decoded once: the document memo keeps the
@@ -37,7 +38,8 @@ codec on neither side.
 ``GET  /v1/jobs/{id}/result``               the portable result payload,
                                             pickled + base64 + SHA-256
                                             (the wire protocol's
-                                            digest-protected box);
+                                            digest-protected box of the
+                                            bytes the worker sealed);
                                             ``?wait=S`` parks the request
                                             until the job settles, 202
                                             after ``S`` seconds (capped at
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shlex
 import threading
 import time
 from collections import OrderedDict
@@ -70,10 +71,10 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.runner.cache import MISS, ResultCache
 from repro.runner.engine import ExperimentRunner, Job
-from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, DEFAULT_WORKER_COMMAND
+from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS
 from repro.runner.registry import resolve
 from repro.runner.spec import JobSpec
-from repro.runner.wire import PROTOCOL_VERSION
+from repro.runner.wire import PROTOCOL_VERSION, _pack
 from repro.service.schema import JOB_SCHEMA_VERSION, SchemaError, decode_jobspec
 
 #: Default TCP port; "VC" on a phone keypad would be a stretch — it is
@@ -112,17 +113,9 @@ class Coordinator:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff: float = DEFAULT_BACKOFF,
     ) -> None:
-        cache = ResultCache(cache_dir) if use_cache else None
-        if worker_command is None and cache is not None:
-            # Results land in the shared store as workers finish them, so
-            # the table finds them written, and a requeued duplicate is a
-            # worker-side hit.
-            worker_command = (
-                f"{DEFAULT_WORKER_COMMAND} --cache-dir {shlex.quote(str(cache.root))}"
-            )
         self.runner = ExperimentRunner(
             workers=max(1, workers),
-            cache=cache,
+            cache=ResultCache(cache_dir) if use_cache else None,
             use_cache=use_cache,
             executor="remote",
             worker_command=worker_command,
@@ -381,8 +374,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if job.status == "failed":
             self._error(500, job.error or "job failed")
             return
-        box = self.coordinator.runner.fetch_box(job.id)
-        if box is None:
+        sealed = self.coordinator.runner.fetch_sealed(job.id)
+        if sealed is None:
             self._send_json({"job_id": job.id, "status": job.status}, status=202)
             return
         self._send_json(
@@ -391,7 +384,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "status": "done",
                 "source": job.source,
                 "seconds": job.seconds,
-                "payload": box,
+                "payload": _pack(sealed),
             }
         )
 

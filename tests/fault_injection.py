@@ -70,6 +70,7 @@ class FlakyBackend(CacheBackend):
 
     ``fail_on`` is 1-based: ``FlakyBackend(inner, fail_on=1)`` fails the
     first write and succeeds afterwards; ``fail_on=0`` never fails.
+    ``writes`` records the ``(key, data)`` of every write call.
     """
 
     def __init__(
@@ -85,6 +86,7 @@ class FlakyBackend(CacheBackend):
         self.method = method
         self.exc = exc if exc is not None else OSError("injected cache fault")
         self.calls = {"read": 0, "write": 0}
+        self.writes = []
 
     def _maybe_fail(self, method: str) -> None:
         self.calls[method] += 1
@@ -99,6 +101,7 @@ class FlakyBackend(CacheBackend):
         return self.inner.read(key)
 
     def write(self, key: str, data: bytes) -> None:
+        self.writes.append((key, data))
         self._maybe_fail("write")
         self.inner.write(key, data)
 

@@ -219,6 +219,24 @@ def test_repository_tree_lints_clean():
     assert set(result.passes_run) == set(EXPECTED)
 
 
+def test_baseline_schema_versions_are_the_live_constants():
+    # A recorded version that trails its constant reads every later
+    # field change of that surface as an acknowledged bump, so the
+    # schema-version-unbumped rule would never fire for it.
+    from repro.lint.baseline import load_schema_baseline
+    from repro.runner import cache, wire
+    from repro.service import schema
+    from repro.workloads import spec
+
+    live = {name: getattr(module, name) for module in (cache, wire, schema, spec)
+            for name in dir(module) if name.endswith("_VERSION")}
+    recorded = load_schema_baseline(Path(__file__).parents[1] / "lint_baseline.json")
+    assert len(recorded) == 6
+    assert {name: entry["version"] for name, entry in recorded.items()} == {
+        name: live[entry["constant"]] for name, entry in recorded.items()
+    }
+
+
 def test_determinism_exclusions_name_existing_subpackages():
     # A retired subpackage left in the list would silently exempt any
     # future package reusing its name.

@@ -190,10 +190,16 @@ class TestCacheRoundTrip:
         key = cache.key_for(make_spec())
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
-        for schema in (-1, CACHE_SCHEMA_VERSION - 1):
-            path.write_bytes(pickle.dumps({"schema": schema, "key": key, "payload": 3}))
+        sealed = wire.seal(3)
+        flipped = bytearray(sealed)
+        flipped[-2] ^= 0x01
+        v4_envelope = pickle.dumps({"schema": CACHE_SCHEMA_VERSION - 1, "key": key, "payload": 3})
+        for entry in (v4_envelope, sealed[:-1], sealed[:20], bytes(flipped)):
+            path.write_bytes(entry)
             assert cache.get(key) is MISS
             assert not path.exists()  # discarded, not resurrected
+        path.write_bytes(sealed)
+        assert cache.read(key) == (3, sealed)
 
     def test_no_cache_runner_never_touches_disk(self):
         runner = ExperimentRunner(use_cache=False)
@@ -274,10 +280,23 @@ class TestJobTable:
         runner = ExperimentRunner(use_cache=False, executor="inline")
         spec = make_spec()
         live = runner.run(spec)
-        box = runner.fetch_box(spec.key)
-        assert runner.fetch_box(spec.key) is box  # encoded once
-        again = runner.fetch(spec.key)  # decoded from the box: no live copy kept
+        sealed = runner.fetch_sealed(spec.key)
+        assert runner.fetch_sealed(spec.key) is sealed  # sealed once
+        again = runner.fetch(spec.key)  # unsealed: no live copy kept
         assert again is not live and again.instructions == live.instructions
+
+    def test_an_inline_result_with_a_store_is_sealed_once(self, tmp_path, monkeypatch):
+        seals = []
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda *a, **k: seals.append(1) or dumps(*a, **k))
+        runner = make_runner(tmp_path, executor="inline")
+        specs = [make_spec(), make_spec(app="LI")]
+        runner.run_many(specs + specs)
+        for spec in specs:
+            entry = runner.cache.path_for(runner.cache.key_for(spec)).read_bytes()
+            assert runner.fetch_sealed(spec.key) == entry
+            assert runner.fetch_sealed(spec.key) is runner.fetch_sealed(spec.key)
+        assert len(seals) == len(specs)  # one per job: the store write
 
     def test_result_after_close_raises_instead_of_spinning(self):
         runner = ExperimentRunner(use_cache=False, executor="inline")
@@ -455,20 +474,18 @@ class TestHashOnce:
         assert stable_hash(hashed) == key
 
 
-class TestCacheSchemaV4:
-    def test_v3_entry_is_resimulated_and_rewritten_as_v4(self, tmp_path):
-        """The sparse-VTT payload bumped the schema 3 -> 4; that a v3
-        entry is a discarded miss is checked by
-        ``test_foreign_schema_entry_is_a_miss``."""
-        assert CACHE_SCHEMA_VERSION == 4
+class TestCacheSchemaV5:
+    def test_v4_entry_is_resimulated_and_rewritten_sealed(self, tmp_path):
+        """Entries lost their pickled envelope, 4 -> 5: an entry is the
+        payload's sealed bytes. That damaged entries are discarded misses
+        is checked by ``test_foreign_schema_entry_is_a_miss``."""
+        assert CACHE_SCHEMA_VERSION == 5
         spec = make_spec(scale=0.05)
         runner = make_runner(tmp_path)
         key = runner.cache.key_for(spec)
         path = runner.cache.path_for(key)
         path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps({"schema": 3, "key": key, "payload": "stale"}))
+        path.write_bytes(pickle.dumps({"schema": 4, "key": key, "payload": "stale"}))
         result = runner.run(spec)
         assert runner.stats.simulated == 1
-        entry = pickle.loads(path.read_bytes())
-        assert entry["schema"] == 4
-        assert entry["payload"].instructions == result.instructions
+        assert wire.unseal(path.read_bytes()).instructions == result.instructions

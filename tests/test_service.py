@@ -10,9 +10,11 @@ infrastructure fault may wedge the service or smuggle in a wrong
 payload, and no worker process may outlive its fleet.
 """
 
+import base64
 import dataclasses
 import http.client
 import json
+import pickle
 import socket
 import socketserver
 import sys
@@ -26,6 +28,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import repro.runner.engine as engine_module  # noqa: E402
+import repro.runner.fleet as fleet_module  # noqa: E402
 import repro.service.coordinator as coordinator_module  # noqa: E402
 from fault_injection import FlakyBackend, flaky_worker_command, unsimulatable  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
@@ -34,6 +37,7 @@ from document_helpers import dataclass_nodes, field_slots, node_at, wrong_values
 from repro.config import LinebackerConfig, SimulationConfig, scaled_config  # noqa: E402
 from repro.options import RunOptions  # noqa: E402
 from repro.runner import ExperimentRunner, JobSpec, RemoteJobError  # noqa: E402
+from repro.runner.fleet import DEFAULT_WORKER_COMMAND  # noqa: E402
 from repro.service import (  # noqa: E402
     JOB_SCHEMA_VERSION,
     Coordinator,
@@ -104,7 +108,7 @@ def stop_service(server, coordinator):
 
 def slow_worker_command(tmp_path, delay):
     """A genuine worker that sits on every job line for ``delay`` seconds
-    first (and, like any custom command, carries no ``--cache-dir``)."""
+    first."""
     shim = tmp_path / "slow_worker.py"
     shim.write_text(
         "import sys, time\n"
@@ -116,6 +120,28 @@ def slow_worker_command(tmp_path, delay):
         "raise SystemExit(serve(lines(), sys.stdout))\n"
     )
     return f"{{python}} -u {shim}"
+
+
+def until(predicate, timeout=10.0):
+    """Wait for ``predicate()`` (the store write follows the wake-up)."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
+def recorded_result_bytes(monkeypatch):
+    """key -> the sealed bytes of every result line the fleet decodes."""
+    seen = {}
+    decode = fleet_module.decode_result
+
+    def recording(line):
+        result = decode(line)
+        seen[result.key] = result.sealed
+        return result
+
+    monkeypatch.setattr(fleet_module, "decode_result", recording)
+    return seen
 
 
 def raw_request(url, method, path, body=None, headers=None, conn=None):
@@ -142,6 +168,17 @@ class TestSchema:
         doc = encode_jobspec(make_spec("LI", "best_swl"))
         again = json.loads(json.dumps(doc))
         assert decode_jobspec(again).key == decode_jobspec(doc).key
+
+    def test_a_float_field_sent_as_an_int_gives_one_key(self):
+        spec = make_spec()
+        docs = []
+        for clock in (1126, 1126.0):
+            doc = json.loads(json.dumps(encode_jobspec(spec)))
+            doc["config"]["gpu"]["clock_mhz"] = clock
+            docs.append(decode_jobspec(doc))
+        as_int, as_float = docs
+        assert type(as_int.config.gpu.clock_mhz) is float
+        assert as_int == as_float and as_int.key == as_float.key == spec.key
 
     def test_options_travel_through_document(self):
         spec = make_spec("S2", "linebacker", timeseries=True)
@@ -489,14 +526,9 @@ class TestLongPoll:
             assert result.instructions > 0
             assert client.status(doc["job_id"])["source"] == "run"
             assert handler.result_requests == 1
-            # This worker carries no --cache-dir: the coordinator's own
-            # store write (after the waiters are woken) is what makes the
-            # result outlive a restart.
-            entry = coordinator.cache.path_for(coordinator.cache.key_for(spec))
-            deadline = time.monotonic() + 10
-            while not entry.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert entry.exists()
+            # The coordinator's store write (after the waiters are woken)
+            # is what makes the result outlive a restart.
+            until(coordinator.cache.path_for(coordinator.cache.key_for(spec)).exists)
         finally:
             stop_service(server, coordinator)
 
@@ -517,20 +549,51 @@ class TestLongPoll:
         finally:
             stop_service(server, coordinator)
 
-    def test_worker_written_entry_is_not_pickled_again(self, tmp_path):
-        # Default workers land the entry in the shared store before they
-        # answer; the dispatcher thread must not serialise it a second time.
+    def test_one_store_write_per_settled_job_carrying_the_wire_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        # Workers never touch the store: the coordinator writes each
+        # distinct settled job once, with the bytes its worker sealed.
+        off_wire = recorded_result_bytes(monkeypatch)
         server, coordinator, url = start_service(tmp_path, workers=1)
         try:
+            assert coordinator.fleet.command == DEFAULT_WORKER_COMMAND
             backend = FlakyBackend(coordinator.cache.backend, fail_on=0)
             coordinator.cache.backend = backend
             client = ServiceClient(url)
-            # Outcomes are handled one at a time, store write last: once
-            # the second result is out, the first was handled in full.
-            for spec in (make_spec("LI", "baseline"), make_spec("S2", "baseline")):
+            specs = [make_spec("LI", "baseline"), make_spec("S2", "baseline")]
+            for spec in specs + specs:  # the second round is memo hits
                 client.result(client.submit(spec)["job_id"], timeout=120)
-                assert backend.path_for(coordinator.cache.key_for(spec)).exists()
-            assert backend.calls["write"] == 0
+            until(lambda: len(backend.writes) >= len(specs))
+            cache = coordinator.cache
+            assert sorted(backend.writes) == sorted(
+                (cache.key_for(spec), off_wire[spec.key]) for spec in specs
+            )
+        finally:
+            stop_service(server, coordinator)
+
+    def test_store_entry_wire_and_http_carry_one_sealing(self, tmp_path, monkeypatch):
+        off_wire = recorded_result_bytes(monkeypatch)
+        sealed_types = []
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda value, *a, **k: (
+            sealed_types.append(type(value).__name__) or dumps(value, *a, **k)))
+        server, coordinator, url = start_service(tmp_path, workers=1)
+        try:
+            spec = make_spec("S2", "linebacker", timeseries=True)
+            body = json.dumps(encode_jobspec(spec))
+            assert raw_request(url, "POST", "/v1/jobs", body=body)[0] == 201
+            path = f"/v1/jobs/{spec.key}/result?wait=20"
+            status, doc, conn = raw_request(url, "GET", path)
+            assert status == 200 and doc["source"] == "run"
+            assert raw_request(url, "GET", path, conn=conn)[1] == doc
+            served = bytes.fromhex(doc["payload"]["sha"]) + base64.b64decode(doc["payload"]["b64"])
+            entry = coordinator.cache.path_for(coordinator.cache.key_for(spec))
+            until(entry.exists)
+            assert entry.read_bytes() == off_wire[spec.key] == served
+            # The job line's spec is the one value this process pickles:
+            # not the result, for its store write or either GET.
+            assert sealed_types == ["JobSpec"]
         finally:
             stop_service(server, coordinator)
 
@@ -722,6 +785,8 @@ class TestResidency:
             client = ServiceClient(url)
             specs = [make_spec("LI", "baseline"), make_spec("S2", "baseline")]
             first = [client.result(client.submit(s)["job_id"], timeout=120) for s in specs]
+            # The dispatcher writes each result after waking its waiters.
+            until(lambda: coordinator.cache.info().entries == 2)
             assert coordinator.cache.clear() == 2
             again = client.result(specs[0].key, timeout=120)
             assert fingerprint_value("baseline", again) == fingerprint_value(
