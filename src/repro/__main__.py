@@ -27,12 +27,13 @@ repeat of the same figure is near-instant. ``--no-cache`` bypasses the
 persistent layer for a guaranteed-fresh run.
 
 ``--executor`` picks where jobs run: ``inline`` (this process),
-``pool`` (local process pool), ``remote`` (worker subprocesses from
-``--worker-command``, one per ``--hosts`` entry — the template default
-runs them locally, an ``ssh {host} ...`` template crosses machines),
-or ``loopback`` (the remote wire protocol, round-tripped in-process —
+``pool`` (local process pool), ``remote`` (worker processes, one per
+``--hosts`` entry — by default forks of this process, which start with
+the simulator already imported; a ``--worker-command`` template is
+exec'd instead, and an ``ssh {host} ...`` one crosses machines), or
+``loopback`` (the remote wire protocol, round-tripped in-process —
 deterministic, great for debugging). ``python -m repro worker`` is the
-process on the other end of that wire.
+exec'd process on the other end of that wire.
 
 ``python -m repro serve`` puts the same job table behind an always-on
 HTTP service: a coordinator with a persistent worker fleet and a
@@ -155,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--worker-command",
         default=None,
-        help="remote worker launch template; {python} and {host} are "
-        'substituted (default: "{python} -u -m repro worker")',
+        help="remote worker launch template, exec'd per worker; {python} and "
+        "{host} are substituted (default: fork each worker from this process)",
     )
     run_p.add_argument(
         "--job-timeout",
@@ -226,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds before an in-flight job's worker is "
                          "recycled and the job requeued")
     serve_p.add_argument("--worker-command", default=None,
-                         help="worker launch template; {python} and {host} "
-                         "are substituted")
+                         help="worker launch template, exec'd per worker; "
+                         "{python} and {host} are substituted (default: "
+                         "fork each worker from this process)")
 
     submit_p = sub.add_parser(
         "submit", help="submit jobs to a running coordinator over HTTP"

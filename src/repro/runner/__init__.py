@@ -6,8 +6,8 @@ The runner expresses every simulation as a picklable, content-hashed
 (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, behind a
 :class:`CacheBackend`), then a pluggable
 :class:`~repro.runner.executors.Executor` (in-process, process pool,
-wire-protocol loopback, or worker subprocesses that can sit on other
-hosts), then in-process degradation. The service's coordinator is the
+wire-protocol loopback, or worker processes — forks of this one, or
+exec'd on other hosts), then in-process degradation. The service's coordinator is the
 same table behind HTTP. The string-keyed :data:`ARCHITECTURES` registry
 is the API every consumer (figure runners, CLI, benchmarks) uses to
 name a simulation.

@@ -12,7 +12,7 @@ four tiers, cheapest first:
 3. **execution** through a pluggable
    :class:`~repro.runner.executors.Executor` — in-process (inline),
    fanned out over a ``ProcessPoolExecutor`` (pool), shipped to worker
-   subprocesses over the wire protocol (remote), or round-tripped
+   processes over the wire protocol (remote), or round-tripped
    through that protocol in-process (loopback) — ``run``,
 4. the **degrade** tier: a job the executor gives up on, and every job
    in flight when the executor becomes unavailable, runs in this
@@ -133,7 +133,7 @@ class RunnerStats:
     sim_seconds: float = 0.0
     # Executor-path counters: jobs handed to an executor, redispatches
     # after an infrastructure fault, jobs put back on the backlog, and
-    # worker subprocesses declared dead (crash, timeout, garbage).
+    # worker processes declared dead (crash, timeout, garbage).
     dispatched: int = 0
     retried: int = 0
     requeued: int = 0

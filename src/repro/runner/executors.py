@@ -27,10 +27,10 @@ Four implementations cover the deployment spectrum:
                      decode) *in-process*: every byte that would cross a
                      network crosses a string, deterministically, which
                      is what makes protocol faults unit-testable.
-``RemoteExecutor``   one worker subprocess per host entry, launched from
-                     a command template (``{python} -u -m repro worker``
-                     by default; set ``ssh {host} python -m repro
-                     worker`` for real remote hosts) and fed over
+``RemoteExecutor``   one worker process per host entry — forked from this
+                     process by default, or exec'd from a command
+                     template such as ``ssh {host} python -m repro
+                     worker`` for real remote hosts — fed over
                      line-delimited stdin/stdout by the
                      :class:`~repro.runner.fleet.WorkerFleet` it drives.
 =================  ========================================================
@@ -60,7 +60,6 @@ from typing import Any, Callable, Optional, Protocol, runtime_checkable
 from repro.runner.fleet import (
     DEFAULT_BACKOFF,
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_WORKER_COMMAND,
     JobOutcome,
     WorkerFleet,
 )
@@ -292,10 +291,10 @@ class LoopbackExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Remote (subprocess-per-host)
+# Remote (a worker process per host)
 # ---------------------------------------------------------------------------
 class RemoteExecutor:
-    """Ship jobs to worker subprocesses: the synchronous driver of a
+    """Ship jobs to worker processes: the synchronous driver of a
     :class:`~repro.runner.fleet.WorkerFleet`, one ``step()`` per ``poll()``.
 
     Parameters
@@ -304,7 +303,8 @@ class RemoteExecutor:
         One worker per entry (names interpolated into ``command``);
         ``None`` runs ``workers`` local workers.
     command / job_timeout / max_attempts / backoff:
-        See :class:`~repro.runner.fleet.WorkerFleet`.
+        See :class:`~repro.runner.fleet.WorkerFleet`; ``command=None``
+        forks each worker from this process.
     """
 
     name = "remote"
@@ -324,7 +324,7 @@ class RemoteExecutor:
     ) -> None:
         self.fleet = WorkerFleet(
             hosts=hosts or ["local"] * max(1, workers),
-            command=command or DEFAULT_WORKER_COMMAND,
+            command=command or None,
             job_timeout=job_timeout,
             max_attempts=max_attempts,
             backoff=backoff,
@@ -340,9 +340,10 @@ class RemoteExecutor:
         if self.fleet.exhausted:
             # An exhausted fleet gives every job it holds up, now or at
             # the step after its submit: each is run in-process once.
+            command = self.fleet.command
+            launcher = "a fork" if command is None else f"template {command!r}"
             raise ExecutorUnavailable(
-                f"no worker could be started from template "
-                f"{self.fleet.command!r}: {self.fleet.last_error}",
+                f"no worker could be started from {launcher}: {self.fleet.last_error}",
                 outcomes,
             )
         return outcomes

@@ -1,7 +1,7 @@
-"""The worker fleet: ``python -m repro worker`` subprocesses behind one core.
+"""The worker fleet: worker processes behind one core.
 
 :class:`WorkerFleet` owns everything about running jobs on worker
-subprocesses over the wire protocol of :mod:`repro.runner.wire`: the
+processes over the wire protocol of :mod:`repro.runner.wire`: the
 worker table, the backlog, launching, the per-worker reader threads,
 hello and result handling, recycling, requeue with backoff, and
 deadlines. It starts no thread that makes decisions; its one driver,
@@ -31,6 +31,18 @@ deadlines          ``job_timeout`` bounds a dispatched job and, equally,
                    a launched worker's wait for its hello
 =================  ========================================================
 
+A worker is launched one of two ways. With no command template (the
+default) it is an ``os.fork()`` of this process, which has already
+imported the simulator: the child serves the wire protocol on two pipes
+(:func:`repro.runner.worker.serve_forked`) and answers its hello within
+milliseconds. With a template — ``ssh {host} python -m repro worker``,
+or a test's fault shim — the command is exec'd through
+:class:`subprocess.Popen`, which pays an interpreter boot and the
+simulator's imports on every launch. Where ``os.fork`` does not exist
+the default is the exec'd :data:`DEFAULT_WORKER_COMMAND`. Both kinds
+look alike to everything below the launch: a handle with ``pid``,
+``stdin``, ``stdout``, ``kill()`` and ``wait()``.
+
 A remote *simulation* error is final: it comes back as a failed
 outcome, never retried. A ``give_up`` outcome asks the owner to run the
 job in-process (the job table's degrade tier).
@@ -41,13 +53,14 @@ from __future__ import annotations
 import os
 import queue
 import shlex
+import signal
 import subprocess
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import IO, Optional, Union
 
 from repro.runner.spec import JobSpec
 from repro.runner.wire import (
@@ -58,10 +71,13 @@ from repro.runner.wire import (
     decode_result,
     encode_job,
 )
+from repro.runner.worker import serve_forked
 
-#: Default worker launch template; ``{python}`` and ``{host}`` are
-#: substituted. Swap for e.g. ``ssh {host} python -m repro worker`` to
-#: cross real machines — the fleet is identical.
+#: The exec'd worker's launch template; ``{python}`` and ``{host}`` are
+#: substituted. A fleet with no template forks its workers instead,
+#: except where ``os.fork`` does not exist, where it runs this one.
+#: Swap for e.g. ``ssh {host} python -m repro worker`` to cross real
+#: machines — the fleet is identical.
 DEFAULT_WORKER_COMMAND = "{python} -u -m repro worker"
 #: Default per-job dispatch budget, and per-host launch budget.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -87,6 +103,58 @@ def worker_env() -> dict:
     return env
 
 
+class _ForkedWorker:
+    """A forked worker behind the slice of :class:`subprocess.Popen` the
+    fleet uses: ``pid``, ``stdin``, ``stdout``, ``kill()``, ``wait()``."""
+
+    def __init__(self, pid: int, stdin: IO[str], stdout: IO[str]) -> None:
+        self.pid, self.stdin, self.stdout = pid, stdin, stdout
+        self.returncode: Optional[int] = None
+
+    def kill(self) -> None:
+        # Until it is reaped the child's pid cannot be reused.
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+    def wait(self, timeout: float) -> int:
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # reaped by someone else
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+            else:
+                time.sleep(delay)
+                delay = min(2 * delay, 0.05)
+        return self.returncode
+
+
+def _fork_worker() -> _ForkedWorker:
+    """Fork a worker from this process, wired to two fresh pipes."""
+    job_r, job_w = os.pipe()
+    result_r, result_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (job_r, job_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        serve_forked(job_r, result_w)
+    os.close(job_r)
+    os.close(result_w)
+    return _ForkedWorker(
+        pid,
+        open(job_w, "w", encoding="utf-8", buffering=1),
+        open(result_r, encoding="utf-8"),
+    )
+
+
 @dataclass
 class _Job:
     key: str
@@ -97,11 +165,11 @@ class _Job:
 
 @dataclass
 class _Worker:
-    """Book-keeping for one worker subprocess in the table."""
+    """Book-keeping for one worker process in the table."""
 
     wid: int
     host: str
-    proc: subprocess.Popen
+    proc: Union[subprocess.Popen, _ForkedWorker]
     #: When to give up on the hello (until greeted) or on ``job``.
     deadline: Optional[float]
     job: Optional[_Job] = None
@@ -111,17 +179,19 @@ class _Worker:
 
 
 class WorkerFleet:
-    """Worker subprocesses, their backlog, and the policy between them.
+    """Worker processes, their backlog, and the policy between them.
 
     Parameters
     ----------
     hosts:
         One worker per entry. Entries are only *names* interpolated
-        into ``command``; with the default local template they are
-        cosmetic, with an SSH template they select machines.
+        into ``command``; with forked workers they are cosmetic, with
+        an SSH template they select machines.
     command:
-        Launch template; ``{python}`` → ``sys.executable``, ``{host}``
-        → the host entry. Split with :func:`shlex.split`.
+        Launch template, exec'd per worker; ``{python}`` →
+        ``sys.executable``, ``{host}`` → the host entry. Split with
+        :func:`shlex.split`. ``None`` (the default) forks each worker
+        from this process.
     job_timeout / max_attempts / backoff:
         The policy table in the module docstring; ``job_timeout=None``
         sets no deadline.
@@ -133,12 +203,14 @@ class WorkerFleet:
     def __init__(
         self,
         hosts: list,
-        command: str = DEFAULT_WORKER_COMMAND,
+        command: Optional[str] = None,
         job_timeout: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff: float = DEFAULT_BACKOFF,
     ) -> None:
         self.hosts = list(hosts)
+        if command is None and not hasattr(os, "fork"):
+            command = DEFAULT_WORKER_COMMAND
         self.command = command
         self.job_timeout = job_timeout
         self.max_attempts = max(1, max_attempts)
@@ -298,15 +370,18 @@ class WorkerFleet:
 
     def _launch(self, wid: int, host: str) -> None:
         try:
-            proc = subprocess.Popen(
-                shlex.split(self.command.format(python=sys.executable, host=host)),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
-                env=worker_env(),
-            )
+            if self.command is None:
+                proc = _fork_worker()
+            else:
+                proc = subprocess.Popen(
+                    shlex.split(self.command.format(python=sys.executable, host=host)),
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                    text=True,
+                    bufsize=1,
+                    env=worker_env(),
+                )
         except (OSError, ValueError, LookupError) as exc:
             with self._lock:
                 self.last_error = f"cannot launch a worker for {host!r}: {exc}"
@@ -324,7 +399,7 @@ class WorkerFleet:
         )
         reader.start()
 
-    def _read_loop(self, wid: int, proc: subprocess.Popen) -> None:
+    def _read_loop(self, wid: int, proc: Union[subprocess.Popen, _ForkedWorker]) -> None:
         try:
             with proc.stdout:
                 for line in proc.stdout:

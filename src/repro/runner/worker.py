@@ -1,4 +1,4 @@
-"""The remote-execution worker: ``python -m repro worker``.
+"""The remote-execution worker: ``python -m repro worker``, or a fork.
 
 A worker is a dumb, stateless job servant on the other end of any byte
 pipe. It announces itself with a ``hello`` line, then loops: read one
@@ -6,7 +6,17 @@ pipe. It announces itself with a ``hello`` line, then loops: read one
 stdout. EOF on stdin is the shutdown signal, so the engine tears a
 worker down simply by closing the pipe — no control messages, no
 signal handling, and an ``ssh host python -m repro worker`` behaves
-exactly like a local subprocess.
+exactly like a local one.
+
+A worker starts in one of two ways, and then serves the same loop:
+
+* **exec'd** — ``python -m repro worker`` (:func:`main`), launched from
+  a command template such as ``ssh {host} python -m repro worker``;
+* **forked** — :func:`serve_forked`, the child half of an ``os.fork()``
+  of a process that has already imported the simulator, which is how a
+  fleet with no template starts its local workers: no interpreter boot
+  and no imports, so it greets within milliseconds, where an exec'd
+  worker first boots an interpreter and imports the whole simulator.
 
 Error containment mirrors the engine's contract:
 
@@ -25,9 +35,11 @@ result line, and the job table that sent the job stores those bytes.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 import traceback
-from typing import IO, Optional
+from typing import IO, NoReturn, Optional
 
 from repro.runner.wire import (
     WireError,
@@ -68,6 +80,41 @@ def serve(stdin: IO[str], stdout: IO[str], stderr: Optional[IO[str]] = None) -> 
         if stderr is not None:
             print(f"worker: {spec.label} done in {seconds:.2f}s", file=stderr)
     return 0
+
+
+def serve_forked(stdin_fd: int, stdout_fd: int) -> NoReturn:
+    """The child of an ``os.fork()``: serve on two pipe ends, never return.
+
+    The parent may run other threads, so the child touches none of the
+    state they could hold mid-update. It freezes every inherited object
+    out of the cyclic collector, so collecting the parent's garbage here
+    never runs a finalizer that closes a descriptor number the child has
+    reused. It puts the pipes on fds 0 and 1 and ``/dev/null`` on 2, and
+    closes every other inherited descriptor: a sibling worker holding
+    this one's stdin open would keep it from ever seeing EOF. It serves
+    through fresh stream objects, never the parent's ``sys.stdout``
+    (whose lock another thread may have held at the fork). And it leaves
+    through ``os._exit``, so no ``atexit`` handler or caller frame of
+    the parent runs twice.
+    """
+    code = 1
+    try:
+        import fcntl  # POSIX only, as os.fork is
+
+        gc.freeze()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        # Lift all three above fd 2 first, so no dup2 below overwrites
+        # a source (the parent may have run with a standard fd closed).
+        sources = [fcntl.fcntl(fd, fcntl.F_DUPFD, 3) for fd in (stdin_fd, stdout_fd, devnull)]
+        for target, fd in enumerate(sources):
+            os.dup2(fd, target)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdin = open(0, encoding="utf-8", closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", closefd=False)
+        code = serve(sys.stdin, sys.stdout)
+    finally:
+        os._exit(code)
 
 
 def build_parser() -> argparse.ArgumentParser:

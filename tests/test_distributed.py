@@ -304,7 +304,7 @@ class TestPoolExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Remote executor: real worker subprocesses over the wire
+# Remote executor: real worker processes over the wire
 # ---------------------------------------------------------------------------
 class TestRemoteExecutor:
     def remote_runner(self, **kwargs):

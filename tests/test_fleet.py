@@ -1,9 +1,12 @@
-"""The worker fleet (`repro.runner.fleet`), at three levels.
+"""The worker fleet (`repro.runner.fleet`), at four levels.
 
 * **The core, driven by hand** — ``WorkerFleet.step()`` against
   ``tests/stub_worker.py`` processes that speak the wire protocol and
   simulate nothing: the policy (hello-gated dispatch, backoff, deadlines,
   launch budget, reaping) without a simulator in the loop.
+* **Forked workers** — the default launch, an ``os.fork()`` of the test
+  process: the same result bytes as an exec'd worker and as inline, EOF
+  reaching each child alone, deaths recycled, a failing fork degrading.
 * **One fault matrix, two drivers** — every one-shot fault of
   ``tests/fault_injection.py`` through ``RemoteExecutor`` (the
   synchronous driver) and through ``Coordinator`` (the threaded one):
@@ -14,6 +17,7 @@
 """
 
 import contextlib
+import errno
 import os
 import signal
 import sys
@@ -32,7 +36,10 @@ from repro.runner import (  # noqa: E402
     JobSpec,
     RemoteExecutor,
     WorkerFleet,
+    execute_job,
 )
+from repro.runner import engine as engine_module  # noqa: E402
+from repro.runner.wire import seal  # noqa: E402
 from repro.service import Coordinator  # noqa: E402
 
 STUB = Path(__file__).with_name("stub_worker.py")
@@ -79,8 +86,9 @@ def fleets():
     """Build fleets that are shut down whatever the test does."""
     made = []
 
-    def make(mode="echo", path="", hosts=("a",), command=None, **kwargs):
-        fleet = WorkerFleet(list(hosts), command or stub_command(mode, path), **kwargs)
+    def make(mode="echo", path="", hosts=("a",), **kwargs):
+        kwargs.setdefault("command", stub_command(mode, path))
+        fleet = WorkerFleet(list(hosts), **kwargs)
         made.append(fleet)
         return fleet
 
@@ -245,6 +253,96 @@ class TestFleetCore:
         )
         stats = fleet.stats()
         assert (stats["dispatched"], stats["completed"], stats["backlog"]) == (160, 160, 0)
+
+
+# ---------------------------------------------------------------------------
+# Forked workers (the default launch)
+# ---------------------------------------------------------------------------
+def stall_first_job(monkeypatch, marker):
+    """Make the first job any worker forked after this call takes block
+    until it is killed; every later job runs normally. A forked child
+    inherits the patch, so the stall is deterministic, not a race."""
+    run = engine_module.execute_job
+
+    def stalling(spec):
+        try:
+            marker.open("x").close()
+        except FileExistsError:
+            return run(spec)
+        time.sleep(600)
+
+    monkeypatch.setattr(engine_module, "execute_job", stalling)
+
+
+class TestForkedWorkers:
+    def test_forked_exec_and_inline_seal_the_same_bytes(self, fleets):
+        sealed = {}
+        for how, command in (("fork", None), ("exec", "{python} -u -m repro worker")):
+            fleet = fleets(command=command)
+            fleet.submit(SPEC.key, SPEC)
+            (outcome,) = step_until(fleet, lambda seen: seen, seconds=120.0)
+            assert outcome.ok, outcome.error
+            sealed[how] = outcome.sealed
+        assert sealed["fork"] == sealed["exec"] == seal(execute_job(SPEC)[0])
+
+    def test_each_child_sees_its_own_eof_and_exits_cleanly(self, fleets):
+        # A sibling forked later must not hold the first one's stdin
+        # open, or closing it would never end that worker.
+        fleet = fleets(hosts=("a", "b"), command=None)
+        step_until(fleet, lambda _: all_greeted(fleet))
+        first, second = procs = [w.proc for w in fleet._workers.values()]
+        first.stdin.close()
+        deadline = time.monotonic() + 10.0
+        while process_state(first.pid) != "Z":
+            assert time.monotonic() < deadline, "a closed stdin did not end the worker"
+            time.sleep(0.01)
+        assert process_state(second.pid) not in (None, "Z")
+        fleet.shutdown(grace=10.0)
+        assert [proc.returncode for proc in procs] == [0, 0]  # exited, never killed
+        assert fleet.worker_pids() == []
+        assert [process_state(proc.pid) for proc in procs] == [None, None]
+
+    def test_killed_mid_job_is_recycled_and_the_job_completes(
+        self, fleets, monkeypatch, tmp_path
+    ):
+        marker = tmp_path / "stalled"
+        stall_first_job(monkeypatch, marker)
+        fleet = fleets(command=None, backoff=0.01)
+        fleet.submit(SPEC.key, SPEC)
+        step_until(fleet, lambda _: marker.exists())
+        (victim,) = fleet.worker_pids()
+        os.kill(victim, signal.SIGKILL)
+        (outcome,) = step_until(fleet, lambda seen: seen, seconds=120.0)
+        assert outcome.ok and outcome.sealed == seal(execute_job(SPEC)[0])
+        stats = fleet.stats()
+        assert (stats["worker_deaths"], stats["requeued"], stats["retried"]) == (1, 1, 1)
+        assert victim not in fleet.worker_pids()
+        with pytest.raises(ChildProcessError):  # reaped: no zombie left
+            os.waitpid(victim, os.WNOHANG)
+
+    def test_a_failing_fork_spends_the_launch_budget_and_degrades(
+        self, monkeypatch, inline_fingerprint
+    ):
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        runner = ExperimentRunner(
+            use_cache=False, executor=RemoteExecutor(hosts=["a", "b"], max_attempts=2)
+        )
+        with pytest.warns(RuntimeWarning) as caught:
+            result = runner.run(SPEC)
+        assert any("no worker could be started from a fork" in str(w.message) for w in caught)
+        assert fingerprint_value("baseline", result) == inline_fingerprint
+        fleet = runner.executor.fleet
+        assert len(forks) == 4 and fleet.exhausted  # len(hosts) x max_attempts
+        assert "cannot launch a worker" in fleet.stats()["last_error"]
+        assert runner.stats.pool_fallbacks == 1
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe leaked
 
 
 # ---------------------------------------------------------------------------

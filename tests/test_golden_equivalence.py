@@ -105,7 +105,7 @@ def test_executor_differential_bit_identical(golden, executor: str) -> None:
 
     ``test_statistics_bit_identical`` already pins the in-process
     fingerprints, so matching the *same pinned values* through the
-    pool, the wire loopback, and real worker subprocesses proves
+    pool, the wire loopback, and real (forked) worker processes proves
     4-way inline/pool/loopback/remote equivalence by transitivity —
     "where a job runs" must be semantically invisible, down to the
     last counter, for the distributed runner to be sound.

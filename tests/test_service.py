@@ -1,8 +1,9 @@
 """Service-layer tests: the HTTP coordinator over a real worker fleet.
 
 Every end-to-end scenario runs against an actual ``ThreadingHTTPServer``
-on a loopback socket with genuine ``python -m repro worker``
-subprocesses behind it — no mocked transports. The invariants mirror
+on a loopback socket with genuine worker processes behind it (forks
+of the test process, or exec'd ``python -m repro worker`` shims where
+a test gives a command) — no mocked transports. The invariants mirror
 the distributed suite's: a submission either completes with results
 bit-identical to in-process execution (pinned via the golden
 fingerprint helpers) or surfaces a *simulation* error; no
@@ -37,7 +38,6 @@ from document_helpers import dataclass_nodes, field_slots, node_at, wrong_values
 from repro.config import LinebackerConfig, SimulationConfig, scaled_config  # noqa: E402
 from repro.options import RunOptions  # noqa: E402
 from repro.runner import ExperimentRunner, JobSpec, RemoteJobError  # noqa: E402
-from repro.runner.fleet import DEFAULT_WORKER_COMMAND  # noqa: E402
 from repro.service import (  # noqa: E402
     JOB_SCHEMA_VERSION,
     Coordinator,
@@ -557,7 +557,7 @@ class TestLongPoll:
         off_wire = recorded_result_bytes(monkeypatch)
         server, coordinator, url = start_service(tmp_path, workers=1)
         try:
-            assert coordinator.fleet.command == DEFAULT_WORKER_COMMAND
+            assert coordinator.fleet.command is None  # forked workers
             backend = FlakyBackend(coordinator.cache.backend, fail_on=0)
             coordinator.cache.backend = backend
             client = ServiceClient(url)
