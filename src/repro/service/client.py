@@ -13,6 +13,15 @@ answer raises :class:`ServiceError`, never a raw ``http.client`` error.
 A spec is encoded once: the JSON bytes of the last :data:`BODIES_KEPT`
 submitted specs are kept by key and posted again on a resubmission,
 which the coordinator's document memo then answers without decoding.
+
+A warm round trip is one request: the reply to a job that is done when
+it is submitted carries the result's ``payload`` box, which
+:meth:`ServiceClient.submit` keeps (the last :data:`BODIES_KEPT` of
+them) for :meth:`ServiceClient.result` to unseal without a ``GET``.
+The field is optional both ways — a reply without it, from an older
+service or for a job still in flight, makes ``result`` long-poll as
+before, and a caller that ignores it loses nothing — so neither the job
+schema nor the wire protocol version moves.
 """
 
 from __future__ import annotations
@@ -30,9 +39,19 @@ from repro.runner.spec import JobSpec
 from repro.runner.wire import _unpack, unseal
 from repro.service.schema import JOB_SCHEMA_VERSION, encode_jobspec
 
-#: Encoded job documents a client keeps for resubmission, by spec key
-#: (least recently used first out).
+#: Encoded job documents a client keeps for resubmission, by spec key,
+#: and results its submit replies carried, by job id (least recently
+#: used first out, each).
 BODIES_KEPT = 128
+
+
+def _keep(kept: OrderedDict, key: str, value: Any) -> None:
+    """Keep ``value`` as ``kept``'s most recent entry, at most
+    :data:`BODIES_KEPT` of them (the caller holds the lock)."""
+    kept[key] = value
+    kept.move_to_end(key)
+    while len(kept) > BODIES_KEPT:
+        kept.popitem(last=False)
 
 
 class ServiceError(RuntimeError):
@@ -60,6 +79,9 @@ class ServiceClient:
         self._lock = threading.Lock()
         #: Spec key -> its JSON job document, encoded (:meth:`_body`).
         self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
+        #: Job id -> the ``payload`` box its submit reply carried, until
+        #: :meth:`result` takes it.
+        self._settled: "OrderedDict[str, dict]" = OrderedDict()
 
     # -- plumbing --------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
@@ -150,15 +172,20 @@ class ServiceClient:
                 return body
         body = json.dumps(encode_jobspec(spec)).encode("utf-8")
         with self._lock:
-            self._bodies[key] = body
-            while len(self._bodies) > BODIES_KEPT:
-                self._bodies.popitem(last=False)
+            _keep(self._bodies, key, body)
         return body
 
     def submit(self, spec: JobSpec) -> dict:
-        """POST one spec; returns ``{job_id, status, cached, coalesced}``."""
+        """POST one spec; returns ``{job_id, status, cached, coalesced}``.
+
+        The result a reply carries (the job was done already) is kept
+        for :meth:`result`, not returned."""
         status, doc = self._request("POST", "/v1/jobs", self._body(spec))
         self._raise_for(status, doc)
+        box = doc.pop("payload", None)
+        if box is not None:
+            with self._lock:
+                _keep(self._settled, doc["job_id"], box)
         return doc
 
     def status(self, job_id: str) -> dict:
@@ -171,15 +198,23 @@ class ServiceClient:
     ) -> Any:
         """Block until the job settles; returns the unpickled payload.
 
-        Long-polls (``?wait=``) in slices no longer than half the socket
-        timeout, so the service answers the moment the job settles;
-        ``poll`` is only the sleep between requests to an older service
-        that ignores ``wait`` and answers 202 at once.
+        A result this client's :meth:`submit` reply carried is taken
+        (once) and unsealed without a request. Otherwise — a job in
+        flight or failed at submit, a result the store lost, an older
+        service, a second call — long-polls (``?wait=``) in slices no
+        longer than half the socket timeout, so the service answers the
+        moment the job settles; ``poll`` is only the sleep between
+        requests to an older service that ignores ``wait`` and answers
+        202 at once.
 
         Raises :class:`RemoteJobError` when the *simulation* failed on
         the service (mirroring the remote executor's contract), and
         :class:`TimeoutError` when ``timeout`` elapses first.
         """
+        with self._lock:
+            box = self._settled.pop(job_id, None)
+        if box is not None:
+            return unseal(_unpack(box))
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             wait = self.timeout / 2

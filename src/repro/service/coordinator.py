@@ -27,13 +27,20 @@ the raw body, so a byte-identical one skips ``json.loads``,
 ``decode_jobspec`` and the spec hash (:meth:`Coordinator.submit_document`
 has the exclusions). :class:`~repro.service.client.ServiceClient` posts
 the same bytes for a resubmitted spec, so a warm round trip pays the
-codec on neither side.
+codec on neither side — and it is one request: a job already done when
+its document arrives answers with its result in the submit reply.
 
 ========================================  ================================
 ``POST /v1/jobs``                           submit one schema-versioned
                                             JSON job document; returns
                                             ``{job_id, status, cached,
-                                            coalesced}``
+                                            coalesced}``, plus the
+                                            ``payload`` box ``.../result``
+                                            serves when the job is done
+                                            already (optional: absent for
+                                            a job in flight, failed or
+                                            lost by the store, so neither
+                                            version moves)
 ``GET  /v1/jobs/{id}``                      status/provenance summary
 ``GET  /v1/jobs/{id}/result``               the portable result payload,
                                             pickled + base64 + SHA-256
@@ -134,6 +141,8 @@ class Coordinator:
         self._documents: "OrderedDict[bytes, JobSpec]" = OrderedDict()
         self._decoded = 0
         self._reused = 0
+        #: Submit replies that carried their job's result.
+        self._submit_results = 0
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
@@ -205,6 +214,19 @@ class Coordinator:
                     self._documents.popitem(last=False)
         return submitted
 
+    def settled_result(self, job: Job) -> Optional[bytes]:
+        """The sealed result of a job that is done when it is submitted,
+        for the submit reply; ``None`` for one in flight or failed, and
+        for one evicted and lost by the store, which is then running
+        again (:meth:`ExperimentRunner.fetch_sealed`)."""
+        if job.status != "done":
+            return None
+        sealed = self.runner.fetch_sealed(job.id)
+        if sealed is not None:
+            with self._lock:
+                self._submit_results += 1
+        return sealed
+
     def job(self, job_id: str) -> Optional[Job]:
         return self.runner.job(job_id)
 
@@ -217,10 +239,12 @@ class Coordinator:
         with self._lock:
             documents = {"decoded": self._decoded, "reused": self._reused,
                          "kept": len(self._documents)}
+            submit_results = self._submit_results
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             **self.runner.table_stats(),
             "documents": documents,
+            "submit_results": submit_results,
             "cache_dir": str(self.cache.root) if self.cache else None,
             "fleet": self.fleet.stats(),
         }
@@ -315,16 +339,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except SchemaError as exc:
             self._error(400, str(exc))
             return
-        self._send_json(
-            {
-                "job_id": job.id,
-                "status": job.status,
-                "coalesced": coalesced,
-                "cached": cached,
-                "schema": JOB_SCHEMA_VERSION,
-            },
-            status=200 if coalesced or cached else 201,
-        )
+        sealed = self.coordinator.settled_result(job)
+        reply = {
+            "job_id": job.id,
+            "status": job.status,
+            "coalesced": coalesced,
+            "cached": cached,
+            "schema": JOB_SCHEMA_VERSION,
+        }
+        if sealed is not None:
+            # What ``GET .../result`` would serve: the warm round trip
+            # needs no second request.
+            reply["payload"] = _pack(sealed)
+        self._send_json(reply, status=200 if coalesced or cached else 201)
 
     def do_GET(self) -> None:  # noqa: N802
         parsed = urlparse(self.path)

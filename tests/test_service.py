@@ -768,8 +768,10 @@ class TestResidency:
                 "linebacker", inline
             )
             # Evict it once more; the timeseries view decodes on demand.
+            # (A client that kept no submit reply, so each is a GET.)
+            reader = ServiceClient(url)
             for i in range(4):
-                client.result(make_spec(
+                reader.result(make_spec(
                     "S2", "baseline", scale=TINY + 0.001 * (i + 1)).key, timeout=30)
             assert client.timeseries(job_id)["rows"]
             assert backend.calls["read"] == 6
@@ -1098,6 +1100,187 @@ class TestDocumentMemo:
         monkeypatch.setattr(client_module, "BODIES_KEPT", 1)
         client.submit(make_spec("KM"))
         assert list(client._bodies) == [make_spec("KM").key]
+
+
+# ---------------------------------------------------------------------------
+# A job done when it is submitted answers with its result in the reply
+# ---------------------------------------------------------------------------
+class TestResultInSubmitReply:
+    def test_a_warm_resubmission_makes_no_result_request(self, tmp_path):
+        handler = counting_handler()
+        server, coordinator, url = start_service(tmp_path, handler=handler, workers=1)
+        try:
+            with Session.connect(url, config=CFG, scale=TINY) as s:
+                s.run("S2", "linebacker").result(timeout=120)
+                assert handler.result_requests == 1  # cold: one long-poll
+                handle = s.run("S2", "linebacker")
+                warm = handle.result(timeout=120)
+            assert handler.result_requests == 1
+            assert coordinator.stats()["submit_results"] == 1
+            served = ServiceClient(url).result(handle.job_id, timeout=30)
+            assert handler.result_requests == 2
+            inline, _ = engine_module.execute_job(handle.spec)
+            pinned = fingerprint_value("linebacker", inline)
+            assert fingerprint_value("linebacker", warm) == pinned
+            assert fingerprint_value("linebacker", served) == pinned
+        finally:
+            stop_service(server, coordinator)
+
+    def test_cold_and_in_flight_replies_carry_no_result(self, tmp_path):
+        handler = counting_handler()
+        server, coordinator, url = start_service(
+            tmp_path / "cache", handler=handler, workers=1,
+            worker_command=slow_worker_command(tmp_path, 0.4),
+        )
+        try:
+            spec = make_spec("S2", "baseline")
+            cold = post(url, body_of(spec))
+            in_flight = post(url, body_of(spec))
+            assert cold[0] == 201 and in_flight[0] == 200
+            assert in_flight[1]["coalesced"] is True
+            assert "payload" not in cold[1] and "payload" not in in_flight[1]
+            client = ServiceClient(url)
+            assert client.submit(spec)["status"] == "running"
+            assert client.result(spec.key, timeout=120).instructions > 0
+            assert handler.result_requests == 1
+            assert coordinator.stats()["submit_results"] == 0
+        finally:
+            stop_service(server, coordinator)
+
+    def test_a_failed_job_resubmitted_still_raises(self, tmp_path):
+        handler = counting_handler()
+        server, coordinator, url = start_service(tmp_path, handler=handler, workers=1)
+        try:
+            spec = make_spec("LI", "baseline", config=unsimulatable(CFG))
+            client = ServiceClient(url)
+            with pytest.raises(RemoteJobError):
+                client.result(client.submit(spec)["job_id"], timeout=120)
+            status, doc = post(url, body_of(spec))
+            assert status == 200 and doc["status"] == "failed"
+            assert "payload" not in doc
+            client.submit(spec)
+            with pytest.raises(RemoteJobError):
+                client.result(spec.key, timeout=30)
+            assert handler.result_requests == 2
+            assert coordinator.stats()["submit_results"] == 0
+        finally:
+            stop_service(server, coordinator)
+
+    def test_a_result_the_store_lost_is_simulated_again(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_module, "RESIDENT_RESULTS", 1)
+        server, coordinator, url = start_service(tmp_path, workers=1)
+        try:
+            client = ServiceClient(url)
+            specs = [make_spec("LI", "baseline"), make_spec("S2", "baseline")]
+            first = [client.result(client.submit(s)["job_id"], timeout=120) for s in specs]
+            until(lambda: coordinator.cache.info().entries == 2)
+            assert coordinator.cache.clear() == 2
+            # LI is done, evicted, and gone from the store: no result to
+            # carry, and the reply has started it again.
+            status, doc = post(url, body_of(specs[0]))
+            assert status == 200 and "payload" not in doc
+            again = client.result(specs[0].key, timeout=120)
+            assert fingerprint_value("baseline", again) == fingerprint_value(
+                "baseline", first[0]
+            )
+            assert coordinator.fleet.stats()["dispatched"] == 3
+            assert coordinator.stats()["submit_results"] == 0
+        finally:
+            stop_service(server, coordinator)
+
+    def test_a_reply_without_the_result_is_read_either_way(self, tmp_path):
+        handler = counting_handler()
+
+        class Old(handler):
+            """A service that predates results in submit replies."""
+
+            def _send_json(self, doc, status=200):
+                if self.command == "POST":
+                    doc.pop("payload", None)
+                super()._send_json(doc, status)
+
+        server, coordinator, url = start_service(tmp_path, handler=Old, workers=1)
+        try:
+            spec = make_spec("KM", "baseline")
+            client = ServiceClient(url)
+            first = client.result(client.submit(spec)["job_id"], timeout=120)
+            client.submit(spec)
+            again = client.result(spec.key, timeout=30)
+            assert handler.result_requests == 2 and not client._settled
+            assert fingerprint_value("baseline", again) == fingerprint_value(
+                "baseline", first
+            )
+            # This service does carry it; a caller that ignores the field
+            # reads the reply it always did and GETs the same box.
+            server.RequestHandlerClass = handler
+            status, doc = post(url, body_of(spec))
+            assert status == 200 and doc["status"] == "done"
+            assert {"job_id", "status", "coalesced", "cached", "schema"} < set(doc)
+            got, served, _ = raw_request(url, "GET", f"/v1/jobs/{spec.key}/result")
+            assert got == 200 and served["payload"] == doc["payload"]
+        finally:
+            stop_service(server, coordinator)
+
+    def test_threads_sharing_a_client_lose_no_result(self, tmp_path):
+        """More threads than cores on one client, switching often: every
+        reply carries its result, each is taken at most once, and a
+        thread whose box another took GETs instead."""
+        handler = counting_handler()
+        server, coordinator, url = start_service(tmp_path, handler=handler, workers=1)
+        specs = [make_spec(app) for app in ("S2", "LI", "KM")]
+        threads, rounds = 8, 20
+        interval = sys.getswitchinterval()
+        try:
+            client = ServiceClient(url)
+            expected = {
+                spec.key: client.result(client.submit(spec)["job_id"], timeout=120).instructions
+                for spec in specs
+            }
+            before = handler.result_requests
+            errors = []
+
+            def worker(slot):
+                try:
+                    for i in range(rounds):
+                        spec = specs[(slot + i) % len(specs)]
+                        client.submit(spec)
+                        result = client.result(spec.key, timeout=30)
+                        assert result.instructions == expected[spec.key]
+                except Exception as exc:
+                    errors.append(exc)
+
+            sys.setswitchinterval(1e-6)
+            pool = [threading.Thread(target=worker, args=(slot,)) for slot in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in pool)
+            assert errors == []
+            assert coordinator.stats()["submit_results"] == threads * rounds
+            assert handler.result_requests - before < threads * rounds
+            assert not client._settled
+        finally:
+            sys.setswitchinterval(interval)
+            stop_service(server, coordinator)
+
+    def test_results_nobody_asks_for_are_kept_bounded(self, tmp_path, monkeypatch):
+        from repro.service import client as client_module
+
+        server, coordinator, url = start_service(tmp_path, workers=1)
+        try:
+            specs = [make_spec(app) for app in ("S2", "LI", "KM")]
+            warm_up = ServiceClient(url)
+            for spec in specs:
+                warm_up.result(warm_up.submit(spec)["job_id"], timeout=120)
+            monkeypatch.setattr(client_module, "BODIES_KEPT", 2)
+            client = ServiceClient(url)
+            for spec in specs:
+                client.submit(spec)
+            assert list(client._settled) == [specs[1].key, specs[2].key]
+            assert coordinator.stats()["submit_results"] == 3
+        finally:
+            stop_service(server, coordinator)
 
 
 def malformed_dsl_spec():
