@@ -129,14 +129,16 @@ class GPUConfig:
 
     def check(self) -> "GPUConfig":
         """``self``, or a ``ValueError`` naming the field of a machine no
-        job runs on: no SM, an unknown DRAM model, an L2/DRAM no request
-        could be served by."""
-        if self.num_sms < 1:
-            raise ValueError(f"GPUConfig.num_sms must be at least 1, got {self.num_sms!r}")
+        job runs on: no SM, scheduler or register bank, a stopped clock,
+        an unknown DRAM model, an L2/DRAM no request could be served by."""
+        for name in ("num_sms", "num_schedulers", "register_banks"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"GPUConfig.{name} must be at least 1, got {value!r}")
         if self.dram_model not in DRAM_MODELS:
             raise ValueError(f"GPUConfig.dram_model must be one of {DRAM_MODELS}, "
                              f"got {self.dram_model!r}")
-        for name in ("l2_lines_per_cycle", "dram_bandwidth_gbps"):
+        for name in ("clock_mhz", "l2_lines_per_cycle", "dram_bandwidth_gbps"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"GPUConfig.{name} must be positive, got {value!r}")
@@ -181,6 +183,14 @@ class LinebackerConfig:
     @property
     def lines_per_partition(self) -> int:
         return self.vp_granularity_bytes // LINE_SIZE
+
+    def check(self) -> "LinebackerConfig":
+        """``self``, or a ``ValueError`` naming the field no job runs
+        with: a monitoring window of no cycles never ends."""
+        if self.window_cycles < 1:
+            raise ValueError("LinebackerConfig.window_cycles must be at least 1, "
+                             f"got {self.window_cycles!r}")
+        return self
 
     def with_ways(self, ways: int) -> "LinebackerConfig":
         """Return a copy with a different VTT partition associativity.

@@ -1,8 +1,8 @@
 """Lock-discipline race detector for the service stack.
 
 PR 6 made the reproduction a long-lived multithreaded service: HTTP
-handler threads, a dedicated fleet-dispatcher thread, per-worker pipe
-reader threads and degrade-tier fallback threads all share the
+handler threads, a dedicated fleet-dispatcher thread (which also runs
+the degrade tier) and per-worker pipe reader threads all share the
 coordinator's job table and the fleet's book-keeping. The only
 synchronization primitive is ``self._lock`` — so the whole correctness
 story is *lock discipline*, which no unit test can watch continuously.

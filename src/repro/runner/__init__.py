@@ -3,8 +3,8 @@
 The runner expresses every simulation as a picklable, content-hashed
 :class:`JobSpec` and resolves it through one job table,
 :class:`ExperimentRunner`: memo, then the on-disk cache
-(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, behind a
-:class:`CacheBackend`), then a pluggable
+(one SQLite file under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``),
+then a pluggable
 :class:`~repro.runner.executors.Executor` (in-process, process pool,
 wire-protocol loopback, or worker processes — forks of this one, or
 exec'd on other hosts), then in-process degradation. The service's coordinator is the
@@ -15,9 +15,7 @@ name a simulation.
 
 from repro.runner.cache import (
     CACHE_SCHEMA_VERSION,
-    CacheBackend,
     CacheInfo,
-    DirectoryBackend,
     MISS,
     ResultCache,
     cache_salt,
@@ -65,9 +63,7 @@ __all__ = [
     "ARCHITECTURES",
     "ArchSpec",
     "CACHE_SCHEMA_VERSION",
-    "CacheBackend",
     "CacheInfo",
-    "DirectoryBackend",
     "EXECUTOR_NAMES",
     "Executor",
     "ExecutorUnavailable",

@@ -1,15 +1,16 @@
-"""Persistent result cache: sealed entries over pluggable backends.
+"""Persistent result cache: sealed entries in one SQLite table.
 
-:class:`ResultCache` owns the *semantics* — key derivation
-(``stable_hash(salt, spec.key)``), the entry (a result's sealed bytes,
-:func:`repro.runner.wire.seal`) and the corruption contract (an entry
-that fails the digest-and-unpickle check is a miss, discarded, never
-served). *Storage* is a :class:`CacheBackend`: :class:`DirectoryBackend`
-keeps one ``<key>.pkl`` file per entry under ``$REPRO_CACHE_DIR``
-(default ``~/.cache/repro``), written atomically, first writer wins, so
-several processes may share it (two CLI runs, a service and a CLI run).
-Within a process the job table (:mod:`repro.runner.engine`) is the one
-writer; workers never touch the store.
+:class:`ResultCache` keeps every entry in ``<cache_dir>/results.sqlite``
+(``$REPRO_CACHE_DIR``, default ``~/.cache/repro``), one row of table
+``results(key, sealed)`` per result: the key is
+``stable_hash(salt, spec.key)`` and the entry is the result's sealed
+bytes (:func:`repro.runner.wire.seal`). A row that fails the
+digest-and-unpickle check is a miss, deleted, never served. The first
+writer of a key wins, and SQLite's own locking lets several processes
+share one store (two CLI runs, a service and a CLI run). Within a
+process the job table (:mod:`repro.runner.engine`) is the one writer;
+workers never touch the store. Entries of the older one-file-per-result
+layout (``??/*.pkl``) are not read; they may be deleted by hand.
 
 The key is salted with a cache schema version, the package version and
 a digest of the installed sources, so
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
-from contextlib import contextmanager
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any
 
 import repro
 from repro.config import stable_hash
@@ -45,8 +46,14 @@ from repro.runner.wire import WireError, seal, unseal
 #: derives from ``JobSpec.key`` instead of re-hashing the whole spec.
 #: v5: an entry is the sealed bytes of the payload alone, with no
 #: ``{"schema", "key", "payload"}`` envelope (the salt carries the
-#: version, the path the key).
+#: version, the row the key).
 CACHE_SCHEMA_VERSION = 5
+
+#: The store's one file under the cache directory.
+STORE_FILE = "results.sqlite"
+
+#: Seconds a statement waits on another process's write before failing.
+BUSY_TIMEOUT_S = 30.0
 
 #: Sentinel distinguishing "entry absent" from a cached ``None``.
 MISS = object()
@@ -94,98 +101,37 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
-# ---------------------------------------------------------------------------
-# Backends
-# ---------------------------------------------------------------------------
-class CacheBackend:
-    """Raw entry-byte storage contract behind :class:`ResultCache`.
+def _open_store(root: Path):
+    """A connection to ``root``'s store file, created if need be.
 
-    A backend maps keys to opaque byte blobs. It must guarantee that
-    :meth:`read` never observes a torn write (it may return garbage if
-    the *medium* corrupts data — the front-end's digest check covers
-    that) and that :meth:`write`/:meth:`discard` failures surface as
-    exceptions rather than silent data loss.
-    """
+    WAL lets readers run beside a writer; ``synchronous=NORMAL`` skips
+    the fsync on each commit (a power loss may lose the last entries,
+    which only costs their re-simulation). ``sqlite3`` is imported here,
+    so a process that never opens a store does not load it."""
+    import sqlite3
 
-    root: Path
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def read(self, key: str) -> "bytes | None":
-        """The stored bytes for ``key``, or ``None`` when absent."""
-        raise NotImplementedError
-
-    def write(self, key: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def discard(self, key: str) -> None:
-        """Best-effort removal; never raises for a missing entry."""
-        try:
-            self.path_for(key).unlink()
-        except OSError:
-            pass
-
-    def entry_paths(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return
-        yield from self.root.glob("??/*.pkl")
-
-
-class DirectoryBackend(CacheBackend):
-    """One file per entry; concurrent writers, first writer wins.
-
-    Writers take an exclusive ``flock`` on ``<root>/.lock``, then
-    re-check existence *under the lock* (read-through): if another
-    writer already landed the key, this write is skipped — the entry
-    file is only ever created, never replaced. One lock file for the
-    directory, not one per key or fan-out directory: creating a lock
-    inode beside a new entry costs as much again as writing the entry,
-    and a write holds the lock for well under a millisecond. Readers
-    stay lock-free; atomic replace guarantees they see a complete entry
-    or none.
-    """
-
-    def __init__(self, root: "Path | str | None" = None) -> None:
-        self.root = Path(root).expanduser() if root else default_cache_dir()
-
-    def read(self, key: str) -> "bytes | None":
-        try:
-            return self.path_for(key).read_bytes()
-        except FileNotFoundError:
-            return None
-
-    @contextmanager
-    def _locked(self):
-        try:
-            import fcntl
-        except ImportError:  # non-POSIX: degrade to lockless atomic replace
-            yield
-            return
-        with open(self.root / ".lock", "a+b") as lock_fh:
-            fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX)
+    root.mkdir(parents=True, exist_ok=True)
+    db = sqlite3.connect(root / STORE_FILE, timeout=BUSY_TIMEOUT_S,
+                         isolation_level=None, check_same_thread=False)
+    try:
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        while True:
             try:
-                yield
-            finally:
-                fcntl.flock(lock_fh.fileno(), fcntl.LOCK_UN)
-
-    def write(self, key: str, data: bytes) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with self._locked():
-            if path.exists():
-                return  # first writer won; identical payload by determinism
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            except Exception:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                db.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                # Two processes switching a fresh file to WAL at once:
+                # the loser is refused at once, without the busy wait.
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.005)
+        db.execute("PRAGMA synchronous=NORMAL")
+        db.execute("CREATE TABLE IF NOT EXISTS results "
+                   "(key TEXT PRIMARY KEY, sealed BLOB NOT NULL)")
+    except BaseException:
+        db.close()
+        raise
+    return db
 
 
 @dataclass
@@ -198,44 +144,52 @@ class CacheInfo:
 class ResultCache:
     """Content-addressed store of sealed portable simulation results:
     :meth:`read` hands back the sealed bytes beside the payload, and the
-    job table writes the sealed bytes it holds through ``backend``."""
+    job table :meth:`write`\\ s the sealed bytes it holds.
 
-    def __init__(
-        self,
-        root: "Path | str | None" = None,
-        backend: Optional[CacheBackend] = None,
-    ) -> None:
-        if backend is not None and root is not None:
-            raise ValueError("pass either root or backend, not both")
-        self.backend = backend if backend is not None else DirectoryBackend(root)
-        self.root = self.backend.root
+    One connection, opened on first use, serves every thread; this
+    cache's lock serializes its statements (the coordinator's handler
+    threads read while its dispatcher writes)."""
+
+    def __init__(self, root: "Path | str | None" = None) -> None:
+        self.root = Path(root).expanduser() if root else default_cache_dir()
         self._salt = cache_salt()
+        self._lock = threading.Lock()
+        self._db = None
 
     def key_for(self, spec) -> str:
         return stable_hash(self._salt, spec.key)
 
-    def path_for(self, key: str) -> Path:
-        return self.backend.path_for(key)
+    def _query(self, sql: str, args: tuple = ()) -> list:
+        """The rows of one statement, run on the store under the lock."""
+        with self._lock:
+            if self._db is None:
+                self._db = _open_store(self.root)
+            return self._db.execute(sql, args).fetchall()
 
     # -- lookup ----------------------------------------------------------
     def read(self, key: str) -> Any:
         """``(payload, sealed bytes)`` for ``key``, or :data:`MISS`.
 
-        Any failure mode — missing file, truncated or bit-flipped entry,
-        an entry of an older format, classes that no longer unpickle —
-        degrades to a miss; an entry that fails the digest-and-unpickle
-        check is deleted so it is rewritten cleanly.
+        Any failure mode — no row, a store that cannot be opened or
+        queried, a truncated or bit-flipped entry, an entry of an older
+        format, classes that no longer unpickle — degrades to a miss; a
+        row that fails the digest-and-unpickle check is deleted so it is
+        rewritten cleanly.
         """
         try:
-            sealed = self.backend.read(key)
+            rows = self._query("SELECT sealed FROM results WHERE key = ?", (key,))
         except Exception:
             return MISS
-        if sealed is None:
+        if not rows:
             return MISS
+        sealed = rows[0][0]
         try:
             return unseal(sealed), sealed
         except WireError:
-            self.backend.discard(key)
+            try:
+                self._query("DELETE FROM results WHERE key = ? AND sealed = ?", (key, sealed))
+            except Exception:
+                pass  # still never served: the check runs on every read
             return MISS
 
     def get(self, key: str) -> Any:
@@ -243,28 +197,28 @@ class ResultCache:
         entry = self.read(key)
         return entry if entry is MISS else entry[0]
 
+    def write(self, key: str, sealed: bytes) -> None:
+        """Store ``sealed`` under ``key`` unless a row is there already:
+        the first writer wins (payloads are deterministic). Raises when
+        the store cannot be opened or written."""
+        self._query("INSERT OR IGNORE INTO results VALUES (?, ?)", (key, sealed))
+
     def put(self, key: str, payload: Any) -> None:
-        self.backend.write(key, seal(payload))
+        self.write(key, seal(payload))
 
     # -- maintenance -----------------------------------------------------
     def info(self) -> CacheInfo:
-        entries = 0
-        total = 0
-        for path in self.backend.entry_paths():
-            entries += 1
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
+        ((entries, total),) = self._query(
+            "SELECT COUNT(*), COALESCE(SUM(LENGTH(sealed)), 0) FROM results")
         return CacheInfo(root=self.root, entries=entries, total_bytes=total)
 
     def clear(self) -> int:
         """Delete every cache entry; returns how many were removed."""
-        removed = 0
-        for path in list(self.backend.entry_paths()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return len(self._query("DELETE FROM results RETURNING 1"))
+
+    def close(self) -> None:
+        """Close the store's connection; the next statement reopens it."""
+        with self._lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None

@@ -439,7 +439,7 @@ class ExperimentRunner:
             self._settled.notify_all()
         if entry is not None and self.cache is not None:
             try:
-                self.cache.backend.write(self.cache.key_for(job.spec), self._sealed(entry))
+                self.cache.write(self.cache.key_for(job.spec), self._sealed(entry))
             except Exception as exc:  # a write failure only costs a re-simulation
                 warnings.warn(f"result cache write failed: {exc}", RuntimeWarning)
 
@@ -626,8 +626,11 @@ class ExperimentRunner:
         return report
 
     def close(self) -> None:
-        """Release every waiter and shut the executor down; idempotent."""
+        """Release every waiter, shut the executor down and close the
+        store's connection (a later read reopens it); idempotent."""
         with self._lock:
             self.closed = True
             self._settled.notify_all()
         self._shutdown()
+        if self.cache is not None:
+            self.cache.close()

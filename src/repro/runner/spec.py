@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Mapping, Optional
 
-from repro.config import SimulationConfig, stable_hash
+from repro.config import LinebackerConfig, SimulationConfig, stable_hash
 from repro.gpu.trace import KernelTrace
 from repro.options import RunOptions
 from repro.runner.registry import resolve
@@ -72,8 +72,10 @@ class JobSpec:
         carries no document (its key is its name's), and a registered
         workload is attached so the job stays self-contained across
         process boundaries. An unknown name, a built-in name with a
-        document, a scale that is not a finite number > 0 or a machine
-        :meth:`~repro.config.GPUConfig.check` refuses raises
+        document, a scale that is not a finite number > 0, or a machine
+        or Linebacker setting :meth:`~repro.config.GPUConfig.check` or
+        :meth:`~repro.config.LinebackerConfig.check` refuses (the
+        config's own, or an ``lb_config`` parameter) raises
         ``ValueError``.
 
         Every submission surface (``Session``, ``ExperimentContext``,
@@ -93,6 +95,9 @@ class JobSpec:
         params = tuple(sorted(merged.items()))
         validate_scale(scale)
         config.gpu.check()
+        for lb_config in (config.linebacker, merged.get("lb_config")):
+            if isinstance(lb_config, LinebackerConfig):
+                lb_config.check()
         if app in APP_SPECS:
             if workload is not None:
                 raise ValueError(

@@ -99,13 +99,14 @@ def serve_forked(stdin_fd: int, stdout_fd: int) -> NoReturn:
     """
     code = 1
     try:
-        import fcntl  # POSIX only, as os.fork is
-
         gc.freeze()
+        # Lift all three sources above fd 2 first, so no dup2 below
+        # overwrites one: the parent may have run with a standard fd
+        # closed, so fill any free one of 0-2 before taking copies.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        # Lift all three above fd 2 first, so no dup2 below overwrites
-        # a source (the parent may have run with a standard fd closed).
-        sources = [fcntl.fcntl(fd, fcntl.F_DUPFD, 3) for fd in (stdin_fd, stdout_fd, devnull)]
+        while devnull < 3:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+        sources = [os.dup(stdin_fd), os.dup(stdout_fd), devnull]
         for target, fd in enumerate(sources):
             os.dup2(fd, target)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))

@@ -4,10 +4,11 @@ Two halves, both reusable by future PRs:
 
 **In-process fault wrappers** (import them):
 
-* :class:`FlakyBackend` — a :class:`~repro.runner.cache.CacheBackend`
-  decorator that raises on the Nth read/write call, for proving cache
-  failures degrade to re-simulation instead of crashing or serving a
-  wrong payload.
+* :class:`FlakyCache` — a :class:`~repro.runner.cache.ResultCache`
+  whose Nth store read/write raises, for proving cache failures
+  degrade to re-simulation instead of crashing or serving a wrong
+  payload; :func:`overwrite_entry` / :func:`stored_entry` damage and
+  inspect a store row from outside the cache, as another process would.
 * :func:`corrupt_once` / :func:`corrupt_always` — wire-line mutators
   for :class:`~repro.runner.executors.LoopbackExecutor`'s
   ``mutate_job`` / ``mutate_result`` hooks. ``truncate`` chops the
@@ -45,12 +46,14 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import sys
 import time
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
-from repro.runner.cache import CacheBackend
+from repro.runner.cache import STORE_FILE, ResultCache
 
 FAULT_MODES = ("die", "hang", "garbage", "banner", "exit", "proto")
 
@@ -65,51 +68,58 @@ def unsimulatable(config):
 # ---------------------------------------------------------------------------
 # Cache-layer fault wrappers
 # ---------------------------------------------------------------------------
-class FlakyBackend(CacheBackend):
-    """Delegate to ``inner``, failing the Nth call of a chosen method.
+class FlakyCache(ResultCache):
+    """A store over ``root`` whose Nth read or write statement fails.
 
-    ``fail_on`` is 1-based: ``FlakyBackend(inner, fail_on=1)`` fails the
+    ``fail_on`` is 1-based: ``FlakyCache(root, fail_on=1)`` fails the
     first write and succeeds afterwards; ``fail_on=0`` never fails.
-    ``writes`` records the ``(key, data)`` of every write call.
+    Every ``SELECT`` counts as a read and every ``INSERT`` as a write;
+    ``writes`` records the ``(key, sealed)`` of every write call.
     """
 
     def __init__(
         self,
-        inner: CacheBackend,
+        root,
         fail_on: int = 1,
         method: str = "write",
         exc: Exception = None,
     ) -> None:
-        self.inner = inner
-        self.root = inner.root
+        super().__init__(root)
         self.fail_on = fail_on
         self.method = method
         self.exc = exc if exc is not None else OSError("injected cache fault")
         self.calls = {"read": 0, "write": 0}
         self.writes = []
 
-    def _maybe_fail(self, method: str) -> None:
-        self.calls[method] += 1
-        if method == self.method and self.calls[method] == self.fail_on:
-            raise self.exc
+    def write(self, key: str, sealed: bytes) -> None:
+        self.writes.append((key, sealed))
+        super().write(key, sealed)
 
-    def path_for(self, key: str) -> Path:
-        return self.inner.path_for(key)
+    def _query(self, sql: str, args: tuple = ()) -> list:
+        method = {"SELECT": "read", "INSERT": "write"}.get(sql.split(None, 1)[0])
+        if method is not None:
+            self.calls[method] += 1
+            if method == self.method and self.calls[method] == self.fail_on:
+                raise self.exc
+        return super()._query(sql, args)
 
-    def read(self, key: str):
-        self._maybe_fail("read")
-        return self.inner.read(key)
 
-    def write(self, key: str, data: bytes) -> None:
-        self.writes.append((key, data))
-        self._maybe_fail("write")
-        self.inner.write(key, data)
+def _store(cache: ResultCache):
+    cache.info()  # the store file and its table exist from here on
+    return closing(sqlite3.connect(cache.root / STORE_FILE))
 
-    def discard(self, key: str) -> None:
-        self.inner.discard(key)
 
-    def entry_paths(self):
-        return self.inner.entry_paths()
+def overwrite_entry(cache: ResultCache, key: str, data: bytes) -> None:
+    """Make ``data`` ``key``'s row in ``cache``'s store, replacing any."""
+    with _store(cache) as db, db:
+        db.execute("INSERT OR REPLACE INTO results VALUES (?, ?)", (key, data))
+
+
+def stored_entry(cache: ResultCache, key: str) -> "bytes | None":
+    """``key``'s raw row in ``cache``'s store, or ``None``."""
+    with _store(cache) as db:
+        row = db.execute("SELECT sealed FROM results WHERE key = ?", (key,)).fetchone()
+    return None if row is None else row[0]
 
 
 # ---------------------------------------------------------------------------

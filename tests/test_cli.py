@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import FIGURES, build_parser, main
-from repro.runner import ARCHITECTURES
+from repro.runner import ARCHITECTURES, ResultCache
 
 
 class TestCLI:
@@ -31,6 +31,16 @@ class TestCLI:
         assert rows["best_swl_cache_ext"] == ["SimulationResult", "cta_limit"]
         assert rows["linebacker"] == ["SimulationResult", "lb_config"]
         assert rows["ccws"] == ["SimulationResult", "-"]
+
+    def test_cache_info_and_clear_count_rows(self, tmp_path, capsys):
+        cache = ResultCache(tmp_path)
+        for i in range(3):
+            cache.put(f"{i:02d}" * 16, i)
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        assert re.search(r"^entries +3$", capsys.readouterr().out, re.M)
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("removed 3 cache entries")
+        assert cache.info().entries == 0
 
     def test_no_subcommand_takes_a_backend_flag(self, capsys):
         for command in ("run", "trace", "submit", "fuzz"):

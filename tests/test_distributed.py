@@ -1,7 +1,7 @@
 """Distributed-execution tests: the wire protocol, the four executors,
-fault injection (dead/hung/corrupting workers, flaky cache backends),
-the cache backend under concurrent writers, and cross-process key
-stability.
+fault injection (dead/hung/corrupting workers, flaky cache stores),
+the store under concurrent writers (threads and processes), and
+cross-process key stability.
 
 Every scenario here must end in one of exactly two states: the sweep
 completes with results bit-identical to in-process execution, or a
@@ -23,15 +23,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from fault_injection import (  # noqa: E402
-    FlakyBackend,
+    FlakyCache,
     corrupt_always,
     corrupt_once,
     flaky_worker_command,
+    overwrite_entry,
+    stored_entry,
 )
 from repro.config import scaled_config  # noqa: E402
 from repro.runner import (  # noqa: E402
     CACHE_SCHEMA_VERSION,
-    DirectoryBackend,
     ExperimentRunner,
     JobSpec,
     LoopbackExecutor,
@@ -41,6 +42,7 @@ from repro.runner import (  # noqa: E402
     RunnerStats,
     WireError,
 )
+from repro.runner.cache import STORE_FILE  # noqa: E402
 from repro.runner.fleet import worker_env  # noqa: E402
 from repro.runner.wire import (  # noqa: E402
     PROTOCOL_VERSION,
@@ -386,11 +388,27 @@ class TestRemoteExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Cache backends under fault injection
+# The one store file, shared and under fault injection
 # ---------------------------------------------------------------------------
-class TestSharedCacheBackend:
+#: Run by each process of the two-process race: wait for ``go``, then
+#: put one shared key and ``DISTINCT`` keys of its own.
+RACE_WRITER = """
+import os, sys, time
+from repro.runner import ResultCache
+root, tag, go = sys.argv[1:]
+cache = ResultCache(root)
+print("ready", flush=True)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(20):
+    cache.put("ef" * 16, {"writer": tag, "blob": "x" * 4096})
+    cache.put(f"{tag}{i:02d}" * 8, {"writer": tag, "i": i})
+"""
+
+
+class TestSharedStore:
     def shared_cache(self, tmp_path) -> ResultCache:
-        return ResultCache(backend=DirectoryBackend(tmp_path / "cache"))
+        return ResultCache(tmp_path / "cache")
 
     def test_round_trip(self, tmp_path):
         cache = self.shared_cache(tmp_path)
@@ -398,12 +416,15 @@ class TestSharedCacheBackend:
         assert cache.get("ab" * 16) == {"payload": 1}
 
     def test_first_writer_wins(self, tmp_path):
-        """Read-through under the lock: a key that already landed is
-        never rewritten (deterministic payloads make this sound)."""
+        """A key that already landed is never rewritten, from this cache
+        or another on the same file (deterministic payloads make this
+        sound)."""
         cache = self.shared_cache(tmp_path)
         cache.put("cd" * 16, "first")
         cache.put("cd" * 16, "second")
+        self.shared_cache(tmp_path).put("cd" * 16, "third")
         assert cache.get("cd" * 16) == "first"
+        assert cache.info().entries == 1
 
     def test_concurrent_writers_race_one_key(self, tmp_path):
         cache = self.shared_cache(tmp_path)
@@ -415,9 +436,8 @@ class TestSharedCacheBackend:
             try:
                 barrier.wait(timeout=5)
                 for _ in range(20):
-                    ResultCache(
-                        backend=DirectoryBackend(tmp_path / "cache")
-                    ).put(key, {"writer": tag, "blob": "x" * 4096})
+                    ResultCache(tmp_path / "cache").put(
+                        key, {"writer": tag, "blob": "x" * 4096})
             except Exception as exc:  # noqa: BLE001 - surface in main thread
                 errors.append(exc)
 
@@ -432,26 +452,91 @@ class TestSharedCacheBackend:
         value = cache.get(key)
         assert value is not MISS
         assert value["writer"] in ("a", "b")  # a complete entry, never torn
+        assert cache.info().entries == 1
 
-    def test_truncated_entry_degrades_to_miss(self, tmp_path):
+    def test_threads_share_one_connection(self, tmp_path):
+        """More threads than cores put and get through one cache (one
+        connection, one lock) at a 1 µs switch interval: every put lands
+        whole and reads back."""
         cache = self.shared_cache(tmp_path)
-        key = "12" * 16
-        cache.put(key, {"x": 1})
-        path = cache.path_for(key)
-        path.write_bytes(path.read_bytes()[:10])
-        assert cache.get(key) is MISS
-        assert not path.exists()  # discarded, will be rewritten cleanly
+        errors = []
 
-    def test_stale_schema_version_is_miss(self, tmp_path):
-        """A v4 envelope at a v5 key path fails the digest check."""
+        def worker(tag):
+            try:
+                for i in range(25):
+                    cache.put(f"{tag}{i:02d}" * 8, {"tag": tag, "i": i})
+                    cache.put("ef" * 16, {"tag": tag})
+                    assert cache.get(f"{tag}{i:02d}" * 8) == {"tag": tag, "i": i}
+            except Exception as exc:  # noqa: BLE001 - surface in main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(f"{t:02d}",)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert cache.info().entries == 8 * 25 + 1
+
+    def test_two_processes_race_on_one_store(self, tmp_path):
+        """Two processes open a fresh store at once and put one shared
+        key and keys of their own: neither fails, and every key holds
+        one complete entry."""
+        root, go = tmp_path / "cache", tmp_path / "go"
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", RACE_WRITER, str(root), tag, str(go)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=worker_env(),
+            )
+            for tag in ("a", "b")
+        ]
+        for proc in writers:
+            assert proc.stdout.readline() == "ready\n"
+        go.touch()
+        for proc in writers:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        cache = self.shared_cache(tmp_path)
+        assert cache.info().entries == 1 + 2 * 20
+        assert cache.get("ef" * 16)["writer"] in ("a", "b")
+        for tag in ("a", "b"):
+            for i in range(20):
+                assert cache.get(f"{tag}{i:02d}" * 8) == {"writer": tag, "i": i}
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped", "foreign"])
+    def test_damaged_row_is_a_deleted_miss_rewritten_by_the_next_run(
+        self, tmp_path, damage
+    ):
+        """``foreign`` is a v4 envelope under a v5 key: it fails the
+        digest check like any damage."""
         assert CACHE_SCHEMA_VERSION == 5
+        spec = make_spec()
+        first = ExperimentRunner(cache=self.shared_cache(tmp_path))
+        expected = first.run(spec)
         cache = self.shared_cache(tmp_path)
-        key = "34" * 16
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"schema": 4, "key": key, "payload": 1}))
+        key = cache.key_for(spec)
+        sealed = stored_entry(cache, key)
+        flipped = bytearray(sealed)
+        flipped[-2] ^= 0x01
+        overwrite_entry(cache, key, {
+            "truncated": sealed[:10],
+            "bit-flipped": bytes(flipped),
+            "foreign": pickle.dumps({"schema": 4, "key": key, "payload": 1}),
+        }[damage])
         assert cache.get(key) is MISS
-        assert not path.exists()
+        assert stored_entry(cache, key) is None  # deleted, not resurrected
+
+        rerun = ExperimentRunner(cache=self.shared_cache(tmp_path))
+        assert rerun.run(spec).instructions == expected.instructions
+        assert rerun.stats.simulated == 1
+        assert cache.get(key).instructions == expected.instructions  # rewritten whole
 
     def test_salt_mismatch_misses_and_resimulates(self, tmp_path, monkeypatch):
         spec = make_spec()
@@ -467,48 +552,68 @@ class TestSharedCacheBackend:
 
     def test_read_only_cache_dir_degrades(self, tmp_path):
         """Writes into an unwritable cache warn and continue."""
-        backend = FlakyBackend(
-            DirectoryBackend(tmp_path / "cache"),
+        cache = FlakyCache(
+            tmp_path / "cache",
             fail_on=1,
             method="write",
             exc=PermissionError("read-only filesystem"),
         )
-        runner = ExperimentRunner(cache=ResultCache(backend=backend))
+        runner = ExperimentRunner(cache=cache)
         with pytest.warns(RuntimeWarning, match="cache write failed"):
             result = runner.run(make_spec())
         assert result.instructions > 0
         assert runner.stats.simulated == 1
 
+    def test_a_store_that_cannot_be_opened_misses_and_warns(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        cache = ResultCache(blocker)
+        assert cache.read("ab" * 16) is MISS
+        runner = ExperimentRunner(cache=cache)
+        with pytest.warns(RuntimeWarning, match="cache write failed"):
+            assert runner.run(make_spec()).instructions > 0
+        assert runner.stats.simulated == 1
+
     def test_flaky_write_on_nth_call(self, tmp_path):
         """Cache-write failure on the 2nd job: that entry is simply not
         cached; every other entry lands and no job is lost."""
-        backend = FlakyBackend(
-            DirectoryBackend(tmp_path / "cache"), fail_on=2, method="write"
-        )
-        runner = ExperimentRunner(cache=ResultCache(backend=backend))
+        runner = ExperimentRunner(
+            cache=FlakyCache(tmp_path / "cache", fail_on=2, method="write"))
         with pytest.warns(RuntimeWarning, match="cache write failed"):
             results = runner.run_many(SPECS)
         assert len(results) == len(SPECS)
         assert runner.stats.simulated == len(SPECS)
-        assert ResultCache(backend=backend.inner).info().entries == len(SPECS) - 1
+        assert self.shared_cache(tmp_path).info().entries == len(SPECS) - 1
 
     def test_flaky_read_degrades_to_resimulation(self, tmp_path):
-        backend = FlakyBackend(
-            DirectoryBackend(tmp_path / "cache"), fail_on=1, method="read"
-        )
-        warm = ExperimentRunner(cache=ResultCache(backend=backend.inner))
+        warm = ExperimentRunner(cache=self.shared_cache(tmp_path))
         expected = warm.run(make_spec())
 
-        runner = ExperimentRunner(cache=ResultCache(backend=backend))
+        runner = ExperimentRunner(
+            cache=FlakyCache(tmp_path / "cache", fail_on=1, method="read"))
         result = runner.run(make_spec())
         assert runner.stats.simulated == 1  # read failed -> re-simulated
         assert result.instructions == expected.instructions
 
-    def test_lock_files_do_not_pollute_info(self, tmp_path):
+    def test_closing_the_runner_closes_the_store(self, tmp_path):
+        runner = ExperimentRunner(cache=self.shared_cache(tmp_path), executor="inline")
+        runner.run(make_spec())
+        wal = tmp_path / "cache" / f"{STORE_FILE}-wal"
+        assert wal.exists()  # the connection is open
+        runner.close()
+        assert not wal.exists()  # the last connection's close checkpointed it
+        assert runner.cache.info().entries == 1  # and a later read reopens it
+
+    def test_info_and_clear_count_rows(self, tmp_path):
         cache = self.shared_cache(tmp_path)
-        cache.put("ab" * 16, 1)
-        assert cache.info().entries == 1
-        assert cache.clear() == 1
+        for i in range(3):
+            cache.put(f"{i:02d}" * 16, "x" * 100)
+        info = cache.info()
+        assert (info.entries, info.root) == (3, tmp_path / "cache")
+        assert info.total_bytes == 3 * len(stored_entry(cache, "00" * 16))
+        assert cache.clear() == 3
+        assert cache.info().entries == 0
+        assert cache.clear() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +707,3 @@ class TestRunnerStatsReport:
         assert report["retried"] == 0
         assert report["requeued"] == 0
         assert report["worker_deaths"] == 0
-
-
-# ---------------------------------------------------------------------------
-# The default cache is the one directory backend
-# ---------------------------------------------------------------------------
-class TestDirectoryBackendCompat:
-    def test_default_cache_uses_directory_backend(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert isinstance(cache.backend, DirectoryBackend)
-        assert cache.root == tmp_path / "cache"
-
-    def test_root_and_backend_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ResultCache(tmp_path, backend=DirectoryBackend(tmp_path))

@@ -33,6 +33,7 @@ from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
 from repro.workloads.spec import KernelPhase, TenantSpec, WorkloadSpec
 
 sys.path.insert(0, str(Path(__file__).parent))
+from fault_injection import overwrite_entry, stored_entry  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 
 CFG = scaled_config(num_sms=1, window_cycles=600)
@@ -174,9 +175,9 @@ class TestCacheRoundTrip:
         runner = make_runner(tmp_path)
         runner.run(spec)
         cache = runner.cache
-        path = cache.path_for(cache.key_for(spec))
-        assert path.is_file()
-        path.write_bytes(b"this is not a pickle")
+        key = cache.key_for(spec)
+        assert stored_entry(cache, key) is not None
+        overwrite_entry(cache, key, b"this is not a pickle")
 
         recovered = make_runner(tmp_path)
         result = recovered.run(spec)
@@ -188,17 +189,15 @@ class TestCacheRoundTrip:
     def test_foreign_schema_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = cache.key_for(make_spec())
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
         sealed = wire.seal(3)
         flipped = bytearray(sealed)
         flipped[-2] ^= 0x01
         v4_envelope = pickle.dumps({"schema": CACHE_SCHEMA_VERSION - 1, "key": key, "payload": 3})
         for entry in (v4_envelope, sealed[:-1], sealed[:20], bytes(flipped)):
-            path.write_bytes(entry)
+            overwrite_entry(cache, key, entry)
             assert cache.get(key) is MISS
-            assert not path.exists()  # discarded, not resurrected
-        path.write_bytes(sealed)
+            assert stored_entry(cache, key) is None  # discarded, not resurrected
+        cache.write(key, sealed)
         assert cache.read(key) == (3, sealed)
 
     def test_no_cache_runner_never_touches_disk(self):
@@ -293,7 +292,7 @@ class TestJobTable:
         specs = [make_spec(), make_spec(app="LI")]
         runner.run_many(specs + specs)
         for spec in specs:
-            entry = runner.cache.path_for(runner.cache.key_for(spec)).read_bytes()
+            entry = stored_entry(runner.cache, runner.cache.key_for(spec))
             assert runner.fetch_sealed(spec.key) == entry
             assert runner.fetch_sealed(spec.key) is runner.fetch_sealed(spec.key)
         assert len(seals) == len(specs)  # one per job: the store write
@@ -483,9 +482,7 @@ class TestCacheSchemaV5:
         spec = make_spec(scale=0.05)
         runner = make_runner(tmp_path)
         key = runner.cache.key_for(spec)
-        path = runner.cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps({"schema": 4, "key": key, "payload": "stale"}))
+        overwrite_entry(runner.cache, key, pickle.dumps({"schema": 4, "key": key, "payload": "stale"}))
         result = runner.run(spec)
         assert runner.stats.simulated == 1
-        assert wire.unseal(path.read_bytes()).instructions == result.instructions
+        assert wire.unseal(stored_entry(runner.cache, key)).instructions == result.instructions

@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import repro.runner.engine as engine_module  # noqa: E402
 import repro.runner.fleet as fleet_module  # noqa: E402
 import repro.service.coordinator as coordinator_module  # noqa: E402
-from fault_injection import FlakyBackend, flaky_worker_command, unsimulatable  # noqa: E402
+from fault_injection import FlakyCache, flaky_worker_command, stored_entry, unsimulatable  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import Session  # noqa: E402
 from document_helpers import dataclass_nodes, field_slots, node_at, wrong_values  # noqa: E402
@@ -104,6 +104,14 @@ def stop_service(server, coordinator):
     server.shutdown()
     server.server_close()
     coordinator.shutdown()
+
+
+def flaky_store(coordinator, **kwargs):
+    """Put a :class:`FlakyCache` over the coordinator's own store file
+    in place of its cache, and return it."""
+    cache = FlakyCache(coordinator.cache.root, **kwargs)
+    coordinator.runner.cache = coordinator.cache = cache
+    return cache
 
 
 def slow_worker_command(tmp_path, delay):
@@ -236,7 +244,8 @@ class TestSchema:
     @pytest.mark.parametrize("field, value", [
         ("num_sms", 0), ("num_sms", -4), ("dram_model", "x"), ("l2_assoc", 0),
         ("l2_lines_per_cycle", 0.0), ("dram_bandwidth_gbps", -1.0),
-        ("l2_size_bytes", 512),
+        ("l2_size_bytes", 512), ("num_schedulers", 0), ("register_banks", 0),
+        ("clock_mhz", 0.0),
     ])
     def test_a_machine_no_job_runs_on_is_refused(self, field, value):
         doc = encode_jobspec(make_spec())
@@ -247,6 +256,19 @@ class TestSchema:
             Session.local(executor="inline").spec(
                 "S2", "baseline", config=SimulationConfig(
                     gpu=dataclasses.replace(CFG.gpu, **{field: value})))
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_a_window_that_never_ends_is_refused(self, window):
+        doc = encode_jobspec(make_spec("S2", "linebacker"))
+        doc["config"]["linebacker"]["window_cycles"] = window
+        with pytest.raises(SchemaError, match="LinebackerConfig.window_cycles"):
+            decode_jobspec(doc)
+        lb = dataclasses.replace(CFG.linebacker, window_cycles=window)
+        session = Session.local(executor="inline")
+        for config, options in ((SimulationConfig(linebacker=lb), {}),
+                                (CFG, {"lb_config": lb})):
+            with pytest.raises(ValueError, match="LinebackerConfig.window_cycles"):
+                session.spec("S2", "linebacker", config=config, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +550,8 @@ class TestLongPoll:
             assert handler.result_requests == 1
             # The coordinator's store write (after the waiters are woken)
             # is what makes the result outlive a restart.
-            until(coordinator.cache.path_for(coordinator.cache.key_for(spec)).exists)
+            cache = coordinator.cache
+            until(lambda: stored_entry(cache, cache.key_for(spec)) is not None)
         finally:
             stop_service(server, coordinator)
 
@@ -558,15 +581,14 @@ class TestLongPoll:
         server, coordinator, url = start_service(tmp_path, workers=1)
         try:
             assert coordinator.fleet.command is None  # forked workers
-            backend = FlakyBackend(coordinator.cache.backend, fail_on=0)
-            coordinator.cache.backend = backend
+            store = flaky_store(coordinator, fail_on=0)
             client = ServiceClient(url)
             specs = [make_spec("LI", "baseline"), make_spec("S2", "baseline")]
             for spec in specs + specs:  # the second round is memo hits
                 client.result(client.submit(spec)["job_id"], timeout=120)
-            until(lambda: len(backend.writes) >= len(specs))
+            until(lambda: len(store.writes) >= len(specs))
             cache = coordinator.cache
-            assert sorted(backend.writes) == sorted(
+            assert sorted(store.writes) == sorted(
                 (cache.key_for(spec), off_wire[spec.key]) for spec in specs
             )
         finally:
@@ -588,9 +610,9 @@ class TestLongPoll:
             assert status == 200 and doc["source"] == "run"
             assert raw_request(url, "GET", path, conn=conn)[1] == doc
             served = bytes.fromhex(doc["payload"]["sha"]) + base64.b64decode(doc["payload"]["b64"])
-            entry = coordinator.cache.path_for(coordinator.cache.key_for(spec))
-            until(entry.exists)
-            assert entry.read_bytes() == off_wire[spec.key] == served
+            cache = coordinator.cache
+            until(lambda: stored_entry(cache, cache.key_for(spec)) is not None)
+            assert stored_entry(cache, cache.key_for(spec)) == off_wire[spec.key] == served
             # The job line's spec is the one value this process pickles:
             # not the result, for its store write or either GET.
             assert sealed_types == ["JobSpec"]
@@ -755,12 +777,11 @@ class TestResidency:
             assert report["jobs"]["done"] == 15
             assert getattr(coordinator.job(job_id), "payload", None) is None
 
-            backend = FlakyBackend(cache.backend, fail_on=0)
-            cache.backend = backend
+            store = flaky_store(coordinator, fail_on=0)
             again = client.result(job_id, timeout=30)
-            assert backend.calls["read"] == 1
+            assert store.calls["read"] == 1
             client.result(job_id, timeout=30)  # resident again: no second read
-            assert backend.calls["read"] == 1
+            assert store.calls["read"] == 1
             inline = ExperimentRunner(
                 workers=1, use_cache=False, executor="inline"
             ).run(oldest)
@@ -774,7 +795,7 @@ class TestResidency:
                 reader.result(make_spec(
                     "S2", "baseline", scale=TINY + 0.001 * (i + 1)).key, timeout=30)
             assert client.timeseries(job_id)["rows"]
-            assert backend.calls["read"] == 6
+            assert store.calls["read"] == 6
         finally:
             stop_service(server, coordinator)
 
@@ -1324,8 +1345,9 @@ def wrong_type_mutants(doc, rng):
 
 def wrong_value_mutants(doc, rng):
     """``(field, document)`` pairs: a value of the right type that no
-    job could run with — a machine :meth:`GPUConfig.check` refuses, or
-    a workload :func:`validate_workload` refuses."""
+    job could run with — a machine :meth:`GPUConfig.check` or a window
+    :meth:`LinebackerConfig.check` refuses, or a workload
+    :func:`validate_workload` refuses."""
     cases = [
         (("config", "gpu"), "num_sms", rng.choice([0, -1, -16])),
         (("config", "gpu"), "dram_model", rng.choice(["x", "", "Timing"])),
@@ -1333,6 +1355,10 @@ def wrong_value_mutants(doc, rng):
         (("config", "gpu"), "l2_lines_per_cycle", rng.choice([0, -1.0])),
         (("config", "gpu"), "dram_bandwidth_gbps", rng.choice([0.0, -352.5])),
         (("config", "gpu"), "l2_size_bytes", rng.randrange(1, 1024)),
+        (("config", "gpu"), "num_schedulers", 0),
+        (("config", "gpu"), "register_banks", 0),
+        (("config", "gpu"), "clock_mhz", 0.0),
+        (("config", "linebacker"), "window_cycles", 0),
         (("workload",), "num_ctas", 0),
         (("workload",), "regs_per_thread", rng.choice([0, 4096])),
         (("workload", "tenants", 0, "phases", 0), "iterations", 0),
