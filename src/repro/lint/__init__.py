@@ -7,10 +7,11 @@ reporters — exposed as ``python -m repro lint``.
 
 The bundled passes keep what only a static analysis can know and no
 execution shows: bit-identical determinism (a set iteration that
-happens to come out right on this interpreter), lock discipline over
-the service stack's shared state, and a wire schema changed without
-its version constant. A contract the imported program states about
-itself is checked by its tests instead. See DESIGN.md section 5d.
+happens to come out right on this interpreter) and lock discipline
+over the service stack's shared state. A contract the imported program
+states about itself — a document's shape under its version constant
+among them — is checked by its tests instead. See DESIGN.md section
+5d.
 """
 
 from repro.lint.baseline import load_baseline, write_baseline

@@ -34,24 +34,8 @@ def load_baseline(path: Path) -> set[str]:
     return fingerprints
 
 
-def load_schema_baseline(path: Path) -> dict:
-    """The recorded schema fingerprints (``"schemas"`` section): per
-    protocol surface, the accepted field set and the version-constant
-    value that acknowledged it."""
-    if not path.is_file():
-        return {}
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(data, dict):
-        schemas = data.get("schemas", {})
-        if isinstance(schemas, dict):
-            return schemas
-    return {}
-
-
-def write_baseline(
-    path: Path, findings: list[Finding], schemas: dict | None = None
-) -> None:
-    """Record ``findings`` (and schema fingerprints) as the baseline."""
+def write_baseline(path: Path, findings: list[Finding]) -> None:
+    """Record ``findings`` as the baseline."""
     entries = [
         {
             "fingerprint": f.fingerprint,
@@ -61,12 +45,10 @@ def write_baseline(
         }
         for f in sorted(findings, key=Finding.sort_key)
     ]
-    schemas = schemas or {}
     payload = {
-        "comment": "Accepted lint findings and schema fingerprints; "
-                   "regenerate with `python -m repro lint --write-baseline`.",
+        "comment": "Accepted lint findings; regenerate with "
+                   "`python -m repro lint --write-baseline`.",
         "findings": entries,
-        "schemas": {name: schemas[name] for name in sorted(schemas)},
     }
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

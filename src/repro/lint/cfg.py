@@ -121,30 +121,6 @@ class CFG:
         block = self.block_of(stmt)
         return block.held if block is not None else ()
 
-    def reachable_between(self, src: ast.stmt, dst: ast.stmt) -> bool:
-        """True when some CFG path runs ``src`` then later ``dst``.
-
-        Same-block: ``src`` must precede ``dst``. Cross-block: ``dst``'s
-        block must be reachable from ``src``'s block (including around a
-        loop back-edge).
-        """
-        a = self.stmt_index.get(src)
-        b = self.stmt_index.get(dst)
-        if a is None or b is None:
-            return False
-        if a[0] == b[0] and a[1] < b[1]:
-            return True
-        seen = {a[0]}
-        work = [a[0]]
-        while work:
-            for succ in self.blocks[work.pop()].succs:
-                if succ == b[0]:
-                    return True
-                if succ not in seen:
-                    seen.add(succ)
-                    work.append(succ)
-        return False
-
 
 class _LoopCtx:
     """break/continue targets of the innermost enclosing loop."""

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from repro.lint.baseline import (
     BASELINE_NAME,
     load_baseline,
-    load_schema_baseline,
     split_baselined,
     write_baseline,
 )
@@ -45,9 +44,6 @@ def run_lint(
     root = root or repo_root()
     files = collect_files([Path(p) for p in (paths or [package_root()])], root)
     project = Project(files, root)
-    project.schema_baseline = (
-        load_schema_baseline(baseline_path) if baseline_path else {}
-    )
 
     passes = all_passes()
     if pass_names:
@@ -97,16 +93,12 @@ def run_lint(
 
     baseline = load_baseline(baseline_path) if baseline_path else set()
     fresh, known = split_baselined(kept, baseline)
-
-    from repro.lint.passes.protocol_drift import derive_schemas
-
     return LintResult(
         findings=sorted(fresh, key=Finding.sort_key),
         baselined=sorted(known, key=Finding.sort_key),
         suppressed=suppressed,
         files_checked=len(files),
         passes_run=[p.name for p in passes],
-        schemas=derive_schemas(project),
     )
 
 
@@ -114,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
         description=(
-            "AST-based invariant checker for the simulator: determinism, "
-            "lock discipline and wire-schema drift. Pure static analysis "
-            "— nothing is imported or executed."
+            "AST-based invariant checker for the simulator: determinism "
+            "and lock discipline. Pure static analysis — nothing is "
+            "imported or executed."
         ),
     )
     parser.add_argument(
@@ -190,12 +182,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.write_baseline:
         accepted = result.findings + result.baselined
-        write_baseline(baseline_path, accepted, schemas=result.schemas)
-        print(
-            f"wrote {len(accepted)} finding(s) and "
-            f"{len(result.schemas)} schema fingerprint(s) to {baseline_path}",
-            file=sys.stderr,
-        )
+        write_baseline(baseline_path, accepted)
+        print(f"wrote {len(accepted)} finding(s) to {baseline_path}", file=sys.stderr)
         return 0
 
     if args.report:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.lint.cfg import CFG, dotted_name
 
@@ -248,19 +248,3 @@ class HeldLocks:
         acquired = self._in[bid] or frozenset()
         acquired = self._transfer(acquired, block.stmts[:idx])
         return acquired | frozenset(block.held)
-
-
-def any_path_has(
-    cfg: CFG,
-    stmt: ast.AST,
-    predicate: Callable[[ast.AST], bool],
-) -> bool:
-    """True when some statement satisfying ``predicate`` can execute
-    before ``stmt`` on at least one CFG path (including ``stmt``'s own
-    block, earlier slots)."""
-    for _block, _idx, candidate in cfg.statements():
-        if candidate is stmt:
-            continue
-        if predicate(candidate) and cfg.reachable_between(candidate, stmt):
-            return True
-    return False

@@ -2,6 +2,5 @@
 
 from repro.lint.passes import (  # noqa: F401  (registration side effects)
     determinism,
-    protocol_drift,
     thread_safety,
 )

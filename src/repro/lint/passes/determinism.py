@@ -12,8 +12,6 @@ flags the constructs that historically break that property:
 * ``id-keyed-dict`` — using ``id(x)`` as a lookup key; ids are reused
   after garbage collection and differ across processes, which silently
   corrupted the Best-SWL memo before PR 1.
-* ``unseeded-random`` — module-level ``random`` / ``numpy.random``
-  draws without a visible ``seed(...)`` call in the same module.
 * ``wall-clock`` — ``time.time()``, ``datetime.now()`` and friends in
   simulation code; results must depend only on the config seed.
 * ``float-identity`` — ``is`` / ``is not`` against a float value
@@ -22,19 +20,19 @@ flags the constructs that historically break that property:
   compared a *computed* infinity against the sentinel object and only
   matched when CPython happened to reuse it.
 
-Since the dataflow engine landed, the ``set-iteration`` and
-``unseeded-random`` rules are **flow-sensitive** inside functions:
+``set-iteration`` is **flow-sensitive** inside functions: iterating a
+local name flags only when a set-valued binding actually *reaches* the
+use — a ``sorted(...)``/``list(...)``/``tuple(...)`` rebinding on any
+path to the use suppresses the finding (reaching definitions over the
+per-function CFG), so the old "assigned a set anywhere in the module"
+over-approximation no longer fires on normalized copies.
 
-* iterating a local name flags only when a set-valued binding actually
-  *reaches* the use — a ``sorted(...)``/``list(...)``/``tuple(...)``
-  rebinding on any path to the use suppresses the finding (reaching
-  definitions over the per-function CFG), so the old "assigned a set
-  anywhere in the module" over-approximation no longer fires on
-  normalized copies;
-* a global-RNG draw is accepted when a ``seed(...)`` call can execute
-  before it on some CFG path of the same function (or anywhere outside
-  it — cross-function seeding stays conservatively accepted); a seed
-  that only runs *after* every draw no longer counts.
+An unseeded global-RNG draw has no rule: a draw that moves a result
+makes two runs of one job disagree, and tier-1 compares such runs for
+every architecture — the pinned statistics of
+``tests/test_golden_equivalence.py`` and the two-engine differential
+over every extension in ``tests/test_backends.py`` (DESIGN §5d has the
+seeded draws each caught).
 
 Scope: simulation-core packages only. Orchestration layers
 (:mod:`repro.runner`, :mod:`repro.service`, :mod:`repro.analysis`,
@@ -51,7 +49,7 @@ import ast
 from typing import Iterable, Optional
 
 from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import ReachingDefinitions, any_path_has
+from repro.lint.dataflow import ReachingDefinitions
 from repro.lint.finding import Finding, Severity
 from repro.lint.registry import Rule, lint_pass, make_finding
 from repro.lint.source import Project, SourceFile
@@ -73,8 +71,6 @@ _WALL_CLOCK_ATTRS = {
     "datetime": {"now", "utcnow", "today"},
     "date": {"today"},
 }
-
-_RANDOM_SAFE = {"seed", "Random", "SystemRandom", "getstate", "setstate", "default_rng"}
 
 
 def _in_scope(src: SourceFile) -> bool:
@@ -183,13 +179,6 @@ class _FloatNames:
         return isinstance(node, ast.Name) and node.id in self.names
 
 
-_SEED_CALLS = ("random.seed", "numpy.random.seed", "np.random.seed")
-
-
-def _is_seed_call(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _dotted(node.func) in _SEED_CALLS
-
-
 #: Rebinding through these calls yields a deterministically ordered
 #: sequence, which kills a set-iteration finding on that path.
 _ORDERING_CALLS = {"sorted", "list", "tuple"}
@@ -235,35 +224,6 @@ def _check_file(src: SourceFile) -> Iterable[Finding]:
         for child in ast.iter_child_nodes(parent):
             parents[child] = parent
     flows = _Flows(parents)
-
-    #: Enclosing functions of every seed(...) call (None = module level).
-    seed_fns: set[Optional[ast.AST]] = {
-        flows.enclosing_function(node)
-        for node in ast.walk(tree)
-        if _is_seed_call(node)
-    }
-
-    def draw_ok(node: ast.AST) -> bool:
-        """True when a global-RNG draw at ``node`` is visibly seeded."""
-        fn = flows.enclosing_function(node)
-        if fn is None:
-            return bool(seed_fns)  # module-level draw: any seed counts
-        if seed_fns - {fn}:
-            return True  # seeded at module level or in another function
-        if fn not in seed_fns:
-            return False
-        # Seeded in this very function: the seed must be able to run
-        # before the draw on at least one CFG path.
-        cfg, _rd = flows.flows(fn)
-        stmt = flows.placed_stmt(fn, node)
-        if stmt is None:
-            return True  # not a placed statement (decorator/default): punt
-        if any(_is_seed_call(n) for n in ast.walk(stmt)):
-            return True  # same statement, e.g. seeded helper chain
-        return any_path_has(
-            cfg, stmt,
-            lambda s: any(_is_seed_call(n) for n in ast.walk(s)),
-        )
 
     def is_set_use(expr: ast.AST) -> bool:
         """Flow-sensitive "does this expression hold an unordered set".
@@ -350,55 +310,28 @@ def _check_file(src: SourceFile) -> Iterable[Finding]:
                     src, node.lineno, PASS_NAME,
                 )
 
-        # -- RNG and wall clocks ----------------------------------------
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted:
-                parts = dotted.split(".")
-                if (
-                    parts[0] in {"random"}
-                    and len(parts) == 2
-                    and parts[1] not in _RANDOM_SAFE
-                    and not draw_ok(node)
-                ):
-                    yield make_finding(
-                        "unseeded-random",
-                        f"{dotted}() draws from the unseeded global RNG; "
-                        "use a seeded random.Random(config.seed)",
-                        src, node.lineno, PASS_NAME,
-                    )
-                elif (
-                    len(parts) >= 3
-                    and parts[0] in {"numpy", "np"}
-                    and parts[1] == "random"
-                    and parts[2] not in _RANDOM_SAFE
-                    and not draw_ok(node)
-                ):
-                    yield make_finding(
-                        "unseeded-random",
-                        f"{dotted}() draws from the unseeded numpy RNG; "
-                        "use numpy.random.default_rng(config.seed)",
-                        src, node.lineno, PASS_NAME,
-                    )
-                else:
-                    base, attr = parts[0], parts[-1]
-                    clocky = (
-                        (base == "time" and len(parts) == 2
-                         and attr in _WALL_CLOCK_ATTRS["time"])
-                        or (parts[-2:-1] == ["datetime"]
-                            and attr in _WALL_CLOCK_ATTRS["datetime"])
-                        or (base == "datetime" and len(parts) == 2
-                            and attr in _WALL_CLOCK_ATTRS["datetime"])
-                        or (base == "date" and len(parts) == 2
-                            and attr in _WALL_CLOCK_ATTRS["date"])
-                    )
-                    if clocky:
-                        yield make_finding(
-                            "wall-clock",
-                            f"{dotted}() reads the wall clock; simulation "
-                            "state must depend only on the config seed",
-                            src, node.lineno, PASS_NAME,
-                        )
+        # -- wall clocks ------------------------------------------------
+        dotted = _dotted(node.func) if isinstance(node, ast.Call) else None
+        if dotted:
+            parts = dotted.split(".")
+            base, attr = parts[0], parts[-1]
+            clocky = (
+                (base == "time" and len(parts) == 2
+                 and attr in _WALL_CLOCK_ATTRS["time"])
+                or (parts[-2:-1] == ["datetime"]
+                    and attr in _WALL_CLOCK_ATTRS["datetime"])
+                or (base == "datetime" and len(parts) == 2
+                    and attr in _WALL_CLOCK_ATTRS["datetime"])
+                or (base == "date" and len(parts) == 2
+                    and attr in _WALL_CLOCK_ATTRS["date"])
+            )
+            if clocky:
+                yield make_finding(
+                    "wall-clock",
+                    f"{dotted}() reads the wall clock; simulation "
+                    "state must depend only on the config seed",
+                    src, node.lineno, PASS_NAME,
+                )
 
         # -- float identity comparisons ---------------------------------
         if isinstance(node, ast.Compare):
@@ -420,8 +353,6 @@ RULES = (
          "iteration over an unordered set in simulation code"),
     Rule("id-keyed-dict", Severity.ERROR,
          "id()-derived keys are unstable across GC and processes"),
-    Rule("unseeded-random", Severity.ERROR,
-         "global RNG draw without a seed"),
     Rule("wall-clock", Severity.ERROR,
          "wall-clock read inside the simulation core"),
     Rule("float-identity", Severity.ERROR,

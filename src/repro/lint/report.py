@@ -17,8 +17,6 @@ class LintResult:
     suppressed: int = 0
     files_checked: int = 0
     passes_run: list[str] = field(default_factory=list)
-    #: current schema fingerprints (protocol-drift), for --write-baseline.
-    schemas: dict = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Finding]:

@@ -116,36 +116,17 @@ def load_source(path: Path, root: Path) -> Optional[SourceFile]:
 
 
 class Project:
-    """The set of files one lint invocation analyzes.
-
-    Cross-file passes (protocol drift) locate their anchor definitions
-    *by name inside the project* — e.g. "the class named ``JobSpec``"
-    — so the same passes run unchanged against the real tree and
-    against self-test fixture twins.
-    """
+    """The set of files one lint invocation analyzes: the real tree, or
+    a self-test fixture, which the passes treat alike."""
 
     def __init__(self, files: list[SourceFile], root: Path) -> None:
         self.files = files
         self.root = root
-        self._class_index: dict[str, tuple[SourceFile, ast.ClassDef]] = {}
-        for src in files:
-            for node in src.iter_classes():
-                self._class_index.setdefault(node.name, (src, node))
-
-    def find_class(self, name: str) -> Optional[tuple[SourceFile, ast.ClassDef]]:
-        return self._class_index.get(name)
 
     def iter_all_classes(self) -> Iterator[tuple[SourceFile, ast.ClassDef]]:
         for src in self.files:
             for node in src.iter_classes():
                 yield src, node
-
-    def find_function(self, name: str) -> Optional[tuple[SourceFile, ast.FunctionDef]]:
-        for src in self.files:
-            for node in ast.walk(src.tree):
-                if isinstance(node, ast.FunctionDef) and node.name == name:
-                    return src, node
-        return None
 
 
 def collect_files(paths: list[Path], root: Path) -> list[SourceFile]:

@@ -55,6 +55,10 @@ from repro.runner.spec import JobSpec
 #: v3: ``options.backend`` selects the execution engine.
 JOB_SCHEMA_VERSION = 3
 
+#: Every member a job document may carry; any other is refused.
+JOB_FIELDS = frozenset({"schema", "app", "arch", "scale", "config",
+                        "options", "overrides", "workload"})
+
 #: Override keys whose values are dataclasses (encoded as field dicts).
 _DATACLASS_OVERRIDES = {"lb_config": LinebackerConfig}
 
@@ -109,8 +113,7 @@ def decode_jobspec(doc: Any) -> JobSpec:
             f"job schema version mismatch (got {version!r}, this service "
             f"speaks {JOB_SCHEMA_VERSION}); upgrade the older peer"
         )
-    unknown = set(doc) - {"schema", "app", "arch", "scale", "config",
-                          "options", "overrides", "workload"}
+    unknown = set(doc) - JOB_FIELDS
     if unknown:
         raise SchemaError(f"job: unknown field(s) {sorted(unknown)}")
 

@@ -22,7 +22,7 @@ WRONG_VALUES = {
 }
 
 
-def _unwrap(hint):
+def unwrap(hint):
     """``(hint without Optional, whether None is a valid value)``."""
     args = typing.get_args(hint)
     if type(None) in args:
@@ -44,7 +44,7 @@ def _kind(hint):
 def wrong_values(hint):
     """JSON values a field annotated ``hint`` must refuse (``"object"``
     stands for a member that must be a JSON object)."""
-    inner, optional = _unwrap(hint)
+    inner, optional = unwrap(hint)
     return [v for v in WRONG_VALUES[_kind(inner)] if not (optional and v is None)]
 
 
@@ -55,7 +55,7 @@ def dataclass_nodes(cls, doc, path=()):
     yield path, cls, doc
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        hint, _ = _unwrap(hints[f.name])
+        hint, _ = unwrap(hints[f.name])
         value = doc.get(f.name)
         if value is None:
             continue

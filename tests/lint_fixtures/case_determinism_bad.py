@@ -6,7 +6,6 @@ identity against a *computed* infinity, which only matched when
 CPython happened to intern the value.
 """
 
-import random
 import time
 
 _NO_EVENT = float("inf")
@@ -33,10 +32,6 @@ def drain_pending():
 def memoize_by_object(memo, obj, value):
     memo[id(obj)] = value  # id-keyed-dict: unstable across processes
     return memo
-
-
-def jitter_latency(base):
-    return base + random.randint(0, 3)  # unseeded-random
 
 
 def stamp_result(result):

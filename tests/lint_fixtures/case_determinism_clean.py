@@ -1,8 +1,6 @@
 """Behaviour-equivalent twin of ``case_determinism_bad.py`` using the
 deterministic idioms every rule recommends. Must lint clean."""
 
-import random
-
 _NO_EVENT = float("inf")
 
 
@@ -31,11 +29,6 @@ def memoize_by_key(memo, obj, value):
     return memo
 
 
-def jitter_latency(base, seed):
-    rng = random.Random(seed)  # seeded, instance-local RNG
-    return base + rng.randint(0, 3)
-
-
 def stamp_result(result, cycle):
     result["finished_at"] = cycle  # simulated time, not the wall clock
     return result
@@ -46,8 +39,3 @@ def flow_sensitive_normalized(flag):
     if flag:
         ids = sorted(ids)
     return [i for i in ids]  # a sorted() definition reaches: order is pinned
-
-
-def seeded_draw():
-    random.seed(2019)  # seeding dominates the draw below
-    return random.random()

@@ -62,6 +62,7 @@ TEST_MODULES = {
     "test_register_file",
     "test_results_api",
     "test_runner",
+    "test_schema_versions",
     "test_service",
     "test_sm_integration",
     "test_stats",
