@@ -130,8 +130,8 @@ class GPUConfig:
     def check(self) -> "GPUConfig":
         """``self``, or a ``ValueError`` naming the field of a machine no
         job runs on: no SM, scheduler or register bank, a stopped clock,
-        an unknown DRAM model, an L2/DRAM no request could be served by."""
-        for name in ("num_sms", "num_schedulers", "register_banks"):
+        an unknown DRAM model, an L1/L2/DRAM no request could be served by."""
+        for name in ("num_sms", "num_schedulers", "register_banks", "l1_assoc", "l1_line_bytes"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"GPUConfig.{name} must be at least 1, got {value!r}")
@@ -142,6 +142,11 @@ class GPUConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"GPUConfig.{name} must be positive, got {value!r}")
+        if self.l1_num_sets < 1:
+            raise ValueError(
+                f"GPUConfig.l1_size_bytes={self.l1_size_bytes!r} is less than one set "
+                f"({self.l1_assoc} ways of {self.l1_line_bytes} B)"
+            )
         if self.l2_assoc < 1:
             raise ValueError(f"GPUConfig.l2_assoc must be at least 1, got {self.l2_assoc!r}")
         if self.l2_num_sets < 1:

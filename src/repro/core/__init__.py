@@ -18,8 +18,8 @@ from repro.core.linebacker import (
     LinebackerStats,
     linebacker_factory,
 )
-from repro.core.load_monitor import LMEntry, LoadMonitor, MonitorState
-from repro.core.victim_tag_table import VictimTagTable, VTTPartition
+from repro.core.load_monitor import LMEntry, LoadMonitor, MonitorState, MonitorSummary
+from repro.core.victim_tag_table import VictimTagTable, VTTPartition, VTTSummary
 
 __all__ = [
     "BackupRecord",
@@ -32,10 +32,12 @@ __all__ = [
     "LinebackerStats",
     "LoadMonitor",
     "MonitorState",
+    "MonitorSummary",
     "PerCTAInfo",
     "RegisterBackupEngine",
     "ThrottleDecision",
     "VTTPartition",
+    "VTTSummary",
     "VictimTagTable",
     "linebacker_factory",
 ]

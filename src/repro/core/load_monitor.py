@@ -56,6 +56,22 @@ class LMEntry:
         self.misses = 0
 
 
+@dataclass(frozen=True, slots=True)
+class MonitorSummary:
+    """What a result keeps of a :class:`LoadMonitor`: the protocol's
+    outcome and the table's access total, not its 32 entries."""
+
+    state: MonitorState
+    windows_elapsed: int
+    selected_hpcs: frozenset[int]
+    #: Summed over the entries: the current window's counters.
+    hits: int
+    misses: int
+
+    def is_selected(self, hpc: int) -> bool:
+        return self.state is MonitorState.SELECTED and hpc in self.selected_hpcs
+
+
 class LoadMonitor:
     """The LM table plus the window-to-window selection protocol."""
 
@@ -133,6 +149,15 @@ class LoadMonitor:
     @property
     def monitoring(self) -> bool:
         return self.state is MonitorState.MONITORING
+
+    def summary(self) -> MonitorSummary:
+        return MonitorSummary(
+            state=self.state,
+            windows_elapsed=self.windows_elapsed,
+            selected_hpcs=self.selected_hpcs,
+            hits=sum(e.hits for e in self.entries),
+            misses=sum(e.misses for e in self.entries),
+        )
 
     def storage_bits(self) -> int:
         """Storage cost in bits (paper Section 4.2: 392 bytes total)."""

@@ -25,6 +25,7 @@ partitions. DESIGN.md section 5h has the slot arithmetic.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -74,6 +75,18 @@ class VTTPartition:
     @property
     def register_range(self) -> range:
         return range(self.base_rn, self.base_rn + self.num_entries)
+
+
+@dataclass(frozen=True, slots=True)
+class VTTSummary:
+    """What a result keeps of a :class:`VictimTagTable`: its counters
+    and its occupancy, not its partitions and tags."""
+
+    stats: VTTStats
+    partitions: int
+    active_partitions: int
+    active_capacity_lines: int
+    valid_lines: int
 
 
 class VictimTagTable:
@@ -253,6 +266,15 @@ class VictimTagTable:
     def occupancy_masks(self) -> list[int]:
         """Per set: the bitmask of slots (``N * ways + Y``) holding a tag."""
         return list(self._occupied)
+
+    def summary(self) -> VTTSummary:
+        return VTTSummary(
+            stats=copy.copy(self.stats),
+            partitions=len(self.partitions),
+            active_partitions=len(self.active_partitions()),
+            active_capacity_lines=self.active_capacity_lines(),
+            valid_lines=self.valid_entries(),
+        )
 
     def storage_bits(self) -> int:
         """Tag storage cost: 1 valid + 18 tag + 5 meta bits per entry

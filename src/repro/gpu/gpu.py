@@ -10,8 +10,11 @@ from typing import Callable, Optional
 
 from repro.config import WARP_REGISTER_BYTES, GPUConfig, SimulationConfig
 from repro.gpu.extension import SMExtension
+from repro.gpu.register_file import RegisterFileStats
+from repro.gpu.snapshot import ExtensionSnapshot, SMSnapshot
 from repro.gpu.stats import SMStats
 from repro.gpu.trace import KernelTrace, hardware_occupancy
+from repro.memory.cache import CacheStats
 from repro.memory.subsystem import TrafficStats
 from repro.options import RunOptions
 
@@ -29,12 +32,13 @@ class SimulationResult:
     traffic: TrafficStats
     dram_reads: int
     dram_writes: int
-    l1_stats: list
-    rf_stats: list
-    extensions: list[SMExtension]
-    #: Per-SM :class:`~repro.gpu.snapshot.SMSnapshot` records — the live
-    #: SMs under ``RunOptions(keep_objects=True)``.
-    sms: list = field(default_factory=list, repr=False)
+    l1_stats: list[CacheStats]
+    rf_stats: list[RegisterFileStats]
+    #: Per-SM extension snapshots — the live extensions under
+    #: ``RunOptions(keep_objects=True)``.
+    extensions: list[ExtensionSnapshot]
+    #: Per-SM SM snapshots — the live SMs under ``keep_objects``.
+    sms: list[SMSnapshot] = field(default_factory=list, repr=False)
 
     @property
     def timeseries(self) -> "list | None":
@@ -130,10 +134,11 @@ def run_kernel(
     :mod:`repro.engine.base`).
 
     By default the result carries SM/extension *snapshots* (every
-    statistic, the load tracker, Linebacker's monitor/VTT) rather than
-    the live simulator graph, so sweeps holding thousands of results
-    don't keep every SM — and through it the whole memory hierarchy —
-    alive. ``RunOptions(keep_objects=True)`` retains the live SMs and
+    statistic, the load tracker, the summaries of Linebacker's Load
+    Monitor and Victim Tag Table) rather than the live simulator graph,
+    so sweeps holding thousands of results don't keep every SM — and
+    through it the whole memory hierarchy — alive.
+    ``RunOptions(keep_objects=True)`` retains the live SMs and
     extensions (tests that poke at MSHRs or register files need this);
     the device object itself is discarded either way.
     """

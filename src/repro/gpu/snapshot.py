@@ -7,6 +7,13 @@ analysis layer only ever touches a narrow slice of that graph, so
 :func:`repro.gpu.gpu.run_kernel` snapshots it by default — large
 sweeps then hold kilobytes per result instead of every SM alive.
 
+An extension's Load Monitor and Victim Tag Table are kept as their
+``summary()`` values (:class:`~repro.core.load_monitor.MonitorSummary`,
+:class:`~repro.core.victim_tag_table.VTTSummary`), not as the tables
+with every entry and tag: an in-process result, a store row, a wire
+line and an HTTP payload all carry the same small objects, and only
+``RunOptions(keep_objects=True)`` hands back the live tables.
+
 These classes used to live in :mod:`repro.runner.snapshot`; they moved
 down to the GPU layer so the engine itself can produce light results
 (``keep_objects=False``). The runner module re-exports them.
@@ -16,6 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.core.load_monitor import MonitorSummary
+from repro.core.victim_tag_table import VTTSummary
+from repro.gpu.stats import LoadTracker
+from repro.metrics import WindowSeries
 
 
 @dataclass
@@ -34,34 +46,37 @@ class SMSnapshot:
     sm_id: int
     done: bool
     l1: L1Snapshot
-    load_tracker: Optional[object] = None  # a self-contained LoadTracker
-    timeseries: Optional[object] = None  # a WindowSeries when recorded
+    load_tracker: Optional[LoadTracker] = None  # self-contained, when tracked
+    timeseries: Optional[WindowSeries] = None  # when recorded
 
 
 @dataclass
 class ExtensionSnapshot:
     """Stand-in for a live SM extension inside a portable result.
 
-    Carries the extension's self-contained stat structures under their
-    original attribute names, so ``ext.stats``, ``ext.load_monitor``
-    and ``ext.vtt`` keep working for Figures 9/10/17 and the energy
-    model's ``getattr`` probes.
+    Carries the extension's self-contained stats and the summaries of
+    its tables under their original attribute names, so ``ext.stats``,
+    ``ext.load_monitor.windows_elapsed`` and ``ext.vtt.stats`` keep
+    working for Figures 9/10/17 and the energy model's ``getattr``
+    probes.
     """
 
     kind: str
-    stats: Optional[object] = None  # LinebackerStats (or None for baseline)
-    load_monitor: Optional[object] = None  # LoadMonitor
-    vtt: Optional[object] = None  # VictimTagTable (tags only, no data)
+    stats: Optional[object] = None  # LinebackerStats (or another policy's)
+    load_monitor: Optional[MonitorSummary] = None
+    vtt: Optional[VTTSummary] = None
 
 
 def snapshot_extension(ext) -> ExtensionSnapshot:
     if isinstance(ext, ExtensionSnapshot):
         return ext
+    monitor = getattr(ext, "load_monitor", None)
+    vtt = getattr(ext, "vtt", None)
     return ExtensionSnapshot(
         kind=type(ext).__name__,
         stats=getattr(ext, "stats", None),
-        load_monitor=getattr(ext, "load_monitor", None),
-        vtt=getattr(ext, "vtt", None),
+        load_monitor=None if monitor is None else monitor.summary(),
+        vtt=None if vtt is None else vtt.summary(),
     )
 
 

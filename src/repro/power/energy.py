@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gpu.gpu import SimulationResult
+from repro.gpu.snapshot import snapshot_extension
 
 PJ = 1e-12
 
@@ -92,17 +93,15 @@ def estimate_energy(
     out.l2 = result.traffic.total_lines * m.l2_access
     out.dram = (result.dram_reads + result.dram_writes) * m.dram_line
 
-    # Linebacker structure energy, when the run used it.
+    # Linebacker structure energy, when the run used it (read off the
+    # snapshots, into which a live extension is summarized).
     lb_energy = 0.0
-    for ext in result.extensions:
-        vtt = getattr(ext, "vtt", None)
-        if vtt is not None:
-            lb_energy += (vtt.stats.lookups + vtt.stats.inserts) * m.vtt_access
-        lm = getattr(ext, "load_monitor", None)
-        if lm is not None:
-            accesses = sum(e.hits + e.misses for e in lm.entries)
-            lb_energy += accesses * m.lm_access
-        stats = getattr(ext, "stats", None)
+    for ext in map(snapshot_extension, result.extensions):
+        if ext.vtt is not None:
+            lb_energy += (ext.vtt.stats.lookups + ext.vtt.stats.inserts) * m.vtt_access
+        if ext.load_monitor is not None:
+            lb_energy += (ext.load_monitor.hits + ext.load_monitor.misses) * m.lm_access
+        stats = ext.stats
         if stats is not None and hasattr(stats, "throttle_events"):
             events = stats.throttle_events + stats.reactivate_events
             lb_energy += events * m.cta_manager_access

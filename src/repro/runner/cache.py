@@ -47,7 +47,10 @@ from repro.runner.wire import WireError, seal, unseal
 #: v5: an entry is the sealed bytes of the payload alone, with no
 #: ``{"schema", "key", "payload"}`` envelope (the salt carries the
 #: version, the row the key).
-CACHE_SCHEMA_VERSION = 5
+#: v6: an extension snapshot carries the ``summary()`` of its Load
+#: Monitor and Victim Tag Table (``MonitorSummary`` / ``VTTSummary``),
+#: not the pickled tables with every entry and tag.
+CACHE_SCHEMA_VERSION = 6
 
 #: The store's one file under the cache directory.
 STORE_FILE = "results.sqlite"

@@ -9,10 +9,11 @@ however, only ever touches a narrow slice of that graph. The snapshot
 classes (now defined in :mod:`repro.gpu.snapshot`, re-exported here)
 capture exactly that slice — the self-contained stat objects
 (``SMStats``, ``TrafficStats``, cache and register-file stats,
-``LinebackerStats``, the ``LoadMonitor``, ``VictimTagTable`` and
-``LoadTracker``, which hold no SM references) plus a few scalars — so
-a "portable" result pickles in kilobytes and behaves identically for
-every figure runner, test, and the energy model.
+``LinebackerStats`` and ``LoadTracker``, which hold no SM references),
+the ``summary()`` of each Load Monitor and Victim Tag Table (never
+their entries and tags) and a few scalars — so a "portable" result
+pickles in about a kilobyte and behaves identically for every figure
+runner, test, and the energy model.
 
 Since ``run_kernel`` snapshots by default, :func:`portable` is usually
 a pass-through; it still guarantees portability for results produced

@@ -15,6 +15,15 @@ Two halves, both reusable by future PRs:
   line mid-payload; ``flip`` rewrites payload bytes so the JSON stays
   parseable but the digest check must catch the damage.
 
+**A test-only architecture** (register it): inside
+:func:`unsimulatable_registered`, ``unsimulatable`` is a registry row
+every construction surface accepts and whose runner raises
+:class:`InjectedSimulationError` — a deterministic *simulation* error
+on any executor or transport — and ``unsimulatable_swl`` is a derived
+row whose legs are ``unsimulatable`` jobs, its max-occupancy leg the
+plain ``unsimulatable`` job. A worker knows the rows only if it was
+forked inside the block.
+
 **A faulty worker shim** (run it): ``python tests/fault_injection.py
 --mode MODE --marker FILE`` speaks the real worker wire protocol but
 misbehaves exactly once — the *first* process to claim the marker file
@@ -49,20 +58,49 @@ import os
 import sqlite3
 import sys
 import time
-from contextlib import closing
-from dataclasses import replace
+from contextlib import closing, contextmanager
 from pathlib import Path
 
+from repro.baselines.swl import best_swl_legs, best_swl_reduce
 from repro.runner.cache import STORE_FILE, ResultCache
+from repro.runner.registry import ARCHITECTURES, ArchSpec
 
 FAULT_MODES = ("die", "hang", "garbage", "banner", "exit", "proto")
 
 
-def unsimulatable(config):
-    """``config`` with an L1 of no ways: every construction surface
-    accepts the job, and its simulation raises ``ZeroDivisionError`` —
-    a deterministic *simulation* error on any executor or transport."""
-    return replace(config, gpu=replace(config.gpu, l1_assoc=0))
+# ---------------------------------------------------------------------------
+# A test-only architecture whose simulation raises
+# ---------------------------------------------------------------------------
+class InjectedSimulationError(RuntimeError):
+    """What every ``unsimulatable`` simulation raises."""
+
+
+def _refuse_to_simulate(config, kernel):
+    raise InjectedSimulationError(f"{kernel.name} is unsimulatable by construction")
+
+
+def _unsimulatable_legs(config, kernel):
+    return {limit: ("unsimulatable", c, o)
+            for limit, (_, c, o) in best_swl_legs(config, kernel).items()}
+
+
+UNSIMULATABLE_ROWS = (
+    ArchSpec("unsimulatable", "test-only: every simulation raises",
+             configure=_refuse_to_simulate),
+    ArchSpec("unsimulatable_swl", "test-only: best_swl over unsimulatable legs",
+             legs=_unsimulatable_legs, reduce=best_swl_reduce),
+)
+
+
+@contextmanager
+def unsimulatable_registered():
+    """The ``unsimulatable`` rows in the registry for the block's span."""
+    ARCHITECTURES.update((row.name, row) for row in UNSIMULATABLE_ROWS)
+    try:
+        yield
+    finally:
+        for row in UNSIMULATABLE_ROWS:
+            del ARCHITECTURES[row.name]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from fault_injection import unsimulatable  # noqa: E402
+from fault_injection import unsimulatable_registered  # noqa: E402
 from golden import fingerprint_value  # noqa: E402
 from repro.api import JobHandle, Session, run_many_results  # noqa: E402
 from repro.config import scaled_config  # noqa: E402
@@ -183,6 +183,14 @@ class TestSessionLocal:
 TRANSPORTS = ("inline", "loopback", "remote", "http")
 
 
+@pytest.fixture(scope="module", autouse=True)
+def unsimulatable():
+    """Registered before any worker of this module is forked, so that
+    every transport's workers know the row."""
+    with unsimulatable_registered():
+        yield
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     """A live coordinator (one worker) for the ``http`` transport."""
@@ -230,9 +238,9 @@ class TestTransportParity:
             plain.stream_timeseries()
 
     def test_simulation_error_surfaces_from_result(self, any_session):
-        handle = any_session.run("S2", "baseline", config=unsimulatable(CFG))
+        handle = any_session.run("S2", "unsimulatable")
         assert handle.status() in JOB_STATES
-        with pytest.raises(RemoteJobError, match="ZeroDivisionError"):
+        with pytest.raises(RemoteJobError, match="InjectedSimulationError"):
             handle.result(timeout=120)
         assert handle.status() == "failed"
 

@@ -63,7 +63,7 @@ from repro.gpu.cta import CTA
 from repro.gpu.extension import CAPABILITY_FLAGS, EV_CALLBACK, SMExtension
 from repro.gpu.gpu import run_kernel
 from repro.gpu.isa import Instruction, alu
-from repro.gpu.snapshot import snapshot_extension
+from repro.gpu.snapshot import ExtensionSnapshot
 from repro.gpu.stats import LoadBehavior, SMStats
 from repro.gpu.trace import from_instruction_lists
 from repro.memory.cache import CacheLine, CacheStats
@@ -356,20 +356,23 @@ HOOKED_WORKLOADS = {
 
 
 def extension_state(ext) -> dict:
-    """Everything an ``ExtensionSnapshot`` carries, as comparable data:
-    ``idle_register_bytes_sum`` and ``victim_reads_corrupt`` catch a
-    register-owner map or token drift no fingerprint field sees."""
-    state = {"kind": ext.kind}
-    if ext.stats is not None:
-        state["stats"] = dataclasses.asdict(ext.stats)
-    if ext.load_monitor is not None:
-        monitor = ext.load_monitor
+    """Everything a live extension's snapshot is made from, as comparable
+    data, down to the monitor's entries and the VTT's tags (a snapshot
+    keeps only their summaries, so the differential runs with
+    ``keep_objects``): ``idle_register_bytes_sum`` and
+    ``victim_reads_corrupt`` catch a register-owner map or token drift no
+    fingerprint field sees."""
+    assert not isinstance(ext, ExtensionSnapshot), "compare live extensions (keep_objects)"
+    state = {"kind": type(ext).__name__}
+    stats, monitor, vtt = (getattr(ext, name, None) for name in ("stats", "load_monitor", "vtt"))
+    if stats is not None:
+        state["stats"] = dataclasses.asdict(stats)
+    if monitor is not None:
         state["load_monitor"] = (
             monitor.state, sorted(monitor.selected_hpcs), monitor.windows_elapsed,
             [(e.hits, e.misses) for e in monitor.entries],
         )
-    if ext.vtt is not None:
-        vtt = ext.vtt
+    if vtt is not None:
         state["vtt"] = (
             dataclasses.asdict(vtt.stats),
             [(vp.active, vp.hits) for vp in vtt.partitions],
@@ -385,7 +388,7 @@ def deep_state(result) -> dict:
         "sm_stats": [dataclasses.asdict(s) for s in result.sm_stats],
         "l1_stats": [dataclasses.asdict(s) for s in result.l1_stats],
         "rf_stats": [dataclasses.asdict(s) for s in result.rf_stats],
-        "extensions": [extension_state(snapshot_extension(e)) for e in result.extensions],
+        "extensions": [extension_state(e) for e in result.extensions],
     }
 
 
@@ -516,8 +519,8 @@ class TestHookedDifferential:
     def test_default_engine_matches_object(self, workload, arch):
         build, config = HOOKED_WORKLOADS[workload]
         runner = resolve(arch).runner
-        default = deep_state(runner(config, build()))
-        reference = deep_state(runner(config, build(), backend="object"))
+        default = deep_state(runner(config, build(), keep_objects=True))
+        reference = deep_state(runner(config, build(), keep_objects=True, backend="object"))
         for part in reference:
             assert default[part] == reference[part], (arch, workload, part)
 
@@ -526,8 +529,9 @@ class TestHookedDifferential:
         build, config = HOOKED_WORKLOADS[workload]
         if workload == "S2":  # the probe is slow; the hooks are the point
             build, config = (lambda: kernel_for("S2", SCALE)), scaled_config(num_sms=3)
-        default = run_kernel(config, build(), ProbeExtension)
-        reference = run_kernel(config, build(), ProbeExtension, RunOptions(backend="object"))
+        options = RunOptions(keep_objects=True)
+        default = run_kernel(config, build(), ProbeExtension, options)
+        reference = run_kernel(config, build(), ProbeExtension, options.replace(backend="object"))
         assert deep_state(default) == deep_state(reference)
         calls = default.extensions[0].stats.calls
         # Every gate opens: a hook whose flag the machine never read
@@ -544,10 +548,10 @@ class TestHookedDifferential:
         build, config = HOOKED_WORKLOADS["throttle4sm"]
         lb = replace(config.linebacker, window_cycles=500)
         runner = resolve("linebacker").runner
-        default = runner(config, build(), lb_config=lb)
+        default = runner(config, build(), lb_config=lb, keep_objects=True)
         assert default.traffic.backup_write_lines > 0
         assert deep_state(default) == deep_state(
-            runner(config, build(), lb_config=lb, backend="object")
+            runner(config, build(), lb_config=lb, keep_objects=True, backend="object")
         )
 
     def test_on_tick_fires_on_the_window_grid_on_both_engines(self):
@@ -637,15 +641,15 @@ class TestHookedDifferential:
     def test_timeseries_rows_match_the_reference(self, arch):
         build, config = HOOKED_WORKLOADS["throttle4sm"]
         runner = resolve(arch).runner
-        default = runner(config, build(), timeseries=True)
-        reference = runner(config, build(), timeseries=True, backend="object")
+        default = runner(config, build(), timeseries=True, keep_objects=True)
+        reference = runner(config, build(), timeseries=True, keep_objects=True, backend="object")
         assert [s.to_payload() for s in default.timeseries] == [
             s.to_payload() for s in reference.timeseries
         ]
         assert len(default.timeseries[0]) >= 5
         # Recording moves no statistic.
         assert deep_state(default) == deep_state(reference) == deep_state(
-            runner(config, build())
+            runner(config, build(), keep_objects=True)
         )
 
     def test_a_timeseries_sample_reads_shared_state_in_order(self):
@@ -698,16 +702,26 @@ class TestHookedDifferential:
             s.to_payload() for s in reference.timeseries
         ]
 
-    def test_live_objects_are_what_the_snapshots_copy(self):
-        build, config = HOOKED_WORKLOADS["throttle4sm"]
-        runner = resolve("linebacker").runner
-        live = runner(config, build(), keep_objects=True)
-        assert all(type(sm) is VectorSM and sm.done for sm in live.sms)
-        assert all(e.sm is sm for e, sm in zip(live.extensions, live.sms))
-        assert deep_state(live) == deep_state(runner(config, build()))
-        assert deep_state(live) == deep_state(
-            runner(config, build(), keep_objects=True, backend="object")
-        )
+    @pytest.mark.parametrize("backend", ["vector", "object"])
+    @pytest.mark.parametrize("arch", HOOKED_ARCHS)
+    def test_a_snapshot_carries_the_summaries_of_the_live_tables(self, arch, backend):
+        config, runner = scaled_config(num_sms=SMS), resolve(arch).runner
+        live = runner(config, kernel_for("S2", SCALE), keep_objects=True, backend=backend)
+        assert all(sm.done for sm in live.sms)
+        assert all(e.sm is sm for e, sm in zip(live.extensions, live.sms, strict=True))
+        if backend == "vector":
+            assert all(type(sm) is VectorSM for sm in live.sms)
+        default = runner(config, kernel_for("S2", SCALE), backend=backend)
+        for ext, snap in zip(live.extensions, default.extensions, strict=True):
+            monitor, vtt = getattr(ext, "load_monitor", None), getattr(ext, "vtt", None)
+            assert snap.kind == type(ext).__name__
+            assert snap.stats == getattr(ext, "stats", None)
+            assert snap.load_monitor == (monitor and monitor.summary())
+            assert snap.vtt == (vtt and vtt.summary())
+            assert (monitor is None) == (vtt is None) == (arch == "ccws")
+        if arch == "linebacker":
+            assert any(s.load_monitor.selected_hpcs for s in default.extensions)
+            assert any(s.vtt.valid_lines for s in default.extensions)
 
     @pytest.mark.parametrize("arch", ["baseline", "linebacker"])
     @pytest.mark.parametrize("sms", [2, 4])
@@ -722,8 +736,10 @@ class TestHookedDifferential:
         config = replace(config, gpu=gpu)
         build = HOOKED_WORKLOADS["throttle4sm"][0]
         runner = resolve(arch).runner
-        default = runner(config, build())
-        assert deep_state(default) == deep_state(runner(config, build(), backend="object"))
+        default = runner(config, build(), keep_objects=True)
+        assert deep_state(default) == deep_state(
+            runner(config, build(), keep_objects=True, backend="object")
+        )
         if arch == "linebacker":  # registers stream through the model under test
             assert default.traffic.backup_write_lines > 0
             assert default.traffic.restore_read_lines > 0

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from fault_injection import unsimulatable  # noqa: E402
+from fault_injection import unsimulatable_registered  # noqa: E402
 from golden import (  # noqa: E402
     GOLDEN_APPS,
     GOLDEN_PATH,
@@ -101,16 +101,23 @@ def test_best_swl_cache_ext_is_one_leg_and_needs_its_limit():
         resolve("best_swl_cache_ext").runner(CFG, None)
 
 
+@pytest.fixture
+def unsimulatable():
+    with unsimulatable_registered():
+        yield
+
+
+@pytest.mark.usefixtures("unsimulatable")
 def test_a_failed_job_is_recorded_and_a_failed_leg_fails_its_derived_job():
     runner = ExperimentRunner(use_cache=False, executor="inline")
-    plain = spec("baseline", config=unsimulatable(CFG))
-    with pytest.raises(RemoteJobError, match="ZeroDivisionError"):
+    plain = spec("unsimulatable")
+    with pytest.raises(RemoteJobError, match="InjectedSimulationError"):
         runner.run(plain)
     assert [r.source for r in runner.stats.records] == ["failed"]
     assert runner.stats.to_dict()["failed"] == 1
 
-    best = spec("best_swl", config=unsimulatable(CFG))
-    with pytest.raises(RemoteJobError, match=r"leg \d+ \(baseline:S2"):
+    best = spec("unsimulatable_swl")
+    with pytest.raises(RemoteJobError, match=r"leg \d+ \(unsimulatable:S2"):
         runner.run(best)
     assert runner.status(best.key)["status"] == "failed"
     records = [r.source for r in runner.stats.records if r.key == best.key]

@@ -514,9 +514,9 @@ class TestSharedStore:
     def test_damaged_row_is_a_deleted_miss_rewritten_by_the_next_run(
         self, tmp_path, damage
     ):
-        """``foreign`` is a v4 envelope under a v5 key: it fails the
+        """``foreign`` is a v4 envelope under a v6 key: it fails the
         digest check like any damage."""
-        assert CACHE_SCHEMA_VERSION == 5
+        assert CACHE_SCHEMA_VERSION == 6
         spec = make_spec()
         first = ExperimentRunner(cache=self.shared_cache(tmp_path))
         expected = first.run(spec)

@@ -4,6 +4,7 @@ the architecture registry, and corrupted-cache recovery."""
 
 import json
 import pickle
+import pickletools
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import repro.config
+import repro.runner.cache
 from repro.analysis import ExperimentContext
 from repro.config import canonical_tokens, scaled_config, stable_hash
-from repro.core.victim_tag_table import VictimTagTable
+from repro.core.victim_tag_table import VictimTagTable, VTTSummary
 from repro.runner import (
     ARCHITECTURES,
     CACHE_SCHEMA_VERSION,
@@ -31,6 +33,7 @@ from repro.runner.snapshot import portable
 from repro.service.schema import encode_jobspec
 from repro.workloads.generator import LoadSpec, Pattern, Scope, StoreSpec
 from repro.workloads.spec import KernelPhase, TenantSpec, WorkloadSpec
+from repro.workloads.suite import kernel_for
 
 sys.path.insert(0, str(Path(__file__).parent))
 from fault_injection import overwrite_entry, stored_entry  # noqa: E402
@@ -386,6 +389,26 @@ def tiny_linebacker_spec(name="wl-tiny-lb"):
     return JobSpec.build(app=name, arch="linebacker", config=CFG, workload=workload)
 
 
+def pickled_globals(data: bytes) -> set:
+    """``(module, name)`` of every class or function a pickle names
+    through a ``GLOBAL`` or ``STACK_GLOBAL`` opcode. A ``STACK_GLOBAL``
+    takes the last two strings pushed, fresh or fetched from the memo,
+    so the walk keeps what each opcode pushed and what ``MEMOIZE`` kept."""
+    found, memo, pushed = set(), [], []
+    for op, arg, _ in pickletools.genops(data):
+        if op.name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+        elif op.name == "STACK_GLOBAL":
+            found.add((pushed[-2], pushed[-1]))
+        if op.name == "MEMOIZE":
+            memo.append(pushed[-1])
+        elif op.name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        elif op.name != "FRAME":
+            pushed.append(arg if "UNICODE" in op.name else None)
+    return found
+
+
 class TestPayloadBudget:
     """A Linebacker result must stay small: it is pickled on the worker,
     unpickled on the client, pickled again by the cache and unpickled
@@ -403,6 +426,18 @@ class TestPayloadBudget:
         cache = ResultCache(tmp_path / "cache")
         cache.put(cache.key_for(spec), payload)
         assert fingerprint_value("linebacker", cache.get(cache.key_for(spec))) == want
+
+    def test_a_linebacker_result_pickles_no_table_entry(self):
+        # ROADMAP item 11's case: carrying the live Load Monitor and VTT,
+        # the sealed Linebacker result was 20,917 B against 1,256 B for
+        # baseline.
+        config, kernel = scaled_config(num_sms=2), kernel_for("S2", 0.05)
+        sealed = {arch: wire.seal(resolve(arch).runner(config, kernel))
+                  for arch in ("baseline", "linebacker")}
+        assert len(sealed["linebacker"]) <= 2 * len(sealed["baseline"])
+        names = {name for _, name in pickled_globals(sealed["linebacker"][32:])}
+        assert "ExtensionSnapshot" in names and "MonitorSummary" in names
+        assert not names & {"LoadMonitor", "LMEntry", "VictimTagTable", "VTTPartition"}
 
     def test_pickled_vtt_grows_with_valid_entries_not_geometry(self):
         vtt = VictimTagTable(num_sets=48, ways=4, max_partitions=8)
@@ -473,12 +508,12 @@ class TestHashOnce:
         assert stable_hash(hashed) == key
 
 
-class TestCacheSchemaV5:
+class TestCacheSchemaV6:
     def test_v4_entry_is_resimulated_and_rewritten_sealed(self, tmp_path):
         """Entries lost their pickled envelope, 4 -> 5: an entry is the
         payload's sealed bytes. That damaged entries are discarded misses
         is checked by ``test_foreign_schema_entry_is_a_miss``."""
-        assert CACHE_SCHEMA_VERSION == 5
+        assert CACHE_SCHEMA_VERSION == 6
         spec = make_spec(scale=0.05)
         runner = make_runner(tmp_path)
         key = runner.cache.key_for(spec)
@@ -486,3 +521,18 @@ class TestCacheSchemaV5:
         result = runner.run(spec)
         assert runner.stats.simulated == 1
         assert wire.unseal(stored_entry(runner.cache, key)).instructions == result.instructions
+
+    def test_a_v5_row_is_never_read(self, tmp_path, monkeypatch):
+        """Snapshots carry table summaries, 5 -> 6: the version is in the
+        salt of every key, so a v5 row (the live tables inside) is a miss
+        and the rerun stores a row with the summaries."""
+        spec = make_spec(arch="linebacker", scale=0.05)
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.runner.cache, "CACHE_SCHEMA_VERSION", 5)
+            v5 = ResultCache(tmp_path / "cache")
+        overwrite_entry(v5, v5.key_for(spec), wire.seal("a v5 result"))
+        runner = make_runner(tmp_path)
+        assert runner.cache.key_for(spec) != v5.key_for(spec)
+        assert type(runner.run(spec).extensions[0].vtt) is VTTSummary
+        assert runner.stats.simulated == 1 and runner.stats.cache_hits == 0
+        assert runner.cache.info().entries == 2

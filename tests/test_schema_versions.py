@@ -1,18 +1,19 @@
 """Every versioned document surface, pinned against the live program.
 
-Six surfaces carry a version constant that a peer, a cache entry or a
+Seven surfaces carry a version constant that a peer, a cache entry or a
 workload file is checked against. A surface whose shape changes under
 an unchanged constant is read wrong instead of refused, so each
 surface's shape is pinned here beside the constant's value:
 
-* the four dataclass surfaces — the config, :class:`RunOptions`,
-  :class:`JobSpec` and the workload tree — are their
-  ``dataclasses.fields()`` and resolved annotations, recursing into
-  nested dataclasses (``gpu.l1_assoc``) and through tuples of them
-  (``tenants[].phases[]``). An enum is spelled with its member values.
-  A field typed as another surface's root is spelled by name only, so
-  a ``GPUConfig`` change asks for a ``JOB_SCHEMA_VERSION`` bump and
-  not a cache bump;
+* the five dataclass surfaces — the config, :class:`RunOptions`,
+  :class:`JobSpec`, the workload tree and the stored
+  :class:`SimulationResult` (down to its extension snapshots' table
+  summaries) — are their ``dataclasses.fields()`` and resolved
+  annotations, recursing into nested dataclasses (``gpu.l1_assoc``)
+  and through tuples and lists of them (``tenants[].phases[]``). An
+  enum is spelled with its member values. A field typed as another
+  surface's root is spelled by name only, so a ``GPUConfig`` change
+  asks for a ``JOB_SCHEMA_VERSION`` bump and not a cache bump;
 * the two hand-written documents — the wire hello and the HTTP job —
   are the keys their encoders emit, with the JSON type of each value.
 
@@ -45,6 +46,7 @@ import pytest
 
 from repro.config import DRAM_MODELS, LinebackerConfig, SimulationConfig
 from repro.engine.base import backend_names
+from repro.gpu.gpu import SimulationResult
 from repro.options import RunOptions
 from repro.runner import cache, wire
 from repro.runner.registry import resolve
@@ -169,6 +171,77 @@ PINS = {
         "tenants[].phases[].stores[].pc: int",
         "warps_per_cta: int",
     ),
+    ("jobspec", 6): (
+        "app: str",
+        "arch: str",
+        "config: SimulationConfig",
+        "params: tuple[tuple[str, Any], ...]",
+        "scale: float",
+        "workload: WorkloadSpec | None",
+    ),
+    ("result", 6): (
+        "cycles: int",
+        "dram_reads: int",
+        "dram_writes: int",
+        "extensions: list[ExtensionSnapshot]",
+        "extensions[].kind: str",
+        "extensions[].load_monitor: MonitorSummary | None",
+        "extensions[].load_monitor.hits: int",
+        "extensions[].load_monitor.misses: int",
+        "extensions[].load_monitor.selected_hpcs: frozenset[int]",
+        "extensions[].load_monitor.state: MonitorState(disabled|monitoring|selected)",
+        "extensions[].load_monitor.windows_elapsed: int",
+        "extensions[].stats: object | None",
+        "extensions[].vtt: VTTSummary | None",
+        "extensions[].vtt.active_capacity_lines: int",
+        "extensions[].vtt.active_partitions: int",
+        "extensions[].vtt.partitions: int",
+        "extensions[].vtt.stats: VTTStats",
+        "extensions[].vtt.stats.hits: int",
+        "extensions[].vtt.stats.inserts: int",
+        "extensions[].vtt.stats.lookups: int",
+        "extensions[].vtt.stats.partition_activations: int",
+        "extensions[].vtt.stats.partition_deactivations: int",
+        "extensions[].vtt.stats.store_invalidations: int",
+        "extensions[].vtt.valid_lines: int",
+        "kernel_name: str",
+        "l1_stats: list[CacheStats]",
+        "l1_stats[].capacity_conflict_misses: int",
+        "l1_stats[].cold_misses: int",
+        "l1_stats[].evictions: int",
+        "l1_stats[].hits: int",
+        "l1_stats[].misses: int",
+        "l1_stats[].write_hits: int",
+        "l1_stats[].write_misses: int",
+        "rf_stats: list[RegisterFileStats]",
+        "rf_stats[].bank_conflicts: int",
+        "rf_stats[].reads: int",
+        "rf_stats[].writes: int",
+        "sm_stats: list[SMStats]",
+        "sm_stats[].bypasses: int",
+        "sm_stats[].cycles: int",
+        "sm_stats[].instructions: int",
+        "sm_stats[].l1_hits: int",
+        "sm_stats[].l1_misses: int",
+        "sm_stats[].loads: int",
+        "sm_stats[].mem_requests: int",
+        "sm_stats[].stores: int",
+        "sm_stats[].victim_hits: int",
+        "sms: list[SMSnapshot]",
+        "sms[].done: bool",
+        "sms[].l1: L1Snapshot",
+        "sms[].l1.assoc: int",
+        "sms[].l1.num_sets: int",
+        "sms[].l1.size_bytes: int",
+        "sms[].load_tracker: LoadTracker | None",
+        "sms[].sm_id: int",
+        "sms[].timeseries: WindowSeries | None",
+        "traffic: TrafficStats",
+        "traffic.backup_write_lines: int",
+        "traffic.demand_read_lines: int",
+        "traffic.restore_read_lines: int",
+        "traffic.store_write_lines: int",
+    ),
 }
 # -- pins: end --------------------------------------------------------------
 
@@ -182,6 +255,7 @@ ROOTS = {
     "run-options": RunOptions,
     "jobspec": JobSpec,
     "workload-spec": workload_spec.WorkloadSpec,
+    "result": SimulationResult,
 }
 
 
@@ -192,8 +266,9 @@ def spell(hint) -> str:
         return f"{spell(inner)} | None"
     if inner is Ellipsis:
         return "..."
-    if typing.get_origin(inner) is tuple:
-        return f"tuple[{', '.join(spell(arg) for arg in typing.get_args(inner))}]"
+    if typing.get_origin(inner) is not None:
+        args = ", ".join(spell(arg) for arg in typing.get_args(inner))
+        return f"{typing.get_origin(inner).__name__}[{args}]"
     if isinstance(inner, type) and issubclass(inner, enum.Enum):
         return f"{inner.__name__}({'|'.join(sorted(str(m.value) for m in inner))})"
     return getattr(inner, "__name__", str(inner).replace("typing.", ""))
@@ -201,15 +276,15 @@ def spell(hint) -> str:
 
 def dataclass_shape(cls, path: str = "") -> list[str]:
     """``"path: type"`` for every field of ``cls``, recursing into
-    nested dataclasses and tuples of them, but not into another
-    surface's root."""
+    nested dataclasses and tuples or lists of them, but not into
+    another surface's root."""
     out = []
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         where = f"{path}{f.name}"
         out.append(f"{where}: {spell(hints[f.name])}")
         inner, _ = unwrap(hints[f.name])
-        if typing.get_origin(inner) is tuple:
+        if typing.get_origin(inner) in (tuple, list):
             inner, where = typing.get_args(inner)[0], f"{where}[]"
         if dataclasses.is_dataclass(inner) and inner not in ROOTS.values():
             out += dataclass_shape(inner, f"{where}.")
@@ -233,6 +308,7 @@ def live(surface: str) -> tuple[int, list[str]]:
         "run-options": schema.JOB_SCHEMA_VERSION,
         "jobspec": cache.CACHE_SCHEMA_VERSION,
         "workload-spec": workload_spec.WORKLOAD_SPEC_VERSION,
+        "result": cache.CACHE_SCHEMA_VERSION,
     }[surface]
     return version, dataclass_shape(ROOTS[surface])
 

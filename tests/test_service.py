@@ -31,7 +31,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 import repro.runner.engine as engine_module  # noqa: E402
 import repro.runner.fleet as fleet_module  # noqa: E402
 import repro.service.coordinator as coordinator_module  # noqa: E402
-from fault_injection import FlakyCache, flaky_worker_command, stored_entry, unsimulatable  # noqa: E402
+from fault_injection import (  # noqa: E402
+    FlakyCache,
+    flaky_worker_command,
+    stored_entry,
+    unsimulatable_registered,
+)
 from golden import fingerprint_value  # noqa: E402
 from repro.api import Session  # noqa: E402
 from document_helpers import dataclass_nodes, field_slots, node_at, wrong_values  # noqa: E402
@@ -115,19 +120,30 @@ def flaky_store(coordinator, **kwargs):
 
 
 def slow_worker_command(tmp_path, delay):
-    """A genuine worker that sits on every job line for ``delay`` seconds
-    first."""
+    """A genuine worker, with the ``unsimulatable`` rows registered, that
+    sits on every job line for ``delay`` seconds first."""
     shim = tmp_path / "slow_worker.py"
     shim.write_text(
         "import sys, time\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from fault_injection import unsimulatable_registered\n"
         "from repro.runner.worker import serve\n"
         "def lines():\n"
         "    for line in sys.stdin:\n"
         f"        time.sleep({delay})\n"
         "        yield line\n"
-        "raise SystemExit(serve(lines(), sys.stdout))\n"
+        "with unsimulatable_registered():\n"
+        "    raise SystemExit(serve(lines(), sys.stdout))\n"
     )
     return f"{{python}} -u {shim}"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def unsimulatable():
+    """Registered before any worker of this module is forked, so that
+    every fleet's workers know the row."""
+    with unsimulatable_registered():
+        yield
 
 
 def until(predicate, timeout=10.0):
@@ -245,7 +261,8 @@ class TestSchema:
         ("num_sms", 0), ("num_sms", -4), ("dram_model", "x"), ("l2_assoc", 0),
         ("l2_lines_per_cycle", 0.0), ("dram_bandwidth_gbps", -1.0),
         ("l2_size_bytes", 512), ("num_schedulers", 0), ("register_banks", 0),
-        ("clock_mhz", 0.0),
+        ("clock_mhz", 0.0), ("l1_assoc", 0), ("l1_assoc", -2), ("l1_line_bytes", 0),
+        ("l1_size_bytes", 100),
     ])
     def test_a_machine_no_job_runs_on_is_refused(self, field, value):
         doc = encode_jobspec(make_spec())
@@ -363,9 +380,9 @@ class TestServiceEndToEnd:
         assert err.value.code == 400
 
     def test_simulation_error_is_final_and_surfaces(self, client):
-        spec = make_spec("S2", "baseline", config=unsimulatable(CFG))
+        spec = make_spec("S2", "unsimulatable")
         doc = client.submit(spec)
-        with pytest.raises(RemoteJobError):
+        with pytest.raises(RemoteJobError, match="InjectedSimulationError"):
             client.result(doc["job_id"], timeout=120)
 
     def test_fleet_endpoint_counts_work(self, client):
@@ -565,8 +582,8 @@ class TestLongPoll:
         )
         try:
             client = ServiceClient(url)
-            doc = client.submit(make_spec("S2", "baseline", config=unsimulatable(CFG)))
-            with pytest.raises(RemoteJobError):
+            doc = client.submit(make_spec("S2", "unsimulatable"))
+            with pytest.raises(RemoteJobError, match="InjectedSimulationError"):
                 client.result(doc["job_id"], timeout=120)
             assert handler.result_requests == 1
         finally:
@@ -1172,15 +1189,15 @@ class TestResultInSubmitReply:
         handler = counting_handler()
         server, coordinator, url = start_service(tmp_path, handler=handler, workers=1)
         try:
-            spec = make_spec("LI", "baseline", config=unsimulatable(CFG))
+            spec = make_spec("LI", "unsimulatable")
             client = ServiceClient(url)
-            with pytest.raises(RemoteJobError):
+            with pytest.raises(RemoteJobError, match="InjectedSimulationError"):
                 client.result(client.submit(spec)["job_id"], timeout=120)
             status, doc = post(url, body_of(spec))
             assert status == 200 and doc["status"] == "failed"
             assert "payload" not in doc
             client.submit(spec)
-            with pytest.raises(RemoteJobError):
+            with pytest.raises(RemoteJobError, match="InjectedSimulationError"):
                 client.result(spec.key, timeout=30)
             assert handler.result_requests == 2
             assert coordinator.stats()["submit_results"] == 0
@@ -1358,6 +1375,8 @@ def wrong_value_mutants(doc, rng):
         (("config", "gpu"), "num_schedulers", 0),
         (("config", "gpu"), "register_banks", 0),
         (("config", "gpu"), "clock_mhz", 0.0),
+        (("config", "gpu"), "l1_assoc", rng.choice([0, -8])),
+        (("config", "gpu"), "l1_size_bytes", rng.randrange(1, 1024)),
         (("config", "linebacker"), "window_cycles", 0),
         (("workload",), "num_ctas", 0),
         (("workload",), "regs_per_thread", rng.choice([0, 4096])),
