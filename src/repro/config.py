@@ -129,12 +129,22 @@ class GPUConfig:
 
     def check(self) -> "GPUConfig":
         """``self``, or a ``ValueError`` naming the field of a machine no
-        job runs on: no SM, scheduler or register bank, a stopped clock,
-        an unknown DRAM model, an L1/L2/DRAM no request could be served by."""
-        for name in ("num_sms", "num_schedulers", "register_banks", "l1_assoc", "l1_line_bytes"):
+        job runs on: no SM, scheduler, issue slot, lane, register or
+        register bank port, no room for a CTA or warp, a stopped clock,
+        an unknown DRAM model, an L1/L2/DRAM no request could be served
+        by, no MSHR or outstanding load for a miss to wait in."""
+        for name in ("num_sms", "num_schedulers", "register_banks", "register_bank_ports",
+                     "simd_width", "issue_width", "max_ctas_per_sm", "max_warps_per_sm",
+                     "max_threads_per_sm", "l1_assoc", "l1_line_bytes", "l1_mshrs",
+                     "max_outstanding_loads", "dram_channels", "dram_banks_per_channel"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"GPUConfig.{name} must be at least 1, got {value!r}")
+        if self.num_warp_registers < 1:
+            raise ValueError(
+                f"GPUConfig.register_file_bytes={self.register_file_bytes!r} holds no "
+                f"warp register ({WARP_REGISTER_BYTES} B)"
+            )
         if self.dram_model not in DRAM_MODELS:
             raise ValueError(f"GPUConfig.dram_model must be one of {DRAM_MODELS}, "
                              f"got {self.dram_model!r}")

@@ -129,9 +129,9 @@ def run_kernel(
     extension_factory: Optional[ExtensionFactory] = None,
     options: RunOptions = RunOptions(),
 ) -> SimulationResult:
-    """Convenience wrapper: run one kernel on the machine
-    (``options.backend`` names another registered engine; see
-    :mod:`repro.engine.base`).
+    """Run one kernel on the machine, or on the engine
+    ``options.backend`` pins (:data:`repro.engine.BACKENDS`; an unknown
+    name is a :class:`~repro.engine.BackendError` naming the known ones).
 
     By default the result carries SM/extension *snapshots* (every
     statistic, the load tracker, the summaries of Linebacker's Load
@@ -147,15 +147,10 @@ def run_kernel(
         raise ValueError("CTA limit must be at least 1")
     # Imported lazily: the machine imports this module for
     # SimulationResult (acyclic at import time).
-    from repro.engine import EngineRequest, dispatch
+    from repro.engine import BACKENDS, BackendError, backend_names
 
-    request = EngineRequest(
-        config=config,
-        kernel=kernel,
-        extension_factory=extension_factory,
-        max_concurrent_ctas=limit,
-        track_loads=options.track_loads,
-        keep_objects=options.keep_objects,
-        timeseries=options.timeseries,
-    )
-    return dispatch(options.backend, request)
+    name = options.backend or "vector"
+    if name not in BACKENDS:
+        known = ", ".join(backend_names())
+        raise BackendError(f"unknown backend {name!r} (known: {known})")
+    return BACKENDS[name](config, kernel, extension_factory, options)

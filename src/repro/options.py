@@ -45,7 +45,7 @@ class RunOptions:
     timeseries: bool = False
     #: Static CTA-residency cap (SWL-style throttling); ``None`` = off.
     max_concurrent_ctas: Optional[int] = None
-    #: A registered engine's name (:mod:`repro.engine.base`); ``None``
+    #: A registered engine's name (:data:`repro.engine.BACKENDS`); ``None``
     #: is the machine, ``"vector"``. Participates in cache identity
     #: when set: results computed by pinned engines never alias, so a
     #: divergence from the test-side oracle can be bisected from cache.

@@ -45,12 +45,7 @@ from repro.runner.executors import (
 )
 from repro.runner.fleet import JobOutcome, WorkerFleet
 from repro.runner.registry import ARCHITECTURES, ArchSpec, resolve
-from repro.runner.snapshot import (
-    ExtensionSnapshot,
-    L1Snapshot,
-    SMSnapshot,
-    portable,
-)
+from repro.runner.snapshot import portable
 from repro.options import RunOptions
 from repro.runner.spec import JobSpec
 from repro.runner.wire import (
@@ -68,7 +63,6 @@ __all__ = [
     "Executor",
     "ExecutorUnavailable",
     "ExperimentRunner",
-    "ExtensionSnapshot",
     "InlineExecutor",
     "JOB_SOURCES",
     "JOB_STATES",
@@ -76,7 +70,6 @@ __all__ = [
     "JobOutcome",
     "JobRecord",
     "JobSpec",
-    "L1Snapshot",
     "LoopbackExecutor",
     "MISS",
     "PROTOCOL_VERSION",
@@ -87,7 +80,6 @@ __all__ = [
     "ResultCache",
     "RunOptions",
     "RunnerStats",
-    "SMSnapshot",
     "WireError",
     "WorkerFleet",
     "build_executor",

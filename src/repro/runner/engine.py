@@ -42,9 +42,11 @@ memory; an evicted one is re-read through the cache when next asked
 for, and run again if the cache has lost it. Without a cache nothing is
 evicted.
 
-Simulations are deterministic given ``config.seed``, so every tier and
-executor produces identical statistics for one spec — the table only
-changes *where and when* a job runs.
+A simulation draws no random number and reads no clock: its statistics
+are a function of the spec alone (architecture, configuration, options,
+workload and scale; ``config.seed`` is part of the key but read by
+nothing). So every tier and executor produces identical statistics for
+one spec — the table only changes *where and when* a job runs.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from repro.runner.executors import (
 )
 from repro.runner.fleet import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, JobOutcome
 from repro.runner.registry import resolve
-from repro.runner.snapshot import portable
 from repro.runner.spec import JobSpec
 from repro.runner.wire import seal, unseal
 
@@ -101,11 +102,13 @@ def execute_job(spec: JobSpec) -> tuple[Any, float]:
 
     Rebuilds the kernel trace from (app, scale) and resolves the
     architecture runner by name, so only the plain-data spec ever
-    crosses a process boundary. Returns ``(portable payload, seconds)``.
+    crosses a process boundary. Returns ``(payload, seconds)``; the
+    payload is portable as it comes, since ``run_kernel`` snapshots by
+    default and a job refuses ``keep_objects``.
     """
     started = time.perf_counter()
     value = resolve(spec.arch).runner(spec.config, spec.kernel(), **spec.overrides)
-    return portable(value), time.perf_counter() - started
+    return value, time.perf_counter() - started
 
 
 @dataclass
@@ -325,7 +328,7 @@ class ExperimentRunner:
                 self._settle_derived(job)
                 return job, False, False
             self._start(job)
-        self._dispatch(job)
+        self._send(job)
         return job, False, False
 
     def _settle_derived(self, job: Job) -> None:
@@ -358,12 +361,12 @@ class ExperimentRunner:
         return job
 
     def _start(self, job: Job) -> None:
-        """Mark ``job`` in flight (``_lock`` held); :meth:`_dispatch` next."""
+        """Mark ``job`` in flight (``_lock`` held); :meth:`_send` next."""
         job.status = "running"
         self._running[job.id] = job
         self.stats.dispatched += 1
 
-    def _dispatch(self, job: Job) -> None:
+    def _send(self, job: Job) -> None:
         try:
             self.executor.submit(job.id, job.spec)
         except ExecutorUnavailable as exc:
@@ -524,7 +527,7 @@ class ExperimentRunner:
                 self._start(job)
         if not rerun:
             return self._entry(job_id)  # a concurrent fetch got here first
-        self._dispatch(job)
+        self._send(job)
         return MISS
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:

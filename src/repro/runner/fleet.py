@@ -329,7 +329,7 @@ class WorkerFleet:
         """
         outcomes: list[JobOutcome] = []
         self._top_up(outcomes)
-        wakes = [self._dispatch(outcomes), self._expire(outcomes)]
+        wakes = [self._assign(outcomes), self._expire(outcomes)]
         if outcomes:
             return outcomes
         wake = min((t for t in wakes if t is not None), default=float("inf"))
@@ -412,7 +412,7 @@ class WorkerFleet:
         return time.monotonic() + self.job_timeout if self.job_timeout else None
 
     # -- dispatch --------------------------------------------------------
-    def _dispatch(self, outcomes: list[JobOutcome]) -> Optional[float]:
+    def _assign(self, outcomes: list[JobOutcome]) -> Optional[float]:
         """Write ready jobs to idle greeted workers. Returns when the
         earliest backed-off job could go to a worker that is idle now."""
         now = time.monotonic()

@@ -1,23 +1,14 @@
-"""Portable snapshots of simulation results.
+"""Portable results: :func:`portable` strips a live result to its
+snapshots.
 
 A live :class:`~repro.gpu.gpu.SimulationResult` built with
-``keep_objects=True`` drags the entire simulation graph behind it:
-each SM holds its memory subsystem, the kernel trace, and a
-``cta_source`` closure, none of which can cross a process boundary or
-be written to the persistent result cache. The analysis layer,
-however, only ever touches a narrow slice of that graph. The snapshot
-classes (now defined in :mod:`repro.gpu.snapshot`, re-exported here)
-capture exactly that slice — the self-contained stat objects
-(``SMStats``, ``TrafficStats``, cache and register-file stats,
-``LinebackerStats`` and ``LoadTracker``, which hold no SM references),
-the ``summary()`` of each Load Monitor and Victim Tag Table (never
-their entries and tags) and a few scalars — so a "portable" result
-pickles in about a kilobyte and behaves identically for every figure
-runner, test, and the energy model.
-
-Since ``run_kernel`` snapshots by default, :func:`portable` is usually
-a pass-through; it still guarantees portability for results produced
-with ``keep_objects=True``.
+``keep_objects=True`` drags the entire simulation graph behind it; the
+snapshot classes of :mod:`repro.gpu.snapshot` capture the slice the
+analysis layer reads, so a portable result pickles in about a kilobyte.
+``run_kernel`` snapshots by default and a job refuses ``keep_objects``,
+so no job path calls :func:`portable`. It is kept because
+``benchmarks/e2e/probes.py`` (``runner_probes``) and
+``tests/test_runner.py`` import it.
 """
 
 from __future__ import annotations
@@ -25,22 +16,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.gpu.gpu import SimulationResult
-from repro.gpu.snapshot import (
-    ExtensionSnapshot,
-    L1Snapshot,
-    SMSnapshot,
-    snapshot_extension,
-    snapshot_sm,
-)
+from repro.gpu.snapshot import SMSnapshot, snapshot_extension, snapshot_sm
 
-__all__ = [
-    "ExtensionSnapshot",
-    "L1Snapshot",
-    "SMSnapshot",
-    "snapshot_extension",
-    "snapshot_sm",
-    "portable",
-]
+__all__ = ["portable"]
 
 
 def portable(value):

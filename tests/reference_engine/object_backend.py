@@ -1,39 +1,26 @@
-"""The ``object`` backend: the event-driven GPU/SM engine.
+"""The ``object`` engine's run function: the event-driven GPU/SM engine.
 
 This is the original simulation core — per-warp ``Warp`` objects, a
-per-SM event heap, live ``SetAssociativeCache``/``MSHRFile`` instances
-— extracted behind the :class:`~repro.engine.base.EngineBackend`
-interface. It supports the full feature surface (extensions, load
-tracking, timeseries, live result objects, timing DRAM, the NoC), so
-it ends the selection order for any request the vector engine
-declines, and is the reference the vector engine — hooks included — is
-held bit-identical to.
+per-SM event heap, live ``SetAssociativeCache``/``MSHRFile`` instances.
+It hosts the full feature surface (extensions, load tracking,
+timeseries, live result objects, timing DRAM, the NoC) and is the
+reference the machine — hooks included — is held bit-identical to.
 """
 
 from __future__ import annotations
 
-from typing import Optional
 
-from repro.engine.base import EngineRequest
+def run(config, kernel, extension_factory, options):
+    """Run ``kernel`` on the reference; the run-function signature of
+    ``repro.engine.BACKENDS``."""
+    from .gpu import GPU
 
-
-class ObjectBackend:
-    """Event-driven reference engine (supports everything)."""
-
-    name = "object"
-
-    def supports(self, request: EngineRequest) -> Optional[str]:
-        return None
-
-    def run(self, request: EngineRequest):
-        from .gpu import GPU
-
-        gpu = GPU(
-            request.config,
-            request.kernel,
-            extension_factory=request.extension_factory,
-            max_concurrent_ctas=request.max_concurrent_ctas,
-            track_loads=request.track_loads,
-            timeseries=request.timeseries,
-        )
-        return gpu.run(keep_objects=request.keep_objects)
+    gpu = GPU(
+        config,
+        kernel,
+        extension_factory=extension_factory,
+        max_concurrent_ctas=options.max_concurrent_ctas,
+        track_loads=options.track_loads,
+        timeseries=options.timeseries,
+    )
+    return gpu.run(keep_objects=options.keep_objects)

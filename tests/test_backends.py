@@ -2,9 +2,10 @@
 
 Eight contracts:
 
-* **Registry**: ``vector`` is the one engine registered at import; a
-  test registers the reference as ``"object"`` around itself and it is
-  gone afterwards; unknown names and duplicates are refused.
+* **Registry**: ``BACKENDS`` maps ``vector`` to the machine's run
+  function at import; a test sets ``"object"`` to the reference's
+  around itself and it is gone afterwards; a pinned name runs its
+  function and an unknown one is refused, naming the known ones.
 * **Selection** (what is left of it): with no backend named every
   request — any option, any registry row, any leg of a sweep — runs on
   the machine, silently, whatever else is registered, and without
@@ -48,16 +49,8 @@ import pytest
 from repro.baselines.swl import BestSWLResult
 from repro.config import scaled_config
 from repro.core.linebacker import LinebackerExtension
-from repro.engine import (
-    BACKENDS,
-    BackendError,
-    EngineBackend,
-    EngineRequest,
-    backend_names,
-    dispatch,
-    register_backend,
-    resolve_backend,
-)
+from repro.engine import BACKENDS, BackendError, backend_names
+from repro.engine.vector import run as vector_run
 from repro.engine.vector.machine import _L1, _READY, VectorSM, WarpView
 from repro.gpu.cta import CTA
 from repro.gpu.extension import CAPABILITY_FLAGS, EV_CALLBACK, SMExtension
@@ -150,54 +143,57 @@ def run_arch(arch: str, kernel, backend=None, sms=SMS):
 class TestRegistry:
     def test_builtins_are_registered(self):
         assert backend_names() == ("vector",)
-        assert isinstance(BACKENDS["vector"], EngineBackend)
-        assert BACKENDS["vector"].name == "vector"
+        assert BACKENDS == {"vector": vector_run}
         # A test-side registration lasts as long as its ``with``.
         with reference_engine.registered() as oracle:
             assert backend_names() == ("object", "vector")
-            assert isinstance(oracle, EngineBackend) and BACKENDS["object"] is oracle
-        assert backend_names() == ("vector",)
+            assert BACKENDS["object"] is oracle
+        assert BACKENDS == {"vector": vector_run}
 
-    def test_explicit_names_resolve(self, reference):
-        assert resolve_backend("object") is reference
-        assert resolve_backend("vector").name == "vector"
+    def test_explicit_names_resolve(self, reference, monkeypatch):
+        for name in backend_names():
+            monkeypatch.setitem(BACKENDS, name, lambda *args, name=name: name)
+        config, kernel = scaled_config(num_sms=1), kernel_for("S2", SCALE)
+        for name in ("object", "vector"):
+            assert run_kernel(config, kernel, None, RunOptions(backend=name)) == name
+        assert run_kernel(config, kernel) == "vector"
 
     def test_unknown_name_raises_with_known_names(self):
-        with pytest.raises(BackendError, match="known: vector"):
-            resolve_backend("cuda")
+        config, kernel = scaled_config(num_sms=1), kernel_for("S2", SCALE)
+        with pytest.raises(BackendError, match=r"unknown backend 'cuda' \(known: vector\)"):
+            run_kernel(config, kernel, None, RunOptions(backend="cuda"))
         with pytest.raises(BackendError, match="unknown backend 'object'"):
-            resolve_backend("object")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend(BACKENDS["vector"])
+            run_kernel(config, kernel, None, RunOptions(backend="object"))
 
 
 # ---------------------------------------------------------------------------
 # Selection: backend=None is the machine, whatever the request
 # ---------------------------------------------------------------------------
 class _Counting:
-    """A registered backend that counts the jobs it is handed and runs
-    them (or, given ``canned``, answers every one with it)."""
+    """A run function that counts the jobs it is handed and runs them
+    on ``inner`` (or, given ``canned``, answers every one with it)."""
 
     def __init__(self, inner, canned=None):
-        self.inner, self.name, self.runs, self.canned = inner, inner.name, 0, canned
+        self.inner, self.runs, self.canned = inner, 0, canned
 
-    def run(self, request):
+    def __call__(self, *args):
         self.runs += 1
-        return self.canned or self.inner.run(request)
+        return self.canned or self.inner(*args)
 
 
-def _request(gpu=None, **knobs) -> EngineRequest:
+def _run(gpu=None, extension_factory=None, **options):
+    """One S2 kernel on a 1-SM machine through ``run_kernel``."""
     config = scaled_config(num_sms=1)
     if gpu:
         config = replace(config, gpu=replace(config.gpu, **gpu))
-    return EngineRequest(config=config, kernel=kernel_for("S2", SCALE), **knobs)
+    return run_kernel(
+        config, kernel_for("S2", SCALE), extension_factory, RunOptions(**options)
+    )
 
 
 @pytest.fixture(scope="module")
 def canned():
-    return dispatch(None, _request())
+    return _run()
 
 
 def _count_all(monkeypatch, canned=None) -> dict:
@@ -208,7 +204,7 @@ def _count_all(monkeypatch, canned=None) -> dict:
 
 @pytest.mark.usefixtures("reference")
 class TestSelection:
-    #: ``_request`` knobs; the last five each pinned the reference
+    #: ``_run`` knobs; the last five each pinned the reference
     #: engine once.
     TABLE = {
         "plain": {},
@@ -224,7 +220,7 @@ class TestSelection:
     @pytest.mark.parametrize("case", sorted(TABLE))
     def test_request_selects_engine(self, case, canned, monkeypatch):
         engines = _count_all(monkeypatch, canned)
-        dispatch(None, _request(**self.TABLE[case]))
+        _run(**self.TABLE[case])
         assert {n: b.runs for n, b in engines.items()} == {"object": 0, "vector": 1}
 
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
@@ -238,13 +234,11 @@ class TestSelection:
         assert engines["vector"].runs >= 1 and engines["object"].runs == 0
 
     @pytest.mark.parametrize("case", ["plain", "timeseries"])
-    def test_unpinned_dispatch_runs_the_selected_engine_silently(
-        self, case, monkeypatch
-    ):
+    def test_unpinned_run_is_the_machine_silently(self, case, monkeypatch):
         engines = _count_all(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any category
-            dispatch(None, _request(**self.TABLE[case]))
+            _run(**self.TABLE[case])
         assert {n: b.runs for n, b in engines.items()} == {"object": 0, "vector": 1}
 
     def test_unpinned_key_is_the_parent_commits(self):
@@ -928,21 +922,17 @@ class TestFallback:
                 track_loads=True, timeseries=True, keep_objects=True,
             )
 
-    def test_dispatch_object_never_warns(self, reference):
-        kernel = kernel_for("S2", SCALE)
-        request = EngineRequest(
-            config=scaled_config(num_sms=1), kernel=kernel, timeseries=True
-        )
+    def test_pinned_object_never_warns(self, reference):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dispatch("object", request)
+            _run(backend="object", timeseries=True)
 
-    def test_dispatch_unknown_backend_raises(self):
+    def test_runner_with_unknown_backend_raises(self):
         kernel = kernel_for("S2", SCALE)
-        request = EngineRequest(config=scaled_config(num_sms=1), kernel=kernel)
+        config = scaled_config(num_sms=1)
         for name in ("cuda", "object"):  # nothing registered the oracle here
-            with pytest.raises(BackendError):
-                dispatch(name, request)
+            with pytest.raises(BackendError, match="known: vector"):
+                resolve("baseline").runner(config, kernel, backend=name)
 
 
 # ---------------------------------------------------------------------------

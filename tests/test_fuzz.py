@@ -114,22 +114,17 @@ class TestDifferentialHarness:
         # The stand-in "vector" is the reference engine run under a
         # 1-CTA cap, and only for one kind of request (hooked or
         # extension-free), so only the leg under test moves.
-        import dataclasses
-
         from repro.engine import BACKENDS
 
         vector = BACKENDS["vector"]
 
-        class Skewed:
-            name = "vector"
+        def skewed(config, kernel, extension_factory, options):
+            if (extension_factory is not None) != hooked:
+                return vector(config, kernel, extension_factory, options)
+            capped = options.replace(max_concurrent_ctas=1)
+            return BACKENDS["object"](config, kernel, extension_factory, capped)
 
-            def run(self, request):
-                if (request.extension_factory is not None) != hooked:
-                    return vector.run(request)
-                skewed = dataclasses.replace(request, max_concurrent_ctas=1)
-                return BACKENDS["object"].run(skewed)
-
-        monkeypatch.setitem(BACKENDS, "vector", Skewed())
+        monkeypatch.setitem(BACKENDS, "vector", skewed)
 
     def test_default_engine_is_checked_against_pinned_object(self, monkeypatch):
         # No flag needed: a machine that disagrees with a registered
@@ -156,17 +151,14 @@ class TestDifferentialHarness:
 
         vector = BACKENDS["vector"]
 
-        class Miscounting:
-            name = "vector"
-
-            def run(self, request):
-                result = vector.run(request)
-                for sm in result.sms if request.keep_objects else ():
-                    sm.mshr_stalls += 1
-                return result
+        def miscounting(config, kernel, extension_factory, options):
+            result = vector(config, kernel, extension_factory, options)
+            for sm in result.sms if options.keep_objects else ():
+                sm.mshr_stalls += 1
+            return result
 
         with reference_engine.registered():
-            monkeypatch.setitem(BACKENDS, "vector", Miscounting())
+            monkeypatch.setitem(BACKENDS, "vector", miscounting)
             problems = differential_check(fuzz_workload(SEED, 0))
         assert [p.split(":")[0] for p in problems] == ["linebacker", "baseline"], problems
         assert all("MSHR-stall replays" in p for p in problems), problems

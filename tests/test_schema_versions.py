@@ -45,7 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import DRAM_MODELS, LinebackerConfig, SimulationConfig
-from repro.engine.base import backend_names
+from repro.engine import backend_names
 from repro.gpu.gpu import SimulationResult
 from repro.options import RunOptions
 from repro.runner import cache, wire

@@ -262,7 +262,11 @@ class TestSchema:
         ("l2_lines_per_cycle", 0.0), ("dram_bandwidth_gbps", -1.0),
         ("l2_size_bytes", 512), ("num_schedulers", 0), ("register_banks", 0),
         ("clock_mhz", 0.0), ("l1_assoc", 0), ("l1_assoc", -2), ("l1_line_bytes", 0),
-        ("l1_size_bytes", 100),
+        ("l1_size_bytes", 100), ("l1_mshrs", 0), ("max_outstanding_loads", 0),
+        ("issue_width", 0), ("max_ctas_per_sm", 0), ("max_warps_per_sm", 0),
+        ("max_threads_per_sm", 0), ("simd_width", 0), ("register_bank_ports", 0),
+        ("register_file_bytes", 0), ("register_file_bytes", 127), ("dram_channels", 0),
+        ("dram_banks_per_channel", 0),
     ])
     def test_a_machine_no_job_runs_on_is_refused(self, field, value):
         doc = encode_jobspec(make_spec())
@@ -273,6 +277,25 @@ class TestSchema:
             Session.local(executor="inline").spec(
                 "S2", "baseline", config=SimulationConfig(
                     gpu=dataclasses.replace(CFG.gpu, **{field: value})))
+
+    #: The numeric ``GPUConfig`` fields a machine may set to 0: a latency
+    #: of no cycles, no shared memory, and the NoC knobs, which nothing
+    #: reads while ``noc_enable`` is off.
+    ZERO_IS_A_MACHINE = {
+        "l1_hit_latency", "l2_latency", "dram_latency", "alu_latency", "noc_latency",
+        "noc_injection_interval", "noc_crossbar_lines_per_cycle", "shared_memory_bytes",
+    }
+
+    def test_every_numeric_field_at_zero_is_refused_or_listed_as_a_machine(self):
+        numeric = [f.name for f in dataclasses.fields(CFG.gpu) if f.type in ("int", "float")]
+        assert self.ZERO_IS_A_MACHINE <= set(numeric)
+        for name in numeric:
+            config = SimulationConfig(gpu=dataclasses.replace(CFG.gpu, **{name: 0}))
+            if name in self.ZERO_IS_A_MACHINE:
+                assert JobSpec.build("S2", "baseline", config, 0.05).config == config
+            else:
+                with pytest.raises(ValueError, match=f"GPUConfig.{name}"):
+                    JobSpec.build("S2", "baseline", config, 0.05)
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_a_window_that_never_ends_is_refused(self, window):
@@ -1377,6 +1400,15 @@ def wrong_value_mutants(doc, rng):
         (("config", "gpu"), "clock_mhz", 0.0),
         (("config", "gpu"), "l1_assoc", rng.choice([0, -8])),
         (("config", "gpu"), "l1_size_bytes", rng.randrange(1, 1024)),
+        (("config", "gpu"), "l1_mshrs", 0),
+        (("config", "gpu"), "max_outstanding_loads", 0),
+        (("config", "gpu"), "issue_width", 0),
+        (("config", "gpu"), "max_ctas_per_sm", 0),
+        (("config", "gpu"), "max_warps_per_sm", 0),
+        (("config", "gpu"), "max_threads_per_sm", 0),
+        (("config", "gpu"), "simd_width", 0),
+        (("config", "gpu"), "register_bank_ports", 0),
+        (("config", "gpu"), "register_file_bytes", 0),
         (("config", "linebacker"), "window_cycles", 0),
         (("workload",), "num_ctas", 0),
         (("workload",), "regs_per_thread", rng.choice([0, 4096])),
